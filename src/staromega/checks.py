@@ -23,6 +23,7 @@ from .matrix import (
     mat_from_raw,
     mat_omega_t,
     mat_omega_t_alt,
+    mat_omega_t_blocks,
     mat_star,
     mat_star_blocks,
     mat_vec_mul,
@@ -86,7 +87,7 @@ def _random_matrix(rng: Random, inst, n: int) -> SemiringMatrix:
 def identity_suite(rng: Random, cases: int = 200) -> SuiteResult:
     result = SuiteResult()
     _scalar_laws(result)
-    star_bad = omega_bad = fix_bad = 0
+    star_bad = omega_bad = oracle_bad = fix_bad = 0
     for _ in range(cases):
         inst = INSTANCES[rng.choice(sorted(INSTANCES))]
         n = rng.randint(1, 4)
@@ -98,6 +99,8 @@ def identity_suite(rng: Random, cases: int = 200) -> SuiteResult:
                     star_bad += 1
         for t in range(n + 1):
             v = mat_omega_t(m, t)
+            if mat_omega_t_blocks(m, t).entries != v.entries:
+                oracle_bad += 1
             for k in range(t, n + 1):
                 if mat_omega_t_alt(m, t, k).entries != v.entries:
                     omega_bad += 1
@@ -105,6 +108,7 @@ def identity_suite(rng: Random, cases: int = 200) -> SuiteResult:
                 fix_bad += 1
     result.add("matrix-star-partition-independence", star_bad == 0, f"violations={star_bad}")
     result.add("matrix-omega-buchi-partition", omega_bad == 0, f"violations={omega_bad}")
+    result.add("matrix-omega-block-oracle", oracle_bad == 0, f"violations={oracle_bad}")
     result.add("matrix-omega-fixed-point", fix_bad == 0, f"violations={fix_bad}")
     return result
 

@@ -1,10 +1,32 @@
 """Finite square matrices over a star-omega semiring.
 
 Provides semiring matrix algebra plus the star, omega and Buchi-restricted
-omega operators.  `mat_star` uses the Lehmann elimination scheme, which in a
-Conway semiring agrees with the recursive two-by-two block formulas; the
-block formulas themselves are exposed (`mat_star_blocks`) so the partition
-independence laws can be checked against arbitrary splits.
+omega operators.  Every kernel works on raw values through the instance's
+`add_raw` / `mul_raw` / `star_raw` / `omega_raw`; `SemiringValue` wrappers
+are unpacked and built only at the public boundary.
+
+One Lehmann elimination sweep does the work.  Eliminating pivot k replaces
+A[i][j] by A[i][j] + A[i][k] (A[k][k])* A[k][j]; after every pivot, adding
+the identity gives M*.  `mat_star` runs the sweep in the order 0..n-1.
+
+Omega and its Buchi restriction come from the same sweep run in the order
+n-1..0 (a path decomposition, O(n^3) in total).  Just before pivot j is
+eliminated, column j holds C_j[i], the weight of the paths i -> j of length
+>= 1 whose intermediate states all exceed j.  Every infinite path has a
+least state j that it visits infinitely often; it splits uniquely at its
+last visit k < j (if any) into a finite path i -> k, a path k -> j above j,
+and an infinite sequence of first-return loops at j inside the states >= j,
+each of weight summed by L_j = C_j[j].  Hence, with S = M*,
+
+    A[i][j]  = [i=j] + [i>j] C_j[i] + sum_{k<j} S[i][k] C_j[k]
+    omega_t  = sum_{j<t} A[:, j] L_j^omega,     mat_omega = omega_n.
+
+The decomposition counts each path once, so it also holds in the counting
+semiring, which is not idempotent.  The paper's recursive two-by-two block
+formulas are kept as oracles (`mat_star_blocks`, `mat_omega_blocks`,
+`mat_omega_t_blocks`): they are partition independent in every Conway
+semiring, and the identity suite and the tests check the sweep against them.
+`mat_omega_blocks` makes two recursive calls per level and costs 2^n.
 """
 
 from __future__ import annotations
@@ -52,13 +74,26 @@ class OmegaVector:
         return len(self.entries)
 
 
-# Rectangular blocks are plain tuples-of-tuples internally.
-Rect = tuple[tuple[SemiringValue, ...], ...]
+# Kernels work on rectangular blocks of raw values (sequences of sequences).
+Rect = tuple[tuple, ...]
 
 
 def mat_from_raw(instance: SemiringInstance, raw_rows) -> SemiringMatrix:
     rows = tuple(tuple(instance.value(v) for v in row) for row in raw_rows)
     return SemiringMatrix(instance, len(rows), rows)
+
+
+def _unwrap(m: SemiringMatrix) -> Rect:
+    return tuple(tuple(v.value for v in row) for row in m.rows)
+
+
+def _wrap(instance: SemiringInstance, raw: Rect) -> SemiringMatrix:
+    rows = tuple(tuple(SemiringValue(instance, v) for v in row) for row in raw)
+    return SemiringMatrix(instance, len(rows), rows)
+
+
+def _wrap_vector(instance: SemiringInstance, raw) -> OmegaVector:
+    return OmegaVector(instance, tuple(SemiringValue(instance, v) for v in raw))
 
 
 def mat_zero(instance: SemiringInstance, n: int) -> SemiringMatrix:
@@ -78,38 +113,38 @@ def _check_same(a: SemiringMatrix, b: SemiringMatrix) -> None:
         raise SemiringError("matrices over different instances")
 
 
-def mat_add(a: SemiringMatrix, b: SemiringMatrix) -> SemiringMatrix:
-    _check_same(a, b)
-    if a.n != b.n:
-        raise SemiringError(f"dimension mismatch: {a.n} vs {b.n}")
-    rows = tuple(
-        tuple(a.rows[i][j] + b.rows[i][j] for j in range(a.n)) for i in range(a.n)
-    )
-    return SemiringMatrix(a.instance, a.n, rows)
+def _rect_add(instance: SemiringInstance, a: Rect, b: Rect) -> Rect:
+    add = instance.add_raw
+    return tuple(tuple(map(add, ra, rb)) for ra, rb in zip(a, b))
 
 
 def _rect_mul(instance: SemiringInstance, a: Rect, b: Rect) -> Rect:
     if a and b and len(a[0]) != len(b):
         raise SemiringError(f"dimension mismatch: {len(a[0])} vs {len(b)}")
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        new = []
-        for j in range(cols):
-            acc = instance.zero
-            for k in range(inner):
-                acc = acc + row[k] * b[k][j]
-            new.append(acc)
-        out.append(tuple(new))
-    return tuple(out)
+    cols = tuple(zip(*b)) if b else ()
+    return tuple(tuple(_dot(instance, row, col) for col in cols) for row in a)
+
+
+def _dot(instance: SemiringInstance, row, col):
+    add, mul = instance.add_raw, instance.mul_raw
+    acc = instance.zero_raw()
+    for x, y in zip(row, col):
+        acc = add(acc, mul(x, y))
+    return acc
+
+
+def mat_add(a: SemiringMatrix, b: SemiringMatrix) -> SemiringMatrix:
+    _check_same(a, b)
+    if a.n != b.n:
+        raise SemiringError(f"dimension mismatch: {a.n} vs {b.n}")
+    return _wrap(a.instance, _rect_add(a.instance, _unwrap(a), _unwrap(b)))
 
 
 def mat_mul(a: SemiringMatrix, b: SemiringMatrix) -> SemiringMatrix:
     _check_same(a, b)
     if a.n != b.n:
         raise SemiringError(f"dimension mismatch: {a.n} vs {b.n}")
-    return SemiringMatrix(a.instance, a.n, _rect_mul(a.instance, a.rows, b.rows))
+    return _wrap(a.instance, _rect_mul(a.instance, _unwrap(a), _unwrap(b)))
 
 
 def mat_vec_mul(a: SemiringMatrix, v: OmegaVector) -> OmegaVector:
@@ -117,55 +152,63 @@ def mat_vec_mul(a: SemiringMatrix, v: OmegaVector) -> OmegaVector:
         raise SemiringError("matrix and vector over different instances")
     if a.n != v.n:
         raise SemiringError(f"dimension mismatch: {a.n} vs {v.n}")
-    col = tuple((x,) for x in v.entries)
-    res = _rect_mul(a.instance, a.rows, col)
-    return OmegaVector(a.instance, tuple(r[0] for r in res))
+    col = tuple(x.value for x in v.entries)
+    return _wrap_vector(a.instance, (_dot(a.instance, row, col) for row in _unwrap(a)))
+
+
+def _sweep(instance: SemiringInstance, a: list[list], order) -> list:
+    """Lehmann elimination in place on the raw n x n list `a`, with the
+    pivots taken in `order`, a permutation of range(n).  Returns `cols`,
+    where cols[k] is column k as it stood just before pivot k was eliminated.
+
+    After eliminating a set P of pivots, a[i][j] is the weight of the paths
+    i -> j of length >= 1 whose intermediate states all lie in P.
+    """
+    add, mul, star = instance.add_raw, instance.mul_raw, instance.star_raw
+    zero = instance.zero_raw()
+    cols: list = [None] * len(a)
+    for k in order:
+        row_k = tuple(a[k])
+        col_k = cols[k] = tuple(row[k] for row in a)
+        pivot = star(row_k[k])
+        for i, x in enumerate(col_k):
+            left = mul(x, pivot)
+            if left == zero:
+                continue
+            a[i] = [add(y, mul(left, z)) for y, z in zip(a[i], row_k)]
+    return cols
+
+
+def _add_identity(instance: SemiringInstance, a: list[list]) -> list[list]:
+    add, one = instance.add_raw, instance.one_raw()
+    for i, row in enumerate(a):
+        row[i] = add(row[i], one)
+    return a
+
+
+def _star(instance: SemiringInstance, m: Rect) -> list[list]:
+    a = [list(row) for row in m]
+    _sweep(instance, a, range(len(a)))
+    return _add_identity(instance, a)
 
 
 def mat_star(m: SemiringMatrix) -> SemiringMatrix:
     """Reflexive-transitive closure: sum of all finite matrix powers.
 
-    Lehmann elimination, one scalar star per pivot: sweep k and replace
-    A[i][j] by A[i][j] + A[i][k] (A[k][k])* A[k][j], then add the identity.
+    One Lehmann sweep in the pivot order 0..n-1, then the identity is added.
     Agrees with the recursive block definition in every Conway semiring,
     which the identity suite checks explicitly.
     """
-    n = m.n
-    inst = m.instance
-    a = [list(row) for row in m.rows]
-    for k in range(n):
-        pivot = a[k][k].star()
-        row_k = tuple(a[k])
-        col_k = tuple(a[i][k] for i in range(n))
-        for i in range(n):
-            left = col_k[i] * pivot
-            if left.is_zero():
-                continue
-            for j in range(n):
-                a[i][j] = a[i][j] + left * row_k[j]
-    one = inst.one
-    for i in range(n):
-        a[i][i] = a[i][i] + one
-    return SemiringMatrix(inst, n, tuple(tuple(row) for row in a))
+    return _wrap(m.instance, _star(m.instance, _unwrap(m)))
 
 
-def _split(m: SemiringMatrix, n1: int):
-    n = m.n
-    r1, r2 = range(n1), range(n1, n)
-    a = tuple(tuple(m.rows[i][j] for j in r1) for i in r1)
-    b = tuple(tuple(m.rows[i][j] for j in r2) for i in r1)
-    c = tuple(tuple(m.rows[i][j] for j in r1) for i in r2)
-    d = tuple(tuple(m.rows[i][j] for j in r2) for i in r2)
-    return a, b, c, d
-
-
-def _as_mat(instance: SemiringInstance, rows: Rect) -> SemiringMatrix:
-    return SemiringMatrix(instance, len(rows), rows)
-
-
-def _rect_add(instance: SemiringInstance, a: Rect, b: Rect) -> Rect:
-    return tuple(
-        tuple(a[i][j] + b[i][j] for j in range(len(a[i]))) for i in range(len(a))
+def _split(m: Rect, n1: int):
+    top, bottom = m[:n1], m[n1:]
+    return (
+        tuple(row[:n1] for row in top),
+        tuple(row[n1:] for row in top),
+        tuple(row[:n1] for row in bottom),
+        tuple(row[n1:] for row in bottom),
     )
 
 
@@ -181,86 +224,79 @@ def mat_star_blocks(m: SemiringMatrix, n1: int, variant: int = 1) -> SemiringMat
         raise SemiringError("split point out of range")
     if n1 == 0 or n1 == n:
         return mat_star(m)
-    a, b, c, d = _split(m, n1)
-    dstar = mat_star(_as_mat(inst, d)).rows
-    astar = mat_star(_as_mat(inst, a)).rows
-    f = _rect_add(inst, a, _rect_mul(inst, _rect_mul(inst, b, dstar), c))
-    g = _rect_add(inst, d, _rect_mul(inst, _rect_mul(inst, c, astar), b))
-    fstar = mat_star(_as_mat(inst, f)).rows
-    gstar = mat_star(_as_mat(inst, g)).rows
+    if variant not in (1, 2):
+        raise SemiringError("variant must be 1 or 2")
+    a, b, c, d = _split(_unwrap(m), n1)
+    dstar = _star(inst, d)
+    astar = _star(inst, a)
+    fstar = _star(inst, _rect_add(inst, a, _rect_mul(inst, _rect_mul(inst, b, dstar), c)))
+    gstar = _star(inst, _rect_add(inst, d, _rect_mul(inst, _rect_mul(inst, c, astar), b)))
     if variant == 1:
         tr = _rect_mul(inst, _rect_mul(inst, fstar, b), dstar)
         bl = _rect_mul(inst, _rect_mul(inst, gstar, c), astar)
-    elif variant == 2:
+    else:
         tr = _rect_mul(inst, _rect_mul(inst, astar, b), gstar)
         bl = _rect_mul(inst, _rect_mul(inst, dstar, c), fstar)
-    else:
-        raise SemiringError("variant must be 1 or 2")
-    rows = []
-    for i in range(n1):
-        rows.append(tuple(fstar[i]) + tuple(tr[i]))
-    for i in range(n - n1):
-        rows.append(tuple(bl[i]) + tuple(gstar[i]))
-    return SemiringMatrix(inst, n, tuple(rows))
+    rows = [tuple(fstar[i]) + tr[i] for i in range(n1)]
+    rows += [bl[i] + tuple(gstar[i]) for i in range(n - n1)]
+    return _wrap(inst, rows)
+
+
+def _omega_t(instance: SemiringInstance, m: Rect, t: int) -> tuple:
+    """Raw Buchi-restricted omega by the path decomposition of the module
+    docstring, for 0 <= t <= n.
+
+    The sums over j are regrouped so that only vectors remain after the
+    sweep: omega_t = v + S u with
+    u[k] = sum_{k<j<t} C_j[k] w_j and v[i] = [i<t] w_i + sum_{j<min(i,t)} C_j[i] w_j,
+    where w_j = L_j^omega.
+    """
+    add, mul, zero = instance.add_raw, instance.mul_raw, instance.zero_raw()
+    n = len(m)
+    if t == 0:
+        return (zero,) * n
+    a = [list(row) for row in m]
+    cols = _sweep(instance, a, range(n - 1, -1, -1))
+    s = _add_identity(instance, a)
+    u = [zero] * n
+    v = [zero] * n
+    for j in range(t):
+        c = cols[j]
+        w = instance.omega_raw(c[j])
+        if w == zero:
+            continue
+        v[j] = add(v[j], w)
+        for k in range(j):
+            u[k] = add(u[k], mul(c[k], w))
+        for k in range(j + 1, n):
+            v[k] = add(v[k], mul(c[k], w))
+    return tuple(add(v[i], _dot(instance, s[i], u)) for i in range(n))
+
+
+def _check_t(t: int, n: int) -> None:
+    if not 0 <= t <= n:
+        raise SemiringError(f"repeated-state count {t} out of range 0..{n}")
 
 
 def mat_omega(m: SemiringMatrix) -> OmegaVector:
-    """Omega of a matrix: per-state weight of infinite paths, all states repeated.
-
-    Recursive two-block definition with the 1/(n-1) split.
-    """
-    n, inst = m.n, m.instance
-    if n == 0:
-        return OmegaVector(inst, ())
-    if n == 1:
-        return OmegaVector(inst, (m.rows[0][0].omega(),))
-    a, b, c, d = _split(m, 1)
-    dmat = _as_mat(inst, d)
-    dstar = mat_star(dmat).rows
-    astar_s = a[0][0].star()
-    f = _rect_add(inst, a, _rect_mul(inst, _rect_mul(inst, b, dstar), c))
-    f_s = f[0][0]
-    g = _rect_add(inst, d, tuple(tuple(ci[0] * astar_s * bj for bj in b[0]) for ci in c))
-    d_om = mat_omega(dmat).entries
-    g_om = mat_omega(_as_mat(inst, g)).entries
-    gstar = mat_star(_as_mat(inst, g)).rows
-    first = f_s.omega() + f_s.star() * _dot(inst, b[0], d_om)
-    a_om = a[0][0].omega()
-    # second block is (d + c a* b)^omega + (d + c a* b)* c a^omega
-    rest = tuple(
-        g_om[i] + _dot(inst, gstar[i], tuple(c[t][0] * a_om for t in range(n - 1)))
-        for i in range(n - 1)
-    )
-    return OmegaVector(inst, (first,) + rest)
-
-
-def _dot(instance: SemiringInstance, row, col) -> SemiringValue:
-    acc = instance.zero
-    for x, y in zip(row, col):
-        acc = acc + x * y
-    return acc
+    """Omega of a matrix: per-state weight of infinite paths, all states repeated."""
+    return _wrap_vector(m.instance, _omega_t(m.instance, _unwrap(m), m.n))
 
 
 def mat_omega_t(m: SemiringMatrix, t: int) -> OmegaVector:
-    """Buchi-restricted omega: infinite paths that revisit states 1..t forever.
+    """Buchi-restricted omega: infinite paths that revisit states 1..t forever."""
+    _check_t(t, m.n)
+    return _wrap_vector(m.instance, _omega_t(m.instance, _unwrap(m), t))
 
-    Split with the repeated block of size t: the result is
-    ((a + b d* c)^omega ; d* c (a + b d* c)^omega).
-    """
-    n, inst = m.n, m.instance
-    if not 0 <= t <= n:
-        raise SemiringError(f"repeated-state count {t} out of range 0..{n}")
-    if t == 0:
-        return OmegaVector(inst, tuple(inst.zero for _ in range(n)))
-    if t == n:
-        return mat_omega(m)
-    a, b, c, d = _split(m, t)
-    dstar = mat_star(_as_mat(inst, d)).rows
-    f = _rect_add(inst, a, _rect_mul(inst, _rect_mul(inst, b, dstar), c))
-    top = mat_omega(_as_mat(inst, f)).entries
-    dc = _rect_mul(inst, dstar, c)
-    bottom = tuple(_dot(inst, dc[i], top) for i in range(n - t))
-    return OmegaVector(inst, top + bottom)
+
+def _coarse_split(instance: SemiringInstance, m: Rect, k: int, top_omega) -> tuple:
+    """(f^omega_t ; d* c f^omega_t) with f = a + b d* c, for the split whose
+    top block has size k; `top_omega` computes f^omega_t."""
+    a, b, c, d = _split(m, k)
+    dstar = _star(instance, d)
+    top = top_omega(_rect_add(instance, a, _rect_mul(instance, _rect_mul(instance, b, dstar), c)))
+    bottom = tuple(_dot(instance, row, top) for row in _rect_mul(instance, dstar, c))
+    return tuple(top) + bottom
 
 
 def mat_omega_t_alt(m: SemiringMatrix, t: int, k: int) -> OmegaVector:
@@ -270,13 +306,58 @@ def mat_omega_t_alt(m: SemiringMatrix, t: int, k: int) -> OmegaVector:
         raise SemiringError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
     if k == n:
         return mat_omega_t(m, t)
-    a, b, c, d = _split(m, k)
-    dstar = mat_star(_as_mat(inst, d)).rows
-    f = _rect_add(inst, a, _rect_mul(inst, _rect_mul(inst, b, dstar), c))
-    top = mat_omega_t(_as_mat(inst, f), t).entries
-    dc = _rect_mul(inst, dstar, c)
-    bottom = tuple(_dot(inst, dc[i], top) for i in range(n - k))
-    return OmegaVector(inst, top + bottom)
+    raw = _coarse_split(inst, _unwrap(m), k, lambda f: _omega_t(inst, f, t))
+    return _wrap_vector(inst, raw)
+
+
+# -- block-recursion oracles -------------------------------------------------
+
+
+def _omega_blocks(instance: SemiringInstance, m: Rect) -> tuple:
+    """Recursive two-block definition of omega with the 1/(n-1) split."""
+    add, mul = instance.add_raw, instance.mul_raw
+    star, omega = instance.star_raw, instance.omega_raw
+    n = len(m)
+    if n == 0:
+        return ()
+    if n == 1:
+        return (omega(m[0][0]),)
+    a, b, c, d = _split(m, 1)
+    a_s = a[0][0]
+    dstar = _star(instance, d)
+    f_s = add(a_s, _rect_mul(instance, _rect_mul(instance, b, dstar), c)[0][0])
+    astar_s = star(a_s)
+    cab = tuple(tuple(mul(mul(ci[0], astar_s), bj) for bj in b[0]) for ci in c)
+    g = _rect_add(instance, d, cab)
+    d_om = _omega_blocks(instance, d)
+    g_om = _omega_blocks(instance, g)
+    gstar = _star(instance, g)
+    first = add(omega(f_s), mul(star(f_s), _dot(instance, b[0], d_om)))
+    a_om = omega(a_s)
+    # second block is (d + c a* b)^omega + (d + c a* b)* c a^omega
+    c_a_om = tuple(mul(ci[0], a_om) for ci in c)
+    rest = tuple(add(g_om[i], _dot(instance, gstar[i], c_a_om)) for i in range(n - 1))
+    return (first,) + rest
+
+
+def mat_omega_blocks(m: SemiringMatrix) -> OmegaVector:
+    """Omega by the paper's recursive block formulas; exponential, an oracle
+    for `mat_omega`."""
+    return _wrap_vector(m.instance, _omega_blocks(m.instance, _unwrap(m)))
+
+
+def mat_omega_t_blocks(m: SemiringMatrix, t: int) -> OmegaVector:
+    """Buchi-restricted omega by the block formulas: split with the repeated
+    block of size t, ((a + b d* c)^omega ; d* c (a + b d* c)^omega).  An
+    oracle for `mat_omega_t`."""
+    n, inst = m.n, m.instance
+    _check_t(t, n)
+    if t == 0:
+        return _wrap_vector(inst, (inst.zero_raw(),) * n)
+    if t == n:
+        return mat_omega_blocks(m)
+    raw = _coarse_split(inst, _unwrap(m), t, lambda f: _omega_blocks(inst, f))
+    return _wrap_vector(inst, raw)
 
 
 # -- JSON round trip -------------------------------------------------------

@@ -48,9 +48,11 @@ def _ext_cmp(a: Ext, b: Ext) -> int:
     """Total order on extended integers: -inf < ints < inf."""
     if a is b:
         return 0
-    ka = a.sign * (10**30) if isinstance(a, _Extreme) else a
-    kb = b.sign * (10**30) if isinstance(b, _Extreme) else b
-    return (ka > kb) - (ka < kb)
+    if a is INF or b is NEG_INF:
+        return 1
+    if a is NEG_INF or b is INF:
+        return -1
+    return (a > b) - (a < b)
 
 
 def _ext_plus(a: Ext, b: Ext, neg_dominates: bool) -> Ext:

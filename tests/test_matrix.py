@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from staromega.matrix import (
     OmegaVector,
@@ -10,8 +11,10 @@ from staromega.matrix import (
     mat_identity,
     mat_mul,
     mat_omega,
+    mat_omega_blocks,
     mat_omega_t,
     mat_omega_t_alt,
+    mat_omega_t_blocks,
     mat_star,
     mat_star_blocks,
     mat_vec_mul,
@@ -34,6 +37,20 @@ def vraw(v):
 
 def rand_matrix(rng, inst, n):
     return mat_from_raw(inst, [[rng.choice(inst.grid()) for _ in range(n)] for _ in range(n)])
+
+
+def matrices(max_n):
+    """Square matrices up to max_n over any instance, entries from its grid."""
+
+    def over(inst):
+        entries = st.sampled_from(inst.grid())
+        return st.integers(0, max_n).flatmap(
+            lambda n: st.lists(
+                st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        ).map(lambda rows: mat_from_raw(inst, rows))
+
+    return st.sampled_from(ALL).flatmap(over)
 
 
 # -- plumbing -------------------------------------------------------------------
@@ -85,7 +102,24 @@ def test_star_partition_independence():
                     assert mat_star_blocks(m, n1, variant).rows == base.rows
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrices(6))
+def test_star_matches_every_block_split(m):
+    base = mat_star(m)
+    for n1 in range(m.n + 1):
+        for variant in (1, 2):
+            assert mat_star_blocks(m, n1, variant).rows == base.rows
+
+
 # -- omega -----------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(6))
+def test_omega_t_matches_block_oracle(m):
+    assert mat_omega(m).entries == mat_omega_blocks(m).entries
+    for t in range(m.n + 1):
+        assert mat_omega_t(m, t).entries == mat_omega_t_blocks(m, t).entries, t
 
 
 def test_omega_examples():
@@ -165,6 +199,35 @@ def test_boolean_omega_matches_reachability_oracle():
         )
         for t in range(n + 1):
             assert vraw(mat_omega_t(m, t)) == buchi_oracle(m, t), (raw(m), t)
+
+
+def sparse_matrix(rng, inst, n, degree=1.5):
+    """About `degree` nonzero entries per row, weighted towards the unit, so
+    that omega vectors mix several values instead of saturating."""
+    zero, one = inst.zero_raw(), inst.one_raw()
+    weights = [one] * 3 + [v for v in inst.grid() if v not in (zero, one)]
+    return mat_from_raw(
+        inst,
+        [[rng.choice(weights) if rng.random() < degree / n else zero for _ in range(n)]
+         for _ in range(n)],
+    )
+
+
+@pytest.mark.parametrize("inst", ALL, ids=lambda inst: inst.name)
+def test_large_omega_is_fixed_point_and_split_independent(inst):
+    n = 40
+    m = sparse_matrix(random.Random(f"large/{inst.name}"), inst, n)
+    assert mat_omega(m).entries == mat_omega_t(m, n).entries
+    seen = set()
+    for t in (1, 7, 20, n):
+        v = mat_omega_t(m, t)
+        seen.update(vraw(v))
+        assert mat_vec_mul(m, v).entries == v.entries
+        for k in sorted({t, t + 3, 33, n} & set(range(t, n + 1))):
+            assert mat_omega_t_alt(m, t, k).entries == v.entries, (t, k)
+        if inst is BOOLEAN:
+            assert vraw(v) == buchi_oracle(m, t), t
+    assert len(seen) > 1
 
 
 # -- JSON -------------------------------------------------------------------------

@@ -200,6 +200,16 @@ def test_value_parsing_and_formatting():
     assert INSTANCES["tropical"] is TROPICAL
 
 
+def test_infinities_compare_above_and_below_large_integers():
+    big = 10**31
+    assert ARCTIC.add_raw(big, INF) is INF
+    assert ARCTIC.add_raw(INF, big) is INF
+    assert ARCTIC.add_raw(big, NEG_INF) == big
+    assert TROPICAL.add_raw(big, INF) == big
+    assert TROPICAL.add_raw(INF, big) == big
+    assert TROPICAL.add_raw(big, big + 1) == big
+
+
 def test_natural_order():
     assert natural_leq(TROPICAL.value(INF), TROPICAL.value(3))
     assert natural_leq(TROPICAL.value(5), TROPICAL.value(3))
