@@ -36,7 +36,6 @@ from .pda import (
     SimpleOmegaPDA,
     behavior_finite,
     behavior_omega_lasso,
-    default_pda_caps,
     induced_finite_pda,
     induced_omega_pda,
     pda_from_json,
@@ -58,13 +57,15 @@ from .system import (
     IllFormedSystem,
     LassoCaps,
     MixedSystem,
+    NotStabilized,
     OmegaSystem,
+    SemanticFailure,
     canonical_omega_lasso,
-    default_lasso_caps,
     induce_mixed,
     is_gnf_mixed,
     is_gnf_omega,
     least_solution_finite,
+    sparse_row,
 )
 
 EXIT_OK = 0
@@ -178,20 +179,18 @@ def parse_grammar(text: str) -> GrammarFile:
         raise GrammarError("y-variables cannot be mixed with x/z-variables", 1)
     x_vars = tuple(v for v in order if sorts[v] == "x")
     z_vars = tuple(v for v in order if sorts[v] == "z")
-    zset = set(z_vars)
+    z_ix = {z: j for j, z in enumerate(z_vars)}
     rho_rows = []
     for zi in z_vars:
-        row = {z: [] for z in z_vars}
+        terms: dict[int, list] = {}
         for mono in rhs_by_var[zi].monomials:
             w = mono.word
-            if not w or w[-1] not in zset or any(s in zset for s in w[:-1]):
+            if not w or w[-1] not in z_ix or any(s in z_ix for s in w[:-1]):
                 raise GrammarError(
                     f"z-equation for {zi} must be right-linear in z-variables", 1
                 )
-            row[w[-1]].append((mono.coeff, w[:-1]))
-        rho_rows.append(
-            tuple(Polynomial.build(instance, row[z]) for z in z_vars)
-        )
+            terms.setdefault(z_ix[w[-1]], []).append((mono.coeff, w[:-1]))
+        rho_rows.append(sparse_row(instance, terms))
     sys = MixedSystem(
         instance,
         ts,
@@ -222,13 +221,14 @@ def format_grammar(g: GrammarFile) -> str:
     else:
         for v, p in zip(g.system.x_vars, g.system.x_rhs):
             lines.append(f"{v} = {format_polynomial(p)}")
-        for i, zi in enumerate(g.system.z_vars):
-            inst = g.instance
-            terms = []
-            for j, zj in enumerate(g.system.z_vars):
-                for mono in g.system.rho[i][j].monomials:
-                    terms.append((mono.coeff, mono.word + (zj,)))
-            lines.append(f"{zi} = {format_polynomial(Polynomial.build(inst, terms))}")
+        z_vars = g.system.z_vars
+        for zi, row in zip(z_vars, g.system.rho):
+            terms = [
+                (mono.coeff, mono.word + (z_vars[j],))
+                for j, p in row.items()
+                for mono in p.monomials
+            ]
+            lines.append(f"{zi} = {format_polynomial(Polynomial.build(g.instance, terms))}")
     return "\n".join(lines) + "\n"
 
 
@@ -411,13 +411,7 @@ def cmd_eval(args) -> int:
             _print_value(behavior_finite(auto, _symbols_of(args.word)))
             return EXIT_OK
         w = _parse_lasso(args.lasso)
-        caps = None
-        if args.height is not None or args.periods is not None:
-            base = default_pda_caps(auto, w)
-            caps = PdaLassoCaps(
-                args.height if args.height is not None else base.height,
-                args.periods if args.periods is not None else base.periods,
-            )
+        caps = PdaLassoCaps(args.height) if args.height is not None else None
         res = behavior_omega_lasso(auto, w, caps)
         if not res.conclusive:
             print("inconclusive")
@@ -444,13 +438,7 @@ def cmd_eval(args) -> int:
         _print_value(sol[idx].coeff(word))
         return EXIT_OK
     w = _parse_lasso(args.lasso)
-    caps = None
-    if args.factor_len is not None or args.periods is not None:
-        base = default_lasso_caps(mixed, w)
-        caps = LassoCaps(
-            args.factor_len if args.factor_len is not None else base.factor_len,
-            args.periods if args.periods is not None else base.periods,
-        )
+    caps = LassoCaps(args.factor_len) if args.factor_len is not None else None
     res = canonical_omega_lasso(mixed, k, comp, w, caps)
     if not res.conclusive:
         print("inconclusive")
@@ -512,7 +500,6 @@ def main(argv=None) -> int:
     p.add_argument("--buchi", type=int, default=None)
     p.add_argument("--component", default=None)
     p.add_argument("--factor-len", dest="factor_len", type=int, default=None)
-    p.add_argument("--periods", type=int, default=None)
     p.add_argument("--height", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
@@ -525,9 +512,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GrammarError, SeriesError, SemiringError, IllFormedSystem, ValueError) as exc:
+    except (SemanticFailure, NotStabilized) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, (GrammarError, ValueError)) else EXIT_FAIL
+        return EXIT_FAIL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

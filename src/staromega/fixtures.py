@@ -21,10 +21,7 @@ def tropical_mixed_system() -> MixedSystem:
         ("x1",),
         (_p(t, "(1) a x1 b | (1) a b"),),
         ("z1", "z2"),
-        (
-            (_p(t, "c"), Polynomial.zero(t)),
-            (_p(t, "x1 | eps"), Polynomial.zero(t)),
-        ),
+        ({0: _p(t, "c")}, {0: _p(t, "x1 | eps")}),
     )
 
 
@@ -118,10 +115,7 @@ def contrast_mixed_system() -> MixedSystem:
         ("x1", "x2"),
         (_p(b, "a | c x1"), _p(b, "a x1 x2 | a x1")),
         ("z1", "z2"),
-        (
-            (_p(b, "c"), Polynomial.zero(b)),
-            (_p(b, "a"), _p(b, "a x1")),
-        ),
+        ({0: _p(b, "c")}, {0: _p(b, "a"), 1: _p(b, "a x1")}),
     )
 
 

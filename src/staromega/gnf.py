@@ -6,6 +6,13 @@ terminal with at most two trailing variables).  The omega constructions
 assemble pair systems s t^omega, sum them behind a fresh collector variable,
 and finally fold a mixed system back into a single quemiring system whose
 last component carries the chosen pair of the canonical solution.
+
+Mixed systems carry their z-coefficients as sparse rows (see
+staromega.system).  Pair systems, their block-diagonal sum and the fold
+build and read the stored entries only, so their cost follows the number of
+nonzero entries rather than the square of the z-variables; the one dense
+matrix left is decompose_canonical's handle matrix over the input's own
+z-variables.
 """
 
 from __future__ import annotations
@@ -445,18 +452,17 @@ def _rename_prefixed(sys: AlgebraicSystem, prefix: str) -> AlgebraicSystem:
     return sys.rename({v: prefix + v for v in sys.variables})
 
 
-def _gnf_split(sys: AlgebraicSystem, i: int):
-    """Split equation i of a Greibach system into head and tail-by-last-variable.
+def _gnf_split(poly: Polynomial, ix: dict[str, int]):
+    """Split one equation of a Greibach system into head and tail-by-last-variable.
 
     Returns (head, tails): head holds the monomials with at most one variable;
-    tails[j] holds, for each variable index j, the two-variable monomials
-    ending in variable j with that last variable removed.
+    tails[j] holds, for each variable index j in ix, the two-variable
+    monomials ending in variable j with that last variable removed.
     """
-    inst = sys.instance
+    inst = poly.instance
     head_terms = []
     tails: dict[int, list] = {}
-    ix = {v: k for k, v in enumerate(sys.variables)}
-    for mono in sys.rhs[i].monomials:
+    for mono in poly.monomials:
         w = mono.word
         if len(w) <= 2:
             head_terms.append((mono.coeff, w))
@@ -509,14 +515,11 @@ def build_pair_system(
     else:
         raise IllFormedSystem(f"unknown case {eps_case!r}")
 
-    base = AlgebraicSystem(inst, terminals, x_vars, x_rhs)
+    t_ix = {v: i for i, v in enumerate(t.variables)}
     t_head = {}
     t_tails = {}
     for i in range(m):
-        hd, tl = _gnf_split(
-            AlgebraicSystem(inst, terminals, t.variables, t.rhs), i
-        )
-        t_head[i], t_tails[i] = hd, tl
+        t_head[i], t_tails[i] = _gnf_split(t.rhs[i], t_ix)
 
     z_acc = "z.acc"
     zt = tuple(f"z.t{i}" for i in range(m))
@@ -533,10 +536,10 @@ def build_pair_system(
         rows[zt[i]] = t_row(i)
 
     if eps_case == "zero":
-        s_only = AlgebraicSystem(inst, terminals, s.variables, s.rhs)
+        s_ix = {v: i for i, v in enumerate(s.variables)}
         zs = tuple(f"z.s{i}" for i in range(n))
         for i in range(n):
-            hd, tl = _gnf_split(s_only, i)
+            hd, tl = _gnf_split(s.rhs[i], s_ix)
             row = {z_acc: hd}
             for j, poly in tl.items():
                 row[zs[j]] = poly
@@ -552,11 +555,7 @@ def build_pair_system(
         }
         z_vars = (z_acc, designated) + zt
 
-    rho = tuple(
-        tuple(rows[zi].get(zj, Polynomial.zero(inst)) for zj in z_vars)
-        for zi in z_vars
-    )
-    mixed = MixedSystem(inst, terminals, x_vars, x_rhs, z_vars, rho)
+    mixed = MixedSystem(inst, terminals, x_vars, x_rhs, z_vars, _indexed_rows(rows, z_vars))
     if not is_gnf_mixed(mixed):
         raise IllFormedSystem("internal: pair construction left Greibach form")
     return mixed, CanonicalSelector(1, 1)
@@ -595,27 +594,27 @@ def sum_systems(
         ]
         buchi_vars.append(pre + part.z_vars[0])
         tail_vars.extend(pre + v for v in local_order)
-        zix = {v: i for i, v in enumerate(part.z_vars)}
-        for zv in part.z_vars:
-            row = {}
-            for zj in part.z_vars:
-                p = part.rho[zix[zv]][zix[zj]]
-                if not p.is_zero():
-                    row[pre + zj] = p.rename_symbols(ren_x)
-            rows[pre + zv] = row
-        rows[collector].update(
-            {
-                col: poly
-                for col, poly in rows[pre + part.z_vars[sel.component]].items()
+        for zv, row in zip(part.z_vars, part.rho):
+            rows[pre + zv] = {
+                pre + part.z_vars[j]: p.rename_symbols(ren_x) for j, p in row.items()
             }
-        )
+        rows[collector].update(rows[pre + part.z_vars[sel.component]])
     z_vars = tuple(buchi_vars) + tuple(tail_vars) + (collector,)
-    rho = tuple(
-        tuple(rows.get(zi, {}).get(zj, Polynomial.zero(inst)) for zj in z_vars)
+    mixed = MixedSystem(
+        inst, tuple(terminals), tuple(x_vars), tuple(x_rhs), z_vars, _indexed_rows(rows, z_vars)
+    )
+    return mixed, CanonicalSelector(l, len(z_vars) - 1)
+
+
+def _indexed_rows(
+    rows: dict[str, dict[str, Polynomial]], z_vars: tuple[str, ...]
+) -> tuple[dict[int, Polynomial], ...]:
+    """Name-keyed z-coefficient rows as MixedSystem's sparse rows over z_vars."""
+    zix = {z: j for j, z in enumerate(z_vars)}
+    return tuple(
+        dict(sorted((zix[col], p) for col, p in rows[zi].items() if not p.is_zero()))
         for zi in z_vars
     )
-    mixed = MixedSystem(inst, tuple(terminals), tuple(x_vars), tuple(x_rhs), z_vars, rho)
-    return mixed, CanonicalSelector(l, len(z_vars) - 1)
 
 
 def char_to_mixed(d: OmegaDecomposition) -> tuple[MixedSystem, CanonicalSelector]:
@@ -646,16 +645,8 @@ def char_to_mixed(d: OmegaDecomposition) -> tuple[MixedSystem, CanonicalSelector
             x_rhs.extend(s.rhs)
             s_alias.append(s.variables[term.s_component])
     z_vars = tuple(f"z{j}" for j in range(l)) + ("zout",)
-    zero = Polynomial.zero(inst)
-    rho_rows = []
-    for j in range(l):
-        row = [zero] * (l + 1)
-        row[j] = Polynomial.of_word(inst, (t_alias[j],))
-        rho_rows.append(tuple(row))
-    last = [zero] * (l + 1)
-    for j in range(l):
-        last[j] = Polynomial.of_word(inst, (s_alias[j],))
-    rho_rows.append(tuple(last))
+    rho_rows = [{j: Polynomial.of_word(inst, (t_alias[j],))} for j in range(l)]
+    rho_rows.append({j: Polynomial.of_word(inst, (s_alias[j],)) for j in range(l)})
     mixed = MixedSystem(
         inst, d.terminals, tuple(x_vars), tuple(x_rhs), z_vars, tuple(rho_rows)
     )
@@ -670,7 +661,8 @@ def unmix(
 ) -> tuple[OmegaSystem, CanonicalSelector]:
     """One quemiring system whose last component pairs x-component k with
     z-component l at Buchi count t; the omega-loop equations come first so
-    the canonical solution keeps accepting exactly the former z-variables."""
+    the canonical solution keeps accepting exactly the former z-variables.
+    Without x-variables the finite part of the last component is zero."""
     if not is_gnf_mixed(sys):
         raise IllFormedSystem("unmix needs a mixed system in Greibach form")
     if not 0 <= t <= sys.m:
@@ -679,15 +671,15 @@ def unmix(
     hat = {zv: f"h.{zv}" for zv in sys.z_vars}
     bar = {xv: f"b.{xv}" for xv in sys.x_vars}
     hat_rhs = []
-    for i in range(sys.m):
+    for row in sys.rho:
         terms = []
-        for j, zj in enumerate(sys.z_vars):
-            p = sys.rho[i][j].rename_symbols(bar)
-            for mono in p.monomials:
-                terms.append((mono.coeff, mono.word + (hat[zj],)))
+        for j, p in row.items():
+            for mono in p.rename_symbols(bar).monomials:
+                terms.append((mono.coeff, mono.word + (hat[sys.z_vars[j]],)))
         hat_rhs.append(Polynomial.build(inst, terms))
     bar_rhs = [p.rename_symbols(bar) for p in sys.x_rhs]
-    dot_rhs = bar_rhs[k] + hat_rhs[l]
+    finite = bar_rhs[k] if bar_rhs else Polynomial.zero(inst)
+    dot_rhs = finite + hat_rhs[l]
     variables = (
         tuple(hat[z] for z in sys.z_vars)
         + tuple(bar[x] for x in sys.x_vars)
@@ -917,12 +909,14 @@ def decompose_canonical(
     """Express one omega component of the k-th canonical solution as a sum of
     pairs s t^omega of algebraic series, by unfolding the restricted omega
     operator on the z-coefficient matrix symbolically."""
+    m = sys.m
+    if not 0 <= k <= m:
+        raise IllFormedSystem(f"Buchi count {k} out of range 0..{m}")
+    if not 0 <= component < m:
+        raise IllFormedSystem(f"z-component {component} out of range for {m} z-variables")
     alg = _HandleAlgebra(sys.instance, tuple(sys.terminals))
     base = sys.x_part
-    mat = [
-        [alg.of_poly(sys.rho[i][j], base) for j in range(sys.m)]
-        for i in range(sys.m)
-    ]
+    mat = [[alg.of_poly(sys.entry(i, j), base) for j in range(m)] for i in range(m)]
     terms = _handle_omega_t_terms(alg, mat, k)[component]
     dterms = []
     for (s, t) in terms:

@@ -25,14 +25,14 @@ from .semiring import (
     instance_by_name,
 )
 from .series import LassoWord, Word
-from .system import AlgebraicSystem, IllFormedSystem, LassoResult, MixedSystem, OK, INCONCLUSIVE, is_gnf_algebraic, is_gnf_mixed
+from .system import AlgebraicSystem, IllFormedSystem, LassoResult, MixedSystem, OK, INCONCLUSIVE, SemanticFailure, is_gnf_algebraic, is_gnf_mixed
 
 # A letter polynomial: one weight per input letter, support only on letters.
 LetterPoly = dict[str, SemiringValue]
 Block = tuple[tuple[LetterPoly, ...], ...]
 
 
-class EpsilonCoefficient(ValueError):
+class EpsilonCoefficient(SemanticFailure):
     """Raised when a construction needs an epsilon-free component."""
 
     def __init__(self, component: str, coeff: SemiringValue):
@@ -266,9 +266,9 @@ def induced_omega_pda(sys: MixedSystem, start: int, buchi_count: int) -> SimpleO
             else:
                 j, k = var_ix[w[1]], var_ix[w[2]]
                 pushes[xsym[k]].setdefault((n + i, n + j), []).append((a, mono.coeff))
-    for i in range(n):
-        for k in range(n):
-            for mono in sys.rho[i][k].monomials:
+    for i, row in enumerate(sys.rho):
+        for k, p in row.items():
+            for mono in p.monomials:
                 w = mono.word
                 a = w[0]
                 if len(w) == 1:
@@ -371,17 +371,16 @@ def behavior_finite(a: SimpleOmegaPDA, w: Word) -> SemiringValue:
 @dataclass(frozen=True)
 class PdaLassoCaps:
     height: int
-    periods: int
     max_nodes: int = 200000
 
     def __post_init__(self):
-        if self.height < 0 or self.periods < 1:
+        if self.height < 0:
             raise IllFormedSystem("caps must be positive")
 
 
 def default_pda_caps(a: SimpleOmegaPDA, w: LassoWord) -> PdaLassoCaps:
     periods = 2 * a.matrix.n_states * max(1, len(a.matrix.stack_alphabet)) * len(w.period) + 4
-    return PdaLassoCaps(height=len(w.prefix) + len(w.period) * periods, periods=periods)
+    return PdaLassoCaps(height=len(w.prefix) + len(w.period) * periods)
 
 
 def behavior_omega_lasso(

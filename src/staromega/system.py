@@ -5,6 +5,13 @@ Kleene iteration; omega-parts of mixed systems are evaluated at ultimately
 periodic words by an exact search over the period quotient, backed by a
 grammar-level emptiness analysis that decides whether any accepting run
 exists at all.
+
+The z-coefficient matrix rho of a mixed system z = rho(x) z is stored
+sparsely: one row per z-variable, each a mapping from column index to a
+nonzero polynomial.  Absent cells are zero (read them with
+MixedSystem.entry), and every consumer walks the stored entries only, so
+the block-diagonal sums built by the normal form pipeline cost time in
+their nonzero entries, not in the square of their z-variables.
 """
 
 from __future__ import annotations
@@ -26,7 +33,11 @@ from .series import (
 )
 
 
-class IllFormedSystem(ValueError):
+class SemanticFailure(Exception):
+    """A well-formed request that the system at hand cannot satisfy."""
+
+
+class IllFormedSystem(SemanticFailure):
     pass
 
 
@@ -90,23 +101,31 @@ class OmegaSystem:
 
 @dataclass(frozen=True)
 class MixedSystem:
-    """x = p(x) plus the z-linear system z = rho(x) z."""
+    """x = p(x) plus the z-linear system z = rho(x) z.
+
+    rho[i] maps the column index j of each nonzero entry rho(x)[i][j] to its
+    polynomial; cells that are not stored are zero.
+    """
 
     instance: SemiringInstance
     terminals: tuple[str, ...]
     x_vars: tuple[str, ...]
     x_rhs: tuple[Polynomial, ...]
     z_vars: tuple[str, ...]
-    rho: tuple[tuple[Polynomial, ...], ...]
+    rho: tuple[Mapping[int, Polynomial], ...]
 
     def __post_init__(self):
         AlgebraicSystem(self.instance, self.terminals, self.x_vars, self.x_rhs)
         m = len(self.z_vars)
-        if len(self.rho) != m or any(len(row) != m for row in self.rho):
-            raise IllFormedSystem("z-coefficient matrix must be square over the z-variables")
+        if len(self.rho) != m:
+            raise IllFormedSystem("z-coefficient matrix needs one row per z-variable")
         allowed = set(self.terminals) | set(self.x_vars)
         for row in self.rho:
-            for p in row:
+            for j, p in row.items():
+                if not (isinstance(j, int) and 0 <= j < m):
+                    raise IllFormedSystem(f"z-entry column {j!r} out of range 0..{m - 1}")
+                if p.is_zero():
+                    raise IllFormedSystem("zero z-entries are not stored")
                 if p.instance is not self.instance:
                     raise SemiringError("z-entry over a different instance")
                 bad = p.symbols() - allowed
@@ -123,6 +142,11 @@ class MixedSystem:
     def m(self) -> int:
         return len(self.z_vars)
 
+    def entry(self, i: int, j: int) -> Polynomial:
+        """rho(x)[i][j], zero when the cell is not stored."""
+        got = self.rho[i].get(j)
+        return Polynomial.zero(self.instance) if got is None else got
+
     @property
     def x_part(self) -> AlgebraicSystem:
         return AlgebraicSystem(self.instance, self.terminals, self.x_vars, self.x_rhs)
@@ -134,6 +158,12 @@ class CanonicalSelector:
 
     buchi_count: int
     component: int
+
+
+def sparse_row(instance: SemiringInstance, terms: Mapping[int, list]) -> dict[int, Polynomial]:
+    """One z-coefficient row from (coefficient, word) terms per column, zeros dropped."""
+    row = {j: Polynomial.build(instance, terms[j]) for j in sorted(terms)}
+    return {j: p for j, p in row.items() if not p.is_zero()}
 
 
 def derived_names(y_vars: Sequence[str], taken: set[str], head: str) -> tuple[str, ...]:
@@ -155,17 +185,14 @@ def induce_mixed(sys: OmegaSystem) -> MixedSystem:
     x_of = dict(zip(sys.variables, x_names))
     z_of = dict(zip(sys.variables, z_names))
     x_rhs = tuple(p.rename_symbols(x_of) for p in sys.rhs)
+    z_ix = {z: j for j, z in enumerate(z_names)}
     rows = []
     for p in sys.rhs:
-        expanded = split_px(p, sys.variables, x_of, z_of)
-        row = []
-        for zname in z_names:
-            entry_terms = []
-            for mono in expanded.monomials:
-                if mono.word and mono.word[-1] == zname:
-                    entry_terms.append((mono.coeff, mono.word[:-1]))
-            row.append(Polynomial.build(sys.instance, entry_terms))
-        rows.append(tuple(row))
+        terms: dict[int, list] = {}
+        for mono in split_px(p, sys.variables, x_of, z_of).monomials:
+            if mono.word and mono.word[-1] in z_ix:
+                terms.setdefault(z_ix[mono.word[-1]], []).append((mono.coeff, mono.word[:-1]))
+        rows.append(sparse_row(sys.instance, terms))
     return MixedSystem(
         sys.instance, sys.terminals, x_names, x_rhs, z_names, tuple(rows)
     )
@@ -203,7 +230,7 @@ def is_gnf_mixed(sys: MixedSystem) -> bool:
         if not all(_gnf_word_ok(m.word, ts, vs, True) for m in p.monomials):
             return False
     for row in sys.rho:
-        for p in row:
+        for p in row.values():
             for m in p.monomials:
                 w = m.word
                 if len(w) == 1 and w[0] in ts:
@@ -404,10 +431,8 @@ def _accepting_support_run_exists(
     for j in range(m):
         for s in range(pa.size):
             outs = []
-            for j2 in range(m):
-                if sys.rho[j][j2].is_zero():
-                    continue
-                for (s2, bit) in _chain_states(sys.rho[j][j2], s, pa, gen, variables):
+            for j2, p in sys.rho[j].items():
+                for (s2, bit) in _chain_states(p, s, pa, gen, variables):
                     outs.append(((j2, s2), bit))
             edges[(j, s)] = outs
     start = (component, pa.state_of(0))
@@ -449,18 +474,14 @@ class LassoCaps:
     """Bounds for the lasso search; factor_len caps one factor's length."""
 
     factor_len: int
-    periods: int
 
     def __post_init__(self):
-        if self.factor_len < 1 or self.periods < 1:
+        if self.factor_len < 1:
             raise IllFormedSystem("caps must be positive")
 
 
 def default_lasso_caps(sys: MixedSystem, w: LassoWord) -> LassoCaps:
-    return LassoCaps(
-        factor_len=len(w.prefix) + 4 * len(w.period),
-        periods=2 * sys.m * len(w.period) + 4,
-    )
+    return LassoCaps(factor_len=len(w.prefix) + 4 * len(w.period))
 
 
 OK = "ok"
@@ -528,9 +549,13 @@ def _canonical_search(sys, k, component, w, caps, pa) -> SemiringValue:
     sample = w.prefix + w.period * reps
     table = SegmentTable(sys.x_part, sample)
 
-    eps = [[table.poly_coeff(sys.rho[i][j], 0, 0) for j in range(m)] for i in range(m)]
-    eps_trivial = all(v.is_zero() for row in eps for v in row)
-    hits = _epsilon_closure_with_hits(inst, eps, k)
+    eps: dict[tuple[int, int], SemiringValue] = {}
+    for i, row in enumerate(sys.rho):
+        for j, p in row.items():
+            c = table.poly_coeff(p, 0, 0)
+            if not c.is_zero():
+                eps[(i, j)] = c
+    hits = _epsilon_closure_with_hits(inst, eps, m, k) if eps else None
 
     edges: dict[tuple[int, int], list[HitEdge]] = {
         (j, s): [] for j in range(m) for s in range(pa.size)
@@ -539,12 +564,12 @@ def _canonical_search(sys, k, component, w, caps, pa) -> SemiringValue:
         for length in range(1, F + 1):
             target = pa.advance_by(s, length)
             amat: dict[tuple[int, int], SemiringValue] = {}
-            for i in range(m):
-                for j in range(m):
-                    c = table.poly_coeff(sys.rho[i][j], s, s + length)
+            for i, row in enumerate(sys.rho):
+                for j, p in row.items():
+                    c = table.poly_coeff(p, s, s + length)
                     if not c.is_zero():
                         amat[(i, j)] = c
-            if eps_trivial:
+            if hits is None:
                 for (i, j2), c in amat.items():
                     edges[(i, s)].append(HitEdge((j2, target), c, False))
                 continue
@@ -572,25 +597,19 @@ def _canonical_search(sys, k, component, w, caps, pa) -> SemiringValue:
     )
 
 
-def _epsilon_closure_with_hits(inst, eps, k):
-    """Closure of the empty-factor step matrix, split by Buchi visits en route."""
-    m = len(eps)
-    if all(v.is_zero() for row in eps for v in row):
-        one, zero = inst.one, inst.zero
-        ident = [[one if i == j else zero for j in range(m)] for i in range(m)]
-        return ident, [[zero] * m for _ in range(m)]
+def _epsilon_closure_with_hits(inst, eps, m, k):
+    """Closure of the empty-factor step matrix, split by Buchi visits en route.
+
+    eps holds the nonzero empty-factor steps, keyed by (row, column).
+    """
     size = 2 * m
     zero = inst.zero
     rows = [[zero] * size for _ in range(size)]
-    for j in range(m):
-        for j2 in range(m):
-            v = eps[j][j2]
-            if v.is_zero():
-                continue
-            for b in (0, 1):
-                b2 = 1 if (b or j2 < k) else 0
-                src, dst = j + b * m, j2 + b2 * m
-                rows[src][dst] = rows[src][dst] + v
+    for (j, j2), v in eps.items():
+        for b in (0, 1):
+            b2 = 1 if (b or j2 < k) else 0
+            src, dst = j + b * m, j2 + b2 * m
+            rows[src][dst] = rows[src][dst] + v
     star = mat_star(SemiringMatrix(inst, size, tuple(tuple(r) for r in rows)))
     h0 = [[star.entry(j, j2) for j2 in range(m)] for j in range(m)]
     h1 = [[star.entry(j, m + j2) for j2 in range(m)] for j in range(m)]

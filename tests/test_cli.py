@@ -231,3 +231,36 @@ def test_cmd_check_corrupted_golden(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL examples[tropical-mixed]" in out
     assert '"expected": "7"' in out and '"got": "2"' in out
+
+
+def test_cmd_gnf_zero_omega_component(capsys):
+    # no accepting z-variable at Buchi count 0: the normalized decomposition is
+    # empty and the folded component is zero
+    rc = main(["gnf", str(DATA / "tropical_mixed.grm"), "--buchi", "0"])
+    assert rc == EXIT_OK
+    assert "ydot = 0" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tropical_mixed.grm", "--buchi", "3"],
+        ["tropical_mixed.grm", "--buchi", "-1"],
+        ["arctic_blocks.grm", "--target", "omega"],
+    ],
+)
+def test_cmd_gnf_selector_out_of_range(args, capsys):
+    rc = main(["gnf", str(DATA / args[0])] + args[1:])
+    assert rc == EXIT_FAIL
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_semantic_failures_exit_1(tmp_path, capsys):
+    rc = main(["build-pda", str(DATA / "tropical_mixed.grm")])
+    assert rc == EXIT_FAIL
+    assert capsys.readouterr().err.startswith("error: ")
+    # the exact value is inf, which Kleene iteration never reaches
+    path = grm(tmp_path, "@semiring arctic\n@alphabet a\n@sort x x1\nx1 = (1) x1 | a\n")
+    rc = main(["eval", path, "--word", "a"])
+    assert rc == EXIT_FAIL
+    assert capsys.readouterr().err.startswith("error: ")

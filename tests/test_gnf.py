@@ -1,8 +1,11 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from staromega.cli import EXIT_OK, main
 from staromega.fixtures import pair_example_systems
 from staromega.gnf import (
     DecompositionTerm,
@@ -19,7 +22,8 @@ from staromega.gnf import (
     sum_systems,
     unmix,
 )
-from staromega.semiring import BOOLEAN, INF, TROPICAL
+from staromega.pda import behavior_omega_lasso, induced_omega_pda
+from staromega.semiring import ARCTIC, BOOLEAN, INF, TROPICAL
 from staromega.series import LassoWord, Polynomial, parse_polynomial
 from staromega.system import (
     AlgebraicSystem,
@@ -293,6 +297,23 @@ def test_sum_empty():
     assert r.conclusive and r.value.value == 0
 
 
+def test_sum_systems_stores_part_entries_plus_collector_copies():
+    s_sys, t_sys = pair_example_systems()
+    parts = [
+        build_pair_system(t_sys, 0, s_sys, 0, "zero"),
+        build_pair_system(t_sys, 0, eps_case="scalar", eps_coeff=TROPICAL.value(2)),
+    ]
+    summed, sel = sum_systems(TROPICAL, t_sys.terminals, parts)
+
+    def stored(sys):
+        return sum(len(row) for row in sys.rho)
+
+    copied = sum(len(part.rho[part_sel.component]) for part, part_sel in parts)
+    assert copied > 0
+    assert stored(summed) == sum(stored(part) for part, _ in parts) + copied
+    assert len(summed.rho[sel.component]) == copied
+
+
 # -- folding into one omega system ------------------------------------------------------
 
 
@@ -302,7 +323,7 @@ def contrast_system():
         b, ("a", "c"), ("x1", "x2"),
         (poly(b, "a | c x1"), poly(b, "a x1 x2 | a x1")),
         ("z1", "z2"),
-        ((poly(b, "c"), Polynomial.zero(b)), (poly(b, "a"), poly(b, "a x1"))),
+        ({0: poly(b, "c")}, {0: poly(b, "a"), 1: poly(b, "a x1")}),
     )
 
 
@@ -311,7 +332,7 @@ def test_unmix_structure_on_contrast_example():
     small = MixedSystem(
         b, ("a", "c"), ("x1",), (poly(b, "a | c x1"),),
         ("z1", "z2"),
-        ((poly(b, "c"), Polynomial.zero(b)), (poly(b, "a"), poly(b, "a x1"))),
+        ({0: poly(b, "c")}, {0: poly(b, "a"), 1: poly(b, "a x1")}),
     )
     out, sel = unmix(small, 0, 1, 1)
     assert is_gnf_omega(out)
@@ -345,7 +366,7 @@ def test_unmix_preserves_both_parts():
 def test_unmix_needs_gnf():
     b = BOOLEAN
     bad = MixedSystem(
-        b, ("a",), ("x1",), (poly(b, "x1 a"),), ("z1",), ((poly(b, "a"),),)
+        b, ("a",), ("x1",), (poly(b, "x1 a"),), ("z1",), ({0: poly(b, "a")},)
     )
     with pytest.raises(IllFormedSystem):
         unmix(bad, 0, 0, 1)
@@ -410,14 +431,13 @@ def test_decompose_canonical_round_trip():
 
 def test_decompose_canonical_three_block_recursion():
     b = BOOLEAN
-    zero = Polynomial.zero(b)
     sys = MixedSystem(
         b, ("a", "b", "c"), ("x1",), (poly(b, "a | b x1"),),
         ("z1", "z2", "z3"),
         (
-            (zero, poly(b, "a"), zero),
-            (poly(b, "a"), zero, poly(b, "b")),
-            (poly(b, "c"), poly(b, "b x1"), zero),
+            {1: poly(b, "a")},
+            {0: poly(b, "a"), 2: poly(b, "b")},
+            {0: poly(b, "c"), 1: poly(b, "b x1")},
         ),
     )
     lassos = [
@@ -462,3 +482,58 @@ def test_pipeline_end_to_end_values():
         for w in itertools.product(sys.terminals, repeat=length):
             got = sol_out[omega_sel.component].coeff(w)
             assert got == sol_mid[0].coeff(w), w
+
+
+def test_pipeline_on_empty_decomposition_folds_to_zero():
+    d = OmegaDecomposition(BOOLEAN, ("a",), ())
+    norm, mixed, sel, omega_sys, omega_sel, _ = pipeline_from_decomposition(d)
+    assert norm.terms == () and mixed.x_vars == ()
+    assert is_gnf_omega(omega_sys)
+    assert omega_sys.variables[omega_sel.component] == "ydot"
+    assert omega_sys.rhs[omega_sel.component].is_zero()
+
+
+def test_four_routes_agree_on_zero_for_an_empty_decomposition():
+    lassos = [LassoWord((), ("a",)), LassoWord(("b",), ("a", "b"))]
+    for inst in (BOOLEAN, TROPICAL, ARCTIC):
+        # v = a v generates nothing, so normalization drops the only term
+        dead = _single_var_system(inst, ("a", "b"), "a v")
+        d = OmegaDecomposition(inst, ("a", "b"), (DecompositionTerm(dead, 0, dead, 0),))
+        norm, mixed, sel, omega_sys, omega_sel, _ = pipeline_from_decomposition(d)
+        assert norm.terms == ()
+        direct, direct_sel = char_to_mixed(norm)
+        folded = induce_mixed(omega_sys)
+        auto = induced_omega_pda(folded, omega_sel.component, omega_sel.buchi_count)
+        for w in lassos:
+            results = [
+                canonical_omega_lasso(direct, direct_sel.buchi_count, direct_sel.component, w),
+                canonical_omega_lasso(mixed, sel.buchi_count, sel.component, w),
+                canonical_omega_lasso(
+                    folded, omega_sel.buchi_count, omega_sel.component, w
+                ),
+                behavior_omega_lasso(auto, w),
+            ]
+            for r in results:
+                assert r.conclusive and r.value == inst.zero, (inst.name, str(w))
+
+
+# -- normal form output against recorded text ----------------------------------------------
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "staromega" / "data"
+GOLDEN_GNF = json.loads(Path(__file__).with_name("gnf_golden.json").read_text())
+# arctic_blocks.grm has no z-variable, so it has no omega component to fold;
+# tests/test_cli.py checks that this is reported as an error
+NO_OMEGA_COMPONENT = {"arctic_blocks.grm --target omega"}
+GNF_CASES = [
+    f"{path.name} --target {target}"
+    for path in sorted(DATA.glob("*.grm"))
+    for target in ("mixed", "omega")
+    if f"{path.name} --target {target}" not in NO_OMEGA_COMPONENT
+]
+
+
+@pytest.mark.parametrize("case", GNF_CASES)
+def test_gnf_output_matches_golden_text(case, capsys):
+    name, _, target = case.split()
+    assert main(["gnf", str(DATA / name), "--target", target]) == EXIT_OK
+    assert capsys.readouterr().out == GOLDEN_GNF[case]

@@ -332,7 +332,7 @@ def test_growing_stack_acceptor_boundary():
 def test_inconclusive_when_caps_too_small():
     auto = tropical_omega_automaton()
     w = LassoWord(("a", "a", "b", "b"), ("c",))
-    tight = PdaLassoCaps(height=1, periods=2)
+    tight = PdaLassoCaps(height=1)
     r = behavior_omega_lasso(auto, w, tight)
     assert not r.conclusive and r.value is None
     ok = behavior_omega_lasso(auto, w)

@@ -38,7 +38,23 @@ def test_system_validation():
     with pytest.raises(IllFormedSystem):
         AlgebraicSystem(b, ("a",), ("x",), (poly(b, "a q"),))
     with pytest.raises(IllFormedSystem):
-        MixedSystem(b, ("a",), ("x",), (poly(b, "a"),), ("z",), ((poly(b, "a"), poly(b, "a")),))
+        MixedSystem(b, ("a",), ("x",), (poly(b, "a"),), ("z",), ({1: poly(b, "a")},))
+    with pytest.raises(IllFormedSystem):
+        MixedSystem(b, ("a",), ("x",), (poly(b, "a"),), ("z",), ({-1: poly(b, "a")},))
+    with pytest.raises(IllFormedSystem):
+        MixedSystem(b, ("a",), ("x",), (poly(b, "a"),), ("z",), ({0: Polynomial.zero(b)},))
+    with pytest.raises(IllFormedSystem):
+        MixedSystem(b, ("a",), ("x",), (poly(b, "a"),), ("z",), ())
+
+
+def test_entry_reads_absent_cells_as_zero():
+    b = BOOLEAN
+    sys = MixedSystem(
+        b, ("a",), ("x",), (poly(b, "a"),), ("z1", "z2"), ({1: poly(b, "a x")}, {})
+    )
+    assert sys.entry(0, 1) == poly(b, "a x")
+    assert sys.entry(0, 0) == Polynomial.zero(b)
+    assert sys.entry(1, 0).is_zero() and sys.entry(1, 1).is_zero()
 
 
 def test_induce_mixed_worked_example():
@@ -48,17 +64,17 @@ def test_induce_mixed_worked_example():
     assert mixed.x_vars == ("x1", "x2")
     assert mixed.x_rhs == (poly(b, "x2 x1 | eps"), poly(b, "a x2 b | eps"))
     # z1 = z2 + x2 z1 ; z2 = a z2
-    assert mixed.rho[0][0] == poly(b, "x2")
-    assert mixed.rho[0][1] == poly(b, "eps")
-    assert mixed.rho[1][0] == Polynomial.zero(b)
-    assert mixed.rho[1][1] == poly(b, "a")
+    assert mixed.entry(0, 0) == poly(b, "x2")
+    assert mixed.entry(0, 1) == poly(b, "eps")
+    assert mixed.entry(1, 0) == Polynomial.zero(b)
+    assert mixed.entry(1, 1) == poly(b, "a")
 
 
 def test_induce_mixed_variable_free():
     b = BOOLEAN
     sys = OmegaSystem(b, ("a",), ("y1",), (poly(b, "a"),))
     mixed = induce_mixed(sys)
-    assert mixed.rho[0][0].is_zero()
+    assert mixed.entry(0, 0).is_zero()
 
 
 def test_induce_mixed_merges_duplicate_cuts():
@@ -68,9 +84,9 @@ def test_induce_mixed_merges_duplicate_cuts():
         (poly(b, "a | c y1"), poly(b, "a y1 y2 | a y1")),
     )
     mixed = induce_mixed(sys)
-    assert mixed.rho[0][0] == poly(b, "c")
-    assert mixed.rho[1][0] == poly(b, "a")
-    assert mixed.rho[1][1] == poly(b, "a x1")
+    assert mixed.entry(0, 0) == poly(b, "c")
+    assert mixed.entry(1, 0) == poly(b, "a")
+    assert mixed.entry(1, 1) == poly(b, "a x1")
 
 
 # -- normal form predicates ---------------------------------------------------------
@@ -80,19 +96,19 @@ def test_is_gnf_predicates():
     b = BOOLEAN
     good = MixedSystem(
         b, ("a",), ("x1",), (poly(b, "a | a x1 x1 | eps"),),
-        ("z1",), ((poly(b, "a | a x1"),),),
+        ("z1",), ({0: poly(b, "a | a x1")},),
     )
     assert is_gnf_mixed(good)
     lead_var = MixedSystem(
-        b, ("a",), ("x1",), (poly(b, "x1 a"),), ("z1",), ((poly(b, "a"),),)
+        b, ("a",), ("x1",), (poly(b, "x1 a"),), ("z1",), ({0: poly(b, "a")},)
     )
     assert not is_gnf_mixed(lead_var)
     eps_in_z = MixedSystem(
-        b, ("a",), ("x1",), (poly(b, "a"),), ("z1",), ((poly(b, "eps"),),)
+        b, ("a",), ("x1",), (poly(b, "a"),), ("z1",), ({0: poly(b, "eps")},)
     )
     assert not is_gnf_mixed(eps_in_z)
     long_tail = MixedSystem(
-        b, ("a",), ("x1",), (poly(b, "a x1 x1 x1"),), ("z1",), ((poly(b, "a"),),)
+        b, ("a",), ("x1",), (poly(b, "a x1 x1 x1"),), ("z1",), ({0: poly(b, "a")},)
     )
     assert not is_gnf_mixed(long_tail)
     osys = OmegaSystem(b, ("a",), ("y1",), (poly(b, "a y1 y1 | eps"),))
@@ -225,7 +241,7 @@ def test_canonical_lasso_boolean_buchi_distinction():
 def test_canonical_lasso_rejects_counting():
     c = COUNTING
     sys = MixedSystem(
-        c, ("a",), ("x",), (poly(c, "a"),), ("z",), ((poly(c, "a"),),)
+        c, ("a",), ("x",), (poly(c, "a"),), ("z",), ({0: poly(c, "a")},)
     )
     with pytest.raises(SemiringError):
         canonical_omega_lasso(sys, 1, 0, LassoWord((), ("a",)))
@@ -238,7 +254,7 @@ def test_canonical_lasso_range_checks():
     with pytest.raises(IllFormedSystem):
         canonical_omega_lasso(sys, 1, 5, LassoWord((), ("c",)))
     with pytest.raises(IllFormedSystem):
-        LassoCaps(0, 1)
+        LassoCaps(0)
 
 
 def test_buchi_monotonicity():
@@ -255,16 +271,18 @@ def test_buchi_monotonicity():
         m = 2
         rho = []
         for _i in range(m):
-            row = []
-            for _j in range(m):
+            row = {}
+            for j in range(m):
                 terms = []
                 for _ in range(rng.randint(0, 2)):
                     word = (rng.choice(x.terminals),)
                     if rng.random() < 0.5:
                         word += (rng.choice(x.variables),)
                     terms.append((inst.value(1), word))
-                row.append(Polynomial.build(inst, terms))
-            rho.append(tuple(row))
+                p = Polynomial.build(inst, terms)
+                if not p.is_zero():
+                    row[j] = p
+            rho.append(row)
         sys = MixedSystem(inst, x.terminals, x.variables, x.rhs, ("z0", "z1"), tuple(rho))
         for w in lassos:
             for comp in range(m):
@@ -300,7 +318,7 @@ def test_solution_property_finite_and_omega():
                 acc = sys.instance.zero
                 conclusive = True
                 for j in range(sys.m):
-                    entry = substitute(sys.rho[i][j], assignment, unroll)
+                    entry = substitute(sys.entry(i, j), assignment, unroll)
                     for length in range(0, unroll + 1):
                         c = entry.coeff(w.segment(0, length))
                         if c.is_zero():
