@@ -14,7 +14,8 @@ Grammar files are plain text: directives first, then one equation per line.
 
 Sorts: y-variables give a quemiring system, x- and z-variables a mixed one;
 z-equations must be right-linear (one trailing z-variable per monomial).
-Exit codes: 0 ok, 1 semantic failure, 2 usage error, 3 inconclusive search.
+Exit codes: 0 ok, 1 semantic failure, 2 usage error (including a file that
+cannot be read or written), 3 inconclusive search.
 """
 
 from __future__ import annotations
@@ -92,14 +93,21 @@ class GrammarFile:
     start: str | None
     buchi: int | None
 
-    def start_index(self) -> int | None:
-        if self.start is None:
-            return None
-        if self.kind == "omega":
-            return self.system.variables.index(self.start)
-        if self.start in self.system.x_vars:
-            return self.system.x_vars.index(self.start)
-        return self.system.z_vars.index(self.start)
+    def start_index(self, name: str | None = None) -> int:
+        """Position of a start variable (the file's own by default; 0 if none).
+
+        A y-variable's position is that of its x- and z-copies in the
+        induced mixed system; a mixed file's x- and z-variables are looked up
+        in their own sorts.
+        """
+        name = self.start if name is None else name
+        if name is None:
+            return 0
+        sys = self.system
+        for names in (sys.variables,) if self.kind == "omega" else (sys.x_vars, sys.z_vars):
+            if name in names:
+                return names.index(name)
+        raise IllFormedSystem(f"unknown start variable {name!r}")
 
 
 def parse_grammar(text: str) -> GrammarFile:
@@ -366,7 +374,7 @@ def cmd_build_pda(args) -> int:
         mixed = induce_mixed(g.system)
     else:
         mixed = g.system
-    start_name = args.start if args.start is not None else g.start
+    start = g.start_index(args.start)
     if mixed.z_vars:
         if len(mixed.x_vars) != len(mixed.z_vars):
             raise IllFormedSystem(
@@ -374,15 +382,8 @@ def cmd_build_pda(args) -> int:
                 "run the normal form first"
             )
         buchi = args.buchi if args.buchi is not None else (g.buchi or 0)
-        if start_name is None:
-            start = 0
-        elif start_name in mixed.x_vars:
-            start = mixed.x_vars.index(start_name)
-        else:
-            start = mixed.z_vars.index(start_name)
         auto = induced_omega_pda(mixed, start, buchi)
     else:
-        start = mixed.x_vars.index(start_name) if start_name else 0
         auto = induced_finite_pda(mixed.x_part, start)
     doc = pda_to_json(auto)
     if args.out:
@@ -515,7 +516,7 @@ def main(argv=None) -> int:
     except (SemanticFailure, NotStabilized) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

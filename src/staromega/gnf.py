@@ -13,6 +13,14 @@ build and read the stored entries only, so their cost follows the number of
 nonzero entries rather than the square of the z-variables; the one dense
 matrix left is decompose_canonical's handle matrix over the input's own
 z-variables.
+
+decompose_canonical unfolds the restricted omega operator on that matrix
+with series handles: nodes of a DAG whose leaves are restricted components
+of the input's finite part and whose other nodes each hold one equation
+over their children.  Combining handles copies no system; an algebraic
+system is written out only for the handles of the returned pairs s t^omega.
+Chain rules are removed through the star of the unit matrix, taken one
+strongly connected component at a time on sparse rows.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from typing import Sequence
 
 import json
 
+from ._search import _sccs
 from .matrix import SemiringMatrix, mat_star
 from .semiring import SemiringInstance, SemiringValue
 from .series import EPSILON, Polynomial, Word
@@ -105,31 +114,62 @@ def productive_components(sys: AlgebraicSystem) -> set[str]:
 
 
 def _unit_elimination(sys: AlgebraicSystem) -> AlgebraicSystem:
-    """Fold single-variable monomials into the other rules via a matrix star."""
+    """Fold single-variable monomials into the other rules: x_i = sum_j U*[i][j] rest_j.
+
+    The unit matrix U is kept as sparse rows and its star taken one strongly
+    connected component C at a time, sinks first.  A path from i in C stays
+    in C up to its last state c there, then stops or leaves along an edge
+    c -> d and continues from d, whose row is already known:
+
+        row(i) = sum_{c in C} S[i][c] (e_c + sum_{c -> d leaving C} U[c][d] row(d)),
+
+    with S the star of C's own block.  Every path is counted once, so the rows
+    equal the dense star's in every instance, counting included.
+    """
     inst = sys.instance
-    n = len(sys.variables)
     ix = {v: i for i, v in enumerate(sys.variables)}
-    unit = [[inst.zero] * n for _ in range(n)]
-    rest = []
-    for i, p in enumerate(sys.rhs):
-        keep = []
+    unit: list[dict[int, SemiringValue]] = []
+    rest: list[list] = []
+    for p in sys.rhs:
+        unit.append({})
+        rest.append([])
         for mono in p.monomials:
             if len(mono.word) == 1 and mono.word[0] in ix:
-                j = ix[mono.word[0]]
-                unit[i][j] = unit[i][j] + mono.coeff
+                unit[-1][ix[mono.word[0]]] = mono.coeff
             else:
-                keep.append((mono.coeff, mono.word))
-        rest.append(Polynomial.build(inst, keep))
-    ustar = mat_star(SemiringMatrix(inst, n, tuple(tuple(r) for r in unit)))
-    new_rhs = []
-    for i in range(n):
-        acc = Polynomial.zero(inst)
-        for j in range(n):
-            c = ustar.entry(i, j)
-            if not c.is_zero():
-                acc = acc + rest[j].scale(c)
-        new_rhs.append(acc)
-    return AlgebraicSystem(inst, sys.terminals, sys.variables, tuple(new_rhs))
+                rest[-1].append(mono)
+    nodes = list(range(len(unit)))
+    rows: list[dict[int, SemiringValue]] = [{} for _ in nodes]
+    for comp in _sccs(nodes, {i: list(row.items()) for i, row in enumerate(unit)}):
+        block = tuple(tuple(unit[c].get(d, inst.zero) for d in comp) for c in comp)
+        star = mat_star(SemiringMatrix(inst, len(comp), block))
+        members = set(comp)
+        exits = []
+        for c in comp:
+            out = {c: inst.one}
+            for d, u in unit[c].items():
+                if d not in members:
+                    for e, r in rows[d].items():
+                        _accumulate(out, e, u * r)
+            exits.append(out)
+        for a, i in enumerate(comp):
+            for b, out in enumerate(exits):
+                s = star.entry(a, b)
+                if not s.is_zero():
+                    for e, r in out.items():
+                        _accumulate(rows[i], e, s * r)
+    new_rhs = tuple(
+        Polynomial.build(
+            inst, [(c * mono.coeff, mono.word) for j, c in row.items() for mono in rest[j]]
+        )
+        for row in rows
+    )
+    return AlgebraicSystem(inst, sys.terminals, sys.variables, new_rhs)
+
+
+def _accumulate(row: dict, key, value: SemiringValue) -> None:
+    prev = row.get(key)
+    row[key] = value if prev is None else prev + value
 
 
 class _Names:
@@ -694,97 +734,93 @@ def unmix(
 
 
 class _Handle:
-    """A series given as one component of an algebraic system."""
+    """A series as a node of the handle DAG.
 
-    __slots__ = ("sys", "comp")
+    A leaf holds a restricted algebraic system whose first variable is the
+    series.  Any other node is one equation with coefficients one: `words`
+    spells its monomials over slots, 0 for the node itself and 1, 2, ... for
+    its children `kids`, which are all productive.  The series is zero
+    exactly when that equation (a leaf's first) is empty, and `size` counts
+    the variables of the system `_HandleAlgebra.emit` writes out for it.
+    """
 
-    def __init__(self, sys: AlgebraicSystem, comp: int):
-        self.sys = sys
-        self.comp = comp
+    __slots__ = ("leaf", "kids", "words", "productive", "size")
+
+    def __init__(self, leaf=None, kids=(), words=()):
+        self.leaf, self.kids, self.words = leaf, kids, words
+        if leaf is not None:
+            self.productive = not leaf.rhs[0].is_zero()
+            self.size = len(leaf.variables)
+        else:
+            self.productive = bool(words)
+            self.size = 1 + sum(k.size for k in kids)
 
 
 class _HandleAlgebra:
-    """Rational combinators on series handles, by gluing systems together."""
+    """Rational combinators on series handles, as nodes of a DAG.
 
-    def __init__(self, instance: SemiringInstance, terminals: tuple[str, ...]):
-        self.instance = instance
-        self.terminals = terminals
-        self.counter = 0
+    Leaves are components of the base system restricted to its productive,
+    reachable variables.  Every add / mul / star makes one node over its
+    operands and copies nothing; an unproductive operand is left out of the
+    node's equation, where restricting a glued system would erase it.  A
+    system is written out only by `emit`, for the handles a decomposition
+    returns: a preorder walk that copies each shared child once per use.
+    """
 
-    def _fresh(self) -> str:
-        self.counter += 1
-        return f"v{self.counter}"
+    def __init__(self, base: AlgebraicSystem):
+        self.base = base
+        self.top = _Names(set(base.variables) | set(base.terminals)).fresh("v")
 
-    def _merge(self, *systems: AlgebraicSystem):
-        variables: list[str] = []
-        rhs: list[Polynomial] = []
-        offsets = []
-        for idx, s in enumerate(systems):
-            pre = f"m{self.counter}.{idx}."
-            self.counter += 1
-            ren = {v: pre + v for v in s.variables}
-            offsets.append(len(variables))
-            variables.extend(pre + v for v in s.variables)
-            rhs.extend(p.rename_symbols(ren) for p in s.rhs)
-        return variables, rhs, offsets
-
-    def _make(self, variables, rhs, comp) -> _Handle:
-        sys = AlgebraicSystem(
-            self.instance, self.terminals, tuple(variables), tuple(rhs)
+    def of_poly(self, poly: Polynomial) -> _Handle:
+        b = self.base
+        glued = AlgebraicSystem(
+            b.instance, b.terminals, b.variables + (self.top,), b.rhs + (poly,)
         )
-        return _Handle(_restrict(sys, comp), 0)
-
-    def of_poly(self, poly: Polynomial, base: AlgebraicSystem) -> _Handle:
-        variables, rhs, offsets = self._merge(base)
-        ren = {v: variables[offsets[0] + i] for i, v in enumerate(base.variables)}
-        top = self._fresh()
-        variables.append(top)
-        rhs.append(poly.rename_symbols(ren))
-        return self._make(variables, rhs, len(variables) - 1)
+        return _Handle(_restrict(glued, len(b.variables)))
 
     def zero(self) -> _Handle:
-        top = self._fresh()
-        return self._make([top], [Polynomial.zero(self.instance)], 0)
+        return _Handle()
 
     def one(self) -> _Handle:
-        top = self._fresh()
-        return self._make([top], [Polynomial.of_word(self.instance, EPSILON)], 0)
+        return _Handle(words=((),))
 
     def add(self, a: _Handle, b: _Handle) -> _Handle:
-        variables, rhs, offsets = self._merge(a.sys, b.sys)
-        top = self._fresh()
-        va = variables[offsets[0] + a.comp]
-        vb = variables[offsets[1] + b.comp]
-        variables.append(top)
-        rhs.append(
-            Polynomial.build(
-                self.instance,
-                [(self.instance.one, (va,)), (self.instance.one, (vb,))],
-            )
-        )
-        return self._make(variables, rhs, len(variables) - 1)
+        kids = tuple(h for h in (a, b) if h.productive)
+        return _Handle(kids=kids, words=tuple((i,) for i in range(1, len(kids) + 1)))
 
     def mul(self, a: _Handle, b: _Handle) -> _Handle:
-        variables, rhs, offsets = self._merge(a.sys, b.sys)
-        top = self._fresh()
-        va = variables[offsets[0] + a.comp]
-        vb = variables[offsets[1] + b.comp]
-        variables.append(top)
-        rhs.append(Polynomial.of_word(self.instance, (va, vb)))
-        return self._make(variables, rhs, len(variables) - 1)
+        if not (a.productive and b.productive):
+            return self.zero()
+        return _Handle(kids=(a, b), words=((1, 2),))
 
     def star(self, a: _Handle) -> _Handle:
-        variables, rhs, offsets = self._merge(a.sys)
-        top = self._fresh()
-        va = variables[offsets[0] + a.comp]
-        variables.append(top)
-        rhs.append(
-            Polynomial.build(
-                self.instance,
-                [(self.instance.one, (va, top)), (self.instance.one, EPSILON)],
+        if not a.productive:
+            return self.one()
+        return _Handle(kids=(a,), words=((1, 0), ()))
+
+    def emit(self, h: _Handle) -> AlgebraicSystem:
+        """The system of h, variables d0, d1, ... in preorder, h's series first."""
+        inst, terminals = self.base.instance, self.base.terminals
+        fresh = _Names(set(terminals)).fresh
+        names = [fresh(f"d{i}") for i in range(h.size)]
+        rhs: list[Polynomial] = []
+        stack = [h]
+        while stack:
+            h = stack.pop()
+            at = len(rhs)
+            if h.leaf is not None:
+                ren = dict(zip(h.leaf.variables, names[at : at + h.size]))
+                rhs.extend(p.rename_symbols(ren) for p in h.leaf.rhs)
+                continue
+            slots, pos = [names[at]], at + 1
+            for kid in h.kids:
+                slots.append(names[pos])
+                pos += kid.size
+            rhs.append(
+                Polynomial.build(inst, [(inst.one, tuple(slots[s] for s in w)) for w in h.words])
             )
-        )
-        return self._make(variables, rhs, len(variables) - 1)
+            stack.extend(reversed(h.kids))
+        return AlgebraicSystem(inst, terminals, tuple(names), tuple(rhs))
 
 
 def _restrict(sys: AlgebraicSystem, comp: int) -> AlgebraicSystem:
@@ -914,27 +950,14 @@ def decompose_canonical(
         raise IllFormedSystem(f"Buchi count {k} out of range 0..{m}")
     if not 0 <= component < m:
         raise IllFormedSystem(f"z-component {component} out of range for {m} z-variables")
-    alg = _HandleAlgebra(sys.instance, tuple(sys.terminals))
-    base = sys.x_part
-    mat = [[alg.of_poly(sys.entry(i, j), base) for j in range(m)] for i in range(m)]
+    alg = _HandleAlgebra(sys.x_part)
+    mat = [[alg.of_poly(sys.entry(i, j)) for j in range(m)] for i in range(m)]
     terms = _handle_omega_t_terms(alg, mat, k)[component]
-    dterms = []
-    for (s, t) in terms:
-        dterms.append(
-            DecompositionTerm(
-                t_sys=_compact_names(t.sys),
-                t_component=t.comp,
-                s_sys=_compact_names(s.sys),
-                s_component=s.comp,
-                eps_case="zero",
-            )
-        )
-    return OmegaDecomposition(sys.instance, tuple(sys.terminals), tuple(dterms))
-
-
-def _compact_names(sys: AlgebraicSystem) -> AlgebraicSystem:
-    names = _Names(set(sys.terminals))
-    return sys.rename({v: names.fresh(f"d{i}") for i, v in enumerate(sys.variables)})
+    dterms = tuple(
+        DecompositionTerm(t_sys=alg.emit(t), t_component=0, s_sys=alg.emit(s), s_component=0)
+        for (s, t) in terms
+    )
+    return OmegaDecomposition(sys.instance, tuple(sys.terminals), dterms)
 
 
 # -- pipeline report -----------------------------------------------------------

@@ -25,7 +25,18 @@ from .semiring import (
     instance_by_name,
 )
 from .series import LassoWord, Word
-from .system import AlgebraicSystem, IllFormedSystem, LassoResult, MixedSystem, OK, INCONCLUSIVE, SemanticFailure, is_gnf_algebraic, is_gnf_mixed
+from .system import (
+    INCONCLUSIVE,
+    OK,
+    AlgebraicSystem,
+    IllFormedSystem,
+    LassoResult,
+    MixedSystem,
+    NonIdempotentInstance,
+    SemanticFailure,
+    is_gnf_algebraic,
+    is_gnf_mixed,
+)
 
 # A letter polynomial: one weight per input letter, support only on letters.
 LetterPoly = dict[str, SemiringValue]
@@ -397,9 +408,7 @@ def behavior_omega_lasso(
         raise IllFormedSystem("automaton has no repeated-state count")
     inst = a.instance
     if not inst.idempotent:
-        raise SemiringError(
-            f"omega evaluation by lasso search needs an idempotent instance, not {inst.name}"
-        )
+        raise NonIdempotentInstance(inst)
     starts = [
         (q, ()) for q in range(a.matrix.n_states) if not a.initial[q].is_zero()
     ]
@@ -415,10 +424,7 @@ def behavior_omega_lasso(
     for q in range(a.matrix.n_states):
         if not a.initial[q].is_zero():
             sources[(q, (), pa.state_of(0))] = a.initial[q]
-    value = _pda_certificate_search(a, w, sources, caps, pa)
-    if value.is_zero():
-        return LassoResult(INCONCLUSIVE)
-    return LassoResult(OK, value)
+    return _pda_certificate_search(a, w, sources, caps, pa)
 
 
 def omega_value_from(
@@ -442,7 +448,7 @@ def omega_value_at(
         raise IllFormedSystem("automaton has no repeated-state count")
     inst = a.instance
     if not inst.idempotent:
-        raise SemiringError("omega evaluation needs an idempotent instance")
+        raise NonIdempotentInstance(inst)
     state, stack = config.state, config.stack
     accepting = _pda_run_exists(a, w, [(state, stack)])
     if not accepting:
@@ -452,20 +458,24 @@ def omega_value_at(
     if caps is None:
         caps = default_pda_caps(a, w)
     pa = PositionAutomaton.of(w)
-    value = _pda_certificate_search(
+    return _pda_certificate_search(
         a, w, {(state, stack, pa.state_of(0)): inst.one}, caps, pa
     )
-    if value.is_zero():
-        return LassoResult(INCONCLUSIVE)
-    return LassoResult(OK, value)
 
 
-def _pda_certificate_search(a, w, sources, caps, pa) -> SemiringValue:
+def _pda_certificate_search(a, w, sources, caps, pa) -> LassoResult:
+    """Certificate value over the configurations within the caps.
+
+    Inconclusive when nothing was certified, or when a configuration was
+    dropped because the graph already held caps.max_nodes nodes: the value
+    of a truncated graph may miss runs.
+    """
     inst = a.instance
     m = a.matrix
     edges: dict[tuple, list[HitEdge]] = {}
     frontier = list(sources)
     seen = set(frontier)
+    truncated = False
     while frontier:
         node = frontier.pop()
         state, stack, s = node
@@ -475,18 +485,24 @@ def _pda_certificate_search(a, w, sources, caps, pa) -> SemiringValue:
                 continue
             succ = (j, stack2, pa.advance(s))
             outs.append(HitEdge(succ, c, False))
-            if succ not in seen and len(seen) < caps.max_nodes:
-                seen.add(succ)
-                frontier.append(succ)
+            if succ not in seen:
+                if len(seen) < caps.max_nodes:
+                    seen.add(succ)
+                    frontier.append(succ)
+                else:
+                    truncated = True
         edges[node] = outs
     l = a.buchi_count
-    return lasso_value(
+    value = lasso_value(
         inst,
         edges,
         sources,
         is_anchor=lambda node: pa.is_periodic(node[2]),
         is_buchi=lambda node: node[0] < l,
     )
+    if truncated or value.is_zero():
+        return LassoResult(INCONCLUSIVE)
+    return LassoResult(OK, value)
 
 
 # -- exact emptiness of the accepting-run structure ---------------------------

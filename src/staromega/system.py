@@ -41,6 +41,15 @@ class IllFormedSystem(SemanticFailure):
     pass
 
 
+class NonIdempotentInstance(SemanticFailure, SemiringError):
+    """Omega evaluation by lasso search asked of a non-idempotent instance."""
+
+    def __init__(self, instance: SemiringInstance):
+        super().__init__(
+            f"omega evaluation by lasso search needs an idempotent instance, not {instance.name}"
+        )
+
+
 class NotStabilized(RuntimeError):
     """Kleene iteration did not reach a fixed point within the allowed rounds."""
 
@@ -516,9 +525,7 @@ def canonical_omega_lasso(
     """
     inst = sys.instance
     if not inst.idempotent:
-        raise SemiringError(
-            f"omega evaluation by lasso search needs an idempotent instance, not {inst.name}"
-        )
+        raise NonIdempotentInstance(inst)
     m = sys.m
     if not 0 <= k <= m:
         raise IllFormedSystem(f"Buchi count {k} out of range 0..{m}")

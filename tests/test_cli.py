@@ -264,3 +264,49 @@ def test_semantic_failures_exit_1(tmp_path, capsys):
     rc = main(["eval", path, "--word", "a"])
     assert rc == EXIT_FAIL
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_normal_form_output_builds_an_automaton_with_the_same_value(tmp_path, capsys):
+    nf, auto = tmp_path / "nf.grm", tmp_path / "auto.json"
+    rc = main(["gnf", str(DATA / "tropical_mixed.grm"), "--target", "omega", "--out", str(nf)])
+    assert rc == EXIT_OK
+    # the start is the folded y-variable, found by its position in the system
+    assert main(["build-pda", str(nf), "--out", str(auto)]) == EXIT_OK
+    assert main(["eval", str(auto), "--lasso", "aabb:c"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "2"
+    assert main(["eval", str(nf), "--lasso", "aabb:c"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "2"
+
+
+def test_build_pda_on_an_omega_grammar_with_epsilon_rules_is_a_semantic_failure(capsys):
+    assert main(["build-pda", str(DATA / "boolean_omega.grm")]) == EXIT_FAIL
+    assert capsys.readouterr().err == "error: induced automaton needs Greibach shape\n"
+
+
+def test_build_pda_unknown_start_exits_1(capsys):
+    for args in (["--start", "nope"], ["--start", "y9"]):
+        assert main(["build-pda", str(DATA / "boolean_omega.grm")] + args) == EXIT_FAIL
+        assert capsys.readouterr().err == "error: unknown start variable " + repr(args[1]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "{missing}.json", "--lasso", "a:b"],
+        ["eval", "{missing}.grm", "--word", "a"],
+        ["gnf", "{missing}.grm"],
+        ["build-pda", "{missing}.grm"],
+        ["gnf", str(DATA / "tropical_mixed.grm"), "--out", "{missing}/out.grm"],
+    ],
+)
+def test_unreadable_or_unwritable_file_exits_2(args, tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    rc = main([a.format(missing=missing) for a in args])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_omega_evaluation_over_counting_exits_1(capsys):
+    rc = main(["eval", str(DATA / "counting_finite.grm"), "--lasso", ":a"])
+    assert rc == EXIT_FAIL
+    assert capsys.readouterr().err.startswith("error: omega evaluation by lasso search needs")

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from staromega.cli import EXIT_OK, main
 from staromega.fixtures import pair_example_systems
@@ -12,6 +14,7 @@ from staromega.gnf import (
     OmegaDecomposition,
     build_pair_system,
     char_to_mixed,
+    _unit_elimination,
     decompose_canonical,
     eps_coefficients,
     finite_gnf,
@@ -23,7 +26,8 @@ from staromega.gnf import (
     unmix,
 )
 from staromega.pda import behavior_omega_lasso, induced_omega_pda
-from staromega.semiring import ARCTIC, BOOLEAN, INF, TROPICAL
+from staromega.matrix import mat_from_raw, mat_star
+from staromega.semiring import ARCTIC, BOOLEAN, COUNTING, INF, TROPICAL
 from staromega.series import LassoWord, Polynomial, parse_polynomial
 from staromega.system import (
     AlgebraicSystem,
@@ -537,3 +541,79 @@ def test_gnf_output_matches_golden_text(case, capsys):
     name, _, target = case.split()
     assert main(["gnf", str(DATA / name), "--target", target]) == EXIT_OK
     assert capsys.readouterr().out == GOLDEN_GNF[case]
+
+
+# Seeded random mixed systems (m = 3 and 4 z-variables, every instance), with the
+# exit code and the sha256 of `gnf --target omega --buchi k` stdout for every
+# Buchi count k = 0..m, recorded before the handle algebra became a DAG.
+GOLDEN_RANDOM = json.loads(Path(__file__).with_name("gnf_golden_random.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_RANDOM, ids=[c["name"] for c in GOLDEN_RANDOM])
+def test_gnf_output_matches_golden_digests_on_random_systems(case, tmp_path, capsys):
+    path = tmp_path / "g.grm"
+    path.write_text(case["grammar"])
+    for k, (want_exit, want_sha) in enumerate(zip(case["exit"], case["sha256"])):
+        rc = main(["gnf", str(path), "--target", "omega", "--buchi", str(k)])
+        out = capsys.readouterr().out
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (want_exit, want_sha), k
+
+
+# -- chain-rule elimination ------------------------------------------------------------
+
+
+def unit_matrices(max_n):
+    """Sparse square matrices over any instance, each with at least one cycle."""
+
+    def over(inst):
+        zero = inst.zero_raw()
+        nonzero = [v for v in inst.grid() if v is not zero and v != zero]
+        cell = st.sampled_from([zero] * 3 + nonzero)
+
+        def with_cycle(n):
+            return st.tuples(
+                st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n),
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+                st.lists(st.sampled_from(nonzero), min_size=n, max_size=n),
+            ).map(lambda t: _close_cycle(*t))
+
+        return st.integers(1, max_n).flatmap(with_cycle).map(lambda rows: mat_from_raw(inst, rows))
+
+    return st.sampled_from([BOOLEAN, TROPICAL, ARCTIC, COUNTING]).flatmap(over)
+
+
+def _close_cycle(rows, cycle, weights):
+    for k, i in enumerate(cycle):
+        rows[i][cycle[(k + 1) % len(cycle)]] = weights[k]
+    return rows
+
+
+def _unit_closure(m):
+    """U* read off _unit_elimination on x_i = sum_j U[i][j] x_j + a_i."""
+    inst, n = m.instance, m.n
+    xs = tuple(f"x{i}" for i in range(n))
+    letters = tuple(f"a{i}" for i in range(n))
+    rhs = tuple(
+        Polynomial.build(
+            inst, [(m.entry(i, j), (xs[j],)) for j in range(n)] + [(inst.one, (letters[i],))]
+        )
+        for i in range(n)
+    )
+    out = _unit_elimination(AlgebraicSystem(inst, letters, xs, rhs))
+    return [[out.rhs[i].coeff_of((letters[j],)) for j in range(n)] for i in range(n)]
+
+
+@given(unit_matrices(8))
+@settings(max_examples=150, deadline=None)
+def test_unit_elimination_closure_equals_dense_star(m):
+    star = mat_star(m)
+    assert _unit_closure(m) == [list(row) for row in star.rows]
+
+
+def test_unit_elimination_counts_cycles_as_infinite():
+    # x0 <-> x1 is a cycle and x2 -> x0 enters it: every path count through
+    # the cycle is infinite, while x2 reaches itself only by the empty path
+    m = mat_from_raw(COUNTING, [[0, 1, 0], [1, 0, 0], [1, 0, 0]])
+    got = [[v.value for v in row] for row in _unit_closure(m)]
+    assert got == [[INF, INF, 0], [INF, INF, 0], [INF, INF, 1]]
+    assert got == [[v.value for v in row] for row in mat_star(m).rows]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from staromega.pda import (
     SimpleOmegaPDA,
     behavior_finite,
     behavior_omega_lasso,
+    default_pda_caps,
     expand_entry,
     induced_finite_pda,
     induced_omega_pda,
@@ -33,6 +35,8 @@ from staromega.system import (
     least_solution_finite,
     oracle_coeff_gnf,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "staromega" / "data"
 
 
 def poly(inst, text):
@@ -337,6 +341,49 @@ def test_inconclusive_when_caps_too_small():
     assert not r.conclusive and r.value is None
     ok = behavior_omega_lasso(auto, w)
     assert ok.conclusive and ok.value.value == 2
+
+
+def two_route_automaton():
+    """Tropical automaton on :a with a costly and a cheap accepting loop.
+
+    From state 0, reading a leads to state 1 at weight 5 or to state 2 at
+    weight 1, and both loop on a at weight 0; every state repeats.  The
+    value is 1, and a search that keeps only the first successor sees 5.
+    """
+    from staromega.pda import ResetPDMatrix
+
+    t = TROPICAL
+    rows = [[{} for _ in range(3)] for _ in range(3)]
+    for i, j, weight in ((0, 1, 5), (0, 2, 1), (1, 1, 0), (2, 2, 0)):
+        rows[i][j]["a"] = t.value(weight)
+    m = ResetPDMatrix(t, 3, ("a",), ("X",), tuple(tuple(r) for r in rows), {}, {})
+    return SimpleOmegaPDA(m, (t.one, t.zero, t.zero), (t.zero,) * 3, 3, ("0", "1", "2"))
+
+
+def test_truncated_certificate_search_is_inconclusive():
+    auto = two_route_automaton()
+    w = LassoWord((), ("a",))
+    full = behavior_omega_lasso(auto, w)
+    assert full.conclusive and full.value.value == 1
+    # two nodes fit: the start and state 1; state 2 is dropped
+    cut = behavior_omega_lasso(auto, w, PdaLassoCaps(height=1, max_nodes=2))
+    assert not cut.conclusive and cut.value is None
+    assert not omega_value_from(auto, w, 0, caps=PdaLassoCaps(height=1, max_nodes=2)).conclusive
+
+
+def test_certificate_search_that_fits_its_budget_exactly_stays_ok(tmp_path, capsys):
+    from staromega.cli import main
+
+    nf, auto_path = tmp_path / "nf.grm", tmp_path / "auto.json"
+    assert main(["gnf", str(DATA / "tropical_mixed.grm"), "--out", str(nf)]) == 0
+    assert main(["build-pda", str(nf), "--out", str(auto_path)]) == 0
+    auto = pda_from_json(auto_path.read_text())
+    w = LassoWord((), ("c",))
+    height = default_pda_caps(auto, w).height
+    # the search graph at :c has exactly five nodes
+    fits = behavior_omega_lasso(auto, w, PdaLassoCaps(height, max_nodes=5))
+    assert fits.conclusive and fits.value.value == 0
+    assert not behavior_omega_lasso(auto, w, PdaLassoCaps(height, max_nodes=4)).conclusive
 
 
 def test_json_round_trip_and_dot():
