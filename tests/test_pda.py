@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -37,6 +39,7 @@ from staromega.system import (
 )
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "staromega" / "data"
+TEST_DATA = Path(__file__).resolve().parent / "data"
 
 
 def poly(inst, text):
@@ -399,3 +402,28 @@ def test_json_round_trip_and_dot():
         assert behavior_omega_lasso(again, w).value == behavior_omega_lasso(auto, w).value
     dot = pda_to_dot(contrast_auto())
     assert "digraph" in dot and "vZ:z2" in dot and "^Z:z2" in dot
+
+
+# sha256 of the `build-pda` JSON (--out) and DOT (--dot) output of every example
+# flow: each grammar `build-pda` accepts as written, and (" gnf") the normal form
+# `gnf --target omega` writes for it, recorded while every block was dense.
+PDA_GOLDEN = json.loads(Path(__file__).with_name("pda_golden.json").read_text())
+
+
+# The dense blocks of "wide_pops.grm gnf" (943 states, 942 stack symbols) need
+# more than 1.5 GB; its digests were recorded with the same serialization over
+# rows that yield absent cells as empty, and are checked once blocks are sparse.
+@pytest.mark.parametrize("flow", sorted(f for f in PDA_GOLDEN if not f.startswith("wide_pops")))
+def test_build_pda_output_matches_golden_digests(flow, tmp_path):
+    from staromega.cli import main
+
+    name, *via_gnf = flow.split()
+    path = DATA / name if (DATA / name).exists() else TEST_DATA / name
+    if via_gnf:
+        nf = tmp_path / "nf.grm"
+        assert main(["gnf", str(path), "--target", "omega", "--out", str(nf)]) == 0
+        path = nf
+    out, dot = tmp_path / "auto.json", tmp_path / "auto.dot"
+    assert main(["build-pda", str(path), "--out", str(out), "--dot", str(dot)]) == 0
+    got = {f: hashlib.sha256(p.read_bytes()).hexdigest() for f, p in (("json", out), ("dot", dot))}
+    assert got == PDA_GOLDEN[flow]
