@@ -84,10 +84,10 @@ def tropical_omega_automaton() -> SimpleOmegaPDA:
     n = 4
 
     def block(entries):
-        rows = [[{} for _ in range(n)] for _ in range(n)]
+        rows = tuple({} for _ in range(n))
         for (i, j, letter, weight) in entries:
-            rows[i][j][letter] = t.value(weight)
-        return tuple(tuple(r) for r in rows)
+            rows[i].setdefault(j, {})[letter] = t.value(weight)
+        return rows
 
     matrix = ResetPDMatrix(
         t,

@@ -3,16 +3,25 @@
 A simple reset pushdown matrix is stored by its three generating block
 families (ignore stack / push one symbol / pop one symbol); every entry of
 the infinite transition matrix is recovered from them by suffix extension,
-which `expand_entry` implements.  Behaviors are exact: the finite behavior
-enumerates runs (one letter per step), the omega behavior combines a capped
-certificate search over the period quotient with an exact emptiness analysis
-of the run structure, so zero answers never depend on the caps.
+which `expand_entry` implements.  A block is a tuple of sparse rows, row i
+mapping each column j with a nonzero letter polynomial to it, so a matrix
+takes space in its number of transitions; `ResetPDMatrix.moves` indexes the
+transitions by letter and source state once, for the run enumerations.
+
+Behaviors are exact: the finite behavior enumerates runs (one letter per
+step), the omega behavior combines a capped certificate search over the
+period quotient with an exact emptiness analysis of the run structure, so
+zero answers never depend on the caps.  That analysis saturates level edges
+and pop summaries with one worklist, the summary saturation of pushdown
+reachability (Bouajjani, Esparza and Maler 1997; Reps, Schwoon, Jha and
+Melski 2005).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from ._search import HitEdge, PositionAutomaton, lasso_value
@@ -40,7 +49,8 @@ from .system import (
 
 # A letter polynomial: one weight per input letter, support only on letters.
 LetterPoly = dict[str, SemiringValue]
-Block = tuple[tuple[LetterPoly, ...], ...]
+# Sparse rows: block[i] maps column j to a nonzero letter polynomial.
+Block = tuple[dict[int, LetterPoly], ...]
 
 
 class EpsilonCoefficient(SemanticFailure):
@@ -54,20 +64,22 @@ class EpsilonCoefficient(SemanticFailure):
         self.coeff = coeff
 
 
-def _zero_block(n: int) -> Block:
-    return tuple(tuple({} for _ in range(n)) for _ in range(n))
-
-
-def _freeze_block(n: int, entries: Mapping[tuple[int, int], LetterPoly]) -> Block:
-    rows = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, j), lp in entries.items():
-        rows[i][j] = {a: c for a, c in lp.items() if not c.is_zero()}
-    return tuple(tuple(row) for row in rows)
+def _rows(n: int, cells: Mapping[tuple[int, int], LetterPoly]) -> Block:
+    """Sparse rows of an n-state block; empty cells are left out."""
+    rows = tuple({} for _ in range(n))
+    for (i, j), lp in cells.items():
+        if lp:
+            rows[i][j] = lp
+    return rows
 
 
 @dataclass(frozen=True)
 class ResetPDMatrix:
-    """Finite block presentation of a simple reset pushdown matrix."""
+    """Finite block presentation of a simple reset pushdown matrix.
+
+    Every block is a tuple of n_states sparse rows: block[i] maps a column
+    j to its nonzero letter polynomial, and absent columns are zero.
+    """
 
     instance: SemiringInstance
     n_states: int
@@ -85,10 +97,14 @@ class ResetPDMatrix:
             if sym not in self.stack_alphabet:
                 raise IllFormedSystem(f"unknown stack symbol {sym!r}")
         for b in blocks:
-            if len(b) != self.n_states or any(len(r) != self.n_states for r in b):
+            if len(b) != self.n_states:
                 raise IllFormedSystem("block has wrong dimension")
             for row in b:
-                for lp in row:
+                for j, lp in row.items():
+                    if j not in range(self.n_states):
+                        raise IllFormedSystem(f"block column {j!r} out of range")
+                    if not lp:
+                        raise IllFormedSystem("zero entries must be omitted")
                     for a, c in lp.items():
                         if a not in self.input_alphabet:
                             raise IllFormedSystem(f"unknown input letter {a!r}")
@@ -98,10 +114,39 @@ class ResetPDMatrix:
                             raise IllFormedSystem("zero weights must be omitted")
 
     def push_block(self, sym: str) -> Block:
-        return self.m_eps_push.get(sym, _zero_block(self.n_states))
+        return self.m_eps_push.get(sym, ({},) * self.n_states)
 
     def pop_block(self, sym: str) -> Block:
-        return self.m_pop_eps.get(sym, _zero_block(self.n_states))
+        return self.m_pop_eps.get(sym, ({},) * self.n_states)
+
+    @cached_property
+    def moves(self) -> dict[str, dict[int, tuple[list, list, dict]]]:
+        """Transitions by letter, then source state, indexed once.
+
+        moves[letter][p] holds the neutral moves [(q, c)], the pushes
+        [(sym, q, c)] and the pops {sym: [(q, c)]}, each block's targets in
+        ascending order.
+        """
+        index: dict[str, dict[int, tuple[list, list, dict]]] = {}
+
+        def cells(block):
+            for p, row in enumerate(block):
+                for q in sorted(row):
+                    for letter, c in row[q].items():
+                        by_state = index.setdefault(letter, {})
+                        if p not in by_state:
+                            by_state[p] = ([], [], {})
+                        yield by_state[p], q, c
+
+        for at, q, c in cells(self.m_eps_eps):
+            at[0].append((q, c))
+        for sym, block in self.m_eps_push.items():
+            for at, q, c in cells(block):
+                at[1].append((sym, q, c))
+        for sym, block in self.m_pop_eps.items():
+            for at, q, c in cells(block):
+                at[2].setdefault(sym, []).append((q, c))
+        return index
 
 
 def expand_entry(m: ResetPDMatrix, pi: Word, pi2: Word) -> Block:
@@ -115,7 +160,7 @@ def expand_entry(m: ResetPDMatrix, pi: Word, pi2: Word) -> Block:
             return m.m_eps_eps
         if len(pi2) == 1:
             return m.push_block(pi2[0])
-        return _zero_block(m.n_states)
+        return ({},) * m.n_states
     top, rest = pi[0], pi[1:]
     if pi2 == rest:
         return m.pop_block(top)
@@ -123,7 +168,7 @@ def expand_entry(m: ResetPDMatrix, pi: Word, pi2: Word) -> Block:
         return m.m_eps_eps
     if len(pi2) == len(pi) + 1 and pi2[1:] == pi:
         return m.push_block(pi2[0])
-    return _zero_block(m.n_states)
+    return ({},) * m.n_states
 
 
 @dataclass(frozen=True)
@@ -159,7 +204,7 @@ class SimpleOmegaPDA:
 # -- induced constructions ---------------------------------------------------
 
 
-def _letter_sum(instance, polys) -> LetterPoly:
+def _letter_sum(polys) -> LetterPoly:
     out: dict[str, SemiringValue] = {}
     for letter, coeff in polys:
         prev = out.get(letter)
@@ -205,34 +250,26 @@ def induced_finite_pda(sys: AlgebraicSystem, start: int) -> SimpleOmegaPDA:
                 j, k = var_ix[w[1]], var_ix[w[2]]
                 pushes[w[2]].setdefault((i, j), []).append((a, mono.coeff))
 
-    m_eps_eps = {}
-    for (i, j), entries in eps_eps.items():
-        m_eps_eps[(i, j)] = _letter_sum(inst, entries)
-    for i in range(n):
-        lp = _letter_sum(inst, term[i])
-        if lp:
-            m_eps_eps[(i, f)] = lp
+    finals = [(i, lp) for i, lp in enumerate(map(_letter_sum, term)) if lp]
+    m_eps_eps = {k: _letter_sum(v) for k, v in eps_eps.items()}
+    m_eps_eps.update(((i, f), lp) for i, lp in finals)
     m_push = {
-        sym: _freeze_block(n + 1, {k: _letter_sum(inst, v) for k, v in d.items()})
+        sym: _rows(n + 1, {k: _letter_sum(v) for k, v in d.items()})
         for sym, d in pushes.items()
         if d
     }
-    m_pop = {}
-    for k, sym in enumerate(stack_syms):
-        entries = {}
-        for i in range(n):
-            lp = _letter_sum(inst, term[i])
-            if lp:
-                entries[(i, k)] = lp
-        if entries:
-            m_pop[sym] = _freeze_block(n + 1, entries)
+    m_pop = {
+        sym: _rows(n + 1, {(i, k): lp for i, lp in finals})
+        for k, sym in enumerate(stack_syms)
+        if finals
+    }
 
     matrix = ResetPDMatrix(
         inst,
         n + 1,
         tuple(sys.terminals),
         stack_syms,
-        _freeze_block(n + 1, m_eps_eps),
+        _rows(n + 1, m_eps_eps),
         m_push,
         m_pop,
     )
@@ -288,36 +325,26 @@ def induced_omega_pda(sys: MixedSystem, start: int, buchi_count: int) -> SimpleO
                     j = var_ix[w[1]]
                     pushes[zsym[k]].setdefault((i, n + j), []).append((a, mono.coeff))
 
-    m_eps_eps = {k: _letter_sum(inst, v) for k, v in eps_eps.items()}
-    for i in range(n):
-        lp = _letter_sum(inst, term[i])
-        if lp:
-            m_eps_eps[(n + i, f)] = lp
+    finals = [(n + i, lp) for i, lp in enumerate(map(_letter_sum, term)) if lp]
+    m_eps_eps = {k: _letter_sum(v) for k, v in eps_eps.items()}
+    m_eps_eps.update(((i, f), lp) for i, lp in finals)
     m_push = {
-        sym: _freeze_block(2 * n + 1, {k: _letter_sum(inst, v) for k, v in d.items()})
+        sym: _rows(2 * n + 1, {k: _letter_sum(v) for k, v in d.items()})
         for sym, d in pushes.items()
         if d
     }
     m_pop = {}
-    for k in range(n):
-        entries_x = {}
-        entries_z = {}
-        for i in range(n):
-            lp = _letter_sum(inst, term[i])
-            if lp:
-                entries_x[(n + i, n + k)] = lp
-                entries_z[(n + i, k)] = lp
-        if entries_x:
-            m_pop[xsym[k]] = _freeze_block(2 * n + 1, entries_x)
-        if entries_z:
-            m_pop[zsym[k]] = _freeze_block(2 * n + 1, entries_z)
+    if finals:
+        for k in range(n):
+            m_pop[xsym[k]] = _rows(2 * n + 1, {(i, n + k): lp for i, lp in finals})
+            m_pop[zsym[k]] = _rows(2 * n + 1, {(i, k): lp for i, lp in finals})
 
     matrix = ResetPDMatrix(
         inst,
         2 * n + 1,
         tuple(sys.terminals),
         xsym + zsym,
-        _freeze_block(2 * n + 1, m_eps_eps),
+        _rows(2 * n + 1, m_eps_eps),
         m_push,
         m_pop,
     )
@@ -333,24 +360,17 @@ def induced_omega_pda(sys: MixedSystem, start: int, buchi_count: int) -> SimpleO
 
 
 def _successors(m: ResetPDMatrix, state: int, stack: Word, letter: str):
-    for j in range(m.n_states):
-        lp = m.m_eps_eps[state][j]
-        c = lp.get(letter)
-        if c is not None:
-            yield j, stack, c
-    for sym, block in m.m_eps_push.items():
-        for j in range(m.n_states):
-            cv = block[state][j].get(letter)
-            if cv is not None:
-                yield j, (sym,) + stack, cv
+    moves = m.moves.get(letter, {}).get(state)
+    if moves is None:
+        return
+    neutral, push, pop = moves
+    for j, c in neutral:
+        yield j, stack, c
+    for sym, j, c in push:
+        yield j, (sym,) + stack, c
     if stack:
-        top = stack[0]
-        block = m.m_pop_eps.get(top)
-        if block is not None:
-            for j in range(m.n_states):
-                cv = block[state][j].get(letter)
-                if cv is not None:
-                    yield j, stack[1:], cv
+        for j, c in pop.get(stack[0], ()):
+            yield j, stack[1:], c
 
 
 def behavior_finite(a: SimpleOmegaPDA, w: Word) -> SemiringValue:
@@ -523,98 +543,80 @@ class _RunAnalysis:
         self.pa = PositionAutomaton.of(w)
         self.l = a.buchi_count or 0
         self._build_steps()
-        self._build_pop_sum()
-        self._build_level()
+        self._saturate()
 
     def _hit(self, state: int) -> bool:
         return state < self.l
 
     def _build_steps(self):
-        m, pa = self.m, self.pa
-        n = m.n_states
+        moves, pa = self.m.moves, self.pa
         self.neutral = {}
         self.push = {}
         self.pop = {}
         for s in range(pa.size):
-            letter = pa.letter(s)
-            self.neutral[s] = [
-                (p, q)
-                for p in range(n)
-                for q in range(n)
-                if letter in m.m_eps_eps[p][q]
-            ]
-            self.push[s] = [
-                (p, sym, q)
-                for sym, block in m.m_eps_push.items()
-                for p in range(n)
-                for q in range(n)
-                if letter in block[p][q]
-            ]
+            by_state = moves.get(pa.letter(s), {}).items()
+            self.neutral[s] = [(p, q) for p, (neu, _, _) in by_state for q, _c in neu]
+            self.push[s] = [(p, sym, q) for p, (_, pu, _) in by_state for sym, q, _c in pu]
             self.pop[s] = [
                 (p, sym, q)
-                for sym, block in m.m_pop_eps.items()
-                for p in range(n)
-                for q in range(n)
-                if letter in block[p][q]
+                for p, (_, _, po) in by_state
+                for sym, outs in po.items()
+                for q, _c in outs
             ]
 
-    def _build_pop_sum(self):
-        pa = self.pa
+    def _saturate(self):
+        """Level edges and pop facts by one worklist, each pair joined once.
+
+        A level edge (p,s)->(q,t,bit) is a neutral step, or a push followed
+        by a pop fact of the pushed symbol; a pop fact (p,sym,s)->(r,t,bit)
+        is a pop step, or a level edge followed by a pop fact.  A new edge is
+        joined with the facts stored at its target, a new fact with the
+        edges into its node and with the pushes of its symbol into it.
+        """
+        pa, hit = self.pa, self._hit
         pop_sum: dict[tuple[int, str, int], set] = {}
-
-        def get(key):
-            return pop_sum.setdefault(key, set())
-
-        changed = True
-        while changed:
-            changed = False
-            for s in range(pa.size):
-                s2 = pa.advance(s)
-                for (p, sym, q) in self.pop[s]:
-                    fact = (q, s2, self._hit(q))
-                    tgt = get((p, sym, s))
-                    if fact not in tgt:
-                        tgt.add(fact)
-                        changed = True
-                for (p, q) in self.neutral[s]:
-                    for sym in self.m.stack_alphabet:
-                        tgt = get((p, sym, s))
-                        before = len(tgt)
-                        tgt |= {
-                            (r, t, h or self._hit(q))
-                            for (r, t, h) in pop_sum.get((q, sym, s2), ())
-                        }
-                        if len(tgt) != before:
-                            changed = True
-                for (p, delta, q) in self.push[s]:
-                    # snapshots: the source sets may alias the target when a
-                    # one-letter period makes advance(s) == s
-                    inner = tuple(pop_sum.get((q, delta, s2), ()))
-                    if not inner:
-                        continue
-                    for sym in self.m.stack_alphabet:
-                        tgt = get((p, sym, s))
-                        before = len(tgt)
-                        for (r, t1, h1) in inner:
-                            for (r2, t2, h2) in tuple(pop_sum.get((r, sym, t1), ())):
-                                tgt.add((r2, t2, h1 or h2 or self._hit(q)))
-                        if len(tgt) != before:
-                            changed = True
-        self.pop_sum = pop_sum
-
-    def _build_level(self):
-        """One-step moves that keep the current stack level (pop forbidden)."""
-        pa = self.pa
+        facts_at: dict[tuple[int, int], list] = {}
         level1: dict[tuple[int, int], set] = {}
+        edges_into: dict[tuple[int, int], list] = {}
+        pushes_into: dict[tuple[int, str, int], list] = {}
         raw_push: dict[tuple[int, int], set] = {}
+        work: list = []
+
+        def add_fact(p, sym, s, fact):
+            got = pop_sum.setdefault((p, sym, s), set())
+            if fact not in got:
+                got.add(fact)
+                facts_at.setdefault((p, s), []).append((sym, fact))
+                work.append(((p, s), sym, fact))
+
+        def add_edge(node, edge):
+            got = level1.setdefault(node, set())
+            if edge not in got:
+                got.add(edge)
+                edges_into.setdefault(edge[:2], []).append((node, edge[2]))
+                work.append((node, None, edge))
+
         for s in range(pa.size):
             s2 = pa.advance(s)
             for (p, q) in self.neutral[s]:
-                level1.setdefault((p, s), set()).add((q, s2, self._hit(q)))
+                add_edge((p, s), (q, s2, hit(q)))
+            for (p, sym, q) in self.pop[s]:
+                add_fact(p, sym, s, (q, s2, hit(q)))
             for (p, delta, q) in self.push[s]:
-                raw_push.setdefault((p, s), set()).add((q, s2, self._hit(q)))
-                for (r, t, h) in self.pop_sum.get((q, delta, s2), ()):
-                    level1.setdefault((p, s), set()).add((r, t, h or self._hit(q)))
+                pushes_into.setdefault((q, delta, s2), []).append((p, s))
+                raw_push.setdefault((p, s), set()).add((q, s2, hit(q)))
+        while work:
+            node, sym, (q, t, bit) = work.pop()
+            if sym is None:
+                for sym2, (r, t2, h) in facts_at.get((q, t), ()):
+                    add_fact(node[0], sym2, node[1], (r, t2, bit or h))
+                continue
+            p, s = node
+            for src in pushes_into.get((p, sym, s), ()):
+                add_edge(src, (q, t, bit or hit(p)))
+            for src, h in edges_into.get(node, ()):
+                add_fact(src[0], sym, src[1], (q, t, h or bit))
+        self.pop_sum = pop_sum
         self.level1 = level1
         self.raw_push = raw_push
 
@@ -739,8 +741,8 @@ def _pda_run_exists(a: SimpleOmegaPDA, w: LassoWord, starts) -> bool:
 def _block_to_sparse(block: Block, names):
     out = []
     for i, row in enumerate(block):
-        for j, lp in enumerate(row):
-            for a, c in sorted(lp.items()):
+        for j in sorted(row):
+            for a, c in sorted(row[j].items()):
                 out.append([names[i], names[j], a, _fmt_raw(c.value)])
     return out
 
@@ -791,22 +793,21 @@ def pda_from_json(text: str) -> SimpleOmegaPDA:
     ix = {s: i for i, s in enumerate(names)}
     n = len(names)
 
-    def sparse_to_block(entries):
-        acc: dict[tuple[int, int], LetterPoly] = {}
+    def rows_of(entries):
+        cells: dict[tuple[int, int], list] = {}
         for src, dst, letter, raw in entries:
-            lp = acc.setdefault((ix[src], ix[dst]), {})
             val = inst.value(_parse_raw(raw))
-            lp[letter] = lp.get(letter, inst.zero) + val if letter in lp else val
-        return _freeze_block(n, acc)
+            cells.setdefault((ix[src], ix[dst]), []).append((letter, val))
+        return _rows(n, {k: _letter_sum(v) for k, v in cells.items()})
 
     matrix = ResetPDMatrix(
         inst,
         n,
         tuple(doc["input_alphabet"]),
         tuple(doc["stack_alphabet"]),
-        sparse_to_block(doc["neutral"]),
-        {sym: sparse_to_block(e) for sym, e in doc["push"].items()},
-        {sym: sparse_to_block(e) for sym, e in doc["pop"].items()},
+        rows_of(doc["neutral"]),
+        {sym: rows_of(e) for sym, e in doc["push"].items()},
+        {sym: rows_of(e) for sym, e in doc["pop"].items()},
     )
     initial = tuple(inst.value(_parse_raw(v)) for v in doc["initial"])
     final = tuple(inst.value(_parse_raw(v)) for v in doc["final"])
@@ -829,8 +830,8 @@ def pda_to_dot(a: SimpleOmegaPDA) -> str:
 
     def emit(block, fmt):
         for i, row in enumerate(block):
-            for j, lp in enumerate(row):
-                for letter, c in sorted(lp.items()):
+            for j in sorted(row):
+                for letter, c in sorted(row[j].items()):
                     weight = "" if c.is_one() else f":{_fmt_raw(c.value)}"
                     lines.append(
                         f'  "{a.state_names[i]}" -> "{a.state_names[j]}" '
