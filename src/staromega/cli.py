@@ -93,18 +93,19 @@ class GrammarFile:
     start: str | None
     buchi: int | None
 
-    def start_index(self, name: str | None = None) -> int:
+    def start_index(self, name: str | None = None, sorts: str = "xz") -> int:
         """Position of a start variable (the file's own by default; 0 if none).
 
         A y-variable's position is that of its x- and z-copies in the
-        induced mixed system; a mixed file's x- and z-variables are looked up
-        in their own sorts.
+        induced mixed system; a mixed file's variables are looked up among
+        its x- and z-variables, in the order `sorts` gives.
         """
         name = self.start if name is None else name
         if name is None:
             return 0
         sys = self.system
-        for names in (sys.variables,) if self.kind == "omega" else (sys.x_vars, sys.z_vars):
+        for sort in sorts:
+            names = sys.variables if self.kind == "omega" else getattr(sys, f"{sort}_vars")
             if name in names:
                 return names.index(name)
         raise IllFormedSystem(f"unknown start variable {name!r}")
@@ -292,16 +293,11 @@ def _to_mixed(g: GrammarFile) -> tuple[MixedSystem, int, int]:
     """Mixed system plus (buchi count, omega component index) from a grammar."""
     if g.kind == "omega":
         mixed = induce_mixed(g.system)
-        comp = (
-            g.system.variables.index(g.start) if g.start is not None else len(mixed.z_vars) - 1
-        )
+        comp = g.start_index() if g.start is not None else len(mixed.z_vars) - 1
     else:
         mixed = g.system
-        comp = (
-            g.system.z_vars.index(g.start)
-            if g.start is not None and g.start in g.system.z_vars
-            else len(mixed.z_vars) - 1
-        )
+        # a mixed file may start at an x-variable: its omega component is the last
+        comp = g.start_index() if g.start in mixed.z_vars else len(mixed.z_vars) - 1
     k = g.buchi if g.buchi is not None else min(1, len(mixed.z_vars))
     return mixed, k, comp
 
@@ -324,7 +320,7 @@ def cmd_gnf(args) -> int:
     if args.buchi is not None:
         k = args.buchi
     if args.component is not None:
-        comp = mixed.z_vars.index(args.component)
+        comp = g.start_index(args.component, "z")
     if g.instance.name == "counting" and target == "omega":
         print(
             "warning: omega evaluation is unsupported over the counting semiring",
@@ -424,20 +420,23 @@ def cmd_eval(args) -> int:
     mixed, k, comp = _to_mixed(g)
     if args.buchi is not None:
         k = args.buchi
-    if args.component is not None:
-        comp = mixed.z_vars.index(args.component)
     if args.word is not None:
         word = _symbols_of(args.word)
         max_len = args.maxlen if args.maxlen is not None else max(len(word), 1)
         if len(word) > max_len:
             print("error: word longer than --maxlen", file=sys.stderr)
             return EXIT_USAGE
-        target = args.component or (g.start if g.start is not None else None)
-        x_names = mixed.x_vars
-        idx = x_names.index(target) if target in x_names else 0
+        if args.component is not None:
+            idx = g.start_index(args.component, "x")
+        elif g.kind == "omega" or g.start in g.system.x_vars:
+            idx = g.start_index(sorts="x")
+        else:  # a mixed file that starts at a z-variable
+            idx = 0
         sol = least_solution_finite(mixed.x_part, max_len)
         _print_value(sol[idx].coeff(word))
         return EXIT_OK
+    if args.component is not None:
+        comp = g.start_index(args.component, "z")
     w = _parse_lasso(args.lasso)
     caps = LassoCaps(args.factor_len) if args.factor_len is not None else None
     res = canonical_omega_lasso(mixed, k, comp, w, caps)

@@ -565,13 +565,16 @@ class _RunAnalysis:
             ]
 
     def _saturate(self):
-        """Level edges and pop facts by one worklist, each pair joined once.
+        """Level edges and pop facts, saturated together by one worklist.
 
         A level edge (p,s)->(q,t,bit) is a neutral step, or a push followed
         by a pop fact of the pushed symbol; a pop fact (p,sym,s)->(r,t,bit)
-        is a pop step, or a level edge followed by a pop fact.  A new edge is
-        joined with the facts stored at its target, a new fact with the
-        edges into its node and with the pushes of its symbol into it.
+        is a pop step, or a level edge followed by a pop fact.  An edge or
+        fact is stored when found and joined when taken from the worklist:
+        an edge with the facts stored at its target, a fact with the edges
+        stored into its node and with the pushes of its symbol that lead
+        there.  So every edge meets every fact it can be followed by.
+        Worklist items are (node, sym, fact), sym None marking an edge.
         """
         pa, hit = self.pa, self._hit
         pop_sum: dict[tuple[int, str, int], set] = {}
@@ -786,28 +789,62 @@ def pda_to_json(a: SimpleOmegaPDA) -> str:
     return json.dumps(doc, indent=2)
 
 
+_JSON_KEYS = (
+    "semiring",
+    "states",
+    "input_alphabet",
+    "stack_alphabet",
+    "neutral",
+    "push",
+    "pop",
+    "initial",
+    "final",
+)
+
+
 def pda_from_json(text: str) -> SimpleOmegaPDA:
+    """Read `pda_to_json` output; IllFormedSystem names a malformed part."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise IllFormedSystem("automaton JSON must be an object")
+    for key in _JSON_KEYS:
+        if key not in doc:
+            raise IllFormedSystem(f"automaton JSON has no {key!r} key")
     inst = instance_by_name(doc["semiring"])
     names = tuple(doc["states"])
     ix = {s: i for i, s in enumerate(names)}
     n = len(names)
 
-    def rows_of(entries):
+    def rows_of(where, entries):
+        if not isinstance(entries, list):
+            raise IllFormedSystem(f"{where} must be a list of transitions")
         cells: dict[tuple[int, int], list] = {}
-        for src, dst, letter, raw in entries:
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 4 and isinstance(entry[2], str)):
+                raise IllFormedSystem(
+                    f"{where} entry {entry!r} is not [src, dst, letter, weight]"
+                )
+            src, dst, letter, raw = entry
+            for state in (src, dst):
+                if not isinstance(state, str) or state not in ix:
+                    raise IllFormedSystem(f"{where} entry {entry!r} names unknown state {state!r}")
             val = inst.value(_parse_raw(raw))
             cells.setdefault((ix[src], ix[dst]), []).append((letter, val))
         return _rows(n, {k: _letter_sum(v) for k, v in cells.items()})
+
+    def blocks_of(key):
+        if not isinstance(doc[key], dict):
+            raise IllFormedSystem(f"{key!r} must map stack symbols to transitions")
+        return {sym: rows_of(f"{key} {sym!r}", e) for sym, e in doc[key].items()}
 
     matrix = ResetPDMatrix(
         inst,
         n,
         tuple(doc["input_alphabet"]),
         tuple(doc["stack_alphabet"]),
-        rows_of(doc["neutral"]),
-        {sym: rows_of(e) for sym, e in doc["push"].items()},
-        {sym: rows_of(e) for sym, e in doc["pop"].items()},
+        rows_of("neutral", doc["neutral"]),
+        blocks_of("push"),
+        blocks_of("pop"),
     )
     initial = tuple(inst.value(_parse_raw(v)) for v in doc["initial"])
     final = tuple(inst.value(_parse_raw(v)) for v in doc["final"])

@@ -310,3 +310,87 @@ def test_omega_evaluation_over_counting_exits_1(capsys):
     rc = main(["eval", str(DATA / "counting_finite.grm"), "--lasso", ":a"])
     assert rc == EXIT_FAIL
     assert capsys.readouterr().err.startswith("error: omega evaluation by lasso search needs")
+
+
+# -- variable names on the command line and malformed automata -------------------
+
+
+def test_unknown_component_or_start_exits_1_naming_it(tmp_path, capsys):
+    tropical = str(DATA / "tropical_mixed.grm")
+    no_start = grm(tmp_path, BOOLEAN_GRM.replace("@start y1", "@start q"))
+    for args in (
+        ["gnf", tropical, "--component", "nope"],
+        ["eval", tropical, "--lasso", ":c", "--component", "nope"],
+        ["eval", tropical, "--word", "ab", "--component", "z1"],
+        ["eval", no_start, "--lasso", "ab:ab"],
+        ["gnf", no_start],
+    ):
+        assert main(args) == EXIT_FAIL, args
+        name = args[-1] if "--component" in args else "q"
+        assert capsys.readouterr().err == f"error: unknown start variable {name!r}\n"
+
+
+def test_component_names_a_variable_of_the_sort_asked_for(tmp_path, capsys):
+    tropical = str(DATA / "tropical_mixed.grm")
+    # the word branch reads x-variables, the lasso branch z-variables
+    assert main(["eval", tropical, "--word", "ab", "--component", "x1"]) == EXIT_OK
+    assert capsys.readouterr().out == "1\n"
+    # an omega grammar's components are its y-variables, and so is its start
+    ystart = grm(tmp_path, "@semiring boolean\n@alphabet a b\n@sort y y1 y2\n@start y2\n"
+                 "y1 = a y1\ny2 = b y2 | b\n", name="ystart.grm")
+    for args in ([], ["--component", "y2"]):
+        assert main(["eval", ystart, "--word", "b"] + args) == EXIT_OK
+        assert capsys.readouterr().out == "1\n"
+    assert main(["gnf", str(DATA / "boolean_omega.grm"), "--component", "y2"]) == EXIT_OK
+    by_option = capsys.readouterr().out
+    started = grm(tmp_path, BOOLEAN_GRM.replace("@start y1", "@start y2"))
+    assert main(["gnf", started]) == EXIT_OK
+    assert capsys.readouterr().out == by_option
+
+
+def automaton_doc(tmp_path):
+    out = tmp_path / "auto.json"
+    assert main(["build-pda", grm(tmp_path, CONTRAST_GRM), "--out", str(out)]) == EXIT_OK
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            lambda d: d["neutral"][0].__setitem__(1, "nosuch"),
+            "names unknown state 'nosuch'",
+            id="unknown-target",
+        ),
+        pytest.param(
+            lambda d: d["pop"]["Z:z2"][0].__setitem__(0, "nosuch"),
+            "names unknown state 'nosuch'",
+            id="unknown-source",
+        ),
+        pytest.param(lambda d: d.pop("pop"), "automaton JSON has no 'pop' key", id="no-pop"),
+        pytest.param(
+            lambda d: d.pop("states"), "automaton JSON has no 'states' key", id="no-states"
+        ),
+        pytest.param(
+            lambda d: d["neutral"][0].pop(), "is not [src, dst, letter, weight]", id="short-entry"
+        ),
+        pytest.param(
+            lambda d: d["push"].__setitem__("Z:z2", [["z:z2", "x:x1", "a"]]),
+            "push 'Z:z2' entry ['z:z2', 'x:x1', 'a'] is not [src, dst, letter, weight]",
+            id="short-push-entry",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("push", []),
+            "'push' must map stack symbols to transitions",
+            id="push-not-an-object",
+        ),
+    ],
+)
+def test_malformed_automaton_json_exits_1(edit, message, tmp_path, capsys):
+    doc = automaton_doc(tmp_path)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", str(path), "--word", "a"]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err

@@ -541,11 +541,10 @@ def test_worklist_summaries_equal_round_robin_on_random_automata():
                 rows[rng.randrange(n)].setdefault(rng.randrange(n), {})[rng.choice("ab")] = b.one
             return rows
 
-        m = ResetPDMatrix(
-            b, n, ("a", "b"), ("X", "Y"), block(), {"X": block(), "Y": block()},
-            {"X": block(), "Y": block()},
-        )
-        auto = SimpleOmegaPDA(m, (b.one,) * n, (b.zero,) * n, rng.randint(0, n), tuple(map(str, range(n))))
+        pushes, pops = {"X": block(), "Y": block()}, {"X": block(), "Y": block()}
+        m = ResetPDMatrix(b, n, ("a", "b"), ("X", "Y"), block(), pushes, pops)
+        names = tuple(map(str, range(n)))
+        auto = SimpleOmegaPDA(m, (b.one,) * n, (b.zero,) * n, rng.randint(0, n), names)
         ra = _RunAnalysis(auto, random_lasso(rng))
         assert (ra.pop_sum, ra.level1, ra.raw_push) == round_robin_summaries(ra)
 
