@@ -2,10 +2,11 @@
 
 Runs over an ultimately periodic word u v^omega are analysed on a finite
 quotient: one node per prefix position plus one node per period offset.
-`path_sums` aggregates weights of all finite paths (idempotent instances
-only); `lasso_value` combines prefix sums with omega-applied cycle sums over
-every periodic anchor.  Callers supply the graph and interpret the result
-together with their own emptiness analysis.
+`accepting_cycle_exists` decides whether any accepting run exists at all,
+one component labelling of a Boolean graph that the grammar route and the
+automaton route each build; `path_sums` aggregates weights of all finite
+paths (idempotent instances only); `lasso_value` combines prefix sums with
+omega-applied cycle sums over every periodic anchor.
 """
 
 from __future__ import annotations
@@ -63,20 +64,28 @@ class PositionAutomaton:
 Edge = tuple[Node, SemiringValue]
 
 
-def _reachable(edges: dict[Node, list[Edge]], sources: Iterable[Node]) -> set[Node]:
-    seen = set(sources)
+def _reachable(edges: dict[Node, list[tuple]], sources: Iterable[Node]) -> dict[Node, None]:
+    """Nodes reachable from the sources, in discovery order.
+
+    Every edge is a tuple whose first field is its target.
+    """
+    seen = dict.fromkeys(sources)
     stack = list(seen)
     while stack:
         n = stack.pop()
-        for m, _w in edges.get(n, ()):
+        for e in edges.get(n, ()):
+            m = e[0]
             if m not in seen:
-                seen.add(m)
+                seen[m] = None
                 stack.append(m)
     return seen
 
 
-def _sccs(nodes: list[Node], edges: dict[Node, list[Edge]]) -> list[list[Node]]:
-    """Tarjan strongly connected components, iterative."""
+def _sccs(nodes: Iterable[Node], edges: dict[Node, list[tuple]]) -> list[list[Node]]:
+    """Tarjan strongly connected components, iterative, sinks first.
+
+    Every edge is a tuple whose first field is its target.
+    """
     index: dict[Node, int] = {}
     low: dict[Node, int] = {}
     on_stack: set[Node] = set()
@@ -94,7 +103,8 @@ def _sccs(nodes: list[Node], edges: dict[Node, list[Edge]]) -> list[list[Node]]:
         while work:
             node, it = work[-1]
             advanced = False
-            for succ, _w in it:
+            for e in it:
+                succ = e[0]
                 if succ not in index:
                     index[succ] = low[succ] = counter
                     counter += 1
@@ -121,6 +131,36 @@ def _sccs(nodes: list[Node], edges: dict[Node, list[Edge]]) -> list[list[Node]]:
                         break
                 out.append(comp)
     return out
+
+
+def _component_index(nodes: Iterable[Node], edges: dict[Node, list[tuple]]) -> dict[Node, int]:
+    """Component number of every node reached from `nodes`; sinks come first."""
+    return {n: ci for ci, comp in enumerate(_sccs(nodes, edges)) for n in comp}
+
+
+def accepting_cycle_exists(
+    edges: dict[Node, list[tuple[Node, bool, bool]]], sources: Iterable[Node]
+) -> bool:
+    """Is there an infinite path from the sources with infinitely many letter
+    edges and infinitely many hit edges?
+
+    Edges are (target, letter, hit).  Such a path ends inside one strongly
+    connected component, and a component with an internal letter edge and an
+    internal hit edge carries such a path, so one component labelling of
+    the reachable part decides it.
+    """
+    reach = _reachable(edges, sources)
+    comp_of = _component_index(reach, edges)
+    letter, hit = set(), set()
+    for n in reach:
+        ci = comp_of[n]
+        for target, is_letter, is_hit in edges.get(n, ()):
+            if comp_of[target] == ci:
+                if is_letter:
+                    letter.add(ci)
+                if is_hit:
+                    hit.add(ci)
+    return not letter.isdisjoint(hit)
 
 
 def path_sums(
@@ -181,17 +221,15 @@ def _dijkstra_min_plus(instance, edges, sources, reach):
 
 
 def _longest_max_plus(instance, edges, sources, reach):
-    comps = _sccs(sorted(reach, key=repr), {n: edges.get(n, []) for n in reach})
-    comp_of: dict[Node, int] = {}
-    for ci, comp in enumerate(comps):
-        for n in comp:
-            comp_of[n] = ci
-    gainful = [False] * len(comps)
-    cross_in: list[list[tuple[int, SemiringValue]]] = [[] for _ in comps]
+    comp_of = _component_index(reach, edges)
+    count = max(comp_of.values(), default=-1) + 1
+    comp_val: list[SemiringValue] = [instance.zero] * count
+    for n, w in sources.items():
+        comp_val[comp_of[n]] = comp_val[comp_of[n]] + w
+    gainful = [False] * count
+    cross_in: list[list[tuple[int, SemiringValue]]] = [[] for _ in range(count)]
     for n in reach:
         for m, w in edges.get(n, ()):
-            if m not in reach:
-                continue
             if comp_of[n] == comp_of[m]:
                 if w.value is INF or (isinstance(w.value, int) and w.value > 0):
                     gainful[comp_of[n]] = True
@@ -199,13 +237,9 @@ def _longest_max_plus(instance, edges, sources, reach):
                 cross_in[comp_of[m]].append((comp_of[n], w))
     # Tarjan emits components in reverse topological order, so descending
     # index order visits predecessors before successors
-    comp_val: list[SemiringValue] = [instance.zero] * len(comps)
     inf_val = instance.value(INF)
-    for ci in range(len(comps) - 1, -1, -1):
-        acc = instance.zero
-        for n in comps[ci]:
-            if n in sources:
-                acc = acc + sources[n]
+    for ci in range(count - 1, -1, -1):
+        acc = comp_val[ci]
         for src_ci, w in cross_in[ci]:
             acc = acc + comp_val[src_ci] * w
         if not acc.is_zero() and gainful[ci]:
@@ -298,15 +332,6 @@ def lasso_value(
         if full_nonunit.get(ci) and omega_nonunit is not None:
             total = total + pre_w * omega_nonunit
     return total
-
-
-def _component_index(nodes, plain) -> dict[Node, int]:
-    comps = _sccs(sorted(nodes, key=repr), plain)
-    comp_of: dict[Node, int] = {}
-    for ci, comp in enumerate(comps):
-        for n in comp:
-            comp_of[n] = ci
-    return comp_of
 
 
 def _omega_of_nonunit(instance: SemiringInstance):

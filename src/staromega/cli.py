@@ -60,12 +60,12 @@ from .system import (
     MixedSystem,
     NotStabilized,
     OmegaSystem,
+    SegmentTable,
     SemanticFailure,
     canonical_omega_lasso,
     induce_mixed,
     is_gnf_mixed,
     is_gnf_omega,
-    least_solution_finite,
     sparse_row,
 )
 
@@ -422,18 +422,14 @@ def cmd_eval(args) -> int:
         k = args.buchi
     if args.word is not None:
         word = _symbols_of(args.word)
-        max_len = args.maxlen if args.maxlen is not None else max(len(word), 1)
-        if len(word) > max_len:
-            print("error: word longer than --maxlen", file=sys.stderr)
-            return EXIT_USAGE
         if args.component is not None:
             idx = g.start_index(args.component, "x")
         elif g.kind == "omega" or g.start in g.system.x_vars:
             idx = g.start_index(sorts="x")
         else:  # a mixed file that starts at a z-variable
             idx = 0
-        sol = least_solution_finite(mixed.x_part, max_len)
-        _print_value(sol[idx].coeff(word))
+        table = SegmentTable(mixed.x_part, word)
+        _print_value(table.coeff(mixed.x_vars[idx], 0, len(word)))
         return EXIT_OK
     if args.component is not None:
         comp = g.start_index(args.component, "z")
@@ -496,7 +492,6 @@ def main(argv=None) -> int:
     p.add_argument("path", help="grammar file or automaton .json")
     p.add_argument("--word", default=None)
     p.add_argument("--lasso", default=None)
-    p.add_argument("--maxlen", type=int, default=None)
     p.add_argument("--buchi", type=int, default=None)
     p.add_argument("--component", default=None)
     p.add_argument("--factor-len", dest="factor_len", type=int, default=None)

@@ -35,12 +35,12 @@ import json
 from dataclasses import dataclass
 
 from .semiring import (
-    INF,
-    NEG_INF,
     SemiringError,
     SemiringInstance,
     SemiringValue,
     instance_by_name,
+    raw_from_json,
+    raw_to_json,
 )
 
 
@@ -363,29 +363,11 @@ def mat_omega_t_blocks(m: SemiringMatrix, t: int) -> OmegaVector:
 # -- JSON round trip -------------------------------------------------------
 
 
-def _raw_to_json(v):
-    if v is INF:
-        return "inf"
-    if v is NEG_INF:
-        return "-inf"
-    return v
-
-
-def _raw_from_json(v):
-    if v == "inf":
-        return INF
-    if v == "-inf":
-        return NEG_INF
-    if isinstance(v, int):
-        return v
-    raise SemiringError(f"bad matrix entry {v!r}")
-
-
 def matrix_to_json(m: SemiringMatrix) -> str:
     doc = {
         "semiring": m.instance.name,
         "n": m.n,
-        "rows": [[_raw_to_json(v.value) for v in row] for row in m.rows],
+        "rows": [[raw_to_json(v.value) for v in row] for row in m.rows],
     }
     return json.dumps(doc, indent=2)
 
@@ -394,7 +376,7 @@ def matrix_from_json(text: str) -> SemiringMatrix:
     doc = json.loads(text)
     inst = instance_by_name(doc["semiring"])
     rows = tuple(
-        tuple(inst.value(_raw_from_json(v)) for v in row) for row in doc["rows"]
+        tuple(inst.value(raw_from_json(v)) for v in row) for row in doc["rows"]
     )
     m = SemiringMatrix(inst, doc["n"], rows)
     return m

@@ -14,7 +14,12 @@ period quotient with an exact emptiness analysis of the run structure, so
 zero answers never depend on the caps.  That analysis saturates level edges
 and pop summaries with one worklist, the summary saturation of pushdown
 reachability (Bouajjani, Esparza and Maler 1997; Reps, Schwoon, Jha and
-Melski 2005).
+Melski 2005).  An infinite run returns to its lowest recurring stack height
+forever or leaves every height for good, so an accepting run exists exactly
+when the graph of level and push edges over (state, position) has an
+accepting cycle: the head reachability of Bouajjani, Esparza and Maler,
+decided by the component check `_search.accepting_cycle_exists` that the
+grammar route runs on its z-graph too.
 """
 
 from __future__ import annotations
@@ -24,14 +29,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from ._search import HitEdge, PositionAutomaton, lasso_value
+from ._search import HitEdge, PositionAutomaton, _reachable, accepting_cycle_exists, lasso_value
 from .semiring import (
-    INF,
-    NEG_INF,
     SemiringError,
     SemiringInstance,
     SemiringValue,
     instance_by_name,
+    raw_from_json,
+    raw_to_json,
 )
 from .series import LassoWord, Word
 from .system import (
@@ -169,14 +174,6 @@ def expand_entry(m: ResetPDMatrix, pi: Word, pi2: Word) -> Block:
     if len(pi2) == len(pi) + 1 and pi2[1:] == pi:
         return m.push_block(pi2[0])
     return ({},) * m.n_states
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A state together with a stack, top symbol first."""
-
-    state: int
-    stack: Word = ()
 
 
 @dataclass(frozen=True)
@@ -424,27 +421,8 @@ def behavior_omega_lasso(
     all is decided exactly on the run structure, so a zero verdict is
     cap-independent.
     """
-    if a.buchi_count is None:
-        raise IllFormedSystem("automaton has no repeated-state count")
-    inst = a.instance
-    if not inst.idempotent:
-        raise NonIdempotentInstance(inst)
-    starts = [
-        (q, ()) for q in range(a.matrix.n_states) if not a.initial[q].is_zero()
-    ]
-    accepting = _pda_run_exists(a, w, starts)
-    if not accepting:
-        return LassoResult(OK, inst.zero)
-    if inst.name == "boolean":
-        return LassoResult(OK, inst.one)
-    if caps is None:
-        caps = default_pda_caps(a, w)
-    sources = {}
-    pa = PositionAutomaton.of(w)
-    for q in range(a.matrix.n_states):
-        if not a.initial[q].is_zero():
-            sources[(q, (), pa.state_of(0))] = a.initial[q]
-    return _pda_certificate_search(a, w, sources, caps, pa)
+    starts = {(q, ()): c for q, c in enumerate(a.initial) if not c.is_zero()}
+    return _omega_value(a, w, starts, caps)
 
 
 def omega_value_from(
@@ -455,32 +433,25 @@ def omega_value_from(
     caps: PdaLassoCaps | None = None,
 ) -> LassoResult:
     """Omega value started from one configuration instead of the initial vector."""
-    return omega_value_at(a, w, Configuration(state, stack), caps)
+    return _omega_value(a, w, {(state, tuple(stack)): a.instance.one}, caps)
 
 
-def omega_value_at(
-    a: SimpleOmegaPDA,
-    w: LassoWord,
-    config: Configuration,
-    caps: PdaLassoCaps | None = None,
-) -> LassoResult:
+def _omega_value(a, w, starts, caps) -> LassoResult:
+    """Omega value of the runs from weighted (state, stack) starts."""
     if a.buchi_count is None:
         raise IllFormedSystem("automaton has no repeated-state count")
     inst = a.instance
     if not inst.idempotent:
         raise NonIdempotentInstance(inst)
-    state, stack = config.state, config.stack
-    accepting = _pda_run_exists(a, w, [(state, stack)])
-    if not accepting:
+    if not _pda_run_exists(a, w, starts):
         return LassoResult(OK, inst.zero)
     if inst.name == "boolean":
         return LassoResult(OK, inst.one)
     if caps is None:
         caps = default_pda_caps(a, w)
     pa = PositionAutomaton.of(w)
-    return _pda_certificate_search(
-        a, w, {(state, stack, pa.state_of(0)): inst.one}, caps, pa
-    )
+    sources = {(q, stack, pa.state_of(0)): c for (q, stack), c in starts.items()}
+    return _pda_certificate_search(a, w, sources, caps, pa)
 
 
 def _pda_certificate_search(a, w, sources, caps, pa) -> LassoResult:
@@ -623,119 +594,42 @@ class _RunAnalysis:
         self.level1 = level1
         self.raw_push = raw_push
 
-    # -- closures ----------------------------------------------------------
-
-    def _bit_reach(self, edge_map, seeds, include_start=True):
-        """All (node, bit) pairs reachable from the seed (node, bit) pairs."""
-        seen = set(seeds) if include_start else set()
-        stack = list(seeds)
-        while stack:
-            node, bit = stack.pop()
-            for (q, t, h) in edge_map.get(node, ()):
-                fact = ((q, t), bit or h)
-                if fact not in seen:
-                    seen.add(fact)
-                    stack.append(fact)
-        return seen
-
-    def level_reach(self, seeds):
-        return self._bit_reach(self.level1, seeds)
-
-    def has_level_cycle_with_hit(self, node) -> bool:
-        """A same-level loop through a repeated state at this (state, position)."""
-        for (n2, bit) in self._bit_reach(self.level1, [(node, False)], include_start=False):
-            if n2 == node and bit:
-                return True
-        return False
-
-    def has_growing_cycle(self, node, sym) -> bool:
-        """A strictly stack-growing repetition ending under the same top symbol."""
-        ru_edges = {}
-        for key in set(self.level1) | set(self.raw_push):
-            ru_edges[key] = set(self.level1.get(key, ())) | set(self.raw_push.get(key, ()))
-        ru = self._bit_reach(ru_edges, [(node, False)])
-        seeds = set()
-        for ((p1, s1), b1) in ru:
-            for (p, delta, q) in self.push[s1]:
-                if p == p1 and delta == sym:
-                    seeds.add(((q, self.pa.advance(s1)), b1 or self._hit(q)))
-        if not seeds:
-            return False
-        for (n2, bit) in self._bit_reach(self.level1, list(seeds)):
-            if n2 == node and bit:
-                return True
-        return False
-
 
 def _pda_run_exists(a: SimpleOmegaPDA, w: LassoWord, starts) -> bool:
-    """Exact: does any run from the starts satisfy the repeated-state condition?"""
+    """Exact: does any run from the (state, stack) starts repeat a repeated state?
+
+    Take the lowest stack height that an infinite run keeps returning to.
+    Either the run comes back to it forever, a cycle of level edges, or it
+    leaves every height for good, a cycle of level and push edges: each
+    segment between two points where the stack never again gets lower is a
+    level edge or a push whose symbol is never popped.  So the run graph over
+    (state, position) has the level and push edges, and its sources are the
+    regions where each start stack's cells are exposed, found by popping the
+    start stack one cell at a time.
+    """
     ra = _RunAnalysis(a, w)
     pa = ra.pa
-    s0 = pa.state_of(0)
 
-    # expose the start stacks cell by cell to find all empty-stack points
-    empty_points: set[tuple[int, int]] = set()
-    head_seeds: set[tuple[tuple[int, int], str]] = set()
+    level = {n: [((q, t), True, h) for q, t, h in outs] for n, outs in ra.level1.items()}
+    edges = {
+        n: level.get(n, []) + [((q, t), True, h) for q, t, h in ra.raw_push.get(n, ())]
+        for n in level.keys() | ra.raw_push.keys()
+    }
+
+    sources: set[tuple[int, int]] = set()
     for (state, stack) in starts:
-        layer = {(state, s0)}
-        for depth, sym in enumerate(stack):
-            region = {n2 for (n2, _b) in ra.level_reach([(n, False) for n in layer])}
-            for n in region:
-                head_seeds.add((n, sym))
-            nxt = set()
-            for (p, s) in region:
-                for (pp, psym, q) in ra.pop[s]:
-                    if pp == p and psym == sym:
-                        nxt.add((q, pa.advance(s)))
-            layer = nxt
-            if not layer:
-                break
-        else:
-            empty_points |= layer
-            continue
-        # stack never fully popped on some prefix; heads were still recorded
-
-    # close the empty-stack points under empty-to-empty travel (same edges as
-    # level moves: the empty stack also forbids popping)
-    closed_empty = {n2 for (n2, _b) in ra.level_reach([(n, False) for n in empty_points])}
-    closed_empty |= empty_points
-
-    # condition (a): an empty-stack repetition through a repeated state
-    for n in closed_empty:
-        if ra.has_level_cycle_with_hit(n):
-            return True
-
-    # reachable heads: pushes from anywhere reachable, closed under level travel
-    heads: set[tuple[tuple[int, int], str]] = set(head_seeds)
-    frontier = list(head_seeds)
-    for n in closed_empty:
-        for (p, delta, q) in ra.push[n[1]]:
-            if p == n[0]:
-                fact = ((q, pa.advance(n[1])), delta)
-                if fact not in heads:
-                    heads.add(fact)
-                    frontier.append(fact)
-    while frontier:
-        (node, sym) = frontier.pop()
-        for (n2, _b) in ra.level_reach([(node, False)]):
-            for (p, delta, q) in ra.push[n2[1]]:
-                if p == n2[0]:
-                    fact = ((q, pa.advance(n2[1])), delta)
-                    if fact not in heads:
-                        heads.add(fact)
-                        frontier.append(fact)
-
-    # condition (b): a repetition at or above some reachable head
-    checked_level: set[tuple[int, int]] = set()
-    for (node, sym) in heads:
-        for (n2, _b) in ra.level_reach([(node, False)]):
-            if n2 not in checked_level:
-                checked_level.add(n2)
-                if ra.has_level_cycle_with_hit(n2):
-                    return True
-            if ra.has_growing_cycle(n2, sym):
-                return True
-    return False
+        layer = {(state, pa.state_of(0))}
+        for sym in stack:
+            region = _reachable(level, layer)
+            sources |= region.keys()
+            layer = {
+                (q, pa.advance(s))
+                for (p, s) in region
+                for (pp, psym, q) in ra.pop[s]
+                if pp == p and psym == sym
+            }
+        sources |= layer
+    return accepting_cycle_exists(edges, sources)
 
 
 # -- serialization ------------------------------------------------------------
@@ -746,24 +640,8 @@ def _block_to_sparse(block: Block, names):
     for i, row in enumerate(block):
         for j in sorted(row):
             for a, c in sorted(row[j].items()):
-                out.append([names[i], names[j], a, _fmt_raw(c.value)])
+                out.append([names[i], names[j], a, raw_to_json(c.value)])
     return out
-
-
-def _fmt_raw(v):
-    if v is INF:
-        return "inf"
-    if v is NEG_INF:
-        return "-inf"
-    return v
-
-
-def _parse_raw(v):
-    if v == "inf":
-        return INF
-    if v == "-inf":
-        return NEG_INF
-    return v
 
 
 def pda_to_json(a: SimpleOmegaPDA) -> str:
@@ -782,8 +660,8 @@ def pda_to_json(a: SimpleOmegaPDA) -> str:
             sym: _block_to_sparse(block, a.state_names)
             for sym, block in sorted(m.m_pop_eps.items())
         },
-        "initial": [_fmt_raw(v.value) for v in a.initial],
-        "final": [_fmt_raw(v.value) for v in a.final],
+        "initial": [raw_to_json(v.value) for v in a.initial],
+        "final": [raw_to_json(v.value) for v in a.final],
         "buchi_count": a.buchi_count,
     }
     return json.dumps(doc, indent=2)
@@ -810,8 +688,29 @@ def pda_from_json(text: str) -> SimpleOmegaPDA:
     for key in _JSON_KEYS:
         if key not in doc:
             raise IllFormedSystem(f"automaton JSON has no {key!r} key")
-    inst = instance_by_name(doc["semiring"])
-    names = tuple(doc["states"])
+    try:
+        inst = instance_by_name(doc["semiring"])
+    except SemiringError as exc:
+        raise IllFormedSystem(f"'semiring': {exc}") from None
+
+    def names_of(key):
+        got = doc[key]
+        if not (isinstance(got, list) and all(isinstance(x, str) for x in got)):
+            raise IllFormedSystem(f"{key!r} must be a list of names, got {got!r}")
+        return tuple(got)
+
+    def weight(where, raw):
+        try:
+            return inst.value(raw_from_json(raw))
+        except SemiringError as exc:
+            raise IllFormedSystem(f"{where} has a bad weight: {exc}") from None
+
+    def vector(key):
+        if not isinstance(doc[key], list):
+            raise IllFormedSystem(f"{key!r} must be a list of weights")
+        return tuple(weight(f"{key!r}", v) for v in doc[key])
+
+    names = names_of("states")
     ix = {s: i for i, s in enumerate(names)}
     n = len(names)
 
@@ -828,7 +727,7 @@ def pda_from_json(text: str) -> SimpleOmegaPDA:
             for state in (src, dst):
                 if not isinstance(state, str) or state not in ix:
                     raise IllFormedSystem(f"{where} entry {entry!r} names unknown state {state!r}")
-            val = inst.value(_parse_raw(raw))
+            val = weight(f"{where} entry {entry!r}", raw)
             cells.setdefault((ix[src], ix[dst]), []).append((letter, val))
         return _rows(n, {k: _letter_sum(v) for k, v in cells.items()})
 
@@ -837,18 +736,19 @@ def pda_from_json(text: str) -> SimpleOmegaPDA:
             raise IllFormedSystem(f"{key!r} must map stack symbols to transitions")
         return {sym: rows_of(f"{key} {sym!r}", e) for sym, e in doc[key].items()}
 
+    buchi = doc.get("buchi_count")
+    if buchi is not None and (isinstance(buchi, bool) or not isinstance(buchi, int)):
+        raise IllFormedSystem(f"'buchi_count' must be an integer or null, got {buchi!r}")
     matrix = ResetPDMatrix(
         inst,
         n,
-        tuple(doc["input_alphabet"]),
-        tuple(doc["stack_alphabet"]),
+        names_of("input_alphabet"),
+        names_of("stack_alphabet"),
         rows_of("neutral", doc["neutral"]),
         blocks_of("push"),
         blocks_of("pop"),
     )
-    initial = tuple(inst.value(_parse_raw(v)) for v in doc["initial"])
-    final = tuple(inst.value(_parse_raw(v)) for v in doc["final"])
-    return SimpleOmegaPDA(matrix, initial, final, doc.get("buchi_count"), names)
+    return SimpleOmegaPDA(matrix, vector("initial"), vector("final"), buchi, names)
 
 
 def pda_to_dot(a: SimpleOmegaPDA) -> str:
@@ -869,7 +769,7 @@ def pda_to_dot(a: SimpleOmegaPDA) -> str:
         for i, row in enumerate(block):
             for j in sorted(row):
                 for letter, c in sorted(row[j].items()):
-                    weight = "" if c.is_one() else f":{_fmt_raw(c.value)}"
+                    weight = "" if c.is_one() else f":{raw_to_json(c.value)}"
                     lines.append(
                         f'  "{a.state_names[i]}" -> "{a.state_names[j]}" '
                         f'[label="{fmt(letter)}{weight}"];'

@@ -305,10 +305,30 @@ INSTANCES: dict[str, SemiringInstance] = {
 def instance_by_name(name: str) -> SemiringInstance:
     try:
         return INSTANCES[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise SemiringError(
             f"unknown semiring {name!r}; expected one of {sorted(INSTANCES)}"
         ) from None
+
+
+def raw_to_json(v: Ext) -> int | str:
+    """A raw value as JSON: integers as they are, the infinities as "inf" / "-inf"."""
+    if v is INF:
+        return "inf"
+    if v is NEG_INF:
+        return "-inf"
+    return v
+
+
+def raw_from_json(v) -> Ext:
+    """Inverse of `raw_to_json`; anything else raises SemiringError."""
+    if v == "inf":
+        return INF
+    if v == "-inf":
+        return NEG_INF
+    if isinstance(v, int):
+        return v
+    raise SemiringError(f"{v!r} is not an integer, 'inf' or '-inf'")
 
 
 @dataclass(frozen=True)

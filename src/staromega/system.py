@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ._search import HitEdge, PositionAutomaton, lasso_value
+from ._search import HitEdge, PositionAutomaton, accepting_cycle_exists, lasso_value
 from .matrix import SemiringMatrix, mat_star
 from .semiring import SemiringError, SemiringInstance, SemiringValue
 from .series import (
@@ -433,46 +433,22 @@ def _chain_states(p: Polynomial, start: int, pa, gen, variables) -> set[tuple[in
 def _accepting_support_run_exists(
     sys: MixedSystem, k: int, component: int, pa: PositionAutomaton, gen
 ) -> bool:
-    """Does any run with Buchi z-indices below k exist at support level?"""
-    variables = set(sys.x_vars)
-    m = sys.m
-    edges: dict[tuple[int, int], list[tuple[tuple[int, int], bool]]] = {}
-    for j in range(m):
-        for s in range(pa.size):
-            outs = []
-            for j2, p in sys.rho[j].items():
-                for (s2, bit) in _chain_states(p, s, pa, gen, variables):
-                    outs.append(((j2, s2), bit))
-            edges[(j, s)] = outs
-    start = (component, pa.state_of(0))
-    seen = {start}
-    stack = [start]
-    while stack:
-        n = stack.pop()
-        for (tgt, _bit) in edges.get(n, ()):
-            if tgt not in seen:
-                seen.add(tgt)
-                stack.append(tgt)
-    from ._search import _sccs
+    """Does any run with Buchi z-indices below k exist at support level?
 
-    plain = {
-        n: [(tgt, None) for tgt, _b in edges.get(n, ())] for n in seen
-    }
-    comps = _sccs(sorted(seen), plain)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for n in comp:
-            comp_of[n] = ci
-    has_buchi = [False] * len(comps)
-    has_letter = [False] * len(comps)
-    for n in seen:
-        j, _s = n
-        if j < k:
-            has_buchi[comp_of[n]] = True
-        for (tgt, bit) in edges.get(n, ()):
-            if tgt in seen and comp_of[tgt] == comp_of[n] and bit:
-                has_letter[comp_of[n]] = True
-    return any(b and l for b, l in zip(has_buchi, has_letter))
+    The z-graph has one node per (z-variable, position); an edge follows one
+    z-coefficient and records whether it consumed a letter and whether its
+    target z-variable repeats.
+    """
+    variables = set(sys.x_vars)
+    edges: dict[tuple[int, int], list[tuple[tuple[int, int], bool, bool]]] = {}
+    for j in range(sys.m):
+        for s in range(pa.size):
+            edges[(j, s)] = [
+                ((j2, s2), bit, j2 < k)
+                for j2, p in sys.rho[j].items()
+                for (s2, bit) in _chain_states(p, s, pa, gen, variables)
+            ]
+    return accepting_cycle_exists(edges, [(component, pa.state_of(0))])
 
 
 # -- omega evaluation at lasso words -----------------------------------------

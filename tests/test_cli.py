@@ -87,7 +87,7 @@ def test_cmd_parse_reports_syntax_error(tmp_path, capsys):
 
 def test_cmd_eval_word_and_lasso(tmp_path, capsys):
     path = grm(tmp_path, TROPICAL_GRM)
-    assert main(["eval", path, "--word", "aabb", "--maxlen", "4"]) == EXIT_OK
+    assert main(["eval", path, "--word", "aabb"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2"
     assert main(["eval", path, "--lasso", "aabb:c"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2"
@@ -202,7 +202,7 @@ def test_cmd_check_suites(tmp_path, capsys):
 
 def test_cmd_eval_arctic_word_and_six_state_automaton(tmp_path, capsys):
     arc = str(DATA / "arctic_blocks.grm")
-    assert main(["eval", arc, "--word", "abab", "--maxlen", "4"]) == EXIT_OK
+    assert main(["eval", arc, "--word", "abab"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "1"
     out = tmp_path / "arc.json"
     assert main(["build-pda", arc, "--start", "S", "--out", str(out)]) == EXIT_OK
@@ -264,6 +264,49 @@ def test_semantic_failures_exit_1(tmp_path, capsys):
     rc = main(["eval", path, "--word", "a"])
     assert rc == EXIT_FAIL
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# -- open defects: each mark names its defect and goes with the fix --------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="defect (b): fixpoint iteration never reaches the arctic value inf",
+)
+def test_arctic_chain_loop_word_value_is_inf(tmp_path, capsys):
+    path = grm(tmp_path, "@semiring arctic\n@alphabet a\n@sort x x1\nx1 = (1) x1 | a\n")
+    assert main(["eval", path, "--word", "a"]) == EXIT_OK
+    assert capsys.readouterr().out == "inf\n"
+
+
+# every accepting run of z1 at :a costs inf, the tropical zero
+ZERO_LASSO_GRM = """@semiring tropical
+@alphabet a
+@sort x x1
+@sort z z1
+@start z1
+@buchi 1
+x1 = a
+z1 = (1) x1 z1
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="defect (d): the certificate searches cannot tell a zero from a missed certificate",
+)
+@pytest.mark.parametrize("route", ["direct", "gnf-build-pda"])
+def test_tropical_lasso_whose_runs_all_cost_inf_is_inf(route, tmp_path, capsys):
+    path = grm(tmp_path, ZERO_LASSO_GRM)
+    if route == "gnf-build-pda":
+        nf, auto = str(tmp_path / "nf.grm"), str(tmp_path / "auto.json")
+        if main(["gnf", path, "--out", nf]) or main(["build-pda", nf, "--out", auto]):
+            pytest.fail("gnf or build-pda failed")
+        path = auto
+    assert main(["eval", path, "--lasso", ":a"]) == EXIT_OK
+    assert capsys.readouterr().out == "inf\n"
 
 
 def test_normal_form_output_builds_an_automaton_with_the_same_value(tmp_path, capsys):
@@ -383,6 +426,36 @@ def automaton_doc(tmp_path):
             lambda d: d.__setitem__("push", []),
             "'push' must map stack symbols to transitions",
             id="push-not-an-object",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("semiring", "nope"),
+            "'semiring': unknown semiring 'nope'",
+            id="unknown-semiring",
+        ),
+        pytest.param(
+            lambda d: d["neutral"][0].__setitem__(3, "heavy"),
+            "has a bad weight: 'heavy' is not an integer",
+            id="transition-weight-not-a-number",
+        ),
+        pytest.param(
+            lambda d: d["initial"].__setitem__(0, "one"),
+            "'initial' has a bad weight: 'one' is not an integer",
+            id="initial-weight-not-a-number",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("buchi_count", "x"),
+            "'buchi_count' must be an integer or null, got 'x'",
+            id="buchi-count-not-an-integer",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("states", 5),
+            "'states' must be a list of names, got 5",
+            id="states-not-a-list",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("input_alphabet", 7),
+            "'input_alphabet' must be a list of names, got 7",
+            id="input-alphabet-not-a-list",
         ),
     ],
 )

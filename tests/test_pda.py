@@ -576,3 +576,217 @@ def test_automaton_route_agrees_with_mixed_normal_form(inst):
                 assert got.value == want.value, str(w)
                 nonzero += not got.value.is_zero()
     assert nonzero > 0
+
+
+# -- the shared accepting-cycle check against the searches it replaced ------------
+
+
+def reference_pda_run_exists(a, w, starts):
+    """Reference: the automaton route's emptiness analysis before the shared
+    component check.  It enumerates the reachable stack heads and runs a
+    fresh reachability search per head: (a) an empty-stack repetition
+    through a repeated state, or (b) a same-level or strictly stack-growing
+    repetition at or above a reachable head."""
+    from staromega.pda import _RunAnalysis
+
+    ra = _RunAnalysis(a, w)
+    pa = ra.pa
+    s0 = pa.state_of(0)
+
+    def bit_reach(edge_map, seeds, include_start=True):
+        seen = set(seeds) if include_start else set()
+        stack = list(seeds)
+        while stack:
+            node, bit = stack.pop()
+            for (q, t, h) in edge_map.get(node, ()):
+                fact = ((q, t), bit or h)
+                if fact not in seen:
+                    seen.add(fact)
+                    stack.append(fact)
+        return seen
+
+    def level_reach(seeds):
+        return bit_reach(ra.level1, seeds)
+
+    def has_level_cycle_with_hit(node):
+        for (n2, bit) in bit_reach(ra.level1, [(node, False)], include_start=False):
+            if n2 == node and bit:
+                return True
+        return False
+
+    def has_growing_cycle(node, sym):
+        ru_edges = {}
+        for key in set(ra.level1) | set(ra.raw_push):
+            ru_edges[key] = set(ra.level1.get(key, ())) | set(ra.raw_push.get(key, ()))
+        ru = bit_reach(ru_edges, [(node, False)])
+        seeds = set()
+        for ((p1, s1), b1) in ru:
+            for (p, delta, q) in ra.push[s1]:
+                if p == p1 and delta == sym:
+                    seeds.add(((q, pa.advance(s1)), b1 or ra._hit(q)))
+        if not seeds:
+            return False
+        for (n2, bit) in bit_reach(ra.level1, list(seeds)):
+            if n2 == node and bit:
+                return True
+        return False
+
+    empty_points = set()
+    head_seeds = set()
+    for (state, stack) in starts:
+        layer = {(state, s0)}
+        for sym in stack:
+            region = {n2 for (n2, _b) in level_reach([(n, False) for n in layer])}
+            for n in region:
+                head_seeds.add((n, sym))
+            nxt = set()
+            for (p, s) in region:
+                for (pp, psym, q) in ra.pop[s]:
+                    if pp == p and psym == sym:
+                        nxt.add((q, pa.advance(s)))
+            layer = nxt
+            if not layer:
+                break
+        else:
+            empty_points |= layer
+    closed_empty = {n2 for (n2, _b) in level_reach([(n, False) for n in empty_points])}
+    closed_empty |= empty_points
+    for n in closed_empty:
+        if has_level_cycle_with_hit(n):
+            return True
+    heads = set(head_seeds)
+    frontier = list(head_seeds)
+    for n in closed_empty:
+        for (p, delta, q) in ra.push[n[1]]:
+            if p == n[0]:
+                fact = ((q, pa.advance(n[1])), delta)
+                if fact not in heads:
+                    heads.add(fact)
+                    frontier.append(fact)
+    while frontier:
+        (node, sym) = frontier.pop()
+        for (n2, _b) in level_reach([(node, False)]):
+            for (p, delta, q) in ra.push[n2[1]]:
+                if p == n2[0]:
+                    fact = ((q, pa.advance(n2[1])), delta)
+                    if fact not in heads:
+                        heads.add(fact)
+                        frontier.append(fact)
+    checked_level = set()
+    for (node, sym) in heads:
+        for (n2, _b) in level_reach([(node, False)]):
+            if n2 not in checked_level:
+                checked_level.add(n2)
+                if has_level_cycle_with_hit(n2):
+                    return True
+            if has_growing_cycle(n2, sym):
+                return True
+    return False
+
+
+def reference_accepting_support_run_exists(sys, k, component, pa, gen):
+    """Reference: the grammar route's emptiness analysis before the shared
+    component check, with its own component pass over the z-graph."""
+    from staromega._search import _sccs
+    from staromega.system import _chain_states
+
+    variables = set(sys.x_vars)
+    edges = {}
+    for j in range(sys.m):
+        for s in range(pa.size):
+            outs = []
+            for j2, p in sys.rho[j].items():
+                for (s2, bit) in _chain_states(p, s, pa, gen, variables):
+                    outs.append(((j2, s2), bit))
+            edges[(j, s)] = outs
+    start = (component, pa.state_of(0))
+    seen = {start}
+    stack = [start]
+    while stack:
+        n = stack.pop()
+        for (tgt, _bit) in edges.get(n, ()):
+            if tgt not in seen:
+                seen.add(tgt)
+                stack.append(tgt)
+    plain = {n: [(tgt, None) for tgt, _b in edges.get(n, ())] for n in seen}
+    comps = _sccs(sorted(seen), plain)
+    comp_of = {}
+    for ci, comp in enumerate(comps):
+        for n in comp:
+            comp_of[n] = ci
+    has_buchi = [False] * len(comps)
+    has_letter = [False] * len(comps)
+    for n in seen:
+        j, _s = n
+        if j < k:
+            has_buchi[comp_of[n]] = True
+        for (tgt, bit) in edges.get(n, ()):
+            if tgt in seen and comp_of[tgt] == comp_of[n] and bit:
+                has_letter[comp_of[n]] = True
+    return any(b and l for b, l in zip(has_buchi, has_letter))
+
+
+def test_run_check_agrees_with_per_head_searches_on_random_automata():
+    from staromega.pda import ResetPDMatrix
+
+    rng = random.Random("accepting-cycle/automata")
+    b = BOOLEAN
+    accepting = 0
+    cases = 1000
+    for _ in range(cases):
+        n = rng.randint(1, 5)
+
+        def block():
+            rows = tuple({} for _ in range(n))
+            for _ in range(rng.randint(0, 2 * n)):
+                rows[rng.randrange(n)].setdefault(rng.randrange(n), {})[rng.choice("ab")] = b.one
+            return rows
+
+        pushes, pops = {"X": block(), "Y": block()}, {"X": block(), "Y": block()}
+        m = ResetPDMatrix(b, n, ("a", "b"), ("X", "Y"), block(), pushes, pops)
+        names = tuple(map(str, range(n)))
+        auto = SimpleOmegaPDA(m, (b.one,) * n, (b.zero,) * n, rng.randint(0, n), names)
+        w = random_lasso(rng)
+        state = rng.randrange(n)
+        stack = tuple(rng.choice("XY") for _ in range(rng.randint(0, 2)))
+        want = reference_pda_run_exists(auto, w, [(state, stack)])
+        got = omega_value_from(auto, w, state, stack)
+        assert got.conclusive and got.value.value == int(want), (str(w), state, stack)
+        accepting += want
+    assert accepting >= cases // 10
+
+
+def test_support_check_agrees_with_component_pass_on_random_mixed_systems():
+    from staromega._search import PositionAutomaton
+    from staromega.system import MixedSystem, sparse_row, support_triples
+
+    rng = random.Random("accepting-cycle/systems")
+    b = BOOLEAN
+    accepting = 0
+    cases = 1000
+    for _ in range(cases):
+        x_vars = tuple(f"x{i}" for i in range(rng.randint(1, 2)))
+        factors = [(), ("a",), ("b",)] + [(x,) for x in x_vars] + [("a",) + (x,) for x in x_vars]
+
+        def terms(count):
+            return [(b.one, rng.choice(factors) + rng.choice(factors)) for _ in range(count)]
+
+        x_rhs = tuple(Polynomial.build(b, terms(rng.randint(2, 4))) for _ in x_vars)
+        m = rng.randint(1, 3)
+        rho = []
+        for _ in range(m):
+            cells = {}
+            for _ in range(rng.randint(1, 4)):
+                cells.setdefault(rng.randrange(m), []).extend(terms(1))
+            rho.append(sparse_row(b, cells))
+        z_vars = tuple(f"z{j}" for j in range(m))
+        sys = MixedSystem(b, ("a", "b"), x_vars, x_rhs, z_vars, tuple(rho))
+        k, component, w = rng.randint(0, m), rng.randrange(m), random_lasso(rng)
+        pa = PositionAutomaton.of(w)
+        want = reference_accepting_support_run_exists(
+            sys, k, component, pa, support_triples(sys.x_part, pa)
+        )
+        got = canonical_omega_lasso(sys, k, component, w)
+        assert got.conclusive and got.value.value == int(want), (str(w), k, component)
+        accepting += want
+    assert accepting >= cases // 10
