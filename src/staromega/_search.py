@@ -3,10 +3,17 @@
 Runs over an ultimately periodic word u v^omega are analysed on a finite
 quotient: one node per prefix position plus one node per period offset.
 `accepting_cycle_exists` decides whether any accepting run exists at all,
-one component labelling of a Boolean graph that the grammar route and the
-automaton route each build; `path_sums` aggregates weights of all finite
-paths (idempotent instances only); `lasso_value` combines prefix sums with
-omega-applied cycle sums over every periodic anchor.
+one component labelling of a Boolean graph that the grammar route builds;
+`path_sums` aggregates weights of all finite paths (idempotent instances
+only); `lasso_value` combines prefix sums with omega-applied cycle sums over
+every periodic anchor.
+
+The automaton route is exact.  `solve_derivations` computes the least
+solution of its weighted summary system (level edges and pop facts, each a
+sum over derivations), and `pushdown_lasso_value` reads the value off one
+graph over (state, position, remaining start-stack cells) whose edges are
+the solved level edges, the pushes that are never popped and the pops of
+the start stack's cells.
 """
 
 from __future__ import annotations
@@ -161,6 +168,129 @@ def accepting_cycle_exists(
                 if is_hit:
                     hit.add(ci)
     return not letter.isdisjoint(hit)
+
+
+Term = tuple["SemiringValue | None", "int | None", "int | None"]
+
+
+def solve_derivations(
+    instance: SemiringInstance, rules: list[list[Term]]
+) -> tuple[list[SemiringValue], list[bool]]:
+    """Least solution of item_i = sum of c * item_a * item_b over rules[i].
+
+    A term (c, a, b) leaves out c (the unit) or an operand as None.  Every
+    item must have a derivation, and the constants must be Boolean, or
+    naturals and inf multiplied by + (tropical, arctic); the summary systems
+    built here are.  Then cutting a repeated item out of a derivation tree
+    never raises its numeric weight.  Components of the dependency graph are
+    solved sinks first, by in-place Kleene rounds.  Trees whose root-to-leaf
+    paths repeat no item of their component have height at most |C|, so
+    after |C| rounds a component has settled unless some repetition gains
+    weight; repeating it pumps every item of the component to inf, the top
+    element.  Only arctic can get there: a component still changing after
+    |C| + 1 rounds is set to inf.
+
+    Also returns, per item, whether some derivation uses only unit weights.
+    """
+    n = len(rules)
+    add, mul = instance.add_raw, instance.mul_raw
+    one, zero = instance.one_raw(), instance.zero_raw()
+    raw = [
+        [(one if c is None else c.value, c is None, a, b) for c, a, b in terms]
+        for terms in rules
+    ]
+    deps: dict[int, list[tuple[int]]] = {}
+    users: list[list[int]] = [[] for _ in range(n)]
+    for i, terms in enumerate(rules):
+        deps[i] = [(x,) for _c, a, b in terms for x in (a, b) if x is not None]
+        for (x,) in deps[i]:
+            users[x].append(i)
+    value = [zero] * n
+    unit = [False] * n
+
+    def evaluate(i: int) -> bool:
+        acc, u = zero, False
+        for c, bare, a, b in raw[i]:
+            if a is None:
+                v = c
+            else:
+                v = value[a] if bare else mul(c, value[a])
+                if b is not None:
+                    v = mul(v, value[b])
+            acc = add(acc, v)
+            if not u and c == one:
+                u = (a is None or unit[a]) and (b is None or unit[b])
+        changed = acc != value[i] or u != unit[i]
+        value[i], unit[i] = acc, u
+        return changed
+
+    for comp in _sccs(range(n), deps):
+        if len(comp) == 1 and (comp[0],) not in deps[comp[0]]:
+            evaluate(comp[0])
+            continue
+        # in-place rounds that skip the items none of whose operands moved:
+        # they would evaluate to what they hold, so the rounds are unchanged
+        members = set(comp)
+        dirty = set(comp)
+        for _ in range(len(comp) + 1):
+            changed = False
+            for i in comp:
+                if i in dirty:
+                    dirty.discard(i)
+                    if evaluate(i):
+                        changed = True
+                        dirty.update(x for x in users[i] if x in members)
+            if not changed:
+                break
+        else:
+            for i in comp:
+                value[i] = INF
+    return [SemiringValue(instance, v) for v in value], unit
+
+
+def pushdown_lasso_value(
+    instance: SemiringInstance,
+    pa: PositionAutomaton,
+    level: dict[Node, list[tuple]],
+    push: dict[Node, list[tuple]],
+    pop: dict[Node, dict[str, list[tuple]]],
+    starts: dict[tuple[int, tuple], SemiringValue],
+) -> SemiringValue:
+    """Omega value of a pushdown automaton's runs over the quotient `pa`.
+
+    level, push and pop map a (state, position) node to its solved level
+    edges, its pushes and (by stack symbol) its pops, each an out-edge
+    (state, position, weight, hit) whose hit bit covers its target.  Every
+    infinite run splits at the points where the stack never again gets
+    lower into level edges and pushes that are never popped, after popping
+    some of its start stack's cells one at a time.  So its runs are the
+    paths of one graph over (state, position, remaining start-stack cells),
+    started at the weighted (state, stack) starts; a push leaves the start
+    stack behind for good.
+    """
+    s0 = pa.state_of(0)
+    sources = {(q, s0, tuple(stack)): c for (q, stack), c in starts.items()}
+    edges: dict[Node, list[HitEdge]] = {}
+    todo = list(sources)
+    while todo:
+        node = todo.pop()
+        if node in edges:
+            continue
+        p, s, rest = node
+        outs = [HitEdge((q, t, rest), c, h) for q, t, c, h in level.get((p, s), ())]
+        outs += [HitEdge((q, t, ()), c, h) for q, t, c, h in push.get((p, s), ())]
+        if rest:
+            exposed = pop.get((p, s), {}).get(rest[0], ())
+            outs += [HitEdge((q, t, rest[1:]), c, h) for q, t, c, h in exposed]
+        edges[node] = outs
+        todo.extend(e.target for e in outs if e.target not in edges)
+    return lasso_value(
+        instance,
+        edges,
+        sources,
+        is_anchor=lambda node: pa.is_periodic(node[1]),
+        is_buchi=lambda node: False,
+    )
 
 
 def path_sums(

@@ -15,7 +15,8 @@ Grammar files are plain text: directives first, then one equation per line.
 Sorts: y-variables give a quemiring system, x- and z-variables a mixed one;
 z-equations must be right-linear (one trailing z-variable per monomial).
 Exit codes: 0 ok, 1 semantic failure, 2 usage error (including a file that
-cannot be read or written), 3 inconclusive search.
+cannot be read or written), 3 inconclusive grammar-route search (automata
+are always exact).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .pda import (
     pda_from_json,
     pda_to_dot,
     pda_to_json,
-    PdaLassoCaps,
 )
 from .semiring import SemiringError, SemiringInstance, instance_by_name
 from .series import (
@@ -407,13 +407,7 @@ def cmd_eval(args) -> int:
         if args.word is not None:
             _print_value(behavior_finite(auto, _symbols_of(args.word)))
             return EXIT_OK
-        w = _parse_lasso(args.lasso)
-        caps = PdaLassoCaps(args.height) if args.height is not None else None
-        res = behavior_omega_lasso(auto, w, caps)
-        if not res.conclusive:
-            print("inconclusive")
-            return EXIT_INCONCLUSIVE
-        _print_value(res.value)
+        _print_value(behavior_omega_lasso(auto, _parse_lasso(args.lasso)).value)
         return EXIT_OK
 
     g = _load(args.path)
@@ -421,6 +415,8 @@ def cmd_eval(args) -> int:
     if args.buchi is not None:
         k = args.buchi
     if args.word is not None:
+        if not mixed.x_vars:
+            raise IllFormedSystem("a finite word needs an x- or y-variable; the grammar has none")
         word = _symbols_of(args.word)
         if args.component is not None:
             idx = g.start_index(args.component, "x")
@@ -495,7 +491,6 @@ def main(argv=None) -> int:
     p.add_argument("--buchi", type=int, default=None)
     p.add_argument("--component", default=None)
     p.add_argument("--factor-len", dest="factor_len", type=int, default=None)
-    p.add_argument("--height", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("check", help="run a verification suite")

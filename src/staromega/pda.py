@@ -8,18 +8,16 @@ mapping each column j with a nonzero letter polynomial to it, so a matrix
 takes space in its number of transitions; `ResetPDMatrix.moves` indexes the
 transitions by letter and source state once, for the run enumerations.
 
-Behaviors are exact: the finite behavior enumerates runs (one letter per
-step), the omega behavior combines a capped certificate search over the
-period quotient with an exact emptiness analysis of the run structure, so
-zero answers never depend on the caps.  That analysis saturates level edges
-and pop summaries with one worklist, the summary saturation of pushdown
-reachability (Bouajjani, Esparza and Maler 1997; Reps, Schwoon, Jha and
-Melski 2005).  An infinite run returns to its lowest recurring stack height
-forever or leaves every height for good, so an accepting run exists exactly
-when the graph of level and push edges over (state, position) has an
-accepting cycle: the head reachability of Bouajjani, Esparza and Maler,
-decided by the component check `_search.accepting_cycle_exists` that the
-grammar route runs on its z-graph too.
+Behaviors are exact.  The finite behavior enumerates runs (one letter per
+step).  The omega behavior at u v^omega is computed in polynomial time from
+weighted pop summaries over (state, period-quotient position), the summary
+algebra of weighted pushdown systems (Reps, Schwoon, Jha and Melski 2005):
+one worklist finds every level edge and pop fact with its derivations, and
+`_search.solve_derivations` weighs them.  An infinite run returns to its
+lowest recurring stack height forever or leaves every height for good, so
+its weight is that of a path of level edges and never-popped pushes (the
+repeating heads of Bouajjani, Esparza and Maler 1997), which
+`_search.pushdown_lasso_value` sums over.  No answer depends on a cap.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from ._search import HitEdge, PositionAutomaton, _reachable, accepting_cycle_exists, lasso_value
+from ._search import PositionAutomaton, pushdown_lasso_value, solve_derivations
 from .semiring import (
     SemiringError,
     SemiringInstance,
@@ -40,7 +38,6 @@ from .semiring import (
 )
 from .series import LassoWord, Word
 from .system import (
-    INCONCLUSIVE,
     OK,
     AlgebraicSystem,
     IllFormedSystem,
@@ -396,240 +393,174 @@ def behavior_finite(a: SimpleOmegaPDA, w: Word) -> SemiringValue:
     return total
 
 
-@dataclass(frozen=True)
-class PdaLassoCaps:
-    height: int
-    max_nodes: int = 200000
+def behavior_omega_lasso(a: SimpleOmegaPDA, w: LassoWord) -> LassoResult:
+    """Omega part of the behavior at u v^omega, exactly.
 
-    def __post_init__(self):
-        if self.height < 0:
-            raise IllFormedSystem("caps must be positive")
-
-
-def default_pda_caps(a: SimpleOmegaPDA, w: LassoWord) -> PdaLassoCaps:
-    periods = 2 * a.matrix.n_states * max(1, len(a.matrix.stack_alphabet)) * len(w.period) + 4
-    return PdaLassoCaps(height=len(w.prefix) + len(w.period) * periods)
-
-
-def behavior_omega_lasso(
-    a: SimpleOmegaPDA, w: LassoWord, caps: PdaLassoCaps | None = None
-) -> LassoResult:
-    """Omega part of the behavior at u v^omega.
-
-    Certificates (period-aligned configuration repetitions through a repeated
-    state) are searched under the caps; whether any accepting run exists at
-    all is decided exactly on the run structure, so a zero verdict is
-    cap-independent.
+    The sum over the accepting runs from the initial vector: weighted pop
+    summaries over the period quotient, read off by
+    `_search.pushdown_lasso_value`.
     """
     starts = {(q, ()): c for q, c in enumerate(a.initial) if not c.is_zero()}
-    return _omega_value(a, w, starts, caps)
+    return _omega_value(a, w, starts)
 
 
 def omega_value_from(
-    a: SimpleOmegaPDA,
-    w: LassoWord,
-    state: int,
-    stack: Word = (),
-    caps: PdaLassoCaps | None = None,
+    a: SimpleOmegaPDA, w: LassoWord, state: int, stack: Word = ()
 ) -> LassoResult:
     """Omega value started from one configuration instead of the initial vector."""
-    return _omega_value(a, w, {(state, tuple(stack)): a.instance.one}, caps)
+    return _omega_value(a, w, {(state, tuple(stack)): a.instance.one})
 
 
-def _omega_value(a, w, starts, caps) -> LassoResult:
+def _omega_value(a, w, starts) -> LassoResult:
     """Omega value of the runs from weighted (state, stack) starts."""
     if a.buchi_count is None:
         raise IllFormedSystem("automaton has no repeated-state count")
     inst = a.instance
     if not inst.idempotent:
         raise NonIdempotentInstance(inst)
-    if not _pda_run_exists(a, w, starts):
-        return LassoResult(OK, inst.zero)
-    if inst.name == "boolean":
-        return LassoResult(OK, inst.one)
-    if caps is None:
-        caps = default_pda_caps(a, w)
-    pa = PositionAutomaton.of(w)
-    sources = {(q, stack, pa.state_of(0)): c for (q, stack), c in starts.items()}
-    return _pda_certificate_search(a, w, sources, caps, pa)
-
-
-def _pda_certificate_search(a, w, sources, caps, pa) -> LassoResult:
-    """Certificate value over the configurations within the caps.
-
-    Inconclusive when nothing was certified, or when a configuration was
-    dropped because the graph already held caps.max_nodes nodes: the value
-    of a truncated graph may miss runs.
-    """
-    inst = a.instance
-    m = a.matrix
-    edges: dict[tuple, list[HitEdge]] = {}
-    frontier = list(sources)
-    seen = set(frontier)
-    truncated = False
-    while frontier:
-        node = frontier.pop()
-        state, stack, s = node
-        outs = []
-        for j, stack2, c in _successors(m, state, stack, pa.letter(s)):
-            if len(stack2) > caps.height:
-                continue
-            succ = (j, stack2, pa.advance(s))
-            outs.append(HitEdge(succ, c, False))
-            if succ not in seen:
-                if len(seen) < caps.max_nodes:
-                    seen.add(succ)
-                    frontier.append(succ)
-                else:
-                    truncated = True
-        edges[node] = outs
-    l = a.buchi_count
-    value = lasso_value(
-        inst,
-        edges,
-        sources,
-        is_anchor=lambda node: pa.is_periodic(node[2]),
-        is_buchi=lambda node: node[0] < l,
-    )
-    if truncated or value.is_zero():
-        return LassoResult(INCONCLUSIVE)
+    ra = _RunAnalysis(a, w, starts)
+    value = pushdown_lasso_value(inst, ra.pa, ra.level_w, ra.push_w, ra.pop_w, starts)
     return LassoResult(OK, value)
 
 
-# -- exact emptiness of the accepting-run structure ---------------------------
+# -- weighted summaries of the run structure ---------------------------------
 
 
 class _RunAnalysis:
-    """Support-level relations over (state, period-quotient position).
+    """Weighted summaries over (state, period-quotient position).
 
-    pop_sum: facts "with this top symbol, the symbol is eventually popped,
-    landing here"; level1: one neutral step or one push-excursion returning
-    to the same stack level.  All carry a bit recording whether a repeated
-    state was entered after the start.
+    A pop fact (p, sym, s) -> (r, t, bit) says that from state p at position
+    s with sym on top, sym is eventually popped, landing in r at t; a level
+    edge (p, s) -> (q, t, bit) is one neutral step or one push-excursion
+    returning to the same stack level.  The bit records whether a repeated
+    state was entered after the start, the target included.  pop_sum,
+    level1 and raw_push are their Boolean projection (raw_push: one push
+    step, popped or not); level_w, push_w and pop_w are the weighted
+    out-edges (state, position, weight, hit) of each (state, position) node
+    that `_search.pushdown_lasso_value` reads.
     """
 
-    def __init__(self, a: SimpleOmegaPDA, w: LassoWord):
+    def __init__(self, a: SimpleOmegaPDA, w: LassoWord, starts):
         self.a = a
         self.m = a.matrix
         self.pa = PositionAutomaton.of(w)
         self.l = a.buchi_count or 0
-        self._build_steps()
+        self._build_steps(starts)
         self._saturate()
 
     def _hit(self, state: int) -> bool:
         return state < self.l
 
-    def _build_steps(self):
+    def _build_steps(self, starts):
+        """Steps per position: neutral (p, q, c), push (p, sym, q, c), pop (p, sym, q, c).
+
+        Only the steps from the (state, position) nodes that some sequence of
+        steps reaches from the (state, stack) starts are kept: an item's
+        derivations only use items at the nodes its own node reaches, so the
+        summaries there stay exact.
+        """
         moves, pa = self.m.moves, self.pa
-        self.neutral = {}
-        self.push = {}
-        self.pop = {}
-        for s in range(pa.size):
-            by_state = moves.get(pa.letter(s), {}).items()
-            self.neutral[s] = [(p, q) for p, (neu, _, _) in by_state for q, _c in neu]
-            self.push[s] = [(p, sym, q) for p, (_, pu, _) in by_state for sym, q, _c in pu]
-            self.pop[s] = [
-                (p, sym, q)
-                for p, (_, _, po) in by_state
-                for sym, outs in po.items()
-                for q, _c in outs
-            ]
+        live = {(q, pa.state_of(0)) for q, _stack in starts}
+        todo = list(live)
+        while todo:
+            p, s = todo.pop()
+            neu, pu, po = moves.get(pa.letter(s), {}).get(p, ((), (), {}))
+            targets = [q for q, _c in neu] + [q for _sym, q, _c in pu]
+            targets += [q for outs in po.values() for q, _c in outs]
+            for node in {(q, pa.advance(s)) for q in targets} - live:
+                live.add(node)
+                todo.append(node)
+        self.neutral = {s: [] for s in range(pa.size)}
+        self.push = {s: [] for s in range(pa.size)}
+        self.pop = {s: [] for s in range(pa.size)}
+        for p, s in sorted(live):
+            got = moves.get(pa.letter(s), {}).get(p)
+            if got is None:
+                continue
+            neu, pu, po = got
+            self.neutral[s] += [(p, q, c) for q, c in neu]
+            self.push[s] += [(p, sym, q, c) for sym, q, c in pu]
+            self.pop[s] += [(p, sym, q, c) for sym, outs in po.items() for q, c in outs]
 
     def _saturate(self):
-        """Level edges and pop facts, saturated together by one worklist.
+        """Level edges and pop facts with their derivations, then their weights.
 
-        A level edge (p,s)->(q,t,bit) is a neutral step, or a push followed
-        by a pop fact of the pushed symbol; a pop fact (p,sym,s)->(r,t,bit)
-        is a pop step, or a level edge followed by a pop fact.  An edge or
-        fact is stored when found and joined when taken from the worklist:
-        an edge with the facts stored at its target, a fact with the edges
-        stored into its node and with the pushes of its symbol that lead
-        there.  So every edge meets every fact it can be followed by.
-        Worklist items are (node, sym, fact), sym None marking an edge.
+        An item is a level edge (node, None, (q, t, bit)) or a pop fact
+        (node, sym, (r, t, bit)).  Its derivations are: a neutral step c
+        (edge) or a pop step c (fact); an edge followed by a fact from its
+        target (fact); a push c followed by a fact of the pushed symbol
+        (edge).  One worklist finds every item; an item taken from it is
+        joined with the items already taken that it can combine with (an
+        edge with the facts at its target, a fact with the edges into its
+        node and with the pushes of its symbol that lead there), so every
+        pair is joined once.  `solve_derivations` then weighs every item.
         """
         pa, hit = self.pa, self._hit
         pop_sum: dict[tuple[int, str, int], set] = {}
-        facts_at: dict[tuple[int, int], list] = {}
         level1: dict[tuple[int, int], set] = {}
+        facts_at: dict[tuple[int, int], list] = {}
         edges_into: dict[tuple[int, int], list] = {}
         pushes_into: dict[tuple[int, str, int], list] = {}
         raw_push: dict[tuple[int, int], set] = {}
+        self.push_w: dict[tuple[int, int], list] = {}
+        self.pop_w: dict[tuple[int, int], dict] = {}
+        ids: dict[tuple, int] = {}
+        rules: list[list] = []
         work: list = []
 
-        def add_fact(p, sym, s, fact):
-            got = pop_sum.setdefault((p, sym, s), set())
-            if fact not in got:
-                got.add(fact)
-                facts_at.setdefault((p, s), []).append((sym, fact))
-                work.append(((p, s), sym, fact))
-
-        def add_edge(node, edge):
-            got = level1.setdefault(node, set())
-            if edge not in got:
-                got.add(edge)
-                edges_into.setdefault(edge[:2], []).append((node, edge[2]))
-                work.append((node, None, edge))
+        def derive(node, sym, target, term):
+            key = (node, sym, target)
+            i = ids.get(key)
+            if i is not None:
+                rules[i].append(term)
+                return
+            ids[key] = len(rules)
+            rules.append([term])
+            work.append(key)
+            if sym is None:
+                level1.setdefault(node, set()).add(target)
+            else:
+                pop_sum.setdefault((node[0], sym, node[1]), set()).add(target)
 
         for s in range(pa.size):
             s2 = pa.advance(s)
-            for (p, q) in self.neutral[s]:
-                add_edge((p, s), (q, s2, hit(q)))
-            for (p, sym, q) in self.pop[s]:
-                add_fact(p, sym, s, (q, s2, hit(q)))
-            for (p, delta, q) in self.push[s]:
-                pushes_into.setdefault((q, delta, s2), []).append((p, s))
+            for (p, q, c) in self.neutral[s]:
+                derive((p, s), None, (q, s2, hit(q)), (c, None, None))
+            for (p, sym, q, c) in self.pop[s]:
+                derive((p, s), sym, (q, s2, hit(q)), (c, None, None))
+                self.pop_w.setdefault((p, s), {}).setdefault(sym, []).append((q, s2, c, hit(q)))
+            for (p, delta, q, c) in self.push[s]:
+                pushes_into.setdefault((q, delta, s2), []).append(((p, s), c))
                 raw_push.setdefault((p, s), set()).add((q, s2, hit(q)))
+                self.push_w.setdefault((p, s), []).append((q, s2, c, hit(q)))
         while work:
-            node, sym, (q, t, bit) = work.pop()
+            key = work.pop()
+            i = ids[key]
+            node, sym, (q, t, bit) = key
             if sym is None:
-                for sym2, (r, t2, h) in facts_at.get((q, t), ()):
-                    add_fact(node[0], sym2, node[1], (r, t2, bit or h))
+                for sym2, (r, t2, h), f in facts_at.get((q, t), ()):
+                    derive(node, sym2, (r, t2, bit or h), (None, i, f))
+                edges_into.setdefault((q, t), []).append((node, bit, i))
                 continue
             p, s = node
-            for src in pushes_into.get((p, sym, s), ()):
-                add_edge(src, (q, t, bit or hit(p)))
-            for src, h in edges_into.get(node, ()):
-                add_fact(src[0], sym, src[1], (q, t, h or bit))
+            for src, c in pushes_into.get((p, sym, s), ()):
+                derive(src, None, (q, t, bit or hit(p)), (c, i, None))
+            for src, h, e in edges_into.get(node, ()):
+                derive(src, sym, (q, t, h or bit), (None, e, i))
+            facts_at.setdefault(node, []).append((sym, (q, t, bit), i))
         self.pop_sum = pop_sum
         self.level1 = level1
         self.raw_push = raw_push
 
-
-def _pda_run_exists(a: SimpleOmegaPDA, w: LassoWord, starts) -> bool:
-    """Exact: does any run from the (state, stack) starts repeat a repeated state?
-
-    Take the lowest stack height that an infinite run keeps returning to.
-    Either the run comes back to it forever, a cycle of level edges, or it
-    leaves every height for good, a cycle of level and push edges: each
-    segment between two points where the stack never again gets lower is a
-    level edge or a push whose symbol is never popped.  So the run graph over
-    (state, position) has the level and push edges, and its sources are the
-    regions where each start stack's cells are exposed, found by popping the
-    start stack one cell at a time.
-    """
-    ra = _RunAnalysis(a, w)
-    pa = ra.pa
-
-    level = {n: [((q, t), True, h) for q, t, h in outs] for n, outs in ra.level1.items()}
-    edges = {
-        n: level.get(n, []) + [((q, t), True, h) for q, t, h in ra.raw_push.get(n, ())]
-        for n in level.keys() | ra.raw_push.keys()
-    }
-
-    sources: set[tuple[int, int]] = set()
-    for (state, stack) in starts:
-        layer = {(state, pa.state_of(0))}
-        for sym in stack:
-            region = _reachable(level, layer)
-            sources |= region.keys()
-            layer = {
-                (q, pa.advance(s))
-                for (p, s) in region
-                for (pp, psym, q) in ra.pop[s]
-                if pp == p and psym == sym
-            }
-        sources |= layer
-    return accepting_cycle_exists(edges, sources)
+        value, unit = solve_derivations(self.a.instance, rules)
+        one = self.a.instance.one
+        self.level_w: dict[tuple[int, int], list] = {}
+        for (node, sym, (q, t, bit)), i in ids.items():
+            if sym is None:
+                outs = self.level_w.setdefault(node, [])
+                outs.append((q, t, value[i], bit))
+                if unit[i] and not value[i].is_one():
+                    outs.append((q, t, one, bit))
 
 
 # -- serialization ------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Algebraic systems x = p(x) are solved for their finite parts by truncated
 Kleene iteration; omega-parts of mixed systems are evaluated at ultimately
-periodic words by an exact search over the period quotient, backed by a
-grammar-level emptiness analysis that decides whether any accepting run
-exists at all.
+periodic words by a search over the period quotient whose factors have a
+capped length, backed by grammar-level analyses that decide the zero values
+exactly.
 
 The z-coefficient matrix rho of a mixed system z = rho(x) z is stored
 sparsely: one row per z-variable, each a mapping from column index to a
@@ -19,7 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ._search import HitEdge, PositionAutomaton, accepting_cycle_exists, lasso_value
+from ._search import (
+    HitEdge,
+    PositionAutomaton,
+    _omega_of_nonunit,
+    _reachable,
+    accepting_cycle_exists,
+    lasso_value,
+)
 from .matrix import SemiringMatrix, mat_star
 from .semiring import SemiringError, SemiringInstance, SemiringValue
 from .series import (
@@ -430,25 +437,37 @@ def _chain_states(p: Polynomial, start: int, pa, gen, variables) -> set[tuple[in
     return out
 
 
-def _accepting_support_run_exists(
-    sys: MixedSystem, k: int, component: int, pa: PositionAutomaton, gen
-) -> bool:
-    """Does any run with Buchi z-indices below k exist at support level?
+def _z_graph(sys: MixedSystem, k: int, pa: PositionAutomaton, gen):
+    """The support-level z-graph of runs with Buchi z-indices below k.
 
-    The z-graph has one node per (z-variable, position); an edge follows one
-    z-coefficient and records whether it consumed a letter and whether its
-    target z-variable repeats.
+    One node per (z-variable, position); an edge follows one z-coefficient
+    and records whether it consumed a letter and whether its target
+    z-variable repeats.
     """
     variables = set(sys.x_vars)
-    edges: dict[tuple[int, int], list[tuple[tuple[int, int], bool, bool]]] = {}
-    for j in range(sys.m):
-        for s in range(pa.size):
-            edges[(j, s)] = [
-                ((j2, s2), bit, j2 < k)
-                for j2, p in sys.rho[j].items()
-                for (s2, bit) in _chain_states(p, s, pa, gen, variables)
-            ]
-    return accepting_cycle_exists(edges, [(component, pa.state_of(0))])
+    return {
+        (j, s): [
+            ((j2, s2), bit, j2 < k)
+            for j2, p in sys.rho[j].items()
+            for (s2, bit) in _chain_states(p, s, pa, gen, variables)
+        ]
+        for j in range(sys.m)
+        for s in range(pa.size)
+    }
+
+
+def _unit_part(sys: MixedSystem) -> MixedSystem:
+    """The monomials whose coefficient is the unit, in x- and z-equations alike."""
+    inst = sys.instance
+
+    def unit(p: Polynomial) -> Polynomial:
+        return Polynomial.build(inst, [(m.coeff, m.word) for m in p.monomials if m.coeff.is_one()])
+
+    rows = [{j: unit(p) for j, p in row.items()} for row in sys.rho]
+    rho = tuple({j: p for j, p in row.items() if not p.is_zero()} for row in rows)
+    return MixedSystem(
+        inst, sys.terminals, sys.x_vars, tuple(map(unit, sys.x_rhs)), sys.z_vars, rho
+    )
 
 
 # -- omega evaluation at lasso words -----------------------------------------
@@ -494,10 +513,12 @@ def canonical_omega_lasso(
 
     The sum ranges over infinite runs through the z-coefficient matrix of the
     least finite solution, Buchi-restricted to the first k z-variables.  Runs
-    are searched on the period quotient with factors up to caps.factor_len;
-    a grammar-level emptiness check decides the zero cases exactly, so
-    "inconclusive" only remains when runs exist but no in-cap certificate
-    was found.
+    are searched on the period quotient with factors up to caps.factor_len.
+    Grammar-level checks decide the zero cases exactly: no accepting run at
+    all, or (where omega of a non-unit weight is zero, as in tropical) no
+    accepting run whose weights are eventually all the unit.  So
+    "inconclusive" only remains when such runs exist but no in-cap
+    certificate was found.
     """
     inst = sys.instance
     if not inst.idempotent:
@@ -511,12 +532,19 @@ def canonical_omega_lasso(
         caps = default_lasso_caps(sys, w)
 
     pa = PositionAutomaton.of(w)
-    gen = support_triples(sys.x_part, pa)
-    accepting = _accepting_support_run_exists(sys, k, component, pa, gen)
-    if not accepting:
+    edges = _z_graph(sys, k, pa, support_triples(sys.x_part, pa))
+    start = (component, pa.state_of(0))
+    if not accepting_cycle_exists(edges, [start]):
         return LassoResult(OK, inst.zero)
     if inst.name == "boolean":
         return LassoResult(OK, inst.one)
+    if _omega_of_nonunit(inst).is_zero():
+        # only runs whose weights are eventually all unit count: some node
+        # the start reaches must carry an accepting cycle of unit monomials
+        unit = _unit_part(sys)
+        unit_edges = _z_graph(unit, k, pa, support_triples(unit.x_part, pa))
+        if not accepting_cycle_exists(unit_edges, _reachable(edges, [start])):
+            return LassoResult(OK, inst.zero)
 
     value = _canonical_search(sys, k, component, w, caps, pa)
     if value.is_zero():

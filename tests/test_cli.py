@@ -16,6 +16,7 @@ from staromega.cli import (
 from staromega.system import is_gnf_mixed, is_gnf_omega
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "staromega" / "data"
+TEST_DATA = Path(__file__).resolve().parent / "data"
 
 TROPICAL_GRM = (DATA / "tropical_mixed.grm").read_text()
 BOOLEAN_GRM = (DATA / "boolean_omega.grm").read_text()
@@ -176,19 +177,26 @@ def test_cmd_build_pda_start_out_of_range(tmp_path, capsys):
 
 
 def test_cmd_eval_inconclusive_exit_code(tmp_path, capsys):
-    # a tight height cap on the pushdown search cannot certify, and the word
-    # is accepted, so the search must admit it cannot conclude
+    # factors of one letter cannot cover the prefix aabb, and the word is
+    # accepted, so the grammar route's search must admit it cannot conclude
+    path = str(DATA / "tropical_mixed.grm")
+    rc = main(["eval", path, "--lasso", "aabb:c", "--factor-len", "1"])
+    assert rc == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out.strip() == "inconclusive"
+    assert main(["eval", path, "--lasso", "aabb:c"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "2"
+    # automata are exact: the same value, with no cap to set
     from staromega.fixtures import tropical_omega_automaton
     from staromega.pda import pda_to_json
 
     auto_path = tmp_path / "auto.json"
     auto_path.write_text(pda_to_json(tropical_omega_automaton()))
-    rc = main(["eval", str(auto_path), "--lasso", "aabb:c", "--height", "1"])
-    assert rc == EXIT_INCONCLUSIVE
-    assert capsys.readouterr().out.strip() == "inconclusive"
-    rc = main(["eval", str(auto_path), "--lasso", "aabb:c"])
-    assert rc == EXIT_OK
+    assert main(["eval", str(auto_path), "--lasso", "aabb:c"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2"
+    with pytest.raises(SystemExit) as info:
+        main(["eval", str(auto_path), "--lasso", "aabb:c", "--height", "1"])
+    assert info.value.code == EXIT_USAGE
+    capsys.readouterr()
 
 
 def test_cmd_check_suites(tmp_path, capsys):
@@ -280,33 +288,53 @@ def test_arctic_chain_loop_word_value_is_inf(tmp_path, capsys):
     assert capsys.readouterr().out == "inf\n"
 
 
-# every accepting run of z1 at :a costs inf, the tropical zero
-ZERO_LASSO_GRM = """@semiring tropical
-@alphabet a
-@sort x x1
-@sort z z1
-@start z1
-@buchi 1
-x1 = a
-z1 = (1) x1 z1
-"""
+def _automaton_of(path, tmp_path):
+    nf, auto = str(tmp_path / "nf.grm"), str(tmp_path / "auto.json")
+    if main(["gnf", str(path), "--out", nf]) or main(["build-pda", nf, "--out", auto]):
+        pytest.fail("gnf or build-pda failed")
+    return auto
+
+
+@pytest.mark.parametrize("route", ["direct", "gnf-build-pda"])
+def test_tropical_lasso_whose_runs_all_cost_inf_is_inf(route, tmp_path, capsys):
+    # every accepting run of z1 at :a costs inf, the tropical zero
+    path = str(TEST_DATA / "all_runs_cost_inf.grm")
+    if route == "gnf-build-pda":
+        path = _automaton_of(path, tmp_path)
+    assert main(["eval", path, "--lasso", ":a"]) == EXIT_OK
+    assert capsys.readouterr().out == "inf\n"
+
+
+ARCTIC_PREFIX_GROWTH = TEST_DATA / "arctic_prefix_growth.grm"
+
+
+def test_arctic_prefix_growth_automaton_value_is_inf(tmp_path, capsys):
+    # x1 derives a^n at weight n - 1 for every n, so the accepting runs of z1
+    # at :a have no largest weight: the exact value is inf
+    auto = _automaton_of(ARCTIC_PREFIX_GROWTH, tmp_path)
+    assert main(["eval", auto, "--lasso", ":a"]) == EXIT_OK
+    assert capsys.readouterr().out == "inf\n"
 
 
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="defect (d): the certificate searches cannot tell a zero from a missed certificate",
+    reason="defect (l): the grammar route's arctic value grows with --factor-len",
 )
-@pytest.mark.parametrize("route", ["direct", "gnf-build-pda"])
-def test_tropical_lasso_whose_runs_all_cost_inf_is_inf(route, tmp_path, capsys):
-    path = grm(tmp_path, ZERO_LASSO_GRM)
-    if route == "gnf-build-pda":
-        nf, auto = str(tmp_path / "nf.grm"), str(tmp_path / "auto.json")
-        if main(["gnf", path, "--out", nf]) or main(["build-pda", nf, "--out", auto]):
-            pytest.fail("gnf or build-pda failed")
-        path = auto
-    assert main(["eval", path, "--lasso", ":a"]) == EXIT_OK
+@pytest.mark.parametrize("factor_len", [None, "16"])
+def test_arctic_prefix_growth_grammar_value_is_inf(factor_len, capsys):
+    args = ["eval", str(ARCTIC_PREFIX_GROWTH), "--lasso", ":a"]
+    if factor_len is not None:
+        args += ["--factor-len", factor_len]
+    assert main(args) == EXIT_OK
     assert capsys.readouterr().out == "inf\n"
+
+
+def test_word_on_a_grammar_without_finite_variables_exits_1(tmp_path, capsys):
+    path = grm(tmp_path, "@semiring boolean\n@alphabet a\n@sort z z1\nz1 = a z1\n")
+    assert main(["eval", path, "--word", "a"]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_normal_form_output_builds_an_automaton_with_the_same_value(tmp_path, capsys):

@@ -13,13 +13,14 @@ from staromega.fixtures import (
     max_block_weight,
     tropical_omega_automaton,
 )
+from staromega._search import HitEdge, PositionAutomaton, lasso_value, solve_derivations
 from staromega.pda import (
     EpsilonCoefficient,
-    PdaLassoCaps,
+    ResetPDMatrix,
     SimpleOmegaPDA,
+    _successors,
     behavior_finite,
     behavior_omega_lasso,
-    default_pda_caps,
     expand_entry,
     induced_finite_pda,
     induced_omega_pda,
@@ -312,38 +313,32 @@ def _x_run_value_to(auto, n, state, stack, word, target_state):
     return go(0, state, stack)
 
 
-# -- caps and serialization ---------------------------------------------------------
+# -- exact values where the capped search was inconclusive -------------------------
 
 
 def test_growing_stack_acceptor_boundary():
     # a single repeated state pushing forever accepts a^omega without ever
-    # repeating a configuration: the emptiness analysis decides the Boolean
-    # value exactly, while the weighted search has no certificate and says so
-    from staromega.pda import ResetPDMatrix
-
+    # repeating a configuration: a never-popped push is an edge of the run
+    # graph, so the value is exact, the unit of each instance
     for inst in (BOOLEAN, TROPICAL):
         neutral = ({},)
         push_x = ({0: {"a": inst.one}},)
         m = ResetPDMatrix(inst, 1, ("a",), ("X",), neutral, {"X": push_x}, {})
         auto = SimpleOmegaPDA(m, (inst.one,), (inst.zero,), 1, ("0",))
         r = behavior_omega_lasso(auto, LassoWord((), ("a",)))
-        if inst is BOOLEAN:
-            assert r.conclusive and r.value.value == 1
-        else:
-            assert not r.conclusive
+        assert r.conclusive and r.value == inst.one
         silent = SimpleOmegaPDA(m, (inst.one,), (inst.zero,), 0, ("0",))
         r0 = behavior_omega_lasso(silent, LassoWord((), ("a",)))
         assert r0.conclusive and r0.value.is_zero()
 
 
-def test_inconclusive_when_caps_too_small():
+def test_exact_value_needs_no_height_cap():
+    # a search capped at stack height 1 could not certify aabb:c
     auto = tropical_omega_automaton()
     w = LassoWord(("a", "a", "b", "b"), ("c",))
-    tight = PdaLassoCaps(height=1)
-    r = behavior_omega_lasso(auto, w, tight)
-    assert not r.conclusive and r.value is None
-    ok = behavior_omega_lasso(auto, w)
-    assert ok.conclusive and ok.value.value == 2
+    assert reference_certificate_search(auto, w, initial_starts(auto), 1) == (TROPICAL.zero, False)
+    r = behavior_omega_lasso(auto, w)
+    assert r.conclusive and r.value.value == 2
 
 
 def two_route_automaton():
@@ -353,8 +348,6 @@ def two_route_automaton():
     weight 1, and both loop on a at weight 0; every state repeats.  The
     value is 1, and a search that keeps only the first successor sees 5.
     """
-    from staromega.pda import ResetPDMatrix
-
     t = TROPICAL
     a = lambda weight: {"a": t.value(weight)}
     neutral = ({1: a(5), 2: a(1)}, {1: a(0)}, {2: a(0)})
@@ -362,18 +355,18 @@ def two_route_automaton():
     return SimpleOmegaPDA(m, (t.one, t.zero, t.zero), (t.zero,) * 3, 3, ("0", "1", "2"))
 
 
-def test_truncated_certificate_search_is_inconclusive():
+def test_exact_value_keeps_the_cheaper_of_two_loops():
     auto = two_route_automaton()
     w = LassoWord((), ("a",))
-    full = behavior_omega_lasso(auto, w)
-    assert full.conclusive and full.value.value == 1
-    # two nodes fit: the start and state 1; state 2 is dropped
-    cut = behavior_omega_lasso(auto, w, PdaLassoCaps(height=1, max_nodes=2))
-    assert not cut.conclusive and cut.value is None
-    assert not omega_value_from(auto, w, 0, caps=PdaLassoCaps(height=1, max_nodes=2)).conclusive
+    # a search that fits two nodes, the start and state 1, drops state 2
+    cut = reference_certificate_search(auto, w, initial_starts(auto), 1, max_nodes=2)
+    assert cut == (TROPICAL.value(5), False)
+    for r in (behavior_omega_lasso(auto, w), omega_value_from(auto, w, 0)):
+        assert r.conclusive and r.value.value == 1
+    assert omega_value_from(auto, w, 1).value.value == 0
 
 
-def test_certificate_search_that_fits_its_budget_exactly_stays_ok(tmp_path, capsys):
+def test_normal_form_automaton_value_at_c_is_exact(tmp_path, capsys):
     from staromega.cli import main
 
     nf, auto_path = tmp_path / "nf.grm", tmp_path / "auto.json"
@@ -381,11 +374,14 @@ def test_certificate_search_that_fits_its_budget_exactly_stays_ok(tmp_path, caps
     assert main(["build-pda", str(nf), "--out", str(auto_path)]) == 0
     auto = pda_from_json(auto_path.read_text())
     w = LassoWord((), ("c",))
-    height = default_pda_caps(auto, w).height
-    # the search graph at :c has exactly five nodes
-    fits = behavior_omega_lasso(auto, w, PdaLassoCaps(height, max_nodes=5))
-    assert fits.conclusive and fits.value.value == 0
-    assert not behavior_omega_lasso(auto, w, PdaLassoCaps(height, max_nodes=4)).conclusive
+    r = behavior_omega_lasso(auto, w)
+    assert r.conclusive and r.value.value == 0
+    # the capped search's graph at :c has exactly five nodes
+    height = reference_height(auto, w)
+    assert reference_certificate_search(auto, w, initial_starts(auto), height, max_nodes=5) == (
+        r.value,
+        True,
+    )
 
 
 def test_json_round_trip_and_dot():
@@ -428,6 +424,184 @@ def test_build_pda_output_matches_golden_digests(flow, tmp_path):
     assert got == PDA_GOLDEN[flow]
 
 
+# -- the exact engine against the capped certificate search it replaced -------------
+
+
+def reference_height(a, w):
+    """The stack height the capped search used by default."""
+    states, symbols = a.matrix.n_states, max(1, len(a.matrix.stack_alphabet))
+    return len(w.prefix) + len(w.period) * (2 * states * symbols * len(w.period) + 4)
+
+
+def initial_starts(a):
+    return {(q, ()): c for q, c in enumerate(a.initial) if not c.is_zero()}
+
+
+def reference_certificate_search(a, w, starts, height, max_nodes=200000):
+    """Reference: the automaton route's capped certificate search, before the
+    exact engine.
+
+    It walks the configurations (state, whole stack, position) from the
+    weighted (state, stack) starts, last in first out, dropping those above
+    `height` and those past `max_nodes`, and sums the accepting lassos of
+    the graph it built.  Returns (value, complete): complete when nothing was
+    dropped, so the graph holds every run and the value is exact.  Otherwise
+    the value sums a subset of the runs: runs that push forever are never in
+    it, so it may lie below the exact value even when it is nonzero.
+    """
+    inst, m = a.instance, a.matrix
+    pa = PositionAutomaton.of(w)
+    sources = {(q, tuple(stack), pa.state_of(0)): c for (q, stack), c in starts.items()}
+    edges = {}
+    frontier = list(sources)
+    seen = set(frontier)
+    complete = True
+    while frontier:
+        node = frontier.pop()
+        state, stack, s = node
+        outs = []
+        for j, stack2, c in _successors(m, state, stack, pa.letter(s)):
+            if len(stack2) > height:
+                complete = False
+                continue
+            succ = (j, stack2, pa.advance(s))
+            outs.append(HitEdge(succ, c, False))
+            if succ not in seen:
+                if len(seen) < max_nodes:
+                    seen.add(succ)
+                    frontier.append(succ)
+                else:
+                    complete = False
+        edges[node] = outs
+    l = a.buchi_count
+    value = lasso_value(
+        inst,
+        edges,
+        sources,
+        is_anchor=lambda node: pa.is_periodic(node[2]),
+        is_buchi=lambda node: node[0] < l,
+    )
+    return value, complete
+
+
+def random_weighted_automaton(rng, inst):
+    """1-3 states over a, b with stack symbols X, Y; weights 0-2, plus inf in arctic."""
+    n = rng.randint(1, 3)
+    weights = [0, 0, 1, 2] + ([INF] if inst is ARCTIC else [])
+
+    def block():
+        rows = tuple({} for _ in range(n))
+        for _ in range(rng.randint(0, 2 * n)):
+            cell = rows[rng.randrange(n)].setdefault(rng.randrange(n), {})
+            cell[rng.choice("ab")] = inst.value(rng.choice(weights))
+        return rows
+
+    pushes, pops = {"X": block(), "Y": block()}, {"X": block(), "Y": block()}
+    m = ResetPDMatrix(inst, n, ("a", "b"), ("X", "Y"), block(), pushes, pops)
+    names = tuple(map(str, range(n)))
+    return SimpleOmegaPDA(m, (inst.one,) * n, (inst.zero,) * n, rng.randint(0, n), names)
+
+
+def random_weighted_cases(label, count):
+    """Seeded (automaton, lasso word, start state, start stack of depth 0-2)."""
+    rng = random.Random(label)
+    for i in range(count):
+        auto = random_weighted_automaton(rng, (TROPICAL, ARCTIC)[i % 2])
+        state = rng.randrange(auto.matrix.n_states)
+        stack = tuple(rng.choice("XY") for _ in range(rng.randint(0, 2)))
+        yield auto, random_lasso(rng), state, stack
+
+
+def test_exact_value_equals_the_complete_reference_search_on_random_automata():
+    compared = nonzero = 0
+    for auto, w, state, stack in random_weighted_cases("exact/reference", 400):
+        got = omega_value_from(auto, w, state, stack)
+        assert got.conclusive
+        # height 6 keeps the reference small; a search that dropped nothing
+        # holds every run, and one that dropped some sums only some of them
+        starts = {(state, stack): auto.instance.one}
+        ref, complete = reference_certificate_search(auto, w, starts, 6)
+        case = (auto.instance.name, str(w), state, stack)
+        if complete:
+            assert got.value == ref, case
+            compared += 1
+            nonzero += not ref.is_zero()
+        else:
+            assert ref + got.value == got.value, case
+    assert compared >= 100 and nonzero >= 10, (compared, nonzero)
+
+
+def test_one_step_unfolding_on_random_automata():
+    # the value from a configuration is the sum over its one-step successors
+    for auto, w, state, stack in random_weighted_cases("exact/unfolding", 300):
+        direct = omega_value_from(auto, w, state, stack).value
+        acc = auto.instance.zero
+        for j, stack2, c in _successors(auto.matrix, state, stack, w.letter(0)):
+            acc = acc + c * omega_value_from(auto, w.shift(1), j, stack2).value
+        assert acc == direct, (auto.instance.name, str(w), state, stack)
+
+
+def test_solver_arctic_pump_is_inf():
+    # i0 = 1 | 1 * i0 grows by one every round; i1 = i0 * i0 depends on it
+    one = ARCTIC.value(1)
+    value, unit = solve_derivations(ARCTIC, [[(one, None, None), (one, 0, None)], [(None, 0, 0)]])
+    assert [v.value for v in value] == [INF, INF] and unit == [False, False]
+    # a zero-gain loop is no pump: i0 = 1 | i0, i1 = 0 | i1 * i0
+    zero_gain = [[(one, None, None), (None, 0, None)], [(ARCTIC.one, None, None), (None, 1, 0)]]
+    value, unit = solve_derivations(ARCTIC, zero_gain)
+    assert [v.value for v in value] == [1, INF] and unit == [False, True]
+
+
+def test_solver_tropical_chain_gives_its_minimum():
+    # i0 = 3 | 1 * i1, i1 = 1 | i2, i2 = 0 | 2 * i0: a chain of cycles
+    t = TROPICAL.value
+    rules = [
+        [(t(3), None, None), (t(1), 1, None)],
+        [(t(1), None, None), (None, 2, None)],
+        [(t(0), None, None), (t(2), 0, None)],
+    ]
+    value, unit = solve_derivations(TROPICAL, rules)
+    assert [v.value for v in value] == [1, 0, 0] and unit == [False, True, True]
+
+
+def test_deep_push_decomposition_agrees_on_all_routes():
+    # a two-term lasso corpus decomposition whose capped search ran past 20 s
+    # at :a b, diving down one push chain with whole stacks as node keys
+    from staromega.gnf import (
+        DecompositionTerm,
+        OmegaDecomposition,
+        char_to_mixed,
+        normalize_decomposition,
+        pipeline_from_decomposition,
+    )
+    from staromega.system import induce_mixed
+
+    def system(*rhs):
+        names = tuple(f"x{i}" for i in range(len(rhs)))
+        return AlgebraicSystem(TROPICAL, ("a", "b"), names, tuple(poly(TROPICAL, p) for p in rhs))
+
+    terms = (
+        DecompositionTerm(
+            system("(1) eps | x1", "(1) a | b | (1) x0 x1"), 0,
+            system("(1) b | (1) a x0", "(1) eps | (2) x0 | a a"), 0,
+        ),
+        DecompositionTerm(system("eps | a | (2) a a"), 0, system("(2) eps", "eps | (2) b a"), 0),
+    )
+    norm = normalize_decomposition(OmegaDecomposition(TROPICAL, ("a", "b"), terms))
+    direct, direct_sel = char_to_mixed(norm)
+    _, mixed, sel, omega_sys, omega_sel, _ = pipeline_from_decomposition(norm)
+    unmixed = induce_mixed(omega_sys)
+    auto = induced_omega_pda(unmixed, omega_sel.component, omega_sel.buchi_count)
+    for w, want in ((LassoWord((), ("a", "b")), INF), (LassoWord(("b",), ("b",)), 1)):
+        routes = [
+            canonical_omega_lasso(direct, direct_sel.buchi_count, direct_sel.component, w),
+            canonical_omega_lasso(mixed, sel.buchi_count, sel.component, w),
+            canonical_omega_lasso(unmixed, omega_sel.buchi_count, omega_sel.component, w),
+            behavior_omega_lasso(auto, w),
+        ]
+        assert [(r.status, r.value.value) for r in routes] == [("ok", want)] * 4, str(w)
+
+
 # -- route agreement on random decompositions -----------------------------------------
 
 
@@ -449,20 +623,20 @@ def round_robin_summaries(ra):
         changed = False
         for s in range(pa.size):
             s2 = pa.advance(s)
-            for (p, sym, q) in ra.pop[s]:
+            for (p, sym, q, _c) in ra.pop[s]:
                 fact = (q, s2, hit(q))
                 tgt = get((p, sym, s))
                 if fact not in tgt:
                     tgt.add(fact)
                     changed = True
-            for (p, q) in ra.neutral[s]:
+            for (p, q, _c) in ra.neutral[s]:
                 for sym in ra.m.stack_alphabet:
                     tgt = get((p, sym, s))
                     before = len(tgt)
                     tgt |= {(r, t, h or hit(q)) for (r, t, h) in pop_sum.get((q, sym, s2), ())}
                     if len(tgt) != before:
                         changed = True
-            for (p, delta, q) in ra.push[s]:
+            for (p, delta, q, _c) in ra.push[s]:
                 inner = tuple(pop_sum.get((q, delta, s2), ()))
                 if not inner:
                     continue
@@ -477,9 +651,9 @@ def round_robin_summaries(ra):
     level1, raw_push = {}, {}
     for s in range(pa.size):
         s2 = pa.advance(s)
-        for (p, q) in ra.neutral[s]:
+        for (p, q, _c) in ra.neutral[s]:
             level1.setdefault((p, s), set()).add((q, s2, hit(q)))
-        for (p, delta, q) in ra.push[s]:
+        for (p, delta, q, _c) in ra.push[s]:
             raw_push.setdefault((p, s), set()).add((q, s2, hit(q)))
             for (r, t, h) in pop_sum.get((q, delta, s2), ()):
                 level1.setdefault((p, s), set()).add((r, t, h or hit(q)))
@@ -528,7 +702,7 @@ def random_lasso(rng):
 def test_worklist_summaries_equal_round_robin_on_random_automata():
     # induced automata never pop from a repeated state, so random ones also
     # exercise hits inside pop summaries
-    from staromega.pda import ResetPDMatrix, _RunAnalysis
+    from staromega.pda import _RunAnalysis
 
     rng = random.Random("worklist")
     b = BOOLEAN
@@ -545,7 +719,7 @@ def test_worklist_summaries_equal_round_robin_on_random_automata():
         m = ResetPDMatrix(b, n, ("a", "b"), ("X", "Y"), block(), pushes, pops)
         names = tuple(map(str, range(n)))
         auto = SimpleOmegaPDA(m, (b.one,) * n, (b.zero,) * n, rng.randint(0, n), names)
-        ra = _RunAnalysis(auto, random_lasso(rng))
+        ra = _RunAnalysis(auto, random_lasso(rng), initial_starts(auto))
         assert (ra.pop_sum, ra.level1, ra.raw_push) == round_robin_summaries(ra)
 
 
@@ -564,15 +738,14 @@ def test_automaton_route_agrees_with_mixed_normal_form(inst):
             induce_mixed(omega_sys), omega_sel.component, omega_sel.buchi_count
         )
         for w in lassos:
-            ra = _RunAnalysis(auto, w)
+            ra = _RunAnalysis(auto, w, initial_starts(auto))
             assert (ra.pop_sum, ra.level1, ra.raw_push) == round_robin_summaries(ra), str(w)
             want = canonical_omega_lasso(mixed, sel.buchi_count, sel.component, w)
-            # the default height with fewer nodes: a search cut short says so
-            caps = PdaLassoCaps(default_pda_caps(auto, w).height, max_nodes=300)
-            got = behavior_omega_lasso(auto, w, caps)
+            got = behavior_omega_lasso(auto, w)
+            assert got.conclusive, str(w)
             if inst is BOOLEAN:
-                assert got.conclusive and want.conclusive, str(w)
-            if got.conclusive and want.conclusive:
+                assert want.conclusive, str(w)
+            if want.conclusive:
                 assert got.value == want.value, str(w)
                 nonzero += not got.value.is_zero()
     assert nonzero > 0
@@ -589,7 +762,7 @@ def reference_pda_run_exists(a, w, starts):
     repetition at or above a reachable head."""
     from staromega.pda import _RunAnalysis
 
-    ra = _RunAnalysis(a, w)
+    ra = _RunAnalysis(a, w, starts)
     pa = ra.pa
     s0 = pa.state_of(0)
 
@@ -621,7 +794,7 @@ def reference_pda_run_exists(a, w, starts):
         ru = bit_reach(ru_edges, [(node, False)])
         seeds = set()
         for ((p1, s1), b1) in ru:
-            for (p, delta, q) in ra.push[s1]:
+            for (p, delta, q, _c) in ra.push[s1]:
                 if p == p1 and delta == sym:
                     seeds.add(((q, pa.advance(s1)), b1 or ra._hit(q)))
         if not seeds:
@@ -641,7 +814,7 @@ def reference_pda_run_exists(a, w, starts):
                 head_seeds.add((n, sym))
             nxt = set()
             for (p, s) in region:
-                for (pp, psym, q) in ra.pop[s]:
+                for (pp, psym, q, _c) in ra.pop[s]:
                     if pp == p and psym == sym:
                         nxt.add((q, pa.advance(s)))
             layer = nxt
@@ -657,7 +830,7 @@ def reference_pda_run_exists(a, w, starts):
     heads = set(head_seeds)
     frontier = list(head_seeds)
     for n in closed_empty:
-        for (p, delta, q) in ra.push[n[1]]:
+        for (p, delta, q, _c) in ra.push[n[1]]:
             if p == n[0]:
                 fact = ((q, pa.advance(n[1])), delta)
                 if fact not in heads:
@@ -666,7 +839,7 @@ def reference_pda_run_exists(a, w, starts):
     while frontier:
         (node, sym) = frontier.pop()
         for (n2, _b) in level_reach([(node, False)]):
-            for (p, delta, q) in ra.push[n2[1]]:
+            for (p, delta, q, _c) in ra.push[n2[1]]:
                 if p == n2[0]:
                     fact = ((q, pa.advance(n2[1])), delta)
                     if fact not in heads:
@@ -727,8 +900,6 @@ def reference_accepting_support_run_exists(sys, k, component, pa, gen):
 
 
 def test_run_check_agrees_with_per_head_searches_on_random_automata():
-    from staromega.pda import ResetPDMatrix
-
     rng = random.Random("accepting-cycle/automata")
     b = BOOLEAN
     accepting = 0
