@@ -8,12 +8,14 @@ one component labelling of a Boolean graph that the grammar route builds;
 only); `lasso_value` combines prefix sums with omega-applied cycle sums over
 every periodic anchor.
 
-The automaton route is exact.  `solve_derivations` computes the least
-solution of its weighted summary system (level edges and pop facts, each a
-sum over derivations), and `pushdown_lasso_value` reads the value off one
-graph over (state, position, remaining start-stack cells) whose edges are
-the solved level edges, the pushes that are never popped and the pops of
-the start stack's cells.
+Both routes are exact and share one solver.  `solve_derivations` computes
+the least solution of a weighted summary system, each item a sum over
+derivations: the grammar's derivation weights between quotient positions,
+or the automaton's level edges and pop facts.  The grammar route reads the
+value off its z-graph with `lasso_value`; `pushdown_lasso_value` reads it
+off one graph over (state, position, remaining start-stack cells) whose
+edges are the solved level edges, the pushes that are never popped and the
+pops of the start stack's cells.
 """
 
 from __future__ import annotations
@@ -52,11 +54,6 @@ class PositionAutomaton:
         s += 1
         if s >= self.size:
             return self.prefix_len
-        return s
-
-    def advance_by(self, s: int, k: int) -> int:
-        for _ in range(k):
-            s = self.advance(s)
         return s
 
     def state_of(self, pos: int) -> int:
@@ -181,10 +178,11 @@ def solve_derivations(
     A term (c, a, b) leaves out c (the unit) or an operand as None.  Every
     item must have a derivation, and the constants must be Boolean, or
     naturals and inf multiplied by + (tropical, arctic); the summary systems
-    built here are.  Then cutting a repeated item out of a derivation tree
-    never raises its numeric weight.  Components of the dependency graph are
-    solved sinks first, by in-place Kleene rounds.  Trees whose root-to-leaf
-    paths repeat no item of their component have height at most |C|, so
+    of both lasso routes are.  Then cutting a repeated item out of a
+    derivation tree never raises its numeric weight.  Components of the
+    dependency graph are solved sinks first, by in-place Kleene rounds.
+    Trees whose root-to-leaf paths repeat no item of their component have
+    height at most |C|, so
     after |C| rounds a component has settled unless some repetition gains
     weight; repeating it pumps every item of the component to inf, the top
     element.  Only arctic can get there: a component still changing after

@@ -15,8 +15,8 @@ Grammar files are plain text: directives first, then one equation per line.
 Sorts: y-variables give a quemiring system, x- and z-variables a mixed one;
 z-equations must be right-linear (one trailing z-variable per monomial).
 Exit codes: 0 ok, 1 semantic failure, 2 usage error (including a file that
-cannot be read or written), 3 inconclusive grammar-route search (automata
-are always exact).
+cannot be read or written).  Lasso values are exact on grammars and automata
+alike, so no answer is inconclusive.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .system import (
     AlgebraicSystem,
     CanonicalSelector,
     IllFormedSystem,
-    LassoCaps,
     MixedSystem,
     NotStabilized,
     OmegaSystem,
@@ -72,7 +71,6 @@ from .system import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
 
 
 class GrammarError(ValueError):
@@ -429,13 +427,7 @@ def cmd_eval(args) -> int:
         return EXIT_OK
     if args.component is not None:
         comp = g.start_index(args.component, "z")
-    w = _parse_lasso(args.lasso)
-    caps = LassoCaps(args.factor_len) if args.factor_len is not None else None
-    res = canonical_omega_lasso(mixed, k, comp, w, caps)
-    if not res.conclusive:
-        print("inconclusive")
-        return EXIT_INCONCLUSIVE
-    _print_value(res.value)
+    _print_value(canonical_omega_lasso(mixed, k, comp, _parse_lasso(args.lasso)).value)
     return EXIT_OK
 
 
@@ -490,7 +482,6 @@ def main(argv=None) -> int:
     p.add_argument("--lasso", default=None)
     p.add_argument("--buchi", type=int, default=None)
     p.add_argument("--component", default=None)
-    p.add_argument("--factor-len", dest="factor_len", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("check", help="run a verification suite")

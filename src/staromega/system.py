@@ -1,10 +1,14 @@
 """Equation systems over series and their canonical solutions.
 
 Algebraic systems x = p(x) are solved for their finite parts by truncated
-Kleene iteration; omega-parts of mixed systems are evaluated at ultimately
-periodic words by a search over the period quotient whose factors have a
-capped length, backed by grammar-level analyses that decide the zero values
-exactly.
+Kleene iteration.  Omega-parts of mixed systems are evaluated exactly at
+ultimately periodic words u v^omega: `support_triples` weighs the
+derivations of every x-variable between positions of the period quotient
+(the weighted Bar-Hillel product of the grammar with the quotient, solved
+by `_search.solve_derivations` as the automaton route's pop summaries are),
+and the z-coefficients evaluated on those weights are the edges of the
+graph that `_search.lasso_value` reads the value off.  No answer depends on
+a cap.
 
 The z-coefficient matrix rho of a mixed system z = rho(x) z is stored
 sparsely: one row per z-variable, each a mapping from column index to a
@@ -22,10 +26,9 @@ from typing import Mapping, Sequence
 from ._search import (
     HitEdge,
     PositionAutomaton,
-    _omega_of_nonunit,
-    _reachable,
     accepting_cycle_exists,
     lasso_value,
+    solve_derivations,
 )
 from .matrix import SemiringMatrix, mat_star
 from .semiring import SemiringError, SemiringInstance, SemiringValue
@@ -386,114 +389,137 @@ class SegmentTable:
         got = self.table.get((var, lo, hi))
         return self.instance.zero if got is None else got
 
-    def poly_coeff(self, p: Polynomial, lo: int, hi: int) -> SemiringValue:
-        got = self._eval_poly_from(p, lo, hi).get(hi)
-        return self.instance.zero if got is None else got
 
-
-
-# -- support analysis (grammar-level emptiness over the period quotient) -----
+# -- derivation weights over the period quotient ---------------------------
 
 
 def support_triples(
     sys: AlgebraicSystem, pa: PositionAutomaton
-) -> dict[tuple[str, int], set[tuple[int, bool]]]:
-    """(variable, state) -> reachable (state, consumed-a-letter) derivation facts."""
-    gen: dict[tuple[str, int], set[tuple[int, bool]]] = {
-        (v, s): set() for v in sys.variables for s in range(pa.size)
+) -> dict[tuple[str, int], dict[tuple[int, bool], SemiringValue]]:
+    """(variable, s) -> {(t, consumed-a-letter): weight}, exactly.
+
+    The weight is the sum over the derivations from the variable of words
+    that lead position s of the quotient to t, split by whether the word is
+    empty: the weighted product of the grammar with the quotient
+    (Bar-Hillel, Perles and Shamir 1961; Goodman 1999).  An item is a
+    variable fact (variable, s, t, bit) or, for monomials with more than two
+    variable occurrences, a prefix fact ((monomial, length), s, t, bit)
+    whose product already holds two operands, so every derivation term is
+    (coefficient, item, item).  A monomial is read left to right from s:
+    letters move the position, and at a variable the partial product waits
+    for that variable's facts at the current position.  One worklist finds
+    every item; a fact taken from it extends the products waiting for it,
+    and a product that starts waiting joins the facts already taken, so
+    every pair is joined once.  `solve_derivations` then weighs every item.
+    """
+    variables = set(sys.variables)
+    monos = [(v, m.coeff, m.word) for v, p in zip(sys.variables, sys.rhs) for m in p.monomials]
+    ids: dict[tuple, int] = {}
+    rules: list[list] = []
+    work: list = []
+    facts_at: dict[tuple[str, int], list] = {}
+    waiting: dict[tuple[str, int], list] = {}
+
+    def item(key, term) -> tuple[int, bool]:
+        """The id of an item given one more derivation, and whether it is new."""
+        i = ids.get(key)
+        if i is not None:
+            rules[i].append(term)
+            return i, False
+        ids[key] = i = len(rules)
+        rules.append([term])
+        return i, True
+
+    def read(mi, j, s, t, bit, c, ops):
+        """Read monomial mi on from symbol j at position t; the symbols
+        before j lead s to t with product c (None: the unit) times the items
+        in ops, at most two."""
+        v, _c, word = monos[mi]
+        while j < len(word) and word[j] not in variables:
+            if pa.letter(t) != word[j]:
+                return
+            t, bit, j = pa.advance(t), True, j + 1
+        term = (c,) + ops + (None,) * (2 - len(ops))
+        if j == len(word):
+            if item((v, s, t, bit), term)[1]:
+                work.append((v, s, t, bit))
+            return
+        if len(ops) == 2:
+            i, fresh = item(((mi, j), s, t, bit), term)
+            if not fresh:
+                return
+            c, ops = None, (i,)
+        waiting.setdefault((word[j], t), []).append((mi, j, s, bit, c, ops))
+        for t2, b2, x in facts_at.get((word[j], t), ()):
+            read(mi, j + 1, s, t2, bit or b2, c, ops + (x,))
+
+    for mi in range(len(monos)):
+        for s in range(pa.size):
+            read(mi, 0, s, s, False, monos[mi][1], ())
+    while work:
+        v, s, t, bit = key = work.pop()
+        x = ids[key]
+        # a product that starts waiting here during the loop is joined by it
+        for mi, j, s0, b0, c, ops in waiting.get((v, s), ()):
+            read(mi, j + 1, s0, t, b0 or bit, c, ops + (x,))
+        facts_at.setdefault((v, s), []).append((t, bit, x))
+
+    value, _unit = solve_derivations(sys.instance, rules)
+    out: dict[tuple[str, int], dict[tuple[int, bool], SemiringValue]] = {
+        (v, s): {} for v in sys.variables for s in range(pa.size)
     }
-    changed = True
-    while changed:
-        changed = False
-        for vi, v in enumerate(sys.variables):
-            for s in range(pa.size):
-                res = _chain_states(sys.rhs[vi], s, pa, gen, set(sys.variables))
-                tgt = gen[(v, s)]
-                before = len(tgt)
-                tgt |= res
-                if len(tgt) != before:
-                    changed = True
-    return gen
-
-
-def _chain_states(p: Polynomial, start: int, pa, gen, variables) -> set[tuple[int, bool]]:
-    out: set[tuple[int, bool]] = set()
-    for mono in p.monomials:
-        frontier = {(start, False)}
-        for sym in mono.word:
-            nxt: set[tuple[int, bool]] = set()
-            if sym in variables:
-                for (s, b) in frontier:
-                    for (s2, b2) in gen[(sym, s)]:
-                        nxt.add((s2, b or b2))
-            else:
-                for (s, b) in frontier:
-                    if pa.letter(s) == sym:
-                        nxt.add((pa.advance(s), True))
-            frontier = nxt
-            if not frontier:
-                break
-        out |= frontier
+    for (head, s, t, bit), i in ids.items():
+        if isinstance(head, str):
+            out[(head, s)][(t, bit)] = value[i]
     return out
 
 
-def _z_graph(sys: MixedSystem, k: int, pa: PositionAutomaton, gen):
-    """The support-level z-graph of runs with Buchi z-indices below k.
-
-    One node per (z-variable, position); an edge follows one z-coefficient
-    and records whether it consumed a letter and whether its target
-    z-variable repeats.
-    """
+def _z_steps(sys: MixedSystem, pa: PositionAutomaton, sigma, start):
+    """(j, s) -> {(j2, t, consumed-a-letter): weight} at the nodes that the
+    start reaches: the z-coefficients evaluated on the derivation weights
+    sigma of `support_triples`."""
     variables = set(sys.x_vars)
-    return {
-        (j, s): [
-            ((j2, s2), bit, j2 < k)
-            for j2, p in sys.rho[j].items()
-            for (s2, bit) in _chain_states(p, s, pa, gen, variables)
-        ]
-        for j in range(sys.m)
-        for s in range(pa.size)
-    }
-
-
-def _unit_part(sys: MixedSystem) -> MixedSystem:
-    """The monomials whose coefficient is the unit, in x- and z-equations alike."""
-    inst = sys.instance
-
-    def unit(p: Polynomial) -> Polynomial:
-        return Polynomial.build(inst, [(m.coeff, m.word) for m in p.monomials if m.coeff.is_one()])
-
-    rows = [{j: unit(p) for j, p in row.items()} for row in sys.rho]
-    rho = tuple({j: p for j, p in row.items() if not p.is_zero()} for row in rows)
-    return MixedSystem(
-        inst, sys.terminals, sys.x_vars, tuple(map(unit, sys.x_rhs)), sys.z_vars, rho
-    )
+    steps: dict[tuple[int, int], dict[tuple[int, int, bool], SemiringValue]] = {}
+    todo = [start]
+    while todo:
+        j, s = node = todo.pop()
+        if node in steps:
+            continue
+        out: dict[tuple[int, int, bool], SemiringValue] = {}
+        for j2, p in sys.rho[j].items():
+            for mono in p.monomials:
+                frontier = {(s, False): mono.coeff}
+                for sym in mono.word:
+                    nxt: dict[tuple[int, bool], SemiringValue] = {}
+                    for (t, b), c in frontier.items():
+                        if sym in variables:
+                            moves = [((t2, b or b2), c * c2) for (t2, b2), c2 in sigma[(sym, t)].items()]
+                        elif pa.letter(t) == sym:
+                            moves = [((pa.advance(t), True), c)]
+                        else:
+                            continue
+                        for key, add in moves:
+                            prev = nxt.get(key)
+                            nxt[key] = add if prev is None else prev + add
+                    frontier = nxt
+                for (t, b), c in frontier.items():
+                    prev = out.get((j2, t, b))
+                    out[(j2, t, b)] = c if prev is None else prev + c
+        steps[node] = out
+        todo.extend((j2, t) for j2, t, _b in out)
+    return steps
 
 
 # -- omega evaluation at lasso words -----------------------------------------
 
 
-@dataclass(frozen=True)
-class LassoCaps:
-    """Bounds for the lasso search; factor_len caps one factor's length."""
-
-    factor_len: int
-
-    def __post_init__(self):
-        if self.factor_len < 1:
-            raise IllFormedSystem("caps must be positive")
-
-
-def default_lasso_caps(sys: MixedSystem, w: LassoWord) -> LassoCaps:
-    return LassoCaps(factor_len=len(w.prefix) + 4 * len(w.period))
-
-
 OK = "ok"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
 class LassoResult:
+    """An omega value; every route computes it exactly, so status is OK."""
+
     status: str
     value: SemiringValue | None = None
 
@@ -503,22 +529,18 @@ class LassoResult:
 
 
 def canonical_omega_lasso(
-    sys: MixedSystem,
-    k: int,
-    component: int,
-    w: LassoWord,
-    caps: LassoCaps | None = None,
+    sys: MixedSystem, k: int, component: int, w: LassoWord
 ) -> LassoResult:
     """Value of one omega-component of the k-th canonical solution at u v^omega.
 
     The sum ranges over infinite runs through the z-coefficient matrix of the
-    least finite solution, Buchi-restricted to the first k z-variables.  Runs
-    are searched on the period quotient with factors up to caps.factor_len.
-    Grammar-level checks decide the zero cases exactly: no accepting run at
-    all, or (where omega of a non-unit weight is zero, as in tropical) no
-    accepting run whose weights are eventually all the unit.  So
-    "inconclusive" only remains when such runs exist but no in-cap
-    certificate was found.
+    least finite solution, Buchi-restricted to the first k z-variables.  The
+    runs are paths of the z-graph over (z-variable, position) whose edges are
+    the z-coefficients evaluated on the exact derivation weights of
+    `support_triples`.  Its Boolean projection decides the zero case first.
+    Letter-free edges are closed by `mat_star`, keeping whether a Buchi
+    z-variable was visited, so every remaining edge consumes a letter, and
+    `lasso_value` reads the value off that graph.
     """
     inst = sys.instance
     if not inst.idempotent:
@@ -528,84 +550,46 @@ def canonical_omega_lasso(
         raise IllFormedSystem(f"Buchi count {k} out of range 0..{m}")
     if not 0 <= component < m:
         raise IllFormedSystem(f"z-component {component} out of range")
-    if caps is None:
-        caps = default_lasso_caps(sys, w)
 
     pa = PositionAutomaton.of(w)
-    edges = _z_graph(sys, k, pa, support_triples(sys.x_part, pa))
     start = (component, pa.state_of(0))
-    if not accepting_cycle_exists(edges, [start]):
-        return LassoResult(OK, inst.zero)
-    if inst.name == "boolean":
-        return LassoResult(OK, inst.one)
-    if _omega_of_nonunit(inst).is_zero():
-        # only runs whose weights are eventually all unit count: some node
-        # the start reaches must carry an accepting cycle of unit monomials
-        unit = _unit_part(sys)
-        unit_edges = _z_graph(unit, k, pa, support_triples(unit.x_part, pa))
-        if not accepting_cycle_exists(unit_edges, _reachable(edges, [start])):
-            return LassoResult(OK, inst.zero)
-
-    value = _canonical_search(sys, k, component, w, caps, pa)
-    if value.is_zero():
-        return LassoResult(INCONCLUSIVE)
-    return LassoResult(OK, value)
-
-
-def _canonical_search(sys, k, component, w, caps, pa) -> SemiringValue:
-    inst = sys.instance
-    m = sys.m
-    F = caps.factor_len
-    reps = (len(w.period) + F) // len(w.period) + 2
-    sample = w.prefix + w.period * reps
-    table = SegmentTable(sys.x_part, sample)
-
-    eps: dict[tuple[int, int], SemiringValue] = {}
-    for i, row in enumerate(sys.rho):
-        for j, p in row.items():
-            c = table.poly_coeff(p, 0, 0)
-            if not c.is_zero():
-                eps[(i, j)] = c
-    hits = _epsilon_closure_with_hits(inst, eps, m, k) if eps else None
-
-    edges: dict[tuple[int, int], list[HitEdge]] = {
-        (j, s): [] for j in range(m) for s in range(pa.size)
+    steps = _z_steps(sys, pa, support_triples(sys.x_part, pa), start)
+    support = {
+        node: [((j2, t), bit, j2 < k) for j2, t, bit in outs] for node, outs in steps.items()
     }
-    for s in range(pa.size):
-        for length in range(1, F + 1):
-            target = pa.advance_by(s, length)
-            amat: dict[tuple[int, int], SemiringValue] = {}
-            for i, row in enumerate(sys.rho):
-                for j, p in row.items():
-                    c = table.poly_coeff(p, s, s + length)
-                    if not c.is_zero():
-                        amat[(i, j)] = c
-            if hits is None:
-                for (i, j2), c in amat.items():
-                    edges[(i, s)].append(HitEdge((j2, target), c, False))
-                continue
-            for bit in (False, True):
-                h = hits[1 if bit else 0]
-                acc: dict[tuple[int, int], SemiringValue] = {}
-                for (mid, j2), c in amat.items():
-                    for j in range(m):
-                        hv = h[j][mid]
-                        if hv.is_zero():
-                            continue
-                        key = (j, j2)
-                        add = hv * c
-                        prev = acc.get(key)
-                        acc[key] = add if prev is None else prev + add
-                for (j, j2), c in acc.items():
-                    edges[(j, s)].append(HitEdge((j2, target), c, bit))
+    if not accepting_cycle_exists(support, [start]):
+        return LassoResult(OK, inst.zero)
 
-    return lasso_value(
+    # letter-free steps keep the position and do not depend on it; close
+    # them first, so that every edge of the value graph consumes a letter
+    eps = {(j, j2): c for (j, _s), outs in steps.items()
+           for (j2, _t, bit), c in outs.items() if not bit}
+    if eps:
+        hits = _epsilon_closure_with_hits(inst, eps, m, k)
+        closure = [
+            [(mid, bool(b), h[j][mid]) for b, h in enumerate(hits) for mid in range(m)
+             if not h[j][mid].is_zero()]
+            for j in range(m)
+        ]
+    else:
+        closure = [[(j, False, inst.one)] for j in range(m)]
+    edges: dict[tuple[int, int], list[HitEdge]] = {}
+    for j, s in steps:
+        acc: dict[tuple[tuple[int, int], bool], SemiringValue] = {}
+        for mid, hit, h in closure[j]:
+            for (j2, t, bit), c in steps[(mid, s)].items():
+                if bit:
+                    key = ((j2, t), hit)
+                    prev = acc.get(key)
+                    acc[key] = h * c if prev is None else prev + h * c
+        edges[(j, s)] = [HitEdge(node, c, hit) for (node, hit), c in acc.items()]
+    return LassoResult(OK, lasso_value(
         inst,
         edges,
-        {(component, pa.state_of(0)): inst.one},
+        {start: inst.one},
         is_anchor=lambda node: pa.is_periodic(node[1]),
         is_buchi=lambda node: node[0] < k,
-    )
+    ))
 
 
 def _epsilon_closure_with_hits(inst, eps, m, k):

@@ -286,17 +286,12 @@ def test_criterion_9_end_to_end_pipeline():
             rc = canonical_omega_lasso(unmixed, omega_sel.buchi_count, omega_sel.component, w)
             rd = behavior_omega_lasso(auto, w)
             results = [ra, rb, rc, rd]
-            statuses = {r.status for r in results}
-            if len(statuses) != 1:
+            if not all(r.conclusive for r in results):
                 ok = False
                 failures.append((name, str(w), [r.status for r in results]))
-            elif ra.conclusive:
-                values = {r.value for r in results}
-                if len(values) != 1:
-                    ok = False
-                    failures.append(
-                        (name, str(w), [r.value.value for r in results])
-                    )
+            elif len({r.value for r in results}) != 1:
+                ok = False
+                failures.append((name, str(w), [r.value.value for r in results]))
     if failures:
         print(failures)
     verdict(9, "pipeline agreement across direct, mixed, folded and automaton routes", ok)

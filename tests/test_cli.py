@@ -5,7 +5,6 @@ import pytest
 
 from staromega.cli import (
     EXIT_FAIL,
-    EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
     GrammarError,
@@ -176,16 +175,12 @@ def test_cmd_build_pda_start_out_of_range(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cmd_eval_inconclusive_exit_code(tmp_path, capsys):
-    # factors of one letter cannot cover the prefix aabb, and the word is
-    # accepted, so the grammar route's search must admit it cannot conclude
+def test_cmd_eval_exact_value_where_the_capped_search_was_inconclusive(tmp_path, capsys):
+    # a factor of one letter cannot cover the prefix aabb, yet the value is
+    # exact on both routes, and neither route takes a cap option
     path = str(DATA / "tropical_mixed.grm")
-    rc = main(["eval", path, "--lasso", "aabb:c", "--factor-len", "1"])
-    assert rc == EXIT_INCONCLUSIVE
-    assert capsys.readouterr().out.strip() == "inconclusive"
     assert main(["eval", path, "--lasso", "aabb:c"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2"
-    # automata are exact: the same value, with no cap to set
     from staromega.fixtures import tropical_omega_automaton
     from staromega.pda import pda_to_json
 
@@ -193,9 +188,10 @@ def test_cmd_eval_inconclusive_exit_code(tmp_path, capsys):
     auto_path.write_text(pda_to_json(tropical_omega_automaton()))
     assert main(["eval", str(auto_path), "--lasso", "aabb:c"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2"
-    with pytest.raises(SystemExit) as info:
-        main(["eval", str(auto_path), "--lasso", "aabb:c", "--height", "1"])
-    assert info.value.code == EXIT_USAGE
+    for target, option in ((path, "--factor-len"), (str(auto_path), "--height")):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", target, "--lasso", "aabb:c", option, "1"])
+        assert info.value.code == EXIT_USAGE
     capsys.readouterr()
 
 
@@ -316,17 +312,10 @@ def test_arctic_prefix_growth_automaton_value_is_inf(tmp_path, capsys):
     assert capsys.readouterr().out == "inf\n"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="defect (l): the grammar route's arctic value grows with --factor-len",
-)
-@pytest.mark.parametrize("factor_len", [None, "16"])
-def test_arctic_prefix_growth_grammar_value_is_inf(factor_len, capsys):
-    args = ["eval", str(ARCTIC_PREFIX_GROWTH), "--lasso", ":a"]
-    if factor_len is not None:
-        args += ["--factor-len", factor_len]
-    assert main(args) == EXIT_OK
+@pytest.mark.parametrize("period", ["a", "a" * 32], ids=["a", "a^32"])
+def test_arctic_prefix_growth_grammar_value_is_inf(period, capsys):
+    # the same value on the grammar route, at any period length
+    assert main(["eval", str(ARCTIC_PREFIX_GROWTH), "--lasso", ":" + period]) == EXIT_OK
     assert capsys.readouterr().out == "inf\n"
 
 

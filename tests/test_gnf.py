@@ -264,6 +264,7 @@ def test_sum_single_part_passthrough():
         w = LassoWord(("a",) * n + ("b",) * n, ("d", "d", "c"))
         direct = canonical_omega_lasso(part[0], 1, part[1].component, w)
         through = canonical_omega_lasso(summed, sel.buchi_count, sel.component, w)
+        assert direct.conclusive and through.conclusive
         assert direct.value == through.value
 
 
@@ -430,6 +431,7 @@ def test_decompose_canonical_round_trip():
         w = LassoWord(("a",) * n + ("b",) * n, ("c",))
         want = canonical_omega_lasso(sys, 1, 1, w)
         got = canonical_omega_lasso(mixed, sel.buchi_count, sel.component, w)
+        assert want.conclusive and got.conclusive
         assert want.value == got.value
 
 
@@ -478,6 +480,7 @@ def test_pipeline_end_to_end_values():
         want = canonical_omega_lasso(sys, 1, 1, w)
         mid = canonical_omega_lasso(mixed, sel.buchi_count, sel.component, w)
         end = canonical_omega_lasso(ind, omega_sel.buchi_count, omega_sel.component, w)
+        assert want.conclusive and mid.conclusive and end.conclusive
         assert want.value == mid.value == end.value
     # the fold preserves the finite component chosen from the summed system
     sol_mid = least_solution_finite(mixed.x_part, 5)
