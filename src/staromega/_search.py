@@ -11,11 +11,13 @@ every periodic anchor.
 Both routes are exact and share one solver.  `solve_derivations` computes
 the least solution of a weighted summary system, each item a sum over
 derivations: the grammar's derivation weights between quotient positions,
-or the automaton's level edges and pop facts.  The grammar route reads the
-value off its z-graph with `lasso_value`; `pushdown_lasso_value` reads it
-off one graph over (state, position, remaining start-stack cells) whose
-edges are the solved level edges, the pushes that are never popped and the
-pops of the start stack's cells.
+or the automaton's level edges and pop facts.  Both routes build their
+system on demand: the grammar only at the pairs its start reaches, the
+automaton only the pop facts that some push can use.  The grammar route
+reads the value off its z-graph with `lasso_value`; `pushdown_lasso_value`
+reads it off one graph over (state, position, remaining start-stack cells)
+whose edges are the solved level edges, the pushes that are never popped
+and the pops of the start stack's cells.
 """
 
 from __future__ import annotations

@@ -251,8 +251,8 @@ def _symbols_of(text: str) -> tuple[str, ...]:
 
 
 def _parse_lasso(text: str) -> LassoWord:
-    if ":" not in text:
-        raise ValueError("lasso words are written prefix:period")
+    if text.count(":") != 1:
+        raise ValueError("lasso words are written prefix:period, with one ':'")
     u, v = text.split(":", 1)
     if not v:
         raise ValueError("lasso period must be nonempty")

@@ -12,11 +12,12 @@ Behaviors are exact.  The finite behavior enumerates runs (one letter per
 step).  The omega behavior at u v^omega is computed in polynomial time from
 weighted pop summaries over (state, period-quotient position), the summary
 algebra of weighted pushdown systems (Reps, Schwoon, Jha and Melski 2005):
-one worklist finds every level edge and pop fact with its derivations, and
-`_search.solve_derivations` weighs them.  An infinite run returns to its
-lowest recurring stack height forever or leaves every height for good, so
-its weight is that of a path of level edges and never-popped pushes (the
-repeating heads of Bouajjani, Esparza and Maler 1997), which
+one worklist finds every level edge with its derivations, and the pop facts
+only where a push can use them, demand flowing from each push target along
+the level edges; `_search.solve_derivations` weighs them.  An infinite run
+returns to its lowest recurring stack height forever or leaves every height
+for good, so its weight is that of a path of level edges and never-popped
+pushes (the repeating heads of Bouajjani, Esparza and Maler 1997), which
 `_search.pushdown_lasso_value` sums over.  No answer depends on a cap.
 """
 
@@ -433,11 +434,14 @@ class _RunAnalysis:
     s with sym on top, sym is eventually popped, landing in r at t; a level
     edge (p, s) -> (q, t, bit) is one neutral step or one push-excursion
     returning to the same stack level.  The bit records whether a repeated
-    state was entered after the start, the target included.  pop_sum,
-    level1 and raw_push are their Boolean projection (raw_push: one push
-    step, popped or not); level_w, push_w and pop_w are the weighted
-    out-edges (state, position, weight, hit) of each (state, position) node
-    that `_search.pushdown_lasso_value` reads.
+    state was entered after the start, the target included.  level1 and
+    raw_push are the Boolean projection of the level edges and of the push
+    steps (popped or not) at every node the starts reach; pop_sum is that of
+    the pop facts at the demanded (node, symbol) pairs only, the push
+    targets closed under level edges.  level_w, push_w and pop_w are the
+    weighted out-edges (state, position, weight, hit) of each (state,
+    position) node that `_search.pushdown_lasso_value` reads; pop_w holds
+    the pop steps of the start stacks' symbols only.
     """
 
     def __init__(self, a: SimpleOmegaPDA, w: LassoWord, starts):
@@ -452,27 +456,31 @@ class _RunAnalysis:
         return state < self.l
 
     def _build_steps(self, starts):
-        """Steps per position: neutral (p, q, c), push (p, sym, q, c), pop (p, sym, q, c).
+        """Steps per position: neutral (p, q, c) and push (p, sym, q, c).
 
         Only the steps from the (state, position) nodes that some sequence of
         steps reaches from the (state, stack) starts are kept: an item's
         derivations only use items at the nodes its own node reaches, so the
-        summaries there stay exact.
+        summaries there stay exact.  Pop steps stay in `ResetPDMatrix.moves`,
+        where the saturation looks them up; only those of the start stacks'
+        symbols are copied, into pop_w.
         """
-        moves, pa = self.m.moves, self.pa
+        moves, pa, hit = self.m.moves, self.pa, self._hit
         live = {(q, pa.state_of(0)) for q, _stack in starts}
         todo = list(live)
         while todo:
             p, s = todo.pop()
             neu, pu, po = moves.get(pa.letter(s), {}).get(p, ((), (), {}))
-            targets = [q for q, _c in neu] + [q for _sym, q, _c in pu]
-            targets += [q for outs in po.values() for q, _c in outs]
-            for node in {(q, pa.advance(s)) for q in targets} - live:
+            s2 = pa.advance(s)
+            targets = {(q, s2) for q, _c in neu} | {(q, s2) for _sym, q, _c in pu}
+            targets.update((q, s2) for outs in po.values() for q, _c in outs)
+            for node in targets - live:
                 live.add(node)
                 todo.append(node)
+        start_syms = {sym for _q, stack in starts for sym in stack}
         self.neutral = {s: [] for s in range(pa.size)}
         self.push = {s: [] for s in range(pa.size)}
-        self.pop = {s: [] for s in range(pa.size)}
+        self.pop_w: dict[tuple[int, int], dict] = {}
         for p, s in sorted(live):
             got = moves.get(pa.letter(s), {}).get(p)
             if got is None:
@@ -480,33 +488,47 @@ class _RunAnalysis:
             neu, pu, po = got
             self.neutral[s] += [(p, q, c) for q, c in neu]
             self.push[s] += [(p, sym, q, c) for sym, q, c in pu]
-            self.pop[s] += [(p, sym, q, c) for sym, outs in po.items() for q, c in outs]
+            s2 = pa.advance(s)
+            for sym in start_syms.intersection(po):
+                self.pop_w.setdefault((p, s), {})[sym] = [
+                    (q, s2, c, hit(q)) for q, c in po[sym]
+                ]
 
     def _saturate(self):
-        """Level edges and pop facts with their derivations, then their weights.
+        """Level edges and the pop facts the pushes can use, then their weights.
 
         An item is a level edge (node, None, (q, t, bit)) or a pop fact
         (node, sym, (r, t, bit)).  Its derivations are: a neutral step c
         (edge) or a pop step c (fact); an edge followed by a fact from its
         target (fact); a push c followed by a fact of the pushed symbol
-        (edge).  One worklist finds every item; an item taken from it is
-        joined with the items already taken that it can combine with (an
-        edge with the facts at its target, a fact with the edges into its
-        node and with the pushes of its symbol that lead there), so every
-        pair is joined once.  `solve_derivations` then weighs every item.
+        (edge).  Pop facts are built on demand, as in the post* direction
+        of weighted pushdown systems: a push demands its pushed symbol at
+        its target, and a demanded (node, sym) pair demands sym at the
+        target of every level edge from node.  A pop fact is created only at
+        a demanded pair, from a pop step looked up in `ResetPDMatrix.moves`
+        or from an edge and a fact.  One worklist of items and one of
+        demands are drained together; an edge and a fact are joined by the
+        last of three events, so each pair is joined once: the edge is
+        taken, the fact is taken, or the edge's source becomes demanded for
+        the fact's symbol.  `solve_derivations` then weighs every item.  A
+        fact at an undemanded pair is in no derivation of a level edge, so
+        every level edge weighs what it would with every pop fact built.
         """
-        pa, hit = self.pa, self._hit
+        pa, hit, moves = self.pa, self._hit, self.m.moves
         pop_sum: dict[tuple[int, str, int], set] = {}
         level1: dict[tuple[int, int], set] = {}
-        facts_at: dict[tuple[int, int], list] = {}
-        edges_into: dict[tuple[int, int], list] = {}
-        pushes_into: dict[tuple[int, str, int], list] = {}
         raw_push: dict[tuple[int, int], set] = {}
+        facts_at: dict[tuple[tuple[int, int], str], list] = {}
+        edges_into: dict[tuple[int, int], list] = {}
+        edges_from: dict[tuple[int, int], list] = {}
+        pushes_into: dict[tuple[int, str, int], list] = {}
+        demanded: set[tuple[tuple[int, int], str]] = set()
+        syms_at: dict[tuple[int, int], list] = {}
         self.push_w: dict[tuple[int, int], list] = {}
-        self.pop_w: dict[tuple[int, int], dict] = {}
         ids: dict[tuple, int] = {}
         rules: list[list] = []
         work: list = []
+        want: list = []
 
         def derive(node, sym, target, term):
             key = (node, sym, target)
@@ -526,28 +548,48 @@ class _RunAnalysis:
             s2 = pa.advance(s)
             for (p, q, c) in self.neutral[s]:
                 derive((p, s), None, (q, s2, hit(q)), (c, None, None))
-            for (p, sym, q, c) in self.pop[s]:
-                derive((p, s), sym, (q, s2, hit(q)), (c, None, None))
-                self.pop_w.setdefault((p, s), {}).setdefault(sym, []).append((q, s2, c, hit(q)))
             for (p, delta, q, c) in self.push[s]:
                 pushes_into.setdefault((q, delta, s2), []).append(((p, s), c))
                 raw_push.setdefault((p, s), set()).add((q, s2, hit(q)))
                 self.push_w.setdefault((p, s), []).append((q, s2, c, hit(q)))
-        while work:
+                want.append(((q, s2), delta))
+        while work or want:
+            if want:
+                demand = want.pop()
+                if demand in demanded:
+                    continue
+                demanded.add(demand)
+                node, sym = demand
+                syms_at.setdefault(node, []).append(sym)
+                p, s = node
+                s2 = pa.advance(s)
+                _neu, _pu, po = moves.get(pa.letter(s), {}).get(p, ((), (), {}))
+                for q, c in po.get(sym, ()):
+                    derive(node, sym, (q, s2, hit(q)), (c, None, None))
+                for target, bit, e in edges_from.get(node, ()):
+                    want.append((target, sym))
+                    for (r, t2, h), f in facts_at.get((target, sym), ()):
+                        derive(node, sym, (r, t2, bit or h), (None, e, f))
+                continue
             key = work.pop()
             i = ids[key]
             node, sym, (q, t, bit) = key
             if sym is None:
-                for sym2, (r, t2, h), f in facts_at.get((q, t), ()):
-                    derive(node, sym2, (r, t2, bit or h), (None, i, f))
-                edges_into.setdefault((q, t), []).append((node, bit, i))
+                target = (q, t)
+                for sym2 in syms_at.get(node, ()):
+                    want.append((target, sym2))
+                    for (r, t2, h), f in facts_at.get((target, sym2), ()):
+                        derive(node, sym2, (r, t2, bit or h), (None, i, f))
+                edges_into.setdefault(target, []).append((node, bit, i))
+                edges_from.setdefault(node, []).append((target, bit, i))
                 continue
             p, s = node
             for src, c in pushes_into.get((p, sym, s), ()):
                 derive(src, None, (q, t, bit or hit(p)), (c, i, None))
             for src, h, e in edges_into.get(node, ()):
-                derive(src, sym, (q, t, h or bit), (None, e, i))
-            facts_at.setdefault(node, []).append((sym, (q, t, bit), i))
+                if (src, sym) in demanded:
+                    derive(src, sym, (q, t, h or bit), (None, e, i))
+            facts_at.setdefault((node, sym), []).append(((q, t, bit), i))
         self.pop_sum = pop_sum
         self.level1 = level1
         self.raw_push = raw_push

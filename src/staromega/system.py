@@ -2,13 +2,15 @@
 
 Algebraic systems x = p(x) are solved for their finite parts by truncated
 Kleene iteration.  Omega-parts of mixed systems are evaluated exactly at
-ultimately periodic words u v^omega: `support_triples` weighs the
-derivations of every x-variable between positions of the period quotient
+ultimately periodic words u v^omega: `_derivation_items` weighs the
+derivations of the x-variables between positions of the period quotient
 (the weighted Bar-Hillel product of the grammar with the quotient, solved
-by `_search.solve_derivations` as the automaton route's pop summaries are),
-and the z-coefficients evaluated on those weights are the edges of the
-graph that `_search.lasso_value` reads the value off.  No answer depends on
-a cap.
+by `_search.solve_derivations` as the automaton route's pop summaries are)
+and of the z-coefficients on them, on demand from the start: only the
+(variable, position) pairs and (z-variable, position) nodes that the start
+reaches are read.  The z-coefficients' weights are the edges of the graph
+that `_search.lasso_value` reads the value off.  No answer depends on a
+cap.
 
 The z-coefficient matrix rho of a mixed system z = rho(x) z is stored
 sparsely: one row per z-variable, each a mapping from column index to a
@@ -401,22 +403,77 @@ def support_triples(
     The weight is the sum over the derivations from the variable of words
     that lead position s of the quotient to t, split by whether the word is
     empty: the weighted product of the grammar with the quotient
-    (Bar-Hillel, Perles and Shamir 1961; Goodman 1999).  An item is a
-    variable fact (variable, s, t, bit) or, for monomials with more than two
-    variable occurrences, a prefix fact ((monomial, length), s, t, bit)
-    whose product already holds two operands, so every derivation term is
-    (coefficient, item, item).  A monomial is read left to right from s:
-    letters move the position, and at a variable the partial product waits
-    for that variable's facts at the current position.  One worklist finds
-    every item; a fact taken from it extends the products waiting for it,
-    and a product that starts waiting joins the facts already taken, so
-    every pair is joined once.  `solve_derivations` then weighs every item.
+    (Bar-Hillel, Perles and Shamir 1961; Goodman 1999).  It is
+    `_derivation_items` with every (variable, position) pair demanded.
+    """
+    demand = [(v, s) for v in sys.variables for s in range(pa.size)]
+    ids, value = _derivation_items(sys, pa, (), demand)
+    out: dict[tuple[str, int], dict[tuple[int, bool], SemiringValue]] = {
+        key: {} for key in demand
+    }
+    for key, i in ids.items():
+        if len(key) == 4:
+            head, s, t, bit = key
+            out[(head, s)][(t, bit)] = value[i]
+    return out
+
+
+def _z_steps(
+    sys: MixedSystem, pa: PositionAutomaton, start: tuple[int, int]
+) -> dict[tuple[int, int], dict[tuple[int, int, bool], SemiringValue]]:
+    """(j, s) -> {(j2, t, consumed-a-letter): weight} at the (z-variable,
+    position) nodes that the start reaches: the z-coefficients evaluated on
+    the derivation weights of the x-variables, from `_derivation_items`
+    with the start demanded."""
+    ids, value = _derivation_items(sys.x_part, pa, sys.rho, [start])
+    steps: dict[tuple[int, int], dict[tuple[int, int, bool], SemiringValue]] = {start: {}}
+    for key, i in ids.items():
+        if len(key) == 4 and not isinstance(key[0], str):
+            (j, j2), s, t, bit = key
+            steps.setdefault((j, s), {})[(j2, t, bit)] = value[i]
+            steps.setdefault((j2, t), {})
+    return steps
+
+
+def _derivation_items(sys: AlgebraicSystem, pa: PositionAutomaton, rho, demand):
+    """Derivation items of the monomials that the demanded pairs can use,
+    and their weights.
+
+    An item is an x-fact (variable, s, t, bit): the variable derives a word
+    leading position s to t, consuming a letter or not (bit); a z-step
+    ((j, j2), s, t, bit): a monomial of the z-coefficient rho[j][j2] leads
+    s to t; or, for monomials with more than two variable occurrences, a
+    prefix (monomial, length, s, t, bit) whose product already holds two
+    operands, so every derivation term is (coefficient, item, item).  A
+    monomial is read left to right from s: letters move the position, and
+    at a variable the partial product waits for that variable's facts at
+    the current position.  Work is demand-driven, as in IFDS tabulation
+    (Reps, Horwitz and Sagiv 1995): a demanded (variable, s) pair reads the
+    variable's monomials from s, a demanded z-node (j, s) reads those of
+    row j, a product that starts waiting demands what it waits for, and a
+    z-step demands its target node.  Demands are a worklist, drained with
+    the worklist of x-facts; a fact taken from the latter extends the
+    products waiting for it, and a product that starts waiting joins the
+    facts already taken, so every pair is joined once.
+    `solve_derivations` then weighs every item.
     """
     variables = set(sys.variables)
     monos = [(v, m.coeff, m.word) for v, p in zip(sys.variables, sys.rhs) for m in p.monomials]
+    monos += [
+        ((j, j2), m.coeff, m.word)
+        for j, row in enumerate(rho)
+        for j2, p in row.items()
+        for m in p.monomials
+    ]
+    # a variable name or a z-row index -> its monomials
+    by_lhs: dict = {}
+    for mi, (head, _c, _w) in enumerate(monos):
+        by_lhs.setdefault(head if isinstance(head, str) else head[0], []).append(mi)
     ids: dict[tuple, int] = {}
     rules: list[list] = []
     work: list = []
+    want: list = list(demand)
+    demanded: set = set()
     facts_at: dict[tuple[str, int], list] = {}
     waiting: dict[tuple[str, int], list] = {}
 
@@ -434,29 +491,42 @@ def support_triples(
         """Read monomial mi on from symbol j at position t; the symbols
         before j lead s to t with product c (None: the unit) times the items
         in ops, at most two."""
-        v, _c, word = monos[mi]
+        head, _c, word = monos[mi]
         while j < len(word) and word[j] not in variables:
             if pa.letter(t) != word[j]:
                 return
             t, bit, j = pa.advance(t), True, j + 1
         term = (c,) + ops + (None,) * (2 - len(ops))
         if j == len(word):
-            if item((v, s, t, bit), term)[1]:
-                work.append((v, s, t, bit))
+            key = (head, s, t, bit)
+            if item(key, term)[1]:
+                if isinstance(head, str):
+                    work.append(key)
+                else:
+                    want.append((head[1], t))
             return
         if len(ops) == 2:
-            i, fresh = item(((mi, j), s, t, bit), term)
+            i, fresh = item((mi, j, s, t, bit), term)
             if not fresh:
                 return
             c, ops = None, (i,)
-        waiting.setdefault((word[j], t), []).append((mi, j, s, bit, c, ops))
-        for t2, b2, x in facts_at.get((word[j], t), ()):
+        wait = (word[j], t)
+        if wait not in demanded:
+            want.append(wait)
+        waiting.setdefault(wait, []).append((mi, j, s, bit, c, ops))
+        for t2, b2, x in facts_at.get(wait, ()):
             read(mi, j + 1, s, t2, bit or b2, c, ops + (x,))
 
-    for mi in range(len(monos)):
-        for s in range(pa.size):
-            read(mi, 0, s, s, False, monos[mi][1], ())
-    while work:
+    while work or want:
+        if want:
+            node = want.pop()
+            if node in demanded:
+                continue
+            demanded.add(node)
+            lhs, s = node
+            for mi in by_lhs.get(lhs, ()):
+                read(mi, 0, s, s, False, monos[mi][1], ())
+            continue
         v, s, t, bit = key = work.pop()
         x = ids[key]
         # a product that starts waiting here during the loop is joined by it
@@ -465,49 +535,7 @@ def support_triples(
         facts_at.setdefault((v, s), []).append((t, bit, x))
 
     value, _unit = solve_derivations(sys.instance, rules)
-    out: dict[tuple[str, int], dict[tuple[int, bool], SemiringValue]] = {
-        (v, s): {} for v in sys.variables for s in range(pa.size)
-    }
-    for (head, s, t, bit), i in ids.items():
-        if isinstance(head, str):
-            out[(head, s)][(t, bit)] = value[i]
-    return out
-
-
-def _z_steps(sys: MixedSystem, pa: PositionAutomaton, sigma, start):
-    """(j, s) -> {(j2, t, consumed-a-letter): weight} at the nodes that the
-    start reaches: the z-coefficients evaluated on the derivation weights
-    sigma of `support_triples`."""
-    variables = set(sys.x_vars)
-    steps: dict[tuple[int, int], dict[tuple[int, int, bool], SemiringValue]] = {}
-    todo = [start]
-    while todo:
-        j, s = node = todo.pop()
-        if node in steps:
-            continue
-        out: dict[tuple[int, int, bool], SemiringValue] = {}
-        for j2, p in sys.rho[j].items():
-            for mono in p.monomials:
-                frontier = {(s, False): mono.coeff}
-                for sym in mono.word:
-                    nxt: dict[tuple[int, bool], SemiringValue] = {}
-                    for (t, b), c in frontier.items():
-                        if sym in variables:
-                            moves = [((t2, b or b2), c * c2) for (t2, b2), c2 in sigma[(sym, t)].items()]
-                        elif pa.letter(t) == sym:
-                            moves = [((pa.advance(t), True), c)]
-                        else:
-                            continue
-                        for key, add in moves:
-                            prev = nxt.get(key)
-                            nxt[key] = add if prev is None else prev + add
-                    frontier = nxt
-                for (t, b), c in frontier.items():
-                    prev = out.get((j2, t, b))
-                    out[(j2, t, b)] = c if prev is None else prev + c
-        steps[node] = out
-        todo.extend((j2, t) for j2, t, _b in out)
-    return steps
+    return ids, value
 
 
 # -- omega evaluation at lasso words -----------------------------------------
@@ -553,7 +581,7 @@ def canonical_omega_lasso(
 
     pa = PositionAutomaton.of(w)
     start = (component, pa.state_of(0))
-    steps = _z_steps(sys, pa, support_triples(sys.x_part, pa), start)
+    steps = _z_steps(sys, pa, start)
     support = {
         node: [((j2, t), bit, j2 < k) for j2, t, bit in outs] for node, outs in steps.items()
     }

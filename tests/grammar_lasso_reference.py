@@ -2,13 +2,16 @@
 
 These are the Boolean support fixpoint and the capped certificate search
 that `canonical_omega_lasso` used before it computed exact derivation
-weights.  The tests compare the exact route against them: the support
-fixpoint must equal the Boolean projection of `support_triples`, and a
-capped search sums a subset of the runs, so its value must lie below the
-exact one in the natural order.
+weights, and the weighted saturation of every (variable, position) pair
+with the z-coefficients evaluated on it, as the route computed it before
+it built only what the start can use.  The tests compare the exact route
+against them: the support fixpoint must equal the Boolean projection of
+`support_triples`, a capped search sums a subset of the runs, so its value
+must lie below the exact one in the natural order, and the z-steps must be
+those of the full saturation.
 """
 
-from staromega._search import HitEdge, PositionAutomaton, lasso_value
+from staromega._search import HitEdge, PositionAutomaton, lasso_value, solve_derivations
 from staromega.system import SegmentTable, _epsilon_closure_with_hits
 
 
@@ -119,3 +122,118 @@ def reference_canonical_search(sys, k, component, w, factor_len, max_iter=256):
         is_anchor=lambda node: pa.is_periodic(node[1]),
         is_buchi=lambda node: node[0] < k,
     )
+
+
+def reference_weighted_support_triples(sys, pa):
+    """(variable, s) -> {(t, consumed-a-letter): weight}, saturated at every
+    (variable, position) pair.
+
+    The weight is the sum over the derivations from the variable of words
+    that lead position s of the quotient to t, split by whether the word is
+    empty: the weighted product of the grammar with the quotient
+    (Bar-Hillel, Perles and Shamir 1961; Goodman 1999).  An item is a
+    variable fact (variable, s, t, bit) or, for monomials with more than two
+    variable occurrences, a prefix fact ((monomial, length), s, t, bit)
+    whose product already holds two operands, so every derivation term is
+    (coefficient, item, item).  A monomial is read left to right from s:
+    letters move the position, and at a variable the partial product waits
+    for that variable's facts at the current position.  One worklist finds
+    every item; a fact taken from it extends the products waiting for it,
+    and a product that starts waiting joins the facts already taken, so
+    every pair is joined once.  `solve_derivations` then weighs every item.
+    """
+    variables = set(sys.variables)
+    monos = [(v, m.coeff, m.word) for v, p in zip(sys.variables, sys.rhs) for m in p.monomials]
+    ids: dict[tuple, int] = {}
+    rules: list[list] = []
+    work: list = []
+    facts_at: dict[tuple[str, int], list] = {}
+    waiting: dict[tuple[str, int], list] = {}
+
+    def item(key, term) -> tuple[int, bool]:
+        """The id of an item given one more derivation, and whether it is new."""
+        i = ids.get(key)
+        if i is not None:
+            rules[i].append(term)
+            return i, False
+        ids[key] = i = len(rules)
+        rules.append([term])
+        return i, True
+
+    def read(mi, j, s, t, bit, c, ops):
+        """Read monomial mi on from symbol j at position t; the symbols
+        before j lead s to t with product c (None: the unit) times the items
+        in ops, at most two."""
+        v, _c, word = monos[mi]
+        while j < len(word) and word[j] not in variables:
+            if pa.letter(t) != word[j]:
+                return
+            t, bit, j = pa.advance(t), True, j + 1
+        term = (c,) + ops + (None,) * (2 - len(ops))
+        if j == len(word):
+            if item((v, s, t, bit), term)[1]:
+                work.append((v, s, t, bit))
+            return
+        if len(ops) == 2:
+            i, fresh = item(((mi, j), s, t, bit), term)
+            if not fresh:
+                return
+            c, ops = None, (i,)
+        waiting.setdefault((word[j], t), []).append((mi, j, s, bit, c, ops))
+        for t2, b2, x in facts_at.get((word[j], t), ()):
+            read(mi, j + 1, s, t2, bit or b2, c, ops + (x,))
+
+    for mi in range(len(monos)):
+        for s in range(pa.size):
+            read(mi, 0, s, s, False, monos[mi][1], ())
+    while work:
+        v, s, t, bit = key = work.pop()
+        x = ids[key]
+        # a product that starts waiting here during the loop is joined by it
+        for mi, j, s0, b0, c, ops in waiting.get((v, s), ()):
+            read(mi, j + 1, s0, t, b0 or bit, c, ops + (x,))
+        facts_at.setdefault((v, s), []).append((t, bit, x))
+
+    value, _unit = solve_derivations(sys.instance, rules)
+    out = {(v, s): {} for v in sys.variables for s in range(pa.size)}
+    for (head, s, t, bit), i in ids.items():
+        if isinstance(head, str):
+            out[(head, s)][(t, bit)] = value[i]
+    return out
+
+
+def reference_z_steps(sys, pa, sigma, start):
+    """(j, s) -> {(j2, t, consumed-a-letter): weight} at the nodes that the
+    start reaches: the z-coefficients evaluated on the derivation weights
+    sigma of `reference_weighted_support_triples`, one monomial at a time
+    over a frontier of (position, bit) sums."""
+    variables = set(sys.x_vars)
+    steps = {}
+    todo = [start]
+    while todo:
+        j, s = node = todo.pop()
+        if node in steps:
+            continue
+        out = {}
+        for j2, p in sys.rho[j].items():
+            for mono in p.monomials:
+                frontier = {(s, False): mono.coeff}
+                for sym in mono.word:
+                    nxt = {}
+                    for (t, b), c in frontier.items():
+                        if sym in variables:
+                            moves = [((t2, b or b2), c * c2) for (t2, b2), c2 in sigma[(sym, t)].items()]
+                        elif pa.letter(t) == sym:
+                            moves = [((pa.advance(t), True), c)]
+                        else:
+                            continue
+                        for key, add in moves:
+                            prev = nxt.get(key)
+                            nxt[key] = add if prev is None else prev + add
+                    frontier = nxt
+                for (t, b), c in frontier.items():
+                    prev = out.get((j2, t, b))
+                    out[(j2, t, b)] = c if prev is None else prev + c
+        steps[node] = out
+        todo.extend((j2, t) for j2, t, _b in out)
+    return steps

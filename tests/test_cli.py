@@ -113,7 +113,9 @@ def test_cmd_eval_usage_errors(tmp_path, capsys):
     path = grm(tmp_path, TROPICAL_GRM)
     assert main(["eval", path]) == EXIT_USAGE
     assert main(["eval", path, "--lasso", "ab:"]) == EXIT_USAGE
-    capsys.readouterr()
+    # a second ':' is no letter of the period
+    assert main(["eval", path, "--lasso", ":aa:b"]) == EXIT_USAGE
+    assert "one ':'" in capsys.readouterr().err
 
 
 def test_cmd_gnf_identity_skip(tmp_path, capsys):

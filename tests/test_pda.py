@@ -39,6 +39,14 @@ from staromega.system import (
     oracle_coeff_gnf,
 )
 
+from pda_summary_reference import (
+    assert_summaries_match,
+    pop_steps,
+    reference_saturate,
+    round_robin_summaries,
+    sorted_level_w,
+)
+
 DATA = Path(__file__).resolve().parents[1] / "src" / "staromega" / "data"
 TEST_DATA = Path(__file__).resolve().parent / "data"
 
@@ -485,9 +493,10 @@ def reference_certificate_search(a, w, starts, height, max_nodes=200000):
 
 
 def random_weighted_automaton(rng, inst):
-    """1-3 states over a, b with stack symbols X, Y; weights 0-2, plus inf in arctic."""
+    """1-3 states over a, b with stack symbols X, Y; weights 0-2, plus inf in
+    arctic, and the unit in Boolean."""
     n = rng.randint(1, 3)
-    weights = [0, 0, 1, 2] + ([INF] if inst is ARCTIC else [])
+    weights = [1] if inst is BOOLEAN else [0, 0, 1, 2] + ([INF] if inst is ARCTIC else [])
 
     def block():
         rows = tuple({} for _ in range(n))
@@ -605,61 +614,6 @@ def test_deep_push_decomposition_agrees_on_all_routes():
 # -- route agreement on random decompositions -----------------------------------------
 
 
-def round_robin_summaries(ra):
-    """Reference: pop summaries and level edges by round-robin fixpoint.
-
-    The analysis as it was before the worklist: every round reapplies the
-    pop, neutral and push rules at every position and stack symbol until no
-    set grows; level1 is then read off the finished summaries.
-    """
-    pa, hit = ra.pa, ra._hit
-    pop_sum = {}
-
-    def get(key):
-        return pop_sum.setdefault(key, set())
-
-    changed = True
-    while changed:
-        changed = False
-        for s in range(pa.size):
-            s2 = pa.advance(s)
-            for (p, sym, q, _c) in ra.pop[s]:
-                fact = (q, s2, hit(q))
-                tgt = get((p, sym, s))
-                if fact not in tgt:
-                    tgt.add(fact)
-                    changed = True
-            for (p, q, _c) in ra.neutral[s]:
-                for sym in ra.m.stack_alphabet:
-                    tgt = get((p, sym, s))
-                    before = len(tgt)
-                    tgt |= {(r, t, h or hit(q)) for (r, t, h) in pop_sum.get((q, sym, s2), ())}
-                    if len(tgt) != before:
-                        changed = True
-            for (p, delta, q, _c) in ra.push[s]:
-                inner = tuple(pop_sum.get((q, delta, s2), ()))
-                if not inner:
-                    continue
-                for sym in ra.m.stack_alphabet:
-                    tgt = get((p, sym, s))
-                    before = len(tgt)
-                    for (r, t1, h1) in inner:
-                        for (r2, t2, h2) in tuple(pop_sum.get((r, sym, t1), ())):
-                            tgt.add((r2, t2, h1 or h2 or hit(q)))
-                    if len(tgt) != before:
-                        changed = True
-    level1, raw_push = {}, {}
-    for s in range(pa.size):
-        s2 = pa.advance(s)
-        for (p, q, _c) in ra.neutral[s]:
-            level1.setdefault((p, s), set()).add((q, s2, hit(q)))
-        for (p, delta, q, _c) in ra.push[s]:
-            raw_push.setdefault((p, s), set()).add((q, s2, hit(q)))
-            for (r, t, h) in pop_sum.get((q, delta, s2), ()):
-                level1.setdefault((p, s), set()).add((r, t, h or hit(q)))
-    return {k: v for k, v in pop_sum.items() if v}, level1, raw_push
-
-
 def random_greibach_system(rng, inst):
     """A Greibach system of 1-2 variables over a, b with raw weights 0..2."""
     names = tuple(f"x{i}" for i in range(rng.randint(1, 2)))
@@ -720,7 +674,28 @@ def test_worklist_summaries_equal_round_robin_on_random_automata():
         names = tuple(map(str, range(n)))
         auto = SimpleOmegaPDA(m, (b.one,) * n, (b.zero,) * n, rng.randint(0, n), names)
         ra = _RunAnalysis(auto, random_lasso(rng), initial_starts(auto))
-        assert (ra.pop_sum, ra.level1, ra.raw_push) == round_robin_summaries(ra)
+        assert_summaries_match(ra, round_robin_summaries(ra))
+
+
+def test_demanded_summaries_equal_the_full_saturation_on_random_automata():
+    # pop facts built on demand leave every level edge, its weight and its
+    # unit-weight copy as the saturation of every pop fact gave them
+    from staromega.pda import _RunAnalysis
+
+    rng = random.Random("demand/full-saturation")
+    pop_facts = 0
+    for i in range(300):
+        auto = random_weighted_automaton(rng, (BOOLEAN, TROPICAL, ARCTIC)[i % 3])
+        state = rng.randrange(auto.matrix.n_states)
+        stack = tuple(rng.choice("XY") for _ in range(rng.randint(0, 2)))
+        w = random_lasso(rng)
+        ra = _RunAnalysis(auto, w, {(state, stack): auto.instance.one})
+        level_w, pop_sum, level1, raw_push = reference_saturate(ra)
+        case = (auto.instance.name, str(w), state, stack)
+        assert sorted_level_w(ra.level_w) == sorted_level_w(level_w), case
+        assert_summaries_match(ra, (pop_sum, level1, raw_push))
+        pop_facts += len(ra.pop_sum)
+    assert pop_facts >= 300, pop_facts
 
 
 @pytest.mark.parametrize("inst", [BOOLEAN, TROPICAL, ARCTIC], ids=lambda i: i.name)
@@ -739,7 +714,7 @@ def test_automaton_route_agrees_with_mixed_normal_form(inst):
         )
         for w in lassos:
             ra = _RunAnalysis(auto, w, initial_starts(auto))
-            assert (ra.pop_sum, ra.level1, ra.raw_push) == round_robin_summaries(ra), str(w)
+            assert_summaries_match(ra, round_robin_summaries(ra))
             want = canonical_omega_lasso(mixed, sel.buchi_count, sel.component, w)
             got = behavior_omega_lasso(auto, w)
             assert got.conclusive and want.conclusive, str(w)
@@ -761,6 +736,7 @@ def reference_pda_run_exists(a, w, starts):
 
     ra = _RunAnalysis(a, w, starts)
     pa = ra.pa
+    pop = pop_steps(ra)
     s0 = pa.state_of(0)
 
     def bit_reach(edge_map, seeds, include_start=True):
@@ -811,7 +787,7 @@ def reference_pda_run_exists(a, w, starts):
                 head_seeds.add((n, sym))
             nxt = set()
             for (p, s) in region:
-                for (pp, psym, q, _c) in ra.pop[s]:
+                for (pp, psym, q, _c) in pop[s]:
                     if pp == p and psym == sym:
                         nxt.add((q, pa.advance(s)))
             layer = nxt
@@ -961,3 +937,33 @@ def test_support_check_agrees_with_component_pass_on_random_mixed_systems():
         assert got.conclusive and got.value.value == int(want), (str(w), k, component)
         accepting += want
     assert accepting >= cases // 10
+
+
+# -- long chains evaluate without deep recursion ---------------------------------------
+
+
+def test_long_chains_evaluate_under_the_default_recursion_limit():
+    from staromega.system import MixedSystem, sparse_row
+
+    t = TROPICAL
+    # an automaton of 3,000 states: state 0 pushes X, a chain of neutral
+    # steps leads to the last state, which pops X back to 0; demand for X
+    # flows down the whole chain and the pop fact flows back up it
+    n = 3000
+    neutral = tuple({i + 1: {"a": t.one}} if 0 < i < n - 1 else {} for i in range(n))
+    push = tuple({1: {"a": t.one}} if i == 0 else {} for i in range(n))
+    pop = tuple({0: {"a": t.one}} if i == n - 1 else {} for i in range(n))
+    m = ResetPDMatrix(t, n, ("a",), ("X",), neutral, {"X": push}, {"X": pop})
+    names = tuple(map(str, range(n)))
+    auto = SimpleOmegaPDA(m, (t.one,) + (t.zero,) * (n - 1), (t.zero,) * n, 1, names)
+    assert behavior_omega_lasso(auto, LassoWord(("a",), ("a",))).value == t.one
+
+    # a Greibach chain of 600 x-variables, x_i = a x_{i+1} x_{i+1}, under z = a x_1 z
+    x_vars = tuple(f"x{i}" for i in range(600))
+    x_rhs = tuple(
+        Polynomial.build(t, [(t.one, ("a",) + (x_vars[i + 1],) * 2 if i + 1 < 600 else ("a",))])
+        for i in range(600)
+    )
+    rho = (sparse_row(t, {0: [(t.one, ("a", "x0"))]}),)
+    sys = MixedSystem(t, ("a",), x_vars, x_rhs, ("z",), rho)
+    assert canonical_omega_lasso(sys, 1, 0, LassoWord(("a",), ("a",))).value == t.one

@@ -22,6 +22,7 @@ from staromega.system import (
     MixedSystem,
     NotStabilized,
     OmegaSystem,
+    _z_steps,
     canonical_omega_lasso,
     induce_mixed,
     is_gnf_algebraic,
@@ -393,3 +394,25 @@ def test_exact_route_bounds_the_capped_search_on_random_mixed_systems(inst):
             assert natural_leq(ref, exact.value), (str(w), k, comp, ref, exact.value)
             compared += 1
     assert compared >= 15
+
+
+@pytest.mark.parametrize("inst", [BOOLEAN, TROPICAL, ARCTIC], ids=lambda i: i.name)
+def test_demanded_z_steps_equal_the_full_saturation_on_random_mixed_systems(inst):
+    # the z-steps read off the items the start can use are the z-coefficients
+    # evaluated on the saturation of every (variable, position) pair
+    from grammar_lasso_reference import reference_weighted_support_triples, reference_z_steps
+
+    rng = random.Random(f"demand/z-steps/{inst.name}")
+    steps = 0
+    for _ in range(100):
+        sys = random_mixed_system(rng, inst)
+        prefix = tuple(rng.choice("ab") for _ in range(rng.randint(0, 2)))
+        w = LassoWord(prefix, tuple(rng.choice("ab") for _ in range(rng.randint(1, 3))))
+        pa = PositionAutomaton.of(w)
+        start = (rng.randrange(sys.m), pa.state_of(0))
+        sigma = reference_weighted_support_triples(sys.x_part, pa)
+        assert support_triples(sys.x_part, pa) == sigma, str(w)
+        got = _z_steps(sys, pa, start)
+        assert got == reference_z_steps(sys, pa, sigma, start), (str(w), start)
+        steps += sum(map(len, got.values()))
+    assert steps >= 300, steps
