@@ -31,6 +31,7 @@ from . import __version__
 from .gnf import (
     GnfPipelineReport,
     decompose_canonical,
+    finite_gnf,
     normalize_decomposition,
     pipeline_from_decomposition,
 )
@@ -313,6 +314,18 @@ def cmd_gnf(args) -> int:
     if g.kind == "mixed" and target == "mixed" and is_gnf_mixed(g.system):
         report.add("identity", skipped=True)
         _emit(args, format_grammar(g), report)
+        return EXIT_OK
+    if g.kind == "mixed" and not g.system.z_vars:
+        if target == "omega" or not g.system.x_vars:
+            raise IllFormedSystem("the grammar has no omega component: it declares no z-variable")
+        # the mixed target of a finite grammar is its finite normal form,
+        # with the same coefficient on every nonempty word
+        start = g.system.x_vars[g.start_index(args.component, "x")]
+        nf = finite_gnf(g.system.x_part).system
+        report.add("finite_gnf", variables=len(nf.variables))
+        out = MixedSystem(g.instance, nf.terminals, nf.variables, nf.rhs, (), ())
+        out_g = GrammarFile(g.instance, nf.terminals, "mixed", out, start, None)
+        _emit(args, format_grammar(out_g), report)
         return EXIT_OK
     mixed, k, comp = _to_mixed(g)
     if args.buchi is not None:

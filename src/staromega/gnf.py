@@ -39,38 +39,15 @@ from .system import (
     CanonicalSelector,
     IllFormedSystem,
     MixedSystem,
-    NotStabilized,
     OmegaSystem,
+    eps_coefficients,
     is_gnf_algebraic,
     is_gnf_mixed,
+    productive_components,
 )
 
 
-# -- scalar empty-word coefficients and proper form ---------------------------
-
-
-def eps_coefficients(sys: AlgebraicSystem, max_iter: int = 128) -> list[SemiringValue]:
-    """Least solution of the empty-word part, one scalar per variable."""
-    inst = sys.instance
-    vals = [inst.zero] * len(sys.variables)
-    ix = {v: i for i, v in enumerate(sys.variables)}
-    terminals = set(sys.terminals)
-    for _ in range(max_iter):
-        nxt = []
-        for p in sys.rhs:
-            acc = inst.zero
-            for mono in p.monomials:
-                if any(s in terminals for s in mono.word):
-                    continue
-                prod = mono.coeff
-                for s in mono.word:
-                    prod = prod * vals[ix[s]]
-                acc = acc + prod
-            nxt.append(acc)
-        if nxt == vals:
-            return vals
-        vals = nxt
-    raise NotStabilized("empty-word coefficients did not stabilize")
+# -- proper form --------------------------------------------------------------
 
 
 def proper_form(sys: AlgebraicSystem) -> tuple[AlgebraicSystem, list[SemiringValue]]:
@@ -93,24 +70,6 @@ def proper_form(sys: AlgebraicSystem) -> tuple[AlgebraicSystem, list[SemiringVal
         AlgebraicSystem(inst, sys.terminals, sys.variables, tuple(new_rhs)),
         eps,
     )
-
-
-def productive_components(sys: AlgebraicSystem) -> set[str]:
-    """Variables whose least-solution component is not the zero series."""
-    terminals = set(sys.terminals)
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for v, p in zip(sys.variables, sys.rhs):
-            if v in productive:
-                continue
-            for mono in p.monomials:
-                if all(s in terminals or s in productive for s in mono.word):
-                    productive.add(v)
-                    changed = True
-                    break
-    return productive
 
 
 def _unit_elimination(sys: AlgebraicSystem) -> AlgebraicSystem:
@@ -245,14 +204,14 @@ def _leading_terminal_form(sys: AlgebraicSystem) -> AlgebraicSystem:
     Y = A + A Y with one fresh variable per live matrix entry; substituting
     the x-equations into the leading position of the Y-equations leaves every
     monomial with a leading terminal and at most two trailing variables.
+    A is kept as sparse rows, each sorted by column.
     """
     inst = sys.instance
     n = len(sys.variables)
     ix = {v: i for i, v in enumerate(sys.variables)}
     b: list[list[tuple[SemiringValue, Word]]] = [[] for _ in range(n)]
-    amat: list[list[list[tuple[SemiringValue, str]]]] = [
-        [[] for _ in range(n)] for _ in range(n)
-    ]
+    # amat[q][p]: the (coefficient, tail) pairs of entry (q, p)
+    amat: list[dict[int, list[tuple[SemiringValue, str]]]] = [{} for _ in range(n)]
     for p_ix, p in enumerate(sys.rhs):
         for mono in p.monomials:
             w = mono.word
@@ -260,52 +219,47 @@ def _leading_terminal_form(sys: AlgebraicSystem) -> AlgebraicSystem:
                 b[p_ix].append((mono.coeff, w))
             elif len(w) == 2 and w[0] in ix and w[1] in ix:
                 # x_p gains x_q * (coeff x_k): entry (q, p) holds coeff, tail k
-                amat[ix[w[0]]][p_ix].append((mono.coeff, w[1]))
+                amat[ix[w[0]]].setdefault(p_ix, []).append((mono.coeff, w[1]))
             else:
                 raise IllFormedSystem(f"rule not binarized: {w}")
+    amat = [dict(sorted(row.items())) for row in amat]
 
     live = _plus_support(amat)
     names = _Names(set(sys.variables) | set(sys.terminals))
     yname: dict[tuple[int, int], str] = {}
+    work: list[tuple[int, int]] = []
 
     def y(q: int, p: int) -> str:
         if (q, p) not in yname:
             yname[(q, p)] = names.fresh(f"r{q}_{p}")
+            work.append((q, p))
         return yname[(q, p)]
 
     # x_p = b_p + sum_q b_q y(q, p)
-    x_rhs: list[list[tuple[SemiringValue, Word]]] = []
-    for p_ix in range(n):
-        terms = list(b[p_ix])
-        for q in range(n):
-            if b[q] and (q, p_ix) in live:
-                for c, w in b[q]:
-                    terms.append((c, w + (y(q, p_ix),)))
-        x_rhs.append(terms)
+    x_rhs: list[list[tuple[SemiringValue, Word]]] = [list(terms) for terms in b]
+    for q in range(n):
+        if b[q]:
+            for p_ix in sorted(live[q]):
+                yn = y(q, p_ix)
+                x_rhs[p_ix] += [(c, w + (yn,)) for c, w in b[q]]
 
     # y(q, p) = A[q][p] + sum_r A[q][r] y(r, p), with the leading variable of
     # each A-entry replaced by its x-equation
     y_rhs: dict[tuple[int, int], list[tuple[SemiringValue, Word]]] = {}
-    work = list(yname)
-    seen = set(yname)
     while work:
         (q, p_ix) = work.pop()
         terms: list[tuple[SemiringValue, Word]] = []
-        for c, tail in amat[q][p_ix]:
+        for c, tail in amat[q].get(p_ix, ()):
             for xc, xw in x_rhs[ix[tail]]:
                 terms.append((c * xc, xw))
-        for r in range(n):
-            if not amat[q][r] or (r, p_ix) not in live:
+        for r, entry in amat[q].items():
+            if p_ix not in live[r]:
                 continue
             yn = y(r, p_ix)
-            for c, tail in amat[q][r]:
+            for c, tail in entry:
                 for xc, xw in x_rhs[ix[tail]]:
                     terms.append((c * xc, xw + (yn,)))
         y_rhs[(q, p_ix)] = terms
-        for key in yname:
-            if key not in seen:
-                seen.add(key)
-                work.append(key)
 
     all_vars = tuple(sys.variables) + tuple(yname[k] for k in sorted(yname))
     rhs = []
@@ -316,20 +270,19 @@ def _leading_terminal_form(sys: AlgebraicSystem) -> AlgebraicSystem:
     return AlgebraicSystem(inst, sys.terminals, all_vars, tuple(rhs))
 
 
-def _plus_support(amat) -> set[tuple[int, int]]:
-    """Pairs (q, p) connected by a nonempty path in the coefficient graph."""
-    n = len(amat)
-    reach = {(q, p) for q in range(n) for p in range(n) if amat[q][p]}
-    changed = True
-    while changed:
-        changed = False
-        for q in range(n):
-            for r in range(n):
-                if (q, r) in reach:
-                    for p in range(n):
-                        if (r, p) in reach and (q, p) not in reach:
-                            reach.add((q, p))
-                            changed = True
+def _plus_support(amat: list[dict]) -> list[set[int]]:
+    """For each q, the p reached from q by a nonempty path in the coefficient
+    graph (an edge q -> p for each stored entry of amat's row q)."""
+    reach = []
+    for row in amat:
+        seen = set(row)
+        stack = list(row)
+        while stack:
+            for p in amat[stack.pop()]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        reach.append(seen)
     return reach
 
 

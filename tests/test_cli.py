@@ -340,6 +340,24 @@ def test_normal_form_output_builds_an_automaton_with_the_same_value(tmp_path, ca
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_finite_grammar_normal_form_builds_an_automaton_with_the_same_value(tmp_path, capsys):
+    # defect (n): a grammar without z-variables has a finite normal form but
+    # no omega component
+    path = str(TEST_DATA / "ab_blocks.grm")
+    nf, auto = tmp_path / "nf.grm", tmp_path / "auto.json"
+    assert main(["gnf", path, "--target", "mixed", "--out", str(nf)]) == EXIT_OK
+    g = parse_grammar(nf.read_text())
+    assert g.kind == "mixed" and not g.system.z_vars and g.start == "S"
+    assert "@sort z" not in nf.read_text() and is_gnf_mixed(g.system)
+    assert main(["build-pda", str(nf), "--out", str(auto)]) == EXIT_OK
+    for source in (str(auto), path):
+        assert main(["eval", source, "--word", "abababab"]) == EXIT_OK
+        assert capsys.readouterr().out == "4\n"
+    assert main(["gnf", path, "--target", "omega"]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_build_pda_on_an_omega_grammar_with_epsilon_rules_is_a_semantic_failure(capsys):
     assert main(["build-pda", str(DATA / "boolean_omega.grm")]) == EXIT_FAIL
     assert capsys.readouterr().err == "error: induced automaton needs Greibach shape\n"

@@ -16,12 +16,14 @@ from staromega.semiring import (
     natural_leq,
 )
 from staromega.series import LassoWord, Polynomial, parse_polynomial, series_build, substitute
+from staromega.gnf import finite_gnf
 from staromega.system import (
     AlgebraicSystem,
     IllFormedSystem,
     MixedSystem,
     NotStabilized,
     OmegaSystem,
+    _kleene,
     _z_steps,
     canonical_omega_lasso,
     induce_mixed,
@@ -186,6 +188,77 @@ def test_gnf_systems_stabilize_quickly():
             current = [substitute(q, assignment, max_len) for q in sys.rhs]
         assert current == final
         assert kleene_rounds(sys, max_len) <= max_len + 2
+
+
+def test_arctic_chain_loop_pumps_to_inf():
+    # x1 = (1) x1 | a: a derives a at every weight n, so the value is inf,
+    # which Kleene rounds never reach
+    a = ARCTIC
+    sys = AlgebraicSystem(a, ("a",), ("x1",), (poly(a, "(1) x1 | a"),))
+    with pytest.raises(NotStabilized):
+        kleene_rounds(sys, 1)
+    sol = least_solution_finite(sys, 3)
+    assert sol[0].coeff(("a",)).value is INF
+    assert sol[0].support() == [("a",)]
+
+
+GENERAL_COEFFS = {BOOLEAN: [1], TROPICAL: [0, 1, 2], ARCTIC: [0, 1, 2], COUNTING: [1, 2]}
+
+
+def _random_general_system(rng, inst):
+    """1-3 variables, 1-3 monomials each: words of length 0-3 over a, b and
+    the variables, so empty-word and chain rules occur."""
+    names = tuple(f"x{i}" for i in range(rng.randint(1, 3)))
+    symbols = ("a", "b") + names
+    rhs = []
+    for _ in names:
+        terms = [
+            (
+                inst.value(rng.choice(GENERAL_COEFFS[inst])),
+                tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3))),
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        rhs.append(Polynomial.build(inst, terms))
+    return AlgebraicSystem(inst, ("a", "b"), names, tuple(rhs))
+
+
+def test_least_solution_by_length_equals_the_references_on_general_systems():
+    # where 16 Kleene rounds settle, their series; elsewhere the derivation
+    # oracle on the finite normal form.  The seed avoids counting systems
+    # such as x = x x | eps, whose empty-word rounds square ever larger
+    # integers on both routes.
+    settled = by_oracle = 0
+    for inst in (BOOLEAN, TROPICAL, ARCTIC, COUNTING):
+        rng = random.Random(f"by-length-17/{inst.name}")
+        for _ in range(50):
+            sys = _random_general_system(rng, inst)
+            max_len = rng.randint(2, 4)
+            try:
+                sol = least_solution_finite(sys, max_len, max_iter=32)
+            except NotStabilized:
+                # only a diverging empty-word part is rejected
+                with pytest.raises(NotStabilized):
+                    finite_gnf(sys)
+                continue
+            try:
+                ref, _rounds = _kleene(sys, max_len, 16)
+            except NotStabilized:
+                ref = None
+            if ref is not None:
+                assert sol == ref
+                settled += 1
+                continue
+            nf = finite_gnf(sys)
+            for i, v in enumerate(sys.variables):
+                assert sol[i].coeff(()) == nf.eps[v]
+                for length in range(1, max_len + 1):
+                    for w in itertools.product("ab", repeat=length):
+                        assert sol[i].coeff(w) == oracle_coeff_gnf(
+                            nf.system, nf.component_of[v], w
+                        ), (sys, v, w)
+            by_oracle += 1
+    assert settled >= 150 and by_oracle >= 5
 
 
 # -- the derivation oracle --------------------------------------------------------------
