@@ -3,29 +3,32 @@
 Runs over an ultimately periodic word u v^omega are analysed on a finite
 quotient: one node per prefix position plus one node per period offset.
 `accepting_cycle_exists` decides whether any accepting run exists at all,
-one component labelling of a Boolean graph that the grammar route builds;
-`path_sums` aggregates weights of all finite paths (idempotent instances
-only); `lasso_value` combines prefix sums with omega-applied cycle sums over
-every periodic anchor.
+one component labelling of a Boolean graph that the grammar route builds.
 
-Both routes are exact and share one solver.  `solve_derivations` computes
-the least solution of a weighted summary system, each item a sum over
-derivations: the grammar's derivation weights between quotient positions,
-or the automaton's level edges and pop facts.  Both routes build their
-system on demand: the grammar only at the pairs its start reaches, the
-automaton only the pop facts that some push can use.  The grammar route
-reads the value off its z-graph with `lasso_value`; `pushdown_lasso_value`
-reads it off one graph over (state, position, remaining start-stack cells)
-whose edges are the solved level edges, the pushes that are never popped
-and the pops of the start stack's cells.
+Both routes are exact on all four instances, counting included, and share
+one solver and one read-off.  `solve_derivations` computes the least
+solution of a weighted summary system, each item a sum over derivations:
+the grammar's derivation weights between quotient positions, or the
+automaton's level edges and pop facts.  Both routes build their system on
+demand: the grammar only at the pairs its start reaches, the automaton only
+the pop facts that some push can use.  Each route then has a value graph
+whose edges consume a letter and carry a hit bit: the grammar's z-graph, or
+`pushdown_lasso_value`'s graph over (state, position, remaining start-stack
+cells), whose edges are the solved level edges, the pushes that are never
+popped and the pops of the start stack's cells.  `lasso_value` reads the
+value off it: nodes are split by the hit bit of the edge entering them,
+`path_sums` weighs the paths into each strongly connected component, and
+`matrix._omega_t` of the component's own block weighs the infinite paths
+inside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable
 
-from .semiring import INF, SemiringError, SemiringInstance, SemiringValue
+from .matrix import _omega_t, _star
+from .semiring import INF, SemiringInstance, SemiringValue
 from .series import LassoWord, Word
 
 Node = Hashable
@@ -62,12 +65,6 @@ class PositionAutomaton:
         if pos < self.prefix_len:
             return pos
         return self.prefix_len + (pos - self.prefix_len) % len(self.period)
-
-    def is_periodic(self, s: int) -> bool:
-        return s >= self.prefix_len
-
-
-Edge = tuple[Node, SemiringValue]
 
 
 def _reachable(edges: dict[Node, list[tuple]], sources: Iterable[Node]) -> dict[Node, None]:
@@ -172,25 +169,28 @@ def accepting_cycle_exists(
 Term = tuple["SemiringValue | None", "int | None", "int | None"]
 
 
-def solve_derivations(
-    instance: SemiringInstance, rules: list[list[Term]]
-) -> tuple[list[SemiringValue], list[bool]]:
+def solve_derivations(instance: SemiringInstance, rules: list[list[Term]]) -> list[SemiringValue]:
     """Least solution of item_i = sum of c * item_a * item_b over rules[i].
 
     A term (c, a, b) leaves out c (the unit) or an operand as None.  Every
-    item must have a derivation, and the constants must be Boolean, or
-    naturals and inf multiplied by + (tropical, arctic); the summary systems
-    of both lasso routes are.  Then cutting a repeated item out of a
-    derivation tree never raises its numeric weight.  Components of the
-    dependency graph are solved sinks first, by in-place Kleene rounds.
-    Trees whose root-to-leaf paths repeat no item of their component have
-    height at most |C|, so
-    after |C| rounds a component has settled unless some repetition gains
-    weight; repeating it pumps every item of the component to inf, the top
-    element.  Only arctic can get there: a component still changing after
-    |C| + 1 rounds is set to inf.
-
-    Also returns, per item, whether some derivation uses only unit weights.
+    item must have a derivation and every constant must be nonzero; the
+    summary systems of both lasso routes are.  Components of the dependency
+    graph are solved sinks first.  A cyclic component C has, for every n, a
+    tree that goes round one of its cycles n times, and every item of C has
+    a nonzero derivation through every other.  Trees whose root-to-leaf
+    paths repeat no item of C have height at most |C|, so in-place Kleene
+    rounds settle after |C| rounds unless some tree that repeats an item
+    adds weight:
+    - Boolean and tropical never get there: cutting the repetition out
+      gives a tree that weighs as much or less, numerically;
+    - arctic gets there when the repetition gains weight.  Pumping it gives
+      weights without bound, so a component still changing after |C| + 1
+      rounds is inf at every item;
+    - counting always gets there.  Its unit's star is inf and every nonzero
+      weight is at least the unit, so the infinitely many trees of a cyclic
+      component sum to inf at every item (Esparza, Kiefer and Luttenberger
+      2007).  Such a component is set to inf at once: the rounds would find
+      that only after squaring numbers up to |C| times.
     """
     n = len(rules)
     add, mul = instance.add_raw, instance.mul_raw
@@ -206,10 +206,11 @@ def solve_derivations(
         for (x,) in deps[i]:
             users[x].append(i)
     value = [zero] * n
-    unit = [False] * n
+    # the unit's star is not the unit only in counting, where cycles are inf
+    cycles_are_top = instance.star_raw(one) != one
 
     def evaluate(i: int) -> bool:
-        acc, u = zero, False
+        acc = zero
         for c, bare, a, b in raw[i]:
             if a is None:
                 v = c
@@ -218,15 +219,17 @@ def solve_derivations(
                 if b is not None:
                     v = mul(v, value[b])
             acc = add(acc, v)
-            if not u and c == one:
-                u = (a is None or unit[a]) and (b is None or unit[b])
-        changed = acc != value[i] or u != unit[i]
-        value[i], unit[i] = acc, u
+        changed = acc != value[i]
+        value[i] = acc
         return changed
 
     for comp in _sccs(range(n), deps):
         if len(comp) == 1 and (comp[0],) not in deps[comp[0]]:
             evaluate(comp[0])
+            continue
+        if cycles_are_top:
+            for i in comp:
+                value[i] = INF
             continue
         # in-place rounds that skip the items none of whose operands moved:
         # they would evaluate to what they hold, so the rounds are unchanged
@@ -245,7 +248,7 @@ def solve_derivations(
         else:
             for i in comp:
                 value[i] = INF
-    return [SemiringValue(instance, v) for v in value], unit
+    return [SemiringValue(instance, v) for v in value]
 
 
 def pushdown_lasso_value(
@@ -270,210 +273,115 @@ def pushdown_lasso_value(
     """
     s0 = pa.state_of(0)
     sources = {(q, s0, tuple(stack)): c for (q, stack), c in starts.items()}
-    edges: dict[Node, list[HitEdge]] = {}
+    edges: dict[Node, list[tuple]] = {}
     todo = list(sources)
     while todo:
         node = todo.pop()
         if node in edges:
             continue
         p, s, rest = node
-        outs = [HitEdge((q, t, rest), c, h) for q, t, c, h in level.get((p, s), ())]
-        outs += [HitEdge((q, t, ()), c, h) for q, t, c, h in push.get((p, s), ())]
+        outs = [((q, t, rest), c, h) for q, t, c, h in level.get((p, s), ())]
+        outs += [((q, t, ()), c, h) for q, t, c, h in push.get((p, s), ())]
         if rest:
             exposed = pop.get((p, s), {}).get(rest[0], ())
-            outs += [HitEdge((q, t, rest[1:]), c, h) for q, t, c, h in exposed]
+            outs += [((q, t, rest[1:]), c, h) for q, t, c, h in exposed]
         edges[node] = outs
-        todo.extend(e.target for e in outs if e.target not in edges)
-    return lasso_value(
-        instance,
-        edges,
-        sources,
-        is_anchor=lambda node: pa.is_periodic(node[1]),
-        is_buchi=lambda node: False,
-    )
+        todo.extend(e[0] for e in outs if e[0] not in edges)
+    return lasso_value(instance, edges, sources)
 
 
 def path_sums(
-    instance: SemiringInstance,
-    edges: dict[Node, list[Edge]],
-    sources: dict[Node, SemiringValue],
-) -> dict[Node, SemiringValue]:
-    """Sum of weights of all finite paths from the sources, per node.
+    instance: SemiringInstance, edges: dict[Node, list[tuple]], sources: dict[Node, object]
+) -> list[tuple[list[Node], list[list], list, list]]:
+    """Weights of the finite paths from the sources, one strongly connected
+    component at a time, on raw values.
 
-    Requires an idempotent instance.  Zero-weight edges and sources are
-    ignored.  Paths may repeat nodes; divergent families (arctic positive
-    cycles or inf-weight edges on cycles) are resolved exactly to inf.
+    Edges are (target, raw weight) tuples and sources map a node to its raw
+    weight.  The components of the reachable part are swept sources first.
+    A component's entry weights are its nodes' source weights plus the
+    weights of the paths that enter it from the components before it, by
+    their last edge; its path sums are its entry weights times the star of
+    its own block, exact on every instance.  Returns (nodes, block, entry
+    weights, path sums) per component, in sweep order.
     """
-    if not instance.idempotent:
-        raise SemiringError("path aggregation needs an idempotent instance")
-    sources = {n: w for n, w in sources.items() if not w.is_zero()}
-    live_edges: dict[Node, list[Edge]] = {}
-    for n, outs in edges.items():
-        kept = [(m, w) for m, w in outs if not w.is_zero()]
-        if kept:
-            live_edges[n] = kept
-    reach = _reachable(live_edges, sources)
-
-    if instance.name == "boolean":
-        one = instance.one
-        return {n: one for n in reach}
-
-    if instance.name == "tropical":
-        return _dijkstra_min_plus(instance, live_edges, sources, reach)
-
-    if instance.name == "arctic":
-        return _longest_max_plus(instance, live_edges, sources, reach)
-
-    raise SemiringError(f"path aggregation unsupported for {instance.name}")
-
-
-def _dijkstra_min_plus(instance, edges, sources, reach):
-    import heapq
-
-    dist: dict[Node, SemiringValue] = {}
-    counter = 0
-    heap = []
-    for n, w in sources.items():
-        heap.append((w.value, counter, n, w))
-        counter += 1
-    heapq.heapify(heap)
-    while heap:
-        _, _, n, w = heapq.heappop(heap)
-        if n in dist:
-            continue
-        dist[n] = w
-        for m, ew in edges.get(n, ()):
-            if m not in dist:
-                nw = w * ew
-                counter += 1
-                heapq.heappush(heap, (nw.value, counter, m, nw))
-    return dist
-
-
-def _longest_max_plus(instance, edges, sources, reach):
-    comp_of = _component_index(reach, edges)
-    count = max(comp_of.values(), default=-1) + 1
-    comp_val: list[SemiringValue] = [instance.zero] * count
-    for n, w in sources.items():
-        comp_val[comp_of[n]] = comp_val[comp_of[n]] + w
-    gainful = [False] * count
-    cross_in: list[list[tuple[int, SemiringValue]]] = [[] for _ in range(count)]
-    for n in reach:
-        for m, w in edges.get(n, ()):
-            if comp_of[n] == comp_of[m]:
-                if w.value is INF or (isinstance(w.value, int) and w.value > 0):
-                    gainful[comp_of[n]] = True
-            else:
-                cross_in[comp_of[m]].append((comp_of[n], w))
-    # Tarjan emits components in reverse topological order, so descending
-    # index order visits predecessors before successors
-    inf_val = instance.value(INF)
-    for ci in range(count - 1, -1, -1):
-        acc = comp_val[ci]
-        for src_ci, w in cross_in[ci]:
-            acc = acc + comp_val[src_ci] * w
-        if not acc.is_zero() and gainful[ci]:
-            acc = inf_val
-        comp_val[ci] = acc
-    out: dict[Node, SemiringValue] = {}
-    for n in reach:
-        v = comp_val[comp_of[n]]
-        if not v.is_zero():
-            out[n] = v
+    add, mul, zero = instance.add_raw, instance.mul_raw, instance.zero_raw()
+    comps = _sccs(sources, edges)
+    comp_of = {n: ci for ci, comp in enumerate(comps) for n in comp}
+    inflow = dict(sources)
+    out = []
+    # Tarjan emits sinks first, so descending index order is sources first
+    for ci in range(len(comps) - 1, -1, -1):
+        nodes = comps[ci]
+        entry = [inflow.pop(n, zero) for n in nodes]
+        if len(nodes) == 1:
+            loop = zero
+            for m, w in edges.get(nodes[0], ()):
+                if m == nodes[0]:
+                    loop = add(loop, w)
+            block = [[loop]]
+            sums = entry if loop == zero else [mul(entry[0], instance.star_raw(loop))]
+        else:
+            at = {n: i for i, n in enumerate(nodes)}
+            block = [[zero] * len(nodes) for _ in nodes]
+            for n, row in zip(nodes, block):
+                for m, w in edges.get(n, ()):
+                    j = at.get(m)
+                    if j is not None:
+                        row[j] = add(row[j], w)
+            sums = [zero] * len(nodes)
+            for e, row in zip(entry, _star(instance, block)):
+                if e != zero:
+                    sums = [add(x, mul(e, y)) for x, y in zip(sums, row)]
+        for n, v in zip(nodes, sums):
+            if v == zero:
+                continue
+            for m, w in edges.get(n, ()):
+                if comp_of[m] != ci:
+                    vw = mul(v, w)
+                    inflow[m] = add(inflow[m], vw) if m in inflow else vw
+        out.append((nodes, block, entry, sums))
     return out
-
-
-@dataclass(frozen=True)
-class HitEdge:
-    """Weighted edge whose interior (states strictly between nodes) may hit Buchi."""
-
-    target: Node
-    weight: SemiringValue
-    interior_hit: bool
 
 
 def lasso_value(
     instance: SemiringInstance,
-    edges: dict[Node, list[HitEdge]],
+    edges: dict[Node, list[tuple]],
     sources: dict[Node, SemiringValue],
-    is_anchor: Callable[[Node], bool],
-    is_buchi: Callable[[Node], bool],
 ) -> SemiringValue:
-    """Sum over ultimately periodic runs: prefix weight times omega of the cycle sum.
+    """Sum of the weights of the infinite paths from the weighted sources
+    that take infinitely many hit edges.
 
-    Anchors are the period-aligned nodes; a cycle counts a Buchi hit when its
-    interior or any node it visits (including the anchor on return) is
-    accepting.  Only two cycle classes matter under the omega operation:
-    cycles whose weight is the multiplicative unit (their repetition costs
-    nothing extra) and cycles carrying any other weight (whose repetition
-    collapses to the omega of a non-unit element).  Both classes are read off
-    strongly connected components, so no per-anchor search is needed.
+    Edges are (target, weight, hit) tuples.  Each node is split by the hit
+    bit of the edge that enters it, a source entering with none, so these
+    paths are those that visit the split nodes with the bit set, the Buchi
+    nodes, infinitely often.  Such a path ends inside one strongly connected
+    component C of the split graph, which it enters once.  So the value is
+    the sum, over the components C that hold a Buchi node, of the weights
+    entering C (`path_sums`) times omega_t of C's own block, with C's t
+    Buchi nodes numbered first: the paper's omega_k on a block-triangular
+    matrix (Esik and Kuich 2005).  `matrix._omega_t` counts every path
+    once, so the value is exact on every instance, counting included.
     """
-    plain: dict[Node, list[Edge]] = {
-        n: [(e.target, e.weight) for e in outs] for n, outs in edges.items()
+    add, mul, zero = instance.add_raw, instance.mul_raw, instance.zero_raw()
+    src = {(n, False): w.value for n, w in sources.items() if not w.is_zero()}
+    # both copies of a node share its out-edges
+    outs = {
+        n: [((m, hit), w.value) for m, w, hit in es if not w.is_zero()]
+        for n, es in edges.items()
     }
-    pre = path_sums(instance, plain, sources)
-
-    def hit(e: HitEdge) -> bool:
-        return e.interior_hit or is_buchi(e.target)
-
-    # full graph: components with an accepting cycle, and whether such a
-    # cycle can pick up a non-unit weight
-    comp_of = _component_index(pre, plain)
-    full_hit: dict[int, bool] = {}
-    full_nonunit: dict[int, bool] = {}
-    for n in pre:
-        ci = comp_of[n]
-        for e in edges.get(n, ()):
-            if e.target in pre and comp_of[e.target] == ci:
-                if hit(e):
-                    full_hit[ci] = True
-                if not e.weight.is_one():
-                    full_nonunit[ci] = True
-
-    # unit-weight subgraph: components with an accepting all-unit cycle
-    unit_plain = {
-        n: [(e.target, e.weight) for e in edges.get(n, ()) if e.weight.is_one()]
-        for n in pre
-    }
-    unit_comp_of = _component_index(pre, unit_plain)
-    unit_hit: dict[int, bool] = {}
-    for n in pre:
-        ci = unit_comp_of[n]
-        for e in edges.get(n, ()):
-            if (
-                e.weight.is_one()
-                and e.target in pre
-                and unit_comp_of[e.target] == ci
-                and hit(e)
-            ):
-                unit_hit[ci] = True
-
-    omega_nonunit = _omega_of_nonunit(instance)
-    total = instance.zero
-    for anchor, pre_w in pre.items():
-        if not is_anchor(anchor):
+    split = {(n, hit): es for n, es in outs.items() for hit in (False, True)}
+    total = zero
+    for nodes, block, entry, _sums in path_sums(instance, split, src):
+        buchi = [i for i, (_n, hit) in enumerate(nodes) if hit]
+        if not buchi:
             continue
-        ci = comp_of[anchor]
-        if not full_hit.get(ci):
-            continue
-        if unit_hit.get(unit_comp_of[anchor]):
-            total = total + pre_w
-        if full_nonunit.get(ci) and omega_nonunit is not None:
-            total = total + pre_w * omega_nonunit
-    return total
-
-
-def _omega_of_nonunit(instance: SemiringInstance):
-    """Omega value of repeating any non-unit nonzero cycle weight.
-
-    Every non-unit nonzero scalar of these carriers has the same omega: the
-    additively absorbing top for tropical and arctic (which is the zero of
-    the tropical instance, so those cycles contribute nothing there).  The
-    Boolean instance has no such scalars.
-    """
-    if instance.name == "tropical":
-        return instance.value(INF)
-    if instance.name == "arctic":
-        return instance.value(INF)
-    return None
+        if len(nodes) == 1:
+            omega = [instance.omega_raw(block[0][0])]
+        else:
+            order = buchi + [i for i, (_n, hit) in enumerate(nodes) if not hit]
+            entry = [entry[i] for i in order]
+            omega = _omega_t(instance, [[block[i][j] for j in order] for i in order], len(buchi))
+        for e, v in zip(entry, omega):
+            if e != zero:
+                total = add(total, mul(e, v))
+    return SemiringValue(instance, total)

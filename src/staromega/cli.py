@@ -332,11 +332,6 @@ def cmd_gnf(args) -> int:
         k = args.buchi
     if args.component is not None:
         comp = g.start_index(args.component, "z")
-    if g.instance.name == "counting" and target == "omega":
-        print(
-            "warning: omega evaluation is unsupported over the counting semiring",
-            file=sys.stderr,
-        )
     dec = decompose_canonical(mixed, k, comp)
     report.add("decompose", terms=dec.width, buchi=k, component=mixed.z_vars[comp])
     norm, gnf_mixed, sel, omega_sys, omega_sel, report = pipeline_from_decomposition(

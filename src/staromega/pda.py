@@ -8,17 +8,20 @@ mapping each column j with a nonzero letter polynomial to it, so a matrix
 takes space in its number of transitions; `ResetPDMatrix.moves` indexes the
 transitions by letter and source state once, for the run enumerations.
 
-Behaviors are exact.  The finite behavior enumerates runs (one letter per
-step).  The omega behavior at u v^omega is computed in polynomial time from
-weighted pop summaries over (state, period-quotient position), the summary
-algebra of weighted pushdown systems (Reps, Schwoon, Jha and Melski 2005):
-one worklist finds every level edge with its derivations, and the pop facts
-only where a push can use them, demand flowing from each push target along
-the level edges; `_search.solve_derivations` weighs them.  An infinite run
-returns to its lowest recurring stack height forever or leaves every height
-for good, so its weight is that of a path of level edges and never-popped
-pushes (the repeating heads of Bouajjani, Esparza and Maler 1997), which
-`_search.pushdown_lasso_value` sums over.  No answer depends on a cap.
+Behaviors are exact on all four instances, counting included.  The finite
+behavior sums the runs one position at a time over weighted (state, stack)
+configurations.  The omega behavior at u v^omega is computed in polynomial
+time from weighted pop summaries over (state, period-quotient position), the
+summary algebra of weighted pushdown systems (Reps, Schwoon, Jha and Melski
+2005): one worklist finds every level edge with its derivations, and the pop
+facts only where a push can use them, demand flowing from each push target
+along the level edges; `_search.solve_derivations` weighs them.  An infinite
+run returns to its lowest recurring stack height forever or leaves every
+height for good, so its weight is that of a path of level edges and
+never-popped pushes (the repeating heads of Bouajjani, Esparza and Maler
+1997), which `_search.pushdown_lasso_value` sums over with the read-off of
+the grammar route, omega_t per strongly connected component.  No answer
+depends on a cap.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .system import (
     IllFormedSystem,
     LassoResult,
     MixedSystem,
-    NonIdempotentInstance,
     SemanticFailure,
     is_gnf_algebraic,
     is_gnf_mixed,
@@ -369,29 +371,29 @@ def _successors(m: ResetPDMatrix, state: int, stack: Word, letter: str):
 
 
 def behavior_finite(a: SimpleOmegaPDA, w: Word) -> SemiringValue:
-    """Exact weight of w: sum over all empty-to-empty runs, one letter per step."""
-    inst = a.instance
-    m = a.matrix
-    memo: dict[tuple[int, int, Word], SemiringValue] = {}
+    """Exact weight of w: sum over all empty-to-empty runs, one letter per step.
 
-    def value(pos: int, state: int, stack: Word) -> SemiringValue:
-        if pos == len(w):
-            return a.final[state] if stack == () else inst.zero
-        key = (pos, state, stack)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = inst.zero
-        for j, stack2, c in _successors(m, state, stack, w[pos]):
-            acc = acc + c * value(pos + 1, j, stack2)
-        memo[key] = acc
-        return acc
-
-    total = inst.zero
-    for q in range(m.n_states):
-        if not a.initial[q].is_zero():
-            total = total + a.initial[q] * value(0, q, ())
-    return total
+    One sweep by position over the weighted (state, stack) configurations
+    that the runs reach.  Each step pops at most one symbol, so a stack
+    taller than the letters left never empties and is dropped.
+    """
+    inst, m = a.instance, a.matrix
+    add, mul = inst.add_raw, inst.mul_raw
+    configs = {(q, ()): c.value for q, c in enumerate(a.initial) if not c.is_zero()}
+    for pos, letter in enumerate(w):
+        left = len(w) - pos - 1
+        nxt: dict[tuple[int, Word], object] = {}
+        for (state, stack), v in configs.items():
+            for j, stack2, c in _successors(m, state, stack, letter):
+                if len(stack2) <= left:
+                    key, vc = (j, stack2), mul(v, c.value)
+                    nxt[key] = add(nxt[key], vc) if key in nxt else vc
+        configs = nxt
+    total = inst.zero_raw()
+    for (state, stack), v in configs.items():
+        if not stack:
+            total = add(total, mul(v, a.final[state].value))
+    return SemiringValue(inst, total)
 
 
 def behavior_omega_lasso(a: SimpleOmegaPDA, w: LassoWord) -> LassoResult:
@@ -416,11 +418,8 @@ def _omega_value(a, w, starts) -> LassoResult:
     """Omega value of the runs from weighted (state, stack) starts."""
     if a.buchi_count is None:
         raise IllFormedSystem("automaton has no repeated-state count")
-    inst = a.instance
-    if not inst.idempotent:
-        raise NonIdempotentInstance(inst)
     ra = _RunAnalysis(a, w, starts)
-    value = pushdown_lasso_value(inst, ra.pa, ra.level_w, ra.push_w, ra.pop_w, starts)
+    value = pushdown_lasso_value(a.instance, ra.pa, ra.level_w, ra.push_w, ra.pop_w, starts)
     return LassoResult(OK, value)
 
 
@@ -594,15 +593,11 @@ class _RunAnalysis:
         self.level1 = level1
         self.raw_push = raw_push
 
-        value, unit = solve_derivations(self.a.instance, rules)
-        one = self.a.instance.one
+        value = solve_derivations(self.a.instance, rules)
         self.level_w: dict[tuple[int, int], list] = {}
         for (node, sym, (q, t, bit)), i in ids.items():
             if sym is None:
-                outs = self.level_w.setdefault(node, [])
-                outs.append((q, t, value[i], bit))
-                if unit[i] and not value[i].is_one():
-                    outs.append((q, t, one, bit))
+                self.level_w.setdefault(node, []).append((q, t, value[i], bit))
 
 
 # -- serialization ------------------------------------------------------------

@@ -10,7 +10,9 @@ automaton route's pop summaries are) and of the z-coefficients on them, on
 demand from the start: only the (variable, position) pairs and (z-variable,
 position) nodes that the start reaches are read.  The z-coefficients'
 weights are the edges of the graph that `_search.lasso_value` reads the
-value off.  No answer depends on a cap.
+value off, by the omega_t of each strongly connected component, so the
+value is exact on all four instances, counting included.  No answer
+depends on a cap.
 
 The z-coefficient matrix rho of a mixed system z = rho(x) z is stored
 sparsely: one row per z-variable, each a mapping from column index to a
@@ -25,13 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ._search import (
-    HitEdge,
-    PositionAutomaton,
-    accepting_cycle_exists,
-    lasso_value,
-    solve_derivations,
-)
+from ._search import PositionAutomaton, accepting_cycle_exists, lasso_value, solve_derivations
 from .matrix import SemiringMatrix, _star, mat_star
 from .semiring import SemiringError, SemiringInstance, SemiringValue
 from .series import (
@@ -51,15 +47,6 @@ class SemanticFailure(Exception):
 
 class IllFormedSystem(SemanticFailure):
     pass
-
-
-class NonIdempotentInstance(SemanticFailure, SemiringError):
-    """Omega evaluation by lasso search asked of a non-idempotent instance."""
-
-    def __init__(self, instance: SemiringInstance):
-        super().__init__(
-            f"omega evaluation by lasso search needs an idempotent instance, not {instance.name}"
-        )
 
 
 class NotStabilized(RuntimeError):
@@ -734,8 +721,7 @@ def _derivation_items(sys: AlgebraicSystem, pa: PositionAutomaton, rho, demand):
             read(mi, j + 1, s0, t, b0 or bit, c, ops + (x,))
         facts_at.setdefault((v, s), []).append((t, bit, x))
 
-    value, _unit = solve_derivations(sys.instance, rules)
-    return ids, value
+    return ids, solve_derivations(sys.instance, rules)
 
 
 # -- omega evaluation at lasso words -----------------------------------------
@@ -767,12 +753,12 @@ def canonical_omega_lasso(
     the z-coefficients evaluated on the exact derivation weights of
     `support_triples`.  Its Boolean projection decides the zero case first.
     Letter-free edges are closed by `mat_star`, keeping whether a Buchi
-    z-variable was visited, so every remaining edge consumes a letter, and
-    `lasso_value` reads the value off that graph.
+    z-variable was visited, so every remaining edge consumes a letter; an
+    edge hits when its closure or its target visits a Buchi z-variable, and
+    `lasso_value` reads the value off that graph.  Each run is one path of
+    the graph, so the value is exact on every instance, counting included.
     """
     inst = sys.instance
-    if not inst.idempotent:
-        raise NonIdempotentInstance(inst)
     m = sys.m
     if not 0 <= k <= m:
         raise IllFormedSystem(f"Buchi count {k} out of range 0..{m}")
@@ -801,23 +787,17 @@ def canonical_omega_lasso(
         ]
     else:
         closure = [[(j, False, inst.one)] for j in range(m)]
-    edges: dict[tuple[int, int], list[HitEdge]] = {}
+    edges: dict[tuple[int, int], list[tuple]] = {}
     for j, s in steps:
         acc: dict[tuple[tuple[int, int], bool], SemiringValue] = {}
         for mid, hit, h in closure[j]:
             for (j2, t, bit), c in steps[(mid, s)].items():
                 if bit:
-                    key = ((j2, t), hit)
+                    key = ((j2, t), hit or j2 < k)
                     prev = acc.get(key)
                     acc[key] = h * c if prev is None else prev + h * c
-        edges[(j, s)] = [HitEdge(node, c, hit) for (node, hit), c in acc.items()]
-    return LassoResult(OK, lasso_value(
-        inst,
-        edges,
-        {start: inst.one},
-        is_anchor=lambda node: pa.is_periodic(node[1]),
-        is_buchi=lambda node: node[0] < k,
-    ))
+        edges[(j, s)] = [(node, c, hit) for (node, hit), c in acc.items()]
+    return LassoResult(OK, lasso_value(inst, edges, {start: inst.one}))
 
 
 def _epsilon_closure_with_hits(inst, eps, m, k):

@@ -11,7 +11,8 @@ must lie below the exact one in the natural order, and the z-steps must be
 those of the full saturation.
 """
 
-from staromega._search import HitEdge, PositionAutomaton, lasso_value, solve_derivations
+from idempotent_lasso_reference import HitEdge, lasso_value
+from staromega._search import PositionAutomaton, solve_derivations
 from staromega.system import SegmentTable, _epsilon_closure_with_hits
 
 
@@ -119,7 +120,7 @@ def reference_canonical_search(sys, k, component, w, factor_len, max_iter=256):
         inst,
         edges,
         {(component, pa.state_of(0)): inst.one},
-        is_anchor=lambda node: pa.is_periodic(node[1]),
+        is_anchor=lambda node: node[1] >= pa.prefix_len,
         is_buchi=lambda node: node[0] < k,
     )
 
@@ -194,7 +195,7 @@ def reference_weighted_support_triples(sys, pa):
             read(mi, j + 1, s0, t, b0 or bit, c, ops + (x,))
         facts_at.setdefault((v, s), []).append((t, bit, x))
 
-    value, _unit = solve_derivations(sys.instance, rules)
+    value = solve_derivations(sys.instance, rules)
     out = {(v, s): {} for v in sys.variables for s in range(pa.size)}
     for (head, s, t, bit), i in ids.items():
         if isinstance(head, str):

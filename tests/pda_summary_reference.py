@@ -72,15 +72,11 @@ def reference_saturate(ra):
             derive(src, sym, (q, t, h or bit), (None, e, i))
         facts_at.setdefault(node, []).append((sym, (q, t, bit), i))
 
-    value, unit = solve_derivations(ra.a.instance, rules)
-    one = ra.a.instance.one
+    value = solve_derivations(ra.a.instance, rules)
     level_w = {}
     for (node, sym, (q, t, bit)), i in ids.items():
         if sym is None:
-            outs = level_w.setdefault(node, [])
-            outs.append((q, t, value[i], bit))
-            if unit[i] and not value[i].is_one():
-                outs.append((q, t, one, bit))
+            level_w.setdefault(node, []).append((q, t, value[i], bit))
     return level_w, pop_sum, level1, raw_push
 
 

@@ -216,11 +216,15 @@ def test_cmd_eval_arctic_word_and_six_state_automaton(tmp_path, capsys):
 
 
 def test_cmd_gnf_counting_omega_warning(tmp_path, capsys):
+    # counting omega values are exact, so the normal form comes with no
+    # warning, and it gives the grammar's own value
     path = str(DATA / "counting_finite.grm")
-    rc = main(["gnf", path, "--target", "omega", "--out", str(tmp_path / "o.grm")])
-    err = capsys.readouterr().err
-    assert rc == EXIT_OK
-    assert "omega evaluation is unsupported" in err
+    out = tmp_path / "o.grm"
+    assert main(["gnf", path, "--target", "omega", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    for source in (path, str(out)):
+        assert main(["eval", source, "--lasso", ":a"]) == EXIT_OK
+        assert capsys.readouterr().out == "1\n"
 
 
 def test_cmd_check_corrupted_golden(tmp_path, capsys):
@@ -386,10 +390,40 @@ def test_unreadable_or_unwritable_file_exits_2(args, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_omega_evaluation_over_counting_exits_1(capsys):
-    rc = main(["eval", str(DATA / "counting_finite.grm"), "--lasso", ":a"])
-    assert rc == EXIT_FAIL
-    assert capsys.readouterr().err.startswith("error: omega evaluation by lasso search needs")
+def test_omega_evaluation_over_counting_is_exact(capsys):
+    # z1 = a z1 has one run on a^omega, of weight 1, and none on (ab)^omega
+    path = str(DATA / "counting_finite.grm")
+    for lasso, want in ((":a", "1\n"), (":ab", "0\n"), ("b:a", "0\n")):
+        assert main(["eval", path, "--lasso", lasso]) == EXIT_OK
+        assert capsys.readouterr().out == want, lasso
+
+
+@pytest.mark.parametrize("route", ["direct", "mixed", "folded", "automaton"])
+@pytest.mark.parametrize(
+    "name, want",
+    [
+        # one run of weight 1
+        ("counting_unit_loop.grm", "1"),
+        # one run of weight 2^omega = inf
+        ("counting_weighted_loop.grm", "inf"),
+        # uncountably many runs of weight 1 through z1
+        ("counting_two_loops.grm", "inf"),
+    ],
+)
+def test_counting_lasso_values_agree_on_every_route(name, want, route, tmp_path, capsys):
+    path = str(TEST_DATA / name)
+    if route != "direct":
+        nf = str(tmp_path / "nf.grm")
+        target = "mixed" if route == "mixed" else "omega"
+        assert main(["gnf", path, "--target", target, "--out", nf]) == EXIT_OK
+        path = nf
+    if route == "automaton":
+        auto = str(tmp_path / "auto.json")
+        assert main(["build-pda", path, "--out", auto]) == EXIT_OK
+        path = auto
+    capsys.readouterr()
+    assert main(["eval", path, "--lasso", ":a"]) == EXIT_OK
+    assert capsys.readouterr().out == want + "\n"
 
 
 # -- variable names on the command line and malformed automata -------------------

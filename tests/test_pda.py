@@ -13,7 +13,7 @@ from staromega.fixtures import (
     max_block_weight,
     tropical_omega_automaton,
 )
-from staromega._search import HitEdge, PositionAutomaton, lasso_value, solve_derivations
+from staromega._search import PositionAutomaton, solve_derivations
 from staromega.pda import (
     EpsilonCoefficient,
     ResetPDMatrix,
@@ -29,7 +29,7 @@ from staromega.pda import (
     pda_to_dot,
     pda_to_json,
 )
-from staromega.semiring import ARCTIC, BOOLEAN, INF, TROPICAL
+from staromega.semiring import ARCTIC, BOOLEAN, COUNTING, INF, TROPICAL
 from staromega.series import LassoWord, Polynomial, parse_polynomial
 from staromega.system import (
     AlgebraicSystem,
@@ -39,6 +39,7 @@ from staromega.system import (
     oracle_coeff_gnf,
 )
 
+from idempotent_lasso_reference import HitEdge, lasso_value
 from pda_summary_reference import (
     assert_summaries_match,
     pop_steps,
@@ -180,7 +181,7 @@ def test_omega_automaton_worked_example():
     assert behavior_finite(auto, ()).value is INF
 
 
-def test_omega_requires_buchi_count_and_idempotent():
+def test_omega_requires_buchi_count():
     auto = tropical_omega_automaton()
     plain = SimpleOmegaPDA(auto.matrix, auto.initial, auto.final, None, auto.state_names)
     with pytest.raises(IllFormedSystem):
@@ -486,7 +487,7 @@ def reference_certificate_search(a, w, starts, height, max_nodes=200000):
         inst,
         edges,
         sources,
-        is_anchor=lambda node: pa.is_periodic(node[2]),
+        is_anchor=lambda node: node[2] >= pa.prefix_len,
         is_buchi=lambda node: node[0] < l,
     )
     return value, complete
@@ -553,12 +554,44 @@ def test_one_step_unfolding_on_random_automata():
 def test_solver_arctic_pump_is_inf():
     # i0 = 1 | 1 * i0 grows by one every round; i1 = i0 * i0 depends on it
     one = ARCTIC.value(1)
-    value, unit = solve_derivations(ARCTIC, [[(one, None, None), (one, 0, None)], [(None, 0, 0)]])
-    assert [v.value for v in value] == [INF, INF] and unit == [False, False]
+    value = solve_derivations(ARCTIC, [[(one, None, None), (one, 0, None)], [(None, 0, 0)]])
+    assert [v.value for v in value] == [INF, INF]
     # a zero-gain loop is no pump: i0 = 1 | i0, i1 = 0 | i1 * i0
     zero_gain = [[(one, None, None), (None, 0, None)], [(ARCTIC.one, None, None), (None, 1, 0)]]
-    value, unit = solve_derivations(ARCTIC, zero_gain)
-    assert [v.value for v in value] == [1, INF] and unit == [False, True]
+    value = solve_derivations(ARCTIC, zero_gain)
+    assert [v.value for v in value] == [1, INF]
+
+
+def test_solver_counting_repeated_item_is_inf():
+    # i0 = 1 | i0: every tree is a chain of i0, one per height, each weighing
+    # 1, so i0 and i1 = i0 * i0 are inf; i2 = 2 | i1 uses them
+    c = COUNTING.value
+    value = solve_derivations(COUNTING, [
+        [(c(1), None, None), (None, 0, None)],
+        [(None, 0, 0)],
+        [(c(2), None, None), (None, 1, None)],
+    ])
+    assert [v.value for v in value] == [INF, INF, INF]
+    # a weighted loop of two items, i0 = 1 | 3 * i1, i1 = 2 * i0
+    value = solve_derivations(COUNTING, [[(c(1), None, None), (c(3), 1, None)], [(c(2), 0, None)]])
+    assert [v.value for v in value] == [INF, INF]
+    # a cycle of 300 items, i = 2 | next * next: Kleene rounds would square
+    # numbers 300 times over, to 2^300 digits
+    n = 300
+    cycle = [[(c(2), None, None), (None, (i + 1) % n, (i + 1) % n)] for i in range(n)]
+    assert all(v.value is INF for v in solve_derivations(COUNTING, cycle))
+
+
+def test_solver_counting_sums_every_tree_without_repetition():
+    # i0 = 1 | 2, i1 = i0 * i0 | 3 * i0, i2 = i1 | i1 * i0: finitely many
+    # trees, so the values are their sums, 3, 18 and 72
+    c = COUNTING.value
+    value = solve_derivations(COUNTING, [
+        [(c(1), None, None), (c(2), None, None)],
+        [(None, 0, 0), (c(3), 0, None)],
+        [(None, 1, None), (None, 1, 0)],
+    ])
+    assert [v.value for v in value] == [3, 18, 72]
 
 
 def test_solver_tropical_chain_gives_its_minimum():
@@ -569,8 +602,8 @@ def test_solver_tropical_chain_gives_its_minimum():
         [(t(1), None, None), (None, 2, None)],
         [(t(0), None, None), (t(2), 0, None)],
     ]
-    value, unit = solve_derivations(TROPICAL, rules)
-    assert [v.value for v in value] == [1, 0, 0] and unit == [False, True, True]
+    value = solve_derivations(TROPICAL, rules)
+    assert [v.value for v in value] == [1, 0, 0]
 
 
 def test_deep_push_decomposition_agrees_on_all_routes():
@@ -678,8 +711,8 @@ def test_worklist_summaries_equal_round_robin_on_random_automata():
 
 
 def test_demanded_summaries_equal_the_full_saturation_on_random_automata():
-    # pop facts built on demand leave every level edge, its weight and its
-    # unit-weight copy as the saturation of every pop fact gave them
+    # pop facts built on demand leave every level edge and its weight as the
+    # saturation of every pop fact gave them
     from staromega.pda import _RunAnalysis
 
     rng = random.Random("demand/full-saturation")
@@ -698,20 +731,22 @@ def test_demanded_summaries_equal_the_full_saturation_on_random_automata():
     assert pop_facts >= 300, pop_facts
 
 
-@pytest.mark.parametrize("inst", [BOOLEAN, TROPICAL, ARCTIC], ids=lambda i: i.name)
+@pytest.mark.parametrize("inst", [BOOLEAN, TROPICAL, ARCTIC, COUNTING], ids=lambda i: i.name)
 def test_automaton_route_agrees_with_mixed_normal_form(inst):
-    from staromega.gnf import pipeline_from_decomposition
+    # and with the direct system and the folded one: four routes, one value,
+    # zero or not, and over counting finite or not
+    from staromega.gnf import char_to_mixed, pipeline_from_decomposition
     from staromega.pda import _RunAnalysis
     from staromega.system import induce_mixed
 
     rng = random.Random(f"automaton-route/{inst.name}")
-    nonzero = 0
+    seen = set()
     for _ in range(12):
         dec, lassos = random_decomposition(rng, inst)
-        _, mixed, sel, omega_sys, omega_sel, _ = pipeline_from_decomposition(dec)
-        auto = induced_omega_pda(
-            induce_mixed(omega_sys), omega_sel.component, omega_sel.buchi_count
-        )
+        norm, mixed, sel, omega_sys, omega_sel, _ = pipeline_from_decomposition(dec)
+        direct, direct_sel = char_to_mixed(norm)
+        folded = induce_mixed(omega_sys)
+        auto = induced_omega_pda(folded, omega_sel.component, omega_sel.buchi_count)
         for w in lassos:
             ra = _RunAnalysis(auto, w, initial_starts(auto))
             assert_summaries_match(ra, round_robin_summaries(ra))
@@ -719,8 +754,15 @@ def test_automaton_route_agrees_with_mixed_normal_form(inst):
             got = behavior_omega_lasso(auto, w)
             assert got.conclusive and want.conclusive, str(w)
             assert got.value == want.value, str(w)
-            nonzero += not got.value.is_zero()
-    assert nonzero > 0
+            for other in (
+                canonical_omega_lasso(direct, direct_sel.buchi_count, direct_sel.component, w),
+                canonical_omega_lasso(folded, omega_sel.buchi_count, omega_sel.component, w),
+            ):
+                assert other.value == want.value, str(w)
+            seen.add(got.value.value)
+    assert len(seen) >= 2, seen
+    if inst is COUNTING:
+        assert INF in seen and seen - {0, INF}, seen
 
 
 # -- the shared accepting-cycle check against the searches it replaced ------------
@@ -967,3 +1009,11 @@ def test_long_chains_evaluate_under_the_default_recursion_limit():
     rho = (sparse_row(t, {0: [(t.one, ("a", "x0"))]}),)
     sys = MixedSystem(t, ("a",), x_vars, x_rhs, ("z",), rho)
     assert canonical_omega_lasso(sys, 1, 0, LassoWord(("a",), ("a",))).value == t.one
+
+    # a finite word of 3,000 letters, a^1500 b^1500, read by the automaton of
+    # x = a x y | (2) a y, y = b one position at a time, with stacks up to
+    # 1,500 symbols deep
+    c = COUNTING
+    fin = AlgebraicSystem(c, ("a", "b"), ("x", "y"), (poly(c, "a x y | (2) a y"), poly(c, "b")))
+    word = ("a",) * 1500 + ("b",) * 1500
+    assert behavior_finite(induced_finite_pda(fin, 0), word).value == 2

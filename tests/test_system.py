@@ -11,7 +11,6 @@ from staromega.semiring import (
     BOOLEAN,
     COUNTING,
     INF,
-    SemiringError,
     TROPICAL,
     natural_leq,
 )
@@ -321,13 +320,34 @@ def test_canonical_lasso_boolean_buchi_distinction():
         assert r.conclusive and r.value.value == want, (k, comp, str(w))
 
 
-def test_canonical_lasso_rejects_counting():
+def test_canonical_lasso_counting_values():
+    # z = rho z with one z-variable: the value sums the factorizations of the
+    # lasso word into words of rho, each weighing the product of its factors
     c = COUNTING
-    sys = MixedSystem(
-        c, ("a",), ("x",), (poly(c, "a"),), ("z",), ({0: poly(c, "a")},)
-    )
-    with pytest.raises(SemiringError):
-        canonical_omega_lasso(sys, 1, 0, LassoWord((), ("a",)))
+
+    def value(x_rhs, z_rhs, w, k=1):
+        sys = MixedSystem(
+            c, ("a", "b"), ("x",), (poly(c, x_rhs),), ("z",), ({0: poly(c, z_rhs)},)
+        )
+        r = canonical_omega_lasso(sys, k, 0, w)
+        assert r.conclusive
+        return r.value.value
+
+    a_omega, ab_omega = LassoWord((), ("a",)), LassoWord((), ("a", "b"))
+    assert value("a", "a", a_omega) == 1
+    assert value("a", "x", a_omega) == 1
+    assert value("a", "a", a_omega, k=0) == 0
+    # one factorization, of weight 2^omega or 3^omega
+    assert value("a", "(2) a", a_omega) == INF
+    assert value("a | (2) a", "x", a_omega) == INF
+    # (ab)^omega has one factorization into a b and a b
+    assert value("a | a b", "x", ab_omega) == 1
+    assert value("a | a b", "x b", ab_omega) == 1
+    # a^omega has uncountably many into a and a a
+    assert value("a | a a", "x", a_omega) == INF
+    # the prefix b is read once, before the period
+    assert value("a", "b | x", LassoWord(("b",), ("a",))) == 1
+    assert value("a", "x b", LassoWord(("b",), ("a", "b"))) == 0
 
 
 def test_canonical_lasso_range_checks():
