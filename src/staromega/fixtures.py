@@ -84,9 +84,9 @@ def tropical_omega_automaton() -> SimpleOmegaPDA:
     n = 4
 
     def block(entries):
-        rows = tuple({} for _ in range(n))
+        rows = {}
         for (i, j, letter, weight) in entries:
-            rows[i].setdefault(j, {})[letter] = t.value(weight)
+            rows.setdefault(i, {}).setdefault(j, {})[letter] = t.value(weight)
         return rows
 
     matrix = ResetPDMatrix(

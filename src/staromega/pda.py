@@ -3,21 +3,25 @@
 A simple reset pushdown matrix is stored by its three generating block
 families (ignore stack / push one symbol / pop one symbol); every entry of
 the infinite transition matrix is recovered from them by suffix extension,
-which `expand_entry` implements.  A block is a tuple of sparse rows, row i
-mapping each column j with a nonzero letter polynomial to it, so a matrix
-takes space in its number of transitions; `ResetPDMatrix.moves` indexes the
-transitions by letter and source state once, for the run enumerations.
+which `expand_entry` implements.  A block maps a state to its sparse row,
+row i mapping each column j with a nonzero letter polynomial to it, and only
+nonempty rows are stored, so a matrix takes space in its number of
+transitions.  `ResetPDMatrix.moves` indexes the neutral and push transitions
+by letter and source state once, for the run enumerations; a run pops only
+the symbol on its stack's top, so pops are read by (symbol, state) straight
+from that symbol's block.
 
 Behaviors are exact on all four instances, counting included.  The finite
 behavior sums the runs one position at a time over weighted (state, stack)
 configurations.  The omega behavior at u v^omega is computed in polynomial
 time from weighted pop summaries over (state, period-quotient position), the
 summary algebra of weighted pushdown systems (Reps, Schwoon, Jha and Melski
-2005): one worklist finds every level edge with its derivations, and the pop
-facts only where a push can use them, demand flowing from each push target
-along the level edges; `_search.solve_derivations` weighs them.  An infinite
-run returns to its lowest recurring stack height forever or leaves every
-height for good, so its weight is that of a path of level edges and
+2005): one post* saturation reads the steps of a node only once a run
+reaches it, finds every level edge there with its derivations, and builds
+the pop facts only where a push can use them, demand flowing from each push
+target along the level edges; `_search.solve_derivations` weighs them.  An
+infinite run returns to its lowest recurring stack height forever or leaves
+every height for good, so its weight is that of a path of level edges and
 never-popped pushes (the repeating heads of Bouajjani, Esparza and Maler
 1997), which `_search.pushdown_lasso_value` sums over with the read-off of
 the grammar route, omega_t per strongly connected component.  No answer
@@ -54,8 +58,9 @@ from .system import (
 
 # A letter polynomial: one weight per input letter, support only on letters.
 LetterPoly = dict[str, SemiringValue]
-# Sparse rows: block[i] maps column j to a nonzero letter polynomial.
-Block = tuple[dict[int, LetterPoly], ...]
+# Sparse rows: block[i] maps column j to a nonzero letter polynomial.  Only
+# nonempty rows are stored; an absent row reads as empty.
+Block = dict[int, dict[int, LetterPoly]]
 
 
 class EpsilonCoefficient(SemanticFailure):
@@ -69,12 +74,12 @@ class EpsilonCoefficient(SemanticFailure):
         self.coeff = coeff
 
 
-def _rows(n: int, cells: Mapping[tuple[int, int], LetterPoly]) -> Block:
-    """Sparse rows of an n-state block; empty cells are left out."""
-    rows = tuple({} for _ in range(n))
+def _rows(cells: Mapping[tuple[int, int], LetterPoly]) -> Block:
+    """Sparse block of the given cells; empty cells and rows are left out."""
+    rows: Block = {}
     for (i, j), lp in cells.items():
         if lp:
-            rows[i][j] = lp
+            rows.setdefault(i, {})[j] = lp
     return rows
 
 
@@ -82,8 +87,9 @@ def _rows(n: int, cells: Mapping[tuple[int, int], LetterPoly]) -> Block:
 class ResetPDMatrix:
     """Finite block presentation of a simple reset pushdown matrix.
 
-    Every block is a tuple of n_states sparse rows: block[i] maps a column
-    j to its nonzero letter polynomial, and absent columns are zero.
+    Every block maps a state i to its sparse row: block[i] maps a column j
+    to its nonzero letter polynomial.  Only nonempty rows are stored, and
+    absent rows and columns are zero.
     """
 
     instance: SemiringInstance
@@ -101,12 +107,15 @@ class ResetPDMatrix:
         for sym in list(self.m_eps_push) + list(self.m_pop_eps):
             if sym not in self.stack_alphabet:
                 raise IllFormedSystem(f"unknown stack symbol {sym!r}")
+        states = range(self.n_states)
         for b in blocks:
-            if len(b) != self.n_states:
-                raise IllFormedSystem("block has wrong dimension")
-            for row in b:
+            for i, row in b.items():
+                if i not in states:
+                    raise IllFormedSystem(f"block row {i!r} out of range")
+                if not row:
+                    raise IllFormedSystem("empty rows must be omitted")
                 for j, lp in row.items():
-                    if j not in range(self.n_states):
+                    if j not in states:
                         raise IllFormedSystem(f"block column {j!r} out of range")
                     if not lp:
                         raise IllFormedSystem("zero entries must be omitted")
@@ -119,28 +128,29 @@ class ResetPDMatrix:
                             raise IllFormedSystem("zero weights must be omitted")
 
     def push_block(self, sym: str) -> Block:
-        return self.m_eps_push.get(sym, ({},) * self.n_states)
+        return self.m_eps_push.get(sym, {})
 
     def pop_block(self, sym: str) -> Block:
-        return self.m_pop_eps.get(sym, ({},) * self.n_states)
+        return self.m_pop_eps.get(sym, {})
 
     @cached_property
-    def moves(self) -> dict[str, dict[int, tuple[list, list, dict]]]:
-        """Transitions by letter, then source state, indexed once.
+    def moves(self) -> dict[str, dict[int, tuple[list, list]]]:
+        """Neutral and push transitions by letter, then source state, indexed once.
 
-        moves[letter][p] holds the neutral moves [(q, c)], the pushes
-        [(sym, q, c)] and the pops {sym: [(q, c)]}, each block's targets in
-        ascending order.
+        moves[letter][p] holds the neutral moves [(q, c)] and the pushes
+        [(sym, q, c)], each block's targets in ascending order.  Pops are
+        not indexed: a run pops only the symbol on its stack's top, so
+        `_pops` reads them from that symbol's block row.
         """
-        index: dict[str, dict[int, tuple[list, list, dict]]] = {}
+        index: dict[str, dict[int, tuple[list, list]]] = {}
 
         def cells(block):
-            for p, row in enumerate(block):
+            for p, row in block.items():
                 for q in sorted(row):
                     for letter, c in row[q].items():
                         by_state = index.setdefault(letter, {})
                         if p not in by_state:
-                            by_state[p] = ([], [], {})
+                            by_state[p] = ([], [])
                         yield by_state[p], q, c
 
         for at, q, c in cells(self.m_eps_eps):
@@ -148,10 +158,15 @@ class ResetPDMatrix:
         for sym, block in self.m_eps_push.items():
             for at, q, c in cells(block):
                 at[1].append((sym, q, c))
-        for sym, block in self.m_pop_eps.items():
-            for at, q, c in cells(block):
-                at[2].setdefault(sym, []).append((q, c))
         return index
+
+
+def _pops(m: ResetPDMatrix, sym: str, state: int, letter: str) -> list:
+    """Pop steps (q, c) of sym from state on letter, read from sym's block row."""
+    row = m.m_pop_eps.get(sym, {}).get(state)
+    if row is None:
+        return []
+    return [(q, lp[letter]) for q, lp in row.items() if letter in lp]
 
 
 def expand_entry(m: ResetPDMatrix, pi: Word, pi2: Word) -> Block:
@@ -165,7 +180,7 @@ def expand_entry(m: ResetPDMatrix, pi: Word, pi2: Word) -> Block:
             return m.m_eps_eps
         if len(pi2) == 1:
             return m.push_block(pi2[0])
-        return ({},) * m.n_states
+        return {}
     top, rest = pi[0], pi[1:]
     if pi2 == rest:
         return m.pop_block(top)
@@ -173,7 +188,7 @@ def expand_entry(m: ResetPDMatrix, pi: Word, pi2: Word) -> Block:
         return m.m_eps_eps
     if len(pi2) == len(pi) + 1 and pi2[1:] == pi:
         return m.push_block(pi2[0])
-    return ({},) * m.n_states
+    return {}
 
 
 @dataclass(frozen=True)
@@ -251,12 +266,12 @@ def induced_finite_pda(sys: AlgebraicSystem, start: int) -> SimpleOmegaPDA:
     m_eps_eps = {k: _letter_sum(v) for k, v in eps_eps.items()}
     m_eps_eps.update(((i, f), lp) for i, lp in finals)
     m_push = {
-        sym: _rows(n + 1, {k: _letter_sum(v) for k, v in d.items()})
+        sym: _rows({k: _letter_sum(v) for k, v in d.items()})
         for sym, d in pushes.items()
         if d
     }
     m_pop = {
-        sym: _rows(n + 1, {(i, k): lp for i, lp in finals})
+        sym: _rows({(i, k): lp for i, lp in finals})
         for k, sym in enumerate(stack_syms)
         if finals
     }
@@ -266,13 +281,17 @@ def induced_finite_pda(sys: AlgebraicSystem, start: int) -> SimpleOmegaPDA:
         n + 1,
         tuple(sys.terminals),
         stack_syms,
-        _rows(n + 1, m_eps_eps),
+        _rows(m_eps_eps),
         m_push,
         m_pop,
     )
     initial = tuple(inst.one if q == start else inst.zero for q in range(n + 1))
     final = tuple(inst.one if q == f else inst.zero for q in range(n + 1))
-    names = tuple(sys.variables) + ("f",)
+    # the sink is "f", primed until no variable has its name
+    sink = "f"
+    while sink in var_ix:
+        sink += "'"
+    names = tuple(sys.variables) + (sink,)
     return SimpleOmegaPDA(matrix, initial, final, None, names)
 
 
@@ -326,22 +345,22 @@ def induced_omega_pda(sys: MixedSystem, start: int, buchi_count: int) -> SimpleO
     m_eps_eps = {k: _letter_sum(v) for k, v in eps_eps.items()}
     m_eps_eps.update(((i, f), lp) for i, lp in finals)
     m_push = {
-        sym: _rows(2 * n + 1, {k: _letter_sum(v) for k, v in d.items()})
+        sym: _rows({k: _letter_sum(v) for k, v in d.items()})
         for sym, d in pushes.items()
         if d
     }
     m_pop = {}
     if finals:
         for k in range(n):
-            m_pop[xsym[k]] = _rows(2 * n + 1, {(i, n + k): lp for i, lp in finals})
-            m_pop[zsym[k]] = _rows(2 * n + 1, {(i, k): lp for i, lp in finals})
+            m_pop[xsym[k]] = _rows({(i, n + k): lp for i, lp in finals})
+            m_pop[zsym[k]] = _rows({(i, k): lp for i, lp in finals})
 
     matrix = ResetPDMatrix(
         inst,
         2 * n + 1,
         tuple(sys.terminals),
         xsym + zsym,
-        _rows(2 * n + 1, m_eps_eps),
+        _rows(m_eps_eps),
         m_push,
         m_pop,
     )
@@ -357,16 +376,13 @@ def induced_omega_pda(sys: MixedSystem, start: int, buchi_count: int) -> SimpleO
 
 
 def _successors(m: ResetPDMatrix, state: int, stack: Word, letter: str):
-    moves = m.moves.get(letter, {}).get(state)
-    if moves is None:
-        return
-    neutral, push, pop = moves
+    neutral, push = m.moves.get(letter, {}).get(state, ((), ()))
     for j, c in neutral:
         yield j, stack, c
     for sym, j, c in push:
         yield j, (sym,) + stack, c
     if stack:
-        for j, c in pop.get(stack[0], ()):
+        for j, c in _pops(m, stack[0], state, letter):
             yield j, stack[1:], c
 
 
@@ -433,14 +449,15 @@ class _RunAnalysis:
     s with sym on top, sym is eventually popped, landing in r at t; a level
     edge (p, s) -> (q, t, bit) is one neutral step or one push-excursion
     returning to the same stack level.  The bit records whether a repeated
-    state was entered after the start, the target included.  level1 and
-    raw_push are the Boolean projection of the level edges and of the push
-    steps (popped or not) at every node the starts reach; pop_sum is that of
-    the pop facts at the demanded (node, symbol) pairs only, the push
-    targets closed under level edges.  level_w, push_w and pop_w are the
-    weighted out-edges (state, position, weight, hit) of each (state,
-    position) node that `_search.pushdown_lasso_value` reads; pop_w holds
-    the pop steps of the start stacks' symbols only.
+    state was entered after the start, the target included.  reached holds
+    the (state, position) nodes that some run from the (state, stack) starts
+    enters; only their steps are read.  level1 and raw_push are the Boolean
+    projection of the level edges and of the push steps (popped or not) at
+    the reached nodes; pop_sum is that of the pop facts at the demanded
+    (node, symbol) pairs only, the push targets closed under level edges.
+    level_w, push_w and pop_w are the weighted out-edges (state, position,
+    weight, hit) of each reached node that `_search.pushdown_lasso_value`
+    reads; pop_w holds the pop steps of the start stacks' symbols only.
     """
 
     def __init__(self, a: SimpleOmegaPDA, w: LassoWord, starts):
@@ -448,86 +465,63 @@ class _RunAnalysis:
         self.m = a.matrix
         self.pa = PositionAutomaton.of(w)
         self.l = a.buchi_count or 0
-        self._build_steps(starts)
-        self._saturate()
+        self._saturate(starts)
 
     def _hit(self, state: int) -> bool:
         return state < self.l
 
-    def _build_steps(self, starts):
-        """Steps per position: neutral (p, q, c) and push (p, sym, q, c).
+    def _saturate(self, starts):
+        """Reached nodes, their level edges and the pop facts the pushes can
+        use, then the weights.
 
-        Only the steps from the (state, position) nodes that some sequence of
-        steps reaches from the (state, stack) starts are kept: an item's
-        derivations only use items at the nodes its own node reaches, so the
-        summaries there stay exact.  Pop steps stay in `ResetPDMatrix.moves`,
-        where the saturation looks them up; only those of the start stacks'
-        symbols are copied, into pop_w.
+        This is the post* saturation of weighted pushdown systems (Reps,
+        Schwoon, Jha and Melski 2005), on the period quotient.  A node is
+        reached when it is a start node, or the target of a level edge, a
+        push, a start-stack pop or a pop fact; its neutral steps, pushes and
+        start-stack pops are read once, when it is first reached.  An item
+        is a level edge (node, None, (q, t, bit)) or a pop fact (node, sym,
+        (r, t, bit)).  Its derivations are: a neutral step c (edge) or a pop
+        step c (fact); an edge followed by a fact from its target (fact); a
+        push c followed by a fact of the pushed symbol (edge).  Pop facts
+        are built on demand: a push demands its pushed symbol at its target,
+        and a demanded (node, sym) pair demands sym at the target of every
+        level edge from node.  A pop fact is created only at a demanded
+        pair, from a pop step read from the symbol's block row or from an
+        edge and a fact.  Worklists of reached nodes, demands and items are
+        drained together, and every join is made by the last of its events,
+        so each pair is joined once.  An edge and a fact are joined when the
+        edge is taken, the fact is taken, or the edge's source becomes
+        demanded for the fact's symbol; a push and a fact when the push is
+        read or the fact is taken.  `solve_derivations` then weighs every
+        item.  Steps at a node no run enters, and facts at an undemanded
+        pair, are in no derivation of a reached node's level edge, so every
+        level edge weighs what it would with every step read and every pop
+        fact built.
         """
-        moves, pa, hit = self.m.moves, self.pa, self._hit
-        live = {(q, pa.state_of(0)) for q, _stack in starts}
-        todo = list(live)
-        while todo:
-            p, s = todo.pop()
-            neu, pu, po = moves.get(pa.letter(s), {}).get(p, ((), (), {}))
-            s2 = pa.advance(s)
-            targets = {(q, s2) for q, _c in neu} | {(q, s2) for _sym, q, _c in pu}
-            targets.update((q, s2) for outs in po.values() for q, _c in outs)
-            for node in targets - live:
-                live.add(node)
-                todo.append(node)
+        pa, hit, m, moves = self.pa, self._hit, self.m, self.m.moves
         start_syms = {sym for _q, stack in starts for sym in stack}
-        self.neutral = {s: [] for s in range(pa.size)}
-        self.push = {s: [] for s in range(pa.size)}
-        self.pop_w: dict[tuple[int, int], dict] = {}
-        for p, s in sorted(live):
-            got = moves.get(pa.letter(s), {}).get(p)
-            if got is None:
-                continue
-            neu, pu, po = got
-            self.neutral[s] += [(p, q, c) for q, c in neu]
-            self.push[s] += [(p, sym, q, c) for sym, q, c in pu]
-            s2 = pa.advance(s)
-            for sym in start_syms.intersection(po):
-                self.pop_w.setdefault((p, s), {})[sym] = [
-                    (q, s2, c, hit(q)) for q, c in po[sym]
-                ]
-
-    def _saturate(self):
-        """Level edges and the pop facts the pushes can use, then their weights.
-
-        An item is a level edge (node, None, (q, t, bit)) or a pop fact
-        (node, sym, (r, t, bit)).  Its derivations are: a neutral step c
-        (edge) or a pop step c (fact); an edge followed by a fact from its
-        target (fact); a push c followed by a fact of the pushed symbol
-        (edge).  Pop facts are built on demand, as in the post* direction
-        of weighted pushdown systems: a push demands its pushed symbol at
-        its target, and a demanded (node, sym) pair demands sym at the
-        target of every level edge from node.  A pop fact is created only at
-        a demanded pair, from a pop step looked up in `ResetPDMatrix.moves`
-        or from an edge and a fact.  One worklist of items and one of
-        demands are drained together; an edge and a fact are joined by the
-        last of three events, so each pair is joined once: the edge is
-        taken, the fact is taken, or the edge's source becomes demanded for
-        the fact's symbol.  `solve_derivations` then weighs every item.  A
-        fact at an undemanded pair is in no derivation of a level edge, so
-        every level edge weighs what it would with every pop fact built.
-        """
-        pa, hit, moves = self.pa, self._hit, self.m.moves
+        reached: set[tuple[int, int]] = set()
         pop_sum: dict[tuple[int, str, int], set] = {}
         level1: dict[tuple[int, int], set] = {}
         raw_push: dict[tuple[int, int], set] = {}
         facts_at: dict[tuple[tuple[int, int], str], list] = {}
         edges_into: dict[tuple[int, int], list] = {}
         edges_from: dict[tuple[int, int], list] = {}
-        pushes_into: dict[tuple[int, str, int], list] = {}
+        pushes_into: dict[tuple[tuple[int, int], str], list] = {}
         demanded: set[tuple[tuple[int, int], str]] = set()
         syms_at: dict[tuple[int, int], list] = {}
         self.push_w: dict[tuple[int, int], list] = {}
+        self.pop_w: dict[tuple[int, int], dict] = {}
         ids: dict[tuple, int] = {}
         rules: list[list] = []
         work: list = []
         want: list = []
+        fresh: list = []
+
+        def reach(node):
+            if node not in reached:
+                reached.add(node)
+                fresh.append(node)
 
         def derive(node, sym, target, term):
             key = (node, sym, target)
@@ -543,16 +537,34 @@ class _RunAnalysis:
             else:
                 pop_sum.setdefault((node[0], sym, node[1]), set()).add(target)
 
-        for s in range(pa.size):
-            s2 = pa.advance(s)
-            for (p, q, c) in self.neutral[s]:
-                derive((p, s), None, (q, s2, hit(q)), (c, None, None))
-            for (p, delta, q, c) in self.push[s]:
-                pushes_into.setdefault((q, delta, s2), []).append(((p, s), c))
-                raw_push.setdefault((p, s), set()).add((q, s2, hit(q)))
-                self.push_w.setdefault((p, s), []).append((q, s2, c, hit(q)))
-                want.append(((q, s2), delta))
-        while work or want:
+        for q, _stack in starts:
+            reach((q, pa.state_of(0)))
+        while fresh or want or work:
+            if fresh:
+                node = fresh.pop()
+                p, s = node
+                letter, s2 = pa.letter(s), pa.advance(s)
+                neu, pu = moves.get(letter, {}).get(p, ((), ()))
+                for q, c in neu:
+                    derive(node, None, (q, s2, hit(q)), (c, None, None))
+                for delta, q, c in pu:
+                    target = (q, s2)
+                    reach(target)
+                    raw_push.setdefault(node, set()).add((q, s2, hit(q)))
+                    self.push_w.setdefault(node, []).append((q, s2, c, hit(q)))
+                    pushes_into.setdefault((target, delta), []).append((node, c))
+                    want.append((target, delta))
+                    for (r, t, h), f in facts_at.get((target, delta), ()):
+                        derive(node, None, (r, t, h or hit(q)), (c, f, None))
+                for sym in start_syms:
+                    outs = _pops(m, sym, p, letter)
+                    if outs:
+                        self.pop_w.setdefault(node, {})[sym] = [
+                            (q, s2, c, hit(q)) for q, c in outs
+                        ]
+                        for q, _c in outs:
+                            reach((q, s2))
+                continue
             if want:
                 demand = want.pop()
                 if demand in demanded:
@@ -562,8 +574,7 @@ class _RunAnalysis:
                 syms_at.setdefault(node, []).append(sym)
                 p, s = node
                 s2 = pa.advance(s)
-                _neu, _pu, po = moves.get(pa.letter(s), {}).get(p, ((), (), {}))
-                for q, c in po.get(sym, ()):
+                for q, c in _pops(m, sym, p, pa.letter(s)):
                     derive(node, sym, (q, s2, hit(q)), (c, None, None))
                 for target, bit, e in edges_from.get(node, ()):
                     want.append((target, sym))
@@ -573,8 +584,9 @@ class _RunAnalysis:
             key = work.pop()
             i = ids[key]
             node, sym, (q, t, bit) = key
+            target = (q, t)
+            reach(target)
             if sym is None:
-                target = (q, t)
                 for sym2 in syms_at.get(node, ()):
                     want.append((target, sym2))
                     for (r, t2, h), f in facts_at.get((target, sym2), ()):
@@ -582,13 +594,13 @@ class _RunAnalysis:
                 edges_into.setdefault(target, []).append((node, bit, i))
                 edges_from.setdefault(node, []).append((target, bit, i))
                 continue
-            p, s = node
-            for src, c in pushes_into.get((p, sym, s), ()):
-                derive(src, None, (q, t, bit or hit(p)), (c, i, None))
+            for src, c in pushes_into.get((node, sym), ()):
+                derive(src, None, (q, t, bit or hit(node[0])), (c, i, None))
             for src, h, e in edges_into.get(node, ()):
                 if (src, sym) in demanded:
                     derive(src, sym, (q, t, h or bit), (None, e, i))
             facts_at.setdefault((node, sym), []).append(((q, t, bit), i))
+        self.reached = reached
         self.pop_sum = pop_sum
         self.level1 = level1
         self.raw_push = raw_push
@@ -605,7 +617,8 @@ class _RunAnalysis:
 
 def _block_to_sparse(block: Block, names):
     out = []
-    for i, row in enumerate(block):
+    for i in sorted(block):
+        row = block[i]
         for j in sorted(row):
             for a, c in sorted(row[j].items()):
                 out.append([names[i], names[j], a, raw_to_json(c.value)])
@@ -665,6 +678,9 @@ def pda_from_json(text: str) -> SimpleOmegaPDA:
         got = doc[key]
         if not (isinstance(got, list) and all(isinstance(x, str) for x in got)):
             raise IllFormedSystem(f"{key!r} must be a list of names, got {got!r}")
+        if len(set(got)) != len(got):
+            twice = next(x for i, x in enumerate(got) if x in got[:i])
+            raise IllFormedSystem(f"{key!r} names {twice!r} twice")
         return tuple(got)
 
     def weight(where, raw):
@@ -697,7 +713,7 @@ def pda_from_json(text: str) -> SimpleOmegaPDA:
                     raise IllFormedSystem(f"{where} entry {entry!r} names unknown state {state!r}")
             val = weight(f"{where} entry {entry!r}", raw)
             cells.setdefault((ix[src], ix[dst]), []).append((letter, val))
-        return _rows(n, {k: _letter_sum(v) for k, v in cells.items()})
+        return _rows({k: _letter_sum(v) for k, v in cells.items()})
 
     def blocks_of(key):
         if not isinstance(doc[key], dict):
@@ -734,7 +750,8 @@ def pda_to_dot(a: SimpleOmegaPDA) -> str:
         lines.append(f'  "{name}" [shape={shape}, label="{label}"];')
 
     def emit(block, fmt):
-        for i, row in enumerate(block):
+        for i in sorted(block):
+            row = block[i]
             for j in sorted(row):
                 for letter, c in sorted(row[j].items()):
                     weight = "" if c.is_one() else f":{raw_to_json(c.value)}"

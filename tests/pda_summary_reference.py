@@ -3,24 +3,52 @@
 `reference_saturate` is the weighted saturation of `_RunAnalysis` before it
 was demand-driven: it builds the pop facts of every (node, stack symbol)
 pair that a pop step starts, wanted or not.  `round_robin_summaries` is the
-Boolean analysis before the worklist.  The tests compare the demand-driven
-saturation against both: its level edges must be the same, and its pop
-facts must be theirs at the demanded pairs.
+Boolean analysis before the worklist.  Both read the steps of every state at
+every position, straight from the matrix blocks.  The tests compare the
+demand-driven saturation against both: at the nodes it reached, its level
+edges must be the same, and its pop facts must be theirs at the demanded
+pairs.
 """
 
 from staromega._search import solve_derivations
 
 
-def pop_steps(ra):
-    """Pop steps (p, sym, q, c) per position, read from `ResetPDMatrix.moves`
-    for every state: those at nodes the starts do not reach only derive
-    facts that no level edge of a reached node joins."""
-    pa, moves = ra.pa, ra.m.moves
+def block_steps(ra, block):
+    """Steps (p, q, c) of one block per position, for every state p."""
+    pa = ra.pa
     out = {s: [] for s in range(pa.size)}
     for s in range(pa.size):
-        for p, (_neu, _pu, po) in sorted(moves.get(pa.letter(s), {}).items()):
-            out[s] += [(p, sym, q, c) for sym, outs in po.items() for q, c in outs]
+        letter = pa.letter(s)
+        for p, row in sorted(block.items()):
+            out[s] += [(p, q, row[q][letter]) for q in sorted(row) if letter in row[q]]
     return out
+
+
+def neutral_steps(ra):
+    """Neutral steps (p, q, c) per position, for every state."""
+    return block_steps(ra, ra.m.m_eps_eps)
+
+
+def symbol_steps(ra, blocks):
+    """Steps (p, sym, q, c) of blocks by stack symbol per position, for every
+    state."""
+    out = {s: [] for s in range(ra.pa.size)}
+    for sym, block in sorted(blocks.items()):
+        for s, steps in block_steps(ra, block).items():
+            out[s] += [(p, sym, q, c) for p, q, c in steps]
+    return out
+
+
+def push_steps(ra):
+    """Push steps (p, sym, q, c) per position, for every state."""
+    return symbol_steps(ra, ra.m.m_eps_push)
+
+
+def pop_steps(ra):
+    """Pop steps (p, sym, q, c) per position, for every state: those at nodes
+    the starts do not reach only derive facts that no level edge of a
+    reached node joins."""
+    return symbol_steps(ra, ra.m.m_pop_eps)
 
 
 def reference_saturate(ra):
@@ -28,7 +56,7 @@ def reference_saturate(ra):
     weights.  Returns level_w, pop_sum, level1 and raw_push as
     `_RunAnalysis` computed them before pop facts were built on demand."""
     pa, hit = ra.pa, ra._hit
-    pop = pop_steps(ra)
+    neutral, push, pop = neutral_steps(ra), push_steps(ra), pop_steps(ra)
     pop_sum, level1, raw_push = {}, {}, {}
     facts_at, edges_into, pushes_into = {}, {}, {}
     ids, rules, work = {}, [], []
@@ -49,11 +77,11 @@ def reference_saturate(ra):
 
     for s in range(pa.size):
         s2 = pa.advance(s)
-        for (p, q, c) in ra.neutral[s]:
+        for (p, q, c) in neutral[s]:
             derive((p, s), None, (q, s2, hit(q)), (c, None, None))
         for (p, sym, q, c) in pop[s]:
             derive((p, s), sym, (q, s2, hit(q)), (c, None, None))
-        for (p, delta, q, c) in ra.push[s]:
+        for (p, delta, q, c) in push[s]:
             pushes_into.setdefault((q, delta, s2), []).append(((p, s), c))
             raw_push.setdefault((p, s), set()).add((q, s2, hit(q)))
     while work:
@@ -88,7 +116,7 @@ def round_robin_summaries(ra):
     set grows; level1 is then read off the finished summaries.
     """
     pa, hit = ra.pa, ra._hit
-    pop = pop_steps(ra)
+    neutral, push, pop = neutral_steps(ra), push_steps(ra), pop_steps(ra)
     pop_sum = {}
 
     def get(key):
@@ -105,14 +133,14 @@ def round_robin_summaries(ra):
                 if fact not in tgt:
                     tgt.add(fact)
                     changed = True
-            for (p, q, _c) in ra.neutral[s]:
+            for (p, q, _c) in neutral[s]:
                 for sym in ra.m.stack_alphabet:
                     tgt = get((p, sym, s))
                     before = len(tgt)
                     tgt |= {(r, t, h or hit(q)) for (r, t, h) in pop_sum.get((q, sym, s2), ())}
                     if len(tgt) != before:
                         changed = True
-            for (p, delta, q, _c) in ra.push[s]:
+            for (p, delta, q, _c) in push[s]:
                 inner = tuple(pop_sum.get((q, delta, s2), ()))
                 if not inner:
                     continue
@@ -127,23 +155,48 @@ def round_robin_summaries(ra):
     level1, raw_push = {}, {}
     for s in range(pa.size):
         s2 = pa.advance(s)
-        for (p, q, _c) in ra.neutral[s]:
+        for (p, q, _c) in neutral[s]:
             level1.setdefault((p, s), set()).add((q, s2, hit(q)))
-        for (p, delta, q, _c) in ra.push[s]:
+        for (p, delta, q, _c) in push[s]:
             raw_push.setdefault((p, s), set()).add((q, s2, hit(q)))
             for (r, t, h) in pop_sum.get((q, delta, s2), ()):
                 level1.setdefault((p, s), set()).add((r, t, h or hit(q)))
     return {k: v for k, v in pop_sum.items() if v}, level1, raw_push
 
 
+def reached_closure(ra, starts, level1, raw_push):
+    """(state, position) nodes that a run from the (state, stack) starts
+    enters: the start nodes closed under the reference's level edges and
+    pushes, and under the pops of the start stacks' symbols."""
+    pa = ra.pa
+    syms = {sym for _q, stack in starts for sym in stack}
+    pops = {}
+    for s, steps in pop_steps(ra).items():
+        for (p, sym, q, _c) in steps:
+            if sym in syms:
+                pops.setdefault((p, s), set()).add((q, pa.advance(s)))
+    seen = {(q, pa.state_of(0)) for q, _stack in starts}
+    todo = list(seen)
+    while todo:
+        node = todo.pop()
+        outs = {(q, t) for (q, t, _h) in level1.get(node, ())}
+        outs |= {(q, t) for (q, t, _h) in raw_push.get(node, ())}
+        for nxt in (outs | pops.get(node, set())) - seen:
+            seen.add(nxt)
+            todo.append(nxt)
+    return seen
+
+
 def demanded_pairs(ra, level1):
-    """(state, sym, position) of every push target, closed under level edges."""
+    """(state, sym, position) of every push target of a reached node, closed
+    under level edges."""
     pa = ra.pa
     seen = set()
     todo = []
-    for s in range(pa.size):
-        for (_p, delta, q, _c) in ra.push[s]:
-            todo.append((q, delta, pa.advance(s)))
+    for s, steps in push_steps(ra).items():
+        for (p, delta, q, _c) in steps:
+            if (p, s) in ra.reached:
+                todo.append((q, delta, pa.advance(s)))
     while todo:
         pair = todo.pop()
         if pair in seen:
@@ -154,12 +207,17 @@ def demanded_pairs(ra, level1):
     return seen
 
 
+def at_reached(ra, by_node):
+    """The entries of a map keyed by (state, position) at the reached nodes."""
+    return {node: v for node, v in by_node.items() if node in ra.reached}
+
+
 def assert_summaries_match(ra, reference):
-    """level1 and raw_push equal the reference's, and pop_sum equals its pop
-    facts at the demanded pairs."""
+    """level1 and raw_push equal the reference's at the reached nodes, and
+    pop_sum equals its pop facts at the demanded pairs."""
     pop_sum, level1, raw_push = reference
-    assert ra.level1 == level1
-    assert ra.raw_push == raw_push
+    assert ra.level1 == at_reached(ra, level1)
+    assert ra.raw_push == at_reached(ra, raw_push)
     wanted = demanded_pairs(ra, level1)
     assert ra.pop_sum == {k: v for k, v in pop_sum.items() if k in wanted}
 

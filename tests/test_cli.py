@@ -528,6 +528,29 @@ def automaton_doc(tmp_path):
             "'input_alphabet' must be a list of names, got 7",
             id="input-alphabet-not-a-list",
         ),
+        pytest.param(
+            lambda d: d["states"].__setitem__(1, "z:z1"),
+            "'states' names 'z:z1' twice",
+            id="duplicate-state",
+        ),
+        pytest.param(
+            lambda d: d["input_alphabet"].append("a"),
+            "'input_alphabet' names 'a' twice",
+            id="duplicate-input-letter",
+        ),
+        pytest.param(
+            lambda d: d["stack_alphabet"].append("Z:z2"),
+            "'stack_alphabet' names 'Z:z2' twice",
+            id="duplicate-stack-symbol",
+        ),
+        pytest.param(
+            lambda d: d.update(
+                states=["p", "p"], input_alphabet=["a"], stack_alphabet=[],
+                neutral=[["p", "p", "a", 1]], push={}, pop={}, initial=[1, 0], final=[0, 1],
+            ),
+            "'states' names 'p' twice",
+            id="duplicate-state-self-loop",
+        ),
     ],
 )
 def test_malformed_automaton_json_exits_1(edit, message, tmp_path, capsys):

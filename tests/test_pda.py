@@ -42,7 +42,10 @@ from staromega.system import (
 from idempotent_lasso_reference import HitEdge, lasso_value
 from pda_summary_reference import (
     assert_summaries_match,
+    at_reached,
     pop_steps,
+    push_steps,
+    reached_closure,
     reference_saturate,
     round_robin_summaries,
     sorted_level_w,
@@ -57,7 +60,7 @@ def poly(inst, text):
 
 
 def entry_letters(block, i, j):
-    return {a: c.value for a, c in block[i].get(j, {}).items()}
+    return {a: c.value for a, c in block.get(i, {}).get(j, {}).items()}
 
 
 # -- matrix entry expansion -----------------------------------------------------
@@ -74,10 +77,16 @@ def test_expand_entry_suffix_rules():
     # pushing onto any stack uses the push block of the new symbol
     assert expand_entry(m, ("Z0",), ("X", "Z0")) == m.m_eps_push["X"]
     # anything else is zero, e.g. a double push
-    zero = expand_entry(m, (), ("X", "Z0"))
-    assert all(not lp for row in zero for lp in row)
-    mismatched = expand_entry(m, ("X",), ("Z0",))
-    assert all(not lp for row in mismatched for lp in row)
+    assert expand_entry(m, (), ("X", "Z0")) == {}
+    assert expand_entry(m, ("X",), ("Z0",)) == {}
+
+
+def test_blocks_store_only_nonempty_rows_of_known_states():
+    t = TROPICAL
+    a = {"a": t.one}
+    for neutral, message in (({2: {0: a}}, "block row 2 out of range"), ({0: {}}, "empty rows")):
+        with pytest.raises(IllFormedSystem, match=message):
+            ResetPDMatrix(t, 2, ("a",), (), neutral, {}, {})
 
 
 def test_expand_entry_on_arctic_example_blocks():
@@ -105,7 +114,7 @@ def test_induced_finite_structure():
     blocks += list(auto.matrix.m_eps_push.values())
     blocks += list(auto.matrix.m_pop_eps.values())
     for b in blocks:
-        assert not b[f]
+        assert f not in b
     # neutral block rows read off the single-variable monomials
     t, s = sys.variables.index("T"), sys.variables.index("S")
     q, r = sys.variables.index("Q"), sys.variables.index("R")
@@ -113,6 +122,17 @@ def test_induced_finite_structure():
     assert entry_letters(auto.matrix.m_eps_eps, s, r) == {"a": 1}
     assert entry_letters(auto.matrix.m_eps_eps, q, f) == {"b": 0}
     assert entry_letters(auto.matrix.m_eps_eps, r, f) == {"b": 0}
+
+
+def test_induced_finite_sink_name_differs_from_every_variable():
+    # variables f and f' would share the sink's name, and the automaton JSON
+    # would then name one state twice
+    b = BOOLEAN
+    sys = AlgebraicSystem(b, ("a", "b"), ("f", "f'"), (poly(b, "a f' | a"), poly(b, "b")))
+    auto = induced_finite_pda(sys, 0)
+    assert auto.state_names == ("f", "f'", "f''")
+    again = pda_from_json(pda_to_json(auto))
+    assert [behavior_finite(again, w).value for w in [("a",), ("a", "b"), ("b",)]] == [1, 1, 0]
 
 
 def test_induced_finite_single_rule():
@@ -330,8 +350,8 @@ def test_growing_stack_acceptor_boundary():
     # repeating a configuration: a never-popped push is an edge of the run
     # graph, so the value is exact, the unit of each instance
     for inst in (BOOLEAN, TROPICAL):
-        neutral = ({},)
-        push_x = ({0: {"a": inst.one}},)
+        neutral = {}
+        push_x = {0: {0: {"a": inst.one}}}
         m = ResetPDMatrix(inst, 1, ("a",), ("X",), neutral, {"X": push_x}, {})
         auto = SimpleOmegaPDA(m, (inst.one,), (inst.zero,), 1, ("0",))
         r = behavior_omega_lasso(auto, LassoWord((), ("a",)))
@@ -359,7 +379,7 @@ def two_route_automaton():
     """
     t = TROPICAL
     a = lambda weight: {"a": t.value(weight)}
-    neutral = ({1: a(5), 2: a(1)}, {1: a(0)}, {2: a(0)})
+    neutral = {0: {1: a(5), 2: a(1)}, 1: {1: a(0)}, 2: {2: a(0)}}
     m = ResetPDMatrix(t, 3, ("a",), ("X",), neutral, {}, {})
     return SimpleOmegaPDA(m, (t.one, t.zero, t.zero), (t.zero,) * 3, 3, ("0", "1", "2"))
 
@@ -495,14 +515,17 @@ def reference_certificate_search(a, w, starts, height, max_nodes=200000):
 
 def random_weighted_automaton(rng, inst):
     """1-3 states over a, b with stack symbols X, Y; weights 0-2, plus inf in
-    arctic, and the unit in Boolean."""
+    arctic, 1-3 in counting, and the unit in Boolean."""
     n = rng.randint(1, 3)
-    weights = [1] if inst is BOOLEAN else [0, 0, 1, 2] + ([INF] if inst is ARCTIC else [])
+    if inst is COUNTING:
+        weights = [1, 1, 2, 3]
+    else:
+        weights = [1] if inst is BOOLEAN else [0, 0, 1, 2] + ([INF] if inst is ARCTIC else [])
 
     def block():
-        rows = tuple({} for _ in range(n))
+        rows = {}
         for _ in range(rng.randint(0, 2 * n)):
-            cell = rows[rng.randrange(n)].setdefault(rng.randrange(n), {})
+            cell = rows.setdefault(rng.randrange(n), {}).setdefault(rng.randrange(n), {})
             cell[rng.choice("ab")] = inst.value(rng.choice(weights))
         return rows
 
@@ -697,9 +720,10 @@ def test_worklist_summaries_equal_round_robin_on_random_automata():
         n = rng.randint(1, 4)
 
         def block():
-            rows = tuple({} for _ in range(n))
+            rows = {}
             for _ in range(rng.randint(0, 2 * n)):
-                rows[rng.randrange(n)].setdefault(rng.randrange(n), {})[rng.choice("ab")] = b.one
+                row = rows.setdefault(rng.randrange(n), {})
+                row.setdefault(rng.randrange(n), {})[rng.choice("ab")] = b.one
             return rows
 
         pushes, pops = {"X": block(), "Y": block()}, {"X": block(), "Y": block()}
@@ -725,10 +749,53 @@ def test_demanded_summaries_equal_the_full_saturation_on_random_automata():
         ra = _RunAnalysis(auto, w, {(state, stack): auto.instance.one})
         level_w, pop_sum, level1, raw_push = reference_saturate(ra)
         case = (auto.instance.name, str(w), state, stack)
-        assert sorted_level_w(ra.level_w) == sorted_level_w(level_w), case
+        assert sorted_level_w(ra.level_w) == sorted_level_w(at_reached(ra, level_w)), case
         assert_summaries_match(ra, (pop_sum, level1, raw_push))
         pop_facts += len(ra.pop_sum)
     assert pop_facts >= 300, pop_facts
+
+
+def test_reached_nodes_are_the_closure_of_the_starts_on_random_automata():
+    # a node's steps are read only once a run enters it: the reached nodes are
+    # the start nodes closed under the full saturation's level edges, the
+    # pushes and the start stacks' pops, and their level edges weigh the same
+    from staromega.pda import _RunAnalysis
+
+    rng = random.Random("reached/closure")
+    unreached = 0
+    for i in range(300):
+        auto = random_weighted_automaton(rng, (BOOLEAN, TROPICAL, ARCTIC, COUNTING)[i % 4])
+        state = rng.randrange(auto.matrix.n_states)
+        stack = tuple(rng.choice("XY") for _ in range(rng.randint(0, 2)))
+        starts = {(state, stack): auto.instance.one}
+        w = random_lasso(rng)
+        ra = _RunAnalysis(auto, w, starts)
+        level_w, _pop_sum, level1, raw_push = reference_saturate(ra)
+        case = (auto.instance.name, str(w), state, stack)
+        assert ra.reached == reached_closure(ra, starts, level1, raw_push), case
+        assert sorted_level_w(ra.level_w) == sorted_level_w(at_reached(ra, level_w)), case
+        unreached += auto.matrix.n_states * ra.pa.size - len(ra.reached)
+    assert unreached >= 100, unreached
+
+
+def test_push_read_after_a_fact_at_its_target_joins_that_fact():
+    # on a^omega, 0 pushes X into 1, and 1 pops X into 2, which pushes X into
+    # 1 again.  State 2 is reached only by the pop fact at (1, X), so its push
+    # is read after that fact was taken, and must still be joined with it:
+    # the level edge 2 -> 2 carries the only accepting run
+    from staromega.pda import _RunAnalysis
+
+    b = BOOLEAN
+    a = {"a": b.one}
+    push = {0: {1: a}, 2: {1: a}}
+    pop = {1: {2: a}}
+    m = ResetPDMatrix(b, 3, ("a",), ("X",), {}, {"X": push}, {"X": pop})
+    auto = SimpleOmegaPDA(m, (b.one, b.zero, b.zero), (b.zero,) * 3, 3, ("0", "1", "2"))
+    w = LassoWord((), ("a",))
+    ra = _RunAnalysis(auto, w, initial_starts(auto))
+    assert ra.reached == {(0, 0), (1, 0), (2, 0)}
+    assert ra.level1 == {(0, 0): {(2, 0, True)}, (2, 0): {(2, 0, True)}}
+    assert behavior_omega_lasso(auto, w).value == b.one
 
 
 @pytest.mark.parametrize("inst", [BOOLEAN, TROPICAL, ARCTIC, COUNTING], ids=lambda i: i.name)
@@ -778,7 +845,7 @@ def reference_pda_run_exists(a, w, starts):
 
     ra = _RunAnalysis(a, w, starts)
     pa = ra.pa
-    pop = pop_steps(ra)
+    push, pop = push_steps(ra), pop_steps(ra)
     s0 = pa.state_of(0)
 
     def bit_reach(edge_map, seeds, include_start=True):
@@ -809,7 +876,7 @@ def reference_pda_run_exists(a, w, starts):
         ru = bit_reach(ru_edges, [(node, False)])
         seeds = set()
         for ((p1, s1), b1) in ru:
-            for (p, delta, q, _c) in ra.push[s1]:
+            for (p, delta, q, _c) in push[s1]:
                 if p == p1 and delta == sym:
                     seeds.add(((q, pa.advance(s1)), b1 or ra._hit(q)))
         if not seeds:
@@ -845,7 +912,7 @@ def reference_pda_run_exists(a, w, starts):
     heads = set(head_seeds)
     frontier = list(head_seeds)
     for n in closed_empty:
-        for (p, delta, q, _c) in ra.push[n[1]]:
+        for (p, delta, q, _c) in push[n[1]]:
             if p == n[0]:
                 fact = ((q, pa.advance(n[1])), delta)
                 if fact not in heads:
@@ -854,7 +921,7 @@ def reference_pda_run_exists(a, w, starts):
     while frontier:
         (node, sym) = frontier.pop()
         for (n2, _b) in level_reach([(node, False)]):
-            for (p, delta, q, _c) in ra.push[n2[1]]:
+            for (p, delta, q, _c) in push[n2[1]]:
                 if p == n2[0]:
                     fact = ((q, pa.advance(n2[1])), delta)
                     if fact not in heads:
@@ -924,9 +991,10 @@ def test_run_check_agrees_with_per_head_searches_on_random_automata():
         n = rng.randint(1, 5)
 
         def block():
-            rows = tuple({} for _ in range(n))
+            rows = {}
             for _ in range(rng.randint(0, 2 * n)):
-                rows[rng.randrange(n)].setdefault(rng.randrange(n), {})[rng.choice("ab")] = b.one
+                row = rows.setdefault(rng.randrange(n), {})
+                row.setdefault(rng.randrange(n), {})[rng.choice("ab")] = b.one
             return rows
 
         pushes, pops = {"X": block(), "Y": block()}, {"X": block(), "Y": block()}
@@ -992,9 +1060,9 @@ def test_long_chains_evaluate_under_the_default_recursion_limit():
     # steps leads to the last state, which pops X back to 0; demand for X
     # flows down the whole chain and the pop fact flows back up it
     n = 3000
-    neutral = tuple({i + 1: {"a": t.one}} if 0 < i < n - 1 else {} for i in range(n))
-    push = tuple({1: {"a": t.one}} if i == 0 else {} for i in range(n))
-    pop = tuple({0: {"a": t.one}} if i == n - 1 else {} for i in range(n))
+    neutral = {i: {i + 1: {"a": t.one}} for i in range(1, n - 1)}
+    push = {0: {1: {"a": t.one}}}
+    pop = {n - 1: {0: {"a": t.one}}}
     m = ResetPDMatrix(t, n, ("a",), ("X",), neutral, {"X": push}, {"X": pop})
     names = tuple(map(str, range(n)))
     auto = SimpleOmegaPDA(m, (t.one,) + (t.zero,) * (n - 1), (t.zero,) * n, 1, names)
