@@ -1,25 +1,28 @@
-"""Shared machinery for lasso-word evaluation.
+"""Shared machinery for word and lasso-word evaluation.
 
 Runs over an ultimately periodic word u v^omega are analysed on a finite
 quotient: one node per prefix position plus one node per period offset.
-`accepting_cycle_exists` decides whether any accepting run exists at all,
-one component labelling of a Boolean graph that the grammar route builds.
+A finite word w is the quotient without a period: its |w| + 1 positions,
+the last one reading no letter.  `accepting_cycle_exists` decides whether
+any accepting run exists at all, one component labelling of a Boolean
+graph that the grammar route builds.
 
 Both routes are exact on all four instances, counting included, and share
 one solver and one read-off.  `solve_derivations` computes the least
 solution of a weighted summary system, each item a sum over derivations:
 the grammar's derivation weights between quotient positions, or the
-automaton's level edges and pop facts.  Both routes build their system on
-demand: the grammar only at the pairs its start reaches, the automaton only
-the pop facts that some push can use.  Each route then has a value graph
-whose edges consume a letter and carry a hit bit: the grammar's z-graph, or
-`pushdown_lasso_value`'s graph over (state, position, remaining start-stack
-cells), whose edges are the solved level edges, the pushes that are never
-popped and the pops of the start stack's cells.  `lasso_value` reads the
-value off it: nodes are split by the hit bit of the edge entering them,
-`path_sums` weighs the paths into each strongly connected component, and
-`matrix._omega_t` of the component's own block weighs the infinite paths
-inside it.
+automaton's level edges and pop facts; on the finite quotient, the
+grammar's derivation weights are the word's segment coefficients.  Both
+routes build their system on demand: the grammar only at the pairs its
+start reaches, the automaton only the pop facts that some push can use.
+Each route then has a value graph whose edges consume a letter and carry
+a hit bit: the grammar's z-graph, or `pushdown_lasso_value`'s graph over
+(state, position, remaining start-stack cells), whose edges are the solved
+level edges, the pushes that are never popped and the pops of the start
+stack's cells.  `lasso_value` reads the value off it: nodes are split by
+the hit bit of the edge entering them, `path_sums` weighs the paths into
+each strongly connected component, and `matrix._omega_t` of the
+component's own block weighs the infinite paths inside it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,11 @@ Node = Hashable
 
 @dataclass(frozen=True)
 class PositionAutomaton:
-    """Quotient of positions of u v^omega: prefix positions, then one per offset."""
+    """Quotient of positions of u v^omega: prefix positions, then one per offset.
+
+    Without a period it is the finite word u itself (`finite`): positions
+    0..|u|, the end position reading no letter and never advanced from.
+    """
 
     prefix_len: int
     period: Word
@@ -46,14 +53,18 @@ class PositionAutomaton:
     def of(w: LassoWord) -> "PositionAutomaton":
         return PositionAutomaton(len(w.prefix), w.period, w.prefix)
 
+    @staticmethod
+    def finite(w: Word) -> "PositionAutomaton":
+        return PositionAutomaton(len(w), (), tuple(w))
+
     @property
     def size(self) -> int:
-        return self.prefix_len + len(self.period)
+        return self.prefix_len + (len(self.period) or 1)
 
-    def letter(self, s: int) -> str:
+    def letter(self, s: int) -> str | None:
         if s < self.prefix_len:
             return self.prefix[s]
-        return self.period[s - self.prefix_len]
+        return self.period[s - self.prefix_len] if self.period else None
 
     def advance(self, s: int) -> int:
         s += 1

@@ -11,8 +11,10 @@ demand from the start: only the (variable, position) pairs and (z-variable,
 position) nodes that the start reaches are read.  The z-coefficients'
 weights are the edges of the graph that `_search.lasso_value` reads the
 value off, by the omega_t of each strongly connected component, so the
-value is exact on all four instances, counting included.  No answer
-depends on a cap.
+value is exact on all four instances, counting included.  A finite word
+is the quotient without a period, so the coefficients of its segments
+(`SegmentTable`) are the same derivation weights.  No answer depends on a
+cap.
 
 The z-coefficient matrix rho of a mixed system z = rho(x) z is stored
 sparsely: one row per z-variable, each a mapping from column index to a
@@ -519,60 +521,24 @@ def oracle_coeff_gnf(sys: AlgebraicSystem, component: int, w: Word) -> SemiringV
 class SegmentTable:
     """Least-solution coefficients restricted to the segments of one word.
 
-    Sparse: only nonzero coefficients are stored, indexed both by segment and
-    by (variable, start) so polynomial evaluation only walks live entries.
+    The word is the quotient without a period, so these are the derivation
+    weights of `support_triples` on `PositionAutomaton.finite(word)`,
+    exact on every instance: a derivation that pumps its weight up gives
+    inf.  `table[(variable, s, t)]` holds the coefficient of word[s:t] when
+    the variable derives it, never zero: no instance has zero divisors or
+    nonzero sums to zero.  On a finite word a segment consumes a letter
+    exactly when t > s, so the bit of the derivation weights is dropped.
     """
 
-    def __init__(self, sys: AlgebraicSystem, word: Word, max_iter: int = 256):
+    def __init__(self, sys: AlgebraicSystem, word: Word):
         self.sys = sys
         self.word = word
         self.instance = sys.instance
-        self.var_set = set(sys.variables)
-        n = len(word)
-        table: dict[tuple[str, int, int], SemiringValue] = {}
-        by_start: dict[tuple[str, int], list[tuple[int, SemiringValue]]] = {}
-        self.table, self.by_start = table, by_start
-        for _ in range(max_iter):
-            nxt: dict[tuple[str, int, int], SemiringValue] = {}
-            for vi, v in enumerate(sys.variables):
-                for i in range(n + 1):
-                    for j, val in self._eval_poly_from(sys.rhs[vi], i, n).items():
-                        if not val.is_zero():
-                            nxt[(v, i, j)] = val
-            if nxt == table:
-                return
-            table = nxt
-            by_start = {}
-            for (v, i, j), val in table.items():
-                by_start.setdefault((v, i), []).append((j, val))
-            self.table, self.by_start = table, by_start
-        raise NotStabilized("segment solution did not stabilize")
-
-    def _eval_poly_from(self, p: Polynomial, lo: int, hi_max: int) -> dict[int, SemiringValue]:
-        """All segment ends >= lo with their coefficients under p."""
-        out: dict[int, SemiringValue] = {}
-        for mono in p.monomials:
-            cur = {lo: mono.coeff}
-            for sym in mono.word:
-                nxt: dict[int, SemiringValue] = {}
-                if sym in self.var_set:
-                    for pos, c in cur.items():
-                        for end, t in self.by_start.get((sym, pos), ()):
-                            add = c * t
-                            prev = nxt.get(end)
-                            nxt[end] = add if prev is None else prev + add
-                else:
-                    for pos, c in cur.items():
-                        if pos < hi_max and self.word[pos] == sym:
-                            prev = nxt.get(pos + 1)
-                            nxt[pos + 1] = c if prev is None else prev + c
-                cur = nxt
-                if not cur:
-                    break
-            for end, c in cur.items():
-                prev = out.get(end)
-                out[end] = c if prev is None else prev + c
-        return out
+        self.table: dict[tuple[str, int, int], SemiringValue] = {
+            (v, s, t): val
+            for (v, s), facts in support_triples(sys, PositionAutomaton.finite(word)).items()
+            for (t, _bit), val in facts.items()
+        }
 
     def coeff(self, var: str, lo: int, hi: int) -> SemiringValue:
         got = self.table.get((var, lo, hi))
@@ -591,7 +557,9 @@ def support_triples(
     that lead position s of the quotient to t, split by whether the word is
     empty: the weighted product of the grammar with the quotient
     (Bar-Hillel, Perles and Shamir 1961; Goodman 1999).  It is
-    `_derivation_items` with every (variable, position) pair demanded.
+    `_derivation_items` with every (variable, position) pair demanded.  On
+    the quotient of a finite word (`PositionAutomaton.finite`) these are
+    the coefficients of its segments, the end position included.
     """
     demand = [(v, s) for v in sys.variables for s in range(pa.size)]
     ids, value = _derivation_items(sys, pa, (), demand)

@@ -2,18 +2,75 @@
 
 These are the Boolean support fixpoint and the capped certificate search
 that `canonical_omega_lasso` used before it computed exact derivation
-weights, and the weighted saturation of every (variable, position) pair
-with the z-coefficients evaluated on it, as the route computed it before
-it built only what the start can use.  The tests compare the exact route
-against them: the support fixpoint must equal the Boolean projection of
-`support_triples`, a capped search sums a subset of the runs, so its value
-must lie below the exact one in the natural order, and the z-steps must be
-those of the full saturation.
+weights, the Jacobi segment table that `SegmentTable` used before it read
+them off the quotient of a finite word, and the weighted saturation of
+every (variable, position) pair with the z-coefficients evaluated on it,
+as the route computed it before it built only what the start can use.
+The tests compare the exact route against them: the support fixpoint
+must equal the Boolean projection of `support_triples`, a capped search
+sums a subset of the runs, so its value must lie below the exact one in
+the natural order, the Jacobi table must equal `SegmentTable` wherever it
+settles, and the z-steps must be those of the full saturation.
 """
 
 from idempotent_lasso_reference import HitEdge, lasso_value
 from staromega._search import PositionAutomaton, solve_derivations
-from staromega.system import SegmentTable, _epsilon_closure_with_hits
+from staromega.system import NotStabilized, _epsilon_closure_with_hits
+
+
+class JacobiSegmentTable:
+    """Least-solution coefficients on the segments of one word, by Jacobi
+    rounds from zero; raises NotStabilized when the table still changes
+    after max_iter rounds.
+
+    Sparse: only nonzero coefficients are stored, indexed both by segment and
+    by (variable, start) so polynomial evaluation only walks live entries.
+    """
+
+    def __init__(self, sys, word, max_iter=256):
+        self.word = word
+        self.var_set = set(sys.variables)
+        n = len(word)
+        self.table, self.by_start = {}, {}
+        for _ in range(max_iter):
+            nxt = {}
+            for vi, v in enumerate(sys.variables):
+                for i in range(n + 1):
+                    for j, val in self.eval_poly_from(sys.rhs[vi], i, n).items():
+                        if not val.is_zero():
+                            nxt[(v, i, j)] = val
+            if nxt == self.table:
+                return
+            self.table, self.by_start = nxt, {}
+            for (v, i, j), val in nxt.items():
+                self.by_start.setdefault((v, i), []).append((j, val))
+        raise NotStabilized("segment solution did not stabilize")
+
+    def eval_poly_from(self, p, lo, hi_max):
+        """All segment ends >= lo with their coefficients under p."""
+        out = {}
+        for mono in p.monomials:
+            cur = {lo: mono.coeff}
+            for sym in mono.word:
+                nxt = {}
+                if sym in self.var_set:
+                    for pos, c in cur.items():
+                        for end, t in self.by_start.get((sym, pos), ()):
+                            add = c * t
+                            prev = nxt.get(end)
+                            nxt[end] = add if prev is None else prev + add
+                else:
+                    for pos, c in cur.items():
+                        if pos < hi_max and self.word[pos] == sym:
+                            prev = nxt.get(pos + 1)
+                            nxt[pos + 1] = c if prev is None else prev + c
+                cur = nxt
+                if not cur:
+                    break
+            for end, c in cur.items():
+                prev = out.get(end)
+                out[end] = c if prev is None else prev + c
+        return out
 
 
 def reference_support_triples(sys, pa):
@@ -59,19 +116,19 @@ def reference_chain_states(p, start, pa, gen, variables):
 def reference_canonical_search(sys, k, component, w, factor_len, max_iter=256):
     """Sum over the runs whose factors are at most factor_len letters long.
 
-    Coefficients of the factors come from one `SegmentTable` over a sample
-    u v^reps that covers every factor from every quotient position, which
-    raises NotStabilized when the sample's coefficients still change after
-    max_iter rounds.
+    Coefficients of the factors come from one `JacobiSegmentTable` over a
+    sample u v^reps that covers every factor from every quotient position,
+    which raises NotStabilized when the sample's coefficients still change
+    after max_iter rounds.
     """
     inst = sys.instance
     m = sys.m
     pa = PositionAutomaton.of(w)
     reps = (len(w.period) + factor_len) // len(w.period) + 2
-    table = SegmentTable(sys.x_part, w.prefix + w.period * reps, max_iter)
+    table = JacobiSegmentTable(sys.x_part, w.prefix + w.period * reps, max_iter)
 
     def poly_coeff(p, lo, hi):
-        got = table._eval_poly_from(p, lo, hi).get(hi)
+        got = table.eval_poly_from(p, lo, hi).get(hi)
         return inst.zero if got is None else got
 
     def advance_by(s, length):

@@ -269,23 +269,29 @@ def test_semantic_failures_exit_1(tmp_path, capsys):
     rc = main(["build-pda", str(DATA / "tropical_mixed.grm")])
     assert rc == EXIT_FAIL
     assert capsys.readouterr().err.startswith("error: ")
-    # the exact value is inf, which Kleene iteration never reaches
-    path = grm(tmp_path, "@semiring arctic\n@alphabet a\n@sort x x1\nx1 = (1) x1 | a\n")
-    rc = main(["eval", path, "--word", "a"])
-    assert rc == EXIT_FAIL
-    assert capsys.readouterr().err.startswith("error: ")
 
 
-# -- open defects: each mark names its defect and goes with the fix --------------
+# -- word values that no capped fixpoint reaches ----------------------------------
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="defect (b): fixpoint iteration never reaches the arctic value inf",
-)
 def test_arctic_chain_loop_word_value_is_inf(tmp_path, capsys):
+    # defect (b): x1 derives a at every weight n, so the value is inf
     path = grm(tmp_path, "@semiring arctic\n@alphabet a\n@sort x x1\nx1 = (1) x1 | a\n")
+    assert main(["eval", path, "--word", "a"]) == EXIT_OK
+    assert capsys.readouterr().out == "inf\n"
+
+
+def test_word_value_does_not_depend_on_a_round_cap(tmp_path, capsys):
+    # defect (o): a^2999 b has one derivation, 3,000 levels deep
+    path = grm(tmp_path, "@semiring tropical\n@alphabet a b\n@sort x x1\nx1 = (1) a x1 | b\n")
+    assert main(["eval", path, "--word", "a" * 2999 + "b"]) == EXIT_OK
+    assert capsys.readouterr().out == "2999\n"
+
+
+def test_counting_word_with_infinitely_many_derivations_is_inf(tmp_path, capsys):
+    # defect (p): x1 =>* x1 x1 =>* x1 with eps on either side, so a has
+    # infinitely many derivations of weight 1
+    path = grm(tmp_path, "@semiring counting\n@alphabet a\n@sort x x1\nx1 = x1 x1 | a | eps\n")
     assert main(["eval", path, "--word", "a"]) == EXIT_OK
     assert capsys.readouterr().out == "inf\n"
 

@@ -1085,3 +1085,11 @@ def test_long_chains_evaluate_under_the_default_recursion_limit():
     fin = AlgebraicSystem(c, ("a", "b"), ("x", "y"), (poly(c, "a x y | (2) a y"), poly(c, "b")))
     word = ("a",) * 1500 + ("b",) * 1500
     assert behavior_finite(induced_finite_pda(fin, 0), word).value == 2
+
+    # the same length on the grammar route: x1 = (1) a x1 | b derives
+    # a^2999 b by one chain of 3,000 levels, past any cap on fixpoint rounds
+    from staromega.system import SegmentTable
+
+    chain = AlgebraicSystem(t, ("a", "b"), ("x1",), (poly(t, "(1) a x1 | b"),))
+    word = ("a",) * 2999 + ("b",)
+    assert SegmentTable(chain, word).coeff("x1", 0, len(word)).value == 2999

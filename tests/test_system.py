@@ -22,9 +22,11 @@ from staromega.system import (
     MixedSystem,
     NotStabilized,
     OmegaSystem,
+    SegmentTable,
     _kleene,
     _z_steps,
     canonical_omega_lasso,
+    eps_coefficients,
     induce_mixed,
     is_gnf_algebraic,
     is_gnf_mixed,
@@ -258,6 +260,49 @@ def test_least_solution_by_length_equals_the_references_on_general_systems():
                         ), (sys, v, w)
             by_oracle += 1
     assert settled >= 150 and by_oracle >= 5
+
+
+def test_segment_table_equals_the_references_on_general_systems():
+    # every reference runs capped rounds: the Jacobi table, the by-length
+    # solution past its empty-word fixpoint, and that fixpoint itself.
+    # Where one settles it must agree with the exact table; on every case
+    # an empty segment weighs the empty word, as on the word ().  The seed
+    # avoids counting systems such as x = x x | eps, whose rounds square
+    # ever larger integers.
+    from grammar_lasso_reference import JacobiSegmentTable
+
+    skipped_jacobi = skipped_by_length = skipped_eps = 0
+    for inst in (BOOLEAN, TROPICAL, ARCTIC, COUNTING):
+        rng = random.Random(f"segments-2/{inst.name}")
+        for _ in range(40):
+            sys = _random_general_system(rng, inst)
+            word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 6)))
+            n = len(word)
+            table = SegmentTable(sys, word)
+            empty = support_triples(sys, PositionAutomaton.finite(()))
+            eps = [empty[(v, 0)].get((0, False), inst.zero) for v in sys.variables]
+            for v, e in zip(sys.variables, eps):
+                assert all(table.coeff(v, s, s) == e for s in range(n + 1)), (sys, word)
+            try:
+                ref = JacobiSegmentTable(sys, word, max_iter=32)
+            except NotStabilized:
+                skipped_jacobi += 1
+            else:
+                assert table.table == ref.table, (sys, word)
+            try:
+                sol = least_solution_finite(sys, n, max_iter=32)
+            except NotStabilized:
+                skipped_by_length += 1
+            else:
+                for i, v in enumerate(sys.variables):
+                    for s, t in itertools.combinations_with_replacement(range(n + 1), 2):
+                        assert table.coeff(v, s, t) == sol[i].coeff(word[s:t]), (sys, word)
+            try:
+                assert eps == eps_coefficients(sys, max_iter=32), sys
+            except NotStabilized:
+                skipped_eps += 1
+    # of 160 cases
+    assert (skipped_jacobi, skipped_by_length, skipped_eps) == (11, 9, 9)
 
 
 # -- the derivation oracle --------------------------------------------------------------
