@@ -125,7 +125,9 @@ class ResetPDMatrix:
                         if c.instance is not self.instance:
                             raise SemiringError("block entry over a different instance")
                         if c.is_zero():
-                            raise IllFormedSystem("zero weights must be omitted")
+                            raise IllFormedSystem(
+                                f"zero weight from state {i} to {j} on {a!r} must be omitted"
+                            )
 
     def push_block(self, sym: str) -> Block:
         return self.m_eps_push.get(sym, {})
@@ -699,9 +701,11 @@ def pda_from_json(text: str) -> SimpleOmegaPDA:
     n = len(names)
 
     def rows_of(where, entries):
+        # weights are summed per cell and letter as read; zero weights are
+        # left for ResetPDMatrix to reject, so each is tested once
         if not isinstance(entries, list):
             raise IllFormedSystem(f"{where} must be a list of transitions")
-        cells: dict[tuple[int, int], list] = {}
+        rows: Block = {}
         for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 4 and isinstance(entry[2], str)):
                 raise IllFormedSystem(
@@ -712,8 +716,9 @@ def pda_from_json(text: str) -> SimpleOmegaPDA:
                 if not isinstance(state, str) or state not in ix:
                     raise IllFormedSystem(f"{where} entry {entry!r} names unknown state {state!r}")
             val = weight(f"{where} entry {entry!r}", raw)
-            cells.setdefault((ix[src], ix[dst]), []).append((letter, val))
-        return _rows({k: _letter_sum(v) for k, v in cells.items()})
+            cell = rows.setdefault(ix[src], {}).setdefault(ix[dst], {})
+            cell[letter] = cell[letter] + val if letter in cell else val
+        return rows
 
     def blocks_of(key):
         if not isinstance(doc[key], dict):

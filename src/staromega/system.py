@@ -29,9 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ._search import PositionAutomaton, accepting_cycle_exists, lasso_value, solve_derivations
+from ._search import (
+    PositionAutomaton,
+    _sccs,
+    accepting_cycle_exists,
+    lasso_value,
+    solve_derivations,
+)
 from .matrix import SemiringMatrix, _star, mat_star
-from .semiring import SemiringError, SemiringInstance, SemiringValue
+from .semiring import INF, SemiringError, SemiringInstance, SemiringValue
 from .series import (
     Alphabet,
     LassoWord,
@@ -255,7 +261,9 @@ def is_gnf_mixed(sys: MixedSystem) -> bool:
 
 
 def eps_coefficients(sys: AlgebraicSystem, max_iter: int = 128) -> list[SemiringValue]:
-    """Least solution of the empty-word part, one scalar per variable."""
+    """Least solution of the empty-word part, one scalar per variable, by
+    `_eps_raw`: a counting cycle of nullable variables weighs inf, and
+    max_iter bounds the Kleene rounds inside each other cyclic component."""
     inst = sys.instance
     ix = {v: i for i, v in enumerate(sys.variables)}
     rules = [
@@ -268,22 +276,63 @@ def eps_coefficients(sys: AlgebraicSystem, max_iter: int = 128) -> list[Semiring
 
 def _eps_raw(inst: SemiringInstance, rules: list[list], max_iter: int) -> list:
     """Raw least solution of x_i = sum of c * prod x_j over rules[i], a list
-    of (raw coefficient, variable indices), by Kleene rounds from zero."""
-    add, mul, zero = inst.add_raw, inst.mul_raw, inst.zero_raw()
-    vals = [zero] * len(rules)
-    for _ in range(max_iter):
-        nxt = []
-        for monos in rules:
-            acc = zero
-            for prod, word in monos:
-                for j in word:
-                    prod = mul(prod, vals[j])
-                acc = add(acc, prod)
-            nxt.append(acc)
-        if nxt == vals:
-            return vals
-        vals = nxt
-    raise NotStabilized("empty-word coefficients did not stabilize")
+    of (raw nonzero coefficient, variable indices).
+
+    The nullable variables, those of nonzero weight, come first, by a
+    Boolean fixpoint.  No instance has zero divisors, so a monomial with a
+    variable that is not nullable weighs zero and is dropped.  The
+    components of what is left are solved sinks first.  An acyclic
+    singleton is evaluated once.  Every variable of a cyclic component has
+    a nonzero weight and derivations that go round its cycles any number
+    of times.  Where the unit's star is not the unit, in counting, these
+    infinitely many derivations of weight at least the unit sum to inf, as
+    in `_search.solve_derivations`, so the component is inf at once.  Any
+    other cyclic component runs Kleene rounds inside itself, at most
+    max_iter of them, and raises NotStabilized if it still moves: an
+    arctic cycle that gains weight.
+    """
+    n = len(rules)
+    add, mul = inst.add_raw, inst.mul_raw
+    zero, one = inst.zero_raw(), inst.one_raw()
+    nullable = [False] * n
+    changed = True
+    while changed:
+        changed = False
+        for i, monos in enumerate(rules):
+            if not nullable[i] and any(all(nullable[j] for j in w) for _c, w in monos):
+                nullable[i] = changed = True
+    live = [
+        [(c, word) for c, word in monos if all(nullable[j] for j in word)] if nullable[i] else []
+        for i, monos in enumerate(rules)
+    ]
+    deps = {i: [(j,) for _c, word in monos for j in word] for i, monos in enumerate(live)}
+    vals = [zero] * n
+    cycles_are_inf = inst.star_raw(one) != one
+
+    def evaluate(i: int):
+        acc = zero
+        for prod, word in live[i]:
+            for j in word:
+                prod = mul(prod, vals[j])
+            acc = add(acc, prod)
+        return acc
+
+    for comp in _sccs(range(n), deps):
+        if len(comp) == 1 and (comp[0],) not in deps[comp[0]]:
+            vals[comp[0]] = evaluate(comp[0])
+        elif cycles_are_inf:
+            for i in comp:
+                vals[i] = INF
+        else:
+            for _ in range(max_iter):
+                nxt = [evaluate(i) for i in comp]
+                if all(vals[i] == v for i, v in zip(comp, nxt)):
+                    break
+                for i, v in zip(comp, nxt):
+                    vals[i] = v
+            else:
+                raise NotStabilized("empty-word coefficients did not stabilize")
+    return vals
 
 
 def productive_components(sys: AlgebraicSystem) -> set[str]:
@@ -324,9 +373,10 @@ def least_solution_finite(
     """Coefficients of the least solution on all words up to max_len.
 
     Solved one word length at a time (Kuich and Salomaa 1986).  The
-    empty-word coefficients e come first, by the scalar fixpoint of
-    `eps_coefficients`; max_iter bounds that fixpoint only, and a system whose empty-word part
-    keeps moving raises NotStabilized.  A word of length L >= 1 splits
+    empty-word coefficients e come first, by `_eps_raw`, as in
+    `eps_coefficients`: a counting cycle of nullable variables is inf, and
+    max_iter bounds only the rounds of each other cyclic component, which
+    raises NotStabilized if it keeps moving.  A word of length L >= 1 splits
     over a monomial in one of two ways.  Either one variable takes all of
     it and every other symbol, a variable, takes the empty word: that is
     the unit matrix U, where U[i][j] sums c * prod e over the other

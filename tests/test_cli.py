@@ -515,6 +515,11 @@ def automaton_doc(tmp_path):
             id="transition-weight-not-a-number",
         ),
         pytest.param(
+            lambda d: d["neutral"][0].__setitem__(3, 0),
+            "zero weight from state",
+            id="zero-transition-weight",
+        ),
+        pytest.param(
             lambda d: d["initial"].__setitem__(0, "one"),
             "'initial' has a bad weight: 'one' is not an integer",
             id="initial-weight-not-a-number",
