@@ -51,8 +51,15 @@ from .system import (
 
 
 def proper_form(sys: AlgebraicSystem) -> tuple[AlgebraicSystem, list[SemiringValue]]:
-    """Same solutions off the empty word, but all empty-word coefficients zero."""
+    """Same solutions off the empty word, but all empty-word coefficients zero.
+
+    Without an empty-word monomial no derivation reaches the empty word, so
+    every coefficient is zero and sys itself is returned.  A canonical
+    polynomial holds its empty-word monomial first, if it has one.
+    """
     inst = sys.instance
+    if not any(p.monomials and not p.monomials[0].word for p in sys.rhs):
+        return sys, [inst.zero] * len(sys.variables)
     eps = eps_coefficients(sys)
     mapping = {}
     for v, e in zip(sys.variables, eps):
@@ -61,11 +68,9 @@ def proper_form(sys: AlgebraicSystem) -> tuple[AlgebraicSystem, list[SemiringVal
     new_rhs = []
     for p in sys.rhs:
         q = p.substitute_symbols(mapping) if mapping else p
-        new_rhs.append(
-            Polynomial.build(
-                inst, [(m.coeff, m.word) for m in q.monomials if m.word != EPSILON]
-            )
-        )
+        if q.monomials and not q.monomials[0].word:
+            q = Polynomial(inst, q.monomials[1:])
+        new_rhs.append(q)
     return (
         AlgebraicSystem(inst, sys.terminals, sys.variables, tuple(new_rhs)),
         eps,
@@ -324,24 +329,18 @@ def _drop_unproductive(sys: AlgebraicSystem, keep: list[str]) -> AlgebraicSystem
     indices stay resolvable by name.
     """
     productive = productive_components(sys)
-    ix = {v: i for i, v in enumerate(sys.variables)}
+    dead = set(sys.variables) - productive
     new_rhs = []
     for p in sys.rhs:
-        new_rhs.append(
-            Polynomial.build(
-                sys.instance,
-                [
-                    (m.coeff, m.word)
-                    for m in p.monomials
-                    if all(s not in ix or s in productive for s in m.word)
-                ],
-            )
-        )
-    trimmed = AlgebraicSystem(sys.instance, sys.terminals, sys.variables, tuple(new_rhs))
-    return _prune_unreachable(trimmed, keep)
+        kept = tuple(m for m in p.monomials if dead.isdisjoint(m.word)) if dead else p.monomials
+        new_rhs.append(p if len(kept) == len(p.monomials) else Polynomial(p.instance, kept))
+    if any(q is not p for q, p in zip(new_rhs, sys.rhs)):
+        sys = AlgebraicSystem(sys.instance, sys.terminals, sys.variables, tuple(new_rhs))
+    return _prune_unreachable(sys, keep)
 
 
 def _prune_unreachable(sys: AlgebraicSystem, keep: list[str]) -> AlgebraicSystem:
+    """The variables reachable from keep, in their order; sys itself when that is all."""
     ix = {v: i for i, v in enumerate(sys.variables)}
     reach = set(keep)
     stack = list(keep)
@@ -352,6 +351,8 @@ def _prune_unreachable(sys: AlgebraicSystem, keep: list[str]) -> AlgebraicSystem
                 if s in ix and s not in reach:
                     reach.add(s)
                     stack.append(s)
+    if len(reach) == len(ix):
+        return sys
     vars2 = tuple(v for v in sys.variables if v in reach)
     rhs2 = tuple(sys.rhs[ix[v]] for v in vars2)
     return AlgebraicSystem(sys.instance, sys.terminals, vars2, rhs2)
@@ -438,6 +439,16 @@ def _fresh_var(sys: AlgebraicSystem, base: str) -> str:
     return names.fresh(base)
 
 
+def _fresh_prefix(head: str, names: Sequence[str], taken: set[str]) -> str:
+    """head + '.', with primes added to head until no prefixed name is taken."""
+    while True:
+        pre = head + "."
+        clash = {t[len(pre):] for t in taken if t.startswith(pre)}
+        if not clash or clash.isdisjoint(names):
+            return pre
+        head += "'"
+
+
 # -- pair construction ---------------------------------------------------------
 
 
@@ -478,13 +489,14 @@ def build_pair_system(
     s t^omega (or the scalar variant) on the selected z-component.
 
     The omega part loops through a fresh accepting variable that replays the
-    t-equations, so only genuine t-cycles are accepted.
+    t-equations, so only genuine t-cycles are accepted.  The x-variables
+    are renamed t.v and s.v, the z-variables z.acc, z.t0, ..., z.s0, ... or
+    z.eps; a head gains primes (t'.v) where a name would be a terminal.
     """
     inst = t_sys.instance
     if not is_gnf_algebraic(t_sys, allow_eps=False):
         raise IllFormedSystem("pair construction needs an epsilon-free Greibach t-system")
-    t = _rename_prefixed(t_sys, "t.")
-    m = len(t.variables)
+    m = len(t_sys.variables)
     t_comp = t_component
 
     if eps_case == "zero":
@@ -492,19 +504,23 @@ def build_pair_system(
             raise IllFormedSystem("missing s-system for the epsilon-free case")
         if not is_gnf_algebraic(s_sys, allow_eps=False):
             raise IllFormedSystem("pair construction needs an epsilon-free Greibach s-system")
-        s = _rename_prefixed(s_sys, "s.")
+        terminals = tuple(sorted(set(s_sys.terminals) | set(t_sys.terminals)))
+        taken = set(terminals)
+        t = _rename_prefixed(t_sys, _fresh_prefix("t", t_sys.variables, taken))
+        s = _rename_prefixed(s_sys, _fresh_prefix("s", s_sys.variables, taken))
         n = len(s.variables)
         x_vars = s.variables + t.variables
         x_rhs = s.rhs + t.rhs
-        terminals = tuple(sorted(set(s.terminals) | set(t.terminals)))
     elif eps_case == "scalar":
         if eps_coeff is None or eps_coeff.is_zero():
             raise IllFormedSystem("scalar case needs a nonzero coefficient")
+        terminals = tuple(t_sys.terminals)
+        taken = set(terminals)
+        t = _rename_prefixed(t_sys, _fresh_prefix("t", t_sys.variables, taken))
         s = None
         n = 0
         x_vars = t.variables
         x_rhs = t.rhs
-        terminals = tuple(t.terminals)
     else:
         raise IllFormedSystem(f"unknown case {eps_case!r}")
 
@@ -514,8 +530,11 @@ def build_pair_system(
     for i in range(m):
         t_head[i], t_tails[i] = _gnf_split(t.rhs[i], t_ix)
 
-    z_acc = "z.acc"
-    zt = tuple(f"z.t{i}" for i in range(m))
+    z_local = ["acc"] + [f"t{i}" for i in range(m)]
+    z_local += [f"s{i}" for i in range(n)] if s is not None else ["eps"]
+    zp = _fresh_prefix("z", z_local, taken)
+    z_acc = zp + "acc"
+    zt = tuple(f"{zp}t{i}" for i in range(m))
     rows: dict[str, dict[str, Polynomial]] = {}
 
     def t_row(i: int) -> dict[str, Polynomial]:
@@ -530,7 +549,7 @@ def build_pair_system(
 
     if eps_case == "zero":
         s_ix = {v: i for i, v in enumerate(s.variables)}
-        zs = tuple(f"z.s{i}" for i in range(n))
+        zs = tuple(f"{zp}s{i}" for i in range(n))
         for i in range(n):
             hd, tl = _gnf_split(s.rhs[i], s_ix)
             row = {z_acc: hd}
@@ -542,7 +561,7 @@ def build_pair_system(
             v for v in (zt + zs) if v != designated
         )
     else:
-        designated = "z.eps"
+        designated = zp + "eps"
         rows[designated] = {
             col: poly.scale(eps_coeff) for col, poly in t_row(t_comp).items()
         }
@@ -563,11 +582,15 @@ def sum_systems(
 
     Every part must designate a non-accepting z-component of its first
     canonical solution; the collector replays those components' rows and the
-    l-th canonical solution of the union sums the parts.
+    l-th canonical solution of the union sums the parts.  Part p's variables
+    are renamed u{p}.v and the collector is z.sum, each kept off the
+    terminals as in build_pair_system.
     """
     inst = instance
     l = len(parts)
-    collector = "z.sum"
+    taken = set(terminals)
+    # the part variables all start with u, so only a terminal can be z.sum
+    collector = _Names(taken).fresh("z.sum")
     x_vars: list[str] = []
     x_rhs: list[Polynomial] = []
     buchi_vars: list[str] = []
@@ -578,7 +601,7 @@ def sum_systems(
             raise IllFormedSystem(
                 "summands must designate a non-accepting component at count 1"
             )
-        pre = f"u{pidx}."
+        pre = _fresh_prefix(f"u{pidx}", part.x_vars + part.z_vars, taken)
         ren_x = {v: pre + v for v in part.x_vars}
         x_vars.extend(pre + v for v in part.x_vars)
         x_rhs.extend(p.rename_symbols(ren_x) for p in part.x_rhs)
@@ -661,8 +684,13 @@ def unmix(
     if not 0 <= t <= sys.m:
         raise IllFormedSystem("Buchi count out of range")
     inst = sys.instance
-    hat = {zv: f"h.{zv}" for zv in sys.z_vars}
-    bar = {xv: f"b.{xv}" for xv in sys.x_vars}
+    # h.z, b.x and ydot differ in their first letter, so only a terminal can
+    # take one of them; a head gains primes where it would
+    taken = set(sys.terminals)
+    hp = _fresh_prefix("h", sys.z_vars, taken)
+    bp = _fresh_prefix("b", sys.x_vars, taken)
+    hat = {zv: hp + zv for zv in sys.z_vars}
+    bar = {xv: bp + xv for xv in sys.x_vars}
     hat_rhs = []
     for row in sys.rho:
         terms = []
@@ -676,7 +704,7 @@ def unmix(
     variables = (
         tuple(hat[z] for z in sys.z_vars)
         + tuple(bar[x] for x in sys.x_vars)
-        + ("ydot",)
+        + (_Names(taken).fresh("ydot"),)
     )
     rhs = tuple(hat_rhs) + tuple(bar_rhs) + (dot_rhs,)
     out = OmegaSystem(inst, sys.terminals, variables, rhs)
@@ -938,9 +966,18 @@ def pipeline_from_decomposition(
     rep = report if report is not None else GnfPipelineReport()
     norm = d if d.normalized else normalize_decomposition(d)
     rep.add("normalize", terms=len(norm.terms))
+    # normalize_decomposition hands one t-system to the scalar and the zero
+    # term it splits, and equal systems give equal normal forms
+    normal_forms: dict[AlgebraicSystem, GnfResult] = {}
+
+    def gnf_of(sys: AlgebraicSystem) -> GnfResult:
+        if sys not in normal_forms:
+            normal_forms[sys] = finite_gnf(sys)
+        return normal_forms[sys]
+
     parts = []
     for term in norm.terms:
-        t_res = finite_gnf(term.t_sys)
+        t_res = gnf_of(term.t_sys)
         if term.eps_case == "scalar":
             part = build_pair_system(
                 t_res.system,
@@ -949,7 +986,7 @@ def pipeline_from_decomposition(
                 eps_coeff=term.eps_coeff,
             )
         else:
-            s_res = finite_gnf(term.s_sys)
+            s_res = gnf_of(term.s_sys)
             part = build_pair_system(
                 t_res.system,
                 t_res.component_of[term.t_sys.variables[term.t_component]],

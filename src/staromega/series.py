@@ -2,9 +2,17 @@
 
 Words are tuples of symbol strings over a mixed alphabet of terminals and
 variables.  Polynomials are kept canonical: monomials merged by word,
-length-lex sorted, zero coefficients dropped.  Infinite series are only ever
-materialised as truncations; ultimately periodic omega-words are handled by
-the LassoWord value.
+length-lex sorted, zero coefficients dropped.  `Polynomial.build` is the
+constructor that canonicalises, and every arithmetic operation goes through
+it.  Other paths trust an input that is canonical already and skip that
+work: `Polynomial.rename_symbols` reuses the coefficients and only re-sorts
+(it falls back to `build` when two renamed words coincide); `_monomial`
+makes a monomial without the zero test of `Monomial`, for coefficients its
+callers have just tested; and the plain `Polynomial(instance, monomials)`
+constructor checks nothing, so callers hand it only a subsequence of a
+canonical polynomial's monomials, which is canonical itself.  Infinite
+series are only ever materialised as truncations; ultimately periodic
+omega-words are handled by the LassoWord value.
 """
 
 from __future__ import annotations
@@ -30,6 +38,9 @@ class Alphabet:
     variables: tuple[str, ...] = ()
 
     def __post_init__(self):
+        symbols = self.terminals + self.variables
+        if len(set(symbols)) == len(symbols):
+            return
         overlap = set(self.terminals) & set(self.variables)
         if overlap:
             raise SeriesError(f"symbols both terminal and variable: {sorted(overlap)}")
@@ -50,7 +61,7 @@ def word_key(w: Word):
     return (len(w), w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     coeff: SemiringValue
     word: Word
@@ -60,9 +71,26 @@ class Monomial:
             raise SeriesError("zero monomials are not stored")
 
 
+_new = object.__new__
+_set_coeff = Monomial.coeff.__set__
+_set_word = Monomial.word.__set__
+
+
+def _monomial(coeff: SemiringValue, word: Word) -> Monomial:
+    """A Monomial without the zero test: the caller has checked the coefficient."""
+    m = _new(Monomial)
+    _set_coeff(m, coeff)
+    _set_word(m, word)
+    return m
+
+
 @dataclass(frozen=True)
 class Polynomial:
-    """A finite sum of monomials in canonical form."""
+    """A finite sum of monomials in canonical form.
+
+    `build` canonicalises any terms; `rename_symbols` trusts that self is
+    canonical and keeps it so without re-merging or re-testing coefficients.
+    """
 
     instance: SemiringInstance
     monomials: tuple[Monomial, ...]
@@ -77,12 +105,12 @@ class Polynomial:
                 raise SemiringError("monomial coefficient from a different instance")
             prev = acc.get(word)
             acc[word] = coeff if prev is None else prev + coeff
-        monos = tuple(
-            Monomial(c, w)
-            for w, c in sorted(acc.items(), key=lambda kv: word_key(kv[0]))
-            if not c.is_zero()
+        zero = instance.zero_raw()
+        # (length, word, coefficient): distinct words never compare coefficients
+        items = sorted([(len(w), w, c) for w, c in acc.items()])
+        return Polynomial(
+            instance, tuple([_monomial(c, w) for _n, w, c in items if c.value != zero])
         )
-        return Polynomial(instance, monos)
 
     @staticmethod
     def zero(instance: SemiringInstance) -> "Polynomial":
@@ -155,13 +183,21 @@ class Polynomial:
         return Polynomial.build(inst, terms)
 
     def rename_symbols(self, mapping: Mapping[str, str]) -> "Polynomial":
-        return Polynomial.build(
-            self.instance,
-            [
-                (m.coeff, tuple(mapping.get(s, s) for s in m.word))
-                for m in self.monomials
-            ],
-        )
+        """Rename symbols in every word, absent symbols stay.
+
+        The coefficients are nonzero and the words distinct already, so only
+        the order can change (a renamed variable may pass a terminal);
+        `build` merges when the mapping sends two words to one.
+        """
+        get = mapping.get
+        items = [
+            (len(m.word), tuple([get(s, s) for s in m.word]), m.coeff) for m in self.monomials
+        ]
+        if len(items) > 1:
+            if len({w for _n, w, _c in items}) < len(items):
+                return Polynomial.build(self.instance, [(c, w) for _n, w, c in items])
+            items.sort()
+        return Polynomial(self.instance, tuple([_monomial(c, w) for _n, w, c in items]))
 
 
 def split_px(

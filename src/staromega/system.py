@@ -74,9 +74,20 @@ class AlgebraicSystem:
         Alphabet(self.terminals, self.variables)
         if len(self.rhs) != len(self.variables):
             raise IllFormedSystem("one equation per variable required")
-        allowed = set(self.terminals) | set(self.variables)
+        allowed = set(self.terminals).union(self.variables)
+        inst = self.instance
+        used: set[str] = set()
+        for p in self.rhs:
+            if p.instance is not inst:
+                break
+            for m in p.monomials:
+                used.update(m.word)
+        else:
+            if used <= allowed:
+                return
+        # report the first faulty equation, as a per-equation check would
         for v, p in zip(self.variables, self.rhs):
-            if p.instance is not self.instance:
+            if p.instance is not inst:
                 raise SemiringError("equation over a different instance")
             bad = p.symbols() - allowed
             if bad:
@@ -217,34 +228,34 @@ def induce_mixed(sys: OmegaSystem) -> MixedSystem:
 # -- Greibach normal form predicates ----------------------------------------
 
 
-def _gnf_word_ok(word: Word, terminals: set[str], variables: set[str], allow_eps: bool) -> bool:
-    if not word:
-        return allow_eps
-    if word[0] not in terminals:
-        return False
-    tail = word[1:]
-    return len(tail) <= 2 and all(s in variables for s in tail)
+def _gnf_words_ok(
+    polys: Sequence[Polynomial], terminals: set[str], variables: set[str], allow_eps: bool
+) -> bool:
+    """Every word is a terminal followed by at most two variables, or empty
+    where allow_eps."""
+    for p in polys:
+        for m in p.monomials:
+            w = m.word
+            if not w:
+                if not allow_eps:
+                    return False
+            elif w[0] not in terminals or len(w) > 3 or not variables.issuperset(w[1:]):
+                return False
+    return True
 
 
 def is_gnf_algebraic(sys: AlgebraicSystem, allow_eps: bool = False) -> bool:
-    ts, vs = set(sys.terminals), set(sys.variables)
-    return all(
-        _gnf_word_ok(m.word, ts, vs, allow_eps) for p in sys.rhs for m in p.monomials
-    )
+    return _gnf_words_ok(sys.rhs, set(sys.terminals), set(sys.variables), allow_eps)
 
 
 def is_gnf_omega(sys: OmegaSystem) -> bool:
-    ts, vs = set(sys.terminals), set(sys.variables)
-    return all(
-        _gnf_word_ok(m.word, ts, vs, True) for p in sys.rhs for m in p.monomials
-    )
+    return _gnf_words_ok(sys.rhs, set(sys.terminals), set(sys.variables), True)
 
 
 def is_gnf_mixed(sys: MixedSystem) -> bool:
     ts, vs = set(sys.terminals), set(sys.x_vars)
-    for p in sys.x_rhs:
-        if not all(_gnf_word_ok(m.word, ts, vs, True) for m in p.monomials):
-            return False
+    if not _gnf_words_ok(sys.x_rhs, ts, vs, True):
+        return False
     for row in sys.rho:
         for p in row.values():
             for m in p.monomials:

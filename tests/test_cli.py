@@ -251,6 +251,24 @@ def test_cmd_gnf_zero_omega_component(capsys):
     assert "ydot = 0" in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("terminal", ["ydot", "h.z.sum", "b.u0.t.d0", "z.acc", "t.d0"])
+@pytest.mark.parametrize("target", ["omega", "mixed"])
+def test_cmd_gnf_keeps_generated_names_off_the_terminals(terminal, target, tmp_path, capsys):
+    # every name the pipeline makes up avoids the terminals: the normal form
+    # exists and keeps the lasso value of the grammar it came from
+    grm = tmp_path / "clash.grm"
+    grm.write_text(
+        f"@semiring boolean\n@alphabet a {terminal}\n@sort x x1\n@sort z z1\n"
+        "@start z1\n@buchi 1\nx1 = a\nz1 = a z1 | x1 z1\n"
+    )
+    nf = tmp_path / "nf.grm"
+    assert main(["gnf", str(grm), "--target", target, "--out", str(nf)]) == EXIT_OK
+    capsys.readouterr()
+    for path in (grm, nf):
+        assert main(["eval", str(path), "--lasso", "a:a"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == ["1"]
+
+
 @pytest.mark.parametrize(
     "args",
     [

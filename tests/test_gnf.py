@@ -14,6 +14,8 @@ from staromega.gnf import (
     OmegaDecomposition,
     build_pair_system,
     char_to_mixed,
+    _drop_unproductive,
+    _prune_unreachable,
     _unit_elimination,
     decompose_canonical,
     eps_coefficients,
@@ -34,6 +36,7 @@ from staromega.system import (
     CanonicalSelector,
     IllFormedSystem,
     MixedSystem,
+    NotStabilized,
     canonical_omega_lasso,
     induce_mixed,
     is_gnf_algebraic,
@@ -560,6 +563,98 @@ def test_gnf_output_matches_golden_digests_on_random_systems(case, tmp_path, cap
         rc = main(["gnf", str(path), "--target", "omega", "--buchi", str(k)])
         out = capsys.readouterr().out
         assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (want_exit, want_sha), k
+
+
+# -- fast paths against references that always rebuild ---------------------------------
+
+
+def algebraic_systems(max_vars=4):
+    """Small systems over any instance: empty words, chain rules, unproductive
+    and unreachable variables, and often no empty-word monomial at all."""
+
+    def over(inst, n):
+        xs = tuple(f"x{i}" for i in range(n))
+        value = st.sampled_from(inst.grid()).map(inst.value)
+        word = st.lists(st.sampled_from(("a", "b") + xs), max_size=3).map(tuple)
+        poly_ = st.lists(st.tuples(value, word), max_size=3).map(
+            lambda terms: Polynomial.build(inst, terms)
+        )
+        rhs = st.lists(poly_, min_size=n, max_size=n).map(tuple)
+        return rhs.map(lambda r: AlgebraicSystem(inst, ("a", "b"), xs, r))
+
+    return st.tuples(
+        st.sampled_from([BOOLEAN, TROPICAL, ARCTIC, COUNTING]), st.integers(1, max_vars)
+    ).flatmap(lambda t: over(*t))
+
+
+def _proper_form_reference(sys):
+    inst = sys.instance
+    eps = eps_coefficients(sys)
+    mapping = {
+        v: Polynomial.build(inst, [(e, ()), (inst.one, (v,))])
+        for v, e in zip(sys.variables, eps)
+        if not e.is_zero()
+    }
+    rhs = tuple(
+        Polynomial.build(inst, [(m.coeff, m.word) for m in p.substitute_symbols(mapping).monomials if m.word])
+        for p in sys.rhs
+    )
+    return AlgebraicSystem(inst, sys.terminals, sys.variables, rhs), eps
+
+
+def _prune_unreachable_reference(sys, keep):
+    reach, stack = set(keep), list(keep)
+    while stack:
+        for m in sys.rhs[sys.var_index(stack.pop())].monomials:
+            for s in m.word:
+                if s in sys.variables and s not in reach:
+                    reach.add(s)
+                    stack.append(s)
+    vs = tuple(v for v in sys.variables if v in reach)
+    return AlgebraicSystem(sys.instance, sys.terminals, vs, tuple(sys.rhs[sys.var_index(v)] for v in vs))
+
+
+def _drop_unproductive_reference(sys, keep):
+    productive = productive_components(sys)
+    rhs = tuple(
+        Polynomial.build(
+            sys.instance,
+            [(m.coeff, m.word) for m in p.monomials
+             if all(s not in sys.variables or s in productive for s in m.word)],
+        )
+        for p in sys.rhs
+    )
+    trimmed = AlgebraicSystem(sys.instance, sys.terminals, sys.variables, rhs)
+    return _prune_unreachable_reference(trimmed, keep)
+
+
+@given(algebraic_systems())
+@settings(max_examples=200, deadline=None)
+def test_proper_form_equals_the_rebuilding_reference(sys):
+    try:
+        want = _proper_form_reference(sys)
+    except NotStabilized:
+        with pytest.raises(NotStabilized):
+            proper_form(sys)
+        return
+    assert proper_form(sys) == want
+
+
+@given(algebraic_systems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_drop_unproductive_and_prune_equal_the_rebuilding_references(sys, data):
+    keep = data.draw(st.lists(st.sampled_from(sys.variables), min_size=1, unique=True))
+    assert _prune_unreachable(sys, keep) == _prune_unreachable_reference(sys, keep)
+    assert _drop_unproductive(sys, keep) == _drop_unproductive_reference(sys, keep)
+
+
+def test_fast_paths_return_their_input_when_nothing_changes():
+    b = BOOLEAN
+    sys = AlgebraicSystem(b, ("a",), ("x1", "x2"), (poly(b, "a x2"), poly(b, "a | a x1")))
+    proper, eps = proper_form(sys)
+    assert proper is sys and eps == [b.zero, b.zero]
+    assert _prune_unreachable(sys, ["x1"]) is sys
+    assert _drop_unproductive(sys, ["x1"]) is sys
 
 
 # -- chain-rule elimination ------------------------------------------------------------

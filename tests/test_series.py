@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staromega.semiring import BOOLEAN, TROPICAL, SemiringError
+from staromega.semiring import ARCTIC, BOOLEAN, COUNTING, TROPICAL, SemiringError, sum_family
 from staromega.series import (
     Alphabet,
     LassoWord,
@@ -9,6 +9,7 @@ from staromega.series import (
     Polynomial,
     SeriesError,
     TruncatedSeries,
+    word_key,
     format_polynomial,
     parse_polynomial,
     series_build,
@@ -44,6 +45,68 @@ def test_polynomial_canonical_merge():
     q = Polynomial.build(BOOLEAN, [(BOOLEAN.value(1), ("a",))])
     with pytest.raises(SemiringError):
         p + q
+
+
+# Terms over every instance, zero coefficients and repeated words included.
+# The symbols mix terminals with variables that a prefix moves past them in
+# length-lex order: a1 < b, but t.a1 > b.
+SYMBOLS = ("a", "b", "a1", "x2", "z")
+
+
+def terms_over(inst):
+    zero = inst.zero_raw()
+    value = st.sampled_from((zero,) + inst.grid()).map(inst.value)
+    word = st.lists(st.sampled_from(SYMBOLS), max_size=3).map(tuple)
+    return st.lists(st.tuples(value, word), max_size=8)
+
+
+instance_terms = st.sampled_from([BOOLEAN, TROPICAL, ARCTIC, COUNTING]).flatmap(
+    lambda inst: st.tuples(st.just(inst), terms_over(inst))
+)
+
+
+@given(instance_terms)
+def test_build_merges_words_drops_zeros_and_sorts(case):
+    inst, terms = case
+    p = Polynomial.build(inst, terms)
+    words = [m.word for m in p.monomials]
+    assert words == sorted(set(words), key=word_key)
+    for m in p.monomials:
+        assert not m.coeff.is_zero()
+        assert m.coeff == sum_family(inst, (c for c, w in terms if w == m.word))
+    dropped = {w for _c, w in terms} - set(words)
+    assert all(sum_family(inst, (c for c, w in terms if w == d)).is_zero() for d in dropped)
+
+
+def test_build_rejects_a_coefficient_from_another_instance():
+    with pytest.raises(SemiringError):
+        Polynomial.build(TROPICAL, [(TROPICAL.one, ("a",)), (COUNTING.one, ("b",))])
+
+
+renamings = st.one_of(
+    # injective: a prefix on some symbols, which can reorder words
+    st.sets(st.sampled_from(SYMBOLS)).map(lambda syms: {s: "t." + s for s in syms}),
+    # merging: several symbols onto one
+    st.dictionaries(st.sampled_from(SYMBOLS), st.sampled_from(("a", "b", "m"))),
+)
+
+
+@given(instance_terms, renamings)
+def test_rename_symbols_equals_build_of_the_renamed_terms(case, mapping):
+    inst, terms = case
+    p = Polynomial.build(inst, terms)
+    renamed = [(m.coeff, tuple(mapping.get(s, s) for s in m.word)) for m in p.monomials]
+    assert p.rename_symbols(mapping) == Polynomial.build(inst, renamed)
+
+
+def test_rename_symbols_reorders_and_merges():
+    b = BOOLEAN
+    p = poly(b, "a1 b | b a1")
+    assert [m.word for m in p.monomials] == [("a1", "b"), ("b", "a1")]
+    q = p.rename_symbols({"a1": "t.a1"})
+    assert [m.word for m in q.monomials] == [("b", "t.a1"), ("t.a1", "b")]
+    t = TROPICAL
+    assert poly(t, "(2) a1 | (1) a").rename_symbols({"a1": "a"}) == poly(t, "(1) a")
 
 
 # -- substitution ----------------------------------------------------------------

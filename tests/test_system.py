@@ -12,6 +12,7 @@ from staromega.semiring import (
     COUNTING,
     INF,
     TROPICAL,
+    SemiringError,
     natural_leq,
 )
 from staromega.series import LassoWord, Polynomial, parse_polynomial, series_build, substitute
@@ -48,8 +49,10 @@ def poly(inst, text):
 
 def test_system_validation():
     b = BOOLEAN
-    with pytest.raises(IllFormedSystem):
-        AlgebraicSystem(b, ("a",), ("x",), (poly(b, "a q"),))
+    with pytest.raises(IllFormedSystem, match=r"equation for y uses undeclared symbols \['p', 'q'\]"):
+        AlgebraicSystem(b, ("a",), ("x", "y"), (poly(b, "a x"), poly(b, "a q | p")))
+    with pytest.raises(SemiringError, match="equation over a different instance"):
+        AlgebraicSystem(b, ("a",), ("x", "y"), (poly(b, "a"), poly(TROPICAL, "a")))
     with pytest.raises(IllFormedSystem):
         MixedSystem(b, ("a",), ("x",), (poly(b, "a"),), ("z",), ({1: poly(b, "a")},))
     with pytest.raises(IllFormedSystem):
