@@ -29,7 +29,7 @@ from .matrix import (
     mat_vec_mul,
 )
 from .pda import behavior_finite, behavior_omega_lasso, induced_finite_pda, induced_omega_pda
-from .semiring import BOOLEAN, INSTANCES, TROPICAL, SemiringValue
+from .semiring import BOOLEAN, INSTANCES, SemiringValue
 from .series import LassoWord, Polynomial
 from .system import (
     AlgebraicSystem,
@@ -135,8 +135,9 @@ def random_gnf_system(rng: Random, inst, n_vars: int = 3, n_letters: int = 2) ->
 def oracle_suite(rng: Random, cases: int = 100, max_len: int = 6) -> SuiteResult:
     result = SuiteResult()
     mismatches = 0
+    instances = list(INSTANCES.values())
     for case in range(cases):
-        inst = BOOLEAN if case % 2 == 0 else TROPICAL
+        inst = instances[case % len(instances)]
         sys = random_gnf_system(rng, inst, n_vars=rng.randint(1, 3))
         sol = least_solution_finite(sys, max_len)
         automata = [induced_finite_pda(sys, m) for m in range(len(sys.variables))]

@@ -14,13 +14,16 @@ nonzero entries rather than the square of the z-variables; the one dense
 matrix left is decompose_canonical's handle matrix over the input's own
 z-variables.
 
-decompose_canonical unfolds the restricted omega operator on that matrix
-with series handles: nodes of a DAG whose leaves are restricted components
-of the input's finite part and whose other nodes each hold one equation
-over their children.  Combining handles copies no system; an algebraic
-system is written out only for the handles of the returned pairs s t^omega.
-Chain rules are removed through the star of the unit matrix, taken one
-strongly connected component at a time on sparse rows.
+decompose_canonical runs the Lehmann sweep of staromega.matrix on that
+matrix with series handles as its values: nodes of a DAG whose leaves are
+restricted components of the input's finite part and whose other nodes
+each hold one equation over their children.  The path decomposition that
+gives mat_omega_t then reads off at most k pairs s t^omega, with O(m^3)
+handle nodes in all.  Combining handles copies no system; an algebraic
+system is written out only for the handles of the returned pairs, one
+variable per distinct node.  Chain rules are removed through the star of
+the unit matrix, taken one strongly connected component at a time on
+sparse rows.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Sequence
 import json
 
 from ._search import _sccs
-from .matrix import SemiringMatrix, mat_star
+from .matrix import SemiringMatrix, _add_identity, _sweep, mat_star
 from .semiring import SemiringInstance, SemiringValue
 from .series import EPSILON, Polynomial, Word
 from .system import (
@@ -635,23 +638,34 @@ def _indexed_rows(
 
 def char_to_mixed(d: OmegaDecomposition) -> tuple[MixedSystem, CanonicalSelector]:
     """Direct mixed system for a sum of pairs: one accepting loop variable per
-    t-series and one collector fed by the s-series."""
+    t-series and one collector fed by the s-series.
+
+    Term j's x-variables are c{j}.t.v and c{j}.s.v (c{j}.s for a scalar
+    s-series), the z-variables z0, z1, ... and zout; a name that would be a
+    terminal gains primes, as in build_pair_system.
+    """
     if not d.normalized:
         raise IllFormedSystem("characteristic system needs a normalized decomposition")
     inst = d.instance
     l = d.width
+    taken = set(d.terminals)
     x_vars: list[str] = []
     x_rhs: list[Polynomial] = []
     s_alias: list[str] = []
     t_alias: list[str] = []
     for j, term in enumerate(d.terms):
-        pre = f"c{j}."
+        local = ["t." + v for v in term.t_sys.variables]
+        if term.eps_case == "scalar":
+            local.append("s")
+        else:
+            local += ["s." + v for v in term.s_sys.variables]
+        pre = _fresh_prefix(f"c{j}", local, taken)
         t = _rename_prefixed(term.t_sys, pre + "t.")
         x_vars.extend(t.variables)
         x_rhs.extend(t.rhs)
         t_alias.append(t.variables[term.t_component])
         if term.eps_case == "scalar":
-            alias = f"c{j}.s"
+            alias = pre + "s"
             x_vars.append(alias)
             x_rhs.append(Polynomial.build(inst, [(term.eps_coeff, EPSILON)]))
             s_alias.append(alias)
@@ -660,7 +674,9 @@ def char_to_mixed(d: OmegaDecomposition) -> tuple[MixedSystem, CanonicalSelector
             x_vars.extend(s.variables)
             x_rhs.extend(s.rhs)
             s_alias.append(s.variables[term.s_component])
-    z_vars = tuple(f"z{j}" for j in range(l)) + ("zout",)
+    # the x-variables all hold a dot, so only a terminal can take a z-name
+    fresh = _Names(taken).fresh
+    z_vars = tuple(fresh(f"z{j}") for j in range(l)) + (fresh("zout"),)
     rho_rows = [{j: Polynomial.of_word(inst, (t_alias[j],))} for j in range(l)]
     rho_rows.append({j: Polynomial.of_word(inst, (s_alias[j],)) for j in range(l)})
     mixed = MixedSystem(
@@ -721,36 +737,35 @@ class _Handle:
     series.  Any other node is one equation with coefficients one: `words`
     spells its monomials over slots, 0 for the node itself and 1, 2, ... for
     its children `kids`, which are all productive.  The series is zero
-    exactly when that equation (a leaf's first) is empty, and `size` counts
-    the variables of the system `_HandleAlgebra.emit` writes out for it.
+    exactly when that equation (a leaf's first) is empty.
     """
 
-    __slots__ = ("leaf", "kids", "words", "productive", "size")
+    __slots__ = ("leaf", "kids", "words", "productive")
 
     def __init__(self, leaf=None, kids=(), words=()):
         self.leaf, self.kids, self.words = leaf, kids, words
-        if leaf is not None:
-            self.productive = not leaf.rhs[0].is_zero()
-            self.size = len(leaf.variables)
-        else:
-            self.productive = bool(words)
-            self.size = 1 + sum(k.size for k in kids)
+        self.productive = not leaf.rhs[0].is_zero() if leaf is not None else bool(words)
 
 
 class _HandleAlgebra:
     """Rational combinators on series handles, as nodes of a DAG.
 
-    Leaves are components of the base system restricted to its productive,
-    reachable variables.  Every add / mul / star makes one node over its
-    operands and copies nothing; an unproductive operand is left out of the
-    node's equation, where restricting a glued system would erase it.  A
+    It speaks the raw protocol of `matrix._sweep` and `matrix._add_identity`
+    (`add_raw`, `mul_raw`, `star_raw`, `zero_raw`, `one_raw`), so the Lehmann
+    sweep runs on handle matrices unchanged.  Leaves are components of the
+    base system restricted to its productive, reachable variables.  Every
+    combinator makes at most one node over its operands and copies nothing;
+    an unproductive operand is left out, where restricting a glued system
+    would erase it.  `zero_raw` is one shared unproductive handle and
+    `mul_raw` returns it, so the sweep's zero test skips empty rows.  A
     system is written out only by `emit`, for the handles a decomposition
-    returns: a preorder walk that copies each shared child once per use.
+    returns: one variable per distinct node, however often it is shared.
     """
 
     def __init__(self, base: AlgebraicSystem):
         self.base = base
         self.top = _Names(set(base.variables) | set(base.terminals)).fresh("v")
+        self.zero = _Handle()
 
     def of_poly(self, poly: Polynomial) -> _Handle:
         b = self.base
@@ -759,48 +774,58 @@ class _HandleAlgebra:
         )
         return _Handle(_restrict(glued, len(b.variables)))
 
-    def zero(self) -> _Handle:
-        return _Handle()
+    def zero_raw(self) -> _Handle:
+        return self.zero
 
-    def one(self) -> _Handle:
+    def one_raw(self) -> _Handle:
         return _Handle(words=((),))
 
-    def add(self, a: _Handle, b: _Handle) -> _Handle:
-        kids = tuple(h for h in (a, b) if h.productive)
-        return _Handle(kids=kids, words=tuple((i,) for i in range(1, len(kids) + 1)))
+    def add_raw(self, a: _Handle, b: _Handle) -> _Handle:
+        if not a.productive:
+            return b
+        if not b.productive:
+            return a
+        return _Handle(kids=(a, b), words=((1,), (2,)))
 
-    def mul(self, a: _Handle, b: _Handle) -> _Handle:
+    def mul_raw(self, a: _Handle, b: _Handle) -> _Handle:
         if not (a.productive and b.productive):
-            return self.zero()
+            return self.zero
         return _Handle(kids=(a, b), words=((1, 2),))
 
-    def star(self, a: _Handle) -> _Handle:
+    def star_raw(self, a: _Handle) -> _Handle:
         if not a.productive:
-            return self.one()
+            return self.one_raw()
         return _Handle(kids=(a,), words=((1, 0), ()))
 
     def emit(self, h: _Handle) -> AlgebraicSystem:
-        """The system of h, variables d0, d1, ... in preorder, h's series first."""
+        """The system of h, variables d0, d1, ... over the distinct nodes in
+        preorder, h's series first; a leaf takes one variable per variable of
+        its system."""
         inst, terminals = self.base.instance, self.base.terminals
-        fresh = _Names(set(terminals)).fresh
-        names = [fresh(f"d{i}") for i in range(h.size)]
-        rhs: list[Polynomial] = []
-        stack = [h]
+        at: dict[_Handle, int] = {}
+        stack, n = [h], 0
         while stack:
-            h = stack.pop()
-            at = len(rhs)
-            if h.leaf is not None:
-                ren = dict(zip(h.leaf.variables, names[at : at + h.size]))
-                rhs.extend(p.rename_symbols(ren) for p in h.leaf.rhs)
+            node = stack.pop()
+            if node in at:
                 continue
-            slots, pos = [names[at]], at + 1
-            for kid in h.kids:
-                slots.append(names[pos])
-                pos += kid.size
+            at[node] = n
+            if node.leaf is not None:
+                n += len(node.leaf.variables)
+            else:
+                n += 1
+                stack.extend(reversed(node.kids))
+        fresh = _Names(set(terminals)).fresh
+        names = [fresh(f"d{i}") for i in range(n)]
+        rhs: list[Polynomial] = []
+        for node, i in at.items():
+            if node.leaf is not None:
+                ren = dict(zip(node.leaf.variables, names[i:]))
+                rhs.extend(p.rename_symbols(ren) for p in node.leaf.rhs)
+                continue
+            slots = [names[i]] + [names[at[kid]] for kid in node.kids]
             rhs.append(
-                Polynomial.build(inst, [(inst.one, tuple(slots[s] for s in w)) for w in h.words])
+                Polynomial.build(inst, [(inst.one, tuple(slots[s] for s in w)) for w in node.words])
             )
-            stack.extend(reversed(h.kids))
         return AlgebraicSystem(inst, terminals, tuple(names), tuple(rhs))
 
 
@@ -817,126 +842,44 @@ def _restrict(sys: AlgebraicSystem, comp: int) -> AlgebraicSystem:
     )
 
 
-def _handle_mat_star(alg: _HandleAlgebra, mat: list[list[_Handle]]):
-    n = len(mat)
-    a = [row[:] for row in mat]
-    for kk in range(n):
-        pivot = alg.star(a[kk][kk])
-        row_k = list(a[kk])
-        col_k = [a[i][kk] for i in range(n)]
-        for i in range(n):
-            left = alg.mul(col_k[i], pivot)
-            for j in range(n):
-                a[i][j] = alg.add(a[i][j], alg.mul(left, row_k[j]))
-    for i in range(n):
-        a[i][i] = alg.add(a[i][i], alg.one())
-    return a
-
-
-def _handle_omega_terms(alg: _HandleAlgebra, mat: list[list[_Handle]]):
-    """Per component: the pairs (s, t) with component value sum of s t^omega."""
-    n = len(mat)
-    if n == 0:
-        return []
-    if n == 1:
-        return [[(alg.one(), mat[0][0])]]
-    a = mat[0][0]
-    b = [mat[0][j] for j in range(1, n)]
-    c = [mat[i][0] for i in range(1, n)]
-    d = [[mat[i][j] for j in range(1, n)] for i in range(1, n)]
-    dstar = _handle_mat_star(alg, d)
-    f = a
-    for i in range(n - 1):
-        for j in range(n - 1):
-            f = alg.add(f, alg.mul(alg.mul(b[i], dstar[i][j]), c[j]))
-    astar = alg.star(a)
-    g = [
-        [alg.add(d[i][j], alg.mul(alg.mul(c[i], astar), b[j])) for j in range(n - 1)]
-        for i in range(n - 1)
-    ]
-    d_omega = _handle_omega_terms(alg, d)
-    g_omega = _handle_omega_terms(alg, g)
-    gstar = _handle_mat_star(alg, g)
-    fstar = alg.star(f)
-    first = [(alg.one(), f)]
-    for j in range(n - 1):
-        for (s, t) in d_omega[j]:
-            first.append((alg.mul(alg.mul(fstar, b[j]), s), t))
-    rest = []
-    for i in range(n - 1):
-        terms = list(g_omega[i])
-        for tt in range(n - 1):
-            terms.append((alg.mul(gstar[i][tt], c[tt]), a))
-        rest.append(terms)
-    return [first] + rest
-
-
-def _handle_omega_t_terms(alg: _HandleAlgebra, mat: list[list[_Handle]], t: int):
-    n = len(mat)
-    if t == 0:
-        return [[] for _ in range(n)]
-    if t == n:
-        return _handle_omega_terms(alg, mat)
-    a = [[mat[i][j] for j in range(t)] for i in range(t)]
-    b = [[mat[i][j] for j in range(t, n)] for i in range(t)]
-    c = [[mat[i][j] for j in range(t)] for i in range(t, n)]
-    d = [[mat[i][j] for j in range(t, n)] for i in range(t, n)]
-    dstar = _handle_mat_star(alg, d)
-    f = [
-        [
-            a[i][j]
-            for j in range(t)
-        ]
-        for i in range(t)
-    ]
-    for i in range(t):
-        for j in range(t):
-            for p in range(n - t):
-                for q in range(n - t):
-                    f[i][j] = alg.add(
-                        f[i][j], alg.mul(alg.mul(b[i][p], dstar[p][q]), c[q][j])
-                    )
-    top = _handle_omega_terms(alg, f)
-    dc = [
-        [
-            None
-            for j in range(t)
-        ]
-        for i in range(n - t)
-    ]
-    for i in range(n - t):
-        for j in range(t):
-            acc = alg.zero()
-            for q in range(n - t):
-                acc = alg.add(acc, alg.mul(dstar[i][q], c[q][j]))
-            dc[i][j] = acc
-    bottom = []
-    for i in range(n - t):
-        terms = []
-        for j in range(t):
-            for (s, tt) in top[j]:
-                terms.append((alg.mul(dc[i][j], s), tt))
-        bottom.append(terms)
-    return top + bottom
-
-
 def decompose_canonical(
     sys: MixedSystem, k: int, component: int
 ) -> OmegaDecomposition:
     """Express one omega component of the k-th canonical solution as a sum of
-    pairs s t^omega of algebraic series, by unfolding the restricted omega
-    operator on the z-coefficient matrix symbolically."""
+    pairs s t^omega of algebraic series.
+
+    The Lehmann sweep of `matrix._sweep` runs on the z-coefficient matrix of
+    series handles in the pivot order m-1..0, and the component is read off
+    by the path decomposition of `matrix`'s docstring: omega_k[i] =
+    sum_{j<k} A[i][j] L_j^omega with L_j = C_j[j], one pair (A[i][j], L_j)
+    for each j where both are nonzero, so at most k pairs.
+    """
     m = sys.m
     if not 0 <= k <= m:
         raise IllFormedSystem(f"Buchi count {k} out of range 0..{m}")
     if not 0 <= component < m:
         raise IllFormedSystem(f"z-component {component} out of range for {m} z-variables")
     alg = _HandleAlgebra(sys.x_part)
-    mat = [[alg.of_poly(sys.entry(i, j)) for j in range(m)] for i in range(m)]
-    terms = _handle_omega_t_terms(alg, mat, k)[component]
+    a = [[alg.zero] * m for _ in range(m)]
+    for i, row in enumerate(sys.rho):
+        for j, p in row.items():
+            a[i][j] = alg.of_poly(p)
+    cols = _sweep(alg, a, range(m - 1, -1, -1))
+    star = _add_identity(alg, a)[component]
+    pairs = []
+    for j in range(k):
+        c = cols[j]
+        if not c[j].productive:
+            continue
+        # A[i][j] = [i=j] + [i>j] C_j[i] + sum_{k'<j} S[i][k'] C_j[k'], i the component
+        s = alg.one_raw() if component == j else c[component] if component > j else alg.zero
+        for kk in range(j):
+            s = alg.add_raw(s, alg.mul_raw(star[kk], c[kk]))
+        if s.productive:
+            pairs.append((s, c[j]))
     dterms = tuple(
         DecompositionTerm(t_sys=alg.emit(t), t_component=0, s_sys=alg.emit(s), s_component=0)
-        for (s, t) in terms
+        for (s, t) in pairs
     )
     return OmegaDecomposition(sys.instance, tuple(sys.terminals), dterms)
 

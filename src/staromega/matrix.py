@@ -163,6 +163,12 @@ def _sweep(instance: SemiringInstance, a: list[list], order) -> list:
 
     After eliminating a set P of pivots, a[i][j] is the weight of the paths
     i -> j of length >= 1 whose intermediate states all lie in P.
+
+    `instance` need only speak the raw protocol: `add_raw`, `mul_raw`,
+    `star_raw` and `zero_raw` (plus `one_raw` for `_add_identity`).  A row
+    is skipped when its left factor equals `zero_raw()`.  Besides the
+    semiring instances, `gnf._HandleAlgebra` speaks it, so the normal form's
+    decomposition runs this sweep on matrices of series handles.
     """
     add, mul, star = instance.add_raw, instance.mul_raw, instance.star_raw
     zero = instance.zero_raw()

@@ -27,6 +27,7 @@ their nonzero entries, not in the square of their z-variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from ._search import (
@@ -174,8 +175,9 @@ class MixedSystem:
         got = self.rho[i].get(j)
         return Polynomial.zero(self.instance) if got is None else got
 
-    @property
+    @cached_property
     def x_part(self) -> AlgebraicSystem:
+        """The finite part as an algebraic system, built and checked once."""
         return AlgebraicSystem(self.instance, self.terminals, self.x_vars, self.x_rhs)
 
 
@@ -347,20 +349,36 @@ def _eps_raw(inst: SemiringInstance, rules: list[list], max_iter: int) -> list:
 
 
 def productive_components(sys: AlgebraicSystem) -> set[str]:
-    """Variables whose least-solution component is not the zero series."""
-    terminals = set(sys.terminals)
+    """Variables whose least-solution component is not the zero series.
+
+    A worklist: each monomial counts its distinct variables not yet known to
+    be productive, and each variable lists the monomials that use it, so a
+    monomial is touched once per variable and its owner turns productive
+    when the count reaches zero.
+    """
+    owners: list[str] = []
+    waiting: list[int] = []
+    users: dict[str, list[int]] = {v: [] for v in sys.variables}
     productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for v, p in zip(sys.variables, sys.rhs):
-            if v in productive:
-                continue
-            for mono in p.monomials:
-                if all(s in terminals or s in productive for s in mono.word):
+    work: list[str] = []
+    for v, p in zip(sys.variables, sys.rhs):
+        for mono in p.monomials:
+            needs = users.keys() & set(mono.word)
+            if not needs:
+                if v not in productive:
                     productive.add(v)
-                    changed = True
-                    break
+                    work.append(v)
+                continue
+            for x in needs:
+                users[x].append(len(owners))
+            owners.append(v)
+            waiting.append(len(needs))
+    while work:
+        for i in users[work.pop()]:
+            waiting[i] -= 1
+            if waiting[i] == 0 and owners[i] not in productive:
+                productive.add(owners[i])
+                work.append(owners[i])
     return productive
 
 
@@ -552,28 +570,38 @@ def oracle_coeff_gnf(sys: AlgebraicSystem, component: int, w: Word) -> SemiringV
     """Coefficient of w by direct enumeration of leftmost derivations.
 
     Only valid for Greibach-shaped systems (every non-empty monomial emits a
-    leading terminal), which bounds derivation length by |w|.
+    leading terminal).  There a monomial read at position i has its tail
+    variables start after i, so the positions are solved from the end of w
+    back to its start: spans[i][v] maps each end j to the weight of the
+    derivations of w[i:j] from v, and reads only the spans of later starts.
     """
     if not is_gnf_algebraic(sys, allow_eps=True):
         raise IllFormedSystem("derivation oracle requires a Greibach-shaped system")
     inst = sys.instance
-    rules = dict(zip(sys.variables, sys.rhs))
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def derive(stack: tuple[str, ...], pos: int) -> SemiringValue:
-        if not stack:
-            return inst.one if pos == len(w) else inst.zero
-        head, rest = stack[0], stack[1:]
-        acc = inst.zero
-        for mono in rules[head].monomials:
-            if not mono.word:
-                acc = acc + mono.coeff * derive(rest, pos)
-            elif pos < len(w) and mono.word[0] == w[pos]:
-                acc = acc + mono.coeff * derive(tuple(mono.word[1:]) + rest, pos + 1)
-        return acc
-
-    return derive((sys.variables[component],), 0)
+    n = len(w)
+    spans: dict[int, dict[str, dict[int, SemiringValue]]] = {}
+    for i in range(n, -1, -1):
+        here: dict[str, dict[int, SemiringValue]] = {}
+        for v, p in zip(sys.variables, sys.rhs):
+            out: dict[int, SemiringValue] = {}
+            for mono in p.monomials:
+                if not mono.word:
+                    ends = {i: mono.coeff}
+                elif i < n and mono.word[0] == w[i]:
+                    ends = {i + 1: mono.coeff}
+                    for x in mono.word[1:]:
+                        nxt: dict[int, SemiringValue] = {}
+                        for j, c in ends.items():
+                            for e, d in spans[j][x].items():
+                                nxt[e] = nxt[e] + c * d if e in nxt else c * d
+                        ends = nxt
+                else:
+                    continue
+                for e, c in ends.items():
+                    out[e] = out[e] + c if e in out else c
+            here[v] = out
+        spans[i] = here
+    return spans[0][sys.variables[component]].get(n, inst.zero)
 
 
 # -- coefficients on segments of a fixed word --------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staromega.cli import EXIT_OK, main
+from staromega.cli import EXIT_OK, _to_mixed, main, parse_grammar
 from staromega.fixtures import pair_example_systems
 from staromega.gnf import (
     DecompositionTerm,
@@ -43,6 +43,7 @@ from staromega.system import (
     is_gnf_mixed,
     is_gnf_omega,
     least_solution_finite,
+    sparse_row,
 )
 
 
@@ -420,6 +421,39 @@ def test_char_to_mixed_weighted_pair():
     assert r.conclusive and r.value.value == 2
 
 
+def test_char_to_mixed_keeps_its_names_off_the_terminals():
+    # every fixed name, the x-variable c0.t.v and the z-variables z0 and
+    # zout, is also a terminal here
+    t = TROPICAL
+    letters = ("a", "zout", "z0", "c0.t.v")
+    t_sys = AlgebraicSystem(t, letters, ("v",), (Polynomial.build(t, [(t.one, ("a",))]),))
+    s_sys = AlgebraicSystem(
+        t, letters, ("v",),
+        (Polynomial.build(t, [(t.value(2), ("zout",)), (t.value(3), ("c0.t.v",))]),),
+    )
+    d = normalize_decomposition(
+        OmegaDecomposition(t, letters, (DecompositionTerm(t_sys, 0, s_sys, 0),))
+    )
+    mixed, sel = char_to_mixed(d)
+    assert mixed.z_vars == ("z0'", "zout'") and "c0'.t.v" in mixed.x_vars
+    for prefix, want in ((("zout",), 2), (("c0.t.v",), 3), (("z0",), INF)):
+        r = canonical_omega_lasso(
+            mixed, sel.buchi_count, sel.component, LassoWord(prefix, ("a",))
+        )
+        assert r.value.value == want, prefix
+
+
+def test_char_to_mixed_names_are_unchanged_without_a_clash():
+    b = BOOLEAN
+    sys_a = _single_var_system(b, ("a",), "a")
+    d = normalize_decomposition(
+        OmegaDecomposition(b, ("a",), (DecompositionTerm(sys_a, 0, sys_a, 0),) * 2)
+    )
+    mixed, _ = char_to_mixed(d)
+    assert mixed.x_vars == ("c0.t.v", "c0.s.v", "c1.t.v", "c1.s.v")
+    assert mixed.z_vars == ("z0", "z1", "zout")
+
+
 # -- symbolic decomposition ----------------------------------------------------------------
 
 
@@ -527,6 +561,60 @@ def test_four_routes_agree_on_zero_for_an_empty_decomposition():
                 assert r.conclusive and r.value == inst.zero, (inst.name, str(w))
 
 
+def _random_mixed_system(rng, inst, m):
+    """One x-variable with an empty-word or chain monomial; m z-variables
+    whose stored entries are a weighted letter or x-variable."""
+    weight = lambda: inst.one if inst is BOOLEAN else inst.value(rng.choice((0, 1, 2)))
+    factors = [(), ("a",), ("b",), ("x0",)]
+    x_rhs = Polynomial.build(
+        inst,
+        [(weight(), rng.choice(factors) + rng.choice(factors)), (inst.one, rng.choice(factors[:3]))],
+    )
+    rho = tuple(
+        sparse_row(inst, {j: [(weight(), rng.choice(factors[1:]))] for j in range(m) if rng.random() < 0.5})
+        for _ in range(m)
+    )
+    return MixedSystem(inst, ("a", "b"), ("x0",), (x_rhs,), ("z0", "z1", "z2")[:m], rho)
+
+
+def test_five_routes_agree_on_random_mixed_systems():
+    # the direct system, the characteristic system of its decomposition, the
+    # summed pair systems, the folded omega system and its automaton, for
+    # every Buchi count and component.  One system in twenty has m = 3: their
+    # normal forms reach 1,400 variables, and the automaton construction is
+    # quadratic in them.
+    lassos = [LassoWord((), ("a",)), LassoWord(("b",), ("a", "b")), LassoWord(("a",), ("b",))]
+    decided = 0
+    seen = {inst.name: set() for inst in (BOOLEAN, TROPICAL, ARCTIC, COUNTING)}
+    for case in range(200):
+        inst = (BOOLEAN, TROPICAL, ARCTIC, COUNTING)[case % 4]
+        m = 3 if case % 20 == 19 else 2
+        sys = _random_mixed_system(random.Random(f"five-routes/{case}"), inst, m)
+        for k in range(sys.m + 1):
+            for comp in range(sys.m):
+                try:
+                    want = [canonical_omega_lasso(sys, k, comp, w).value for w in lassos]
+                    norm = normalize_decomposition(decompose_canonical(sys, k, comp))
+                    _, mixed, sel, omega_sys, omega_sel, _ = pipeline_from_decomposition(norm)
+                except NotStabilized:
+                    continue
+                direct, direct_sel = char_to_mixed(norm)
+                folded = induce_mixed(omega_sys)
+                auto = induced_omega_pda(folded, omega_sel.component, omega_sel.buchi_count)
+                for w, value in zip(lassos, want):
+                    got = [
+                        canonical_omega_lasso(direct, direct_sel.buchi_count, direct_sel.component, w),
+                        canonical_omega_lasso(mixed, sel.buchi_count, sel.component, w),
+                        canonical_omega_lasso(folded, omega_sel.buchi_count, omega_sel.component, w),
+                        behavior_omega_lasso(auto, w),
+                    ]
+                    assert [r.value for r in got] == [value] * 4, (case, k, comp, str(w))
+                    seen[inst.name].add(value.value)
+                decided += 1
+    assert decided >= 1250, decided
+    assert all(len(values) >= 2 for values in seen.values()), seen
+
+
 # -- normal form output against recorded text ----------------------------------------------
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "staromega" / "data"
@@ -551,7 +639,8 @@ def test_gnf_output_matches_golden_text(case, capsys):
 
 # Seeded random mixed systems (m = 3 and 4 z-variables, every instance), with the
 # exit code and the sha256 of `gnf --target omega --buchi k` stdout for every
-# Buchi count k = 0..m, recorded before the handle algebra became a DAG.
+# Buchi count k = 0..m.  The digests that the Lehmann sweep moved were recorded
+# again once their texts' values equalled those of REFERENCE_RANDOM below.
 GOLDEN_RANDOM = json.loads(Path(__file__).with_name("gnf_golden_random.json").read_text())
 
 
@@ -563,6 +652,71 @@ def test_gnf_output_matches_golden_digests_on_random_systems(case, tmp_path, cap
         rc = main(["gnf", str(path), "--target", "omega", "--buchi", str(k)])
         out = capsys.readouterr().out
         assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (want_exit, want_sha), k
+
+
+# The texts behind GOLDEN_RANDOM's digests as the handle block recursion wrote
+# them (None where the exit code is not 0), kept as value references for the
+# normal form written by the Lehmann sweep.
+REFERENCE_RANDOM = json.loads(
+    Path(__file__).with_name("gnf_reference_random.json").read_text()
+)
+
+
+def _lasso_set(alphabet):
+    """Prefixes of up to two letters times periods of one or two letters."""
+    words = lambda n: list(itertools.product(alphabet, repeat=n))
+    prefixes = words(0) + words(1) + words(2)
+    return [LassoWord(u, v) for u in prefixes for v in words(1) + words(2)]
+
+
+def _grammar_values(text, lassos, k=None):
+    """canonical_omega_lasso of a grammar's omega component (at Buchi count k,
+    the file's own by default) on every lasso."""
+    mixed, own_k, comp = _to_mixed(parse_grammar(text))
+    k = own_k if k is None else k
+    return [canonical_omega_lasso(mixed, k, comp, w).value for w in lassos]
+
+
+def _automaton_values(text, lassos):
+    """behavior_omega_lasso of the automaton `build-pda` makes of a grammar."""
+    g = parse_grammar(text)
+    mixed = induce_mixed(g.system) if g.kind == "omega" else g.system
+    auto = induced_omega_pda(mixed, g.start_index(), g.buchi or 0)
+    return [behavior_omega_lasso(auto, w).value for w in lassos]
+
+
+def _value_cases():
+    """(id, grammar text, extra gnf arguments, Buchi count, reference text) for
+    every golden case with an omega component."""
+    for case in GNF_CASES:
+        name, _, target = case.split()
+        text = (DATA / name).read_text()
+        if "@sort z" in text or "@sort y" in text:
+            yield case, text, ["--target", target], None, GOLDEN_GNF[case]
+    for case in GOLDEN_RANDOM:
+        for k, ref in enumerate(REFERENCE_RANDOM[case["name"]]):
+            if ref is not None:
+                args = ["--target", "omega", "--buchi", str(k)]
+                yield f"{case['name']}-k{k}", case["grammar"], args, k, ref
+
+
+VALUE_CASES = list(_value_cases())
+
+
+@pytest.mark.parametrize("case", VALUE_CASES, ids=[c[0] for c in VALUE_CASES])
+def test_normal_form_values_equal_the_reference_text_and_the_source(case, tmp_path, capsys):
+    _, text, args, k, ref = case
+    path = tmp_path / "g.grm"
+    path.write_text(text)
+    assert main(["gnf", str(path), *args]) == EXIT_OK
+    out = capsys.readouterr().out
+    lassos = _lasso_set(parse_grammar(text).terminals)
+    want = _grammar_values(text, lassos, k)
+    assert _grammar_values(ref, lassos) == want
+    assert _grammar_values(out, lassos) == want
+    if "omega" in args:
+        # a mixed-target text has more x- than z-variables: no automaton
+        assert _automaton_values(out, lassos) == want
 
 
 # -- fast paths against references that always rebuild ---------------------------------
@@ -646,6 +800,26 @@ def test_drop_unproductive_and_prune_equal_the_rebuilding_references(sys, data):
     keep = data.draw(st.lists(st.sampled_from(sys.variables), min_size=1, unique=True))
     assert _prune_unreachable(sys, keep) == _prune_unreachable_reference(sys, keep)
     assert _drop_unproductive(sys, keep) == _drop_unproductive_reference(sys, keep)
+
+
+def _productive_components_reference(sys):
+    """Round-robin fixpoint: rescan every equation until nothing changes."""
+    productive, changed = set(), True
+    while changed:
+        changed = False
+        for v, p in zip(sys.variables, sys.rhs):
+            if v not in productive and any(
+                all(s in sys.terminals or s in productive for s in m.word) for m in p.monomials
+            ):
+                productive.add(v)
+                changed = True
+    return productive
+
+
+@given(algebraic_systems(max_vars=6))
+@settings(max_examples=300, deadline=None)
+def test_productive_components_equals_the_round_robin_reference(sys):
+    assert productive_components(sys) == _productive_components_reference(sys)
 
 
 def test_fast_paths_return_their_input_when_nothing_changes():

@@ -431,9 +431,10 @@ def test_json_round_trip_and_dot():
 # sha256 of the `build-pda` JSON (--out) and DOT (--dot) output of every example
 # flow: each grammar `build-pda` accepts as written, and (" gnf") the normal form
 # `gnf --target omega` writes for it, recorded while every block was dense.  The
-# dense blocks of "wide_pops.grm gnf" (943 states, 942 stack symbols) needed
-# more than 1.5 GB; its digests were recorded with the same serialization over
-# rows that read absent cells as empty.
+# dense blocks of "wide_pops.grm gnf" (then 943 states, 942 stack symbols)
+# needed more than 1.5 GB; its digests were recorded with the same
+# serialization over rows that read absent cells as empty.  The " gnf" flows
+# were recorded again when the Lehmann sweep changed the normal form's text.
 PDA_GOLDEN = json.loads(Path(__file__).with_name("pda_golden.json").read_text())
 
 

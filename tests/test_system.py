@@ -395,6 +395,15 @@ def test_eps_weights_equal_the_derivation_weights_and_the_global_rounds():
     }
 
 
+def test_mixed_finite_part_is_built_once():
+    m = induce_mixed(boolean_omega_system())
+    again = induce_mixed(boolean_omega_system())
+    assert m.x_part is m.x_part
+    # the cached value is no field: equality and repr ignore it
+    assert m == again and repr(m) == repr(again)
+    assert m.x_part == again.x_part
+
+
 # -- the derivation oracle --------------------------------------------------------------
 
 
@@ -426,6 +435,48 @@ def test_oracle_equals_kleene_on_random_gnf_systems():
             for length in range(0, 6):
                 for w in itertools.product(sys.terminals, repeat=length):
                     assert sol[m].coeff(w) == oracle_coeff_gnf(sys, m, w)
+
+
+def test_oracle_equals_the_stack_memo_reference_on_all_four_instances():
+    from derivation_oracle_reference import oracle_coeff_gnf_reference
+
+    rng = random.Random("oracle-by-position")
+    for case in range(60):
+        inst = (BOOLEAN, TROPICAL, ARCTIC, COUNTING)[case % 4]
+        sys = random_gnf_system(rng, inst, n_vars=rng.randint(1, 3))
+        if rng.random() < 0.5:
+            # Greibach shape allows empty words too
+            v = rng.randrange(len(sys.variables))
+            rhs = list(sys.rhs)
+            rhs[v] = rhs[v] + Polynomial.build(inst, [(inst.one, ())])
+            sys = AlgebraicSystem(inst, sys.terminals, sys.variables, tuple(rhs))
+        for m in range(len(sys.variables)):
+            for length in range(0, 6):
+                for w in itertools.product(sys.terminals, repeat=length):
+                    want = oracle_coeff_gnf_reference(sys, m, w)
+                    assert oracle_coeff_gnf(sys, m, w) == want, (sys, m, w)
+
+
+def test_oracle_is_polynomial_in_the_word_length():
+    # the arctic system behind the old oracle's timeouts: 4x per letter on
+    # stacks, 2.9 s at 10 letters
+    a = ARCTIC
+    sys = AlgebraicSystem(
+        a, ("a", "b"), ("xabt", "xeet", "xfwv"),
+        (
+            poly(a, "(1) xeet | (1) xabt xfwv b"),
+            poly(a, "eps | (2) xabt a"),
+            poly(a, "(2) b xfwv | (2) xabt xabt | (2) xeet xabt"),
+        ),
+    )
+    nf = finite_gnf(sys)
+    w = tuple("aaaaaaabaa")
+    got = oracle_coeff_gnf(nf.system, nf.component_of["xabt"], w)
+    assert got == least_solution_finite(sys, len(w))[0].coeff(w)
+    assert got.value == 33
+    long = tuple("ab" * 10)
+    got = oracle_coeff_gnf(nf.system, nf.component_of["xabt"], long)
+    assert got == SegmentTable(sys, long).coeff("xabt", 0, len(long))
 
 
 # -- omega components at lasso words ------------------------------------------------------
