@@ -77,6 +77,17 @@ def _scalar_laws(result: SuiteResult) -> None:
                 if (a * b).omega() != a * (b * a).omega():
                     bad.append(("product-omega", a, b))
         result.add(f"scalar-identities[{inst.name}]", not bad, f"violations={len(bad)}")
+        # the fused row kernel against add_raw / mul_raw, on every grid triple
+        raw, zero = inst.grid(), inst.zero_raw()
+        y = [a for a in raw for _ in raw]
+        z = [b for _ in raw for b in raw]
+        add, mul = inst.add_raw, inst.mul_raw
+        bad_lefts = [
+            left for left in raw
+            if left != zero
+            and inst.axpy_raw(y, left, z) != [add(a, mul(left, b)) for a, b in zip(y, z)]
+        ]
+        result.add(f"raw-kernels[{inst.name}]", not bad_lefts, f"violations={len(bad_lefts)}")
 
 
 def _random_matrix(rng: Random, inst, n: int) -> SemiringMatrix:

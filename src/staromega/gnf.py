@@ -751,15 +751,18 @@ class _HandleAlgebra:
     """Rational combinators on series handles, as nodes of a DAG.
 
     It speaks the raw protocol of `matrix._sweep` and `matrix._add_identity`
-    (`add_raw`, `mul_raw`, `star_raw`, `zero_raw`, `one_raw`), so the Lehmann
-    sweep runs on handle matrices unchanged.  Leaves are components of the
-    base system restricted to its productive, reachable variables.  Every
-    combinator makes at most one node over its operands and copies nothing;
-    an unproductive operand is left out, where restricting a glued system
-    would erase it.  `zero_raw` is one shared unproductive handle and
-    `mul_raw` returns it, so the sweep's zero test skips empty rows.  A
-    system is written out only by `emit`, for the handles a decomposition
-    returns: one variable per distinct node, however often it is shared.
+    (`add_raw`, `mul_raw`, `star_raw`, `zero_raw`, `one_raw` and the row
+    kernel `axpy_raw`), so the Lehmann sweep runs on handle matrices
+    unchanged.  `axpy_raw` is the generic y + l z comprehension: it builds
+    the nodes cell by cell, in the order the normal form's output depends
+    on.  Leaves are components of the base system restricted to its
+    productive, reachable variables.  Every combinator makes at most one
+    node over its operands and copies nothing; an unproductive operand is
+    left out, where restricting a glued system would erase it.  `zero_raw`
+    is one shared unproductive handle and `mul_raw` returns it, so the
+    sweep's zero test skips empty rows.  A system is written out only by
+    `emit`, for the handles a decomposition returns: one variable per
+    distinct node, however often it is shared.
     """
 
     def __init__(self, base: AlgebraicSystem):
@@ -796,6 +799,9 @@ class _HandleAlgebra:
         if not a.productive:
             return self.one_raw()
         return _Handle(kids=(a,), words=((1, 0), ()))
+
+    def axpy_raw(self, y: list, left: _Handle, z) -> list:
+        return [self.add_raw(a, self.mul_raw(left, b)) for a, b in zip(y, z)]
 
     def emit(self, h: _Handle) -> AlgebraicSystem:
         """The system of h, variables d0, d1, ... over the distinct nodes in

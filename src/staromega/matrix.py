@@ -2,8 +2,9 @@
 
 Provides semiring matrix algebra plus the star, omega and Buchi-restricted
 omega operators.  Every kernel works on raw values through the instance's
-`add_raw` / `mul_raw` / `star_raw` / `omega_raw`; `SemiringValue` wrappers
-are unpacked and built only at the public boundary.
+`add_raw` / `mul_raw` / `star_raw` / `omega_raw` and the fused row kernel
+`axpy_raw` (y + l z, cell by cell); `SemiringValue` wrappers are unpacked
+and built only at the public boundary.
 
 One Lehmann elimination sweep does the work.  Eliminating pivot k replaces
 A[i][j] by A[i][j] + A[i][k] (A[k][k])* A[k][j]; after every pivot, adding
@@ -165,12 +166,14 @@ def _sweep(instance: SemiringInstance, a: list[list], order) -> list:
     i -> j of length >= 1 whose intermediate states all lie in P.
 
     `instance` need only speak the raw protocol: `add_raw`, `mul_raw`,
-    `star_raw` and `zero_raw` (plus `one_raw` for `_add_identity`).  A row
-    is skipped when its left factor equals `zero_raw()`.  Besides the
-    semiring instances, `gnf._HandleAlgebra` speaks it, so the normal form's
-    decomposition runs this sweep on matrices of series handles.
+    `star_raw`, `zero_raw` and `axpy_raw` (plus `one_raw` for
+    `_add_identity`).  A row is skipped when its left factor equals
+    `zero_raw()`; every other row is updated by one `axpy_raw` call.
+    Besides the semiring instances, `gnf._HandleAlgebra` speaks it, so the
+    normal form's decomposition runs this sweep on matrices of series
+    handles.
     """
-    add, mul, star = instance.add_raw, instance.mul_raw, instance.star_raw
+    mul, star, axpy = instance.mul_raw, instance.star_raw, instance.axpy_raw
     zero = instance.zero_raw()
     cols: list = [None] * len(a)
     for k in order:
@@ -181,7 +184,7 @@ def _sweep(instance: SemiringInstance, a: list[list], order) -> list:
             left = mul(x, pivot)
             if left == zero:
                 continue
-            a[i] = [add(y, mul(left, z)) for y, z in zip(a[i], row_k)]
+            a[i] = axpy(a[i], left, row_k)
     return cols
 
 

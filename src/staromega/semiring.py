@@ -44,34 +44,6 @@ def _is_nat(v: Ext) -> bool:
     return isinstance(v, int) and v >= 0
 
 
-def _ext_cmp(a: Ext, b: Ext) -> int:
-    """Total order on extended integers: -inf < ints < inf."""
-    if a is b:
-        return 0
-    if a is INF or b is NEG_INF:
-        return 1
-    if a is NEG_INF or b is INF:
-        return -1
-    return (a > b) - (a < b)
-
-
-def _ext_plus(a: Ext, b: Ext, neg_dominates: bool) -> Ext:
-    """Arithmetic + on extended integers.
-
-    neg_dominates resolves -inf + inf: True gives -inf (arctic multiplication,
-    where -inf is the annihilating zero), False gives inf.
-    """
-    if a is NEG_INF or b is NEG_INF:
-        if neg_dominates:
-            return NEG_INF
-        if a is INF or b is INF:
-            return INF
-        return NEG_INF
-    if a is INF or b is INF:
-        return INF
-    return a + b
-
-
 class SemiringInstance:
     """One of the four concrete complete star-omega semirings.
 
@@ -93,6 +65,12 @@ class SemiringInstance:
 
     def mul_raw(self, a: Ext, b: Ext) -> Ext:
         raise NotImplementedError
+
+    def axpy_raw(self, y: list, left: Ext, z) -> list:
+        """The row y + left * z, cell by cell, for a nonzero `left`; the
+        instances write the arithmetic out."""
+        add, mul = self.add_raw, self.mul_raw
+        return [add(a, mul(left, b)) for a, b in zip(y, z)]
 
     def star_raw(self, a: Ext) -> Ext:
         raise NotImplementedError
@@ -158,6 +136,10 @@ class BooleanSemiring(SemiringInstance):
     def mul_raw(self, a, b):
         return a & b
 
+    def axpy_raw(self, y, left, z):
+        # a nonzero left is 1
+        return [a | b for a, b in zip(y, z)]
+
     def star_raw(self, a):
         return 1
 
@@ -187,10 +169,23 @@ class TropicalSemiring(SemiringInstance):
         return 0
 
     def add_raw(self, a, b):
-        return a if _ext_cmp(a, b) <= 0 else b
+        if a is INF:
+            return b
+        if b is INF:
+            return a
+        return a if a <= b else b
 
     def mul_raw(self, a, b):
-        return _ext_plus(a, b, neg_dominates=False)
+        if a is INF or b is INF:
+            return INF
+        return a + b
+
+    def axpy_raw(self, y, left, z):
+        # a nonzero left is finite
+        return [
+            a if b is INF else left + b if a is INF or left + b < a else a
+            for a, b in zip(y, z)
+        ]
 
     def star_raw(self, a):
         # partial sums min_{j<=n} j*a are minimised by the j=0 term
@@ -221,11 +216,31 @@ class ArcticSemiring(SemiringInstance):
         return 0
 
     def add_raw(self, a, b):
-        return a if _ext_cmp(a, b) >= 0 else b
+        if a is INF or b is NEG_INF:
+            return a
+        if b is INF or a is NEG_INF:
+            return b
+        return a if a >= b else b
 
     def mul_raw(self, a, b):
         # -inf is the annihilating zero, so it wins against inf
-        return _ext_plus(a, b, neg_dominates=True)
+        if a is NEG_INF or b is NEG_INF:
+            return NEG_INF
+        if a is INF or b is INF:
+            return INF
+        return a + b
+
+    def axpy_raw(self, y, left, z):
+        # a nonzero left is inf or finite
+        if left is INF:
+            return [a if b is NEG_INF else INF for a, b in zip(y, z)]
+        return [
+            a if b is NEG_INF or a is INF
+            else INF if b is INF
+            else left + b if a is NEG_INF or left + b > a
+            else a
+            for a, b in zip(y, z)
+        ]
 
     def star_raw(self, a):
         if a is NEG_INF or a == 0:
@@ -261,7 +276,9 @@ class CountingSemiring(SemiringInstance):
         return 1
 
     def add_raw(self, a, b):
-        return _ext_plus(a, b, neg_dominates=False)
+        if a is INF or b is INF:
+            return INF
+        return a + b
 
     def mul_raw(self, a, b):
         # 0 annihilates even inf
@@ -270,6 +287,15 @@ class CountingSemiring(SemiringInstance):
         if a is INF or b is INF:
             return INF
         return a * b
+
+    def axpy_raw(self, y, left, z):
+        # a nonzero left is inf or a positive integer
+        if left is INF:
+            return [a if b == 0 else INF for a, b in zip(y, z)]
+        return [
+            a if b == 0 else INF if a is INF or b is INF else a + left * b
+            for a, b in zip(y, z)
+        ]
 
     def star_raw(self, a):
         if a == 0:
@@ -359,7 +385,8 @@ class SemiringValue:
         return SemiringValue(self.instance, self.instance.omega_raw(self.value))
 
     def is_zero(self) -> bool:
-        return self.value == self.instance.zero_raw() or self.value is self.instance.zero_raw()
+        # the infinities have no __eq__, so == is identity on them
+        return self.value == self.instance.zero_raw()
 
     def is_one(self) -> bool:
         return self.value == self.instance.one_raw()

@@ -180,6 +180,26 @@ class MixedSystem:
         """The finite part as an algebraic system, built and checked once."""
         return AlgebraicSystem(self.instance, self.terminals, self.x_vars, self.x_rhs)
 
+    @cached_property
+    def is_gnf(self) -> bool:
+        """Mixed Greibach normal form, tested once per system: every x-word
+        is empty or a terminal followed by at most two x-variables, and every
+        z-coefficient word is a terminal, optionally followed by one
+        x-variable."""
+        ts, vs = set(self.terminals), set(self.x_vars)
+        if not _gnf_words_ok(self.x_rhs, ts, vs, True):
+            return False
+        for row in self.rho:
+            for p in row.values():
+                for m in p.monomials:
+                    w = m.word
+                    if len(w) == 1 and w[0] in ts:
+                        continue
+                    if len(w) == 2 and w[0] in ts and w[1] in vs:
+                        continue
+                    return False
+        return True
+
 
 @dataclass(frozen=True)
 class CanonicalSelector:
@@ -255,19 +275,7 @@ def is_gnf_omega(sys: OmegaSystem) -> bool:
 
 
 def is_gnf_mixed(sys: MixedSystem) -> bool:
-    ts, vs = set(sys.terminals), set(sys.x_vars)
-    if not _gnf_words_ok(sys.x_rhs, ts, vs, True):
-        return False
-    for row in sys.rho:
-        for p in row.values():
-            for m in p.monomials:
-                w = m.word
-                if len(w) == 1 and w[0] in ts:
-                    continue
-                if len(w) == 2 and w[0] in ts and w[1] in vs:
-                    continue
-                return False
-    return True
+    return sys.is_gnf
 
 
 # -- finite parts ------------------------------------------------------------

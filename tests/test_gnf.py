@@ -256,6 +256,19 @@ def test_pair_construction_requires_gnf():
         build_pair_system(bad, 0, good, 0, "zero")
 
 
+def test_mixed_gnf_test_runs_once_per_system():
+    from staromega.fixtures import tropical_mixed_system
+
+    s_sys, t_sys = pair_example_systems()
+    mixed, _ = build_pair_system(t_sys, 0, s_sys, 0, "zero")
+    assert mixed.is_gnf is mixed.is_gnf is True
+    assert "is_gnf" in vars(mixed)
+    assert is_gnf_mixed(mixed)
+    not_gnf = tropical_mixed_system()
+    assert not_gnf.is_gnf is not_gnf.is_gnf is False
+    assert not is_gnf_mixed(not_gnf)
+
+
 # -- summing ---------------------------------------------------------------------------
 
 
@@ -470,6 +483,30 @@ def test_decompose_canonical_round_trip():
         got = canonical_omega_lasso(mixed, sel.buchi_count, sel.component, w)
         assert want.conclusive and got.conclusive
         assert want.value == got.value
+
+
+def test_handle_row_kernel_matches_the_generic_comprehension():
+    from staromega.fixtures import tropical_mixed_system
+    from staromega.gnf import _HandleAlgebra
+
+    sys = tropical_mixed_system()
+    alg = _HandleAlgebra(sys.x_part)
+    leaves = [alg.of_poly(p) for row in sys.rho for p in row.values()]
+    cells = [alg.zero, alg.one_raw(), alg.star_raw(leaves[0])] + leaves
+    cells.append(alg.add_raw(leaves[0], alg.mul_raw(leaves[-1], cells[2])))
+    y, z = cells, cells[::-1]
+
+    def emitted(h):
+        return alg.emit(h) if h.productive else None
+
+    for left in cells:
+        if left is alg.zero:
+            continue
+        got = alg.axpy_raw(list(y), left, z)
+        want = [alg.add_raw(a, alg.mul_raw(left, b)) for a, b in zip(y, z)]
+        assert [emitted(h) for h in got] == [emitted(h) for h in want]
+        # cells the row leaves alone are the very same nodes
+        assert [g is a for g, a in zip(got, y)] == [w is a for w, a in zip(want, y)]
 
 
 def test_decompose_canonical_three_block_recursion():

@@ -215,3 +215,57 @@ def test_natural_order():
     assert natural_leq(TROPICAL.value(5), TROPICAL.value(3))
     assert not natural_leq(TROPICAL.value(3), TROPICAL.value(5))
     assert natural_leq(BOOLEAN.value(0), BOOLEAN.value(1))
+
+
+# -- inlined raw arithmetic and the fused row kernels ---------------------------
+
+
+def carrier_values(inst):
+    """The grid plus a small and a huge integer where the carrier has them."""
+    return list(inst.grid()) + ([] if inst is BOOLEAN else [17, 10**40])
+
+
+def same(x, y):
+    return x is y or (type(x) is type(y) is int and x == y)
+
+
+@pytest.mark.parametrize("inst", [TROPICAL, ARCTIC, COUNTING], ids=lambda i: i.name)
+def test_inlined_arithmetic_matches_the_extended_integer_reference(inst):
+    from ext_arith_reference import REFERENCE
+
+    add, mul = REFERENCE[inst.name]
+    values = carrier_values(inst)
+    assert (NEG_INF in values) == (inst is ARCTIC)
+    for a in values:
+        for b in values:
+            assert same(inst.add_raw(a, b), add(a, b)), (a, b)
+            assert same(inst.mul_raw(a, b), mul(a, b)), (a, b)
+
+
+def generic_axpy(inst, y, left, z):
+    return [inst.add_raw(a, inst.mul_raw(left, b)) for a, b in zip(y, z)]
+
+
+@pytest.mark.parametrize("inst", ALL, ids=lambda i: i.name)
+@given(data=st.data())
+def test_row_kernel_matches_the_generic_comprehension(inst, data):
+    values = carrier_values(inst)
+    lefts = [v for v in values if v != inst.zero_raw()]
+    # INF is a left factor where it is not the zero
+    assert (INF in lefts) == (inst in (ARCTIC, COUNTING))
+    n = data.draw(st.integers(0, 12))
+    y = data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    z = data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    for left in lefts:
+        got = inst.axpy_raw(list(y), left, tuple(z))
+        want = generic_axpy(inst, y, left, z)
+        assert len(got) == len(want)
+        assert all(map(same, got, want)), (y, left, z, got, want)
+
+
+@pytest.mark.parametrize("inst", ALL, ids=lambda i: i.name)
+def test_is_zero_on_every_grid_value(inst):
+    # the values hold inf where the carrier has it, and -inf in arctic
+    for v in carrier_values(inst):
+        assert inst.value(v).is_zero() == same(v, inst.zero_raw()), v
+    assert inst.zero.is_zero() and not inst.one.is_zero()
