@@ -34,7 +34,7 @@ from typing import Sequence
 import json
 
 from ._search import _sccs
-from .matrix import SemiringMatrix, _add_identity, _sweep, mat_star
+from .matrix import _add_identity, _star, _sweep
 from .semiring import SemiringInstance, SemiringValue
 from .series import EPSILON, Polynomial, Word
 from .system import (
@@ -94,6 +94,7 @@ def _unit_elimination(sys: AlgebraicSystem) -> AlgebraicSystem:
     equal the dense star's in every instance, counting included.
     """
     inst = sys.instance
+    zero = inst.zero_raw()
     ix = {v: i for i, v in enumerate(sys.variables)}
     unit: list[dict[int, SemiringValue]] = []
     rest: list[list] = []
@@ -108,8 +109,8 @@ def _unit_elimination(sys: AlgebraicSystem) -> AlgebraicSystem:
     nodes = list(range(len(unit)))
     rows: list[dict[int, SemiringValue]] = [{} for _ in nodes]
     for comp in _sccs(nodes, {i: list(row.items()) for i, row in enumerate(unit)}):
-        block = tuple(tuple(unit[c].get(d, inst.zero) for d in comp) for c in comp)
-        star = mat_star(SemiringMatrix(inst, len(comp), block))
+        block = [[unit[c][d].value if d in unit[c] else zero for d in comp] for c in comp]
+        star = _star(inst, block)
         members = set(comp)
         exits = []
         for c in comp:
@@ -121,8 +122,8 @@ def _unit_elimination(sys: AlgebraicSystem) -> AlgebraicSystem:
             exits.append(out)
         for a, i in enumerate(comp):
             for b, out in enumerate(exits):
-                s = star.entry(a, b)
-                if not s.is_zero():
+                if star[a][b] != zero:
+                    s = SemiringValue(inst, star[a][b])
                     for e, r in out.items():
                         _accumulate(rows[i], e, s * r)
     new_rhs = tuple(

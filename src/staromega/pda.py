@@ -11,6 +11,11 @@ by letter and source state once, for the run enumerations; a run pops only
 the symbol on its stack's top, so pops are read by (symbol, state) straight
 from that symbol's block.
 
+The automaton of a Greibach normal form comes from one construction,
+`_induced_matrix`: `induced_omega_pda` reads a mixed system's x-rules and
+z-rows, and `induced_finite_pda` is the same construction on an algebraic
+system with no z-rows.
+
 Behaviors are exact on all four instances, counting included.  The finite
 behavior sums the runs one position at a time over weighted (state, stack)
 configurations.  The omega behavior at u v^omega is computed in polynomial
@@ -226,72 +231,83 @@ def _letter_sum(polys) -> LetterPoly:
     return {a: c for a, c in out.items() if not c.is_zero()}
 
 
-def _check_eps_free(sys: AlgebraicSystem, component: int) -> None:
+def _check_eps_free(sys: AlgebraicSystem) -> None:
     for idx, p in enumerate(sys.rhs):
         c = p.coeff_of(())
         if not c.is_zero():
             raise EpsilonCoefficient(sys.variables[idx], c)
 
 
-def induced_finite_pda(sys: AlgebraicSystem, start: int) -> SimpleOmegaPDA:
-    """Simple reset pushdown automaton reading off a Greibach-shaped system.
+def _induced_matrix(xs: AlgebraicSystem, rho, x_syms: tuple, z_syms: tuple) -> ResetPDMatrix:
+    """The reset pushdown matrix read off the Greibach monomials of xs and rho.
 
-    One state per variable plus a sink; the second trailing variable of a
-    monomial is pushed, the first becomes the next state.
+    States are the z-variables, then the x-variables, then the sink; every
+    variable also has a stack symbol.  A monomial is read as its letter and
+    the variables after it, those of a rho entry in column k followed by
+    z_k: no variable makes a final letter, one a neutral step to its state,
+    two a push of the second's symbol into the first's state.  Every state
+    with a final letter steps to the sink on it, and on it pops each stack
+    symbol into that symbol's variable state.
     """
-    if not is_gnf_algebraic(sys, allow_eps=True):
-        raise IllFormedSystem("induced automaton needs a Greibach-shaped system")
-    _check_eps_free(sys, start)
-    inst = sys.instance
-    n = len(sys.variables)
-    f = n
-    var_ix = {v: i for i, v in enumerate(sys.variables)}
-    stack_syms = tuple(sys.variables)
-
+    nz = len(z_syms)
+    sink = nz + len(x_syms)
+    var = {v: (nz + j, sym) for j, (v, sym) in enumerate(zip(xs.variables, x_syms))}
+    rules = [(nz + i, p, ()) for i, p in enumerate(xs.rhs)]
+    rules += [(i, p, ((k, z_syms[k]),)) for i, row in enumerate(rho) for k, p in row.items()]
+    term: dict[int, list] = {}
     eps_eps: dict[tuple[int, int], list] = {}
-    pushes: dict[str, dict[tuple[int, int], list]] = {v: {} for v in stack_syms}
-    term: list[list] = [[] for _ in range(n)]
-    for i, p in enumerate(sys.rhs):
+    pushes: dict[str, dict[tuple[int, int], list]] = {sym: {} for sym in x_syms + z_syms}
+    for src, p, after in rules:
         for mono in p.monomials:
             w = mono.word
-            a = w[0]
-            if len(w) == 1:
-                term[i].append((a, mono.coeff))
-            elif len(w) == 2:
-                j = var_ix[w[1]]
-                eps_eps.setdefault((i, j), []).append((a, mono.coeff))
+            step = (w[0], mono.coeff)
+            tail = tuple(var[v] for v in w[1:]) + after
+            if not tail:
+                term.setdefault(src, []).append(step)
+            elif len(tail) == 1:
+                eps_eps.setdefault((src, tail[0][0]), []).append(step)
             else:
-                j, k = var_ix[w[1]], var_ix[w[2]]
-                pushes[w[2]].setdefault((i, j), []).append((a, mono.coeff))
+                pushes[tail[1][1]].setdefault((src, tail[0][0]), []).append(step)
 
-    finals = [(i, lp) for i, lp in enumerate(map(_letter_sum, term)) if lp]
+    finals = [(i, lp) for i, t in term.items() if (lp := _letter_sum(t))]
     m_eps_eps = {k: _letter_sum(v) for k, v in eps_eps.items()}
-    m_eps_eps.update(((i, f), lp) for i, lp in finals)
+    m_eps_eps.update(((i, sink), lp) for i, lp in finals)
     m_push = {
         sym: _rows({k: _letter_sum(v) for k, v in d.items()})
         for sym, d in pushes.items()
         if d
     }
-    m_pop = {
-        sym: _rows({(i, k): lp for i, lp in finals})
-        for k, sym in enumerate(stack_syms)
-        if finals
-    }
-
-    matrix = ResetPDMatrix(
-        inst,
-        n + 1,
-        tuple(sys.terminals),
-        stack_syms,
+    homes = list(var.values()) + list(enumerate(z_syms))
+    m_pop = {sym: _rows({(i, q): lp for i, lp in finals}) for q, sym in homes if finals}
+    return ResetPDMatrix(
+        xs.instance,
+        sink + 1,
+        tuple(xs.terminals),
+        x_syms + z_syms,
         _rows(m_eps_eps),
         m_push,
         m_pop,
     )
-    initial = tuple(inst.one if q == start else inst.zero for q in range(n + 1))
-    final = tuple(inst.one if q == f else inst.zero for q in range(n + 1))
+
+
+def induced_finite_pda(sys: AlgebraicSystem, start: int) -> SimpleOmegaPDA:
+    """Simple reset pushdown automaton reading off a Greibach-shaped system.
+
+    `_induced_matrix` with no z-variables: one state per variable plus a
+    sink, the variable names as stack symbols; the second trailing variable
+    of a monomial is pushed, the first becomes the next state.
+    """
+    if not is_gnf_algebraic(sys, allow_eps=True):
+        raise IllFormedSystem("induced automaton needs a Greibach-shaped system")
+    _check_eps_free(sys)
+    inst = sys.instance
+    matrix = _induced_matrix(sys, (), tuple(sys.variables), ())
+    n = matrix.n_states
+    initial = tuple(inst.one if q == start else inst.zero for q in range(n))
+    final = tuple(inst.one if q == n - 1 else inst.zero for q in range(n))
     # the sink is "f", primed until no variable has its name
     sink = "f"
-    while sink in var_ix:
+    while sink in sys.variables:
         sink += "'"
     names = tuple(sys.variables) + (sink,)
     return SimpleOmegaPDA(matrix, initial, final, None, names)
@@ -300,76 +316,27 @@ def induced_finite_pda(sys: AlgebraicSystem, start: int) -> SimpleOmegaPDA:
 def induced_omega_pda(sys: MixedSystem, start: int, buchi_count: int) -> SimpleOmegaPDA:
     """Simple omega-reset pushdown automaton of a Greibach-shaped mixed system.
 
-    Requires equally many finite and omega variables.  States are the omega
-    variables (repeated ones first), then the finite variables, then a sink;
-    the stack distinguishes finite-return from omega-return symbols.
+    Requires equally many finite and omega variables.  `_induced_matrix`
+    with the z-rows: states are the omega variables (repeated ones first),
+    then the finite variables, then a sink; the stack distinguishes
+    finite-return (X:) from omega-return (Z:) symbols.
     """
     if len(sys.x_vars) != len(sys.z_vars):
         raise IllFormedSystem("construction needs equally many x- and z-variables")
     if not is_gnf_mixed(sys):
         raise IllFormedSystem("induced automaton needs Greibach shape")
-    _check_eps_free(sys.x_part, start)
+    _check_eps_free(sys.x_part)
     if not 0 <= buchi_count <= len(sys.z_vars):
         raise IllFormedSystem("repeated-state count out of range")
     inst = sys.instance
     n = sys.n
-    f = 2 * n
-    var_ix = {v: i for i, v in enumerate(sys.x_vars)}
     xsym = tuple(f"X:{v}" for v in sys.x_vars)
     zsym = tuple(f"Z:{v}" for v in sys.z_vars)
-
-    term: list[list] = [[] for _ in range(n)]
-    eps_eps: dict[tuple[int, int], list] = {}
-    pushes: dict[str, dict[tuple[int, int], list]] = {s: {} for s in xsym + zsym}
-    for i, p in enumerate(sys.x_rhs):
-        for mono in p.monomials:
-            w = mono.word
-            a = w[0]
-            if len(w) == 1:
-                term[i].append((a, mono.coeff))
-            elif len(w) == 2:
-                eps_eps.setdefault((n + i, n + var_ix[w[1]]), []).append((a, mono.coeff))
-            else:
-                j, k = var_ix[w[1]], var_ix[w[2]]
-                pushes[xsym[k]].setdefault((n + i, n + j), []).append((a, mono.coeff))
-    for i, row in enumerate(sys.rho):
-        for k, p in row.items():
-            for mono in p.monomials:
-                w = mono.word
-                a = w[0]
-                if len(w) == 1:
-                    eps_eps.setdefault((i, k), []).append((a, mono.coeff))
-                else:
-                    j = var_ix[w[1]]
-                    pushes[zsym[k]].setdefault((i, n + j), []).append((a, mono.coeff))
-
-    finals = [(n + i, lp) for i, lp in enumerate(map(_letter_sum, term)) if lp]
-    m_eps_eps = {k: _letter_sum(v) for k, v in eps_eps.items()}
-    m_eps_eps.update(((i, f), lp) for i, lp in finals)
-    m_push = {
-        sym: _rows({k: _letter_sum(v) for k, v in d.items()})
-        for sym, d in pushes.items()
-        if d
-    }
-    m_pop = {}
-    if finals:
-        for k in range(n):
-            m_pop[xsym[k]] = _rows({(i, n + k): lp for i, lp in finals})
-            m_pop[zsym[k]] = _rows({(i, k): lp for i, lp in finals})
-
-    matrix = ResetPDMatrix(
-        inst,
-        2 * n + 1,
-        tuple(sys.terminals),
-        xsym + zsym,
-        _rows(m_eps_eps),
-        m_push,
-        m_pop,
-    )
+    matrix = _induced_matrix(sys.x_part, sys.rho, xsym, zsym)
     initial = tuple(
         inst.one if q in (start, n + start) else inst.zero for q in range(2 * n + 1)
     )
-    final = tuple(inst.one if q == f else inst.zero for q in range(2 * n + 1))
+    final = tuple(inst.one if q == 2 * n else inst.zero for q in range(2 * n + 1))
     names = tuple(f"z:{v}" for v in sys.z_vars) + tuple(f"x:{v}" for v in sys.x_vars) + ("f",)
     return SimpleOmegaPDA(matrix, initial, final, buchi_count, names)
 
@@ -453,13 +420,16 @@ class _RunAnalysis:
     returning to the same stack level.  The bit records whether a repeated
     state was entered after the start, the target included.  reached holds
     the (state, position) nodes that some run from the (state, stack) starts
-    enters; only their steps are read.  level1 and raw_push are the Boolean
-    projection of the level edges and of the push steps (popped or not) at
-    the reached nodes; pop_sum is that of the pop facts at the demanded
-    (node, symbol) pairs only, the push targets closed under level edges.
-    level_w, push_w and pop_w are the weighted out-edges (state, position,
-    weight, hit) of each reached node that `_search.pushdown_lasso_value`
-    reads; pop_w holds the pop steps of the start stacks' symbols only.
+    enters; only their steps are read.  item_ids numbers every level edge
+    (node, None, (q, t, bit)) and every pop fact (node, sym, (r, t, bit))
+    that the saturation built; pop facts exist only at the demanded (node,
+    symbol) pairs, the push targets closed under level edges.  level_w,
+    push_w and pop_w are the weighted out-edges (state, position, weight,
+    hit) of each reached node that `_search.pushdown_lasso_value` reads;
+    pop_w holds the pop steps of the start stacks' symbols only.  Both
+    induced automata come from the one construction `_induced_matrix`, so
+    on its x-states an omega automaton has the neutral steps and pushes of
+    its x-part's finite automaton.
     """
 
     def __init__(self, a: SimpleOmegaPDA, w: LassoWord, starts):
@@ -503,9 +473,6 @@ class _RunAnalysis:
         pa, hit, m, moves = self.pa, self._hit, self.m, self.m.moves
         start_syms = {sym for _q, stack in starts for sym in stack}
         reached: set[tuple[int, int]] = set()
-        pop_sum: dict[tuple[int, str, int], set] = {}
-        level1: dict[tuple[int, int], set] = {}
-        raw_push: dict[tuple[int, int], set] = {}
         facts_at: dict[tuple[tuple[int, int], str], list] = {}
         edges_into: dict[tuple[int, int], list] = {}
         edges_from: dict[tuple[int, int], list] = {}
@@ -534,10 +501,6 @@ class _RunAnalysis:
             ids[key] = len(rules)
             rules.append([term])
             work.append(key)
-            if sym is None:
-                level1.setdefault(node, set()).add(target)
-            else:
-                pop_sum.setdefault((node[0], sym, node[1]), set()).add(target)
 
         for q, _stack in starts:
             reach((q, pa.state_of(0)))
@@ -552,7 +515,6 @@ class _RunAnalysis:
                 for delta, q, c in pu:
                     target = (q, s2)
                     reach(target)
-                    raw_push.setdefault(node, set()).add((q, s2, hit(q)))
                     self.push_w.setdefault(node, []).append((q, s2, c, hit(q)))
                     pushes_into.setdefault((target, delta), []).append((node, c))
                     want.append((target, delta))
@@ -603,9 +565,7 @@ class _RunAnalysis:
                     derive(src, sym, (q, t, h or bit), (None, e, i))
             facts_at.setdefault((node, sym), []).append(((q, t, bit), i))
         self.reached = reached
-        self.pop_sum = pop_sum
-        self.level1 = level1
-        self.raw_push = raw_push
+        self.item_ids = ids
 
         value = solve_derivations(self.a.instance, rules)
         self.level_w: dict[tuple[int, int], list] = {}

@@ -426,18 +426,6 @@ def sum_family(instance: SemiringInstance, values: Iterable[SemiringValue]) -> S
     return acc
 
 
-def prod_family(instance: SemiringInstance, values: Iterable[SemiringValue]) -> SemiringValue:
-    """n-ary multiplication; the empty family gives one."""
-    acc = instance.one
-    for v in values:
-        if v.instance is not instance:
-            raise SemiringError(
-                f"mixed instances in family: {instance.name} and {v.instance.name}"
-            )
-        acc = acc * v
-    return acc
-
-
 @dataclass(frozen=True)
 class QuemiringValue:
     """Pair (finite part, omega part) with the semidirect product multiplication."""

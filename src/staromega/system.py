@@ -37,7 +37,7 @@ from ._search import (
     lasso_value,
     solve_derivations,
 )
-from .matrix import SemiringMatrix, _star, mat_star
+from .matrix import _star
 from .semiring import INF, SemiringError, SemiringInstance, SemiringValue
 from .series import (
     Alphabet,
@@ -419,7 +419,7 @@ def least_solution_finite(
     the unit matrix U, where U[i][j] sums c * prod e over the other
     variables of x_i's monomials.  Or every symbol takes a shorter factor:
     that is r[L], read off the words shorter than L.  So the words of
-    length L are U* r[L] in every component, with one `mat_star` of U for
+    length L are U* r[L] in every component, with one matrix star of U for
     all lengths, exact on every instance: a chain loop that pumps its
     weight up gives inf, where Kleene rounds never settle.  Unproductive
     variables are dropped first, and a monomial is read only at the lengths
@@ -817,7 +817,7 @@ def canonical_omega_lasso(
     runs are paths of the z-graph over (z-variable, position) whose edges are
     the z-coefficients evaluated on the exact derivation weights of
     `support_triples`.  Its Boolean projection decides the zero case first.
-    Letter-free edges are closed by `mat_star`, keeping whether a Buchi
+    Letter-free edges are closed by one matrix star, keeping whether a Buchi
     z-variable was visited, so every remaining edge consumes a letter; an
     edge hits when its closure or its target visits a Buchi z-variable, and
     `lasso_value` reads the value off that graph.  Each run is one path of
@@ -871,14 +871,14 @@ def _epsilon_closure_with_hits(inst, eps, m, k):
     eps holds the nonzero empty-factor steps, keyed by (row, column).
     """
     size = 2 * m
-    zero = inst.zero
-    rows = [[zero] * size for _ in range(size)]
+    add = inst.add_raw
+    rows = [[inst.zero_raw()] * size for _ in range(size)]
     for (j, j2), v in eps.items():
         for b in (0, 1):
             b2 = 1 if (b or j2 < k) else 0
             src, dst = j + b * m, j2 + b2 * m
-            rows[src][dst] = rows[src][dst] + v
-    star = mat_star(SemiringMatrix(inst, size, tuple(tuple(r) for r in rows)))
-    h0 = [[star.entry(j, j2) for j2 in range(m)] for j in range(m)]
-    h1 = [[star.entry(j, m + j2) for j2 in range(m)] for j in range(m)]
+            rows[src][dst] = add(rows[src][dst], v.value)
+    star = _star(inst, rows)
+    h0 = [[SemiringValue(inst, v) for v in row[:m]] for row in star[:m]]
+    h1 = [[SemiringValue(inst, v) for v in row[m:]] for row in star[:m]]
     return h0, h1

@@ -212,14 +212,36 @@ def at_reached(ra, by_node):
     return {node: v for node, v in by_node.items() if node in ra.reached}
 
 
+def level1_of(ra):
+    """The Boolean projection of the level edges: (state, position) ->
+    {(q, t, bit)}."""
+    return {node: {(q, t, bit) for q, t, _c, bit in outs} for node, outs in ra.level_w.items()}
+
+
+def raw_push_of(ra):
+    """The Boolean projection of the push steps at the reached nodes, popped
+    or not: (state, position) -> {(q, t, hit)}."""
+    return {node: {(q, t, hit) for q, t, _c, hit in outs} for node, outs in ra.push_w.items()}
+
+
+def pop_sum_of(ra):
+    """The Boolean projection of the pop facts: (state, sym, position) ->
+    {(r, t, bit)}."""
+    out = {}
+    for (p, s), sym, target in ra.item_ids:
+        if sym is not None:
+            out.setdefault((p, sym, s), set()).add(target)
+    return out
+
+
 def assert_summaries_match(ra, reference):
     """level1 and raw_push equal the reference's at the reached nodes, and
     pop_sum equals its pop facts at the demanded pairs."""
     pop_sum, level1, raw_push = reference
-    assert ra.level1 == at_reached(ra, level1)
-    assert ra.raw_push == at_reached(ra, raw_push)
+    assert level1_of(ra) == at_reached(ra, level1)
+    assert raw_push_of(ra) == at_reached(ra, raw_push)
     wanted = demanded_pairs(ra, level1)
-    assert ra.pop_sum == {k: v for k, v in pop_sum.items() if k in wanted}
+    assert pop_sum_of(ra) == {k: v for k, v in pop_sum.items() if k in wanted}
 
 
 def sorted_level_w(level_w):

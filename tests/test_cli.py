@@ -12,6 +12,7 @@ from staromega.cli import (
     main,
     parse_grammar,
 )
+from staromega.semiring import INF
 from staromega.system import is_gnf_mixed, is_gnf_omega
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "staromega" / "data"
@@ -340,6 +341,19 @@ def test_arctic_prefix_growth_automaton_value_is_inf(tmp_path, capsys):
     auto = _automaton_of(ARCTIC_PREFIX_GROWTH, tmp_path)
     assert main(["eval", auto, "--lasso", ":a"]) == EXIT_OK
     assert capsys.readouterr().out == "inf\n"
+
+
+def test_arctic_eps_component_that_settles_late_is_inf(capsys):
+    # x1 = (2) eps | (1) x2 x1 with x2 = (inf) eps: the rounds of x1's
+    # component read 2, then inf, so it settles only after more than
+    # |C| + 1 = 2 rounds; a cap there must not turn the value into an error
+    from staromega.system import eps_coefficients
+
+    path = TEST_DATA / "arctic_late_inf.grm"
+    sys = parse_grammar(path.read_text()).system.x_part
+    assert [v.value for v in eps_coefficients(sys)] == [INF, INF]
+    assert main(["gnf", str(path), "--target", "mixed"]) == EXIT_OK
+    assert "x1 = (inf) a" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("period", ["a", "a" * 32], ids=["a", "a^32"])

@@ -43,8 +43,11 @@ from idempotent_lasso_reference import HitEdge, lasso_value
 from pda_summary_reference import (
     assert_summaries_match,
     at_reached,
+    level1_of,
     pop_steps,
+    pop_sum_of,
     push_steps,
+    raw_push_of,
     reached_closure,
     reference_saturate,
     round_robin_summaries,
@@ -752,7 +755,7 @@ def test_demanded_summaries_equal_the_full_saturation_on_random_automata():
         case = (auto.instance.name, str(w), state, stack)
         assert sorted_level_w(ra.level_w) == sorted_level_w(at_reached(ra, level_w)), case
         assert_summaries_match(ra, (pop_sum, level1, raw_push))
-        pop_facts += len(ra.pop_sum)
+        pop_facts += len(pop_sum_of(ra))
     assert pop_facts >= 300, pop_facts
 
 
@@ -795,7 +798,7 @@ def test_push_read_after_a_fact_at_its_target_joins_that_fact():
     w = LassoWord((), ("a",))
     ra = _RunAnalysis(auto, w, initial_starts(auto))
     assert ra.reached == {(0, 0), (1, 0), (2, 0)}
-    assert ra.level1 == {(0, 0): {(2, 0, True)}, (2, 0): {(2, 0, True)}}
+    assert level1_of(ra) == {(0, 0): {(2, 0, True)}, (2, 0): {(2, 0, True)}}
     assert behavior_omega_lasso(auto, w).value == b.one
 
 
@@ -845,6 +848,7 @@ def reference_pda_run_exists(a, w, starts):
     from staromega.pda import _RunAnalysis
 
     ra = _RunAnalysis(a, w, starts)
+    level1, raw_push = level1_of(ra), raw_push_of(ra)
     pa = ra.pa
     push, pop = push_steps(ra), pop_steps(ra)
     s0 = pa.state_of(0)
@@ -862,18 +866,18 @@ def reference_pda_run_exists(a, w, starts):
         return seen
 
     def level_reach(seeds):
-        return bit_reach(ra.level1, seeds)
+        return bit_reach(level1, seeds)
 
     def has_level_cycle_with_hit(node):
-        for (n2, bit) in bit_reach(ra.level1, [(node, False)], include_start=False):
+        for (n2, bit) in bit_reach(level1, [(node, False)], include_start=False):
             if n2 == node and bit:
                 return True
         return False
 
     def has_growing_cycle(node, sym):
         ru_edges = {}
-        for key in set(ra.level1) | set(ra.raw_push):
-            ru_edges[key] = set(ra.level1.get(key, ())) | set(ra.raw_push.get(key, ()))
+        for key in set(level1) | set(raw_push):
+            ru_edges[key] = set(level1.get(key, ())) | set(raw_push.get(key, ()))
         ru = bit_reach(ru_edges, [(node, False)])
         seeds = set()
         for ((p1, s1), b1) in ru:
@@ -882,7 +886,7 @@ def reference_pda_run_exists(a, w, starts):
                     seeds.add(((q, pa.advance(s1)), b1 or ra._hit(q)))
         if not seeds:
             return False
-        for (n2, bit) in bit_reach(ra.level1, list(seeds)):
+        for (n2, bit) in bit_reach(level1, list(seeds)):
             if n2 == node and bit:
                 return True
         return False
