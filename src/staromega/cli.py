@@ -25,7 +25,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .gnf import (
@@ -83,7 +83,7 @@ class GrammarError(ValueError):
 
 @dataclass
 class GrammarFile:
-    """Parsed grammar file: the system plus selector-ish header data."""
+    """Parsed grammar file: the system plus its @start and @buchi directives."""
 
     instance: SemiringInstance
     terminals: tuple[str, ...]
@@ -91,23 +91,6 @@ class GrammarFile:
     system: OmegaSystem | MixedSystem
     start: str | None
     buchi: int | None
-
-    def start_index(self, name: str | None = None, sorts: str = "xz") -> int:
-        """Position of a start variable (the file's own by default; 0 if none).
-
-        A y-variable's position is that of its x- and z-copies in the
-        induced mixed system; a mixed file's variables are looked up among
-        its x- and z-variables, in the order `sorts` gives.
-        """
-        name = self.start if name is None else name
-        if name is None:
-            return 0
-        sys = self.system
-        for sort in sorts:
-            names = sys.variables if self.kind == "omega" else getattr(sys, f"{sort}_vars")
-            if name in names:
-                return names.index(name)
-        raise IllFormedSystem(f"unknown start variable {name!r}")
 
 
 def parse_grammar(text: str) -> GrammarFile:
@@ -163,6 +146,8 @@ def parse_grammar(text: str) -> GrammarFile:
         raise GrammarError("missing @semiring directive", 1)
     if not terminals:
         raise GrammarError("missing @alphabet directive", 1)
+    if not sorts:
+        raise GrammarError("missing @sort directive", 1)
     known = set(terminals) | set(sorts)
     rhs_by_var: dict[str, Polynomial] = {}
     for lhs, rhs, lineno in equations:
@@ -288,17 +273,42 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _to_mixed(g: GrammarFile) -> tuple[MixedSystem, int, int]:
-    """Mixed system plus (buchi count, omega component index) from a grammar."""
-    if g.kind == "omega":
-        mixed = induce_mixed(g.system)
-        comp = g.start_index() if g.start is not None else len(mixed.z_vars) - 1
-    else:
-        mixed = g.system
-        # a mixed file may start at an x-variable: its omega component is the last
-        comp = g.start_index() if g.start in mixed.z_vars else len(mixed.z_vars) - 1
-    k = g.buchi if g.buchi is not None else min(1, len(mixed.z_vars))
-    return mixed, k, comp
+def _selection(
+    g: GrammarFile, name: str | None = None, sorts: str = "xz", buchi: int | None = None
+) -> tuple[MixedSystem, int, int, int]:
+    """The mixed system a command reads, its x- and z-index and Buchi count.
+
+    The variable is `name` (looked up in `sorts`, among the y-variables of an
+    omega file), else the file's @start (looked up in either sort).  A paired
+    file (an omega file, or one with as many x- as z-variables) selects one
+    index for both sorts, as `induce_mixed` pairs x_i and z_i; in an unpaired
+    file the variable sets its own sort's index and the other keeps its
+    default: x-variable 0, or the last z-variable.  With no variable the
+    z-index is the last z-variable, the component `gnf` outputs carry.  The
+    Buchi count is `buchi`, else @buchi, else min(1, m).
+    """
+    mixed = induce_mixed(g.system) if g.kind == "omega" else g.system
+    m = len(mixed.z_vars)
+    paired = len(mixed.x_vars) == m
+    x, z = (m - 1 if paired else 0), m - 1
+    if name is None:
+        name, sorts = g.start, "xz"
+    if name is not None:
+        for sort in sorts:
+            names = g.system.variables if g.kind == "omega" else getattr(mixed, f"{sort}_vars")
+            if name in names:
+                i = names.index(name)
+                if paired:
+                    x = z = i
+                elif sort == "x":
+                    x = i
+                else:
+                    z = i
+                break
+        else:
+            raise IllFormedSystem(f"unknown start variable {name!r}")
+    k = buchi if buchi is not None else g.buchi if g.buchi is not None else min(1, m)
+    return mixed, x, z, k
 
 
 def cmd_gnf(args) -> int:
@@ -306,34 +316,34 @@ def cmd_gnf(args) -> int:
     report = GnfPipelineReport()
     report.add("input", kind=g.kind, version=__version__)
     target = args.target
-    if g.kind == "omega" and target == "omega" and is_gnf_omega(g.system):
+    finite = g.kind == "mixed" and not g.system.z_vars
+    mixed, x, z, k = _selection(g, args.component, "x" if finite else "z", args.buchi)
+    if (g.kind == "omega" and target == "omega" and is_gnf_omega(g.system)) or (
+        g.kind == "mixed" and target == "mixed" and is_gnf_mixed(g.system)
+    ):
+        # the options replace the directives they override, so the output
+        # selects what the input and options did
         report.add("identity", skipped=True)
-        out = format_grammar(g)
-        _emit(args, out, report)
+        out_g = replace(
+            g,
+            start=g.start if args.component is None else args.component,
+            buchi=g.buchi if args.buchi is None else args.buchi,
+        )
+        _emit(args, format_grammar(out_g), report)
         return EXIT_OK
-    if g.kind == "mixed" and target == "mixed" and is_gnf_mixed(g.system):
-        report.add("identity", skipped=True)
-        _emit(args, format_grammar(g), report)
-        return EXIT_OK
-    if g.kind == "mixed" and not g.system.z_vars:
-        if target == "omega" or not g.system.x_vars:
+    if finite:
+        if target == "omega":
             raise IllFormedSystem("the grammar has no omega component: it declares no z-variable")
         # the mixed target of a finite grammar is its finite normal form,
         # with the same coefficient on every nonempty word
-        start = g.system.x_vars[g.start_index(args.component, "x")]
-        nf = finite_gnf(g.system.x_part).system
+        nf = finite_gnf(mixed.x_part).system
         report.add("finite_gnf", variables=len(nf.variables))
         out = MixedSystem(g.instance, nf.terminals, nf.variables, nf.rhs, (), ())
-        out_g = GrammarFile(g.instance, nf.terminals, "mixed", out, start, None)
+        out_g = GrammarFile(g.instance, nf.terminals, "mixed", out, mixed.x_vars[x], None)
         _emit(args, format_grammar(out_g), report)
         return EXIT_OK
-    mixed, k, comp = _to_mixed(g)
-    if args.buchi is not None:
-        k = args.buchi
-    if args.component is not None:
-        comp = g.start_index(args.component, "z")
-    dec = decompose_canonical(mixed, k, comp)
-    report.add("decompose", terms=dec.width, buchi=k, component=mixed.z_vars[comp])
+    dec = decompose_canonical(mixed, k, z)
+    report.add("decompose", terms=dec.width, buchi=k, component=mixed.z_vars[z])
     norm, gnf_mixed, sel, omega_sys, omega_sel, report = pipeline_from_decomposition(
         dec, report=report
     )
@@ -371,22 +381,16 @@ def _emit(args, grammar_text: str, report: GnfPipelineReport) -> None:
 
 
 def cmd_build_pda(args) -> int:
-    g = _load(args.path)
-    if g.kind == "omega":
-        mixed = induce_mixed(g.system)
-    else:
-        mixed = g.system
-    start = g.start_index(args.start)
+    mixed, x, z, k = _selection(_load(args.path), args.start, buchi=args.buchi)
     if mixed.z_vars:
         if len(mixed.x_vars) != len(mixed.z_vars):
             raise IllFormedSystem(
                 "omega construction needs equally many x- and z-variables; "
                 "run the normal form first"
             )
-        buchi = args.buchi if args.buchi is not None else (g.buchi or 0)
-        auto = induced_omega_pda(mixed, start, buchi)
+        auto = induced_omega_pda(mixed, z, k)
     else:
-        auto = induced_finite_pda(mixed.x_part, start)
+        auto = induced_finite_pda(mixed.x_part, x)
     doc = pda_to_json(auto)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -417,25 +421,16 @@ def cmd_eval(args) -> int:
         return EXIT_OK
 
     g = _load(args.path)
-    mixed, k, comp = _to_mixed(g)
-    if args.buchi is not None:
-        k = args.buchi
     if args.word is not None:
+        mixed, x, _, _ = _selection(g, args.component, "x", args.buchi)
         if not mixed.x_vars:
             raise IllFormedSystem("a finite word needs an x- or y-variable; the grammar has none")
         word = _symbols_of(args.word)
-        if args.component is not None:
-            idx = g.start_index(args.component, "x")
-        elif g.kind == "omega" or g.start in g.system.x_vars:
-            idx = g.start_index(sorts="x")
-        else:  # a mixed file that starts at a z-variable
-            idx = 0
         table = SegmentTable(mixed.x_part, word)
-        _print_value(table.coeff(mixed.x_vars[idx], 0, len(word)))
+        _print_value(table.coeff(mixed.x_vars[x], 0, len(word)))
         return EXIT_OK
-    if args.component is not None:
-        comp = g.start_index(args.component, "z")
-    _print_value(canonical_omega_lasso(mixed, k, comp, _parse_lasso(args.lasso)).value)
+    mixed, _, z, k = _selection(g, args.component, "z", args.buchi)
+    _print_value(canonical_omega_lasso(mixed, k, z, _parse_lasso(args.lasso)).value)
     return EXIT_OK
 
 
@@ -455,6 +450,10 @@ def cmd_check(args) -> int:
     return EXIT_OK if failures.ok else EXIT_FAIL
 
 
+SELECTION_RULE = "README: 'Which component a command reads'"
+BUCHI_HELP = "Buchi count, else @buchi, else min(1, m); " + SELECTION_RULE
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="staromega",
@@ -470,16 +469,23 @@ def main(argv=None) -> int:
     p = sub.add_parser("gnf", help="run the normal form pipeline")
     p.add_argument("path")
     p.add_argument("--target", choices=("mixed", "omega"), default="omega")
-    p.add_argument("--buchi", type=int, default=None)
-    p.add_argument("--component", default=None)
+    p.add_argument("--buchi", type=int, default=None, help=BUCHI_HELP)
+    p.add_argument(
+        "--component",
+        default=None,
+        help="variable to normalize, else @start: a z- or y-variable, or an "
+        "x-variable in a grammar without z-variables; " + SELECTION_RULE,
+    )
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_gnf)
 
     p = sub.add_parser("build-pda", help="construct the induced pushdown automaton")
     p.add_argument("path")
-    p.add_argument("--start", default=None)
-    p.add_argument("--buchi", type=int, default=None)
+    p.add_argument(
+        "--start", default=None, help="start variable of any sort, else @start; " + SELECTION_RULE
+    )
+    p.add_argument("--buchi", type=int, default=None, help=BUCHI_HELP)
     p.add_argument("--out", default=None)
     p.add_argument("--dot", default=None)
     p.set_defaults(func=cmd_build_pda)
@@ -488,8 +494,13 @@ def main(argv=None) -> int:
     p.add_argument("path", help="grammar file or automaton .json")
     p.add_argument("--word", default=None)
     p.add_argument("--lasso", default=None)
-    p.add_argument("--buchi", type=int, default=None)
-    p.add_argument("--component", default=None)
+    p.add_argument("--buchi", type=int, default=None, help=BUCHI_HELP)
+    p.add_argument(
+        "--component",
+        default=None,
+        help="variable to evaluate, else @start: an x-variable for --word, a "
+        "z-variable for --lasso, a y-variable in an omega grammar; " + SELECTION_RULE,
+    )
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("check", help="run a verification suite")

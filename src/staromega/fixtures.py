@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from .semiring import ARCTIC, BOOLEAN, TROPICAL, SemiringValue
+from importlib import resources
+
+from .cli import parse_grammar
+from .semiring import ARCTIC, TROPICAL, SemiringValue
 from .series import Polynomial, parse_polynomial
 from .system import AlgebraicSystem, MixedSystem, OmegaSystem
 from .pda import ResetPDMatrix, SimpleOmegaPDA
@@ -12,28 +15,19 @@ def _p(inst, text: str) -> Polynomial:
     return parse_polynomial(text, inst)
 
 
+def _packaged(name: str) -> OmegaSystem | MixedSystem:
+    """The system of a grammar file shipped in `staromega/data`."""
+    return parse_grammar(resources.files("staromega").joinpath("data", name).read_text()).system
+
+
 def tropical_mixed_system() -> MixedSystem:
     """x1 = 1 a x1 b + 1 a b;  z1 = c z1;  z2 = x1 z1 + z1  (min-plus weights)."""
-    t = TROPICAL
-    return MixedSystem(
-        t,
-        ("a", "b", "c"),
-        ("x1",),
-        (_p(t, "(1) a x1 b | (1) a b"),),
-        ("z1", "z2"),
-        ({0: _p(t, "c")}, {0: _p(t, "x1 | eps")}),
-    )
+    return _packaged("tropical_mixed.grm")
 
 
 def boolean_omega_system() -> OmegaSystem:
     """y1 = y2 y1 + eps;  y2 = a y2 b + eps over the Boolean semiring."""
-    b = BOOLEAN
-    return OmegaSystem(
-        b,
-        ("a", "b"),
-        ("y1", "y2"),
-        (_p(b, "y2 y1 | eps"), _p(b, "a y2 b | eps")),
-    )
+    return _packaged("boolean_omega.grm")
 
 
 def pair_example_systems() -> tuple[AlgebraicSystem, AlgebraicSystem]:
@@ -59,19 +53,7 @@ def arctic_block_system() -> AlgebraicSystem:
 
     Variables: T, S, R, Q, B; component S (index 1) is the interesting one.
     """
-    a = ARCTIC
-    return AlgebraicSystem(
-        a,
-        ("a", "b"),
-        ("T", "S", "R", "Q", "B"),
-        (
-            _p(a, "a Q T | a Q"),
-            _p(a, "a Q S | (1) a R T | (1) a R"),
-            _p(a, "b | (1) a R B"),
-            _p(a, "b | a Q B"),
-            _p(a, "b"),
-        ),
-    )
+    return _packaged("arctic_blocks.grm").x_part
 
 
 def tropical_omega_automaton() -> SimpleOmegaPDA:
@@ -108,15 +90,7 @@ def tropical_omega_automaton() -> SimpleOmegaPDA:
 
 def contrast_mixed_system() -> MixedSystem:
     """x1 = a + c x1; x2 = a x1 x2 + a x1; z1 = c z1; z2 = a z1 + a x1 z2."""
-    b = BOOLEAN
-    return MixedSystem(
-        b,
-        ("a", "c"),
-        ("x1", "x2"),
-        (_p(b, "a | c x1"), _p(b, "a x1 x2 | a x1")),
-        ("z1", "z2"),
-        ({0: _p(b, "c")}, {0: _p(b, "a"), 1: _p(b, "a x1")}),
-    )
+    return _packaged("contrast_mixed.grm")
 
 
 def max_block_weight(word: tuple[str, ...]) -> SemiringValue:

@@ -908,7 +908,7 @@ class GnfPipelineReport:
 
 
 def pipeline_from_decomposition(
-    d: OmegaDecomposition, unmix_k: int = 0, report: GnfPipelineReport | None = None
+    d: OmegaDecomposition, report: GnfPipelineReport | None = None
 ):
     """Normalize, bring every summand to Greibach form, build and sum the pair
     systems, and fold into one omega system.  Returns the stages and selectors.
@@ -955,9 +955,7 @@ def pipeline_from_decomposition(
         buchi=selector.buchi_count,
         component=selector.component,
     )
-    omega_sys, omega_sel = unmix(
-        mixed, unmix_k, selector.component, selector.buchi_count
-    )
+    omega_sys, omega_sel = unmix(mixed, 0, selector.component, selector.buchi_count)
     rep.add(
         "unmix",
         variables=len(omega_sys.variables),

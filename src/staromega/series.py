@@ -50,12 +50,6 @@ class Alphabet:
                 raise SeriesError(f"duplicate symbol {s!r}")
             seen.add(s)
 
-    def is_terminal(self, s: str) -> bool:
-        return s in self.terminals
-
-    def is_variable(self, s: str) -> bool:
-        return s in self.variables
-
 
 def word_key(w: Word):
     return (len(w), w)
@@ -143,16 +137,6 @@ class Polynomial:
             return Polynomial.zero(self.instance)
         return Polynomial.build(
             self.instance, [(c * m.coeff, m.word) for m in self.monomials]
-        )
-
-    def concat(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial.build(
-            self.instance,
-            [
-                (a.coeff * b.coeff, a.word + b.word)
-                for a in self.monomials
-                for b in other.monomials
-            ],
         )
 
     def symbols(self) -> set[str]:
@@ -274,10 +258,6 @@ def series_build(
     return TruncatedSeries(
         instance, max_len, {w: c for w, c in acc.items() if not c.is_zero()}
     )
-
-
-def coeff(s: TruncatedSeries, w: Word) -> SemiringValue:
-    return s.coeff(w)
 
 
 def substitute(

@@ -48,6 +48,8 @@ def test_parse_error_carries_location():
     assert info.value.line == 4
     with pytest.raises(GrammarError):
         parse_grammar("@alphabet a\n")  # missing semiring
+    with pytest.raises(GrammarError, match="missing @sort"):
+        parse_grammar("@semiring tropical\n@alphabet a\n")
     with pytest.raises(GrammarError):
         parse_grammar("@semiring tropical\n@alphabet a\n@sort x x1\nq = a\n")
 
@@ -122,11 +124,15 @@ def test_cmd_eval_usage_errors(tmp_path, capsys):
 def test_cmd_gnf_identity_skip(tmp_path, capsys):
     path = grm(tmp_path, CONTRAST_GRM)
     report = tmp_path / "rep.json"
-    rc = main(["gnf", path, "--target", "mixed", "--report", str(report)])
+    options = ["--buchi", "0", "--component", "z1"]
+    rc = main(["gnf", path, "--target", "mixed", *options, "--report", str(report)])
     assert rc == EXIT_OK
     stages = json.loads(report.read_text())["stages"]
     assert any(s.get("stage") == "identity" and s.get("skipped") for s in stages)
-    capsys.readouterr()
+    # the input comes back with the options in place of @start and @buchi
+    out = capsys.readouterr().out
+    want = format_grammar(parse_grammar(CONTRAST_GRM))
+    assert out == want.replace("@start z2\n@buchi 1", "@start z1\n@buchi 0") != want
 
 
 def test_cmd_gnf_produces_normal_form(tmp_path, capsys):
@@ -498,6 +504,50 @@ def test_component_names_a_variable_of_the_sort_asked_for(tmp_path, capsys):
     started = grm(tmp_path, BOOLEAN_GRM.replace("@start y1", "@start y2"))
     assert main(["gnf", started]) == EXIT_OK
     assert capsys.readouterr().out == by_option
+
+
+def _without(directive):
+    return lambda text: "".join(l for l in text.splitlines(True) if not l.startswith(directive))
+
+
+@pytest.mark.parametrize(
+    "name, edit, query, want",
+    [
+        # no @buchi: the automaton takes min(1, m) as eval does
+        ("counting_finite.grm", None, ["--lasso", ":a"], "1"),
+        # a paired file reads x2 and z2 at @start z2
+        ("contrast_mixed.grm", None, ["--word", "a"], "0"),
+        ("contrast_mixed.grm", None, ["--word", "aa"], "1"),
+        # and x1 and z1 at @start x1
+        ("contrast_mixed.grm", lambda t: t.replace("@start z2", "@start x1"), ["--lasso", ":c"], "1"),
+        ("contrast_mixed.grm", lambda t: t.replace("@start z2", "@start x1"), ["--lasso", "a:c"], "0"),
+        ("contrast_mixed.grm", _without("@buchi"), ["--lasso", "a:c"], "1"),
+        # a normal form without @start selects its last component on both routes
+        ("tropical_mixed.grm gnf", _without("@start"), ["--lasso", "aabb:c"], "2"),
+    ],
+    ids=[
+        "counting-no-buchi-:a",
+        "contrast-word-a",
+        "contrast-word-aa",
+        "contrast-start-x1-:c",
+        "contrast-start-x1-a:c",
+        "contrast-no-buchi-a:c",
+        "tropical-gnf-no-start-aabb:c",
+    ],
+)
+def test_grammar_and_its_automaton_read_the_same_component(name, edit, query, want, tmp_path, capsys):
+    name, *via_gnf = name.split()
+    if via_gnf:
+        assert main(["gnf", str(DATA / name)]) == EXIT_OK
+        text = capsys.readouterr().out
+    else:
+        text = (DATA / name).read_text()
+    path = grm(tmp_path, edit(text) if edit else text)
+    auto = str(tmp_path / "auto.json")
+    assert main(["build-pda", path, "--out", auto]) == EXIT_OK
+    for source in (path, auto):
+        assert main(["eval", source, *query]) == EXIT_OK
+        assert capsys.readouterr().out == want + "\n", source
 
 
 def automaton_doc(tmp_path):

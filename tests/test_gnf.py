@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staromega.cli import EXIT_OK, _to_mixed, main, parse_grammar
+from staromega.cli import EXIT_OK, _selection, main, parse_grammar
 from staromega.fixtures import pair_example_systems
 from staromega.gnf import (
     DecompositionTerm,
@@ -709,16 +709,14 @@ def _lasso_set(alphabet):
 def _grammar_values(text, lassos, k=None):
     """canonical_omega_lasso of a grammar's omega component (at Buchi count k,
     the file's own by default) on every lasso."""
-    mixed, own_k, comp = _to_mixed(parse_grammar(text))
-    k = own_k if k is None else k
+    mixed, _, comp, k = _selection(parse_grammar(text), buchi=k)
     return [canonical_omega_lasso(mixed, k, comp, w).value for w in lassos]
 
 
 def _automaton_values(text, lassos):
     """behavior_omega_lasso of the automaton `build-pda` makes of a grammar."""
-    g = parse_grammar(text)
-    mixed = induce_mixed(g.system) if g.kind == "omega" else g.system
-    auto = induced_omega_pda(mixed, g.start_index(), g.buchi or 0)
+    mixed, _, start, k = _selection(parse_grammar(text))
+    auto = induced_omega_pda(mixed, start, k)
     return [behavior_omega_lasso(auto, w).value for w in lassos]
 
 

@@ -438,6 +438,9 @@ def test_json_round_trip_and_dot():
 # needed more than 1.5 GB; its digests were recorded with the same
 # serialization over rows that read absent cells as empty.  The " gnf" flows
 # were recorded again when the Lehmann sweep changed the normal form's text.
+# "counting_finite.grm" was recorded again when `build-pda` took the Buchi
+# count `eval` uses (min(1, m) without @buchi), after its lasso values were
+# checked against the grammar's.
 PDA_GOLDEN = json.loads(Path(__file__).with_name("pda_golden.json").read_text())
 
 
