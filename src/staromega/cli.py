@@ -412,6 +412,14 @@ def cmd_eval(args) -> int:
         print("error: need --word or --lasso", file=sys.stderr)
         return EXIT_USAGE
     if args.path.endswith(".json"):
+        for option, given in (("--buchi", args.buchi), ("--component", args.component)):
+            if given is not None:
+                print(
+                    f"error: {option} selects from a grammar; an automaton's initial "
+                    "and repeated states are fixed by build-pda",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
         with open(args.path, "r", encoding="utf-8") as fh:
             auto = pda_from_json(fh.read())
         if args.word is not None:

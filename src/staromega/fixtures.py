@@ -8,7 +8,7 @@ from .cli import parse_grammar
 from .semiring import ARCTIC, TROPICAL, SemiringValue
 from .series import Polynomial, parse_polynomial
 from .system import AlgebraicSystem, MixedSystem, OmegaSystem
-from .pda import ResetPDMatrix, SimpleOmegaPDA
+from .pda import ResetPDMatrix, SimpleOmegaPDA, transpose
 
 
 def _p(inst, text: str) -> Polynomial:
@@ -79,8 +79,8 @@ def tropical_omega_automaton() -> SimpleOmegaPDA:
         block([(0, 0, "c", 0), (1, 0, "c", 0)]),
         {"Z0": block([(1, 2, "a", 1)]), "X": block([(2, 2, "a", 1)])},
         {
-            "X": block([(2, 3, "b", 0), (3, 3, "b", 0)]),
-            "Z0": block([(2, 0, "b", 0), (3, 0, "b", 0)]),
+            "X": transpose(block([(2, 3, "b", 0), (3, 3, "b", 0)])),
+            "Z0": transpose(block([(2, 0, "b", 0), (3, 0, "b", 0)])),
         },
     )
     initial = tuple(t.one if q == 1 else t.zero for q in range(n))

@@ -3,13 +3,21 @@
 A simple reset pushdown matrix is stored by its three generating block
 families (ignore stack / push one symbol / pop one symbol); every entry of
 the infinite transition matrix is recovered from them by suffix extension,
-which `expand_entry` implements.  A block maps a state to its sparse row,
-row i mapping each column j with a nonzero letter polynomial to it, and only
-nonempty rows are stored, so a matrix takes space in its number of
-transitions.  `ResetPDMatrix.moves` indexes the neutral and push transitions
-by letter and source state once, for the run enumerations; a run pops only
-the symbol on its stack's top, so pops are read by (symbol, state) straight
-from that symbol's block.
+which `expand_entry` implements.  A neutral or push block maps a state to
+its sparse row, row i mapping each column j with a nonzero letter polynomial
+to it, and only nonempty rows are stored, so those blocks take space in
+their number of transitions.  Pops are stored by target instead: a symbol's
+pop columns map each target state q to its column, which maps each source
+state to its letter polynomial.  A column object may be shared by many
+symbols, and `__post_init__` checks each object once.  The induced
+construction pops every symbol on the same final letters, each into its own
+home state, so all its symbols share one column: it stores (final rows +
+stack symbols) pop entries, not their product, and `pda_to_json` writes
+each column once with the symbols that pop through it.  `pop_block`
+recovers a symbol's row-major block.  `ResetPDMatrix.moves` indexes the
+neutral and push transitions by letter and source state once, for the run
+enumerations; a run pops only the symbol on its stack's top, so `_pops`
+reads the pops of (symbol, state) from that symbol's columns.
 
 The automaton of a Greibach normal form comes from one construction,
 `_induced_matrix`: `induced_omega_pda` reads a mixed system's x-rules and
@@ -66,6 +74,10 @@ LetterPoly = dict[str, SemiringValue]
 # Sparse rows: block[i] maps column j to a nonzero letter polynomial.  Only
 # nonempty rows are stored; an absent row reads as empty.
 Block = dict[int, dict[int, LetterPoly]]
+# Pops of one symbol by target: columns[q] maps each source state p to the
+# nonzero letter polynomial of popping from p into q.  A Block transposed;
+# only nonempty columns are stored, and symbols may share a column object.
+Columns = dict[int, dict[int, LetterPoly]]
 
 
 class EpsilonCoefficient(SemanticFailure):
@@ -88,13 +100,28 @@ def _rows(cells: Mapping[tuple[int, int], LetterPoly]) -> Block:
     return rows
 
 
+def transpose(block: Block) -> Block:
+    """The block with rows and columns swapped: a row-major pop block's
+    columns, or a symbol's pop columns as its row-major block."""
+    out: Block = {}
+    for i, row in block.items():
+        for j, lp in row.items():
+            out.setdefault(j, {})[i] = lp
+    return out
+
+
+_NO_COLUMNS: Columns = {}
+
+
 @dataclass(frozen=True)
 class ResetPDMatrix:
     """Finite block presentation of a simple reset pushdown matrix.
 
-    Every block maps a state i to its sparse row: block[i] maps a column j
-    to its nonzero letter polynomial.  Only nonempty rows are stored, and
-    absent rows and columns are zero.
+    The neutral block and every push block map a state i to its sparse row:
+    block[i] maps a column j to its nonzero letter polynomial.  pop_columns
+    maps a stack symbol to its pops by target (`Columns`); `transpose` turns
+    a row-major pop block into them.  Only nonempty rows and columns are
+    stored, and absent ones are zero.
     """
 
     instance: SemiringInstance
@@ -103,42 +130,55 @@ class ResetPDMatrix:
     stack_alphabet: tuple[str, ...]
     m_eps_eps: Block
     m_eps_push: Mapping[str, Block]
-    m_pop_eps: Mapping[str, Block]
+    pop_columns: Mapping[str, Columns]
 
     def __post_init__(self):
-        blocks = [self.m_eps_eps]
-        blocks.extend(self.m_eps_push.values())
-        blocks.extend(self.m_pop_eps.values())
-        for sym in list(self.m_eps_push) + list(self.m_pop_eps):
+        for sym in list(self.m_eps_push) + list(self.pop_columns):
             if sym not in self.stack_alphabet:
                 raise IllFormedSystem(f"unknown stack symbol {sym!r}")
         states = range(self.n_states)
-        for b in blocks:
-            for i, row in b.items():
-                if i not in states:
-                    raise IllFormedSystem(f"block row {i!r} out of range")
-                if not row:
-                    raise IllFormedSystem("empty rows must be omitted")
-                for j, lp in row.items():
-                    if j not in states:
-                        raise IllFormedSystem(f"block column {j!r} out of range")
-                    if not lp:
-                        raise IllFormedSystem("zero entries must be omitted")
-                    for a, c in lp.items():
-                        if a not in self.input_alphabet:
-                            raise IllFormedSystem(f"unknown input letter {a!r}")
-                        if c.instance is not self.instance:
-                            raise SemiringError("block entry over a different instance")
-                        if c.is_zero():
-                            raise IllFormedSystem(
-                                f"zero weight from state {i} to {j} on {a!r} must be omitted"
-                            )
+        blocks = (self.m_eps_eps, *self.m_eps_push.values())
+        lines = [(i, row, "row") for b in blocks for i, row in b.items()]
+        lines += [
+            (q, column, "column")
+            for columns in self.pop_columns.values()
+            for q, column in columns.items()
+        ]
+        inst, letters, zero = self.instance, set(self.input_alphabet), self.instance.zero_raw()
+        # a line object stored under several states or symbols is read once
+        checked = set()
+        for k, line, kind in lines:
+            if k not in states:
+                raise IllFormedSystem(f"block {kind} {k!r} out of range")
+            if id(line) in checked:
+                continue
+            checked.add(id(line))
+            if not line:
+                raise IllFormedSystem(f"empty {kind}s must be omitted")
+            for j, lp in line.items():
+                if j not in states:
+                    other = "column" if kind == "row" else "row"
+                    raise IllFormedSystem(f"block {other} {j!r} out of range")
+                if not lp:
+                    raise IllFormedSystem("zero entries must be omitted")
+                for a, c in lp.items():
+                    if a not in letters:
+                        raise IllFormedSystem(f"unknown input letter {a!r}")
+                    if c.instance is not inst:
+                        raise SemiringError("block entry over a different instance")
+                    # the infinities have no __eq__, so == is identity on them
+                    if c.value == zero:
+                        src, dst = (k, j) if kind == "row" else (j, k)
+                        raise IllFormedSystem(
+                            f"zero weight from state {src} to {dst} on {a!r} must be omitted"
+                        )
 
     def push_block(self, sym: str) -> Block:
         return self.m_eps_push.get(sym, {})
 
     def pop_block(self, sym: str) -> Block:
-        return self.m_pop_eps.get(sym, {})
+        """sym's pops as a row-major block, built from its columns."""
+        return transpose(self.pop_columns.get(sym, _NO_COLUMNS))
 
     @cached_property
     def moves(self) -> dict[str, dict[int, tuple[list, list]]]:
@@ -147,7 +187,7 @@ class ResetPDMatrix:
         moves[letter][p] holds the neutral moves [(q, c)] and the pushes
         [(sym, q, c)], each block's targets in ascending order.  Pops are
         not indexed: a run pops only the symbol on its stack's top, so
-        `_pops` reads them from that symbol's block row.
+        `_pops` reads them from that symbol's columns.
         """
         index: dict[str, dict[int, tuple[list, list]]] = {}
 
@@ -169,11 +209,13 @@ class ResetPDMatrix:
 
 
 def _pops(m: ResetPDMatrix, sym: str, state: int, letter: str) -> list:
-    """Pop steps (q, c) of sym from state on letter, read from sym's block row."""
-    row = m.m_pop_eps.get(sym, {}).get(state)
-    if row is None:
-        return []
-    return [(q, lp[letter]) for q, lp in row.items() if letter in lp]
+    """Pop steps (q, c) of sym from state on letter, read from sym's columns."""
+    out = []
+    for q, column in m.pop_columns.get(sym, _NO_COLUMNS).items():
+        lp = column.get(state)
+        if lp is not None and letter in lp:
+            out.append((q, lp[letter]))
+    return out
 
 
 def expand_entry(m: ResetPDMatrix, pi: Word, pi2: Word) -> Block:
@@ -224,6 +266,11 @@ class SimpleOmegaPDA:
 
 
 def _letter_sum(polys) -> LetterPoly:
+    """Sum of (letter, coefficient) monomials per letter, zero sums left out."""
+    if len(polys) == 1:
+        # a stored monomial is nonzero
+        ((letter, coeff),) = polys
+        return {letter: coeff}
     out: dict[str, SemiringValue] = {}
     for letter, coeff in polys:
         prev = out.get(letter)
@@ -247,7 +294,8 @@ def _induced_matrix(xs: AlgebraicSystem, rho, x_syms: tuple, z_syms: tuple) -> R
     z_k: no variable makes a final letter, one a neutral step to its state,
     two a push of the second's symbol into the first's state.  Every state
     with a final letter steps to the sink on it, and on it pops each stack
-    symbol into that symbol's variable state.
+    symbol into that symbol's variable state: every symbol's one pop column
+    is the same object, the final letters by state.
     """
     nz = len(z_syms)
     sink = nz + len(x_syms)
@@ -269,16 +317,16 @@ def _induced_matrix(xs: AlgebraicSystem, rho, x_syms: tuple, z_syms: tuple) -> R
             else:
                 pushes[tail[1][1]].setdefault((src, tail[0][0]), []).append(step)
 
-    finals = [(i, lp) for i, t in term.items() if (lp := _letter_sum(t))]
+    finals = {i: lp for i, t in term.items() if (lp := _letter_sum(t))}
     m_eps_eps = {k: _letter_sum(v) for k, v in eps_eps.items()}
-    m_eps_eps.update(((i, sink), lp) for i, lp in finals)
+    m_eps_eps.update(((i, sink), lp) for i, lp in finals.items())
     m_push = {
         sym: _rows({k: _letter_sum(v) for k, v in d.items()})
         for sym, d in pushes.items()
         if d
     }
     homes = list(var.values()) + list(enumerate(z_syms))
-    m_pop = {sym: _rows({(i, q): lp for i, lp in finals}) for q, sym in homes if finals}
+    m_pop = {sym: {q: finals} for q, sym in homes if finals}
     return ResetPDMatrix(
         xs.instance,
         sink + 1,
@@ -300,11 +348,11 @@ def induced_finite_pda(sys: AlgebraicSystem, start: int) -> SimpleOmegaPDA:
     if not is_gnf_algebraic(sys, allow_eps=True):
         raise IllFormedSystem("induced automaton needs a Greibach-shaped system")
     _check_eps_free(sys)
-    inst = sys.instance
+    one, zero = sys.instance.one, sys.instance.zero
     matrix = _induced_matrix(sys, (), tuple(sys.variables), ())
     n = matrix.n_states
-    initial = tuple(inst.one if q == start else inst.zero for q in range(n))
-    final = tuple(inst.one if q == n - 1 else inst.zero for q in range(n))
+    initial = tuple(one if q == start else zero for q in range(n))
+    final = (zero,) * (n - 1) + (one,)
     # the sink is "f", primed until no variable has its name
     sink = "f"
     while sink in sys.variables:
@@ -328,15 +376,13 @@ def induced_omega_pda(sys: MixedSystem, start: int, buchi_count: int) -> SimpleO
     _check_eps_free(sys.x_part)
     if not 0 <= buchi_count <= len(sys.z_vars):
         raise IllFormedSystem("repeated-state count out of range")
-    inst = sys.instance
+    one, zero = sys.instance.one, sys.instance.zero
     n = sys.n
     xsym = tuple(f"X:{v}" for v in sys.x_vars)
     zsym = tuple(f"Z:{v}" for v in sys.z_vars)
     matrix = _induced_matrix(sys.x_part, sys.rho, xsym, zsym)
-    initial = tuple(
-        inst.one if q in (start, n + start) else inst.zero for q in range(2 * n + 1)
-    )
-    final = tuple(inst.one if q == 2 * n else inst.zero for q in range(2 * n + 1))
+    initial = tuple(one if q in (start, n + start) else zero for q in range(2 * n + 1))
+    final = (zero,) * (2 * n) + (one,)
     names = tuple(f"z:{v}" for v in sys.z_vars) + tuple(f"x:{v}" for v in sys.x_vars) + ("f",)
     return SimpleOmegaPDA(matrix, initial, final, buchi_count, names)
 
@@ -587,6 +633,35 @@ def _block_to_sparse(block: Block, names):
     return out
 
 
+def _pop_groups(m: ResetPDMatrix, names) -> list:
+    """Pops as groups {"from": [[src, letter, weight], ...], "to": {symbol:
+    target}}: one group per column object, with every symbol that pops
+    through it, and one more where a symbol pops through it twice."""
+    groups: list[tuple[dict, dict]] = []
+    targets_of: dict[int, list] = {}
+    for sym in sorted(m.pop_columns):
+        columns = m.pop_columns[sym]
+        for q in sorted(columns):
+            maps = targets_of.setdefault(id(columns[q]), [])
+            to = next((to for to in maps if sym not in to), None)
+            if to is None:
+                to = {}
+                maps.append(to)
+                groups.append((columns[q], to))
+            to[sym] = names[q]
+    return [
+        {
+            "from": [
+                [names[p], a, raw_to_json(c.value)]
+                for p in sorted(column)
+                for a, c in sorted(column[p].items())
+            ],
+            "to": to,
+        }
+        for column, to in groups
+    ]
+
+
 def pda_to_json(a: SimpleOmegaPDA) -> str:
     m = a.matrix
     doc = {
@@ -599,10 +674,7 @@ def pda_to_json(a: SimpleOmegaPDA) -> str:
             sym: _block_to_sparse(block, a.state_names)
             for sym, block in sorted(m.m_eps_push.items())
         },
-        "pop": {
-            sym: _block_to_sparse(block, a.state_names)
-            for sym, block in sorted(m.m_pop_eps.items())
-        },
+        "pop": _pop_groups(m, a.state_names),
         "initial": [raw_to_json(v.value) for v in a.initial],
         "final": [raw_to_json(v.value) for v in a.final],
         "buchi_count": a.buchi_count,
@@ -624,7 +696,8 @@ _JSON_KEYS = (
 
 
 def pda_from_json(text: str) -> SimpleOmegaPDA:
-    """Read `pda_to_json` output; IllFormedSystem names a malformed part."""
+    """Read `pda_to_json` output, or the row-major pops of earlier files;
+    IllFormedSystem names a malformed part."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise IllFormedSystem("automaton JSON must be an object")
@@ -660,30 +733,67 @@ def pda_from_json(text: str) -> SimpleOmegaPDA:
     ix = {s: i for i, s in enumerate(names)}
     n = len(names)
 
-    def rows_of(where, entries):
-        # weights are summed per cell and letter as read; zero weights are
-        # left for ResetPDMatrix to reject, so each is tested once
+    def cells_of(where, entries, fields):
+        # fields name an entry's parts, its states first: (src, dst) for a
+        # row-major block, (src) for a pop column.  Weights are summed per
+        # cell and letter as read; zero weights are left for ResetPDMatrix
+        # to reject, so each is tested once.
         if not isinstance(entries, list):
             raise IllFormedSystem(f"{where} must be a list of transitions")
-        rows: Block = {}
+        cells: dict = {}
         for entry in entries:
-            if not (isinstance(entry, list) and len(entry) == 4 and isinstance(entry[2], str)):
-                raise IllFormedSystem(
-                    f"{where} entry {entry!r} is not [src, dst, letter, weight]"
-                )
-            src, dst, letter, raw = entry
-            for state in (src, dst):
+            if not (
+                isinstance(entry, list) and len(entry) == len(fields) and isinstance(entry[-2], str)
+            ):
+                raise IllFormedSystem(f"{where} entry {entry!r} is not [{', '.join(fields)}]")
+            *path, letter, raw = entry
+            for state in path:
                 if not isinstance(state, str) or state not in ix:
                     raise IllFormedSystem(f"{where} entry {entry!r} names unknown state {state!r}")
             val = weight(f"{where} entry {entry!r}", raw)
-            cell = rows.setdefault(ix[src], {}).setdefault(ix[dst], {})
+            cell = cells
+            for state in path:
+                cell = cell.setdefault(ix[state], {})
             cell[letter] = cell[letter] + val if letter in cell else val
-        return rows
+        return cells
+
+    def rows_of(where, entries):
+        return cells_of(where, entries, ("src", "dst", "letter", "weight"))
 
     def blocks_of(key):
         if not isinstance(doc[key], dict):
             raise IllFormedSystem(f"{key!r} must map stack symbols to transitions")
         return {sym: rows_of(f"{key} {sym!r}", e) for sym, e in doc[key].items()}
+
+    def pop_columns():
+        pops = doc["pop"]
+        columns: dict[str, Columns] = {}
+        if isinstance(pops, dict):
+            # the row-major form {symbol: [[src, dst, letter, weight], ...]}
+            # of earlier files: equal columns become one object as they load
+            shared: dict[tuple, dict] = {}
+            for sym, block in blocks_of("pop").items():
+                for q, column in transpose(block).items():
+                    key = tuple((p, tuple(sorted(lp.items()))) for p, lp in sorted(column.items()))
+                    columns.setdefault(sym, {})[q] = shared.setdefault(key, column)
+            return columns
+        if not isinstance(pops, list):
+            raise IllFormedSystem("'pop' must be a list of pop groups")
+        for k, group in enumerate(pops):
+            where = f"pop group {k}"
+            if not (
+                isinstance(group, dict) and "from" in group and isinstance(group.get("to"), dict)
+            ):
+                raise IllFormedSystem(f"{where} must be an object with 'from' and 'to' keys")
+            column = cells_of(where, group["from"], ("src", "letter", "weight"))
+            for sym, dst in group["to"].items():
+                if not isinstance(dst, str) or dst not in ix:
+                    raise IllFormedSystem(f"{where} pops {sym!r} into unknown state {dst!r}")
+                into = columns.setdefault(sym, {})
+                if ix[dst] in into:
+                    raise IllFormedSystem(f"{where} pops {sym!r} into {dst!r} a second time")
+                into[ix[dst]] = column
+        return columns
 
     buchi = doc.get("buchi_count")
     if buchi is not None and (isinstance(buchi, bool) or not isinstance(buchi, int)):
@@ -695,7 +805,7 @@ def pda_from_json(text: str) -> SimpleOmegaPDA:
         names_of("stack_alphabet"),
         rows_of("neutral", doc["neutral"]),
         blocks_of("push"),
-        blocks_of("pop"),
+        pop_columns(),
     )
     return SimpleOmegaPDA(matrix, vector("initial"), vector("final"), buchi, names)
 
@@ -728,7 +838,7 @@ def pda_to_dot(a: SimpleOmegaPDA) -> str:
     emit(m.m_eps_eps, lambda letter: f"{letter} #")
     for sym, block in sorted(m.m_eps_push.items()):
         emit(block, lambda letter, s=sym: f"{letter} v{s}")
-    for sym, block in sorted(m.m_pop_eps.items()):
-        emit(block, lambda letter, s=sym: f"{letter} ^{s}")
+    for sym in sorted(m.pop_columns):
+        emit(m.pop_block(sym), lambda letter, s=sym: f"{letter} ^{s}")
     lines.append("}")
     return "\n".join(lines)

@@ -48,7 +48,7 @@ def pop_steps(ra):
     """Pop steps (p, sym, q, c) per position, for every state: those at nodes
     the starts do not reach only derive facts that no level edge of a
     reached node joins."""
-    return symbol_steps(ra, ra.m.m_pop_eps)
+    return symbol_steps(ra, {sym: ra.m.pop_block(sym) for sym in ra.m.pop_columns})
 
 
 def reference_saturate(ra):

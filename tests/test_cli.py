@@ -434,6 +434,22 @@ def test_unreadable_or_unwritable_file_exits_2(args, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "option", [["--buchi", "0"], ["--component", "z1"], ["--component", "nope"]], ids=" ".join
+)
+def test_eval_of_an_automaton_rejects_grammar_selection_options(option, tmp_path, capsys):
+    # the automaton fixed its start and repeated states when it was built:
+    # at --buchi 0 the grammar gives 0 and the automaton would still give 1
+    auto = str(tmp_path / "auto.json")
+    assert main(["build-pda", str(DATA / "counting_finite.grm"), "--out", auto]) == EXIT_OK
+    for query in (["--lasso", ":a"], ["--word", "b"]):
+        assert main(["eval", auto, *query, *option]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {option[0]} ") and err.count("\n") == 1
+    assert main(["eval", auto, "--lasso", ":a"]) == EXIT_OK
+    assert capsys.readouterr().out == "1\n"
+
+
 def test_omega_evaluation_over_counting_is_exact(capsys):
     # z1 = a z1 has one run on a^omega, of weight 1, and none on (ab)^omega
     path = str(DATA / "counting_finite.grm")
@@ -565,9 +581,39 @@ def automaton_doc(tmp_path):
             id="unknown-target",
         ),
         pytest.param(
-            lambda d: d["pop"]["Z:z2"][0].__setitem__(0, "nosuch"),
+            lambda d: d["pop"][0]["from"][0].__setitem__(0, "nosuch"),
             "names unknown state 'nosuch'",
             id="unknown-source",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("pop", {"Z:z2": [["nosuch", "z:z2", "a", 1]]}),
+            "pop 'Z:z2' entry ['nosuch', 'z:z2', 'a', 1] names unknown state 'nosuch'",
+            id="unknown-source-row-major",
+        ),
+        pytest.param(
+            lambda d: d["pop"][0]["to"].__setitem__("Z:z2", "nosuch"),
+            "pop group 0 pops 'Z:z2' into unknown state 'nosuch'",
+            id="unknown-pop-target",
+        ),
+        pytest.param(
+            lambda d: d["pop"].append(d["pop"][0]),
+            "pop group 1 pops 'X:x1' into 'x:x1' a second time",
+            id="pop-target-twice",
+        ),
+        pytest.param(
+            lambda d: d["pop"][0].pop("to"),
+            "pop group 0 must be an object with 'from' and 'to' keys",
+            id="pop-group-without-targets",
+        ),
+        pytest.param(
+            lambda d: d["pop"][0]["from"][0].pop(),
+            "is not [src, letter, weight]",
+            id="short-pop-entry",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("pop", 5),
+            "'pop' must be a list of pop groups",
+            id="pop-not-a-list",
         ),
         pytest.param(lambda d: d.pop("pop"), "automaton JSON has no 'pop' key", id="no-pop"),
         pytest.param(

@@ -619,7 +619,7 @@ def test_five_routes_agree_on_random_mixed_systems():
     # summed pair systems, the folded omega system and its automaton, for
     # every Buchi count and component.  One system in twenty has m = 3: their
     # normal forms reach 1,400 variables, and the automaton construction is
-    # quadratic in them.
+    # linear in them.
     lassos = [LassoWord((), ("a",)), LassoWord(("b",), ("a", "b")), LassoWord(("a",), ("b",))]
     decided = 0
     seen = {inst.name: set() for inst in (BOOLEAN, TROPICAL, ARCTIC, COUNTING)}
