@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from .matrix import _omega_t, _star
-from .semiring import INF, SemiringInstance, SemiringValue
+from .semiring import INF, SemiringInstance, SemiringValue, _scalar
 from .series import LassoWord, Word
 
 Node = Hashable
@@ -259,7 +259,7 @@ def solve_derivations(instance: SemiringInstance, rules: list[list[Term]]) -> li
         else:
             for i in comp:
                 value[i] = INF
-    return [SemiringValue(instance, v) for v in value]
+    return [_scalar(instance, v) for v in value]
 
 
 def pushdown_lasso_value(
@@ -395,4 +395,4 @@ def lasso_value(
         for e, v in zip(entry, omega):
             if e != zero:
                 total = add(total, mul(e, v))
-    return SemiringValue(instance, total)
+    return _scalar(instance, total)

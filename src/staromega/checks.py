@@ -29,7 +29,7 @@ from .matrix import (
     mat_vec_mul,
 )
 from .pda import behavior_finite, behavior_omega_lasso, induced_finite_pda, induced_omega_pda
-from .semiring import BOOLEAN, INSTANCES, SemiringValue
+from .semiring import BOOLEAN, INSTANCES, SemiringInstance, SemiringValue
 from .series import LassoWord, Polynomial
 from .system import (
     AlgebraicSystem,
@@ -88,6 +88,20 @@ def _scalar_laws(result: SuiteResult) -> None:
             and inst.axpy_raw(y, left, z) != [add(a, mul(left, b)) for a, b in zip(y, z)]
         ]
         result.add(f"raw-kernels[{inst.name}]", not bad_lefts, f"violations={len(bad_lefts)}")
+        # the instance's Lehmann sweep against the generic body, swept matrix
+        # and pre-pivot columns, on seeded matrices in both pivot orders
+        rng = Random(f"raw-sweep/{inst.name}")
+        bad_sweeps = 0
+        for n in range(13):
+            for density in (0.2, 0.6):
+                m = [[rng.choice(raw) if rng.random() < density else zero for _ in range(n)]
+                     for _ in range(n)]
+                for order in (range(n), range(n - 1, -1, -1)):
+                    fast, generic = [list(row) for row in m], [list(row) for row in m]
+                    got = inst.sweep_raw(fast, order), fast
+                    if got != (SemiringInstance.sweep_raw(inst, generic, order), generic):
+                        bad_sweeps += 1
+        result.add(f"raw-sweep[{inst.name}]", not bad_sweeps, f"violations={bad_sweeps}")
 
 
 def _random_matrix(rng: Random, inst, n: int) -> SemiringMatrix:

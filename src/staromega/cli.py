@@ -311,6 +311,9 @@ def _selection(
     return mixed, x, z, k
 
 
+_NO_OMEGA = "the grammar has no omega component: it declares no z-variable"
+
+
 def cmd_gnf(args) -> int:
     g = _load(args.path)
     report = GnfPipelineReport()
@@ -333,7 +336,7 @@ def cmd_gnf(args) -> int:
         return EXIT_OK
     if finite:
         if target == "omega":
-            raise IllFormedSystem("the grammar has no omega component: it declares no z-variable")
+            raise IllFormedSystem(_NO_OMEGA)
         # the mixed target of a finite grammar is its finite normal form,
         # with the same coefficient on every nonempty word
         nf = finite_gnf(mixed.x_part).system
@@ -437,6 +440,8 @@ def cmd_eval(args) -> int:
         table = SegmentTable(mixed.x_part, word)
         _print_value(table.coeff(mixed.x_vars[x], 0, len(word)))
         return EXIT_OK
+    if g.kind == "mixed" and not g.system.z_vars:
+        raise IllFormedSystem(_NO_OMEGA)
     mixed, _, z, k = _selection(g, args.component, "z", args.buchi)
     _print_value(canonical_omega_lasso(mixed, k, z, _parse_lasso(args.lasso)).value)
     return EXIT_OK

@@ -34,8 +34,8 @@ from typing import Sequence
 import json
 
 from ._search import _sccs
-from .matrix import _add_identity, _star, _sweep
-from .semiring import SemiringInstance, SemiringValue
+from .matrix import _add_identity, _star
+from .semiring import SemiringInstance, SemiringValue, _scalar
 from .series import EPSILON, Polynomial, Word
 from .system import (
     AlgebraicSystem,
@@ -123,7 +123,7 @@ def _unit_elimination(sys: AlgebraicSystem) -> AlgebraicSystem:
         for a, i in enumerate(comp):
             for b, out in enumerate(exits):
                 if star[a][b] != zero:
-                    s = SemiringValue(inst, star[a][b])
+                    s = _scalar(inst, star[a][b])
                     for e, r in out.items():
                         _accumulate(rows[i], e, s * r)
     new_rhs = tuple(
@@ -751,15 +751,16 @@ class _Handle:
 class _HandleAlgebra:
     """Rational combinators on series handles, as nodes of a DAG.
 
-    It speaks the raw protocol of `matrix._sweep` and `matrix._add_identity`
-    (`add_raw`, `mul_raw`, `star_raw`, `zero_raw`, `one_raw` and the row
-    kernel `axpy_raw`), so the Lehmann sweep runs on handle matrices
-    unchanged.  `axpy_raw` is the generic y + l z comprehension: it builds
-    the nodes cell by cell, in the order the normal form's output depends
-    on.  Leaves are components of the base system restricted to its
-    productive, reachable variables.  Every combinator makes at most one
-    node over its operands and copies nothing; an unproductive operand is
-    left out, where restricting a glued system would erase it.  `zero_raw`
+    It speaks the raw protocol of the generic `SemiringInstance.sweep_raw`
+    and of `matrix._add_identity` (`add_raw`, `mul_raw`, `star_raw`,
+    `zero_raw`, `one_raw` and the row kernel `axpy_raw`), so it takes that
+    Lehmann sweep over as its own and runs it on handle matrices unchanged.
+    `axpy_raw` is the generic y + l z comprehension: it builds the nodes
+    cell by cell, in the order the normal form's output depends on.
+    Leaves are components of the base system restricted to its productive,
+    reachable variables.  Every combinator makes at most one node over its
+    operands and copies nothing; an unproductive operand is left out, where
+    restricting a glued system would erase it.  `zero_raw`
     is one shared unproductive handle and `mul_raw` returns it, so the
     sweep's zero test skips empty rows.  A system is written out only by
     `emit`, for the handles a decomposition returns: one variable per
@@ -803,6 +804,8 @@ class _HandleAlgebra:
 
     def axpy_raw(self, y: list, left: _Handle, z) -> list:
         return [self.add_raw(a, self.mul_raw(left, b)) for a, b in zip(y, z)]
+
+    sweep_raw = SemiringInstance.sweep_raw
 
     def emit(self, h: _Handle) -> AlgebraicSystem:
         """The system of h, variables d0, d1, ... over the distinct nodes in
@@ -855,7 +858,7 @@ def decompose_canonical(
     """Express one omega component of the k-th canonical solution as a sum of
     pairs s t^omega of algebraic series.
 
-    The Lehmann sweep of `matrix._sweep` runs on the z-coefficient matrix of
+    The Lehmann sweep `sweep_raw` runs on the z-coefficient matrix of
     series handles in the pivot order m-1..0, and the component is read off
     by the path decomposition of `matrix`'s docstring: omega_k[i] =
     sum_{j<k} A[i][j] L_j^omega with L_j = C_j[j], one pair (A[i][j], L_j)
@@ -871,7 +874,7 @@ def decompose_canonical(
     for i, row in enumerate(sys.rho):
         for j, p in row.items():
             a[i][j] = alg.of_poly(p)
-    cols = _sweep(alg, a, range(m - 1, -1, -1))
+    cols = alg.sweep_raw(a, range(m - 1, -1, -1))
     star = _add_identity(alg, a)[component]
     pairs = []
     for j in range(k):

@@ -9,6 +9,14 @@ and built only at the public boundary.
 One Lehmann elimination sweep does the work.  Eliminating pivot k replaces
 A[i][j] by A[i][j] + A[i][k] (A[k][k])* A[k][j]; after every pivot, adding
 the identity gives M*.  `mat_star` runs the sweep in the order 0..n-1.
+The sweep is the instance method `sweep_raw(a, order)`: it updates the raw
+list `a` in place and returns each column as it stood before its pivot.
+Its generic body in `SemiringInstance` updates each row by one `axpy_raw`
+call.  Boolean overrides it with Warshall's bit-vector closure: each row
+packed into one int, and eliminating pivot k ORs row k into every row with
+bit k set, so a sweep costs n^2 word operations instead of n^3 cell
+updates.  A result's scalars are built by the trusted `_scalar`, which
+does not revalidate what the kernels computed, one per distinct value.
 
 Omega and its Buchi restriction come from the same sweep run in the order
 n-1..0 (a path decomposition, O(n^3) in total).  Just before pivot j is
@@ -39,6 +47,7 @@ from .semiring import (
     SemiringError,
     SemiringInstance,
     SemiringValue,
+    _scalar,
     instance_by_name,
     raw_from_json,
     raw_to_json,
@@ -88,13 +97,21 @@ def _unwrap(m: SemiringMatrix) -> Rect:
     return tuple(tuple(v.value for v in row) for row in m.rows)
 
 
+def _scalars(instance: SemiringInstance, values):
+    """Lookup from each of the raw `values` to one shared scalar: a result
+    holds few distinct values, and the scalars are immutable."""
+    return {v: _scalar(instance, v) for v in values}.__getitem__
+
+
 def _wrap(instance: SemiringInstance, raw: Rect) -> SemiringMatrix:
-    rows = tuple(tuple(SemiringValue(instance, v) for v in row) for row in raw)
+    scalar = _scalars(instance, set().union(*raw))
+    rows = tuple(tuple(map(scalar, row)) for row in raw)
     return SemiringMatrix(instance, len(rows), rows)
 
 
 def _wrap_vector(instance: SemiringInstance, raw) -> OmegaVector:
-    return OmegaVector(instance, tuple(SemiringValue(instance, v) for v in raw))
+    raw = tuple(raw)
+    return OmegaVector(instance, tuple(map(_scalars(instance, raw), raw)))
 
 
 def mat_zero(instance: SemiringInstance, n: int) -> SemiringMatrix:
@@ -157,37 +174,6 @@ def mat_vec_mul(a: SemiringMatrix, v: OmegaVector) -> OmegaVector:
     return _wrap_vector(a.instance, (_dot(a.instance, row, col) for row in _unwrap(a)))
 
 
-def _sweep(instance: SemiringInstance, a: list[list], order) -> list:
-    """Lehmann elimination in place on the raw n x n list `a`, with the
-    pivots taken in `order`, a permutation of range(n).  Returns `cols`,
-    where cols[k] is column k as it stood just before pivot k was eliminated.
-
-    After eliminating a set P of pivots, a[i][j] is the weight of the paths
-    i -> j of length >= 1 whose intermediate states all lie in P.
-
-    `instance` need only speak the raw protocol: `add_raw`, `mul_raw`,
-    `star_raw`, `zero_raw` and `axpy_raw` (plus `one_raw` for
-    `_add_identity`).  A row is skipped when its left factor equals
-    `zero_raw()`; every other row is updated by one `axpy_raw` call.
-    Besides the semiring instances, `gnf._HandleAlgebra` speaks it, so the
-    normal form's decomposition runs this sweep on matrices of series
-    handles.
-    """
-    mul, star, axpy = instance.mul_raw, instance.star_raw, instance.axpy_raw
-    zero = instance.zero_raw()
-    cols: list = [None] * len(a)
-    for k in order:
-        row_k = tuple(a[k])
-        col_k = cols[k] = tuple(row[k] for row in a)
-        pivot = star(row_k[k])
-        for i, x in enumerate(col_k):
-            left = mul(x, pivot)
-            if left == zero:
-                continue
-            a[i] = axpy(a[i], left, row_k)
-    return cols
-
-
 def _add_identity(instance: SemiringInstance, a: list[list]) -> list[list]:
     add, one = instance.add_raw, instance.one_raw()
     for i, row in enumerate(a):
@@ -197,7 +183,7 @@ def _add_identity(instance: SemiringInstance, a: list[list]) -> list[list]:
 
 def _star(instance: SemiringInstance, m: Rect) -> list[list]:
     a = [list(row) for row in m]
-    _sweep(instance, a, range(len(a)))
+    instance.sweep_raw(a, range(len(a)))
     return _add_identity(instance, a)
 
 
@@ -265,7 +251,7 @@ def _omega_t(instance: SemiringInstance, m: Rect, t: int) -> tuple:
     if t == 0:
         return (zero,) * n
     a = [list(row) for row in m]
-    cols = _sweep(instance, a, range(n - 1, -1, -1))
+    cols = instance.sweep_raw(a, range(n - 1, -1, -1))
     s = _add_identity(instance, a)
     u = [zero] * n
     v = [zero] * n

@@ -53,6 +53,7 @@ from .semiring import (
     SemiringError,
     SemiringInstance,
     SemiringValue,
+    _scalar,
     instance_by_name,
     raw_from_json,
     raw_to_json,
@@ -424,7 +425,7 @@ def behavior_finite(a: SimpleOmegaPDA, w: Word) -> SemiringValue:
     for (state, stack), v in configs.items():
         if not stack:
             total = add(total, mul(v, a.final[state].value))
-    return SemiringValue(inst, total)
+    return _scalar(inst, total)
 
 
 def behavior_omega_lasso(a: SimpleOmegaPDA, w: LassoWord) -> LassoResult:

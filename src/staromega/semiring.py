@@ -9,6 +9,7 @@ truncations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 
@@ -27,11 +28,9 @@ class _Extreme:
     def __repr__(self) -> str:
         return "inf" if self.sign > 0 else "-inf"
 
-    def __deepcopy__(self, memo):
-        return self
-
-    def __copy__(self):
-        return self
+    def __reduce__(self):
+        # by name: pickling and copying give the token back, so `is INF` holds
+        return "INF" if self.sign > 0 else "NEG_INF"
 
 
 INF = _Extreme(1)
@@ -48,7 +47,8 @@ class SemiringInstance:
     """One of the four concrete complete star-omega semirings.
 
     Subclasses fix carrier, operations, and the closed forms for star/omega.
-    Instances are stateless singletons; compare them by identity.
+    Instances are stateless singletons; compare them by identity.  Copying
+    or pickling one gives the singleton back.
     """
 
     name: str = ""
@@ -78,6 +78,38 @@ class SemiringInstance:
     def omega_raw(self, a: Ext) -> Ext:
         raise NotImplementedError
 
+    def sweep_raw(self, a: list[list], order) -> list:
+        """Lehmann elimination in place on the raw n x n list `a`, with the
+        pivots taken in `order`, a permutation of range(n).  Returns `cols`,
+        where cols[k] is column k as it stood just before pivot k was
+        eliminated.
+
+        Eliminating pivot k replaces a[i][j] by a[i][j] + a[i][k] (a[k][k])*
+        a[k][j]; after eliminating a set P of pivots, a[i][j] is the weight
+        of the paths i -> j of length >= 1 whose intermediate states all lie
+        in P.
+
+        This body needs only the raw protocol: `add_raw`, `mul_raw`,
+        `star_raw`, `zero_raw` and `axpy_raw`.  A row is skipped when its
+        left factor equals `zero_raw()`; every other row is updated by one
+        `axpy_raw` call.  Besides the semiring instances, `gnf._HandleAlgebra`
+        speaks that protocol and reuses this body, so the normal form's
+        decomposition runs the sweep on matrices of series handles.
+        """
+        mul, star, axpy = self.mul_raw, self.star_raw, self.axpy_raw
+        zero = self.zero_raw()
+        cols: list = [None] * len(a)
+        for k in order:
+            row_k = tuple(a[k])
+            col_k = cols[k] = tuple(row[k] for row in a)
+            pivot = star(row_k[k])
+            for i, x in enumerate(col_k):
+                left = mul(x, pivot)
+                if left == zero:
+                    continue
+                a[i] = axpy(a[i], left, row_k)
+        return cols
+
     def validate_raw(self, v: Ext) -> None:
         raise NotImplementedError
 
@@ -90,17 +122,22 @@ class SemiringInstance:
     def __repr__(self) -> str:
         return f"<semiring {self.name}>"
 
+    def __reduce__(self):
+        return (instance_by_name, (self.name,))
+
     def value(self, v: Ext) -> "SemiringValue":
+        """The scalar v, validated: the entry point for values from outside."""
         self.validate_raw(v)
         return SemiringValue(self, v)
 
-    @property
+    # one stored scalar each, built on first use
+    @cached_property
     def zero(self) -> "SemiringValue":
-        return SemiringValue(self, self.zero_raw())
+        return _scalar(self, self.zero_raw())
 
-    @property
+    @cached_property
     def one(self) -> "SemiringValue":
-        return SemiringValue(self, self.one_raw())
+        return _scalar(self, self.one_raw())
 
     def parse_value(self, text: str) -> "SemiringValue":
         text = text.strip()
@@ -116,6 +153,11 @@ class SemiringInstance:
     @staticmethod
     def format_value(v: "SemiringValue") -> str:
         return repr(v.value)
+
+
+# a 0/1 row as the ASCII digits of a binary numeral, and back
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BooleanSemiring(SemiringInstance):
@@ -140,6 +182,24 @@ class BooleanSemiring(SemiringInstance):
         # a nonzero left is 1
         return [a | b for a, b in zip(y, z)]
 
+    def sweep_raw(self, a, order):
+        # Warshall's closure on bit rows: bit j of rows[i] is a[i][j], and
+        # eliminating pivot k ORs row k into every row with bit k set, one
+        # word operation per row instead of n cell updates
+        n = len(a)
+        if not n:
+            return []
+        rows = [int(bytes(reversed(row)).translate(_TO_DIGITS), 2) for row in a]
+        cols: list = [None] * n
+        for k in order:
+            row_k = rows[k]
+            col_k = cols[k] = tuple([r >> k & 1 for r in rows])
+            rows = [r | row_k if x else r for r, x in zip(rows, col_k)]
+        width = f"0{n}b"
+        for i, r in enumerate(rows):
+            a[i] = list(format(r, width)[::-1].encode().translate(_FROM_DIGITS))
+        return cols
+
     def star_raw(self, a):
         return 1
 
@@ -147,9 +207,8 @@ class BooleanSemiring(SemiringInstance):
         return a
 
     def validate_raw(self, v):
-        if v is not int(0) and v != 0 and v != 1:
-            raise SemiringError(f"boolean value must be 0 or 1, got {v!r}")
-        if isinstance(v, _Extreme):
+        # an int, as on the other carriers: a float 1.0 equals 1 but is not exact
+        if not isinstance(v, int) or v not in (0, 1):
             raise SemiringError(f"boolean value must be 0 or 1, got {v!r}")
 
     def grid(self):
@@ -357,9 +416,13 @@ def raw_from_json(v) -> Ext:
     raise SemiringError(f"{v!r} is not an integer, 'inf' or '-inf'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemiringValue:
-    """A scalar of one concrete instance; arithmetic checks instance agreement."""
+    """A scalar of one concrete instance; arithmetic checks instance agreement.
+
+    `instance.value(v)` validates v; the library builds the scalars it
+    computes itself with `_scalar`, which trusts its raw value.
+    """
 
     instance: SemiringInstance
     value: Ext
@@ -372,17 +435,17 @@ class SemiringValue:
 
     def __add__(self, other: "SemiringValue") -> "SemiringValue":
         self._check(other)
-        return SemiringValue(self.instance, self.instance.add_raw(self.value, other.value))
+        return _scalar(self.instance, self.instance.add_raw(self.value, other.value))
 
     def __mul__(self, other: "SemiringValue") -> "SemiringValue":
         self._check(other)
-        return SemiringValue(self.instance, self.instance.mul_raw(self.value, other.value))
+        return _scalar(self.instance, self.instance.mul_raw(self.value, other.value))
 
     def star(self) -> "SemiringValue":
-        return SemiringValue(self.instance, self.instance.star_raw(self.value))
+        return _scalar(self.instance, self.instance.star_raw(self.value))
 
     def omega(self) -> "OmegaValue":
-        return SemiringValue(self.instance, self.instance.omega_raw(self.value))
+        return _scalar(self.instance, self.instance.omega_raw(self.value))
 
     def is_zero(self) -> bool:
         # the infinities have no __eq__, so == is identity on them
@@ -393,6 +456,20 @@ class SemiringValue:
 
     def __repr__(self) -> str:
         return f"{self.instance.name}:{self.value!r}"
+
+
+_new = object.__new__
+_set_instance = SemiringValue.instance.__set__
+_set_value = SemiringValue.value.__set__
+
+
+def _scalar(instance: SemiringInstance, v: Ext) -> SemiringValue:
+    """A SemiringValue without validation, for a raw value that the library
+    computed itself from valid operands."""
+    s = _new(SemiringValue)
+    _set_instance(s, instance)
+    _set_value(s, v)
+    return s
 
 
 # The semimodule side of every instance here is the semiring itself.

@@ -38,7 +38,7 @@ from ._search import (
     solve_derivations,
 )
 from .matrix import _star
-from .semiring import INF, SemiringError, SemiringInstance, SemiringValue
+from .semiring import INF, SemiringError, SemiringInstance, SemiringValue, _scalar
 from .series import (
     Alphabet,
     LassoWord,
@@ -292,7 +292,7 @@ def eps_coefficients(sys: AlgebraicSystem, max_iter: int = 128) -> list[Semiring
          if all(s in ix for s in m.word)]
         for p in sys.rhs
     ]
-    return [SemiringValue(inst, v) for v in _eps_raw(inst, rules, max_iter)]
+    return [_scalar(inst, v) for v in _eps_raw(inst, rules, max_iter)]
 
 
 def _eps_raw(inst: SemiringInstance, rules: list[list], max_iter: int) -> list:
@@ -560,7 +560,7 @@ def least_solution_finite(
             comp.append(stratum)
     return [
         TruncatedSeries(inst, max_len, {
-            w: SemiringValue(inst, v)
+            w: _scalar(inst, v)
             for stratum in comp for w, v in stratum.items() if v != zero
         })
         for comp in strata
@@ -879,6 +879,6 @@ def _epsilon_closure_with_hits(inst, eps, m, k):
             src, dst = j + b * m, j2 + b2 * m
             rows[src][dst] = add(rows[src][dst], v.value)
     star = _star(inst, rows)
-    h0 = [[SemiringValue(inst, v) for v in row[:m]] for row in star[:m]]
-    h1 = [[SemiringValue(inst, v) for v in row[m:]] for row in star[:m]]
+    h0 = [[_scalar(inst, v) for v in row[:m]] for row in star[:m]]
+    h1 = [[_scalar(inst, v) for v in row[m:]] for row in star[:m]]
     return h0, h1

@@ -406,6 +406,18 @@ def test_finite_grammar_normal_form_builds_an_automaton_with_the_same_value(tmp_
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("path", [TEST_DATA / "ab_blocks.grm", DATA / "arctic_blocks.grm"])
+@pytest.mark.parametrize("component", [[], ["--component", "S"]])
+def test_eval_lasso_on_a_grammar_without_z_variables_names_the_missing_component(
+    path, component, capsys
+):
+    # with or without naming the start variable S, which exists as an x-variable
+    assert main(["eval", str(path), "--lasso", "a:b"] + component) == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        "error: the grammar has no omega component: it declares no z-variable\n"
+    )
+
+
 def test_build_pda_on_an_omega_grammar_with_epsilon_rules_is_a_semantic_failure(capsys):
     assert main(["build-pda", str(DATA / "boolean_omega.grm")]) == EXIT_FAIL
     assert capsys.readouterr().err == "error: induced automaton needs Greibach shape\n"

@@ -22,7 +22,15 @@ from staromega.matrix import (
     matrix_from_json,
     matrix_to_json,
 )
-from staromega.semiring import ARCTIC, BOOLEAN, COUNTING, INF, SemiringError, TROPICAL
+from staromega.semiring import (
+    ARCTIC,
+    BOOLEAN,
+    COUNTING,
+    INF,
+    TROPICAL,
+    SemiringError,
+    SemiringInstance,
+)
 
 ALL = [BOOLEAN, TROPICAL, ARCTIC, COUNTING]
 
@@ -199,6 +207,49 @@ def test_boolean_omega_matches_reachability_oracle():
         )
         for t in range(n + 1):
             assert vraw(mat_omega_t(m, t)) == buchi_oracle(m, t), (raw(m), t)
+
+
+# -- the bit-parallel Boolean sweep -------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(0, 20),
+    density=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+    reverse=st.booleans(),
+)
+def test_boolean_sweep_override_equals_the_generic_sweep(data, n, density, reverse):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    a = [[1 if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    fast, generic = [list(row) for row in a], [list(row) for row in a]
+    cols = BOOLEAN.sweep_raw(fast, order)
+    assert cols == SemiringInstance.sweep_raw(BOOLEAN, generic, order)
+    assert fast == generic and all(type(row) is list for row in fast)
+    assert all(v in (0, 1) and type(v) is int for row in fast for v in row)
+
+
+def reachability_closure(adj):
+    """closure[i][j] = 1 iff a path i -> j of length >= 0, by BFS from each i."""
+    n = len(adj)
+    closure = []
+    for i in range(n):
+        seen, frontier = {i}, [i]
+        while frontier:
+            frontier = [j for k in frontier for j in range(n) if adj[k][j] and j not in seen]
+            seen.update(frontier)
+        closure.append([1 if j in seen else 0 for j in range(n)])
+    return closure
+
+
+def test_boolean_star_is_bfs_reachability():
+    rng = random.Random(47)
+    for n in list(range(0, 12)) + [17, 25, 33, 40]:
+        for density in (0.5 / max(n, 1), 1.5 / max(n, 1), 0.3):
+            adj = [[1 if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+            assert raw(mat_star(mat_from_raw(BOOLEAN, adj))) == reachability_closure(adj), adj
 
 
 def sparse_matrix(rng, inst, n, degree=1.5):

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from staromega.semiring import (
@@ -10,6 +14,8 @@ from staromega.semiring import (
     TROPICAL,
     QuemiringValue,
     SemiringError,
+    SemiringValue,
+    _scalar,
     natural_leq,
     quemiring_one,
     quemiring_otimes,
@@ -186,6 +192,10 @@ def test_carrier_validation():
         TROPICAL.value(NEG_INF)
     with pytest.raises(SemiringError):
         BOOLEAN.value(2)
+    for inst in ALL:
+        # equal to a carrier value, but not exact
+        with pytest.raises(SemiringError):
+            inst.value(1.0)
     with pytest.raises(SemiringError):
         COUNTING.value(-1)
     ARCTIC.value(NEG_INF)  # legal only here
@@ -269,3 +279,54 @@ def test_is_zero_on_every_grid_value(inst):
     for v in carrier_values(inst):
         assert inst.value(v).is_zero() == same(v, inst.zero_raw()), v
     assert inst.zero.is_zero() and not inst.one.is_zero()
+
+
+# -- scalars: slotted, frozen, shared zero and one ------------------------------
+
+
+@pytest.mark.parametrize("inst", ALL, ids=lambda i: i.name)
+def test_scalars_are_frozen_and_slotted(inst):
+    v = inst.value(inst.grid()[-1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.value = inst.one_raw()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.instance = BOOLEAN
+    assert not hasattr(v, "__dict__")
+
+
+@pytest.mark.parametrize("inst", ALL, ids=lambda i: i.name)
+def test_scalar_equality_and_hash_by_instance_and_value(inst):
+    values = inst.grid()
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            assert (inst.value(a) == inst.value(b)) == (i == j), (a, b)
+        assert hash(inst.value(a)) == hash(inst.value(a))
+        assert len({inst.value(a), inst.value(a)}) == 1
+    # equal raw values of different instances stay different scalars
+    assert TROPICAL.value(0) != ARCTIC.value(0) and BOOLEAN.value(1) != COUNTING.value(1)
+
+
+@pytest.mark.parametrize("inst", ALL, ids=lambda i: i.name)
+def test_scalars_survive_deepcopy_and_pickle(inst):
+    for v in grid(inst) + [inst.zero, inst.one]:
+        for again in (copy.deepcopy(v), copy.copy(v), pickle.loads(pickle.dumps(v))):
+            assert again == v and hash(again) == hash(v)
+            assert again.instance is inst
+            if not isinstance(v.value, int):
+                assert again.value is v.value
+    assert pickle.loads(pickle.dumps(inst)) is inst and copy.deepcopy(inst) is inst
+
+
+@pytest.mark.parametrize("inst", ALL, ids=lambda i: i.name)
+def test_trusted_scalar_equals_the_validated_value(inst):
+    for v in inst.grid():
+        fast = _scalar(inst, v)
+        assert type(fast) is SemiringValue
+        assert fast == inst.value(v) and hash(fast) == hash(inst.value(v))
+        assert repr(fast) == repr(inst.value(v))
+
+
+@pytest.mark.parametrize("inst", ALL, ids=lambda i: i.name)
+def test_zero_and_one_are_stored_once_per_instance(inst):
+    assert inst.zero is inst.zero and inst.one is inst.one
+    assert inst.zero == inst.value(inst.zero_raw()) and inst.one == inst.value(inst.one_raw())

@@ -332,6 +332,15 @@ def test_counting_cycle_of_nullable_variables_is_inf_at_once():
     assert least_solution_finite(sys, 0)[0].coeff(()).value is INF
 
 
+def test_coefficient_misses_return_the_stored_zero():
+    c = COUNTING
+    sys = _counting({"x1": "(2) a x1 | a"})
+    assert sys.rhs[0].coeff_of(("x1",)) is c.zero
+    assert least_solution_finite(sys, 2)[0].coeff(()) is c.zero
+    assert SegmentTable(sys, ("a", "a")).coeff("x1", 0, 0) is c.zero
+    assert least_solution_finite(sys, 2)[0].coeff(("a",)).value == 1
+
+
 def test_cycle_through_a_variable_that_is_not_nullable_stays_finite():
     # x1 x2 weighs zero on the empty word, since x2 does, so the loop of x1
     # on itself is not a cycle of its empty-word part
