@@ -8,21 +8,20 @@ any accepting run exists at all, one component labelling of a Boolean
 graph that the grammar route builds.
 
 Both routes are exact on all four instances, counting included, and share
-one solver and one read-off.  `solve_derivations` computes the least
-solution of a weighted summary system, each item a sum over derivations:
-the grammar's derivation weights between quotient positions, or the
-automaton's level edges and pop facts; on the finite quotient, the
-grammar's derivation weights are the word's segment coefficients.  Both
-routes build their system on demand: the grammar only at the pairs its
-start reaches, the automaton only the pop facts that some push can use.
-Each route then has a value graph whose edges consume a letter and carry
-a hit bit: the grammar's z-graph, or `pushdown_lasso_value`'s graph over
-(state, position, remaining start-stack cells), whose edges are the solved
-level edges, the pushes that are never popped and the pops of the start
-stack's cells.  `lasso_value` reads the value off it: nodes are split by
-the hit bit of the edge entering them, `path_sums` weighs the paths into
-each strongly connected component, and `matrix._omega_t` of the
-component's own block weighs the infinite paths inside it.
+one saturation, one solver and one read-off.  `derivation_items` is the
+weighted product of a grammar with positions, built on demand: the
+grammar's derivation weights between quotient positions, or the
+automaton's, read as a lazy triple grammar over (state, position) pairs
+(`pda._value_graph`).  `solve_derivations` computes the least solution
+of its summary system, each item a sum over derivations; on the finite
+quotient, the grammar's derivation weights are the word's segment
+coefficients.  The z-steps are the edges of a value graph, each consuming
+a letter and carrying a hit bit: every automaton move reads a letter, and
+the grammar route closes its letter-free steps first.  `lasso_value` reads
+the value off that graph: nodes are split by the hit bit of the edge
+entering them, `path_sums` weighs the paths into each strongly connected
+component, and `matrix._omega_t` of the component's own block weighs the
+infinite paths inside it.
 """
 
 from __future__ import annotations
@@ -262,43 +261,102 @@ def solve_derivations(instance: SemiringInstance, rules: list[list[Term]]) -> li
     return [_scalar(instance, v) for v in value]
 
 
-def pushdown_lasso_value(
-    instance: SemiringInstance,
-    pa: PositionAutomaton,
-    level: dict[Node, list[tuple]],
-    push: dict[Node, list[tuple]],
-    pop: dict[Node, dict[str, list[tuple]]],
-    starts: dict[tuple[int, tuple], SemiringValue],
-) -> SemiringValue:
-    """Omega value of a pushdown automaton's runs over the quotient `pa`.
+def derivation_items(instance: SemiringInstance, variables, monomials_at, step, demand):
+    """Derivation items of the monomials that the demanded pairs can use,
+    and their weights: the one saturation behind both lasso routes.
 
-    level, push and pop map a (state, position) node to its solved level
-    edges, its pushes and (by stack symbol) its pops, each an out-edge
-    (state, position, weight, hit) whose hit bit covers its target.  Every
-    infinite run splits at the points where the stack never again gets
-    lower into level edges and pushes that are never popped, after popping
-    some of its start stack's cells one at a time.  So its runs are the
-    paths of one graph over (state, position, remaining start-stack cells),
-    started at the weighted (state, stack) starts; a push leaves the start
-    stack behind for good.
+    A left-hand side is a variable or a z-row.  `monomials_at(lhs, s)`
+    lists the monomials (head, coefficient or None, word) that lhs reads at
+    position s; the monomials of one head have distinct words.  A head in
+    `variables` is an x-head; any other head is a z-pair (j, j2) of the row
+    j that reads it.  A symbol of a word is a variable when it is in
+    `variables` and a terminal otherwise, and `step(s, terminal)` is the
+    (next position, bit) that reading it leads s to, or None.
+
+    An item is an x-fact (head, s, t, bit): the variable derives a word
+    leading position s to t, with bit the or of its terminals' bits; a
+    z-step ((j, j2), s, t, bit): a monomial of row j leads s to t; or, for
+    monomials with more than two variable occurrences, a prefix (head,
+    word, length, s, t, bit) whose product already holds two operands, so
+    every derivation term is (coefficient, item, item).  A monomial is read
+    left to right from s: terminals move the position, and at a variable
+    the partial product waits for that variable's facts at the current
+    position.  Work is demand-driven, as in IFDS tabulation (Reps, Horwitz
+    and Sagiv 1995): a demanded (lhs, s) pair reads lhs's monomials at s, a
+    product that starts waiting demands what it waits for, and a z-step
+    demands its target (j2, t).  Demands are a worklist, drained with the
+    worklist of x-facts; a fact taken from the latter extends the products
+    waiting for it, and a product that starts waiting joins the facts
+    already taken, so every pair is joined once.  `solve_derivations` then
+    weighs every item.  Returns the item ids by key and their weights.
     """
-    s0 = pa.state_of(0)
-    sources = {(q, s0, tuple(stack)): c for (q, stack), c in starts.items()}
-    edges: dict[Node, list[tuple]] = {}
-    todo = list(sources)
-    while todo:
-        node = todo.pop()
-        if node in edges:
+    ids: dict[tuple, int] = {}
+    rules: list[list] = []
+    work: list = []
+    want: list = list(demand)
+    demanded: set = set()
+    facts_at: dict[tuple, list] = {}
+    waiting: dict[tuple, list] = {}
+
+    def item(key, term) -> tuple[int, bool]:
+        """The id of an item given one more derivation, and whether it is new."""
+        i = ids.get(key)
+        if i is not None:
+            rules[i].append(term)
+            return i, False
+        ids[key] = i = len(rules)
+        rules.append([term])
+        return i, True
+
+    def read(mono, j, s, t, bit, c, ops):
+        """Read mono on from symbol j at position t; the symbols before j
+        lead s to t with product c (None: the unit) times the items in ops,
+        at most two."""
+        head, _c, word = mono
+        while j < len(word) and word[j] not in variables:
+            nxt = step(t, word[j])
+            if nxt is None:
+                return
+            t, hit = nxt
+            bit, j = bit or hit, j + 1
+        if j == len(word):
+            key = (head, s, t, bit)
+            if item(key, (c,) + ops + (None,) * (2 - len(ops)))[1]:
+                if head in variables:
+                    work.append(key)
+                else:
+                    want.append((head[1], t))
+            return
+        if len(ops) == 2:
+            i, fresh = item((head, word, j, s, t, bit), (c,) + ops)
+            if not fresh:
+                return
+            c, ops = None, (i,)
+        wait = (word[j], t)
+        if wait not in demanded:
+            want.append(wait)
+        waiting.setdefault(wait, []).append((mono, j, s, bit, c, ops))
+        for t2, b2, x in facts_at.get(wait, ()):
+            read(mono, j + 1, s, t2, bit or b2, c, ops + (x,))
+
+    while work or want:
+        if want:
+            node = want.pop()
+            if node in demanded:
+                continue
+            demanded.add(node)
+            lhs, s = node
+            for mono in monomials_at(lhs, s):
+                read(mono, 0, s, s, False, mono[1], ())
             continue
-        p, s, rest = node
-        outs = [((q, t, rest), c, h) for q, t, c, h in level.get((p, s), ())]
-        outs += [((q, t, ()), c, h) for q, t, c, h in push.get((p, s), ())]
-        if rest:
-            exposed = pop.get((p, s), {}).get(rest[0], ())
-            outs += [((q, t, rest[1:]), c, h) for q, t, c, h in exposed]
-        edges[node] = outs
-        todo.extend(e[0] for e in outs if e[0] not in edges)
-    return lasso_value(instance, edges, sources)
+        v, s, t, bit = key = work.pop()
+        x = ids[key]
+        # a product that starts waiting here during the loop is joined by it
+        for mono, j, s0, b0, c, ops in waiting.get((v, s), ()):
+            read(mono, j + 1, s0, t, b0 or bit, c, ops + (x,))
+        facts_at.setdefault((v, s), []).append((t, bit, x))
+
+    return ids, solve_derivations(instance, rules)
 
 
 def path_sums(

@@ -26,19 +26,21 @@ system with no z-rows.
 
 Behaviors are exact on all four instances, counting included.  The finite
 behavior sums the runs one position at a time over weighted (state, stack)
-configurations.  The omega behavior at u v^omega is computed in polynomial
-time from weighted pop summaries over (state, period-quotient position), the
-summary algebra of weighted pushdown systems (Reps, Schwoon, Jha and Melski
-2005): one post* saturation reads the steps of a node only once a run
-reaches it, finds every level edge there with its derivations, and builds
-the pop facts only where a push can use them, demand flowing from each push
-target along the level edges; `_search.solve_derivations` weighs them.  An
-infinite run returns to its lowest recurring stack height forever or leaves
-every height for good, so its weight is that of a path of level edges and
-never-popped pushes (the repeating heads of Bouajjani, Esparza and Maler
-1997), which `_search.pushdown_lasso_value` sums over with the read-off of
-the grammar route, omega_t per strongly connected component.  No answer
-depends on a cap.
+configurations.  The omega behavior at u v^omega runs on the grammar
+route's engine, `_search.derivation_items`: the automaton is read as a
+lazy triple grammar over (state, period-quotient position) pairs, whose
+variables are the stack symbols ("popped eventually") and one level
+variable, and whose terminals are the moves (the triple-pair construction
+of Droste, Esik and Kuich 2017; its facts are the weighted pop summaries
+of Reps, Schwoon, Jha and Melski 2005).  Work is demand-driven, so a
+node's moves are read only once a run reaches it, and pop summaries are
+built only where a push can use them.  An infinite run returns to its
+lowest recurring stack height forever or leaves every height for good, so
+its weight is that of a path of level steps, never-popped pushes and pops
+of its start stack (the repeating heads of Bouajjani, Esparza and Maler
+1997): the z-steps of one z-row per start-stack suffix, which
+`_search.lasso_value` sums over with the grammar route's read-off,
+omega_t per strongly connected component.  No answer depends on a cap.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from ._search import PositionAutomaton, pushdown_lasso_value, solve_derivations
+from . import _search
 from .semiring import (
     SemiringError,
     SemiringInstance,
@@ -431,9 +433,8 @@ def behavior_finite(a: SimpleOmegaPDA, w: Word) -> SemiringValue:
 def behavior_omega_lasso(a: SimpleOmegaPDA, w: LassoWord) -> LassoResult:
     """Omega part of the behavior at u v^omega, exactly.
 
-    The sum over the accepting runs from the initial vector: weighted pop
-    summaries over the period quotient, read off by
-    `_search.pushdown_lasso_value`.
+    The sum over the accepting runs from the initial vector, read off the
+    value graph of `_value_graph`.
     """
     starts = {(q, ()): c for q, c in enumerate(a.initial) if not c.is_zero()}
     return _omega_value(a, w, starts)
@@ -450,175 +451,72 @@ def _omega_value(a, w, starts) -> LassoResult:
     """Omega value of the runs from weighted (state, stack) starts."""
     if a.buchi_count is None:
         raise IllFormedSystem("automaton has no repeated-state count")
-    ra = _RunAnalysis(a, w, starts)
-    value = pushdown_lasso_value(a.instance, ra.pa, ra.level_w, ra.push_w, ra.pop_w, starts)
-    return LassoResult(OK, value)
+    return LassoResult(OK, _search.lasso_value(a.instance, *_value_graph(a, w, starts)))
 
 
-# -- weighted summaries of the run structure ---------------------------------
+# the level variable L of the triple grammar; stack symbols are any strings
+_LEVEL = object()
 
 
-class _RunAnalysis:
-    """Weighted summaries over (state, period-quotient position).
+def _value_graph(a: SimpleOmegaPDA, w: LassoWord, starts):
+    """The automaton's runs over u v^omega from the weighted (state, stack)
+    starts, as the z-steps of a lazy triple grammar.
 
-    A pop fact (p, sym, s) -> (r, t, bit) says that from state p at position
-    s with sym on top, sym is eventually popped, landing in r at t; a level
-    edge (p, s) -> (q, t, bit) is one neutral step or one push-excursion
-    returning to the same stack level.  The bit records whether a repeated
-    state was entered after the start, the target included.  reached holds
-    the (state, position) nodes that some run from the (state, stack) starts
-    enters; only their steps are read.  item_ids numbers every level edge
-    (node, None, (q, t, bit)) and every pop fact (node, sym, (r, t, bit))
-    that the saturation built; pop facts exist only at the demanded (node,
-    symbol) pairs, the push targets closed under level edges.  level_w,
-    push_w and pop_w are the weighted out-edges (state, position, weight,
-    hit) of each reached node that `_search.pushdown_lasso_value` reads;
-    pop_w holds the pop steps of the start stacks' symbols only.  Both
-    induced automata come from the one construction `_induced_matrix`, so
-    on its x-states an omega automaton has the neutral steps and pushes of
-    its x-part's finite automaton.
+    Positions are (state, quotient position) pairs, and every move is a
+    terminal: its target state q, read at (p, s) as the step to
+    (q, s + 1) whose bit says that q is repeated.  A stack symbol A is the
+    variable "A is eventually popped", A -> pop_A | L A, and the one level
+    variable L covers a neutral step or a push-excursion, L -> neutral |
+    push_B B (the triple-pair construction of Droste, Esik and Kuich 2017,
+    with the states moved into the positions).  There is one z-row per
+    suffix of a start stack, row 0 the empty stack: a row reads the level
+    monomials itself and stays, a push that is never popped goes to row 0,
+    and a pop of the suffix's top goes to the next suffix's row.  Every
+    infinite run splits at the points where the stack never again gets
+    lower into such steps, so its runs are the paths of the z-steps.
+    Returns the value graph {(row, position): [(target, weight, hit)]} and
+    its weighted sources, the start nodes.
     """
+    m, pa, l = a.matrix, _search.PositionAutomaton.of(w), a.buchi_count
+    rows = {(): 0}
+    for _q, stack in starts:
+        for k in range(len(stack) - 1, -1, -1):
+            rows.setdefault(stack[k:], len(rows))
+    below = {r: (suffix[0], rows[suffix[1:]]) for suffix, r in rows.items() if suffix}
+    s0 = pa.state_of(0)
+    sources = {(rows[stack], (q, s0)): c for (q, stack), c in starts.items()}
+    letters = [pa.letter(s) for s in range(pa.size)]
+    advance = [pa.advance(s) for s in range(pa.size)]
+    variables = {_LEVEL, *m.stack_alphabet}
 
-    def __init__(self, a: SimpleOmegaPDA, w: LassoWord, starts):
-        self.a = a
-        self.m = a.matrix
-        self.pa = PositionAutomaton.of(w)
-        self.l = a.buchi_count or 0
-        self._saturate(starts)
+    def step(node, q):
+        return (q, advance[node[1]]), q < l
 
-    def _hit(self, state: int) -> bool:
-        return state < self.l
+    def monomials_at(lhs, node):
+        p, s = node
+        letter = letters[s]
+        if lhs is not _LEVEL and lhs in variables:
+            out = [(lhs, c, (q,)) for q, c in _pops(m, lhs, p, letter)]
+            out.append((lhs, None, (_LEVEL, lhs)))
+            return out
+        neutral, push = m.moves.get(letter, {}).get(p, ((), ()))
+        level = _LEVEL if lhs is _LEVEL else (lhs, lhs)
+        out = [(level, c, (q,)) for q, c in neutral]
+        out += [(level, c, (q, sym)) for sym, q, c in push]
+        if lhs is not _LEVEL:
+            out += [((lhs, 0), c, (q,)) for _sym, q, c in push]
+            if lhs:
+                top, nxt = below[lhs]
+                out += [((lhs, nxt), c, (q,)) for q, c in _pops(m, top, p, letter)]
+        return out
 
-    def _saturate(self, starts):
-        """Reached nodes, their level edges and the pop facts the pushes can
-        use, then the weights.
-
-        This is the post* saturation of weighted pushdown systems (Reps,
-        Schwoon, Jha and Melski 2005), on the period quotient.  A node is
-        reached when it is a start node, or the target of a level edge, a
-        push, a start-stack pop or a pop fact; its neutral steps, pushes and
-        start-stack pops are read once, when it is first reached.  An item
-        is a level edge (node, None, (q, t, bit)) or a pop fact (node, sym,
-        (r, t, bit)).  Its derivations are: a neutral step c (edge) or a pop
-        step c (fact); an edge followed by a fact from its target (fact); a
-        push c followed by a fact of the pushed symbol (edge).  Pop facts
-        are built on demand: a push demands its pushed symbol at its target,
-        and a demanded (node, sym) pair demands sym at the target of every
-        level edge from node.  A pop fact is created only at a demanded
-        pair, from a pop step read from the symbol's block row or from an
-        edge and a fact.  Worklists of reached nodes, demands and items are
-        drained together, and every join is made by the last of its events,
-        so each pair is joined once.  An edge and a fact are joined when the
-        edge is taken, the fact is taken, or the edge's source becomes
-        demanded for the fact's symbol; a push and a fact when the push is
-        read or the fact is taken.  `solve_derivations` then weighs every
-        item.  Steps at a node no run enters, and facts at an undemanded
-        pair, are in no derivation of a reached node's level edge, so every
-        level edge weighs what it would with every step read and every pop
-        fact built.
-        """
-        pa, hit, m, moves = self.pa, self._hit, self.m, self.m.moves
-        start_syms = {sym for _q, stack in starts for sym in stack}
-        reached: set[tuple[int, int]] = set()
-        facts_at: dict[tuple[tuple[int, int], str], list] = {}
-        edges_into: dict[tuple[int, int], list] = {}
-        edges_from: dict[tuple[int, int], list] = {}
-        pushes_into: dict[tuple[tuple[int, int], str], list] = {}
-        demanded: set[tuple[tuple[int, int], str]] = set()
-        syms_at: dict[tuple[int, int], list] = {}
-        self.push_w: dict[tuple[int, int], list] = {}
-        self.pop_w: dict[tuple[int, int], dict] = {}
-        ids: dict[tuple, int] = {}
-        rules: list[list] = []
-        work: list = []
-        want: list = []
-        fresh: list = []
-
-        def reach(node):
-            if node not in reached:
-                reached.add(node)
-                fresh.append(node)
-
-        def derive(node, sym, target, term):
-            key = (node, sym, target)
-            i = ids.get(key)
-            if i is not None:
-                rules[i].append(term)
-                return
-            ids[key] = len(rules)
-            rules.append([term])
-            work.append(key)
-
-        for q, _stack in starts:
-            reach((q, pa.state_of(0)))
-        while fresh or want or work:
-            if fresh:
-                node = fresh.pop()
-                p, s = node
-                letter, s2 = pa.letter(s), pa.advance(s)
-                neu, pu = moves.get(letter, {}).get(p, ((), ()))
-                for q, c in neu:
-                    derive(node, None, (q, s2, hit(q)), (c, None, None))
-                for delta, q, c in pu:
-                    target = (q, s2)
-                    reach(target)
-                    self.push_w.setdefault(node, []).append((q, s2, c, hit(q)))
-                    pushes_into.setdefault((target, delta), []).append((node, c))
-                    want.append((target, delta))
-                    for (r, t, h), f in facts_at.get((target, delta), ()):
-                        derive(node, None, (r, t, h or hit(q)), (c, f, None))
-                for sym in start_syms:
-                    outs = _pops(m, sym, p, letter)
-                    if outs:
-                        self.pop_w.setdefault(node, {})[sym] = [
-                            (q, s2, c, hit(q)) for q, c in outs
-                        ]
-                        for q, _c in outs:
-                            reach((q, s2))
-                continue
-            if want:
-                demand = want.pop()
-                if demand in demanded:
-                    continue
-                demanded.add(demand)
-                node, sym = demand
-                syms_at.setdefault(node, []).append(sym)
-                p, s = node
-                s2 = pa.advance(s)
-                for q, c in _pops(m, sym, p, pa.letter(s)):
-                    derive(node, sym, (q, s2, hit(q)), (c, None, None))
-                for target, bit, e in edges_from.get(node, ()):
-                    want.append((target, sym))
-                    for (r, t2, h), f in facts_at.get((target, sym), ()):
-                        derive(node, sym, (r, t2, bit or h), (None, e, f))
-                continue
-            key = work.pop()
-            i = ids[key]
-            node, sym, (q, t, bit) = key
-            target = (q, t)
-            reach(target)
-            if sym is None:
-                for sym2 in syms_at.get(node, ()):
-                    want.append((target, sym2))
-                    for (r, t2, h), f in facts_at.get((target, sym2), ()):
-                        derive(node, sym2, (r, t2, bit or h), (None, i, f))
-                edges_into.setdefault(target, []).append((node, bit, i))
-                edges_from.setdefault(node, []).append((target, bit, i))
-                continue
-            for src, c in pushes_into.get((node, sym), ()):
-                derive(src, None, (q, t, bit or hit(node[0])), (c, i, None))
-            for src, h, e in edges_into.get(node, ()):
-                if (src, sym) in demanded:
-                    derive(src, sym, (q, t, h or bit), (None, e, i))
-            facts_at.setdefault((node, sym), []).append(((q, t, bit), i))
-        self.reached = reached
-        self.item_ids = ids
-
-        value = solve_derivations(self.a.instance, rules)
-        self.level_w: dict[tuple[int, int], list] = {}
-        for (node, sym, (q, t, bit)), i in ids.items():
-            if sym is None:
-                self.level_w.setdefault(node, []).append((q, t, value[i], bit))
+    ids, value = _search.derivation_items(a.instance, variables, monomials_at, step, sources)
+    edges: dict[tuple, list] = {}
+    for key, i in ids.items():
+        if key[0] not in variables:
+            (r, r2), node, target, bit = key
+            edges.setdefault((r, node), []).append(((r2, target), value[i], bit))
+    return edges, sources
 
 
 # -- serialization ------------------------------------------------------------
@@ -812,7 +710,13 @@ def pda_from_json(text: str) -> SimpleOmegaPDA:
 
 
 def pda_to_dot(a: SimpleOmegaPDA) -> str:
-    """Graphviz export; push is rendered as a down arrow, pop as up, neutral as #."""
+    """Graphviz export; push is rendered as a down arrow, pop as up, neutral as #.
+
+    Pops are drawn by `_pop_groups`.  A group that pops into more than one
+    (symbol, target) pair is drawn once, as a point: an edge from each
+    source on its letter, and an edge ^symbol to each target, so the
+    drawing stays linear in the stored pops.
+    """
     m = a.matrix
     lines = ["digraph pda {", "  rankdir=LR;"]
     for i, name in enumerate(a.state_names):
@@ -839,7 +743,20 @@ def pda_to_dot(a: SimpleOmegaPDA) -> str:
     emit(m.m_eps_eps, lambda letter: f"{letter} #")
     for sym, block in sorted(m.m_eps_push.items()):
         emit(block, lambda letter, s=sym: f"{letter} v{s}")
-    for sym in sorted(m.pop_columns):
-        emit(m.pop_block(sym), lambda letter, s=sym: f"{letter} ^{s}")
+    names, one = a.state_names, raw_to_json(m.instance.one_raw())
+    # points are named by a prefix that no state name starts with
+    prefix = "^"
+    while any(name.startswith(prefix) for name in names):
+        prefix += "^"
+    for k, group in enumerate(_pop_groups(m, names)):
+        sources = [(p, letter, "" if w == one else f":{w}") for p, letter, w in group["from"]]
+        if len(group["to"]) == 1:
+            ((sym, q),) = group["to"].items()
+            lines += [f'  "{p}" -> "{q}" [label="{x} ^{sym}{w}"];' for p, x, w in sources]
+            continue
+        hub = f"{prefix}{k}"
+        lines.append(f'  "{hub}" [shape=point, label=""];')
+        lines += [f'  "{p}" -> "{hub}" [label="{x}{w}"];' for p, x, w in sources]
+        lines += [f'  "{hub}" -> "{q}" [label="^{sym}"];' for sym, q in group["to"].items()]
     lines.append("}")
     return "\n".join(lines)

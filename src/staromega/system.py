@@ -5,8 +5,8 @@ length at a time (`least_solution_finite`).  Omega-parts of mixed systems
 are evaluated exactly at ultimately periodic words u v^omega:
 `_derivation_items` weighs the derivations of the x-variables between
 positions of the period quotient (the weighted Bar-Hillel product of the
-grammar with the quotient, solved by `_search.solve_derivations` as the
-automaton route's pop summaries are) and of the z-coefficients on them, on
+grammar with the quotient, on `_search.derivation_items`, the engine that
+the automaton route runs on too) and of the z-coefficients on them, on
 demand from the start: only the (variable, position) pairs and (z-variable,
 position) nodes that the start reaches are read.  The z-coefficients'
 weights are the edges of the graph that `_search.lasso_value` reads the
@@ -34,8 +34,8 @@ from ._search import (
     PositionAutomaton,
     _sccs,
     accepting_cycle_exists,
+    derivation_items,
     lasso_value,
-    solve_derivations,
 )
 from .matrix import _star
 from .semiring import INF, SemiringError, SemiringInstance, SemiringValue, _scalar
@@ -678,9 +678,10 @@ def _z_steps(
     the derivation weights of the x-variables, from `_derivation_items`
     with the start demanded."""
     ids, value = _derivation_items(sys.x_part, pa, sys.rho, [start])
+    variables = set(sys.x_vars)
     steps: dict[tuple[int, int], dict[tuple[int, int, bool], SemiringValue]] = {start: {}}
     for key, i in ids.items():
-        if len(key) == 4 and not isinstance(key[0], str):
+        if len(key) == 4 and key[0] not in variables:
             (j, j2), s, t, bit = key
             steps.setdefault((j, s), {})[(j2, t, bit)] = value[i]
             steps.setdefault((j2, t), {})
@@ -688,105 +689,28 @@ def _z_steps(
 
 
 def _derivation_items(sys: AlgebraicSystem, pa: PositionAutomaton, rho, demand):
-    """Derivation items of the monomials that the demanded pairs can use,
-    and their weights.
+    """`_search.derivation_items` of the grammar sys with the z-rows rho
+    over the quotient pa.
 
-    An item is an x-fact (variable, s, t, bit): the variable derives a word
-    leading position s to t, consuming a letter or not (bit); a z-step
-    ((j, j2), s, t, bit): a monomial of the z-coefficient rho[j][j2] leads
-    s to t; or, for monomials with more than two variable occurrences, a
-    prefix (monomial, length, s, t, bit) whose product already holds two
-    operands, so every derivation term is (coefficient, item, item).  A
-    monomial is read left to right from s: letters move the position, and
-    at a variable the partial product waits for that variable's facts at
-    the current position.  Work is demand-driven, as in IFDS tabulation
-    (Reps, Horwitz and Sagiv 1995): a demanded (variable, s) pair reads the
-    variable's monomials from s, a demanded z-node (j, s) reads those of
-    row j, a product that starts waiting demands what it waits for, and a
-    z-step demands its target node.  Demands are a worklist, drained with
-    the worklist of x-facts; a fact taken from the latter extends the
-    products waiting for it, and a product that starts waiting joins the
-    facts already taken, so every pair is joined once.
-    `solve_derivations` then weighs every item.
+    A variable reads its monomials and a z-row j the monomials of its
+    entries rho[j][j2], headed (j, j2), at every position alike; a letter
+    leads s to the next position when it is the letter at s, and its bit
+    records that a letter was consumed.
     """
-    variables = set(sys.variables)
-    monos = [(v, m.coeff, m.word) for v, p in zip(sys.variables, sys.rhs) for m in p.monomials]
-    monos += [
-        ((j, j2), m.coeff, m.word)
-        for j, row in enumerate(rho)
-        for j2, p in row.items()
-        for m in p.monomials
-    ]
-    # a variable name or a z-row index -> its monomials
-    by_lhs: dict = {}
-    for mi, (head, _c, _w) in enumerate(monos):
-        by_lhs.setdefault(head if isinstance(head, str) else head[0], []).append(mi)
-    ids: dict[tuple, int] = {}
-    rules: list[list] = []
-    work: list = []
-    want: list = list(demand)
-    demanded: set = set()
-    facts_at: dict[tuple[str, int], list] = {}
-    waiting: dict[tuple[str, int], list] = {}
+    by_lhs: dict = {
+        v: [(v, m.coeff, m.word) for m in p.monomials] for v, p in zip(sys.variables, sys.rhs)
+    }
+    for j, row in enumerate(rho):
+        by_lhs[j] = [((j, j2), m.coeff, m.word) for j2, p in row.items() for m in p.monomials]
+    letters = [pa.letter(s) for s in range(pa.size)]
+    advance = [(pa.advance(s), True) for s in range(pa.size)]
 
-    def item(key, term) -> tuple[int, bool]:
-        """The id of an item given one more derivation, and whether it is new."""
-        i = ids.get(key)
-        if i is not None:
-            rules[i].append(term)
-            return i, False
-        ids[key] = i = len(rules)
-        rules.append([term])
-        return i, True
+    def step(s, letter):
+        return advance[s] if letters[s] == letter else None
 
-    def read(mi, j, s, t, bit, c, ops):
-        """Read monomial mi on from symbol j at position t; the symbols
-        before j lead s to t with product c (None: the unit) times the items
-        in ops, at most two."""
-        head, _c, word = monos[mi]
-        while j < len(word) and word[j] not in variables:
-            if pa.letter(t) != word[j]:
-                return
-            t, bit, j = pa.advance(t), True, j + 1
-        term = (c,) + ops + (None,) * (2 - len(ops))
-        if j == len(word):
-            key = (head, s, t, bit)
-            if item(key, term)[1]:
-                if isinstance(head, str):
-                    work.append(key)
-                else:
-                    want.append((head[1], t))
-            return
-        if len(ops) == 2:
-            i, fresh = item((mi, j, s, t, bit), term)
-            if not fresh:
-                return
-            c, ops = None, (i,)
-        wait = (word[j], t)
-        if wait not in demanded:
-            want.append(wait)
-        waiting.setdefault(wait, []).append((mi, j, s, bit, c, ops))
-        for t2, b2, x in facts_at.get(wait, ()):
-            read(mi, j + 1, s, t2, bit or b2, c, ops + (x,))
-
-    while work or want:
-        if want:
-            node = want.pop()
-            if node in demanded:
-                continue
-            demanded.add(node)
-            lhs, s = node
-            for mi in by_lhs.get(lhs, ()):
-                read(mi, 0, s, s, False, monos[mi][1], ())
-            continue
-        v, s, t, bit = key = work.pop()
-        x = ids[key]
-        # a product that starts waiting here during the loop is joined by it
-        for mi, j, s0, b0, c, ops in waiting.get((v, s), ()):
-            read(mi, j + 1, s0, t, b0 or bit, c, ops + (x,))
-        facts_at.setdefault((v, s), []).append((t, bit, x))
-
-    return ids, solve_derivations(sys.instance, rules)
+    return derivation_items(
+        sys.instance, set(sys.variables), lambda lhs, _s: by_lhs.get(lhs, ()), step, demand
+    )
 
 
 # -- omega evaluation at lasso words -----------------------------------------

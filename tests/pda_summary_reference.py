@@ -1,16 +1,20 @@
 """Reference implementations of the automaton route's pop summaries.
 
-`reference_saturate` is the weighted saturation of `_RunAnalysis` before it
-was demand-driven: it builds the pop facts of every (node, stack symbol)
-pair that a pop step starts, wanted or not.  `round_robin_summaries` is the
-Boolean analysis before the worklist.  Both read the steps of every state at
-every position, straight from the matrix blocks.  The tests compare the
-demand-driven saturation against both: at the nodes it reached, its level
-edges must be the same, and its pop facts must be theirs at the demanded
-pairs.
+`RunAnalysis` is the post* saturation that computed the automaton route
+before it ran on the grammar route's derivation items, and
+`pushdown_lasso_value` its read-off; `reference_omega_value` is the value
+they give.  `reference_saturate` is the weighted saturation of
+`RunAnalysis` before it was demand-driven: it builds the pop facts of every
+(node, stack symbol) pair that a pop step starts, wanted or not.
+`round_robin_summaries` is the Boolean analysis before the worklist.  Both
+read the steps of every state at every position, straight from the matrix
+blocks.  The tests compare the demand-driven saturation against both: at
+the nodes it reached, its level edges must be the same, and its pop facts
+must be theirs at the demanded pairs.
 """
 
-from staromega._search import solve_derivations
+from staromega._search import PositionAutomaton, lasso_value, solve_derivations
+from staromega.pda import _pops
 
 
 def block_steps(ra, block):
@@ -54,7 +58,7 @@ def pop_steps(ra):
 def reference_saturate(ra):
     """Level edges and every pop fact with their derivations, then their
     weights.  Returns level_w, pop_sum, level1 and raw_push as
-    `_RunAnalysis` computed them before pop facts were built on demand."""
+    `RunAnalysis` computed them before pop facts were built on demand."""
     pa, hit = ra.pa, ra._hit
     neutral, push, pop = neutral_steps(ra), push_steps(ra), pop_steps(ra)
     pop_sum, level1, raw_push = {}, {}, {}
@@ -250,3 +254,206 @@ def sorted_level_w(level_w):
         node: sorted(outs, key=lambda e: (e[0], e[1], e[3], str(e[2].value)))
         for node, outs in level_w.items()
     }
+
+
+def reference_omega_value(a, w, starts):
+    """The automaton route's value from weighted (state, stack) starts, by
+    `RunAnalysis` and `pushdown_lasso_value`."""
+    ra = RunAnalysis(a, w, starts)
+    return pushdown_lasso_value(a.instance, ra.pa, ra.level_w, ra.push_w, ra.pop_w, starts)
+
+
+def pushdown_lasso_value(instance, pa, level, push, pop, starts):
+    """Omega value of a pushdown automaton's runs over the quotient `pa`.
+
+    level, push and pop map a (state, position) node to its solved level
+    edges, its pushes and (by stack symbol) its pops, each an out-edge
+    (state, position, weight, hit) whose hit bit covers its target.  Every
+    infinite run splits at the points where the stack never again gets
+    lower into level edges and pushes that are never popped, after popping
+    some of its start stack's cells one at a time.  So its runs are the
+    paths of one graph over (state, position, remaining start-stack cells),
+    started at the weighted (state, stack) starts; a push leaves the start
+    stack behind for good.
+    """
+    s0 = pa.state_of(0)
+    sources = {(q, s0, tuple(stack)): c for (q, stack), c in starts.items()}
+    edges = {}
+    todo = list(sources)
+    while todo:
+        node = todo.pop()
+        if node in edges:
+            continue
+        p, s, rest = node
+        outs = [((q, t, rest), c, h) for q, t, c, h in level.get((p, s), ())]
+        outs += [((q, t, ()), c, h) for q, t, c, h in push.get((p, s), ())]
+        if rest:
+            exposed = pop.get((p, s), {}).get(rest[0], ())
+            outs += [((q, t, rest[1:]), c, h) for q, t, c, h in exposed]
+        edges[node] = outs
+        todo.extend(e[0] for e in outs if e[0] not in edges)
+    return lasso_value(instance, edges, sources)
+
+
+class RunAnalysis:
+    """Weighted summaries over (state, period-quotient position).
+
+    A pop fact (p, sym, s) -> (r, t, bit) says that from state p at position
+    s with sym on top, sym is eventually popped, landing in r at t; a level
+    edge (p, s) -> (q, t, bit) is one neutral step or one push-excursion
+    returning to the same stack level.  The bit records whether a repeated
+    state was entered after the start, the target included.  reached holds
+    the (state, position) nodes that some run from the (state, stack) starts
+    enters; only their steps are read.  item_ids numbers every level edge
+    (node, None, (q, t, bit)) and every pop fact (node, sym, (r, t, bit))
+    that the saturation built; pop facts exist only at the demanded (node,
+    symbol) pairs, the push targets closed under level edges.  level_w,
+    push_w and pop_w are the weighted out-edges (state, position, weight,
+    hit) of each reached node that `pushdown_lasso_value` reads;
+    pop_w holds the pop steps of the start stacks' symbols only.  Both
+    induced automata come from the one construction `_induced_matrix`, so
+    on its x-states an omega automaton has the neutral steps and pushes of
+    its x-part's finite automaton.
+    """
+
+    def __init__(self, a, w, starts):
+        self.a = a
+        self.m = a.matrix
+        self.pa = PositionAutomaton.of(w)
+        self.l = a.buchi_count or 0
+        self._saturate(starts)
+
+    def _hit(self, state: int) -> bool:
+        return state < self.l
+
+    def _saturate(self, starts):
+        """Reached nodes, their level edges and the pop facts the pushes can
+        use, then the weights.
+
+        This is the post* saturation of weighted pushdown systems (Reps,
+        Schwoon, Jha and Melski 2005), on the period quotient.  A node is
+        reached when it is a start node, or the target of a level edge, a
+        push, a start-stack pop or a pop fact; its neutral steps, pushes and
+        start-stack pops are read once, when it is first reached.  An item
+        is a level edge (node, None, (q, t, bit)) or a pop fact (node, sym,
+        (r, t, bit)).  Its derivations are: a neutral step c (edge) or a pop
+        step c (fact); an edge followed by a fact from its target (fact); a
+        push c followed by a fact of the pushed symbol (edge).  Pop facts
+        are built on demand: a push demands its pushed symbol at its target,
+        and a demanded (node, sym) pair demands sym at the target of every
+        level edge from node.  A pop fact is created only at a demanded
+        pair, from a pop step read from the symbol's block row or from an
+        edge and a fact.  Worklists of reached nodes, demands and items are
+        drained together, and every join is made by the last of its events,
+        so each pair is joined once.  An edge and a fact are joined when the
+        edge is taken, the fact is taken, or the edge's source becomes
+        demanded for the fact's symbol; a push and a fact when the push is
+        read or the fact is taken.  `solve_derivations` then weighs every
+        item.  Steps at a node no run enters, and facts at an undemanded
+        pair, are in no derivation of a reached node's level edge, so every
+        level edge weighs what it would with every step read and every pop
+        fact built.
+        """
+        pa, hit, m, moves = self.pa, self._hit, self.m, self.m.moves
+        start_syms = {sym for _q, stack in starts for sym in stack}
+        reached: set[tuple[int, int]] = set()
+        facts_at: dict[tuple[tuple[int, int], str], list] = {}
+        edges_into: dict[tuple[int, int], list] = {}
+        edges_from: dict[tuple[int, int], list] = {}
+        pushes_into: dict[tuple[tuple[int, int], str], list] = {}
+        demanded: set[tuple[tuple[int, int], str]] = set()
+        syms_at: dict[tuple[int, int], list] = {}
+        self.push_w: dict[tuple[int, int], list] = {}
+        self.pop_w: dict[tuple[int, int], dict] = {}
+        ids: dict[tuple, int] = {}
+        rules: list[list] = []
+        work: list = []
+        want: list = []
+        fresh: list = []
+
+        def reach(node):
+            if node not in reached:
+                reached.add(node)
+                fresh.append(node)
+
+        def derive(node, sym, target, term):
+            key = (node, sym, target)
+            i = ids.get(key)
+            if i is not None:
+                rules[i].append(term)
+                return
+            ids[key] = len(rules)
+            rules.append([term])
+            work.append(key)
+
+        for q, _stack in starts:
+            reach((q, pa.state_of(0)))
+        while fresh or want or work:
+            if fresh:
+                node = fresh.pop()
+                p, s = node
+                letter, s2 = pa.letter(s), pa.advance(s)
+                neu, pu = moves.get(letter, {}).get(p, ((), ()))
+                for q, c in neu:
+                    derive(node, None, (q, s2, hit(q)), (c, None, None))
+                for delta, q, c in pu:
+                    target = (q, s2)
+                    reach(target)
+                    self.push_w.setdefault(node, []).append((q, s2, c, hit(q)))
+                    pushes_into.setdefault((target, delta), []).append((node, c))
+                    want.append((target, delta))
+                    for (r, t, h), f in facts_at.get((target, delta), ()):
+                        derive(node, None, (r, t, h or hit(q)), (c, f, None))
+                for sym in start_syms:
+                    outs = _pops(m, sym, p, letter)
+                    if outs:
+                        self.pop_w.setdefault(node, {})[sym] = [
+                            (q, s2, c, hit(q)) for q, c in outs
+                        ]
+                        for q, _c in outs:
+                            reach((q, s2))
+                continue
+            if want:
+                demand = want.pop()
+                if demand in demanded:
+                    continue
+                demanded.add(demand)
+                node, sym = demand
+                syms_at.setdefault(node, []).append(sym)
+                p, s = node
+                s2 = pa.advance(s)
+                for q, c in _pops(m, sym, p, pa.letter(s)):
+                    derive(node, sym, (q, s2, hit(q)), (c, None, None))
+                for target, bit, e in edges_from.get(node, ()):
+                    want.append((target, sym))
+                    for (r, t2, h), f in facts_at.get((target, sym), ()):
+                        derive(node, sym, (r, t2, bit or h), (None, e, f))
+                continue
+            key = work.pop()
+            i = ids[key]
+            node, sym, (q, t, bit) = key
+            target = (q, t)
+            reach(target)
+            if sym is None:
+                for sym2 in syms_at.get(node, ()):
+                    want.append((target, sym2))
+                    for (r, t2, h), f in facts_at.get((target, sym2), ()):
+                        derive(node, sym2, (r, t2, bit or h), (None, i, f))
+                edges_into.setdefault(target, []).append((node, bit, i))
+                edges_from.setdefault(node, []).append((target, bit, i))
+                continue
+            for src, c in pushes_into.get((node, sym), ()):
+                derive(src, None, (q, t, bit or hit(node[0])), (c, i, None))
+            for src, h, e in edges_into.get(node, ()):
+                if (src, sym) in demanded:
+                    derive(src, sym, (q, t, h or bit), (None, e, i))
+            facts_at.setdefault((node, sym), []).append(((q, t, bit), i))
+        self.reached = reached
+        self.item_ids = ids
+
+        value = solve_derivations(self.a.instance, rules)
+        self.level_w: dict[tuple[int, int], list] = {}
+        for (node, sym, (q, t, bit)), i in ids.items():
+            if sym is None:
+                self.level_w.setdefault(node, []).append((q, t, value[i], bit))
+

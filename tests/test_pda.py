@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from staromega.pda import (
     ResetPDMatrix,
     SimpleOmegaPDA,
     _successors,
+    _value_graph,
     behavior_finite,
     behavior_omega_lasso,
     expand_entry,
@@ -30,7 +32,7 @@ from staromega.pda import (
     pda_to_json,
     transpose,
 )
-from staromega.semiring import ARCTIC, BOOLEAN, COUNTING, INF, TROPICAL
+from staromega.semiring import ARCTIC, BOOLEAN, COUNTING, INF, TROPICAL, raw_to_json
 from staromega.series import LassoWord, Polynomial, parse_polynomial
 from staromega.system import (
     AlgebraicSystem,
@@ -42,6 +44,7 @@ from staromega.system import (
 
 from idempotent_lasso_reference import HitEdge, lasso_value
 from pda_summary_reference import (
+    RunAnalysis,
     assert_summaries_match,
     at_reached,
     level1_of,
@@ -50,6 +53,7 @@ from pda_summary_reference import (
     push_steps,
     raw_push_of,
     reached_closure,
+    reference_omega_value,
     reference_saturate,
     round_robin_summaries,
     sorted_level_w,
@@ -458,6 +462,10 @@ def test_json_round_trip_and_dot():
 # "json" was recorded again after each flow's row-major file loaded to the
 # same matrix as its grouped one; "json_row_major" keeps the earlier digest,
 # which the grouped file written back in the row-major form still matches.
+# When shared pop columns were drawn once, "dot" was recorded again after each
+# flow's drawing, its hubs expanded, gave the lines of the drawing with one
+# edge per pop; "dot_expanded" keeps the earlier digest, which that drawing
+# (`reference_dot`) still matches.
 PDA_GOLDEN = json.loads(Path(__file__).with_name("pda_golden.json").read_text())
 
 
@@ -474,6 +482,67 @@ def row_major_text(text):
         entries.sort(key=lambda e: (order[e[0]], order[e[1]], e[2]))
     doc["pop"] = dict(sorted(pop.items()))
     return json.dumps(doc, indent=2)
+
+
+def reference_dot(a):
+    """The DOT drawing with one edge per pop, (symbol, source, target,
+    letter), as `pda_to_dot` wrote it before shared columns became hubs."""
+    m = a.matrix
+    lines = ["digraph pda {", "  rankdir=LR;"]
+    for i, name in enumerate(a.state_names):
+        shape = "doublecircle" if a.buchi_count is not None and i < a.buchi_count else "circle"
+        extras = []
+        if not a.initial[i].is_zero():
+            extras.append("initial")
+        if not a.final[i].is_zero():
+            extras.append("final")
+        label = name if not extras else f"{name}\\n({','.join(extras)})"
+        lines.append(f'  "{name}" [shape={shape}, label="{label}"];')
+
+    def emit(block, fmt):
+        for i in sorted(block):
+            row = block[i]
+            for j in sorted(row):
+                for letter, c in sorted(row[j].items()):
+                    weight = "" if c.is_one() else f":{raw_to_json(c.value)}"
+                    lines.append(
+                        f'  "{a.state_names[i]}" -> "{a.state_names[j]}" '
+                        f'[label="{fmt(letter)}{weight}"];'
+                    )
+
+    emit(m.m_eps_eps, lambda letter: f"{letter} #")
+    for sym, block in sorted(m.m_eps_push.items()):
+        emit(block, lambda letter, s=sym: f"{letter} v{s}")
+    for sym in sorted(m.pop_columns):
+        emit(m.pop_block(sym), lambda letter, s=sym: f"{letter} ^{s}")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+DOT_EDGE = re.compile(r'  "(.*)" -> "(.*)" \[label="(.*)"\];')
+
+
+def expand_hubs(dot):
+    """The lines of a DOT drawing with every hub replaced by its in-edges
+    times its out-edges: an edge src -> hub on "letter[:weight]" and an edge
+    hub -> dst on "^symbol" give src -> dst on "letter ^symbol[:weight]"."""
+    lines = dot.splitlines()
+    hubs = {line.split('"')[1] for line in lines if "[shape=point" in line}
+    ins, outs, rest = {}, {}, []
+    for line in lines:
+        edge = DOT_EDGE.fullmatch(line)
+        if edge and edge[2] in hubs:
+            ins.setdefault(edge[2], []).append((edge[1], edge[3]))
+        elif edge and edge[1] in hubs:
+            outs.setdefault(edge[1], []).append((edge[2], edge[3]))
+        elif "[shape=point" not in line:
+            rest.append(line)
+    for hub in hubs:
+        for src, label in ins[hub]:
+            letter, sep, weight = label.partition(":")
+            for dst, up in outs[hub]:
+                rest.append(f'  "{src}" -> "{dst}" [label="{letter} {up}{sep}{weight}"];')
+    return rest
 
 
 def assert_same_automaton(got, want):
@@ -511,8 +580,12 @@ def test_build_pda_output_matches_golden_digests(flow, tmp_path):
     old = row_major_text(text)
     got = {f: hashlib.sha256(p.read_bytes()).hexdigest() for f, p in (("json", out), ("dot", dot))}
     got["json_row_major"] = hashlib.sha256(old.encode()).hexdigest()
+    auto = pda_from_json(text)
+    expanded = reference_dot(auto)
+    got["dot_expanded"] = hashlib.sha256(expanded.encode()).hexdigest()
     assert got == PDA_GOLDEN[flow]
-    assert_same_automaton(pda_from_json(old), pda_from_json(text))
+    assert_same_automaton(pda_from_json(old), auto)
+    assert sorted(expand_hubs(dot.read_text())) == sorted(expanded.splitlines())
 
 
 def test_row_major_file_loads_to_the_grouped_files_automaton(tmp_path):
@@ -659,6 +732,28 @@ def test_exact_value_equals_the_complete_reference_search_on_random_automata():
         else:
             assert ref + got.value == got.value, case
     assert compared >= 100 and nonzero >= 10, (compared, nonzero)
+
+
+def test_exact_value_equals_the_run_analysis_reference_on_random_automata():
+    # the post* saturation and read-off that the route ran on before the
+    # triple grammar, from one configuration and from the initial vector;
+    # over counting too, which no path-summing reference covers
+    compared = nonzero = 0
+    rng = random.Random("exact/run-analysis")
+    for i in range(1000):
+        auto = random_weighted_automaton(rng, (BOOLEAN, TROPICAL, ARCTIC, COUNTING)[i % 4])
+        w = random_lasso(rng)
+        state = rng.randrange(auto.matrix.n_states)
+        stack = tuple(rng.choice("XY") for _ in range(rng.randint(0, 3)))
+        case = (auto.instance.name, str(w), state, stack)
+        for got, starts in (
+            (omega_value_from(auto, w, state, stack), {(state, stack): auto.instance.one}),
+            (behavior_omega_lasso(auto, w), initial_starts(auto)),
+        ):
+            assert got.value == reference_omega_value(auto, w, starts), case
+            compared += 1
+            nonzero += not got.value.is_zero()
+    assert nonzero >= 0.3 * compared, (nonzero, compared)
 
 
 def test_one_step_unfolding_on_random_automata():
@@ -809,11 +904,26 @@ def random_lasso(rng):
     return LassoWord(prefix, tuple(rng.choice("ab") for _ in range(rng.randint(1, 3))))
 
 
+def assert_row0_steps_match(ra, w, starts):
+    """At every row-0 node that the engine's value graph demanded, its
+    z-steps are the reference's level edges plus its pushes, summed per
+    (target, bit): the runs that stay at or above the empty stack."""
+    edges, sources = _value_graph(ra.a, w, starts)
+    demanded = set(sources) | {e[0] for outs in edges.values() for e in outs}
+    for row, node in demanded:
+        if row:
+            continue
+        want = {}
+        for q, t, c, bit in ra.level_w.get(node, []) + ra.push_w.get(node, []):
+            key = ((0, (q, t)), bit)
+            want[key] = want[key] + c if key in want else c
+        got = {(target, bit): c for target, c, bit in edges.get((0, node), ())}
+        assert got == want, node
+
+
 def test_worklist_summaries_equal_round_robin_on_random_automata():
     # induced automata never pop from a repeated state, so random ones also
     # exercise hits inside pop summaries
-    from staromega.pda import _RunAnalysis
-
     rng = random.Random("worklist")
     b = BOOLEAN
     for _ in range(150):
@@ -831,15 +941,15 @@ def test_worklist_summaries_equal_round_robin_on_random_automata():
         m = ResetPDMatrix(b, n, ("a", "b"), ("X", "Y"), block(), pushes, pops)
         names = tuple(map(str, range(n)))
         auto = SimpleOmegaPDA(m, (b.one,) * n, (b.zero,) * n, rng.randint(0, n), names)
-        ra = _RunAnalysis(auto, random_lasso(rng), initial_starts(auto))
+        w = random_lasso(rng)
+        ra = RunAnalysis(auto, w, initial_starts(auto))
         assert_summaries_match(ra, round_robin_summaries(ra))
+        assert_row0_steps_match(ra, w, initial_starts(auto))
 
 
 def test_demanded_summaries_equal_the_full_saturation_on_random_automata():
     # pop facts built on demand leave every level edge and its weight as the
     # saturation of every pop fact gave them
-    from staromega.pda import _RunAnalysis
-
     rng = random.Random("demand/full-saturation")
     pop_facts = 0
     for i in range(300):
@@ -847,11 +957,13 @@ def test_demanded_summaries_equal_the_full_saturation_on_random_automata():
         state = rng.randrange(auto.matrix.n_states)
         stack = tuple(rng.choice("XY") for _ in range(rng.randint(0, 2)))
         w = random_lasso(rng)
-        ra = _RunAnalysis(auto, w, {(state, stack): auto.instance.one})
+        starts = {(state, stack): auto.instance.one}
+        ra = RunAnalysis(auto, w, starts)
         level_w, pop_sum, level1, raw_push = reference_saturate(ra)
         case = (auto.instance.name, str(w), state, stack)
         assert sorted_level_w(ra.level_w) == sorted_level_w(at_reached(ra, level_w)), case
         assert_summaries_match(ra, (pop_sum, level1, raw_push))
+        assert_row0_steps_match(ra, w, starts)
         pop_facts += len(pop_sum_of(ra))
     assert pop_facts >= 300, pop_facts
 
@@ -860,8 +972,6 @@ def test_reached_nodes_are_the_closure_of_the_starts_on_random_automata():
     # a node's steps are read only once a run enters it: the reached nodes are
     # the start nodes closed under the full saturation's level edges, the
     # pushes and the start stacks' pops, and their level edges weigh the same
-    from staromega.pda import _RunAnalysis
-
     rng = random.Random("reached/closure")
     unreached = 0
     for i in range(300):
@@ -870,11 +980,12 @@ def test_reached_nodes_are_the_closure_of_the_starts_on_random_automata():
         stack = tuple(rng.choice("XY") for _ in range(rng.randint(0, 2)))
         starts = {(state, stack): auto.instance.one}
         w = random_lasso(rng)
-        ra = _RunAnalysis(auto, w, starts)
+        ra = RunAnalysis(auto, w, starts)
         level_w, _pop_sum, level1, raw_push = reference_saturate(ra)
         case = (auto.instance.name, str(w), state, stack)
         assert ra.reached == reached_closure(ra, starts, level1, raw_push), case
         assert sorted_level_w(ra.level_w) == sorted_level_w(at_reached(ra, level_w)), case
+        assert_row0_steps_match(ra, w, starts)
         unreached += auto.matrix.n_states * ra.pa.size - len(ra.reached)
     assert unreached >= 100, unreached
 
@@ -884,8 +995,6 @@ def test_push_read_after_a_fact_at_its_target_joins_that_fact():
     # 1 again.  State 2 is reached only by the pop fact at (1, X), so its push
     # is read after that fact was taken, and must still be joined with it:
     # the level edge 2 -> 2 carries the only accepting run
-    from staromega.pda import _RunAnalysis
-
     b = BOOLEAN
     a = {"a": b.one}
     push = {0: {1: a}, 2: {1: a}}
@@ -893,9 +1002,10 @@ def test_push_read_after_a_fact_at_its_target_joins_that_fact():
     m = ResetPDMatrix(b, 3, ("a",), ("X",), {}, {"X": push}, {"X": transpose(pop)})
     auto = SimpleOmegaPDA(m, (b.one, b.zero, b.zero), (b.zero,) * 3, 3, ("0", "1", "2"))
     w = LassoWord((), ("a",))
-    ra = _RunAnalysis(auto, w, initial_starts(auto))
+    ra = RunAnalysis(auto, w, initial_starts(auto))
     assert ra.reached == {(0, 0), (1, 0), (2, 0)}
     assert level1_of(ra) == {(0, 0): {(2, 0, True)}, (2, 0): {(2, 0, True)}}
+    assert_row0_steps_match(ra, w, initial_starts(auto))
     assert behavior_omega_lasso(auto, w).value == b.one
 
 
@@ -904,7 +1014,6 @@ def test_automaton_route_agrees_with_mixed_normal_form(inst):
     # and with the direct system and the folded one: four routes, one value,
     # zero or not, and over counting finite or not
     from staromega.gnf import char_to_mixed, pipeline_from_decomposition
-    from staromega.pda import _RunAnalysis
     from staromega.system import induce_mixed
 
     rng = random.Random(f"automaton-route/{inst.name}")
@@ -916,8 +1025,9 @@ def test_automaton_route_agrees_with_mixed_normal_form(inst):
         folded = induce_mixed(omega_sys)
         auto = induced_omega_pda(folded, omega_sel.component, omega_sel.buchi_count)
         for w in lassos:
-            ra = _RunAnalysis(auto, w, initial_starts(auto))
+            ra = RunAnalysis(auto, w, initial_starts(auto))
             assert_summaries_match(ra, round_robin_summaries(ra))
+            assert_row0_steps_match(ra, w, initial_starts(auto))
             want = canonical_omega_lasso(mixed, sel.buchi_count, sel.component, w)
             got = behavior_omega_lasso(auto, w)
             assert got.conclusive and want.conclusive, str(w)
@@ -942,9 +1052,8 @@ def reference_pda_run_exists(a, w, starts):
     fresh reachability search per head: (a) an empty-stack repetition
     through a repeated state, or (b) a same-level or strictly stack-growing
     repetition at or above a reachable head."""
-    from staromega.pda import _RunAnalysis
-
-    ra = _RunAnalysis(a, w, starts)
+    ra = RunAnalysis(a, w, starts)
+    assert_row0_steps_match(ra, w, dict.fromkeys(starts, a.instance.one))
     level1, raw_push = level1_of(ra), raw_push_of(ra)
     pa = ra.pa
     push, pop = push_steps(ra), pop_steps(ra)
