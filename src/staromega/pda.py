@@ -454,8 +454,8 @@ def _omega_value(a, w, starts) -> LassoResult:
     return LassoResult(OK, _search.lasso_value(a.instance, *_value_graph(a, w, starts)))
 
 
-# the level variable L of the triple grammar; stack symbols are any strings
-_LEVEL = object()
+# the level variable L: never a stack symbol, hashed alike in every process
+_LEVEL = ("level",)
 
 
 def _value_graph(a: SimpleOmegaPDA, w: LassoWord, starts):
