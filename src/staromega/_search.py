@@ -3,9 +3,7 @@
 Runs over an ultimately periodic word u v^omega are analysed on a finite
 quotient: one node per prefix position plus one node per period offset.
 A finite word w is the quotient without a period: its |w| + 1 positions,
-the last one reading no letter.  `accepting_cycle_exists` decides whether
-any accepting run exists at all, one component labelling of a Boolean
-graph that the grammar route builds.
+the last one reading no letter.
 
 Both routes are exact on all four instances, counting included, and share
 one saturation, one solver and one read-off.  `derivation_items` is the
@@ -15,13 +13,16 @@ automaton's, read as a lazy triple grammar over (state, position) pairs
 (`pda._value_graph`).  `solve_derivations` computes the least solution
 of its summary system, each item a sum over derivations; on the finite
 quotient, the grammar's derivation weights are the word's segment
-coefficients.  The z-steps are the edges of a value graph, each consuming
-a letter and carrying a hit bit: every automaton move reads a letter, and
-the grammar route closes its letter-free steps first.  `lasso_value` reads
-the value off that graph: nodes are split by the hit bit of the edge
-entering them, `path_sums` weighs the paths into each strongly connected
-component, and `matrix._omega_t` of the component's own block weighs the
-infinite paths inside it.
+coefficients.  The z-steps are the edges of a value graph, each carrying a
+hit bit and a letter bit: every automaton move reads a letter, and a
+grammar's z-step may read none.  `lasso_value` reads the value off that
+graph on both routes.  It is zero at once when `accepting_cycle_exists`,
+one component labelling of the reachable part, finds no cycle through a
+letter edge and a hit edge.  Otherwise nodes are split into three copies
+by what the edge entering them leaves pending, `path_sums` weighs the
+paths into each strongly connected component, letter-free ones included,
+and `matrix._omega_t` of the component's own block weighs the infinite
+paths inside it.
 """
 
 from __future__ import annotations
@@ -77,23 +78,6 @@ class PositionAutomaton:
         return self.prefix_len + (pos - self.prefix_len) % len(self.period)
 
 
-def _reachable(edges: dict[Node, list[tuple]], sources: Iterable[Node]) -> dict[Node, None]:
-    """Nodes reachable from the sources, in discovery order.
-
-    Every edge is a tuple whose first field is its target.
-    """
-    seen = dict.fromkeys(sources)
-    stack = list(seen)
-    while stack:
-        n = stack.pop()
-        for e in edges.get(n, ()):
-            m = e[0]
-            if m not in seen:
-                seen[m] = None
-                stack.append(m)
-    return seen
-
-
 def _sccs(nodes: Iterable[Node], edges: dict[Node, list[tuple]]) -> list[list[Node]]:
     """Tarjan strongly connected components, iterative, sinks first.
 
@@ -146,28 +130,20 @@ def _sccs(nodes: Iterable[Node], edges: dict[Node, list[tuple]]) -> list[list[No
     return out
 
 
-def _component_index(nodes: Iterable[Node], edges: dict[Node, list[tuple]]) -> dict[Node, int]:
-    """Component number of every node reached from `nodes`; sinks come first."""
-    return {n: ci for ci, comp in enumerate(_sccs(nodes, edges)) for n in comp}
-
-
-def accepting_cycle_exists(
-    edges: dict[Node, list[tuple[Node, bool, bool]]], sources: Iterable[Node]
-) -> bool:
+def accepting_cycle_exists(edges: dict[Node, list[tuple]], sources: Iterable[Node]) -> bool:
     """Is there an infinite path from the sources with infinitely many letter
     edges and infinitely many hit edges?
 
-    Edges are (target, letter, hit).  Such a path ends inside one strongly
-    connected component, and a component with an internal letter edge and an
-    internal hit edge carries such a path, so one component labelling of
-    the reachable part decides it.
+    Edges are (target, weight, hit, letter) tuples.  Such a path ends inside
+    one strongly connected component, and a component with an internal
+    letter edge and an internal hit edge carries such a path, so one
+    component labelling of the reachable part decides it.
     """
-    reach = _reachable(edges, sources)
-    comp_of = _component_index(reach, edges)
+    comps = _sccs(sources, edges)
+    comp_of = {n: ci for ci, comp in enumerate(comps) for n in comp}
     letter, hit = set(), set()
-    for n in reach:
-        ci = comp_of[n]
-        for target, is_letter, is_hit in edges.get(n, ()):
+    for n, ci in comp_of.items():
+        for target, _w, is_hit, is_letter in edges.get(n, ()):
             if comp_of[target] == ci:
                 if is_letter:
                     letter.add(ci)
@@ -418,36 +394,55 @@ def lasso_value(
     sources: dict[Node, SemiringValue],
 ) -> SemiringValue:
     """Sum of the weights of the infinite paths from the weighted sources
-    that take infinitely many hit edges.
+    that take infinitely many letter edges and infinitely many hit edges.
 
-    Edges are (target, weight, hit) tuples.  Each node is split by the hit
-    bit of the edge that enters it, a source entering with none, so these
-    paths are those that visit the split nodes with the bit set, the Buchi
-    nodes, infinitely often.  Such a path ends inside one strongly connected
-    component C of the split graph, which it enters once.  So the value is
-    the sum, over the components C that hold a Buchi node, of the weights
-    entering C (`path_sums`) times omega_t of C's own block, with C's t
-    Buchi nodes numbered first: the paper's omega_k on a block-triangular
-    matrix (Esik and Kuich 2005).  `matrix._omega_t` counts every path
-    once, so the value is exact on every instance, counting included.
+    Edges are (target, weight, hit, letter) tuples.  The value is zero at
+    once when `accepting_cycle_exists` finds no such path.  Otherwise each
+    node is split into three copies by what the edge entering it leaves
+    pending: copy 0 nothing, as at a source; copy 1, entered by a letter-free
+    edge, a hit since the last letter edge; copy 2, the Buchi copy, entered
+    by a letter edge with a hit on it or since the letter edge before.  Copy
+    1 exists only at targets of letter-free edges.  The paths above are those that visit the
+    Buchi copies infinitely often, and each ends inside one strongly
+    connected component C of the split graph, which it enters once.  So the
+    value is the sum, over the components C that hold a Buchi copy, of the
+    weights entering C (`path_sums`) times omega_t of C's own block, with
+    C's t Buchi copies numbered first: the paper's omega_k on a
+    block-triangular matrix (Esik and Kuich 2005).  `path_sums` and
+    `matrix._omega_t` count every path once, letter-free ones included, so
+    the value is exact on every instance, counting included.
     """
     add, mul, zero = instance.add_raw, instance.mul_raw, instance.zero_raw()
-    src = {(n, False): w.value for n, w in sources.items() if not w.is_zero()}
-    # both copies of a node share its out-edges
-    outs = {
-        n: [((m, hit), w.value) for m, w, hit in es if not w.is_zero()]
-        for n, es in edges.items()
-    }
-    split = {(n, hit): es for n, es in outs.items() for hit in (False, True)}
+    src = {n: w for n, w in sources.items() if not w.is_zero()}
+    if not accepting_cycle_exists(edges, src):
+        return instance.zero
+    split: dict[tuple, list] = {}
+    pending_at = set()
+    for n, es in edges.items():
+        # copies 0 and 2 have nothing pending and share their out-edges
+        split[(n, 0)] = split[(n, 2)] = [
+            ((m, (2 if letter else 1) if hit else 0), w.value)
+            for m, w, hit, letter in es
+            if not w.is_zero()
+        ]
+        pending_at.update(m for m, _w, _hit, letter in es if not letter)
+    for n in pending_at:
+        split[(n, 1)] = [
+            ((m, 2 if letter else 1), w.value)
+            for m, w, _hit, letter in edges.get(n, ())
+            if not w.is_zero()
+        ]
     total = zero
-    for nodes, block, entry, _sums in path_sums(instance, split, src):
-        buchi = [i for i, (_n, hit) in enumerate(nodes) if hit]
+    for nodes, block, entry, _sums in path_sums(
+        instance, split, {(n, 0): w.value for n, w in src.items()}
+    ):
+        buchi = [i for i, (_n, copy) in enumerate(nodes) if copy == 2]
         if not buchi:
             continue
         if len(nodes) == 1:
             omega = [instance.omega_raw(block[0][0])]
         else:
-            order = buchi + [i for i, (_n, hit) in enumerate(nodes) if not hit]
+            order = buchi + [i for i, (_n, copy) in enumerate(nodes) if copy != 2]
             entry = [entry[i] for i in order]
             omega = _omega_t(instance, [[block[i][j] for j in order] for i in order], len(buchi))
         for e, v in zip(entry, omega):

@@ -125,15 +125,17 @@ def parse_grammar(text: str) -> GrammarFile:
                         raise GrammarError(f"variable {v} declared twice", lineno)
                     sorts[v] = fields[1]
                     order.append(v)
+                if "y" in sorts.values() and len(set(sorts.values())) > 1:
+                    raise GrammarError("y-variables cannot be mixed with x/z-variables", lineno)
             elif directive == "@start":
                 if len(fields) != 2:
                     raise GrammarError("@start takes one variable", lineno)
                 start = fields[1]
             elif directive == "@buchi":
                 try:
-                    buchi = int(fields[1])
-                except (IndexError, ValueError):
-                    raise GrammarError("@buchi takes an integer", lineno) from None
+                    (buchi,) = map(int, fields[1:])
+                except ValueError:
+                    raise GrammarError("@buchi takes one integer", lineno) from None
             else:
                 raise GrammarError(f"unknown directive {directive}", lineno)
             continue
@@ -150,7 +152,9 @@ def parse_grammar(text: str) -> GrammarFile:
         raise GrammarError("missing @sort directive", 1)
     known = set(terminals) | set(sorts)
     rhs_by_var: dict[str, Polynomial] = {}
+    line_of = {}
     for lhs, rhs, lineno in equations:
+        line_of[lhs] = lineno
         if lhs not in sorts:
             raise GrammarError(f"equation for undeclared variable {lhs}", lineno)
         if lhs in rhs_by_var:
@@ -168,8 +172,6 @@ def parse_grammar(text: str) -> GrammarFile:
         y_vars = tuple(v for v in order)
         sys = OmegaSystem(instance, ts, y_vars, tuple(rhs_by_var[v] for v in y_vars))
         return GrammarFile(instance, ts, "omega", sys, start, buchi)
-    if "y" in kinds:
-        raise GrammarError("y-variables cannot be mixed with x/z-variables", 1)
     x_vars = tuple(v for v in order if sorts[v] == "x")
     z_vars = tuple(v for v in order if sorts[v] == "z")
     z_ix = {z: j for j, z in enumerate(z_vars)}
@@ -180,7 +182,7 @@ def parse_grammar(text: str) -> GrammarFile:
             w = mono.word
             if not w or w[-1] not in z_ix or any(s in z_ix for s in w[:-1]):
                 raise GrammarError(
-                    f"z-equation for {zi} must be right-linear in z-variables", 1
+                    f"z-equation for {zi} must be right-linear in z-variables", line_of[zi]
                 )
             terms.setdefault(z_ix[w[-1]], []).append((mono.coeff, w[:-1]))
         rho_rows.append(sparse_row(instance, terms))

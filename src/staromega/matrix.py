@@ -40,18 +40,9 @@ semiring, and the identity suite and the tests check the sweep against them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .semiring import (
-    SemiringError,
-    SemiringInstance,
-    SemiringValue,
-    _scalar,
-    instance_by_name,
-    raw_from_json,
-    raw_to_json,
-)
+from .semiring import SemiringError, SemiringInstance, SemiringValue, _scalar
 
 
 @dataclass(frozen=True)
@@ -353,25 +344,3 @@ def mat_omega_t_blocks(m: SemiringMatrix, t: int) -> OmegaVector:
         return mat_omega_blocks(m)
     raw = _coarse_split(inst, _unwrap(m), t, lambda f: _omega_blocks(inst, f))
     return _wrap_vector(inst, raw)
-
-
-# -- JSON round trip -------------------------------------------------------
-
-
-def matrix_to_json(m: SemiringMatrix) -> str:
-    doc = {
-        "semiring": m.instance.name,
-        "n": m.n,
-        "rows": [[raw_to_json(v.value) for v in row] for row in m.rows],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def matrix_from_json(text: str) -> SemiringMatrix:
-    doc = json.loads(text)
-    inst = instance_by_name(doc["semiring"])
-    rows = tuple(
-        tuple(inst.value(raw_from_json(v)) for v in row) for row in doc["rows"]
-    )
-    m = SemiringMatrix(inst, doc["n"], rows)
-    return m

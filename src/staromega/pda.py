@@ -38,9 +38,10 @@ built only where a push can use them.  An infinite run returns to its
 lowest recurring stack height forever or leaves every height for good, so
 its weight is that of a path of level steps, never-popped pushes and pops
 of its start stack (the repeating heads of Bouajjani, Esparza and Maler
-1997): the z-steps of one z-row per start-stack suffix, which
-`_search.lasso_value` sums over with the grammar route's read-off,
-omega_t per strongly connected component.  No answer depends on a cap.
+1997): the z-steps of one z-row per start-stack suffix, every one a letter
+edge, which `_search.lasso_value` sums over with the grammar route's zero
+test and read-off, omega_t per strongly connected component.  No answer
+depends on a cap.
 """
 
 from __future__ import annotations
@@ -474,8 +475,9 @@ def _value_graph(a: SimpleOmegaPDA, w: LassoWord, starts):
     and a pop of the suffix's top goes to the next suffix's row.  Every
     infinite run splits at the points where the stack never again gets
     lower into such steps, so its runs are the paths of the z-steps.
-    Returns the value graph {(row, position): [(target, weight, hit)]} and
-    its weighted sources, the start nodes.
+    Returns the value graph {(row, position): [(target, weight, hit,
+    letter)]}, every edge a letter edge, and its weighted sources, the start
+    nodes.
     """
     m, pa, l = a.matrix, _search.PositionAutomaton.of(w), a.buchi_count
     rows = {(): 0}
@@ -515,7 +517,7 @@ def _value_graph(a: SimpleOmegaPDA, w: LassoWord, starts):
     for key, i in ids.items():
         if key[0] not in variables:
             (r, r2), node, target, bit = key
-            edges.setdefault((r, node), []).append(((r2, target), value[i], bit))
+            edges.setdefault((r, node), []).append(((r2, target), value[i], bit, True))
     return edges, sources
 
 

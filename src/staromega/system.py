@@ -10,8 +10,10 @@ the automaton route runs on too) and of the z-coefficients on them, on
 demand from the start: only the (variable, position) pairs and (z-variable,
 position) nodes that the start reaches are read.  The z-coefficients'
 weights are the edges of the graph that `_search.lasso_value` reads the
-value off, by the omega_t of each strongly connected component, so the
-value is exact on all four instances, counting included.  A finite word
+value off, as it reads an automaton's: an edge may consume no letter, and
+the read-off sums such edges itself, by the omega_t of each strongly
+connected component, so the value is exact on all four instances,
+counting included.  A finite word
 is the quotient without a period, so the coefficients of its segments
 (`SegmentTable`) are the same derivation weights.  No answer depends on a
 cap.
@@ -30,13 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from ._search import (
-    PositionAutomaton,
-    _sccs,
-    accepting_cycle_exists,
-    derivation_items,
-    lasso_value,
-)
+from ._search import PositionAutomaton, _sccs, derivation_items, lasso_value
 from .matrix import _star
 from .semiring import INF, SemiringError, SemiringInstance, SemiringValue, _scalar
 from .series import (
@@ -740,14 +736,13 @@ def canonical_omega_lasso(
     least finite solution, Buchi-restricted to the first k z-variables.  The
     runs are paths of the z-graph over (z-variable, position) whose edges are
     the z-coefficients evaluated on the exact derivation weights of
-    `support_triples`.  Its Boolean projection decides the zero case first.
-    Letter-free edges are closed by one matrix star, keeping whether a Buchi
-    z-variable was visited, so every remaining edge consumes a letter; an
-    edge hits when its closure or its target visits a Buchi z-variable, and
-    `lasso_value` reads the value off that graph.  Each run is one path of
-    the graph, so the value is exact on every instance, counting included.
+    `_z_steps`.  An edge hits when its target is a Buchi z-variable, and
+    consumes a letter or not.  A run takes infinitely many letter edges, so
+    `lasso_value` sums the paths with infinitely many letter edges and
+    infinitely many hit edges, letter-free ones between them included.  Each
+    run is one path of the graph, so the value is exact on every instance,
+    counting included.
     """
-    inst = sys.instance
     m = sys.m
     if not 0 <= k <= m:
         raise IllFormedSystem(f"Buchi count {k} out of range 0..{m}")
@@ -756,53 +751,8 @@ def canonical_omega_lasso(
 
     pa = PositionAutomaton.of(w)
     start = (component, pa.state_of(0))
-    steps = _z_steps(sys, pa, start)
-    support = {
-        node: [((j2, t), bit, j2 < k) for j2, t, bit in outs] for node, outs in steps.items()
+    edges = {
+        node: [((j2, t), c, j2 < k, bit) for (j2, t, bit), c in outs.items()]
+        for node, outs in _z_steps(sys, pa, start).items()
     }
-    if not accepting_cycle_exists(support, [start]):
-        return LassoResult(OK, inst.zero)
-
-    # letter-free steps keep the position and do not depend on it; close
-    # them first, so that every edge of the value graph consumes a letter
-    eps = {(j, j2): c for (j, _s), outs in steps.items()
-           for (j2, _t, bit), c in outs.items() if not bit}
-    if eps:
-        hits = _epsilon_closure_with_hits(inst, eps, m, k)
-        closure = [
-            [(mid, bool(b), h[j][mid]) for b, h in enumerate(hits) for mid in range(m)
-             if not h[j][mid].is_zero()]
-            for j in range(m)
-        ]
-    else:
-        closure = [[(j, False, inst.one)] for j in range(m)]
-    edges: dict[tuple[int, int], list[tuple]] = {}
-    for j, s in steps:
-        acc: dict[tuple[tuple[int, int], bool], SemiringValue] = {}
-        for mid, hit, h in closure[j]:
-            for (j2, t, bit), c in steps[(mid, s)].items():
-                if bit:
-                    key = ((j2, t), hit or j2 < k)
-                    prev = acc.get(key)
-                    acc[key] = h * c if prev is None else prev + h * c
-        edges[(j, s)] = [(node, c, hit) for (node, hit), c in acc.items()]
-    return LassoResult(OK, lasso_value(inst, edges, {start: inst.one}))
-
-
-def _epsilon_closure_with_hits(inst, eps, m, k):
-    """Closure of the empty-factor step matrix, split by Buchi visits en route.
-
-    eps holds the nonzero empty-factor steps, keyed by (row, column).
-    """
-    size = 2 * m
-    add = inst.add_raw
-    rows = [[inst.zero_raw()] * size for _ in range(size)]
-    for (j, j2), v in eps.items():
-        for b in (0, 1):
-            b2 = 1 if (b or j2 < k) else 0
-            src, dst = j + b * m, j2 + b2 * m
-            rows[src][dst] = add(rows[src][dst], v.value)
-    star = _star(inst, rows)
-    h0 = [[_scalar(inst, v) for v in row[:m]] for row in star[:m]]
-    h1 = [[_scalar(inst, v) for v in row[m:]] for row in star[:m]]
-    return h0, h1
+    return LassoResult(OK, lasso_value(sys.instance, edges, {start: sys.instance.one}))

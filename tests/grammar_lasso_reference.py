@@ -6,16 +6,77 @@ weights, the Jacobi segment table that `SegmentTable` used before it read
 them off the quotient of a finite word, and the weighted saturation of
 every (variable, position) pair with the z-coefficients evaluated on it,
 as the route computed it before it built only what the start can use.
-The tests compare the exact route against them: the support fixpoint
-must equal the Boolean projection of `support_triples`, a capped search
-sums a subset of the runs, so its value must lie below the exact one in
-the natural order, the Jacobi table must equal `SegmentTable` wherever it
-settles, and the z-steps must be those of the full saturation.
+The closure construction is how the route read off letter-free z-steps
+before `_search.lasso_value` summed them itself.  The tests compare the
+exact route against them: the support fixpoint must equal the Boolean
+projection of `support_triples`, a capped search sums a subset of the
+runs, so its value must lie below the exact one in the natural order, the
+Jacobi table must equal `SegmentTable` wherever it settles, the z-steps
+must be those of the full saturation, and the value must be the closure
+construction's.
 """
 
 from idempotent_lasso_reference import HitEdge, lasso_value
+from staromega import _search
 from staromega._search import PositionAutomaton, solve_derivations
-from staromega.system import NotStabilized, _epsilon_closure_with_hits
+from staromega.matrix import _star
+from staromega.semiring import _scalar
+from staromega.system import NotStabilized, _z_steps
+
+
+def _epsilon_closure_with_hits(inst, eps, m, k):
+    """Closure of the empty-factor step matrix, split by Buchi visits en route.
+
+    eps holds the nonzero empty-factor steps, keyed by (row, column).
+    """
+    size = 2 * m
+    add = inst.add_raw
+    rows = [[inst.zero_raw()] * size for _ in range(size)]
+    for (j, j2), v in eps.items():
+        for b in (0, 1):
+            b2 = 1 if (b or j2 < k) else 0
+            src, dst = j + b * m, j2 + b2 * m
+            rows[src][dst] = add(rows[src][dst], v.value)
+    star = _star(inst, rows)
+    h0 = [[_scalar(inst, v) for v in row[:m]] for row in star[:m]]
+    h1 = [[_scalar(inst, v) for v in row[m:]] for row in star[:m]]
+    return h0, h1
+
+
+def closure_omega_lasso(sys, k, component, w):
+    """`canonical_omega_lasso` by closing the letter-free z-steps first.
+
+    Letter-free steps keep the position and do not depend on it, so one
+    matrix star closes them, keeping whether a Buchi z-variable was visited.
+    Every edge of the closed graph is a closure followed by one letter step,
+    and it hits when its closure or its target visits a Buchi z-variable.
+    """
+    inst, m = sys.instance, sys.m
+    pa = PositionAutomaton.of(w)
+    start = (component, pa.state_of(0))
+    steps = _z_steps(sys, pa, start)
+    eps = {(j, j2): c for (j, _s), outs in steps.items()
+           for (j2, _t, bit), c in outs.items() if not bit}
+    if eps:
+        hits = _epsilon_closure_with_hits(inst, eps, m, k)
+        closure = [
+            [(mid, bool(b), h[j][mid]) for b, h in enumerate(hits) for mid in range(m)
+             if not h[j][mid].is_zero()]
+            for j in range(m)
+        ]
+    else:
+        closure = [[(j, False, inst.one)] for j in range(m)]
+    edges = {}
+    for j, s in steps:
+        acc = {}
+        for mid, hit, h in closure[j]:
+            for (j2, t, bit), c in steps[(mid, s)].items():
+                if bit:
+                    key = ((j2, t), hit or j2 < k)
+                    prev = acc.get(key)
+                    acc[key] = h * c if prev is None else prev + h * c
+        edges[(j, s)] = [(node, c, hit, True) for (node, hit), c in acc.items()]
+    return _search.lasso_value(inst, edges, {start: inst.one})
 
 
 class JacobiSegmentTable:

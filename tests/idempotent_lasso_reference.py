@@ -14,11 +14,33 @@ period-aligned nodes and `is_buchi` the accepting ones.
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from staromega._search import _component_index, _reachable
+from staromega._search import _sccs
 from staromega.semiring import INF, SemiringError, SemiringInstance, SemiringValue
 
 Node = Hashable
 Edge = tuple[Node, SemiringValue]
+
+
+def _reachable(edges: dict[Node, list[tuple]], sources) -> dict[Node, None]:
+    """Nodes reachable from the sources, in discovery order.
+
+    Every edge is a tuple whose first field is its target.
+    """
+    seen = dict.fromkeys(sources)
+    stack = list(seen)
+    while stack:
+        n = stack.pop()
+        for e in edges.get(n, ()):
+            m = e[0]
+            if m not in seen:
+                seen[m] = None
+                stack.append(m)
+    return seen
+
+
+def _component_index(nodes, edges: dict[Node, list[tuple]]) -> dict[Node, int]:
+    """Component number of every node reached from `nodes`; sinks come first."""
+    return {n: ci for ci, comp in enumerate(_sccs(nodes, edges)) for n in comp}
 
 
 def path_sums(

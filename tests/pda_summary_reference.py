@@ -285,11 +285,11 @@ def pushdown_lasso_value(instance, pa, level, push, pop, starts):
         if node in edges:
             continue
         p, s, rest = node
-        outs = [((q, t, rest), c, h) for q, t, c, h in level.get((p, s), ())]
-        outs += [((q, t, ()), c, h) for q, t, c, h in push.get((p, s), ())]
+        outs = [((q, t, rest), c, h, True) for q, t, c, h in level.get((p, s), ())]
+        outs += [((q, t, ()), c, h, True) for q, t, c, h in push.get((p, s), ())]
         if rest:
             exposed = pop.get((p, s), {}).get(rest[0], ())
-            outs += [((q, t, rest[1:]), c, h) for q, t, c, h in exposed]
+            outs += [((q, t, rest[1:]), c, h, True) for q, t, c, h in exposed]
         edges[node] = outs
         todo.extend(e[0] for e in outs if e[0] not in edges)
     return lasso_value(instance, edges, sources)

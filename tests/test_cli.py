@@ -13,7 +13,7 @@ from staromega.cli import (
     parse_grammar,
 )
 from staromega.semiring import INF
-from staromega.system import is_gnf_mixed, is_gnf_omega
+from staromega.system import is_gnf_mixed, is_gnf_omega, least_solution_finite
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "staromega" / "data"
 TEST_DATA = Path(__file__).resolve().parent / "data"
@@ -52,6 +52,18 @@ def test_parse_error_carries_location():
         parse_grammar("@semiring tropical\n@alphabet a\n")
     with pytest.raises(GrammarError):
         parse_grammar("@semiring tropical\n@alphabet a\n@sort x x1\nq = a\n")
+    for lines, line, message in (
+        # a second Buchi count is not dropped
+        (["@sort z z1", "@buchi 1 2", "z1 = a z1"], 4, "@buchi takes one integer"),
+        (["@sort z z1", "@buchi", "z1 = a z1"], 4, "@buchi takes one integer"),
+        # the @sort line that mixes y with x or z
+        (["@sort y y1", "@sort x x1", "y1 = a y1"], 4, "cannot be mixed"),
+        (["@sort z z1", "", "@sort y y1"], 5, "cannot be mixed"),
+    ):
+        text = "\n".join(["@semiring boolean", "@alphabet a"] + lines) + "\n"
+        with pytest.raises(GrammarError, match=message) as info:
+            parse_grammar(text)
+        assert info.value.line == line, lines
 
 
 def test_parse_rejects_nonlinear_z():
@@ -59,8 +71,9 @@ def test_parse_rejects_nonlinear_z():
         "@semiring boolean\n@alphabet a\n@sort x x1\n@sort z z1\n"
         "x1 = a\nz1 = a z1 z1\n"
     )
-    with pytest.raises(GrammarError):
+    with pytest.raises(GrammarError, match="right-linear") as info:
         parse_grammar(bad)
+    assert info.value.line == 6
 
 
 # -- commands ---------------------------------------------------------------------
@@ -496,6 +509,51 @@ def test_counting_lasso_values_agree_on_every_route(name, want, route, tmp_path,
     capsys.readouterr()
     assert main(["eval", path, "--lasso", ":a"]) == EXIT_OK
     assert capsys.readouterr().out == want + "\n"
+
+
+@pytest.mark.parametrize("route", ["grammar", "automaton"])
+def test_letter_free_entries_of_the_buchi_variable_count(route, tmp_path, capsys):
+    # on b^omega eps_z_cycle.grm enters its Buchi variable z1 only by
+    # letter-free steps, and each a of the prefix costs 1
+    path = str(TEST_DATA / "eps_z_cycle.grm")
+    if route == "automaton":
+        nf, auto = str(tmp_path / "nf.grm"), str(tmp_path / "auto.json")
+        assert main(["gnf", path, "--out", nf]) == EXIT_OK
+        assert main(["build-pda", nf, "--out", auto]) == EXIT_OK
+        path = auto
+    capsys.readouterr()
+    for lasso, want in ((":b", "0\n"), ("a:b", "1\n"), ("aa:b", "2\n")):
+        assert main(["eval", path, "--lasso", lasso]) == EXIT_OK
+        assert capsys.readouterr().out == want, lasso
+
+
+def long_zero_gain_eps_cycle(n=130):
+    """Arctic x_i = x_{i+1} round a cycle of n variables, x1 also deriving a
+    and x_n the empty word at weight 5: the cycle gains nothing, and the
+    weight 5 takes a Kleene round per variable to reach x1."""
+    lines = ["@semiring arctic", "@alphabet a", "@sort x " + " ".join(f"x{i}" for i in range(1, n + 1))]
+    lines += ["x1 = x2 | a"] + [f"x{i} = x{i + 1}" for i in range(2, n)] + [f"x{n} = x1 | (5) eps"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_long_zero_gain_eps_cycle_settles_on_the_finite_route(tmp_path, capsys):
+    text = long_zero_gain_eps_cycle()
+    series = least_solution_finite(parse_grammar(text).system.x_part, 1)[0]
+    assert series.coeff(()).value == 5 and series.coeff(("a",)).value == 0
+    assert main(["eval", grm(tmp_path, text), "--word", "a"]) == EXIT_OK
+    assert capsys.readouterr().out == "0\n"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="eps_coefficients caps the empty-word rounds at 128 and least_solution_finite "
+    "at 256, so the normal form gives up on a cycle the finite route solves (ROADMAP item 2)",
+)
+def test_a_long_zero_gain_eps_cycle_has_a_normal_form(tmp_path, capsys):
+    path, nf = grm(tmp_path, long_zero_gain_eps_cycle()), str(tmp_path / "nf.grm")
+    assert main(["gnf", path, "--target", "mixed", "--out", nf]) == EXIT_OK
+    assert main(["eval", nf, "--word", "a"]) == EXIT_OK
+    assert capsys.readouterr().out == "0\n"
 
 
 # -- variable names on the command line and malformed automata -------------------

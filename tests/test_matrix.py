@@ -19,8 +19,6 @@ from staromega.matrix import (
     mat_star_blocks,
     mat_vec_mul,
     mat_zero,
-    matrix_from_json,
-    matrix_to_json,
 )
 from staromega.semiring import (
     ARCTIC,
@@ -279,14 +277,3 @@ def test_large_omega_is_fixed_point_and_split_independent(inst):
         if inst is BOOLEAN:
             assert vraw(v) == buchi_oracle(m, t), t
     assert len(seen) > 1
-
-
-# -- JSON -------------------------------------------------------------------------
-
-
-def test_json_round_trip():
-    rng = random.Random(41)
-    for inst in ALL:
-        m = rand_matrix(rng, inst, 3)
-        again = matrix_from_json(matrix_to_json(m))
-        assert again.rows == m.rows and again.instance is m.instance

@@ -917,7 +917,7 @@ def assert_row0_steps_match(ra, w, starts):
         for q, t, c, bit in ra.level_w.get(node, []) + ra.push_w.get(node, []):
             key = ((0, (q, t)), bit)
             want[key] = want[key] + c if key in want else c
-        got = {(target, bit): c for target, c, bit in edges.get((0, node), ())}
+        got = {(target, bit): c for target, c, bit, _letter in edges.get((0, node), ())}
         assert got == want, node
 
 

@@ -704,3 +704,29 @@ def test_demanded_z_steps_equal_the_full_saturation_on_random_mixed_systems(inst
         assert got == reference_z_steps(sys, pa, sigma, start), (str(w), start)
         steps += sum(map(len, got.values()))
     assert steps >= 300, steps
+
+
+@pytest.mark.parametrize("inst", [BOOLEAN, TROPICAL, ARCTIC, COUNTING], ids=lambda i: i.name)
+def test_split_read_off_equals_the_epsilon_closure_on_random_mixed_systems(inst):
+    # lasso_value sums the letter-free z-steps itself; closing them first by
+    # a matrix star, as the route did before, gives the same value at every
+    # Buchi count and component, and ε and chain monomials in the z-rows
+    # make letter-free steps and cycles of them
+    from grammar_lasso_reference import closure_omega_lasso
+
+    rng = random.Random(f"split-read-off/{inst.name}")
+    values = nonzero_with_eps = 0
+    for _ in range(250):
+        sys = random_mixed_system(rng, inst)
+        prefix = tuple(rng.choice("ab") for _ in range(rng.randint(0, 2)))
+        w = LassoWord(prefix, tuple(rng.choice("ab") for _ in range(rng.randint(1, 3))))
+        pa = PositionAutomaton.of(w)
+        for comp in range(sys.m):
+            steps = _z_steps(sys, pa, (comp, pa.state_of(0)))
+            has_eps = any(not bit for outs in steps.values() for _j, _t, bit in outs)
+            for k in range(sys.m + 1):
+                got = canonical_omega_lasso(sys, k, comp, w).value
+                assert got == closure_omega_lasso(sys, k, comp, w), (str(w), k, comp)
+                values += 1
+                nonzero_with_eps += has_eps and not got.is_zero()
+    assert values >= 1500 and nonzero_with_eps >= 100, (values, nonzero_with_eps)
