@@ -55,7 +55,7 @@ class SuiteResult:
 # -- identity suite -------------------------------------------------------------
 
 
-def _scalar_laws(result: SuiteResult) -> None:
+def _scalar_laws(result: SuiteResult, rng: Random) -> None:
     for inst in INSTANCES.values():
         grid = [inst.value(v) for v in inst.grid()]
         bad = []
@@ -88,20 +88,40 @@ def _scalar_laws(result: SuiteResult) -> None:
             and inst.axpy_raw(y, left, z) != [add(a, mul(left, b)) for a, b in zip(y, z)]
         ]
         result.add(f"raw-kernels[{inst.name}]", not bad_lefts, f"violations={len(bad_lefts)}")
-        # the instance's Lehmann sweep against the generic body, swept matrix
-        # and pre-pivot columns, on seeded matrices in both pivot orders
-        rng = Random(f"raw-sweep/{inst.name}")
+        # the absorbing top that the sweep's saturated-row skip relies on
+        top = inst.top_raw()
+        bad_tops = [v for v in raw if add(top, v) != top]
+        result.add(f"top-absorbs[{inst.name}]", not bad_tops, f"violations={len(bad_tops)}")
+        # the instance's Lehmann sweep against the plain cell-by-cell update,
+        # swept matrix and pre-pivot columns, in both pivot orders: sparse
+        # and dense grid draws, and small dense draws from two grid values,
+        # whose rows fill up with one constant, so that a wrong top shows
+        draws = [(n, density, raw) for n in range(17) for density in (0.2, 0.6, 1.0)]
+        draws += [(rng.randint(2, 5), 1.0, rng.sample(raw, 2)) for _ in range(400)]
         bad_sweeps = 0
-        for n in range(13):
-            for density in (0.2, 0.6):
-                m = [[rng.choice(raw) if rng.random() < density else zero for _ in range(n)]
-                     for _ in range(n)]
-                for order in (range(n), range(n - 1, -1, -1)):
-                    fast, generic = [list(row) for row in m], [list(row) for row in m]
-                    got = inst.sweep_raw(fast, order), fast
-                    if got != (SemiringInstance.sweep_raw(inst, generic, order), generic):
-                        bad_sweeps += 1
+        for n, density, values in draws:
+            m = [[rng.choice(values) if rng.random() < density else zero for _ in range(n)]
+                 for _ in range(n)]
+            for order in (range(n), range(n - 1, -1, -1)):
+                fast, plain = [list(row) for row in m], [list(row) for row in m]
+                if (inst.sweep_raw(fast, order), fast) != (plain_sweep(inst, plain, order), plain):
+                    bad_sweeps += 1
         result.add(f"raw-sweep[{inst.name}]", not bad_sweeps, f"violations={bad_sweeps}")
+
+
+def plain_sweep(inst: SemiringInstance, a: list[list], order) -> list:
+    """Lehmann's elimination cell by cell with `add_raw`, `mul_raw` and
+    `star_raw` only: the reference for `sweep_raw`, same contract."""
+    add, mul = inst.add_raw, inst.mul_raw
+    cols: list = [None] * len(a)
+    for k in order:
+        row_k = tuple(a[k])
+        col_k = cols[k] = tuple(row[k] for row in a)
+        pivot = inst.star_raw(row_k[k])
+        for i, x in enumerate(col_k):
+            left = mul(x, pivot)
+            a[i] = [add(y, mul(left, z)) for y, z in zip(a[i], row_k)]
+    return cols
 
 
 def _random_matrix(rng: Random, inst, n: int) -> SemiringMatrix:
@@ -111,7 +131,7 @@ def _random_matrix(rng: Random, inst, n: int) -> SemiringMatrix:
 
 def identity_suite(rng: Random, cases: int = 200) -> SuiteResult:
     result = SuiteResult()
-    _scalar_laws(result)
+    _scalar_laws(result, rng)
     star_bad = omega_bad = oracle_bad = fix_bad = 0
     for _ in range(cases):
         inst = INSTANCES[rng.choice(sorted(INSTANCES))]

@@ -753,8 +753,9 @@ class _HandleAlgebra:
 
     It speaks the raw protocol of the generic `SemiringInstance.sweep_raw`
     and of `matrix._add_identity` (`add_raw`, `mul_raw`, `star_raw`,
-    `zero_raw`, `one_raw` and the row kernel `axpy_raw`), so it takes that
-    Lehmann sweep over as its own and runs it on handle matrices unchanged.
+    `zero_raw`, `one_raw`, `top_raw` and the row kernel `axpy_raw`), so it
+    takes that Lehmann sweep over as its own and runs it on handle matrices
+    unchanged; `top_raw` is None, so no row counts as saturated.
     `axpy_raw` is the generic y + l z comprehension: it builds the nodes
     cell by cell, in the order the normal form's output depends on.
     Leaves are components of the base system restricted to its productive,
@@ -801,6 +802,9 @@ class _HandleAlgebra:
         if not a.productive:
             return self.one_raw()
         return _Handle(kids=(a,), words=((1, 0), ()))
+
+    def top_raw(self) -> None:
+        return None
 
     def axpy_raw(self, y: list, left: _Handle, z) -> list:
         return [self.add_raw(a, self.mul_raw(left, b)) for a, b in zip(y, z)]

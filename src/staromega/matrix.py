@@ -12,7 +12,15 @@ the identity gives M*.  `mat_star` runs the sweep in the order 0..n-1.
 The sweep is the instance method `sweep_raw(a, order)`: it updates the raw
 list `a` in place and returns each column as it stood before its pivot.
 Its generic body in `SemiringInstance` updates each row by one `axpy_raw`
-call.  Boolean overrides it with Warshall's bit-vector closure: each row
+call, and skips a row for good once all its cells equal the instance's
+absorbing top T (`top_raw()`, T + x = T: 0 in tropical, inf in arctic and
+counting).  Every update adds to a cell, so an all-T row is a fixed point
+and the skip is exact.  Answers saturate often (any cycle gives inf in
+counting, a positive cycle inf in arctic, a zero-weight path 0 in
+tropical), and a row filled with T costs nothing at later pivots; a
+matrix that never saturates pays a flag test per row and a comparison
+with T per update.
+Boolean overrides the sweep with Warshall's bit-vector closure: each row
 packed into one int, and eliminating pivot k ORs row k into every row with
 bit k set, so a sweep costs n^2 word operations instead of n^3 cell
 updates.  A result's scalars are built by the trusted `_scalar`, which

@@ -60,6 +60,10 @@ class SemiringInstance:
     def one_raw(self) -> Ext:
         raise NotImplementedError
 
+    def top_raw(self) -> Ext:
+        """The absorbing top T of the addition: T + x = T for every x."""
+        raise NotImplementedError
+
     def add_raw(self, a: Ext, b: Ext) -> Ext:
         raise NotImplementedError
 
@@ -90,24 +94,39 @@ class SemiringInstance:
         in P.
 
         This body needs only the raw protocol: `add_raw`, `mul_raw`,
-        `star_raw`, `zero_raw` and `axpy_raw`.  A row is skipped when its
-        left factor equals `zero_raw()`; every other row is updated by one
-        `axpy_raw` call.  Besides the semiring instances, `gnf._HandleAlgebra`
-        speaks that protocol and reuses this body, so the normal form's
-        decomposition runs the sweep on matrices of series handles.
+        `star_raw`, `zero_raw`, `top_raw` and `axpy_raw`.  A row is skipped
+        when its left factor equals `zero_raw()`; every other row is updated
+        by one `axpy_raw` call.  Besides the semiring instances,
+        `gnf._HandleAlgebra` speaks that protocol and reuses this body, so
+        the normal form's decomposition runs the sweep on matrices of series
+        handles.
+
+        A row whose cells all equal the absorbing top T (`top_raw()`, with
+        T + x = T) is skipped at every later pivot: an update only adds to
+        each cell, so such a row is a fixed point, and skipping it changes
+        neither `a` nor `cols`.  The row is tested only after an update whose
+        left factor equals T, by a list comparison that stops at the first
+        other cell; a matrix that never saturates pays one flag test per row
+        and one comparison of `left` with T per update.
         """
         mul, star, axpy = self.mul_raw, self.star_raw, self.axpy_raw
-        zero = self.zero_raw()
+        zero, top = self.zero_raw(), self.top_raw()
+        tops = [top] * len(a)
+        full = [False] * len(a)
         cols: list = [None] * len(a)
         for k in order:
             row_k = tuple(a[k])
             col_k = cols[k] = tuple(row[k] for row in a)
             pivot = star(row_k[k])
             for i, x in enumerate(col_k):
+                if full[i]:
+                    continue
                 left = mul(x, pivot)
                 if left == zero:
                     continue
-                a[i] = axpy(a[i], left, row_k)
+                row = a[i] = axpy(a[i], left, row_k)
+                if left == top and row == tops:
+                    full[i] = True
         return cols
 
     def validate_raw(self, v: Ext) -> None:
@@ -172,6 +191,9 @@ class BooleanSemiring(SemiringInstance):
     def one_raw(self):
         return 1
 
+    def top_raw(self):
+        return 1
+
     def add_raw(self, a, b):
         return a | b
 
@@ -227,6 +249,9 @@ class TropicalSemiring(SemiringInstance):
     def one_raw(self):
         return 0
 
+    def top_raw(self):
+        return 0
+
     def add_raw(self, a, b):
         if a is INF:
             return b
@@ -273,6 +298,9 @@ class ArcticSemiring(SemiringInstance):
 
     def one_raw(self):
         return 0
+
+    def top_raw(self):
+        return INF
 
     def add_raw(self, a, b):
         if a is INF or b is NEG_INF:
@@ -333,6 +361,9 @@ class CountingSemiring(SemiringInstance):
 
     def one_raw(self):
         return 1
+
+    def top_raw(self):
+        return INF
 
     def add_raw(self, a, b):
         if a is INF or b is INF:

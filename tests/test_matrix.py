@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from staromega.checks import SuiteResult, _scalar_laws, plain_sweep
 from staromega.matrix import (
     OmegaVector,
     SemiringMatrix,
@@ -31,6 +32,8 @@ from staromega.semiring import (
 )
 
 ALL = [BOOLEAN, TROPICAL, ARCTIC, COUNTING]
+# the instances whose sweep runs the generic body with its saturated-row skip
+SATURATING = [TROPICAL, ARCTIC, COUNTING]
 
 
 def raw(m):
@@ -277,3 +280,99 @@ def test_large_omega_is_fixed_point_and_split_independent(inst):
         if inst is BOOLEAN:
             assert vraw(v) == buchi_oracle(m, t), t
     assert len(seen) > 1
+
+
+# -- the saturated-row skip of the generic sweep -------------------------------------
+
+
+def never_saturating(rng, inst, n):
+    """A raw matrix whose sweep reaches no top: tropical entries of at least
+    1, or an acyclic (strictly upper triangular) finite counting or arctic
+    matrix."""
+    if inst is TROPICAL:
+        return [[rng.choice((1, 2, 3, INF)) for _ in range(n)] for _ in range(n)]
+    finite = [v for v in inst.grid() if v is not INF]
+    zero = inst.zero_raw()
+    return [[rng.choice(finite) if j > i else zero for j in range(n)] for i in range(n)]
+
+
+def sweep_draw(rng, inst, n, kind):
+    if kind == "never":
+        return never_saturating(rng, inst, n)
+    a = [[rng.choice(inst.grid()) for _ in range(n)] for _ in range(n)]
+    if kind == "top-rows":
+        for i in rng.sample(range(n), rng.randint(0, n)):
+            a[i] = [inst.top_raw()] * n
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    inst=st.sampled_from(SATURATING),
+    n=st.integers(0, 24),
+    kind=st.sampled_from(["dense", "top-rows", "never"]),
+    reverse=st.booleans(),
+)
+def test_sweep_equals_the_plain_lehmann_update(data, inst, n, kind, reverse):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    a = sweep_draw(rng, inst, n, kind)
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    fast, plain = [list(row) for row in a], [list(row) for row in a]
+    assert inst.sweep_raw(fast, order) == plain_sweep(inst, plain, order)
+    assert fast == plain
+
+
+def saturating_matrices(max_n):
+    """Dense grid matrices over tropical, arctic and counting, some rows at
+    the top from the start."""
+
+    def over(inst):
+        return st.tuples(st.integers(0, max_n), st.integers(0, 2**32 - 1)).map(
+            lambda p: mat_from_raw(inst, sweep_draw(random.Random(p[1]), inst, p[0], "top-rows"))
+        )
+
+    return st.sampled_from(SATURATING).flatmap(over)
+
+
+@settings(max_examples=60, deadline=None)
+@given(saturating_matrices(8))
+def test_saturating_star_and_omega_match_the_block_oracles(m):
+    base = mat_star(m)
+    for n1 in range(m.n + 1):
+        assert mat_star_blocks(m, n1).rows == base.rows
+    for t in range(m.n + 1):
+        assert mat_omega_t(m, t).entries == mat_omega_t_blocks(m, t).entries, t
+
+
+def test_a_saturated_row_is_never_updated_again(monkeypatch):
+    # every cycle of the all-ones counting matrix weighs inf, so pivot 0
+    # fills every row with inf, and no later pivot touches a row again
+    n, calls = 10, []
+    axpy = COUNTING.axpy_raw
+    monkeypatch.setattr(COUNTING, "axpy_raw", lambda *args: calls.append(1) or axpy(*args))
+    assert raw(mat_star(mat_from_raw(COUNTING, [[1] * n] * n))) == [[INF] * n] * n
+    assert len(calls) == n
+
+
+def sweep_lines(inst, top):
+    """The identity suite's scalar lines for `inst` with `top` as its top."""
+    result = SuiteResult()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(inst), "top_raw", lambda self: top)
+        _scalar_laws(result, random.Random(0))
+    return {name: ok for name, ok, _ in result.lines if name.endswith(f"[{inst.name}]")}
+
+
+def test_a_wrong_top_fails_the_identity_suite():
+    for inst in SATURATING:
+        lines = sweep_lines(inst, inst.top_raw())
+        assert lines[f"top-absorbs[{inst.name}]"] and lines[f"raw-sweep[{inst.name}]"]
+    # the skip stops updating a row of ones that later pivots would raise
+    for inst in (ARCTIC, COUNTING):
+        lines = sweep_lines(inst, 1)
+        assert not lines[f"top-absorbs[{inst.name}]"] and not lines[f"raw-sweep[{inst.name}]"]
+    # a constant tropical row c is a fixed point of every update (its left
+    # factor is c, and c + x >= c), so only the law check sees a wrong top
+    lines = sweep_lines(TROPICAL, 1)
+    assert not lines["top-absorbs[tropical]"] and lines["raw-sweep[tropical]"]
