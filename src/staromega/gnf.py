@@ -3,9 +3,11 @@
 finite_gnf normalizes one algebraic system (empty-word split, chain removal,
 binarization, then the matrix-equation transformation that forces a leading
 terminal with at most two trailing variables).  The omega constructions
-assemble pair systems s t^omega, sum them behind a fresh collector variable,
-and finally fold a mixed system back into a single quemiring system whose
-last component carries the chosen pair of the canonical solution.
+assemble pair systems s t^omega, each from the normal forms of what its
+designated components reach, sum them behind a fresh collector variable,
+prune the sum to what the collector reaches, and finally fold a mixed
+system back into a single quemiring system whose last component carries
+the chosen pair of the canonical solution.
 
 Mixed systems carry their z-coefficients as sparse rows (see
 staromega.system).  Pair systems, their block-diagonal sum and the fold
@@ -205,7 +207,9 @@ def _binarize(sys: AlgebraicSystem) -> AlgebraicSystem:
     )
 
 
-def _leading_terminal_form(sys: AlgebraicSystem) -> AlgebraicSystem:
+def _leading_terminal_form(
+    sys: AlgebraicSystem, keep: Sequence[str] | None = None
+) -> AlgebraicSystem:
     """Matrix-equation step: from binary rules to leading-terminal rules.
 
     Writing the system as x = x A(x) + b with A collecting the coefficients
@@ -214,6 +218,10 @@ def _leading_terminal_form(sys: AlgebraicSystem) -> AlgebraicSystem:
     the x-equations into the leading position of the Y-equations leaves every
     monomial with a leading terminal and at most two trailing variables.
     A is kept as sparse rows, each sorted by column.
+
+    Only the x-equations of `keep` (all variables by default) are written,
+    and the Y-equations they reach: x_p reads column p of Y only, and an
+    entry's x-equation is built the first time a written equation needs it.
     """
     inst = sys.instance
     n = len(sys.variables)
@@ -232,8 +240,28 @@ def _leading_terminal_form(sys: AlgebraicSystem) -> AlgebraicSystem:
             else:
                 raise IllFormedSystem(f"rule not binarized: {w}")
     amat = [dict(sorted(row.items())) for row in amat]
+    # into[p]: the q with a stored entry (q, p)
+    into: list[list[int]] = [[] for _ in range(n)]
+    for q, row in enumerate(amat):
+        for p_ix in row:
+            into[p_ix].append(q)
 
-    live = _plus_support(amat)
+    reaching: dict[int, set[int]] = {}
+
+    def live(p: int) -> set[int]:
+        """The q that reach p by a nonempty path in the coefficient graph
+        (an edge q -> p for each stored entry (q, p)): Y's column p."""
+        if p not in reaching:
+            seen = set(into[p])
+            stack = list(into[p])
+            while stack:
+                for q in into[stack.pop()]:
+                    if q not in seen:
+                        seen.add(q)
+                        stack.append(q)
+            reaching[p] = seen
+        return reaching[p]
+
     names = _Names(set(sys.variables) | set(sys.terminals))
     yname: dict[tuple[int, int], str] = {}
     work: list[tuple[int, int]] = []
@@ -244,55 +272,47 @@ def _leading_terminal_form(sys: AlgebraicSystem) -> AlgebraicSystem:
             work.append((q, p))
         return yname[(q, p)]
 
-    # x_p = b_p + sum_q b_q y(q, p)
-    x_rhs: list[list[tuple[SemiringValue, Word]]] = [list(terms) for terms in b]
-    for q in range(n):
-        if b[q]:
-            for p_ix in sorted(live[q]):
-                yn = y(q, p_ix)
-                x_rhs[p_ix] += [(c, w + (yn,)) for c, w in b[q]]
+    x_rhs: dict[int, list[tuple[SemiringValue, Word]]] = {}
+
+    def x_terms(p: int) -> list[tuple[SemiringValue, Word]]:
+        """x_p = b_p + sum_q b_q y(q, p)."""
+        if p not in x_rhs:
+            terms = list(b[p])
+            for q in sorted(live(p)):
+                if b[q]:
+                    yn = y(q, p)
+                    terms += [(c, w + (yn,)) for c, w in b[q]]
+            x_rhs[p] = terms
+        return x_rhs[p]
+
+    kept = set(sys.variables if keep is None else keep)
+    x_vars = tuple(v for v in sys.variables if v in kept)
+    for v in x_vars:
+        x_terms(ix[v])
 
     # y(q, p) = A[q][p] + sum_r A[q][r] y(r, p), with the leading variable of
     # each A-entry replaced by its x-equation
     y_rhs: dict[tuple[int, int], list[tuple[SemiringValue, Word]]] = {}
     while work:
         (q, p_ix) = work.pop()
+        col = live(p_ix)
         terms: list[tuple[SemiringValue, Word]] = []
         for c, tail in amat[q].get(p_ix, ()):
-            for xc, xw in x_rhs[ix[tail]]:
+            for xc, xw in x_terms(ix[tail]):
                 terms.append((c * xc, xw))
         for r, entry in amat[q].items():
-            if p_ix not in live[r]:
+            if r not in col:
                 continue
             yn = y(r, p_ix)
             for c, tail in entry:
-                for xc, xw in x_rhs[ix[tail]]:
+                for xc, xw in x_terms(ix[tail]):
                     terms.append((c * xc, xw + (yn,)))
         y_rhs[(q, p_ix)] = terms
 
-    all_vars = tuple(sys.variables) + tuple(yname[k] for k in sorted(yname))
-    rhs = []
-    for v in sys.variables:
-        rhs.append(Polynomial.build(inst, x_rhs[ix[v]]))
-    for k in sorted(yname):
-        rhs.append(Polynomial.build(inst, y_rhs[k]))
-    return AlgebraicSystem(inst, sys.terminals, all_vars, tuple(rhs))
-
-
-def _plus_support(amat: list[dict]) -> list[set[int]]:
-    """For each q, the p reached from q by a nonempty path in the coefficient
-    graph (an edge q -> p for each stored entry of amat's row q)."""
-    reach = []
-    for row in amat:
-        seen = set(row)
-        stack = list(row)
-        while stack:
-            for p in amat[stack.pop()]:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        reach.append(seen)
-    return reach
+    ys = sorted(yname)
+    rhs = [Polynomial.build(inst, x_rhs[ix[v]]) for v in x_vars]
+    rhs += [Polynomial.build(inst, y_rhs[k]) for k in ys]
+    return AlgebraicSystem(inst, sys.terminals, x_vars + tuple(yname[k] for k in ys), tuple(rhs))
 
 
 @dataclass(frozen=True)
@@ -302,28 +322,27 @@ class GnfResult:
     eps: dict[str, SemiringValue]
 
 
-def finite_gnf(sys: AlgebraicSystem) -> GnfResult:
+def finite_gnf(sys: AlgebraicSystem, keep: Sequence[str] | None = None) -> GnfResult:
     """Greibach normal form with the same least solution off the empty word.
 
-    Returns the transformed system, the index of each original variable in
+    Returns the transformed system, the index of each variable of `keep` in
     it, and the original empty-word coefficients (the output itself is
     epsilon-free, single leading terminal, at most two trailing variables).
+    `keep` names the variables whose components the caller reads, all of
+    them by default; only what they reach is normalized and returned, and
+    the empty-word coefficients cover the variables they reach.
     """
+    keep = list(sys.variables if keep is None else keep)
+    sys = _prune_unreachable(sys, keep)
     proper, eps = proper_form(sys)
     eps_map = dict(zip(sys.variables, eps))
-    proper = _drop_unproductive(proper, keep=list(sys.variables))
-    if is_gnf_algebraic(proper, allow_eps=False):
-        return GnfResult(
-            proper, {v: i for i, v in enumerate(proper.variables)}, eps_map
-        )
-    dechained = _unit_elimination(proper)
-    binary = _binarize(dechained)
-    gnf = _leading_terminal_form(binary)
-    gnf = _drop_unproductive(gnf, keep=list(sys.variables))
+    gnf = _drop_unproductive(proper, keep=keep)
     if not is_gnf_algebraic(gnf, allow_eps=False):
-        raise IllFormedSystem("internal: normal form construction failed")
-    comp = {v: gnf.variables.index(v) for v in sys.variables}
-    return GnfResult(gnf, comp, eps_map)
+        binary = _binarize(_unit_elimination(gnf))
+        gnf = _drop_unproductive(_leading_terminal_form(binary, keep), keep=keep)
+        if not is_gnf_algebraic(gnf, allow_eps=False):
+            raise IllFormedSystem("internal: normal form construction failed")
+    return GnfResult(gnf, {v: gnf.variables.index(v) for v in keep}, eps_map)
 
 
 def _drop_unproductive(sys: AlgebraicSystem, keep: list[str]) -> AlgebraicSystem:
@@ -844,15 +863,16 @@ class _HandleAlgebra:
 
 
 def _restrict(sys: AlgebraicSystem, comp: int) -> AlgebraicSystem:
-    keep = [sys.variables[comp]]
-    pruned = _drop_unproductive(sys, keep)
-    order = (keep[0],) + tuple(v for v in pruned.variables if v != keep[0])
-    ix = {v: i for i, v in enumerate(pruned.variables)}
+    name = sys.variables[comp]
+    return _first(_drop_unproductive(sys, [name]), name)
+
+
+def _first(sys: AlgebraicSystem, name: str) -> AlgebraicSystem:
+    """sys with variable `name` moved to the front."""
+    order = (name,) + tuple(v for v in sys.variables if v != name)
+    ix = {v: i for i, v in enumerate(sys.variables)}
     return AlgebraicSystem(
-        sys.instance,
-        sys.terminals,
-        order,
-        tuple(pruned.rhs[ix[v]] for v in order),
+        sys.instance, sys.terminals, order, tuple(sys.rhs[ix[v]] for v in order)
     )
 
 
@@ -925,34 +945,25 @@ def pipeline_from_decomposition(
     rep.add("normalize", terms=len(norm.terms))
     # normalize_decomposition hands one t-system to the scalar and the zero
     # term it splits, and equal systems give equal normal forms
-    normal_forms: dict[AlgebraicSystem, GnfResult] = {}
+    normal_forms: dict[tuple[AlgebraicSystem, int], AlgebraicSystem] = {}
 
-    def gnf_of(sys: AlgebraicSystem) -> GnfResult:
-        if sys not in normal_forms:
-            normal_forms[sys] = finite_gnf(sys)
-        return normal_forms[sys]
+    def gnf_of(sys: AlgebraicSystem, comp: int) -> AlgebraicSystem:
+        """The normal form of what component comp reaches, that component first."""
+        if (sys, comp) not in normal_forms:
+            name = sys.variables[comp]
+            normal_forms[sys, comp] = _first(finite_gnf(sys, keep=[name]).system, name)
+        return normal_forms[sys, comp]
 
     parts = []
     for term in norm.terms:
-        t_res = gnf_of(term.t_sys)
+        t_nf = gnf_of(term.t_sys, term.t_component)
         if term.eps_case == "scalar":
-            part = build_pair_system(
-                t_res.system,
-                t_res.component_of[term.t_sys.variables[term.t_component]],
-                eps_case="scalar",
-                eps_coeff=term.eps_coeff,
-            )
+            part = build_pair_system(t_nf, 0, eps_case="scalar", eps_coeff=term.eps_coeff)
         else:
-            s_res = gnf_of(term.s_sys)
-            part = build_pair_system(
-                t_res.system,
-                t_res.component_of[term.t_sys.variables[term.t_component]],
-                s_res.system,
-                s_res.component_of[term.s_sys.variables[term.s_component]],
-                eps_case="zero",
-            )
+            s_nf = gnf_of(term.s_sys, term.s_component)
+            part = build_pair_system(t_nf, 0, s_nf, 0, eps_case="zero")
         parts.append(part)
-    rep.add("pairs", count=len(parts))
+    rep.add("pairs", count=len(parts), kept=[len(nf.variables) for nf in normal_forms.values()])
     mixed, selector = sum_systems(norm.instance, norm.terminals, parts)
     rep.add(
         "sum",
@@ -962,6 +973,14 @@ def pipeline_from_decomposition(
         buchi=selector.buchi_count,
         component=selector.component,
     )
+    pruned, selector = _prune_sum(mixed, selector)
+    rep.add(
+        "prune",
+        x_vars=[len(mixed.x_vars), len(pruned.x_vars)],
+        z_vars=[len(mixed.z_vars), len(pruned.z_vars)],
+        buchi=selector.buchi_count,
+    )
+    mixed = pruned
     omega_sys, omega_sel = unmix(mixed, 0, selector.component, selector.buchi_count)
     rep.add(
         "unmix",
@@ -970,3 +989,41 @@ def pipeline_from_decomposition(
         component=omega_sel.component,
     )
     return norm, mixed, selector, omega_sys, omega_sel, rep
+
+
+def _prune_sum(
+    sys: MixedSystem, sel: CanonicalSelector
+) -> tuple[MixedSystem, CanonicalSelector]:
+    """The part of a summed system that x-variable 0 and the selected
+    z-component reach, in the same order; sys itself when that is all.
+
+    Nothing else enters the selected component of any canonical solution,
+    or the finite part unmix copies from x-variable 0.  The Buchi count
+    becomes the number of accepting z-variables kept, which stay first.
+    """
+    reach = {sel.component}
+    stack = [sel.component]
+    xs = set(sys.x_vars)
+    x_keep = list(sys.x_vars[:1])
+    while stack:
+        for j, p in sys.rho[stack.pop()].items():
+            if j not in reach:
+                reach.add(j)
+                stack.append(j)
+            x_keep.extend(s for mono in p.monomials for s in mono.word if s in xs)
+    x_part = _prune_unreachable(sys.x_part, x_keep)
+    if len(reach) == sys.m and x_part is sys.x_part:
+        return sys, sel
+    kept = sorted(reach)
+    new = {j: i for i, j in enumerate(kept)}
+    rho = tuple({new[j]: p for j, p in sys.rho[i].items()} for i in kept)
+    pruned = MixedSystem(
+        sys.instance,
+        sys.terminals,
+        x_part.variables,
+        x_part.rhs,
+        tuple(sys.z_vars[i] for i in kept),
+        rho,
+    )
+    buchi = sum(1 for i in kept if i < sel.buchi_count)
+    return pruned, CanonicalSelector(buchi, new[sel.component])

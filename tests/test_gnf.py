@@ -7,14 +7,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staromega.cli import EXIT_OK, _selection, main, parse_grammar
+from staromega.cli import EXIT_OK, GrammarFile, _selection, format_grammar, main, parse_grammar
 from staromega.fixtures import pair_example_systems
 from staromega.gnf import (
     DecompositionTerm,
     OmegaDecomposition,
     build_pair_system,
     char_to_mixed,
+    _binarize,
     _drop_unproductive,
+    _leading_terminal_form,
+    _prune_sum,
     _prune_unreachable,
     _unit_elimination,
     decompose_canonical,
@@ -547,7 +550,7 @@ def test_pipeline_end_to_end_values():
     assert is_gnf_mixed(mixed)
     assert is_gnf_omega(omega_sys)
     stage_names = [s["stage"] for s in report.stages]
-    assert stage_names == ["normalize", "pairs", "sum", "unmix"]
+    assert stage_names == ["normalize", "pairs", "sum", "prune", "unmix"]
     ind = induce_mixed(omega_sys)
     for n in range(0, 3):
         w = LassoWord(("a",) * n + ("b",) * n, ("c",))
@@ -563,6 +566,29 @@ def test_pipeline_end_to_end_values():
         for w in itertools.product(sys.terminals, repeat=length):
             got = sol_out[omega_sel.component].coeff(w)
             assert got == sol_mid[0].coeff(w), w
+
+
+def test_prune_sum_keeps_what_the_selected_component_reaches():
+    # z-variables a0 a1 (accepting at count 2), t and the selected c; a1 and
+    # x1 are reached from neither c nor x0, x2 only through t's row
+    t = TROPICAL
+    w = lambda c, word: [(t.value(c), word)]
+    x_rhs = (poly(t, "a"), poly(t, "(3) b x1"), poly(t, "(1) a"))
+    rho = (
+        sparse_row(t, {0: w(0, ("a",))}),
+        sparse_row(t, {1: w(0, ("b",))}),
+        sparse_row(t, {0: w(2, ("a", "x2"))}),
+        sparse_row(t, {2: w(1, ("b",)), 0: w(5, ("a",))}),
+    )
+    sys = MixedSystem(t, ("a", "b"), ("x0", "x1", "x2"), x_rhs, ("a0", "a1", "t", "c"), rho)
+    pruned, sel = _prune_sum(sys, CanonicalSelector(2, 3))
+    assert pruned.x_vars == ("x0", "x2") and pruned.z_vars == ("a0", "t", "c")
+    # one accepting z-variable is left, still first
+    assert (sel.buchi_count, sel.component) == (1, 2)
+    for lasso in (LassoWord((), ("a",)), LassoWord(("b",), ("a",)), LassoWord(("b", "a"), ("a",))):
+        want = canonical_omega_lasso(sys, 2, 3, lasso).value
+        assert canonical_omega_lasso(pruned, 1, 2, lasso).value == want
+    assert _prune_sum(pruned, sel) == (pruned, sel)
 
 
 def test_pipeline_on_empty_decomposition_folds_to_zero():
@@ -652,6 +678,60 @@ def test_five_routes_agree_on_random_mixed_systems():
     assert all(len(values) >= 2 for values in seen.values()), seen
 
 
+def _unreached(text):
+    """The z-variables of a mixed grammar that its start does not reach, and
+    its x-variables after the first that the reached z-rows do not reach."""
+    g = parse_grammar(text)
+    sys = g.system
+    start = sys.z_vars.index(g.start)
+    x_ix = {v: i for i, v in enumerate(sys.x_vars)}
+    z_seen, stack, x_seen = {start}, [start], set()
+    while stack:
+        for j, p in sys.rho[stack.pop()].items():
+            if j not in z_seen:
+                z_seen.add(j)
+                stack.append(j)
+            x_stack = [s for m in p.monomials for s in m.word if s in x_ix]
+            while x_stack:
+                v = x_stack.pop()
+                if v not in x_seen:
+                    x_seen.add(v)
+                    x_stack += [s for m in sys.x_rhs[x_ix[v]].monomials for s in m.word if s in x_ix]
+    return (
+        [z for j, z in enumerate(sys.z_vars) if j not in z_seen],
+        [x for x in sys.x_vars[1:] if x not in x_seen],
+    )
+
+
+def test_mixed_normal_form_holds_only_what_its_start_reaches(tmp_path, capsys):
+    # the pairs are built from what their designated components reach and
+    # the sum is pruned to what the collector reaches; x-variable 0 is kept
+    # as the finite part the fold copies.  An input already in Greibach form
+    # comes back as it is, so none is drawn.
+    cases = [("m5", (Path(__file__).with_name("data") / "m5_buchi3.grm").read_text())]
+    draw = 0
+    while len(cases) <= 50:
+        inst = (BOOLEAN, TROPICAL, ARCTIC, COUNTING)[len(cases) % 4]
+        rng = random.Random(f"reachable/{draw}")
+        draw += 1
+        m = rng.choice((2, 3))
+        sys = _random_mixed_system(rng, inst, m)
+        if is_gnf_mixed(sys):
+            continue
+        g = GrammarFile(inst, sys.terminals, "mixed", sys, sys.z_vars[-1], rng.randint(1, m))
+        cases.append((draw, format_grammar(g)))
+    path = tmp_path / "g.grm"
+    compiled = 0
+    for case, text in cases:
+        path.write_text(text)
+        if main(["gnf", str(path), "--target", "mixed"]) != EXIT_OK:
+            continue
+        out = capsys.readouterr().out
+        assert _unreached(out) == ([], []), case
+        compiled += 1
+    assert compiled >= 45, compiled
+
+
 # -- normal form output against recorded text ----------------------------------------------
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "staromega" / "data"
@@ -676,8 +756,10 @@ def test_gnf_output_matches_golden_text(case, capsys):
 
 # Seeded random mixed systems (m = 3 and 4 z-variables, every instance), with the
 # exit code and the sha256 of `gnf --target omega --buchi k` stdout for every
-# Buchi count k = 0..m.  The digests that the Lehmann sweep moved were recorded
-# again once their texts' values equalled those of REFERENCE_RANDOM below.
+# Buchi count k = 0..m.  The digests that the Lehmann sweep moved, and those
+# that building pairs only from what their designated components reach moved,
+# were recorded again once their texts' values equalled those of
+# REFERENCE_RANDOM below.
 GOLDEN_RANDOM = json.loads(Path(__file__).with_name("gnf_golden_random.json").read_text())
 
 
@@ -835,6 +917,98 @@ def test_drop_unproductive_and_prune_equal_the_rebuilding_references(sys, data):
     keep = data.draw(st.lists(st.sampled_from(sys.variables), min_size=1, unique=True))
     assert _prune_unreachable(sys, keep) == _prune_unreachable_reference(sys, keep)
     assert _drop_unproductive(sys, keep) == _drop_unproductive_reference(sys, keep)
+
+
+def _leading_terminal_form_reference(sys):
+    """The matrix-equation step writing every x-equation and every live
+    entry of Y, as it did before x-equations and columns were built on demand."""
+    inst = sys.instance
+    n = len(sys.variables)
+    ix = {v: i for i, v in enumerate(sys.variables)}
+    b = [[] for _ in range(n)]
+    amat = [{} for _ in range(n)]
+    for p_ix, p in enumerate(sys.rhs):
+        for mono in p.monomials:
+            w = mono.word
+            if len(w) == 1:
+                b[p_ix].append((mono.coeff, w))
+            else:
+                amat[ix[w[0]]].setdefault(p_ix, []).append((mono.coeff, w[1]))
+    live = []
+    for row in amat:
+        seen, stack = set(row), list(row)
+        while stack:
+            for p in amat[stack.pop()]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        live.append(seen)
+    taken = set(sys.variables) | set(sys.terminals)
+    yname, work = {}, []
+
+    def y(q, p):
+        if (q, p) not in yname:
+            name = f"r{q}_{p}"
+            while name in taken:
+                name += "'"
+            taken.add(name)
+            yname[(q, p)] = name
+            work.append((q, p))
+        return yname[(q, p)]
+
+    x_rhs = [list(terms) for terms in b]
+    for q in range(n):
+        for p in sorted(live[q]) if b[q] else ():
+            x_rhs[p] += [(c, w + (y(q, p),)) for c, w in b[q]]
+    y_rhs = {}
+    while work:
+        q, p = work.pop()
+        terms = [(c * xc, xw) for c, tail in amat[q].get(p, ()) for xc, xw in x_rhs[ix[tail]]]
+        for r, entry in amat[q].items():
+            if p in live[r]:
+                yn = y(r, p)
+                terms += [(c * xc, xw + (yn,)) for c, tail in entry for xc, xw in x_rhs[ix[tail]]]
+        y_rhs[(q, p)] = terms
+    keys = sorted(yname)
+    rhs = [Polynomial.build(inst, t) for t in x_rhs] + [Polynomial.build(inst, y_rhs[k]) for k in keys]
+    return AlgebraicSystem(
+        inst, sys.terminals, sys.variables + tuple(yname[k] for k in keys), tuple(rhs)
+    )
+
+
+@given(algebraic_systems(max_vars=5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_leading_terminal_form_equals_the_all_columns_reference(sys, data):
+    try:
+        proper, _ = proper_form(sys)
+    except NotStabilized:
+        return
+    binary = _binarize(_unit_elimination(_drop_unproductive(proper, list(sys.variables))))
+    ref = _leading_terminal_form_reference(binary)
+    # by default every x-equation is written, as the reference writes it
+    assert _leading_terminal_form(binary) == ref
+    keep = data.draw(st.lists(st.sampled_from(sys.variables), min_size=1, unique=True))
+    got = _leading_terminal_form(binary, keep)
+    assert set(keep) <= set(got.variables) <= set(ref.variables)
+    assert _prune_unreachable(got, keep) == _prune_unreachable(ref, keep)
+
+
+@given(algebraic_systems(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_finite_gnf_of_kept_variables_has_the_full_normal_forms_series(sys, data):
+    try:
+        full = finite_gnf(sys)
+    except NotStabilized:
+        return
+    keep = data.draw(st.lists(st.sampled_from(sys.variables), min_size=1, unique=True))
+    part = finite_gnf(sys, keep=keep)
+    assert set(part.component_of) == set(keep)
+    assert len(part.system.variables) <= len(full.system.variables)
+    for v in keep:
+        assert part.eps[v] == full.eps[v]
+        series_equal_up_to(
+            full.system, full.component_of[v], part.system, part.component_of[v], 4
+        )
 
 
 def _productive_components_reference(sys):

@@ -455,7 +455,9 @@ def test_json_round_trip_and_dot():
 # dense blocks of "wide_pops.grm gnf" (then 943 states, 942 stack symbols)
 # needed more than 1.5 GB; its digests were recorded with the same
 # serialization over rows that read absent cells as empty.  The " gnf" flows
-# were recorded again when the Lehmann sweep changed the normal form's text.
+# were recorded again when the Lehmann sweep changed the normal form's text,
+# and again when pairs were built only from what their designated components
+# reach, each after its normal form's lasso values equalled the grammar's.
 # "counting_finite.grm" was recorded again when `build-pda` took the Buchi
 # count `eval` uses (min(1, m) without @buchi), after its lasso values were
 # checked against the grammar's.  When pops became one group per shared column,
@@ -589,13 +591,14 @@ def test_build_pda_output_matches_golden_digests(flow, tmp_path):
 
 
 def test_row_major_file_loads_to_the_grouped_files_automaton(tmp_path):
-    # expanded_pops.json is the row-major `build-pda` output for the normal
-    # form of contrast_mixed.grm, written before pops were grouped
+    # expanded_pops.json is the row-major `build-pda` output for
+    # contrast_mixed_nf.grm, the normal form `gnf` wrote for contrast_mixed.grm
+    # before pops were grouped and before pairs were built from what their
+    # designated components reach
     from staromega.cli import main
 
-    nf, out = tmp_path / "nf.grm", tmp_path / "auto.json"
-    assert main(["gnf", str(DATA / "contrast_mixed.grm"), "--out", str(nf)]) == 0
-    assert main(["build-pda", str(nf), "--out", str(out)]) == 0
+    out = tmp_path / "auto.json"
+    assert main(["build-pda", str(TEST_DATA / "contrast_mixed_nf.grm"), "--out", str(out)]) == 0
     old_text = (TEST_DATA / "expanded_pops.json").read_text()
     assert isinstance(json.loads(old_text)["pop"], dict)
     old, new = pda_from_json(old_text), pda_from_json(out.read_text())
@@ -608,10 +611,12 @@ def test_row_major_file_loads_to_the_grouped_files_automaton(tmp_path):
 
 
 def test_wide_automaton_stores_each_pop_column_once(tmp_path):
+    # wide_pops_nf.grm is the normal form `gnf` wrote for wide_pops.grm
+    # before pairs were built from what their designated components reach:
+    # 208 variables, where the current one has 29
     from staromega.cli import _selection, main, parse_grammar
 
-    nf, out = tmp_path / "nf.grm", tmp_path / "wide.json"
-    assert main(["gnf", str(TEST_DATA / "wide_pops.grm"), "--out", str(nf)]) == 0
+    nf, out = TEST_DATA / "wide_pops_nf.grm", tmp_path / "wide.json"
     assert main(["build-pda", str(nf), "--out", str(out)]) == 0
     mixed, _x, z, k = _selection(parse_grammar(nf.read_text()))
     assert_pops_stored_once(induced_omega_pda(mixed, z, k).matrix)
