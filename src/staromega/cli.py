@@ -58,7 +58,6 @@ from .system import (
     CanonicalSelector,
     IllFormedSystem,
     MixedSystem,
-    NotStabilized,
     OmegaSystem,
     SegmentTable,
     SemanticFailure,
@@ -527,7 +526,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SemanticFailure, NotStabilized) as exc:
+    except SemanticFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (ValueError, OSError) as exc:

@@ -13,10 +13,11 @@ weights are the edges of the graph that `_search.lasso_value` reads the
 value off, as it reads an automaton's: an edge may consume no letter, and
 the read-off sums such edges itself, by the omega_t of each strongly
 connected component, so the value is exact on all four instances,
-counting included.  A finite word
-is the quotient without a period, so the coefficients of its segments
-(`SegmentTable`) are the same derivation weights.  No answer depends on a
-cap.
+counting included.  A finite word is the quotient without a period, so
+the coefficients of its segments (`SegmentTable`) are the same derivation
+weights, and the empty word's are the empty-word coefficients
+(`eps_coefficients`) that the finite solution and the normal form start
+from.  No answer depends on a cap.
 
 The z-coefficient matrix rho of a mixed system z = rho(x) z is stored
 sparsely: one row per z-variable, each a mapping from column index to a
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from ._search import PositionAutomaton, _sccs, derivation_items, lasso_value
+from ._search import PositionAutomaton, derivation_items, lasso_value
 from .matrix import _star
-from .semiring import INF, SemiringError, SemiringInstance, SemiringValue, _scalar
+from .semiring import SemiringError, SemiringInstance, SemiringValue, _scalar
 from .series import (
     Alphabet,
     LassoWord,
@@ -42,7 +43,6 @@ from .series import (
     TruncatedSeries,
     Word,
     split_px,
-    substitute,
 )
 
 
@@ -52,10 +52,6 @@ class SemanticFailure(Exception):
 
 class IllFormedSystem(SemanticFailure):
     pass
-
-
-class NotStabilized(RuntimeError):
-    """Kleene iteration did not reach a fixed point within the allowed rounds."""
 
 
 @dataclass(frozen=True)
@@ -277,79 +273,18 @@ def is_gnf_mixed(sys: MixedSystem) -> bool:
 # -- finite parts ------------------------------------------------------------
 
 
-def eps_coefficients(sys: AlgebraicSystem, max_iter: int = 128) -> list[SemiringValue]:
-    """Least solution of the empty-word part, one scalar per variable, by
-    `_eps_raw`: a counting cycle of nullable variables weighs inf, and
-    max_iter bounds the Kleene rounds inside each other cyclic component."""
-    inst = sys.instance
-    ix = {v: i for i, v in enumerate(sys.variables)}
-    rules = [
-        [(m.coeff.value, [ix[s] for s in m.word]) for m in p.monomials
-         if all(s in ix for s in m.word)]
-        for p in sys.rhs
-    ]
-    return [_scalar(inst, v) for v in _eps_raw(inst, rules, max_iter)]
+def eps_coefficients(sys: AlgebraicSystem) -> list[SemiringValue]:
+    """Least solution of the empty-word part, one scalar per variable: the
+    derivation weights of the empty word, `support_triples` on the quotient
+    of the word () read at (variable, 0) -> (0, no letter).
 
-
-def _eps_raw(inst: SemiringInstance, rules: list[list], max_iter: int) -> list:
-    """Raw least solution of x_i = sum of c * prod x_j over rules[i], a list
-    of (raw nonzero coefficient, variable indices).
-
-    The nullable variables, those of nonzero weight, come first, by a
-    Boolean fixpoint.  No instance has zero divisors, so a monomial with a
-    variable that is not nullable weighs zero and is dropped.  The
-    components of what is left are solved sinks first.  An acyclic
-    singleton is evaluated once.  Every variable of a cyclic component has
-    a nonzero weight and derivations that go round its cycles any number
-    of times.  Where the unit's star is not the unit, in counting, these
-    infinitely many derivations of weight at least the unit sum to inf, as
-    in `_search.solve_derivations`, so the component is inf at once.  Any
-    other cyclic component runs Kleene rounds inside itself, at most
-    max_iter of them, and raises NotStabilized if it still moves: an
-    arctic cycle that gains weight.
+    `_search.solve_derivations` weighs them exactly, as it weighs words and
+    lassos: a counting cycle of nullable variables is inf, and so is an
+    arctic cycle that gains weight.  No answer depends on a cap.
     """
-    n = len(rules)
-    add, mul = inst.add_raw, inst.mul_raw
-    zero, one = inst.zero_raw(), inst.one_raw()
-    nullable = [False] * n
-    changed = True
-    while changed:
-        changed = False
-        for i, monos in enumerate(rules):
-            if not nullable[i] and any(all(nullable[j] for j in w) for _c, w in monos):
-                nullable[i] = changed = True
-    live = [
-        [(c, word) for c, word in monos if all(nullable[j] for j in word)] if nullable[i] else []
-        for i, monos in enumerate(rules)
-    ]
-    deps = {i: [(j,) for _c, word in monos for j in word] for i, monos in enumerate(live)}
-    vals = [zero] * n
-    cycles_are_inf = inst.star_raw(one) != one
-
-    def evaluate(i: int):
-        acc = zero
-        for prod, word in live[i]:
-            for j in word:
-                prod = mul(prod, vals[j])
-            acc = add(acc, prod)
-        return acc
-
-    for comp in _sccs(range(n), deps):
-        if len(comp) == 1 and (comp[0],) not in deps[comp[0]]:
-            vals[comp[0]] = evaluate(comp[0])
-        elif cycles_are_inf:
-            for i in comp:
-                vals[i] = INF
-        else:
-            for _ in range(max_iter):
-                nxt = [evaluate(i) for i in comp]
-                if all(vals[i] == v for i, v in zip(comp, nxt)):
-                    break
-                for i, v in zip(comp, nxt):
-                    vals[i] = v
-            else:
-                raise NotStabilized("empty-word coefficients did not stabilize")
-    return vals
+    empty = support_triples(sys, PositionAutomaton.finite(()))
+    zero = sys.instance.zero
+    return [empty[(v, 0)].get((0, False), zero) for v in sys.variables]
 
 
 def productive_components(sys: AlgebraicSystem) -> set[str]:
@@ -386,30 +321,14 @@ def productive_components(sys: AlgebraicSystem) -> set[str]:
     return productive
 
 
-def _kleene(sys: AlgebraicSystem, max_len: int, max_iter: int):
-    zero = TruncatedSeries(sys.instance, max_len, {})
-    current = [zero] * len(sys.variables)
-    for it in range(1, max_iter + 1):
-        assignment = dict(zip(sys.variables, current))
-        nxt = [substitute(p, assignment, max_len) for p in sys.rhs]
-        if nxt == current:
-            return current, it
-        current = nxt
-    raise NotStabilized(
-        f"solution not stabilized after {max_iter} rounds at truncation {max_len}"
-    )
-
-
-def least_solution_finite(
-    sys: AlgebraicSystem, max_len: int, max_iter: int = 256
-) -> list[TruncatedSeries]:
+def least_solution_finite(sys: AlgebraicSystem, max_len: int) -> list[TruncatedSeries]:
     """Coefficients of the least solution on all words up to max_len.
 
     Solved one word length at a time (Kuich and Salomaa 1986).  The
-    empty-word coefficients e come first, by `_eps_raw`, as in
-    `eps_coefficients`: a counting cycle of nullable variables is inf, and
-    max_iter bounds only the rounds of each other cyclic component, which
-    raises NotStabilized if it keeps moving.  A word of length L >= 1 splits
+    empty-word coefficients e come first, from `eps_coefficients`: the
+    derivation weights of the empty word, exact on every instance, inf
+    where a counting cycle of nullable variables or an arctic cycle that
+    gains weight pumps them up.  A word of length L >= 1 splits
     over a monomial in one of two ways.  Either one variable takes all of
     it and every other symbol, a variable, takes the empty word: that is
     the unit matrix U, where U[i][j] sums c * prod e over the other
@@ -419,8 +338,7 @@ def least_solution_finite(
     all lengths, exact on every instance: a chain loop that pumps its
     weight up gives inf, where Kleene rounds never settle.  Unproductive
     variables are dropped first, and a monomial is read only at the lengths
-    between its shortest and its longest word.  `kleene_rounds` keeps
-    truncated Kleene iteration as the reference.
+    between its shortest and its longest word.
     """
     inst = sys.instance
     n = len(sys.variables)
@@ -457,7 +375,7 @@ def least_solution_finite(
             else:
                 continue
             shapes.append((i, len(w) - len(uses), uses))
-    eps = _eps_raw(inst, free, max_iter) if nullable else [zero] * n
+    eps = [e.value for e in eps_coefficients(sys)] if nullable else [zero] * n
 
     unit: dict[tuple[int, int], object] = {}
     for i, monos in enumerate(free):
@@ -561,13 +479,6 @@ def least_solution_finite(
         })
         for comp in strata
     ]
-
-
-def kleene_rounds(sys: AlgebraicSystem, max_len: int, max_iter: int = 256) -> int:
-    """Rounds of truncated Kleene iteration until stabilization.  `_kleene`
-    is the reference that the tests compare `least_solution_finite` with."""
-    _, rounds = _kleene(sys, max_len, max_iter)
-    return rounds
 
 
 def oracle_coeff_gnf(sys: AlgebraicSystem, component: int, w: Word) -> SemiringValue:

@@ -17,11 +17,12 @@ construction's.
 """
 
 from idempotent_lasso_reference import HitEdge, lasso_value
+from kleene_reference import RoundsDidNotSettle
 from staromega import _search
 from staromega._search import PositionAutomaton, solve_derivations
 from staromega.matrix import _star
 from staromega.semiring import _scalar
-from staromega.system import NotStabilized, _z_steps
+from staromega.system import _z_steps
 
 
 def _epsilon_closure_with_hits(inst, eps, m, k):
@@ -81,7 +82,7 @@ def closure_omega_lasso(sys, k, component, w):
 
 class JacobiSegmentTable:
     """Least-solution coefficients on the segments of one word, by Jacobi
-    rounds from zero; raises NotStabilized when the table still changes
+    rounds from zero; raises RoundsDidNotSettle when the table still changes
     after max_iter rounds.
 
     Sparse: only nonzero coefficients are stored, indexed both by segment and
@@ -105,7 +106,7 @@ class JacobiSegmentTable:
             self.table, self.by_start = nxt, {}
             for (v, i, j), val in nxt.items():
                 self.by_start.setdefault((v, i), []).append((j, val))
-        raise NotStabilized("segment solution did not stabilize")
+        raise RoundsDidNotSettle("segment solution did not stabilize")
 
     def eval_poly_from(self, p, lo, hi_max):
         """All segment ends >= lo with their coefficients under p."""
@@ -179,7 +180,7 @@ def reference_canonical_search(sys, k, component, w, factor_len, max_iter=256):
 
     Coefficients of the factors come from one `JacobiSegmentTable` over a
     sample u v^reps that covers every factor from every quotient position,
-    which raises NotStabilized when the sample's coefficients still change
+    which raises RoundsDidNotSettle when the sample's coefficients still change
     after max_iter rounds.
     """
     inst = sys.instance

@@ -564,16 +564,25 @@ def test_a_long_zero_gain_eps_cycle_settles_on_the_finite_route(tmp_path, capsys
     assert capsys.readouterr().out == "0\n"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="eps_coefficients caps the empty-word rounds at 128 and least_solution_finite "
-    "at 256, so the normal form gives up on a cycle the finite route solves (ROADMAP item 2)",
-)
 def test_a_long_zero_gain_eps_cycle_has_a_normal_form(tmp_path, capsys):
     path, nf = grm(tmp_path, long_zero_gain_eps_cycle()), str(tmp_path / "nf.grm")
     assert main(["gnf", path, "--target", "mixed", "--out", nf]) == EXIT_OK
     assert main(["eval", nf, "--word", "a"]) == EXIT_OK
     assert capsys.readouterr().out == "0\n"
+
+
+def test_fork_grammar_and_its_automaton_count_every_push_choice(tmp_path, capsys):
+    # S = a S X | a S Y | c with X = b and Y = b: each a pushes one of two
+    # stack symbols that both pop on b, so a^n c b^n has 2^n derivations,
+    # and the automaton's runs hold 2^n distinct stacks after the c
+    path, auto = str(TEST_DATA / "fork.grm"), str(tmp_path / "fork.json")
+    assert main(["build-pda", path, "--start", "S", "--out", auto]) == EXIT_OK
+    capsys.readouterr()
+    for n in range(11):
+        word = "a" * n + "c" + "b" * n
+        for source in (path, auto):
+            assert main(["eval", source, "--word", word]) == EXIT_OK
+            assert capsys.readouterr().out == f"{2 ** n}\n", (source, n)
 
 
 @pytest.mark.xfail(

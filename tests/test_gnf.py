@@ -39,7 +39,6 @@ from staromega.system import (
     CanonicalSelector,
     IllFormedSystem,
     MixedSystem,
-    NotStabilized,
     canonical_omega_lasso,
     induce_mixed,
     is_gnf_algebraic,
@@ -141,13 +140,7 @@ def test_finite_gnf_random_semantic_equality():
                 terms.append((inst.value(rng.choice(coeffs)), word))
             rhs.append(Polynomial.build(inst, terms))
         sys = AlgebraicSystem(inst, letters, names, tuple(rhs))
-        try:
-            res = finite_gnf(sys)
-        except Exception as exc:  # non-stabilizing empty-word parts are legal inputs to reject
-            from staromega.system import NotStabilized
-
-            assert isinstance(exc, NotStabilized)
-            continue
+        res = finite_gnf(sys)
         assert is_gnf_algebraic(res.system)
         for v in sys.variables:
             series_equal_up_to(
@@ -655,12 +648,9 @@ def test_five_routes_agree_on_random_mixed_systems():
         sys = _random_mixed_system(random.Random(f"five-routes/{case}"), inst, m)
         for k in range(sys.m + 1):
             for comp in range(sys.m):
-                try:
-                    want = [canonical_omega_lasso(sys, k, comp, w).value for w in lassos]
-                    norm = normalize_decomposition(decompose_canonical(sys, k, comp))
-                    _, mixed, sel, omega_sys, omega_sel, _ = pipeline_from_decomposition(norm)
-                except NotStabilized:
-                    continue
+                want = [canonical_omega_lasso(sys, k, comp, w).value for w in lassos]
+                norm = normalize_decomposition(decompose_canonical(sys, k, comp))
+                _, mixed, sel, omega_sys, omega_sel, _ = pipeline_from_decomposition(norm)
                 direct, direct_sel = char_to_mixed(norm)
                 folded = induce_mixed(omega_sys)
                 auto = induced_omega_pda(folded, omega_sel.component, omega_sel.buchi_count)
@@ -674,7 +664,9 @@ def test_five_routes_agree_on_random_mixed_systems():
                     assert [r.value for r in got] == [value] * 4, (case, k, comp, str(w))
                     seen[inst.name].add(value.value)
                 decided += 1
-    assert decided >= 1250, decided
+    # every (Buchi count, component) of the 200 systems, 6 of them arctic
+    # ones whose empty-word part has a cycle that gains weight
+    assert decided == 1260, decided
     assert all(len(values) >= 2 for values in seen.values()), seen
 
 
@@ -759,7 +751,9 @@ def test_gnf_output_matches_golden_text(case, capsys):
 # Buchi count k = 0..m.  The digests that the Lehmann sweep moved, and those
 # that building pairs only from what their designated components reach moved,
 # were recorded again once their texts' values equalled those of
-# REFERENCE_RANDOM below.
+# REFERENCE_RANDOM below.  arctic-m3-seed2 at k = 2 and 3, where
+# REFERENCE_RANDOM holds no text, was recorded once its values equalled the
+# source grammar's and its automaton's.
 GOLDEN_RANDOM = json.loads(Path(__file__).with_name("gnf_golden_random.json").read_text())
 
 
@@ -804,7 +798,9 @@ def _automaton_values(text, lassos):
 
 def _value_cases():
     """(id, grammar text, extra gnf arguments, Buchi count, reference text) for
-    every golden case with an omega component."""
+    every golden case with an omega component.  The reference text is None
+    where the handle block recursion wrote none: that output is compared
+    with the source grammar and its automaton only."""
     for case in GNF_CASES:
         name, _, target = case.split()
         text = (DATA / name).read_text()
@@ -812,9 +808,8 @@ def _value_cases():
             yield case, text, ["--target", target], None, GOLDEN_GNF[case]
     for case in GOLDEN_RANDOM:
         for k, ref in enumerate(REFERENCE_RANDOM[case["name"]]):
-            if ref is not None:
-                args = ["--target", "omega", "--buchi", str(k)]
-                yield f"{case['name']}-k{k}", case["grammar"], args, k, ref
+            args = ["--target", "omega", "--buchi", str(k)]
+            yield f"{case['name']}-k{k}", case["grammar"], args, k, ref
 
 
 VALUE_CASES = list(_value_cases())
@@ -829,7 +824,8 @@ def test_normal_form_values_equal_the_reference_text_and_the_source(case, tmp_pa
     out = capsys.readouterr().out
     lassos = _lasso_set(parse_grammar(text).terminals)
     want = _grammar_values(text, lassos, k)
-    assert _grammar_values(ref, lassos) == want
+    if ref is not None:
+        assert _grammar_values(ref, lassos) == want
     assert _grammar_values(out, lassos) == want
     if "omega" in args:
         # a mixed-target text has more x- than z-variables: no automaton
@@ -902,13 +898,7 @@ def _drop_unproductive_reference(sys, keep):
 @given(algebraic_systems())
 @settings(max_examples=200, deadline=None)
 def test_proper_form_equals_the_rebuilding_reference(sys):
-    try:
-        want = _proper_form_reference(sys)
-    except NotStabilized:
-        with pytest.raises(NotStabilized):
-            proper_form(sys)
-        return
-    assert proper_form(sys) == want
+    assert proper_form(sys) == _proper_form_reference(sys)
 
 
 @given(algebraic_systems(), st.data())
@@ -979,10 +969,7 @@ def _leading_terminal_form_reference(sys):
 @given(algebraic_systems(max_vars=5), st.data())
 @settings(max_examples=200, deadline=None)
 def test_leading_terminal_form_equals_the_all_columns_reference(sys, data):
-    try:
-        proper, _ = proper_form(sys)
-    except NotStabilized:
-        return
+    proper, _ = proper_form(sys)
     binary = _binarize(_unit_elimination(_drop_unproductive(proper, list(sys.variables))))
     ref = _leading_terminal_form_reference(binary)
     # by default every x-equation is written, as the reference writes it
@@ -996,10 +983,7 @@ def test_leading_terminal_form_equals_the_all_columns_reference(sys, data):
 @given(algebraic_systems(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_finite_gnf_of_kept_variables_has_the_full_normal_forms_series(sys, data):
-    try:
-        full = finite_gnf(sys)
-    except NotStabilized:
-        return
+    full = finite_gnf(sys)
     keep = data.draw(st.lists(st.sampled_from(sys.variables), min_size=1, unique=True))
     part = finite_gnf(sys, keep=keep)
     assert set(part.component_of) == set(keep)
