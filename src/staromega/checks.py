@@ -236,7 +236,7 @@ def computed_example_values() -> dict:
     }
 
     s_sys, t_sys = pair_example_systems()
-    mixed, sel = build_pair_system(t_sys, 0, s_sys, 0, "zero")
+    mixed, sel = build_pair_system(t_sys, 0, s_sys, 0)
     pair = {}
     for n in (1, 2, 3):
         w = LassoWord(("a",) * n + ("b",) * n, ("d", "d", "c"))

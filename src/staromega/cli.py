@@ -348,8 +348,9 @@ def cmd_gnf(args) -> int:
         return EXIT_OK
     dec = decompose_canonical(mixed, k, z)
     report.add("decompose", terms=dec.width, buchi=k, component=mixed.z_vars[z])
+    source = (mixed.x_part, x) if mixed.x_vars else None
     norm, gnf_mixed, sel, omega_sys, omega_sel, report = pipeline_from_decomposition(
-        dec, report=report
+        dec, report, source
     )
     if target == "mixed":
         out_g = GrammarFile(

@@ -3,11 +3,14 @@
 finite_gnf normalizes one algebraic system (empty-word split, chain removal,
 binarization, then the matrix-equation transformation that forces a leading
 terminal with at most two trailing variables).  The omega constructions
-assemble pair systems s t^omega, each from the normal forms of what its
-designated components reach, sum them behind a fresh collector variable,
-prune the sum to what the collector reaches, and finally fold a mixed
-system back into a single quemiring system whose last component carries
-the chosen pair of the canonical solution.
+assemble one pair system (s + e eps) t^omega per summand, e being s's
+empty-word coefficient, each from the normal forms of what its designated
+components reach, sum them behind a fresh collector variable, place the
+normal form of the source's finite part first among the x-variables, prune
+the sum to what the collector and that finite part reach, and finally
+fold a mixed system back into a single quemiring system whose last
+component carries the finite part and the chosen pair of the canonical
+solution.
 
 Mixed systems carry their z-coefficients as sparse rows (see
 staromega.system).  Pair systems, their block-diagonal sum and the fold
@@ -30,7 +33,7 @@ sparse rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import json
@@ -386,18 +389,17 @@ def _prune_unreachable(sys: AlgebraicSystem, keep: list[str]) -> AlgebraicSystem
 
 @dataclass(frozen=True)
 class DecompositionTerm:
-    """One summand s t^omega: systems plus designated components.
+    """One summand (s + eps_coeff eps) t^omega: systems plus designated components.
 
-    For a normalized term, eps_case is "zero" (the s-series has empty-word
-    coefficient zero) or "scalar" (the s-series is a scalar multiple of the
-    empty word, stored in eps_coeff; s_sys is then unused).
+    A missing s_sys or eps_coeff stands for zero.  In a normalized term both
+    systems are epsilon-free, s_sys is present only where its component is
+    productive, and eps_coeff only where it is nonzero, so at least one is.
     """
 
     t_sys: AlgebraicSystem
     t_component: int
     s_sys: AlgebraicSystem | None = None
     s_component: int = 0
-    eps_case: str = "zero"
     eps_coeff: SemiringValue | None = None
 
 
@@ -414,8 +416,9 @@ class OmegaDecomposition:
 
 
 def normalize_decomposition(d: OmegaDecomposition) -> OmegaDecomposition:
-    """Absorb empty-word parts: t-series become epsilon-free, s-series split
-    into an epsilon-free term and a scalar term where needed; dead terms drop.
+    """Absorb empty-word parts: t-series become epsilon-free, and each
+    s-series keeps its epsilon-free part as s_sys and its empty-word
+    coefficient as eps_coeff, one term per input term; dead terms drop.
     """
     inst = d.instance
     out: list[DecompositionTerm] = []
@@ -437,22 +440,18 @@ def normalize_decomposition(d: OmegaDecomposition) -> OmegaDecomposition:
                 + (Polynomial.build(inst, [(scale, (tname,))]),),
             )
             t_comp = len(t_proper.variables) - 1
-
-        if term.eps_case == "scalar":
+        eps = inst.zero if term.eps_coeff is None else term.eps_coeff
+        s_sys = None
+        if term.s_sys is not None:
+            s_proper, s_eps = proper_form(term.s_sys)
+            eps = eps + s_eps[term.s_component]
+            if s_proper.variables[term.s_component] in productive_components(s_proper):
+                s_sys = s_proper
+        if s_sys is not None or not eps.is_zero():
             out.append(
                 DecompositionTerm(
-                    t_proper, t_comp, None, 0, "scalar", term.eps_coeff
+                    t_proper, t_comp, s_sys, term.s_component, None if eps.is_zero() else eps
                 )
-            )
-            continue
-        s_proper, s_eps = proper_form(term.s_sys)
-        e_s = s_eps[term.s_component]
-        if not e_s.is_zero():
-            out.append(DecompositionTerm(t_proper, t_comp, None, 0, "scalar", e_s))
-        sname = s_proper.variables[term.s_component]
-        if sname in productive_components(s_proper):
-            out.append(
-                DecompositionTerm(t_proper, t_comp, s_proper, term.s_component, "zero")
             )
     return OmegaDecomposition(inst, d.terminals, tuple(out), normalized=True)
 
@@ -505,91 +504,64 @@ def build_pair_system(
     t_component: int,
     s_sys: AlgebraicSystem | None = None,
     s_component: int = 0,
-    eps_case: str = "zero",
     eps_coeff: SemiringValue | None = None,
 ) -> tuple[MixedSystem, CanonicalSelector]:
     """Mixed system in Greibach form whose first canonical solution carries
-    s t^omega (or the scalar variant) on the selected z-component.
+    (s + eps_coeff eps) t^omega on the selected z-component.
 
-    The omega part loops through a fresh accepting variable that replays the
-    t-equations, so only genuine t-cycles are accepted.  The x-variables
-    are renamed t.v and s.v, the z-variables z.acc, z.t0, ..., z.s0, ... or
-    z.eps; a head gains primes (t'.v) where a name would be a terminal.
+    Every equation of t and of s gets a z-row: its head continues into a
+    fresh accepting variable z.acc, which replays the t-equation of the
+    component, so only genuine t-cycles are accepted, and each two-variable
+    tail into the row of its last variable.  Without a coefficient the
+    selected z-variable is s's designated z.s<c>; with one it is a fresh
+    z.eps, whose row is that row, if there is an s, plus eps_coeff times
+    z.acc's.  z.s<c> may be the tail target of other s-rows, so it cannot
+    take the coefficient itself.  The x-variables are renamed t.v and s.v,
+    the z-variables z.acc, z.t0, ..., z.s0, ... and z.eps; a head gains
+    primes (t'.v) where a name would be a terminal.
     """
     inst = t_sys.instance
-    if not is_gnf_algebraic(t_sys, allow_eps=False):
-        raise IllFormedSystem("pair construction needs an epsilon-free Greibach t-system")
-    m = len(t_sys.variables)
-    t_comp = t_component
-
-    if eps_case == "zero":
-        if s_sys is None:
-            raise IllFormedSystem("missing s-system for the epsilon-free case")
-        if not is_gnf_algebraic(s_sys, allow_eps=False):
-            raise IllFormedSystem("pair construction needs an epsilon-free Greibach s-system")
-        terminals = tuple(sorted(set(s_sys.terminals) | set(t_sys.terminals)))
-        taken = set(terminals)
-        t = _rename_prefixed(t_sys, _fresh_prefix("t", t_sys.variables, taken))
-        s = _rename_prefixed(s_sys, _fresh_prefix("s", s_sys.variables, taken))
-        n = len(s.variables)
-        x_vars = s.variables + t.variables
-        x_rhs = s.rhs + t.rhs
-    elif eps_case == "scalar":
-        if eps_coeff is None or eps_coeff.is_zero():
-            raise IllFormedSystem("scalar case needs a nonzero coefficient")
-        terminals = tuple(t_sys.terminals)
-        taken = set(terminals)
-        t = _rename_prefixed(t_sys, _fresh_prefix("t", t_sys.variables, taken))
-        s = None
-        n = 0
-        x_vars = t.variables
-        x_rhs = t.rhs
-    else:
-        raise IllFormedSystem(f"unknown case {eps_case!r}")
-
-    t_ix = {v: i for i, v in enumerate(t.variables)}
-    t_head = {}
-    t_tails = {}
-    for i in range(m):
-        t_head[i], t_tails[i] = _gnf_split(t.rhs[i], t_ix)
-
-    z_local = ["acc"] + [f"t{i}" for i in range(m)]
-    z_local += [f"s{i}" for i in range(n)] if s is not None else ["eps"]
+    systems = (t_sys,) if s_sys is None else (s_sys, t_sys)
+    if not all(is_gnf_algebraic(sys, allow_eps=False) for sys in systems):
+        raise IllFormedSystem("pair construction needs epsilon-free Greibach systems")
+    if eps_coeff is not None and eps_coeff.is_zero():
+        eps_coeff = None
+    if s_sys is None and eps_coeff is None:
+        raise IllFormedSystem("pair construction needs an s-system or a nonzero coefficient")
+    terminals = tuple(sorted(set().union(*(sys.terminals for sys in systems))))
+    taken = set(terminals)
+    rename = lambda sys, head: _rename_prefixed(sys, _fresh_prefix(head, sys.variables, taken))
+    t = rename(t_sys, "t")
+    s = None if s_sys is None else rename(s_sys, "s")
+    z_local = ["acc"] + [f"t{i}" for i in range(len(t.variables))]
+    z_local += [] if s is None else [f"s{i}" for i in range(len(s.variables))]
+    z_local += [] if eps_coeff is None else ["eps"]
     zp = _fresh_prefix("z", z_local, taken)
     z_acc = zp + "acc"
-    zt = tuple(f"{zp}t{i}" for i in range(m))
     rows: dict[str, dict[str, Polynomial]] = {}
 
-    def t_row(i: int) -> dict[str, Polynomial]:
-        row = {z_acc: t_head[i]}
-        for j, poly in t_tails[i].items():
-            row[zt[j]] = poly
-        return row
+    def add_rows(sys: AlgebraicSystem, head: str) -> tuple[str, ...]:
+        zs = tuple(f"{zp}{head}{i}" for i in range(len(sys.variables)))
+        ix = {v: i for i, v in enumerate(sys.variables)}
+        for zi, poly in zip(zs, sys.rhs):
+            hd, tails = _gnf_split(poly, ix)
+            rows[zi] = {z_acc: hd, **{zs[j]: p for j, p in tails.items()}}
+        return zs
 
-    rows[z_acc] = t_row(t_comp)
-    for i in range(m):
-        rows[zt[i]] = t_row(i)
-
-    if eps_case == "zero":
-        s_ix = {v: i for i, v in enumerate(s.variables)}
-        zs = tuple(f"{zp}s{i}" for i in range(n))
-        for i in range(n):
-            hd, tl = _gnf_split(s.rhs[i], s_ix)
-            row = {z_acc: hd}
-            for j, poly in tl.items():
-                row[zs[j]] = poly
-            rows[zs[i]] = row
+    zt = add_rows(t, "t")
+    rows[z_acc] = rows[zt[t_component]]
+    zs = () if s is None else add_rows(s, "s")
+    if eps_coeff is None:
         designated = zs[s_component]
-        z_vars = (z_acc, designated) + tuple(
-            v for v in (zt + zs) if v != designated
-        )
     else:
         designated = zp + "eps"
-        rows[designated] = {
-            col: poly.scale(eps_coeff) for col, poly in t_row(t_comp).items()
-        }
-        z_vars = (z_acc, designated) + zt
-
+        rows[designated] = {} if s is None else dict(rows[zs[s_component]])
+        for col, poly in rows[z_acc].items():
+            _accumulate(rows[designated], col, poly.scale(eps_coeff))
+    z_vars = (z_acc, designated) + tuple(v for v in zt + zs if v != designated)
+    x = (t,) if s is None else (s, t)
+    x_vars = tuple(v for sys in x for v in sys.variables)
+    x_rhs = tuple(p for sys in x for p in sys.rhs)
     mixed = MixedSystem(inst, terminals, x_vars, x_rhs, z_vars, _indexed_rows(rows, z_vars))
     if not is_gnf_mixed(mixed):
         raise IllFormedSystem("internal: pair construction left Greibach form")
@@ -660,9 +632,10 @@ def char_to_mixed(d: OmegaDecomposition) -> tuple[MixedSystem, CanonicalSelector
     """Direct mixed system for a sum of pairs: one accepting loop variable per
     t-series and one collector fed by the s-series.
 
-    Term j's x-variables are c{j}.t.v and c{j}.s.v (c{j}.s for a scalar
-    s-series), the z-variables z0, z1, ... and zout; a name that would be a
-    terminal gains primes, as in build_pair_system.
+    Term j's x-variables are c{j}.t.v and c{j}.s.v, and with a coefficient
+    e the alias c{j}.s = e eps | c{j}.s.v that the collector reads (e eps
+    alone without an s-series); the z-variables are z0, z1, ... and zout.  A
+    name that would be a terminal gains primes, as in build_pair_system.
     """
     if not d.normalized:
         raise IllFormedSystem("characteristic system needs a normalized decomposition")
@@ -671,34 +644,33 @@ def char_to_mixed(d: OmegaDecomposition) -> tuple[MixedSystem, CanonicalSelector
     taken = set(d.terminals)
     x_vars: list[str] = []
     x_rhs: list[Polynomial] = []
-    s_alias: list[str] = []
+    s_polys: list[Polynomial] = []
     t_alias: list[str] = []
     for j, term in enumerate(d.terms):
         local = ["t." + v for v in term.t_sys.variables]
-        if term.eps_case == "scalar":
-            local.append("s")
-        else:
-            local += ["s." + v for v in term.s_sys.variables]
+        local += [] if term.s_sys is None else ["s." + v for v in term.s_sys.variables]
+        local += [] if term.eps_coeff is None else ["s"]
         pre = _fresh_prefix(f"c{j}", local, taken)
         t = _rename_prefixed(term.t_sys, pre + "t.")
         x_vars.extend(t.variables)
         x_rhs.extend(t.rhs)
         t_alias.append(t.variables[term.t_component])
-        if term.eps_case == "scalar":
-            alias = pre + "s"
-            x_vars.append(alias)
-            x_rhs.append(Polynomial.build(inst, [(term.eps_coeff, EPSILON)]))
-            s_alias.append(alias)
-        else:
+        s_poly = Polynomial.zero(inst)
+        if term.s_sys is not None:
             s = _rename_prefixed(term.s_sys, pre + "s.")
             x_vars.extend(s.variables)
             x_rhs.extend(s.rhs)
-            s_alias.append(s.variables[term.s_component])
+            s_poly = Polynomial.of_word(inst, (s.variables[term.s_component],))
+        if term.eps_coeff is not None:
+            x_vars.append(pre + "s")
+            x_rhs.append(Polynomial.build(inst, [(term.eps_coeff, EPSILON)]) + s_poly)
+            s_poly = Polynomial.of_word(inst, (pre + "s",))
+        s_polys.append(s_poly)
     # the x-variables all hold a dot, so only a terminal can take a z-name
     fresh = _Names(taken).fresh
     z_vars = tuple(fresh(f"z{j}") for j in range(l)) + (fresh("zout"),)
     rho_rows = [{j: Polynomial.of_word(inst, (t_alias[j],))} for j in range(l)]
-    rho_rows.append({j: Polynomial.of_word(inst, (s_alias[j],)) for j in range(l)})
+    rho_rows.append(dict(enumerate(s_polys)))
     mixed = MixedSystem(
         inst, d.terminals, tuple(x_vars), tuple(x_rhs), z_vars, tuple(rho_rows)
     )
@@ -709,12 +681,13 @@ def char_to_mixed(d: OmegaDecomposition) -> tuple[MixedSystem, CanonicalSelector
 
 
 def unmix(
-    sys: MixedSystem, k: int, l: int, t: int
+    sys: MixedSystem, k: int | None, l: int, t: int
 ) -> tuple[OmegaSystem, CanonicalSelector]:
     """One quemiring system whose last component pairs x-component k with
     z-component l at Buchi count t; the omega-loop equations come first so
     the canonical solution keeps accepting exactly the former z-variables.
-    Without x-variables the finite part of the last component is zero."""
+    With k None, as for a decomposition that carries no finite part, the
+    finite part of the last component is zero."""
     if not is_gnf_mixed(sys):
         raise IllFormedSystem("unmix needs a mixed system in Greibach form")
     if not 0 <= t <= sys.m:
@@ -735,7 +708,7 @@ def unmix(
                 terms.append((mono.coeff, mono.word + (hat[sys.z_vars[j]],)))
         hat_rhs.append(Polynomial.build(inst, terms))
     bar_rhs = [p.rename_symbols(bar) for p in sys.x_rhs]
-    finite = bar_rhs[k] if bar_rhs else Polynomial.zero(inst)
+    finite = Polynomial.zero(inst) if k is None else bar_rhs[k]
     dot_rhs = finite + hat_rhs[l]
     variables = (
         tuple(hat[z] for z in sys.z_vars)
@@ -935,16 +908,22 @@ class GnfPipelineReport:
 
 
 def pipeline_from_decomposition(
-    d: OmegaDecomposition, report: GnfPipelineReport | None = None
+    d: OmegaDecomposition,
+    report: GnfPipelineReport | None = None,
+    finite: tuple[AlgebraicSystem, int] | None = None,
 ):
     """Normalize, bring every summand to Greibach form, build and sum the pair
     systems, and fold into one omega system.  Returns the stages and selectors.
+
+    `finite` is the source's algebraic system and the component whose
+    series, off the empty word, becomes the finite part of the result: its
+    normal form, renamed f.v, comes first among the summed x-variables.
+    Without it the finite part is zero.
     """
     rep = report if report is not None else GnfPipelineReport()
     norm = d if d.normalized else normalize_decomposition(d)
     rep.add("normalize", terms=len(norm.terms))
-    # normalize_decomposition hands one t-system to the scalar and the zero
-    # term it splits, and equal systems give equal normal forms
+    # summands can share a system, and equal systems give equal normal forms
     normal_forms: dict[tuple[AlgebraicSystem, int], AlgebraicSystem] = {}
 
     def gnf_of(sys: AlgebraicSystem, comp: int) -> AlgebraicSystem:
@@ -957,14 +936,14 @@ def pipeline_from_decomposition(
     parts = []
     for term in norm.terms:
         t_nf = gnf_of(term.t_sys, term.t_component)
-        if term.eps_case == "scalar":
-            part = build_pair_system(t_nf, 0, eps_case="scalar", eps_coeff=term.eps_coeff)
-        else:
-            s_nf = gnf_of(term.s_sys, term.s_component)
-            part = build_pair_system(t_nf, 0, s_nf, 0, eps_case="zero")
-        parts.append(part)
-    rep.add("pairs", count=len(parts), kept=[len(nf.variables) for nf in normal_forms.values()])
+        s_nf = None if term.s_sys is None else gnf_of(term.s_sys, term.s_component)
+        parts.append(build_pair_system(t_nf, 0, s_nf, 0, term.eps_coeff))
     mixed, selector = sum_systems(norm.instance, norm.terminals, parts)
+    if finite is not None:
+        nf = gnf_of(*finite)
+        f = _rename_prefixed(nf, _fresh_prefix("f", nf.variables, set(norm.terminals)))
+        mixed = replace(mixed, x_vars=f.variables + mixed.x_vars, x_rhs=f.rhs + mixed.x_rhs)
+    rep.add("pairs", count=len(parts), kept=[len(nf.variables) for nf in normal_forms.values()])
     rep.add(
         "sum",
         z_vars=len(mixed.z_vars),
@@ -973,7 +952,7 @@ def pipeline_from_decomposition(
         buchi=selector.buchi_count,
         component=selector.component,
     )
-    pruned, selector = _prune_sum(mixed, selector)
+    pruned, selector = _prune_sum(mixed, selector, finite is not None)
     rep.add(
         "prune",
         x_vars=[len(mixed.x_vars), len(pruned.x_vars)],
@@ -981,7 +960,8 @@ def pipeline_from_decomposition(
         buchi=selector.buchi_count,
     )
     mixed = pruned
-    omega_sys, omega_sel = unmix(mixed, 0, selector.component, selector.buchi_count)
+    k = None if finite is None else 0
+    omega_sys, omega_sel = unmix(mixed, k, selector.component, selector.buchi_count)
     rep.add(
         "unmix",
         variables=len(omega_sys.variables),
@@ -992,10 +972,11 @@ def pipeline_from_decomposition(
 
 
 def _prune_sum(
-    sys: MixedSystem, sel: CanonicalSelector
+    sys: MixedSystem, sel: CanonicalSelector, finite: bool
 ) -> tuple[MixedSystem, CanonicalSelector]:
-    """The part of a summed system that x-variable 0 and the selected
-    z-component reach, in the same order; sys itself when that is all.
+    """The part of a summed system that the selected z-component reaches, and
+    x-variable 0 if it holds a `finite` part, in the same order; sys itself
+    when that is all.
 
     Nothing else enters the selected component of any canonical solution,
     or the finite part unmix copies from x-variable 0.  The Buchi count
@@ -1004,7 +985,7 @@ def _prune_sum(
     reach = {sel.component}
     stack = [sel.component]
     xs = set(sys.x_vars)
-    x_keep = list(sys.x_vars[:1])
+    x_keep = list(sys.x_vars[:1]) if finite else []
     while stack:
         for j, p in sys.rho[stack.pop()].items():
             if j not in reach:

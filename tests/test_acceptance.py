@@ -96,7 +96,7 @@ def test_criterion_2_boolean_system():
 
 def test_criterion_3_gnf_pair_construction():
     s_sys, t_sys = pair_example_systems()
-    mixed, sel = build_pair_system(t_sys, 0, s_sys, 0, "zero")
+    mixed, sel = build_pair_system(t_sys, 0, s_sys, 0)
     ok = is_gnf_mixed(mixed)
     for n in (1, 2, 3):
         r = canonical_omega_lasso(

@@ -174,21 +174,22 @@ def test_cmd_gnf_produces_normal_form(tmp_path, capsys):
 
 def test_gnf_report_records_the_kept_variables_and_the_prune(tmp_path, capsys):
     # m5: three pairs over five normal forms, each of what its designated
-    # component reaches; the sum's collector reaches 4 of its 229 z-variables
+    # component reaches, and the normal form of the source's finite part; the
+    # sum's collector reaches 4 of its 229 z-variables
     out, report = tmp_path / "m5.grm", tmp_path / "rep.json"
     rc = main(["gnf", str(TEST_DATA / "m5_buchi3.grm"), "--out", str(out), "--report", str(report)])
     assert rc == EXIT_OK
     stages = {s["stage"]: s for s in json.loads(report.read_text())["stages"]}
     assert list(stages) == ["input", "decompose", "normalize", "pairs", "sum", "prune", "unmix"]
     pairs, total, prune = stages["pairs"], stages["sum"], stages["prune"]
-    assert pairs["count"] == 3 and len(pairs["kept"]) == 5
-    # each pair copies its s- and t-normal forms, the scalar ones t alone
-    assert sum(pairs["kept"]) == total["x_vars"] == 224
-    assert prune["x_vars"] == [224, 220] and prune["z_vars"] == [229, 4]
+    assert pairs["count"] == 3 and len(pairs["kept"]) == 6
+    # each pair copies its s- and t-normal forms, the finite part comes once
+    assert sum(pairs["kept"]) == total["x_vars"] == 226
+    assert prune["x_vars"] == [226, 221] and prune["z_vars"] == [229, 4]
     assert prune["buchi"] == 3
     # the fold writes one variable per kept x- and z-variable, and ydot
     nf = parse_grammar(out.read_text())
-    assert len(nf.system.variables) == stages["unmix"]["variables"] == 220 + 4 + 1
+    assert len(nf.system.variables) == stages["unmix"]["variables"] == 221 + 4 + 1
     assert nf.buchi == 3
 
 
@@ -283,12 +284,15 @@ def test_cmd_check_corrupted_golden(tmp_path, capsys):
     assert '"expected": "7"' in out and '"got": "2"' in out
 
 
-def test_cmd_gnf_zero_omega_component(capsys):
+def test_cmd_gnf_zero_omega_component(tmp_path, capsys):
     # no accepting z-variable at Buchi count 0: the normalized decomposition is
-    # empty and the folded component is zero
-    rc = main(["gnf", str(DATA / "tropical_mixed.grm"), "--buchi", "0"])
-    assert rc == EXIT_OK
-    assert "ydot = 0" in capsys.readouterr().out.splitlines()
+    # empty, so ydot holds the source's finite part alone, with lasso value 0
+    source, nf = str(DATA / "tropical_mixed.grm"), str(tmp_path / "nf.grm")
+    assert main(["gnf", source, "--buchi", "0", "--out", nf]) == EXIT_OK
+    assert "ydot = a b.f.r1_0" in Path(nf).read_text().splitlines()
+    for query, want in ((["--lasso", "ab:c"], "inf"), (["--word", "ab"], "1")):
+        assert main(["eval", nf, *query]) == EXIT_OK
+        assert capsys.readouterr().out == f"{want}\n"
 
 
 @pytest.mark.parametrize("terminal", ["ydot", "h.z.sum", "b.u0.t.d0", "z.acc", "t.d0"])
@@ -585,11 +589,6 @@ def test_fork_grammar_and_its_automaton_count_every_push_choice(tmp_path, capsys
             assert capsys.readouterr().out == f"{2 ** n}\n", (source, n)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="unmix copies x-variable 0 of the summed system, the first pair's s- or "
-    "t-series, as the finite part of ydot, not the finite part of the source",
-)
 def test_omega_normal_form_keeps_the_finite_part_of_the_source(tmp_path, capsys):
     source, nf = str(DATA / "tropical_mixed.grm"), str(tmp_path / "nf.grm")
     assert main(["eval", source, "--word", "ab"]) == EXIT_OK

@@ -4,6 +4,7 @@ import json
 import random
 from pathlib import Path
 
+import pair_reference
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -171,16 +172,21 @@ def test_normalize_strips_epsilon_from_t():
     assert sol[term.t_component].coeff(("a",)).value == 1
 
 
-def test_normalize_splits_scalar_epsilon_part():
+def test_normalize_keeps_the_empty_word_coefficient_in_the_term():
     t = TROPICAL
     s_sys = _single_var_system(t, ("a", "c"), "(2) eps | a v")
     t_sys = _single_var_system(t, ("a", "c"), "c")
     d = OmegaDecomposition(t, ("a", "c"), (DecompositionTerm(t_sys, 0, s_sys, 0),))
     norm = normalize_decomposition(d)
-    cases = sorted(term.eps_case for term in norm.terms)
-    assert cases == ["scalar", "zero"]
-    scalar = [term for term in norm.terms if term.eps_case == "scalar"][0]
-    assert scalar.eps_coeff.value == 2
+    assert len(norm.terms) == 1
+    term = norm.terms[0]
+    assert term.eps_coeff.value == 2
+    assert eps_coefficients(term.s_sys)[term.s_component].is_zero()
+    # the empty-word coefficient alone: (2) eps t^omega
+    only_eps = _single_var_system(t, ("a", "c"), "(2) eps")
+    d = OmegaDecomposition(t, ("a", "c"), (DecompositionTerm(t_sys, 0, only_eps, 0),))
+    (term,) = normalize_decomposition(d).terms
+    assert term.s_sys is None and term.eps_coeff.value == 2
 
 
 def test_normalize_keeps_clean_terms():
@@ -188,7 +194,8 @@ def test_normalize_keeps_clean_terms():
     t_sys = _single_var_system(b, ("a",), "a")
     d = OmegaDecomposition(b, ("a",), (DecompositionTerm(t_sys, 0, t_sys, 0),))
     norm = normalize_decomposition(d)
-    assert len(norm.terms) == 1 and norm.terms[0].eps_case == "zero"
+    assert len(norm.terms) == 1 and norm.terms[0].eps_coeff is None
+    assert norm.terms[0].s_sys is not None
 
 
 def test_normalize_drops_unproductive_terms():
@@ -211,7 +218,7 @@ def test_normalize_drops_unproductive_terms():
 
 def test_pair_construction_example_values():
     s_sys, t_sys = pair_example_systems()
-    mixed, sel = build_pair_system(t_sys, 0, s_sys, 0, "zero")
+    mixed, sel = build_pair_system(t_sys, 0, s_sys, 0)
     assert is_gnf_mixed(mixed)
     assert sel == CanonicalSelector(1, 1)
     for n in (1, 2, 3):
@@ -230,7 +237,7 @@ def test_pair_construction_example_values():
 def test_pair_construction_scalar_case():
     t = TROPICAL
     t_sys = _single_var_system(t, ("a",), "a")
-    mixed, sel = build_pair_system(t_sys, 0, eps_case="scalar", eps_coeff=t.value(2))
+    mixed, sel = build_pair_system(t_sys, 0, eps_coeff=t.value(2))
     r = canonical_omega_lasso(mixed, sel.buchi_count, sel.component, LassoWord((), ("a",)))
     assert r.conclusive and r.value.value == 2
 
@@ -239,9 +246,86 @@ def test_pair_construction_trivial_t():
     b = BOOLEAN
     t_sys = _single_var_system(b, ("a",), "a")
     s_sys = _single_var_system(b, ("a",), "a")
-    mixed, sel = build_pair_system(t_sys, 0, s_sys, 0, "zero")
+    mixed, sel = build_pair_system(t_sys, 0, s_sys, 0)
     r = canonical_omega_lasso(mixed, 1, sel.component, LassoWord(("a",), ("a",)))
     assert r.conclusive and r.value.value == 1
+
+
+def _random_pair_series(rng, inst):
+    """A nullable s of one or two variables and a productive t of one or
+    two, over a and b, with weights 0, 1 and 2 (1 for Boolean); the empty
+    word's weight in s is nonzero.  Half of the pairs are in Greibach form
+    apart from that empty word, and keep their recursions through
+    normalization."""
+    weight = lambda *w: inst.one if inst is BOOLEAN else inst.value(rng.choice(w or (0, 1, 2)))
+    greibach = rng.random() < 0.5
+
+    def system(head, first):
+        names = tuple(f"{head}{i}" for i in range(rng.randint(1, 2)))
+        factors = [(), ("a",), ("b",), *((v,) for v in names)]
+        rhs = []
+        for i in range(len(names)):
+            if greibach:
+                words = [(rng.choice("ab"),) + rng.choice(factors[3:]) * rng.randint(0, 2)]
+            else:
+                words = [rng.choice(factors) + rng.choice(factors)]
+            terms = [(weight(), words[0]), (weight(), rng.choice(factors[1:3]) + rng.choice(factors[3:]))]
+            rhs.append(Polynomial.build(inst, terms + first * (i == 0)))
+        return AlgebraicSystem(inst, ("a", "b"), names, tuple(rhs))
+
+    s = system("s", [(weight(1, 2), ())])
+    t = system("t", [(inst.one, (rng.choice("ab"),))])
+    return s, t
+
+
+def test_merged_pair_equals_the_scalar_and_zero_pairs_it_replaces():
+    # a summand (s' + e eps) t^omega is one pair; pair_reference builds the
+    # two it replaces, e t^omega and s' t^omega, for sum_systems to add.  The
+    # characteristic system of the summand is a third route.
+    lassos = [
+        LassoWord((), ("a",)),
+        LassoWord(("a",), ("b",)),
+        LassoWord(("b",), ("a",)),
+        LassoWord(("a", "b"), ("b",)),
+        LassoWord(("b", "a"), ("a", "b")),
+    ]
+    values, merged = [], 0
+    for case in range(1000):
+        inst = (BOOLEAN, TROPICAL, ARCTIC, COUNTING)[case % 4]
+        s, t = _random_pair_series(random.Random(f"merged-pair/{case}"), inst)
+        norm = normalize_decomposition(
+            OmegaDecomposition(inst, ("a", "b"), (DecompositionTerm(t, 0, s, 0),))
+        )
+        (term,) = norm.terms
+        t_nf = finite_gnf(term.t_sys)
+        t_nf, t_comp = t_nf.system, t_nf.component_of[term.t_sys.variables[term.t_component]]
+        s_nf, s_comp = None, 0
+        if term.s_sys is not None:
+            res = finite_gnf(term.s_sys)
+            s_nf, s_comp = res.system, res.component_of[term.s_sys.variables[term.s_component]]
+        new, new_sel = build_pair_system(t_nf, t_comp, s_nf, s_comp, term.eps_coeff)
+        parts = []
+        if term.eps_coeff is not None:
+            parts.append(
+                pair_reference.build_pair_system(
+                    t_nf, t_comp, eps_case="scalar", eps_coeff=term.eps_coeff
+                )
+            )
+        if s_nf is not None:
+            parts.append(pair_reference.build_pair_system(t_nf, t_comp, s_nf, s_comp, "zero"))
+        merged += len(parts) == 2
+        old, old_sel = sum_systems(inst, ("a", "b"), parts)
+        direct, direct_sel = char_to_mixed(norm)
+        for w in lassos:
+            got = [
+                canonical_omega_lasso(sys, sel.buchi_count, sel.component, w).value
+                for sys, sel in ((old, old_sel), (new, new_sel), (direct, direct_sel))
+            ]
+            assert got[1] == got[0] == got[2], (case, str(w))
+            values.append(got[0])
+    assert merged >= 300, merged
+    nonzero = sum(1 for v in values if not v.is_zero())
+    assert nonzero >= 0.3 * len(values), (nonzero, len(values))
 
 
 def test_pair_construction_requires_gnf():
@@ -249,14 +333,14 @@ def test_pair_construction_requires_gnf():
     bad = _single_var_system(b, ("a",), "v a")
     good = _single_var_system(b, ("a",), "a")
     with pytest.raises(IllFormedSystem):
-        build_pair_system(bad, 0, good, 0, "zero")
+        build_pair_system(bad, 0, good, 0)
 
 
 def test_mixed_gnf_test_runs_once_per_system():
     from staromega.fixtures import tropical_mixed_system
 
     s_sys, t_sys = pair_example_systems()
-    mixed, _ = build_pair_system(t_sys, 0, s_sys, 0, "zero")
+    mixed, _ = build_pair_system(t_sys, 0, s_sys, 0)
     assert mixed.is_gnf is mixed.is_gnf is True
     assert "is_gnf" in vars(mixed)
     assert is_gnf_mixed(mixed)
@@ -270,7 +354,7 @@ def test_mixed_gnf_test_runs_once_per_system():
 
 def test_sum_single_part_passthrough():
     s_sys, t_sys = pair_example_systems()
-    part = build_pair_system(t_sys, 0, s_sys, 0, "zero")
+    part = build_pair_system(t_sys, 0, s_sys, 0)
     summed, sel = sum_systems(TROPICAL, t_sys.terminals, [part])
     assert is_gnf_mixed(summed)
     for n in (1, 2):
@@ -285,7 +369,7 @@ def test_sum_two_boolean_parts_union():
     b = BOOLEAN
     mk = lambda letter: build_pair_system(
         _single_var_system(b, ("a", "b"), letter), 0,
-        _single_var_system(b, ("a", "b"), letter), 0, "zero",
+        _single_var_system(b, ("a", "b"), letter), 0,
     )
     summed, sel = sum_systems(b, ("a", "b"), [mk("a"), mk("b")])
     assert sel.buchi_count == 2
@@ -301,7 +385,7 @@ def test_sum_two_tropical_parts_min():
     t = TROPICAL
     mk = lambda weight: build_pair_system(
         _single_var_system(t, ("a", "c"), "c"), 0,
-        _single_var_system(t, ("a", "c"), f"({weight}) a"), 0, "zero",
+        _single_var_system(t, ("a", "c"), f"({weight}) a"), 0,
     )
     summed, sel = sum_systems(t, ("a", "c"), [mk(3), mk(5)])
     r = canonical_omega_lasso(summed, sel.buchi_count, sel.component, LassoWord(("a",), ("c",)))
@@ -318,8 +402,8 @@ def test_sum_empty():
 def test_sum_systems_stores_part_entries_plus_collector_copies():
     s_sys, t_sys = pair_example_systems()
     parts = [
-        build_pair_system(t_sys, 0, s_sys, 0, "zero"),
-        build_pair_system(t_sys, 0, eps_case="scalar", eps_coeff=TROPICAL.value(2)),
+        build_pair_system(t_sys, 0, s_sys, 0),
+        build_pair_system(t_sys, 0, eps_coeff=TROPICAL.value(2)),
     ]
     summed, sel = sum_systems(TROPICAL, t_sys.terminals, parts)
 
@@ -539,7 +623,9 @@ def test_pipeline_end_to_end_values():
 
     sys = tropical_mixed_system()
     dec = decompose_canonical(sys, 1, 1)
-    norm, mixed, sel, omega_sys, omega_sel, report = pipeline_from_decomposition(dec)
+    norm, mixed, sel, omega_sys, omega_sel, report = pipeline_from_decomposition(
+        dec, finite=(sys.x_part, 0)
+    )
     assert is_gnf_mixed(mixed)
     assert is_gnf_omega(omega_sys)
     stage_names = [s["stage"] for s in report.stages]
@@ -552,13 +638,16 @@ def test_pipeline_end_to_end_values():
         end = canonical_omega_lasso(ind, omega_sel.buchi_count, omega_sel.component, w)
         assert want.conclusive and mid.conclusive and end.conclusive
         assert want.value == mid.value == end.value
-    # the fold preserves the finite component chosen from the summed system
+    # the fold's finite part is the source's x1 off the empty word, and it is
+    # x-variable 0 of the summed system
+    sol_src = least_solution_finite(sys.x_part, 5)
     sol_mid = least_solution_finite(mixed.x_part, 5)
     sol_out = least_solution_finite(ind.x_part, 5)
-    for length in range(0, 6):
+    for length in range(1, 6):
         for w in itertools.product(sys.terminals, repeat=length):
             got = sol_out[omega_sel.component].coeff(w)
-            assert got == sol_mid[0].coeff(w), w
+            assert got == sol_mid[0].coeff(w) == sol_src[0].coeff(w), w
+    assert sol_out[omega_sel.component].coeff(()) == TROPICAL.zero
 
 
 def test_prune_sum_keeps_what_the_selected_component_reaches():
@@ -574,14 +663,14 @@ def test_prune_sum_keeps_what_the_selected_component_reaches():
         sparse_row(t, {2: w(1, ("b",)), 0: w(5, ("a",))}),
     )
     sys = MixedSystem(t, ("a", "b"), ("x0", "x1", "x2"), x_rhs, ("a0", "a1", "t", "c"), rho)
-    pruned, sel = _prune_sum(sys, CanonicalSelector(2, 3))
+    pruned, sel = _prune_sum(sys, CanonicalSelector(2, 3), finite=True)
     assert pruned.x_vars == ("x0", "x2") and pruned.z_vars == ("a0", "t", "c")
     # one accepting z-variable is left, still first
     assert (sel.buchi_count, sel.component) == (1, 2)
     for lasso in (LassoWord((), ("a",)), LassoWord(("b",), ("a",)), LassoWord(("b", "a"), ("a",))):
         want = canonical_omega_lasso(sys, 2, 3, lasso).value
         assert canonical_omega_lasso(pruned, 1, 2, lasso).value == want
-    assert _prune_sum(pruned, sel) == (pruned, sel)
+    assert _prune_sum(pruned, sel, finite=True) == (pruned, sel)
 
 
 def test_pipeline_on_empty_decomposition_folds_to_zero():
@@ -672,34 +761,35 @@ def test_five_routes_agree_on_random_mixed_systems():
 
 def _unreached(text):
     """The z-variables of a mixed grammar that its start does not reach, and
-    its x-variables after the first that the reached z-rows do not reach."""
+    its x-variables that neither x-variable 0 nor the reached z-rows reach."""
     g = parse_grammar(text)
     sys = g.system
     start = sys.z_vars.index(g.start)
     x_ix = {v: i for i, v in enumerate(sys.x_vars)}
-    z_seen, stack, x_seen = {start}, [start], set()
+    z_seen, stack, x_stack = {start}, [start], list(sys.x_vars[:1])
     while stack:
         for j, p in sys.rho[stack.pop()].items():
             if j not in z_seen:
                 z_seen.add(j)
                 stack.append(j)
-            x_stack = [s for m in p.monomials for s in m.word if s in x_ix]
-            while x_stack:
-                v = x_stack.pop()
-                if v not in x_seen:
-                    x_seen.add(v)
-                    x_stack += [s for m in sys.x_rhs[x_ix[v]].monomials for s in m.word if s in x_ix]
+            x_stack += [s for m in p.monomials for s in m.word if s in x_ix]
+    x_seen = set()
+    while x_stack:
+        v = x_stack.pop()
+        if v not in x_seen:
+            x_seen.add(v)
+            x_stack += [s for m in sys.x_rhs[x_ix[v]].monomials for s in m.word if s in x_ix]
     return (
         [z for j, z in enumerate(sys.z_vars) if j not in z_seen],
-        [x for x in sys.x_vars[1:] if x not in x_seen],
+        [x for x in sys.x_vars if x not in x_seen],
     )
 
 
 def test_mixed_normal_form_holds_only_what_its_start_reaches(tmp_path, capsys):
     # the pairs are built from what their designated components reach and
-    # the sum is pruned to what the collector reaches; x-variable 0 is kept
-    # as the finite part the fold copies.  An input already in Greibach form
-    # comes back as it is, so none is drawn.
+    # the sum is pruned to what the collector reaches; x-variable 0 is the
+    # source's finite part, which the fold copies.  An input already in
+    # Greibach form comes back as it is, so none is drawn.
     cases = [("m5", (Path(__file__).with_name("data") / "m5_buchi3.grm").read_text())]
     draw = 0
     while len(cases) <= 50:
@@ -815,14 +905,26 @@ def _value_cases():
 VALUE_CASES = list(_value_cases())
 
 
+def _word_values(path, alphabet, capsys):
+    """`eval --word` of a grammar file on every nonempty word of at most two
+    letters: its finite part."""
+    values = []
+    for n in (1, 2):
+        for w in itertools.product(alphabet, repeat=n):
+            assert main(["eval", str(path), "--word", "".join(w)]) == EXIT_OK
+            values.append(capsys.readouterr().out)
+    return values
+
+
 @pytest.mark.parametrize("case", VALUE_CASES, ids=[c[0] for c in VALUE_CASES])
 def test_normal_form_values_equal_the_reference_text_and_the_source(case, tmp_path, capsys):
     _, text, args, k, ref = case
-    path = tmp_path / "g.grm"
+    path, nf = tmp_path / "g.grm", tmp_path / "nf.grm"
     path.write_text(text)
-    assert main(["gnf", str(path), *args]) == EXIT_OK
-    out = capsys.readouterr().out
-    lassos = _lasso_set(parse_grammar(text).terminals)
+    assert main(["gnf", str(path), *args, "--out", str(nf)]) == EXIT_OK
+    out = nf.read_text()
+    alphabet = parse_grammar(text).terminals
+    lassos = _lasso_set(alphabet)
     want = _grammar_values(text, lassos, k)
     if ref is not None:
         assert _grammar_values(ref, lassos) == want
@@ -830,6 +932,9 @@ def test_normal_form_values_equal_the_reference_text_and_the_source(case, tmp_pa
     if "omega" in args:
         # a mixed-target text has more x- than z-variables: no automaton
         assert _automaton_values(out, lassos) == want
+    # the finite parts agree off the empty word; the reference texts carry
+    # the finite part of an earlier construction, so they are left out here
+    assert _word_values(nf, alphabet, capsys) == _word_values(path, alphabet, capsys)
 
 
 # -- fast paths against references that always rebuild ---------------------------------
