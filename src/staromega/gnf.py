@@ -7,7 +7,8 @@ assemble one pair system (s + e eps) t^omega per summand, e being s's
 empty-word coefficient, each from the normal forms of what its designated
 components reach, sum them behind a fresh collector variable, place the
 normal form of the source's finite part first among the x-variables, prune
-the sum to what the collector and that finite part reach, and finally
+the sum to what the collector and that finite part reach, move the finite
+part to the x-index the output selects, and finally
 fold a mixed system back into a single quemiring system whose last
 component carries the finite part and the chosen pair of the canonical
 solution.
@@ -917,8 +918,10 @@ def pipeline_from_decomposition(
 
     `finite` is the source's algebraic system and the component whose
     series, off the empty word, becomes the finite part of the result: its
-    normal form, renamed f.v, comes first among the summed x-variables.
-    Without it the finite part is zero.
+    normal form, renamed f.v, comes first among the summed x-variables, and
+    its first variable ends at the x-index the mixed output selects, 0 or,
+    with as many x- as z-variables, the start's.  Without it the finite
+    part is zero.
     """
     rep = report if report is not None else GnfPipelineReport()
     norm = d if d.normalized else normalize_decomposition(d)
@@ -960,7 +963,17 @@ def pipeline_from_decomposition(
         buchi=selector.buchi_count,
     )
     mixed = pruned
-    k = None if finite is None else 0
+    k = None
+    if finite is not None:
+        # a file with as many x- as z-variables reads the x-variable at its
+        # start's index (cli._selection), so the finite part moves there
+        k = selector.component if len(mixed.x_vars) == mixed.m else 0
+        xs, rhs = mixed.x_vars, mixed.x_rhs
+        mixed = replace(
+            mixed,
+            x_vars=xs[1 : k + 1] + xs[:1] + xs[k + 1 :],
+            x_rhs=rhs[1 : k + 1] + rhs[:1] + rhs[k + 1 :],
+        )
     omega_sys, omega_sel = unmix(mixed, k, selector.component, selector.buchi_count)
     rep.add(
         "unmix",

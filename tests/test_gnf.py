@@ -761,12 +761,14 @@ def test_five_routes_agree_on_random_mixed_systems():
 
 def _unreached(text):
     """The z-variables of a mixed grammar that its start does not reach, and
-    its x-variables that neither x-variable 0 nor the reached z-rows reach."""
+    its x-variables that neither the selected x-variable nor the reached
+    z-rows reach."""
     g = parse_grammar(text)
     sys = g.system
     start = sys.z_vars.index(g.start)
     x_ix = {v: i for i, v in enumerate(sys.x_vars)}
-    z_seen, stack, x_stack = {start}, [start], list(sys.x_vars[:1])
+    x = _selection(g)[1]
+    z_seen, stack, x_stack = {start}, [start], list(sys.x_vars[x : x + 1])
     while stack:
         for j, p in sys.rho[stack.pop()].items():
             if j not in z_seen:
@@ -787,8 +789,8 @@ def _unreached(text):
 
 def test_mixed_normal_form_holds_only_what_its_start_reaches(tmp_path, capsys):
     # the pairs are built from what their designated components reach and
-    # the sum is pruned to what the collector reaches; x-variable 0 is the
-    # source's finite part, which the fold copies.  An input already in
+    # the sum is pruned to what the collector reaches; the selected
+    # x-variable is the source's finite part, which the fold copies.  An input already in
     # Greibach form comes back as it is, so none is drawn.
     cases = [("m5", (Path(__file__).with_name("data") / "m5_buchi3.grm").read_text())]
     draw = 0
@@ -886,11 +888,28 @@ def _automaton_values(text, lassos):
     return [behavior_omega_lasso(auto, w).value for w in lassos]
 
 
+# A grammar of the perfbench normal-form corpus whose mixed normal form has as
+# many x- as z-variables: such a file reads its finite part at the start's
+# index, not at x-variable 0.
+PAIRED_SOURCE = """\
+@semiring tropical
+@alphabet a b
+@sort x xfao xfzo
+@sort z zbwy zfff
+@start zfff
+@buchi 2
+xfao = (1) eps | a xfzo
+xfzo = (2) b
+zbwy = (2) b zfff | xfzo zfff
+zfff = (1) xfzo zbwy
+"""
+
+
 def _value_cases():
     """(id, grammar text, extra gnf arguments, Buchi count, reference text) for
-    every golden case with an omega component.  The reference text is None
-    where the handle block recursion wrote none: that output is compared
-    with the source grammar and its automaton only."""
+    every golden case with an omega component, and for PAIRED_SOURCE.  The
+    reference text is None where the handle block recursion wrote none:
+    that output is compared with the source grammar and its automaton only."""
     for case in GNF_CASES:
         name, _, target = case.split()
         text = (DATA / name).read_text()
@@ -900,6 +919,8 @@ def _value_cases():
         for k, ref in enumerate(REFERENCE_RANDOM[case["name"]]):
             args = ["--target", "omega", "--buchi", str(k)]
             yield f"{case['name']}-k{k}", case["grammar"], args, k, ref
+    for target in ("mixed", "omega"):
+        yield f"paired-{target}", PAIRED_SOURCE, ["--target", target], None, None
 
 
 VALUE_CASES = list(_value_cases())
