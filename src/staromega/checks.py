@@ -12,12 +12,11 @@ from .fixtures import (
     arctic_block_system,
     boolean_omega_system,
     contrast_mixed_system,
-    max_block_weight,
     pair_example_systems,
     tropical_mixed_system,
     tropical_omega_automaton,
 )
-from .gnf import build_pair_system
+from .gnf import DecompositionTerm, OmegaDecomposition, pipeline_from_decomposition
 from .matrix import (
     SemiringMatrix,
     mat_from_raw,
@@ -236,7 +235,9 @@ def computed_example_values() -> dict:
     }
 
     s_sys, t_sys = pair_example_systems()
-    mixed, sel = build_pair_system(t_sys, 0, s_sys, 0)
+    one_term = (DecompositionTerm(t_sys, 0, s_sys, 0),)
+    d = OmegaDecomposition(t_sys.instance, t_sys.terminals, one_term)
+    _, mixed, sel, _, _, _ = pipeline_from_decomposition(d)
     pair = {}
     for n in (1, 2, 3):
         w = LassoWord(("a",) * n + ("b",) * n, ("d", "d", "c"))

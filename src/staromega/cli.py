@@ -32,11 +32,9 @@ from .gnf import (
     GnfPipelineReport,
     decompose_canonical,
     finite_gnf,
-    normalize_decomposition,
     pipeline_from_decomposition,
 )
 from .pda import (
-    SimpleOmegaPDA,
     behavior_finite,
     behavior_omega_lasso,
     induced_finite_pda,
@@ -54,8 +52,6 @@ from .series import (
     parse_polynomial,
 )
 from .system import (
-    AlgebraicSystem,
-    CanonicalSelector,
     IllFormedSystem,
     MixedSystem,
     OmegaSystem,
@@ -63,6 +59,7 @@ from .system import (
     SemanticFailure,
     canonical_omega_lasso,
     induce_mixed,
+    is_gnf_algebraic,
     is_gnf_mixed,
     is_gnf_omega,
     sparse_row,
@@ -322,9 +319,8 @@ def cmd_gnf(args) -> int:
     target = args.target
     finite = g.kind == "mixed" and not g.system.z_vars
     mixed, x, z, k = _selection(g, args.component, "x" if finite else "z", args.buchi)
-    if (g.kind == "omega" and target == "omega" and is_gnf_omega(g.system)) or (
-        g.kind == "mixed" and target == "mixed" and is_gnf_mixed(g.system)
-    ):
+    if g.kind == target and is_gnf_mixed(mixed) and is_gnf_algebraic(mixed.x_part):
+        # an input in normal form without an empty-word rule is written back;
         # the options replace the directives they override, so the output
         # selects what the input and options did
         report.add("identity", skipped=True)

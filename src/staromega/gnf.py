@@ -2,16 +2,14 @@
 
 finite_gnf normalizes one algebraic system (empty-word split, chain removal,
 binarization, then the matrix-equation transformation that forces a leading
-terminal with at most two trailing variables).  The omega constructions
-assemble one pair system (s + e eps) t^omega per summand, e being s's
-empty-word coefficient, each from the normal forms of what its designated
-components reach, sum them behind a fresh collector variable, place the
-normal form of the source's finite part first among the x-variables, prune
-the sum to what the collector and that finite part reach, move the finite
-part to the x-index the output selects, and finally
-fold a mixed system back into a single quemiring system whose last
-component carries the finite part and the chosen pair of the canonical
-solution.
+terminal with at most two trailing variables).  The omega constructions put
+every summand (s + e eps) t^omega, e being s's empty-word coefficient, and
+the source's finite part into one system and normalize it once; each pair
+system writes its z-rows over that one Greibach x-part, the sum adds a
+collector variable, the result is pruned to what the collector and the
+finite part reach, and finally folded into a single quemiring system whose
+last component carries the finite part and the chosen pair of the
+canonical solution.
 
 Mixed systems carry their z-coefficients as sparse rows (see
 staromega.system).  Pair systems, their block-diagonal sum and the fold
@@ -22,11 +20,11 @@ z-variables.
 
 decompose_canonical runs the Lehmann sweep of staromega.matrix on that
 matrix with series handles as its values: nodes of a DAG whose leaves are
-restricted components of the input's finite part and whose other nodes
-each hold one equation over their children.  The path decomposition that
-gives mat_omega_t then reads off at most k pairs s t^omega, with O(m^3)
-handle nodes in all.  Combining handles copies no system; an algebraic
-system is written out only for the handles of the returned pairs, one
+polynomials over the input's finite part and whose other nodes each hold
+one equation over their children.  The path decomposition that gives
+mat_omega_t then reads off at most k pairs s t^omega, with O(m^3) handle
+nodes in all.  Combining handles copies no system; one algebraic system is
+written out for all the returned pairs: the input's x-variables and one
 variable per distinct node.  Chain rules are removed through the star of
 the unit matrix, taken one strongly connected component at a time on
 sparse rows.
@@ -420,46 +418,54 @@ def normalize_decomposition(d: OmegaDecomposition) -> OmegaDecomposition:
     """Absorb empty-word parts: t-series become epsilon-free, and each
     s-series keeps its epsilon-free part as s_sys and its empty-word
     coefficient as eps_coeff, one term per input term; dead terms drop.
+
+    Each distinct system (by identity) is brought to proper form once, and
+    terms that shared a system share its proper form.  A t-series with a
+    nonzero empty-word coefficient e becomes the alias e* t, appended to
+    that one system.
     """
     inst = d.instance
-    out: list[DecompositionTerm] = []
+    # id of an input system -> [proper form, empty-word coefficients,
+    # productive variables, alias index of each aliased component]
+    proper: dict[int, list] = {}
+
+    def proper_of(sys: AlgebraicSystem) -> list:
+        if id(sys) not in proper:
+            p, eps = proper_form(sys)
+            proper[id(sys)] = [p, eps, productive_components(p), {}]
+        return proper[id(sys)]
+
+    kept = []
     for term in d.terms:
-        t_proper, t_eps = proper_form(term.t_sys)
-        t_comp = term.t_component
-        tname = t_proper.variables[t_comp]
-        if tname not in productive_components(t_proper):
+        t = proper_of(term.t_sys)
+        t_sys, t_eps, t_live, aliases = t
+        tname = t_sys.variables[term.t_component]
+        if tname not in t_live:
             continue
-        e_t = t_eps[t_comp]
-        if not e_t.is_zero():
-            scale = e_t.star()
-            alias = _fresh_var(t_proper, "tsc")
-            t_proper = AlgebraicSystem(
-                inst,
-                t_proper.terminals,
-                t_proper.variables + (alias,),
-                t_proper.rhs
-                + (Polynomial.build(inst, [(scale, (tname,))]),),
-            )
-            t_comp = len(t_proper.variables) - 1
         eps = inst.zero if term.eps_coeff is None else term.eps_coeff
-        s_sys = None
-        if term.s_sys is not None:
-            s_proper, s_eps = proper_form(term.s_sys)
-            eps = eps + s_eps[term.s_component]
-            if s_proper.variables[term.s_component] in productive_components(s_proper):
-                s_sys = s_proper
-        if s_sys is not None or not eps.is_zero():
-            out.append(
-                DecompositionTerm(
-                    t_proper, t_comp, s_sys, term.s_component, None if eps.is_zero() else eps
+        s = None if term.s_sys is None else proper_of(term.s_sys)
+        if s is not None:
+            eps = eps + s[1][term.s_component]
+            if s[0].variables[term.s_component] not in s[2]:
+                s = None
+        if s is None and eps.is_zero():
+            continue
+        t_comp = term.t_component
+        if not t_eps[t_comp].is_zero():
+            if t_comp not in aliases:
+                aliases[t_comp] = len(t_sys.variables)
+                alias = _Names(set(t_sys.variables) | set(t_sys.terminals)).fresh("tsc")
+                scaled = Polynomial.build(inst, [(t_eps[t_comp].star(), (tname,))])
+                t[0] = AlgebraicSystem(
+                    inst, t_sys.terminals, t_sys.variables + (alias,), t_sys.rhs + (scaled,)
                 )
-            )
-    return OmegaDecomposition(inst, d.terminals, tuple(out), normalized=True)
-
-
-def _fresh_var(sys: AlgebraicSystem, base: str) -> str:
-    names = _Names(set(sys.variables) | set(sys.terminals))
-    return names.fresh(base)
+            t_comp = aliases[t_comp]
+        kept.append((t, t_comp, s, term.s_component, None if eps.is_zero() else eps))
+    terms = tuple(
+        DecompositionTerm(t[0], tc, None if s is None else s[0], sc, eps)
+        for t, tc, s, sc, eps in kept
+    )
+    return OmegaDecomposition(inst, d.terminals, terms, normalized=True)
 
 
 def _fresh_prefix(head: str, names: Sequence[str], taken: set[str]) -> str:
@@ -501,121 +507,87 @@ def _gnf_split(poly: Polynomial, ix: dict[str, int]):
 
 
 def build_pair_system(
-    t_sys: AlgebraicSystem,
-    t_component: int,
-    s_sys: AlgebraicSystem | None = None,
-    s_component: int = 0,
+    x: AlgebraicSystem,
+    t: int,
+    s: int | None = None,
     eps_coeff: SemiringValue | None = None,
 ) -> tuple[MixedSystem, CanonicalSelector]:
-    """Mixed system in Greibach form whose first canonical solution carries
-    (s + eps_coeff eps) t^omega on the selected z-component.
+    """Mixed system over the Greibach x-part x whose first canonical solution
+    carries (x_s + eps_coeff eps) x_t^omega on the selected z-component.
 
-    Every equation of t and of s gets a z-row: its head continues into a
-    fresh accepting variable z.acc, which replays the t-equation of the
-    component, so only genuine t-cycles are accepted, and each two-variable
-    tail into the row of its last variable.  Without a coefficient the
-    selected z-variable is s's designated z.s<c>; with one it is a fresh
-    z.eps, whose row is that row, if there is an s, plus eps_coeff times
-    z.acc's.  z.s<c> may be the tail target of other s-rows, so it cannot
-    take the coefficient itself.  The x-variables are renamed t.v and s.v,
-    the z-variables z.acc, z.t0, ..., z.s0, ... and z.eps; a head gains
-    primes (t'.v) where a name would be a terminal.
+    x_s and every x-variable i that t or s reaches through last variables
+    get a z-row z.i: its head continues into the accepting z.acc, which
+    replays t's row, so only genuine t-cycles are accepted, and each
+    two-variable tail into the row of its last variable.  The selected
+    z-variable is z.s, or with a coefficient a fresh z.eps (z.s may be the
+    tail target of other rows): z.s's row plus eps_coeff times z.acc's.
+    The head gains primes (z'.acc) where a name would be taken.
     """
-    inst = t_sys.instance
-    systems = (t_sys,) if s_sys is None else (s_sys, t_sys)
-    if not all(is_gnf_algebraic(sys, allow_eps=False) for sys in systems):
-        raise IllFormedSystem("pair construction needs epsilon-free Greibach systems")
+    inst = x.instance
+    if not is_gnf_algebraic(x, allow_eps=False):
+        raise IllFormedSystem("pair construction needs an epsilon-free Greibach x-part")
     if eps_coeff is not None and eps_coeff.is_zero():
         eps_coeff = None
-    if s_sys is None and eps_coeff is None:
-        raise IllFormedSystem("pair construction needs an s-system or a nonzero coefficient")
-    terminals = tuple(sorted(set().union(*(sys.terminals for sys in systems))))
-    taken = set(terminals)
-    rename = lambda sys, head: _rename_prefixed(sys, _fresh_prefix(head, sys.variables, taken))
-    t = rename(t_sys, "t")
-    s = None if s_sys is None else rename(s_sys, "s")
-    z_local = ["acc"] + [f"t{i}" for i in range(len(t.variables))]
-    z_local += [] if s is None else [f"s{i}" for i in range(len(s.variables))]
-    z_local += [] if eps_coeff is None else ["eps"]
-    zp = _fresh_prefix("z", z_local, taken)
+    if s is None and eps_coeff is None:
+        raise IllFormedSystem("pair construction needs an s-component or a nonzero coefficient")
+    ix = {v: i for i, v in enumerate(x.variables)}
+    split: dict[int, tuple] = {}
+    stack = [t] if s is None else [t, s]
+    while stack:
+        i = stack.pop()
+        if i not in split:
+            split[i] = _gnf_split(x.rhs[i], ix)
+            stack.extend(split[i][1])
+    written = {j for _, tails in split.values() for j in tails}
+    order = sorted(written if s is None else written | {s})
+    zp = _fresh_prefix("z", ["acc", "eps", *map(str, order)], set(x.terminals) | set(x.variables))
     z_acc = zp + "acc"
-    rows: dict[str, dict[str, Polynomial]] = {}
-
-    def add_rows(sys: AlgebraicSystem, head: str) -> tuple[str, ...]:
-        zs = tuple(f"{zp}{head}{i}" for i in range(len(sys.variables)))
-        ix = {v: i for i, v in enumerate(sys.variables)}
-        for zi, poly in zip(zs, sys.rhs):
-            hd, tails = _gnf_split(poly, ix)
-            rows[zi] = {z_acc: hd, **{zs[j]: p for j, p in tails.items()}}
-        return zs
-
-    zt = add_rows(t, "t")
-    rows[z_acc] = rows[zt[t_component]]
-    zs = () if s is None else add_rows(s, "s")
-    if eps_coeff is None:
-        designated = zs[s_component]
-    else:
+    row = lambda i: {z_acc: split[i][0], **{f"{zp}{j}": p for j, p in split[i][1].items()}}
+    rows = {f"{zp}{i}": row(i) for i in order}
+    rows[z_acc] = row(t)
+    designated = f"{zp}{s}"
+    if eps_coeff is not None:
         designated = zp + "eps"
-        rows[designated] = {} if s is None else dict(rows[zs[s_component]])
+        rows[designated] = {} if s is None else row(s)
         for col, poly in rows[z_acc].items():
             _accumulate(rows[designated], col, poly.scale(eps_coeff))
-    z_vars = (z_acc, designated) + tuple(v for v in zt + zs if v != designated)
-    x = (t,) if s is None else (s, t)
-    x_vars = tuple(v for sys in x for v in sys.variables)
-    x_rhs = tuple(p for sys in x for p in sys.rhs)
-    mixed = MixedSystem(inst, terminals, x_vars, x_rhs, z_vars, _indexed_rows(rows, z_vars))
-    if not is_gnf_mixed(mixed):
-        raise IllFormedSystem("internal: pair construction left Greibach form")
+    z_vars = (z_acc, designated) + tuple(z for z in rows if z not in (z_acc, designated))
+    mixed = MixedSystem(inst, x.terminals, x.variables, x.rhs, z_vars, _indexed_rows(rows, z_vars))
     return mixed, CanonicalSelector(1, 1)
 
 
 def sum_systems(
-    instance: SemiringInstance,
-    terminals: Sequence[str],
-    parts: Sequence[tuple[MixedSystem, CanonicalSelector]],
+    x: AlgebraicSystem, parts: Sequence[tuple[MixedSystem, CanonicalSelector]]
 ) -> tuple[MixedSystem, CanonicalSelector]:
-    """Block-diagonal union with a fresh collector variable.
+    """The z-rows of pair systems over x side by side, and a collector that
+    replays their selected rows: the l-th canonical solution adds the parts.
 
-    Every part must designate a non-accepting z-component of its first
-    canonical solution; the collector replays those components' rows and the
-    l-th canonical solution of the union sums the parts.  Part p's variables
-    are renamed u{p}.v and the collector is z.sum, each kept off the
-    terminals as in build_pair_system.
+    Part p's z-variables are renamed u{p}.z and the collector is z.sum, each
+    kept off the terminals and the x-variables; x is neither renamed nor
+    copied.
     """
-    inst = instance
-    l = len(parts)
-    taken = set(terminals)
-    # the part variables all start with u, so only a terminal can be z.sum
-    collector = _Names(taken).fresh("z.sum")
-    x_vars: list[str] = []
-    x_rhs: list[Polynomial] = []
+    taken = set(x.terminals) | set(x.variables)
     buchi_vars: list[str] = []
     tail_vars: list[str] = []
-    rows: dict[str, dict[str, Polynomial]] = {collector: {}}
+    rows: dict[str, dict[str, Polynomial]] = {}
+    collected: dict[str, Polynomial] = {}
     for pidx, (part, sel) in enumerate(parts):
-        if sel.buchi_count != 1 or sel.component == 0:
-            raise IllFormedSystem(
-                "summands must designate a non-accepting component at count 1"
-            )
-        pre = _fresh_prefix(f"u{pidx}", part.x_vars + part.z_vars, taken)
-        ren_x = {v: pre + v for v in part.x_vars}
-        x_vars.extend(pre + v for v in part.x_vars)
-        x_rhs.extend(p.rename_symbols(ren_x) for p in part.x_rhs)
-        local_order = [part.z_vars[sel.component]] + [
-            v for i, v in enumerate(part.z_vars) if i != sel.component and i != 0
-        ]
-        buchi_vars.append(pre + part.z_vars[0])
-        tail_vars.extend(pre + v for v in local_order)
-        for zv, row in zip(part.z_vars, part.rho):
-            rows[pre + zv] = {
-                pre + part.z_vars[j]: p.rename_symbols(ren_x) for j, p in row.items()
-            }
-        rows[collector].update(rows[pre + part.z_vars[sel.component]])
+        if sel != CanonicalSelector(1, 1) or part.x_vars != x.variables:
+            raise IllFormedSystem("summands must be pair systems over the shared x-part")
+        pre = _fresh_prefix(f"u{pidx}", part.z_vars, taken)
+        names = [pre + z for z in part.z_vars]
+        for zi, row in zip(names, part.rho):
+            rows[zi] = {names[j]: p for j, p in row.items()}
+        collected.update(rows[names[1]])
+        buchi_vars.append(names[0])
+        tail_vars.extend(names[1:])
+    collector = _Names(taken | set(rows)).fresh("z.sum")
+    rows[collector] = collected
     z_vars = tuple(buchi_vars) + tuple(tail_vars) + (collector,)
     mixed = MixedSystem(
-        inst, tuple(terminals), tuple(x_vars), tuple(x_rhs), z_vars, _indexed_rows(rows, z_vars)
+        x.instance, x.terminals, x.variables, x.rhs, z_vars, _indexed_rows(rows, z_vars)
     )
-    return mixed, CanonicalSelector(l, len(z_vars) - 1)
+    return mixed, CanonicalSelector(len(parts), len(z_vars) - 1)
 
 
 def _indexed_rows(
@@ -688,7 +660,9 @@ def unmix(
     z-component l at Buchi count t; the omega-loop equations come first so
     the canonical solution keeps accepting exactly the former z-variables.
     With k None, as for a decomposition that carries no finite part, the
-    finite part of the last component is zero."""
+    finite part of the last component is zero.  Only the variables that some
+    rule reads are written (the last component copies x_k's and z_l's rows),
+    and the Buchi count counts the accepting ones among them."""
     if not is_gnf_mixed(sys):
         raise IllFormedSystem("unmix needs a mixed system in Greibach form")
     if not 0 <= t <= sys.m:
@@ -701,24 +675,30 @@ def unmix(
     bp = _fresh_prefix("b", sys.x_vars, taken)
     hat = {zv: hp + zv for zv in sys.z_vars}
     bar = {xv: bp + xv for xv in sys.x_vars}
-    hat_rhs = []
-    for row in sys.rho:
-        terms = []
-        for j, p in row.items():
-            for mono in p.rename_symbols(bar).monomials:
-                terms.append((mono.coeff, mono.word + (hat[sys.z_vars[j]],)))
-        hat_rhs.append(Polynomial.build(inst, terms))
+    hat_rhs = [
+        Polynomial.build(
+            inst,
+            [
+                (mono.coeff, mono.word + (hat[sys.z_vars[j]],))
+                for j, p in row.items()
+                for mono in p.rename_symbols(bar).monomials
+            ],
+        )
+        for row in sys.rho
+    ]
     bar_rhs = [p.rename_symbols(bar) for p in sys.x_rhs]
-    finite = Polynomial.zero(inst) if k is None else bar_rhs[k]
-    dot_rhs = finite + hat_rhs[l]
+    dot_rhs = (Polynomial.zero(inst) if k is None else bar_rhs[k]) + hat_rhs[l]
+    read = {s for p in hat_rhs + bar_rhs for mono in p.monomials for s in mono.word}
+    zs = [j for j, z in enumerate(sys.z_vars) if hat[z] in read]
+    xs = [i for i, x in enumerate(sys.x_vars) if bar[x] in read]
     variables = (
-        tuple(hat[z] for z in sys.z_vars)
-        + tuple(bar[x] for x in sys.x_vars)
+        tuple(hat[sys.z_vars[j]] for j in zs)
+        + tuple(bar[sys.x_vars[i]] for i in xs)
         + (_Names(taken).fresh("ydot"),)
     )
-    rhs = tuple(hat_rhs) + tuple(bar_rhs) + (dot_rhs,)
+    rhs = tuple(hat_rhs[j] for j in zs) + tuple(bar_rhs[i] for i in xs) + (dot_rhs,)
     out = OmegaSystem(inst, sys.terminals, variables, rhs)
-    return out, CanonicalSelector(t, len(variables) - 1)
+    return out, CanonicalSelector(sum(1 for j in zs if j < t), len(variables) - 1)
 
 
 # -- canonical decomposition of one omega component ----------------------------
@@ -727,18 +707,18 @@ def unmix(
 class _Handle:
     """A series as a node of the handle DAG.
 
-    A leaf holds a restricted algebraic system whose first variable is the
-    series.  Any other node is one equation with coefficients one: `words`
-    spells its monomials over slots, 0 for the node itself and 1, 2, ... for
-    its children `kids`, which are all productive.  The series is zero
-    exactly when that equation (a leaf's first) is empty.
+    A leaf is a polynomial over the terminals and the base system's
+    productive variables.  Any other node is one equation with coefficients
+    one: `words` spells its monomials over slots, 0 for the node itself and
+    1, 2, ... for its children `kids`, which are all productive.  The series
+    is zero exactly when that equation is empty.
     """
 
     __slots__ = ("leaf", "kids", "words", "productive")
 
     def __init__(self, leaf=None, kids=(), words=()):
         self.leaf, self.kids, self.words = leaf, kids, words
-        self.productive = not leaf.rhs[0].is_zero() if leaf is not None else bool(words)
+        self.productive = not leaf.is_zero() if leaf is not None else bool(words)
 
 
 class _HandleAlgebra:
@@ -751,27 +731,24 @@ class _HandleAlgebra:
     unchanged; `top_raw` is None, so no row counts as saturated.
     `axpy_raw` is the generic y + l z comprehension: it builds the nodes
     cell by cell, in the order the normal form's output depends on.
-    Leaves are components of the base system restricted to its productive,
-    reachable variables.  Every combinator makes at most one node over its
-    operands and copies nothing; an unproductive operand is left out, where
-    restricting a glued system would erase it.  `zero_raw`
-    is one shared unproductive handle and `mul_raw` returns it, so the
-    sweep's zero test skips empty rows.  A system is written out only by
-    `emit`, for the handles a decomposition returns: one variable per
-    distinct node, however often it is shared.
+    A leaf keeps the monomials of its polynomial that avoid the base's
+    unproductive variables.  Every combinator makes at most one node over
+    its operands and copies nothing; an unproductive operand is left out.
+    `zero_raw` is one shared unproductive handle and `mul_raw` returns it,
+    so the sweep's zero test skips empty rows.  A system is written out
+    only by `emit`, once for all the handles a decomposition returns.
     """
 
     def __init__(self, base: AlgebraicSystem):
         self.base = base
-        self.top = _Names(set(base.variables) | set(base.terminals)).fresh("v")
+        self.dead = set(base.variables) - productive_components(base)
         self.zero = _Handle()
 
     def of_poly(self, poly: Polynomial) -> _Handle:
-        b = self.base
-        glued = AlgebraicSystem(
-            b.instance, b.terminals, b.variables + (self.top,), b.rhs + (poly,)
-        )
-        return _Handle(_restrict(glued, len(b.variables)))
+        if self.dead:
+            live = tuple(m for m in poly.monomials if self.dead.isdisjoint(m.word))
+            poly = Polynomial(poly.instance, live)
+        return _Handle(poly)
 
     def zero_raw(self) -> _Handle:
         return self.zero
@@ -804,57 +781,42 @@ class _HandleAlgebra:
 
     sweep_raw = SemiringInstance.sweep_raw
 
-    def emit(self, h: _Handle) -> AlgebraicSystem:
-        """The system of h, variables d0, d1, ... over the distinct nodes in
-        preorder, h's series first; a leaf takes one variable per variable of
-        its system."""
-        inst, terminals = self.base.instance, self.base.terminals
+    def emit(self, roots: Sequence[_Handle]) -> tuple[AlgebraicSystem, list[int]]:
+        """One system for all the roots and the index of each: the base's
+        variables under their own names, then d0, d1, ... over the distinct
+        nodes the roots reach, in preorder."""
+        base = self.base
+        inst = base.instance
         at: dict[_Handle, int] = {}
-        stack, n = [h], 0
+        stack = list(reversed(roots))
         while stack:
             node = stack.pop()
-            if node in at:
-                continue
-            at[node] = n
-            if node.leaf is not None:
-                n += len(node.leaf.variables)
-            else:
-                n += 1
+            if node not in at:
+                at[node] = len(at)
                 stack.extend(reversed(node.kids))
-        fresh = _Names(set(terminals)).fresh
-        names = [fresh(f"d{i}") for i in range(n)]
+        fresh = _Names(set(base.variables) | set(base.terminals)).fresh
+        names = [fresh(f"d{i}") for i in range(len(at))]
         rhs: list[Polynomial] = []
         for node, i in at.items():
             if node.leaf is not None:
-                ren = dict(zip(node.leaf.variables, names[i:]))
-                rhs.extend(p.rename_symbols(ren) for p in node.leaf.rhs)
+                rhs.append(node.leaf)
                 continue
             slots = [names[i]] + [names[at[kid]] for kid in node.kids]
             rhs.append(
                 Polynomial.build(inst, [(inst.one, tuple(slots[s] for s in w)) for w in node.words])
             )
-        return AlgebraicSystem(inst, terminals, tuple(names), tuple(rhs))
-
-
-def _restrict(sys: AlgebraicSystem, comp: int) -> AlgebraicSystem:
-    name = sys.variables[comp]
-    return _first(_drop_unproductive(sys, [name]), name)
-
-
-def _first(sys: AlgebraicSystem, name: str) -> AlgebraicSystem:
-    """sys with variable `name` moved to the front."""
-    order = (name,) + tuple(v for v in sys.variables if v != name)
-    ix = {v: i for i, v in enumerate(sys.variables)}
-    return AlgebraicSystem(
-        sys.instance, sys.terminals, order, tuple(sys.rhs[ix[v]] for v in order)
-    )
+        n = len(base.variables)
+        sys = AlgebraicSystem(
+            inst, base.terminals, base.variables + tuple(names), base.rhs + tuple(rhs)
+        )
+        return sys, [n + at[r] for r in roots]
 
 
 def decompose_canonical(
     sys: MixedSystem, k: int, component: int
 ) -> OmegaDecomposition:
     """Express one omega component of the k-th canonical solution as a sum of
-    pairs s t^omega of algebraic series.
+    pairs s t^omega of algebraic series, all over one emitted system.
 
     The Lehmann sweep `sweep_raw` runs on the z-coefficient matrix of
     series handles in the pivot order m-1..0, and the component is read off
@@ -884,10 +846,10 @@ def decompose_canonical(
         for kk in range(j):
             s = alg.add_raw(s, alg.mul_raw(star[kk], c[kk]))
         if s.productive:
-            pairs.append((s, c[j]))
+            pairs += [c[j], s]
+    emitted, at = alg.emit(pairs)
     dterms = tuple(
-        DecompositionTerm(t_sys=alg.emit(t), t_component=0, s_sys=alg.emit(s), s_component=0)
-        for (s, t) in pairs
+        DecompositionTerm(emitted, at[i], emitted, at[i + 1]) for i in range(0, len(at), 2)
     )
     return OmegaDecomposition(sys.instance, tuple(sys.terminals), dterms)
 
@@ -913,40 +875,48 @@ def pipeline_from_decomposition(
     report: GnfPipelineReport | None = None,
     finite: tuple[AlgebraicSystem, int] | None = None,
 ):
-    """Normalize, bring every summand to Greibach form, build and sum the pair
-    systems, and fold into one omega system.  Returns the stages and selectors.
+    """Normalize, bring the summands and the finite part to Greibach form in
+    one system, build and sum the pair systems over it, and fold into one
+    omega system.  Returns the stages and selectors.
 
-    `finite` is the source's algebraic system and the component whose
-    series, off the empty word, becomes the finite part of the result: its
-    normal form, renamed f.v, comes first among the summed x-variables, and
-    its first variable ends at the x-index the mixed output selects, 0 or,
-    with as many x- as z-variables, the start's.  Without it the finite
-    part is zero.
+    The distinct systems of the terms and of `finite` become one, under
+    their own names if there is one, else as x0.v, x1.v, ...  `finite` is
+    the source's system and the component whose series, off the empty word,
+    is the result's finite part: x-variable 0 of the mixed output or, with
+    as many x- as z-variables, the start's.  Without it that part is zero.
     """
     rep = report if report is not None else GnfPipelineReport()
     norm = d if d.normalized else normalize_decomposition(d)
     rep.add("normalize", terms=len(norm.terms))
-    # summands can share a system, and equal systems give equal normal forms
-    normal_forms: dict[tuple[AlgebraicSystem, int], AlgebraicSystem] = {}
-
-    def gnf_of(sys: AlgebraicSystem, comp: int) -> AlgebraicSystem:
-        """The normal form of what component comp reaches, that component first."""
-        if (sys, comp) not in normal_forms:
-            name = sys.variables[comp]
-            normal_forms[sys, comp] = _first(finite_gnf(sys, keep=[name]).system, name)
-        return normal_forms[sys, comp]
-
-    parts = []
-    for term in norm.terms:
-        t_nf = gnf_of(term.t_sys, term.t_component)
-        s_nf = None if term.s_sys is None else gnf_of(term.s_sys, term.s_component)
-        parts.append(build_pair_system(t_nf, 0, s_nf, 0, term.eps_coeff))
-    mixed, selector = sum_systems(norm.instance, norm.terminals, parts)
-    if finite is not None:
-        nf = gnf_of(*finite)
-        f = _rename_prefixed(nf, _fresh_prefix("f", nf.variables, set(norm.terminals)))
-        mixed = replace(mixed, x_vars=f.variables + mixed.x_vars, x_rhs=f.rhs + mixed.x_rhs)
-    rep.add("pairs", count=len(parts), kept=[len(nf.variables) for nf in normal_forms.values()])
+    reads = [(term.t_sys, term.t_component) for term in norm.terms]
+    reads += [(term.s_sys, term.s_component) for term in norm.terms if term.s_sys is not None]
+    reads += [] if finite is None else [finite]
+    systems = list({id(sys): sys for sys, _ in reads}.values())
+    taken = set(norm.terminals)
+    prefix = {
+        id(sys): "" if len(systems) == 1 else _fresh_prefix(f"x{i}", sys.variables, taken)
+        for i, sys in enumerate(systems)
+    }
+    name = lambda sys, comp: prefix[id(sys)] + sys.variables[comp]
+    keep = list(dict.fromkeys(name(sys, comp) for sys, comp in reads))
+    if len(systems) > 1:
+        systems = [_rename_prefixed(sys, prefix[id(sys)]) for sys in systems]
+    x = AlgebraicSystem(
+        norm.instance,
+        norm.terminals,
+        tuple(v for sys in systems for v in sys.variables),
+        tuple(p for sys in systems for p in sys.rhs),
+    )
+    if keep:
+        x = finite_gnf(x, keep).system
+    ix = {v: i for i, v in enumerate(x.variables)}
+    at = lambda sys, comp: None if sys is None else ix[name(sys, comp)]
+    parts = [
+        build_pair_system(x, at(t.t_sys, t.t_component), at(t.s_sys, t.s_component), t.eps_coeff)
+        for t in norm.terms
+    ]
+    mixed, selector = sum_systems(x, parts)
+    rep.add("pairs", count=len(parts), kept=len(x.variables))
     rep.add(
         "sum",
         z_vars=len(mixed.z_vars),
@@ -955,7 +925,8 @@ def pipeline_from_decomposition(
         buchi=selector.buchi_count,
         component=selector.component,
     )
-    pruned, selector = _prune_sum(mixed, selector, finite is not None)
+    f = None if finite is None else name(*finite)
+    pruned, selector = _prune_sum(mixed, selector, f)
     rep.add(
         "prune",
         x_vars=[len(mixed.x_vars), len(pruned.x_vars)],
@@ -964,16 +935,13 @@ def pipeline_from_decomposition(
     )
     mixed = pruned
     k = None
-    if finite is not None:
+    if f is not None:
         # a file with as many x- as z-variables reads the x-variable at its
         # start's index (cli._selection), so the finite part moves there
         k = selector.component if len(mixed.x_vars) == mixed.m else 0
-        xs, rhs = mixed.x_vars, mixed.x_rhs
-        mixed = replace(
-            mixed,
-            x_vars=xs[1 : k + 1] + xs[:1] + xs[k + 1 :],
-            x_rhs=rhs[1 : k + 1] + rhs[:1] + rhs[k + 1 :],
-        )
+        xs = list(zip(mixed.x_vars, mixed.x_rhs))
+        xs.insert(k, xs.pop(mixed.x_vars.index(f)))
+        mixed = replace(mixed, x_vars=tuple(v for v, _ in xs), x_rhs=tuple(p for _, p in xs))
     omega_sys, omega_sel = unmix(mixed, k, selector.component, selector.buchi_count)
     rep.add(
         "unmix",
@@ -985,20 +953,20 @@ def pipeline_from_decomposition(
 
 
 def _prune_sum(
-    sys: MixedSystem, sel: CanonicalSelector, finite: bool
+    sys: MixedSystem, sel: CanonicalSelector, finite: str | None
 ) -> tuple[MixedSystem, CanonicalSelector]:
     """The part of a summed system that the selected z-component reaches, and
-    x-variable 0 if it holds a `finite` part, in the same order; sys itself
+    the x-variable `finite` if there is one, in the same order; sys itself
     when that is all.
 
     Nothing else enters the selected component of any canonical solution,
-    or the finite part unmix copies from x-variable 0.  The Buchi count
+    or the finite part unmix copies from that x-variable.  The Buchi count
     becomes the number of accepting z-variables kept, which stay first.
     """
     reach = {sel.component}
     stack = [sel.component]
     xs = set(sys.x_vars)
-    x_keep = list(sys.x_vars[:1]) if finite else []
+    x_keep = [] if finite is None else [finite]
     while stack:
         for j, p in sys.rho[stack.pop()].items():
             if j not in reach:

@@ -21,7 +21,6 @@ from staromega.fixtures import (
 from staromega.gnf import (
     DecompositionTerm,
     OmegaDecomposition,
-    build_pair_system,
     char_to_mixed,
     normalize_decomposition,
     pipeline_from_decomposition,
@@ -96,7 +95,8 @@ def test_criterion_2_boolean_system():
 
 def test_criterion_3_gnf_pair_construction():
     s_sys, t_sys = pair_example_systems()
-    mixed, sel = build_pair_system(t_sys, 0, s_sys, 0)
+    d = OmegaDecomposition(TROPICAL, t_sys.terminals, (DecompositionTerm(t_sys, 0, s_sys, 0),))
+    _, mixed, sel, _, _, _ = pipeline_from_decomposition(d)
     ok = is_gnf_mixed(mixed)
     for n in (1, 2, 3):
         r = canonical_omega_lasso(

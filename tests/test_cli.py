@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -173,23 +174,23 @@ def test_cmd_gnf_produces_normal_form(tmp_path, capsys):
 
 
 def test_gnf_report_records_the_kept_variables_and_the_prune(tmp_path, capsys):
-    # m5: three pairs over five normal forms, each of what its designated
-    # component reaches, and the normal form of the source's finite part; the
-    # sum's collector reaches 4 of its 229 z-variables
+    # m5: three pairs over one normal form of what their designated
+    # components and the source's finite part reach; the sum's collector
+    # reaches 4 of its 7 z-variables
     out, report = tmp_path / "m5.grm", tmp_path / "rep.json"
     rc = main(["gnf", str(TEST_DATA / "m5_buchi3.grm"), "--out", str(out), "--report", str(report)])
     assert rc == EXIT_OK
     stages = {s["stage"]: s for s in json.loads(report.read_text())["stages"]}
     assert list(stages) == ["input", "decompose", "normalize", "pairs", "sum", "prune", "unmix"]
     pairs, total, prune = stages["pairs"], stages["sum"], stages["prune"]
-    assert pairs["count"] == 3 and len(pairs["kept"]) == 6
-    # each pair copies its s- and t-normal forms, the finite part comes once
-    assert sum(pairs["kept"]) == total["x_vars"] == 226
-    assert prune["x_vars"] == [226, 221] and prune["z_vars"] == [229, 4]
+    # the pairs share the one normal form, and the sum copies none of it
+    assert pairs["count"] == 3 and pairs["kept"] == total["x_vars"] == 119
+    assert prune["x_vars"] == [119, 114] and prune["z_vars"] == [7, 4]
     assert prune["buchi"] == 3
-    # the fold writes one variable per kept x- and z-variable, and ydot
+    # the fold writes one variable per kept x- and z-variable that a rule
+    # reads, and ydot: neither the collector nor the finite part is read
     nf = parse_grammar(out.read_text())
-    assert len(nf.system.variables) == stages["unmix"]["variables"] == 221 + 4 + 1
+    assert len(nf.system.variables) == stages["unmix"]["variables"] == 113 + 3 + 1
     assert nf.buchi == 3
 
 
@@ -289,13 +290,15 @@ def test_cmd_gnf_zero_omega_component(tmp_path, capsys):
     # empty, so ydot holds the source's finite part alone, with lasso value 0
     source, nf = str(DATA / "tropical_mixed.grm"), str(tmp_path / "nf.grm")
     assert main(["gnf", source, "--buchi", "0", "--out", nf]) == EXIT_OK
-    assert "ydot = a b.f.r1_0" in Path(nf).read_text().splitlines()
+    assert "ydot = a b.r1_0" in Path(nf).read_text().splitlines()
     for query, want in ((["--lasso", "ab:c"], "inf"), (["--word", "ab"], "1")):
         assert main(["eval", nf, *query]) == EXIT_OK
         assert capsys.readouterr().out == f"{want}\n"
 
 
-@pytest.mark.parametrize("terminal", ["ydot", "h.z.sum", "b.u0.t.d0", "z.acc", "t.d0"])
+@pytest.mark.parametrize(
+    "terminal", ["ydot", "h.z.sum", "b.u0.t.d0", "z.acc", "t.d0", "z.sum", "u0.z.acc", "h.u0.z.acc"]
+)
 @pytest.mark.parametrize("target", ["omega", "mixed"])
 def test_cmd_gnf_keeps_generated_names_off_the_terminals(terminal, target, tmp_path, capsys):
     # every name the pipeline makes up avoids the terminals: the normal form
@@ -596,6 +599,25 @@ def test_omega_normal_form_keeps_the_finite_part_of_the_source(tmp_path, capsys)
     assert main(["gnf", source, "--out", nf]) == EXIT_OK
     assert main(["eval", nf, "--word", "ab"]) == EXIT_OK
     assert capsys.readouterr().out == "1\n"
+
+
+@pytest.mark.parametrize("target", ["mixed", "omega"])
+def test_greibach_shaped_grammar_with_an_empty_word_rule_is_normalized(target, tmp_path, capsys):
+    # eps_greibach.grm is in Greibach shape but for x1's empty-word rule, so
+    # gnf must not write it back: build-pda needs a normal form without one
+    source = str(TEST_DATA / "eps_greibach.grm")
+    nf, auto = str(tmp_path / "nf.grm"), str(tmp_path / "auto.json")
+    assert main(["gnf", source, "--target", target, "--out", nf]) == EXIT_OK
+    assert main(["build-pda", nf, "--out", auto]) == EXIT_OK
+    capsys.readouterr()
+    words = ["".join(w) for n in (1, 2, 3) for w in itertools.product("ab", repeat=n)]
+    queries = [["--word", w] for w in words]
+    queries += [["--lasso", w] for w in (":a", ":b", "a:ab", "b:a", "ab:b", "aa:ba")]
+    for query in queries:
+        assert main(["eval", source, *query]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert main(["eval", auto, *query]) == EXIT_OK
+        assert capsys.readouterr().out == want, query
 
 
 # -- variable names on the command line and malformed automata -------------------

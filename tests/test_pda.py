@@ -456,8 +456,11 @@ def test_json_round_trip_and_dot():
 # needed more than 1.5 GB; its digests were recorded with the same
 # serialization over rows that read absent cells as empty.  The " gnf" flows
 # were recorded again when the Lehmann sweep changed the normal form's text,
-# and again when pairs were built only from what their designated components
-# reach, each after its normal form's lasso values equalled the grammar's.
+# when pairs were built only from what their designated components reach, and
+# when the summands came to share one normal form, each after its normal
+# form's lasso values equalled the grammar's; the last time moved all four of
+# each " gnf" flow's digests, "json_row_major" and "dot_expanded" included,
+# since the automaton itself changed.
 # "counting_finite.grm" was recorded again when `build-pda` took the Buchi
 # count `eval` uses (min(1, m) without @buchi), after its lasso values were
 # checked against the grammar's.  When pops became one group per shared column,
