@@ -33,6 +33,7 @@ from .gnf import (
     decompose_canonical,
     finite_gnf,
     pipeline_from_decomposition,
+    unmix,
 )
 from .pda import (
     behavior_finite,
@@ -342,12 +343,9 @@ def cmd_gnf(args) -> int:
         out_g = GrammarFile(g.instance, nf.terminals, "mixed", out, mixed.x_vars[x], None)
         _emit(args, format_grammar(out_g), report)
         return EXIT_OK
-    dec = decompose_canonical(mixed, k, z)
+    dec = decompose_canonical(mixed, k, z, x if mixed.x_vars else None)
     report.add("decompose", terms=dec.width, buchi=k, component=mixed.z_vars[z])
-    source = (mixed.x_part, x) if mixed.x_vars else None
-    norm, gnf_mixed, sel, omega_sys, omega_sel, report = pipeline_from_decomposition(
-        dec, report, source
-    )
+    norm, gnf_mixed, sel, omega_sys, omega_sel, report = pipeline_from_decomposition(dec, report)
     if target == "mixed":
         out_g = GrammarFile(
             g.instance,
@@ -385,10 +383,15 @@ def cmd_build_pda(args) -> int:
     mixed, x, z, k = _selection(_load(args.path), args.start, buchi=args.buchi)
     if mixed.z_vars:
         if len(mixed.x_vars) != len(mixed.z_vars):
-            raise IllFormedSystem(
-                "omega construction needs equally many x- and z-variables; "
-                "run the normal form first"
-            )
+            # an unpaired mixed normal form is folded first, as gnf --target
+            # omega folds it
+            if not is_gnf_mixed(mixed):
+                raise IllFormedSystem(
+                    "omega construction needs a mixed system in Greibach form; "
+                    "run the normal form first"
+                )
+            omega, sel = unmix(mixed, x if mixed.x_vars else None, z, k)
+            mixed, z, k = induce_mixed(omega), sel.component, sel.buchi_count
         auto = induced_omega_pda(mixed, z, k)
     else:
         auto = induced_finite_pda(mixed.x_part, x)

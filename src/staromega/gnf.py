@@ -2,9 +2,11 @@
 
 finite_gnf normalizes one algebraic system (empty-word split, chain removal,
 binarization, then the matrix-equation transformation that forces a leading
-terminal with at most two trailing variables).  The omega constructions put
-every summand (s + e eps) t^omega, e being s's empty-word coefficient, and
-the source's finite part into one system and normalize it once; each pair
+terminal with at most two trailing variables).  A decomposition holds every
+summand (s + e eps) t^omega, e being s's empty-word coefficient, and the
+source's finite part over one system; only normalize_decomposition merges
+systems (as x0.v, x1.v, ... where a hand-built decomposition holds several),
+and the pipeline brings that one system to Greibach form once.  Each pair
 system writes its z-rows over that one Greibach x-part, the sum adds a
 collector variable, the result is pruned to what the collector and the
 finite part reach, and finally folded into a single quemiring system whose
@@ -404,10 +406,16 @@ class DecompositionTerm:
 
 @dataclass(frozen=True)
 class OmegaDecomposition:
+    """Summands (s + eps_coeff eps) t^omega and, if given, the component whose
+    series, off the empty word, is the result's finite part.  A normalized
+    decomposition refers to one system in all its terms and its finite part.
+    """
+
     instance: SemiringInstance
     terminals: tuple[str, ...]
     terms: tuple[DecompositionTerm, ...]
     normalized: bool = False
+    finite: tuple[AlgebraicSystem, int] | None = None
 
     @property
     def width(self) -> int:
@@ -419,53 +427,62 @@ def normalize_decomposition(d: OmegaDecomposition) -> OmegaDecomposition:
     s-series keeps its epsilon-free part as s_sys and its empty-word
     coefficient as eps_coeff, one term per input term; dead terms drop.
 
-    Each distinct system (by identity) is brought to proper form once, and
-    terms that shared a system share its proper form.  A t-series with a
-    nonzero empty-word coefficient e becomes the alias e* t, appended to
-    that one system.
+    The distinct systems (by identity) of the terms and of the finite part
+    are put side by side, under their own names if there is one, else as
+    x0.v, x1.v, ..., and brought to proper form once: every output term and
+    the finite part refer to that one system.  A t-series with a nonzero
+    empty-word coefficient e becomes the alias e* t, appended to it.
     """
     inst = d.instance
-    # id of an input system -> [proper form, empty-word coefficients,
-    # productive variables, alias index of each aliased component]
-    proper: dict[int, list] = {}
-
-    def proper_of(sys: AlgebraicSystem) -> list:
-        if id(sys) not in proper:
-            p, eps = proper_form(sys)
-            proper[id(sys)] = [p, eps, productive_components(p), {}]
-        return proper[id(sys)]
-
+    reads = [sys for term in d.terms for sys in (term.t_sys, term.s_sys)]
+    reads += [] if d.finite is None else [d.finite[0]]
+    systems = list({id(sys): sys for sys in reads if sys is not None}.values())
+    taken = set(d.terminals)
+    prefix = {
+        id(sys): "" if len(systems) == 1 else _fresh_prefix(f"x{i}", sys.variables, taken)
+        for i, sys in enumerate(systems)
+    }
+    if len(systems) > 1:
+        systems = [_rename_prefixed(sys, prefix[id(sys)]) for sys in systems]
+    merged = AlgebraicSystem(
+        inst,
+        d.terminals,
+        tuple(v for sys in systems for v in sys.variables),
+        tuple(p for sys in systems for p in sys.rhs),
+    )
+    x, eps = proper_form(merged)
+    live = productive_components(x)
+    ix = {v: i for i, v in enumerate(x.variables)}
+    at = lambda sys, comp: ix[prefix[id(sys)] + sys.variables[comp]]
+    fresh = _Names(set(x.variables) | set(x.terminals)).fresh
+    x_vars, x_rhs = list(x.variables), list(x.rhs)
+    aliases: dict[int, int] = {}
     kept = []
     for term in d.terms:
-        t = proper_of(term.t_sys)
-        t_sys, t_eps, t_live, aliases = t
-        tname = t_sys.variables[term.t_component]
-        if tname not in t_live:
+        t = at(term.t_sys, term.t_component)
+        if x.variables[t] not in live:
             continue
-        eps = inst.zero if term.eps_coeff is None else term.eps_coeff
-        s = None if term.s_sys is None else proper_of(term.s_sys)
+        e = inst.zero if term.eps_coeff is None else term.eps_coeff
+        s = None if term.s_sys is None else at(term.s_sys, term.s_component)
         if s is not None:
-            eps = eps + s[1][term.s_component]
-            if s[0].variables[term.s_component] not in s[2]:
+            e = e + eps[s]
+            if x.variables[s] not in live:
                 s = None
-        if s is None and eps.is_zero():
+        if s is None and e.is_zero():
             continue
-        t_comp = term.t_component
-        if not t_eps[t_comp].is_zero():
-            if t_comp not in aliases:
-                aliases[t_comp] = len(t_sys.variables)
-                alias = _Names(set(t_sys.variables) | set(t_sys.terminals)).fresh("tsc")
-                scaled = Polynomial.build(inst, [(t_eps[t_comp].star(), (tname,))])
-                t[0] = AlgebraicSystem(
-                    inst, t_sys.terminals, t_sys.variables + (alias,), t_sys.rhs + (scaled,)
-                )
-            t_comp = aliases[t_comp]
-        kept.append((t, t_comp, s, term.s_component, None if eps.is_zero() else eps))
+        if not eps[t].is_zero():
+            if t not in aliases:
+                aliases[t] = len(x_vars)
+                x_rhs.append(Polynomial.build(inst, [(eps[t].star(), (x_vars[t],))]))
+                x_vars.append(fresh("tsc"))
+            t = aliases[t]
+        kept.append((t, s, None if e.is_zero() else e))
+    x = AlgebraicSystem(inst, x.terminals, tuple(x_vars), tuple(x_rhs))
     terms = tuple(
-        DecompositionTerm(t[0], tc, None if s is None else s[0], sc, eps)
-        for t, tc, s, sc, eps in kept
+        DecompositionTerm(x, t, None if s is None else x, s or 0, e) for t, s, e in kept
     )
-    return OmegaDecomposition(inst, d.terminals, terms, normalized=True)
+    finite = None if d.finite is None else (x, at(*d.finite))
+    return OmegaDecomposition(inst, d.terminals, terms, normalized=True, finite=finite)
 
 
 def _fresh_prefix(head: str, names: Sequence[str], taken: set[str]) -> str:
@@ -478,11 +495,11 @@ def _fresh_prefix(head: str, names: Sequence[str], taken: set[str]) -> str:
         head += "'"
 
 
-# -- pair construction ---------------------------------------------------------
-
-
 def _rename_prefixed(sys: AlgebraicSystem, prefix: str) -> AlgebraicSystem:
     return sys.rename({v: prefix + v for v in sys.variables})
+
+
+# -- pair construction ---------------------------------------------------------
 
 
 def _gnf_split(poly: Polynomial, ix: dict[str, int]):
@@ -605,44 +622,33 @@ def char_to_mixed(d: OmegaDecomposition) -> tuple[MixedSystem, CanonicalSelector
     """Direct mixed system for a sum of pairs: one accepting loop variable per
     t-series and one collector fed by the s-series.
 
-    Term j's x-variables are c{j}.t.v and c{j}.s.v, and with a coefficient
-    e the alias c{j}.s = e eps | c{j}.s.v that the collector reads (e eps
-    alone without an s-series); the z-variables are z0, z1, ... and zout.  A
-    name that would be a terminal gains primes, as in build_pair_system.
+    The x-part is the decomposition's one system and, for a term j with a
+    coefficient e, the alias c{j}.s = e eps | s that the collector reads
+    (e eps alone without an s-series); the z-variables are z0, z1, ... and
+    zout.  A fresh name that would be a terminal or a variable gains primes.
     """
     if not d.normalized:
         raise IllFormedSystem("characteristic system needs a normalized decomposition")
     inst = d.instance
     l = d.width
-    taken = set(d.terminals)
-    x_vars: list[str] = []
-    x_rhs: list[Polynomial] = []
+    x = d.terms[0].t_sys if d.terms else AlgebraicSystem(inst, d.terminals, (), ())
+    fresh = _Names(set(d.terminals) | set(x.variables)).fresh
+    x_vars, x_rhs = list(x.variables), list(x.rhs)
     s_polys: list[Polynomial] = []
-    t_alias: list[str] = []
     for j, term in enumerate(d.terms):
-        local = ["t." + v for v in term.t_sys.variables]
-        local += [] if term.s_sys is None else ["s." + v for v in term.s_sys.variables]
-        local += [] if term.eps_coeff is None else ["s"]
-        pre = _fresh_prefix(f"c{j}", local, taken)
-        t = _rename_prefixed(term.t_sys, pre + "t.")
-        x_vars.extend(t.variables)
-        x_rhs.extend(t.rhs)
-        t_alias.append(t.variables[term.t_component])
         s_poly = Polynomial.zero(inst)
         if term.s_sys is not None:
-            s = _rename_prefixed(term.s_sys, pre + "s.")
-            x_vars.extend(s.variables)
-            x_rhs.extend(s.rhs)
-            s_poly = Polynomial.of_word(inst, (s.variables[term.s_component],))
+            s_poly = Polynomial.of_word(inst, (x.variables[term.s_component],))
         if term.eps_coeff is not None:
-            x_vars.append(pre + "s")
+            x_vars.append(fresh(f"c{j}.s"))
             x_rhs.append(Polynomial.build(inst, [(term.eps_coeff, EPSILON)]) + s_poly)
-            s_poly = Polynomial.of_word(inst, (pre + "s",))
+            s_poly = Polynomial.of_word(inst, (x_vars[-1],))
         s_polys.append(s_poly)
-    # the x-variables all hold a dot, so only a terminal can take a z-name
-    fresh = _Names(taken).fresh
     z_vars = tuple(fresh(f"z{j}") for j in range(l)) + (fresh("zout"),)
-    rho_rows = [{j: Polynomial.of_word(inst, (t_alias[j],))} for j in range(l)]
+    rho_rows = [
+        {j: Polynomial.of_word(inst, (x.variables[term.t_component],))}
+        for j, term in enumerate(d.terms)
+    ]
     rho_rows.append(dict(enumerate(s_polys)))
     mixed = MixedSystem(
         inst, d.terminals, tuple(x_vars), tuple(x_rhs), z_vars, tuple(rho_rows)
@@ -813,16 +819,19 @@ class _HandleAlgebra:
 
 
 def decompose_canonical(
-    sys: MixedSystem, k: int, component: int
+    sys: MixedSystem, k: int, component: int, finite: int | None = None
 ) -> OmegaDecomposition:
     """Express one omega component of the k-th canonical solution as a sum of
-    pairs s t^omega of algebraic series, all over one emitted system.
+    pairs s t^omega of algebraic series, all over one emitted system, and
+    with x-variable `finite`, if given, as the finite part.
 
     The Lehmann sweep `sweep_raw` runs on the z-coefficient matrix of
     series handles in the pivot order m-1..0, and the component is read off
     by the path decomposition of `matrix`'s docstring: omega_k[i] =
     sum_{j<k} A[i][j] L_j^omega with L_j = C_j[j], one pair (A[i][j], L_j)
-    for each j where both are nonzero, so at most k pairs.
+    for each j where both are nonzero, so at most k pairs.  The emitted
+    system keeps the x-variables' names and indices, so the finite part is
+    the source's own series.
     """
     m = sys.m
     if not 0 <= k <= m:
@@ -851,7 +860,8 @@ def decompose_canonical(
     dterms = tuple(
         DecompositionTerm(emitted, at[i], emitted, at[i + 1]) for i in range(0, len(at), 2)
     )
-    return OmegaDecomposition(sys.instance, tuple(sys.terminals), dterms)
+    f = None if finite is None else (emitted, finite)
+    return OmegaDecomposition(sys.instance, tuple(sys.terminals), dterms, finite=f)
 
 
 # -- pipeline report -----------------------------------------------------------
@@ -871,46 +881,30 @@ class GnfPipelineReport:
 
 
 def pipeline_from_decomposition(
-    d: OmegaDecomposition,
-    report: GnfPipelineReport | None = None,
-    finite: tuple[AlgebraicSystem, int] | None = None,
+    d: OmegaDecomposition, report: GnfPipelineReport | None = None
 ):
     """Normalize, bring the summands and the finite part to Greibach form in
-    one system, build and sum the pair systems over it, and fold into one
+    one call, build and sum the pair systems over it, and fold into one
     omega system.  Returns the stages and selectors.
 
-    The distinct systems of the terms and of `finite` become one, under
-    their own names if there is one, else as x0.v, x1.v, ...  `finite` is
-    the source's system and the component whose series, off the empty word,
-    is the result's finite part: x-variable 0 of the mixed output or, with
-    as many x- as z-variables, the start's.  Without it that part is zero.
+    The finite part d.finite becomes x-variable 0 of the mixed output or,
+    with as many x- as z-variables, the start's.  Without it that part is
+    zero.
     """
     rep = report if report is not None else GnfPipelineReport()
     norm = d if d.normalized else normalize_decomposition(d)
     rep.add("normalize", terms=len(norm.terms))
     reads = [(term.t_sys, term.t_component) for term in norm.terms]
     reads += [(term.s_sys, term.s_component) for term in norm.terms if term.s_sys is not None]
-    reads += [] if finite is None else [finite]
-    systems = list({id(sys): sys for sys, _ in reads}.values())
-    taken = set(norm.terminals)
-    prefix = {
-        id(sys): "" if len(systems) == 1 else _fresh_prefix(f"x{i}", sys.variables, taken)
-        for i, sys in enumerate(systems)
-    }
-    name = lambda sys, comp: prefix[id(sys)] + sys.variables[comp]
-    keep = list(dict.fromkeys(name(sys, comp) for sys, comp in reads))
-    if len(systems) > 1:
-        systems = [_rename_prefixed(sys, prefix[id(sys)]) for sys in systems]
-    x = AlgebraicSystem(
-        norm.instance,
-        norm.terminals,
-        tuple(v for sys in systems for v in sys.variables),
-        tuple(p for sys in systems for p in sys.rhs),
-    )
-    if keep:
-        x = finite_gnf(x, keep).system
+    reads += [] if norm.finite is None else [norm.finite]
+    x = AlgebraicSystem(norm.instance, norm.terminals, (), ())
+    if reads:
+        src = reads[0][0]
+        if any(sys is not src for sys, _ in reads):
+            raise IllFormedSystem("a normalized decomposition refers to one system")
+        x = finite_gnf(src, list(dict.fromkeys(src.variables[c] for _, c in reads))).system
     ix = {v: i for i, v in enumerate(x.variables)}
-    at = lambda sys, comp: None if sys is None else ix[name(sys, comp)]
+    at = lambda sys, comp: None if sys is None else ix[sys.variables[comp]]
     parts = [
         build_pair_system(x, at(t.t_sys, t.t_component), at(t.s_sys, t.s_component), t.eps_coeff)
         for t in norm.terms
@@ -925,7 +919,7 @@ def pipeline_from_decomposition(
         buchi=selector.buchi_count,
         component=selector.component,
     )
-    f = None if finite is None else name(*finite)
+    f = None if norm.finite is None else norm.finite[0].variables[norm.finite[1]]
     pruned, selector = _prune_sum(mixed, selector, f)
     rep.add(
         "prune",

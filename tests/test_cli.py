@@ -620,6 +620,36 @@ def test_greibach_shaped_grammar_with_an_empty_word_rule_is_normalized(target, t
         assert capsys.readouterr().out == want, query
 
 
+def test_mixed_normal_form_normalizes_the_source_x_variables_once(capsys):
+    # the finite part travels in the decomposition, so the source's x1 is
+    # one variable of the one normalized system, not a second copy of it
+    assert main(["gnf", str(TEST_DATA / "eps_greibach.grm"), "--target", "mixed"]) == EXIT_OK
+    assert parse_grammar(capsys.readouterr().out).system.x_vars == ("x1",)
+
+
+def test_build_pda_folds_the_unpaired_mixed_normal_form(tmp_path, capsys):
+    # gnf --target mixed writes more z- than x-variables here; build-pda folds
+    # that file as gnf --target omega does.  The source itself is unpaired and
+    # not in Greibach form, so build-pda refuses it with one error line.
+    source = str(DATA / "tropical_mixed.grm")
+    nf, auto = str(tmp_path / "nf.grm"), str(tmp_path / "auto.json")
+    assert main(["build-pda", source, "--out", auto]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "run the normal form first" in err
+    assert main(["gnf", source, "--target", "mixed", "--out", nf]) == EXIT_OK
+    g = parse_grammar((tmp_path / "nf.grm").read_text())
+    assert len(g.system.x_vars) != len(g.system.z_vars)
+    assert main(["build-pda", nf, "--out", auto]) == EXIT_OK
+    capsys.readouterr()
+    queries = [["--word", "".join(w)] for n in (1, 2) for w in itertools.product("abc", repeat=n)]
+    queries += [["--lasso", w] for w in (":c", "ab:c", "aabb:c", "a:c", "ab:ab", "abc:c")]
+    for query in queries:
+        assert main(["eval", source, *query]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert main(["eval", auto, *query]) == EXIT_OK
+        assert capsys.readouterr().out == want, query
+
+
 # -- variable names on the command line and malformed automata -------------------
 
 

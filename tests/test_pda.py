@@ -456,9 +456,11 @@ def test_json_round_trip_and_dot():
 # needed more than 1.5 GB; its digests were recorded with the same
 # serialization over rows that read absent cells as empty.  The " gnf" flows
 # were recorded again when the Lehmann sweep changed the normal form's text,
-# when pairs were built only from what their designated components reach, and
-# when the summands came to share one normal form, each after its normal
-# form's lasso values equalled the grammar's; the last time moved all four of
+# when pairs were built only from what their designated components reach,
+# when the summands came to share one normal form, and when the finite part
+# came to travel in the decomposition (so the source's x-variables are
+# normalized once), each after its normal form's and automaton's lasso and
+# word values equalled the grammar's; the last two times moved all four of
 # each " gnf" flow's digests, "json_row_major" and "dot_expanded" included,
 # since the automaton itself changed.
 # "counting_finite.grm" was recorded again when `build-pda` took the Buchi
