@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from . import __version__
 from .gnf import (
     GnfPipelineReport,
+    _Names,
     decompose_canonical,
     finite_gnf,
     pipeline_from_decomposition,
@@ -310,6 +311,24 @@ def _selection(
     return mixed, x, z, k
 
 
+def _finite_where_read(mixed: MixedSystem, start: int, finite) -> MixedSystem:
+    """mixed with its finite part at the x-index `_selection` reads: the
+    start's index when the file has as many x- as z-variables, else 0.
+
+    `finite` is a normalized decomposition's (system, component), whose
+    variable keeps its name in mixed.  Without a finite part a fresh
+    x-variable f = 0 takes that place, so the file's finite part is zero.
+    """
+    xs = list(zip(mixed.x_vars, mixed.x_rhs))
+    if finite is None:
+        name = _Names({*mixed.terminals, *mixed.x_vars, *mixed.z_vars}).fresh("f")
+        entry = (name, Polynomial.zero(mixed.instance))
+    else:
+        entry = xs.pop(mixed.x_vars.index(finite[0].variables[finite[1]]))
+    xs.insert(start if len(xs) + 1 == mixed.m else 0, entry)
+    return replace(mixed, x_vars=tuple(v for v, _ in xs), x_rhs=tuple(p for _, p in xs))
+
+
 _NO_OMEGA = "the grammar has no omega component: it declares no z-variable"
 
 
@@ -347,6 +366,7 @@ def cmd_gnf(args) -> int:
     report.add("decompose", terms=dec.width, buchi=k, component=mixed.z_vars[z])
     norm, gnf_mixed, sel, omega_sys, omega_sel, report = pipeline_from_decomposition(dec, report)
     if target == "mixed":
+        gnf_mixed = _finite_where_read(gnf_mixed, sel.component, norm.finite)
         out_g = GrammarFile(
             g.instance,
             gnf_mixed.terminals,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .cli import parse_grammar
-from .semiring import ARCTIC, TROPICAL, SemiringValue
+from .semiring import TROPICAL
 from .series import Polynomial, parse_polynomial
 from .system import AlgebraicSystem, MixedSystem, OmegaSystem
 from .pda import ResetPDMatrix, SimpleOmegaPDA, transpose
@@ -91,26 +91,3 @@ def tropical_omega_automaton() -> SimpleOmegaPDA:
 def contrast_mixed_system() -> MixedSystem:
     """x1 = a + c x1; x2 = a x1 x2 + a x1; z1 = c z1; z2 = a z1 + a x1 z2."""
     return _packaged("contrast_mixed.grm")
-
-
-def max_block_weight(word: tuple[str, ...]) -> SemiringValue:
-    """Arctic oracle: max n_i over a^{n1} b^{n1} ... blocks, zero off the language."""
-    a = ARCTIC
-    i, best = 0, None
-    w = "".join(word)
-    if not w:
-        return a.zero
-    while i < len(w):
-        if w[i] != "a":
-            return a.zero
-        j = i
-        while j < len(w) and w[j] == "a":
-            j += 1
-        k = j
-        while k < len(w) and w[k] == "b":
-            k += 1
-        if (k - j) != (j - i):
-            return a.zero
-        best = max(best or 0, j - i)
-        i = k
-    return a.value(best)

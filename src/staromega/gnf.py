@@ -11,7 +11,8 @@ system writes its z-rows over that one Greibach x-part, the sum adds a
 collector variable, the result is pruned to what the collector and the
 finite part reach, and finally folded into a single quemiring system whose
 last component carries the finite part and the chosen pair of the
-canonical solution.
+canonical solution.  The mixed result keeps the finite part under its own
+name; where a grammar file puts it is the CLI's concern.
 
 Mixed systems carry their z-coefficients as sparse rows (see
 staromega.system).  Pair systems, their block-diagonal sum and the fold
@@ -34,7 +35,7 @@ sparse rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import json
@@ -887,9 +888,8 @@ def pipeline_from_decomposition(
     one call, build and sum the pair systems over it, and fold into one
     omega system.  Returns the stages and selectors.
 
-    The finite part d.finite becomes x-variable 0 of the mixed output or,
-    with as many x- as z-variables, the start's.  Without it that part is
-    zero.
+    The mixed output keeps the finite part under its own name, which
+    norm.finite names; without one that part is zero.
     """
     rep = report if report is not None else GnfPipelineReport()
     norm = d if d.normalized else normalize_decomposition(d)
@@ -928,14 +928,7 @@ def pipeline_from_decomposition(
         buchi=selector.buchi_count,
     )
     mixed = pruned
-    k = None
-    if f is not None:
-        # a file with as many x- as z-variables reads the x-variable at its
-        # start's index (cli._selection), so the finite part moves there
-        k = selector.component if len(mixed.x_vars) == mixed.m else 0
-        xs = list(zip(mixed.x_vars, mixed.x_rhs))
-        xs.insert(k, xs.pop(mixed.x_vars.index(f)))
-        mixed = replace(mixed, x_vars=tuple(v for v, _ in xs), x_rhs=tuple(p for _, p in xs))
+    k = None if f is None else mixed.x_vars.index(f)
     omega_sys, omega_sel = unmix(mixed, k, selector.component, selector.buchi_count)
     rep.add(
         "unmix",

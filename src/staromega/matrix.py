@@ -113,11 +113,6 @@ def _wrap_vector(instance: SemiringInstance, raw) -> OmegaVector:
     return OmegaVector(instance, tuple(map(_scalars(instance, raw), raw)))
 
 
-def mat_zero(instance: SemiringInstance, n: int) -> SemiringMatrix:
-    z = instance.zero
-    return SemiringMatrix(instance, n, tuple(tuple(z for _ in range(n)) for _ in range(n)))
-
-
 def mat_identity(instance: SemiringInstance, n: int) -> SemiringMatrix:
     z, o = instance.zero, instance.one
     return SemiringMatrix(

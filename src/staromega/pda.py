@@ -2,22 +2,22 @@
 
 A simple reset pushdown matrix is stored by its three generating block
 families (ignore stack / push one symbol / pop one symbol); every entry of
-the infinite transition matrix is recovered from them by suffix extension,
-which `expand_entry` implements.  A neutral or push block maps a state to
-its sparse row, row i mapping each column j with a nonzero letter polynomial
-to it, and only nonempty rows are stored, so those blocks take space in
-their number of transitions.  Pops are stored by target instead: a symbol's
-pop columns map each target state q to its column, which maps each source
-state to its letter polynomial.  A column object may be shared by many
-symbols, and `__post_init__` checks each object once.  The induced
-construction pops every symbol on the same final letters, each into its own
-home state, so all its symbols share one column: it stores (final rows +
-stack symbols) pop entries, not their product, and `pda_to_json` writes
-each column once with the symbols that pop through it.  `pop_block`
-recovers a symbol's row-major block.  `ResetPDMatrix.moves` indexes the
-neutral and push transitions by letter and source state once, for the run
-enumerations; a run pops only the symbol on its stack's top, so `_pops`
-reads the pops of (symbol, state) from that symbol's columns.
+the infinite transition matrix follows from them by suffix extension (a
+nonempty stack acts through its top symbol only).  A neutral or push block
+maps a state to its sparse row, row i mapping each column j with a nonzero
+letter polynomial to it, and only nonempty rows are stored, so those blocks
+take space in their number of transitions.  Pops are stored by target
+instead: a symbol's pop columns map each target state q to its column, which
+maps each source state to its letter polynomial.  A column object may be
+shared by many symbols, and `__post_init__` checks each object once.  The
+induced construction pops every symbol on the same final letters, each into
+its own home state, so all its symbols share one column: it stores (final
+rows + stack symbols) pop entries, not their product, and `pda_to_json`
+writes each column once with the symbols that pop through it.
+`ResetPDMatrix.moves` indexes the neutral and push transitions by letter and
+source state once, for the run enumerations; a run pops only the symbol on
+its stack's top, so `_pops` reads the pops of (symbol, state) from that
+symbol's columns.
 
 The automaton of a Greibach normal form comes from one construction,
 `_induced_matrix`: `induced_omega_pda` reads a mixed system's x-rules and
@@ -177,13 +177,6 @@ class ResetPDMatrix:
                             f"zero weight from state {src} to {dst} on {a!r} must be omitted"
                         )
 
-    def push_block(self, sym: str) -> Block:
-        return self.m_eps_push.get(sym, {})
-
-    def pop_block(self, sym: str) -> Block:
-        """sym's pops as a row-major block, built from its columns."""
-        return transpose(self.pop_columns.get(sym, _NO_COLUMNS))
-
     @cached_property
     def moves(self) -> dict[str, dict[int, tuple[list, list]]]:
         """Neutral and push transitions by letter, then source state, indexed once.
@@ -220,28 +213,6 @@ def _pops(m: ResetPDMatrix, sym: str, state: int, letter: str) -> list:
         if lp is not None and letter in lp:
             out.append((q, lp[letter]))
     return out
-
-
-def expand_entry(m: ResetPDMatrix, pi: Word, pi2: Word) -> Block:
-    """Entry of the full transition matrix at stack pair (pi, pi2).
-
-    Pushdown suffix extension: a nonempty stack acts through its top symbol,
-    keeping the rest untouched; the empty stack exposes the reset blocks.
-    """
-    if pi == ():
-        if pi2 == ():
-            return m.m_eps_eps
-        if len(pi2) == 1:
-            return m.push_block(pi2[0])
-        return {}
-    top, rest = pi[0], pi[1:]
-    if pi2 == rest:
-        return m.pop_block(top)
-    if pi2 == pi:
-        return m.m_eps_eps
-    if len(pi2) == len(pi) + 1 and pi2[1:] == pi:
-        return m.push_block(pi2[0])
-    return {}
 
 
 @dataclass(frozen=True)
@@ -439,13 +410,6 @@ def behavior_omega_lasso(a: SimpleOmegaPDA, w: LassoWord) -> LassoResult:
     """
     starts = {(q, ()): c for q, c in enumerate(a.initial) if not c.is_zero()}
     return _omega_value(a, w, starts)
-
-
-def omega_value_from(
-    a: SimpleOmegaPDA, w: LassoWord, state: int, stack: Word = ()
-) -> LassoResult:
-    """Omega value started from one configuration instead of the initial vector."""
-    return _omega_value(a, w, {(state, tuple(stack)): a.instance.one})
 
 
 def _omega_value(a, w, starts) -> LassoResult:

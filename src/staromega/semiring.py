@@ -1,4 +1,4 @@
-"""Star-omega semirings: the four concrete instances and the quemiring pair algebra.
+"""Star-omega semirings: the four concrete instances.
 
 Everything is exact: values are Python ints plus distinguished INF / NEG_INF
 tokens, never floats.  star and omega use analytic closed forms (suprema of
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Union
 
 
 class SemiringError(ValueError):
@@ -505,74 +505,3 @@ def _scalar(instance: SemiringInstance, v: Ext) -> SemiringValue:
 
 # The semimodule side of every instance here is the semiring itself.
 OmegaValue = SemiringValue
-
-
-def star(a: SemiringValue) -> SemiringValue:
-    """Iteration sum a* = sum of all finite powers of a."""
-    return a.star()
-
-
-def omega(a: SemiringValue) -> OmegaValue:
-    """Infinite product of a with itself."""
-    return a.omega()
-
-
-def natural_leq(a: SemiringValue, b: SemiringValue) -> bool:
-    """Natural order of the additive monoid: a <= b iff a + b = b."""
-    return (a + b) == b
-
-
-def sum_family(instance: SemiringInstance, values: Iterable[SemiringValue]) -> SemiringValue:
-    """n-ary addition; the empty family gives zero."""
-    acc = instance.zero
-    for v in values:
-        if v.instance is not instance:
-            raise SemiringError(
-                f"mixed instances in family: {instance.name} and {v.instance.name}"
-            )
-        acc = acc + v
-    return acc
-
-
-@dataclass(frozen=True)
-class QuemiringValue:
-    """Pair (finite part, omega part) with the semidirect product multiplication."""
-
-    finite_part: SemiringValue
-    omega_part: OmegaValue
-
-    def __post_init__(self):
-        if self.finite_part.instance is not self.omega_part.instance:
-            raise SemiringError("quemiring parts must share one instance")
-
-    @property
-    def instance(self) -> SemiringInstance:
-        return self.finite_part.instance
-
-    def __add__(self, other: "QuemiringValue") -> "QuemiringValue":
-        return QuemiringValue(
-            self.finite_part + other.finite_part, self.omega_part + other.omega_part
-        )
-
-    def __mul__(self, other: "QuemiringValue") -> "QuemiringValue":
-        return QuemiringValue(
-            self.finite_part * other.finite_part,
-            self.omega_part + self.finite_part * other.omega_part,
-        )
-
-    def otimes(self) -> "QuemiringValue":
-        """(s, v) to (s*, s^omega + s* v), the natural star of the pair algebra."""
-        s, v = self.finite_part, self.omega_part
-        return QuemiringValue(s.star(), s.omega() + s.star() * v)
-
-
-def quemiring_zero(instance: SemiringInstance) -> QuemiringValue:
-    return QuemiringValue(instance.zero, instance.zero)
-
-
-def quemiring_one(instance: SemiringInstance) -> QuemiringValue:
-    return QuemiringValue(instance.one, instance.zero)
-
-
-def quemiring_otimes(q: QuemiringValue) -> QuemiringValue:
-    return q.otimes()

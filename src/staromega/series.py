@@ -246,20 +246,6 @@ class TruncatedSeries:
         raise TypeError("TruncatedSeries is not hashable")
 
 
-def series_build(
-    instance: SemiringInstance, max_len: int, items: Iterable[tuple[Word, SemiringValue]]
-) -> TruncatedSeries:
-    acc: dict[Word, SemiringValue] = {}
-    for w, c in items:
-        if len(w) > max_len:
-            continue
-        prev = acc.get(w)
-        acc[w] = c if prev is None else prev + c
-    return TruncatedSeries(
-        instance, max_len, {w: c for w, c in acc.items() if not c.is_zero()}
-    )
-
-
 def substitute(
     p: Polynomial,
     assignment: Mapping[str, TruncatedSeries],

@@ -14,7 +14,7 @@ must be theirs at the demanded pairs.
 """
 
 from staromega._search import PositionAutomaton, lasso_value, solve_derivations
-from staromega.pda import _pops
+from staromega.pda import _pops, transpose
 
 
 def block_steps(ra, block):
@@ -52,7 +52,7 @@ def pop_steps(ra):
     """Pop steps (p, sym, q, c) per position, for every state: those at nodes
     the starts do not reach only derive facts that no level edge of a
     reached node joins."""
-    return symbol_steps(ra, {sym: ra.m.pop_block(sym) for sym in ra.m.pop_columns})
+    return symbol_steps(ra, {sym: transpose(cols) for sym, cols in ra.m.pop_columns.items()})
 
 
 def reference_saturate(ra):

@@ -1,5 +1,7 @@
 import itertools
 import json
+import random
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
@@ -9,11 +11,12 @@ from staromega.cli import (
     EXIT_OK,
     EXIT_USAGE,
     GrammarError,
+    cmd_eval,
     format_grammar,
     main,
     parse_grammar,
 )
-from staromega.semiring import INF
+from staromega.semiring import ARCTIC, BOOLEAN, COUNTING, INF, TROPICAL, SemiringInstance
 from staromega.system import is_gnf_mixed, is_gnf_omega, least_solution_finite
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "staromega" / "data"
@@ -648,6 +651,82 @@ def test_build_pda_folds_the_unpaired_mixed_normal_form(tmp_path, capsys):
         want = capsys.readouterr().out
         assert main(["eval", auto, *query]) == EXIT_OK
         assert capsys.readouterr().out == want, query
+
+
+def _z_only_grammar(rng, semiring):
+    """Two or three z-variables and no x-variable; each rule is one or two
+    letters before a z-variable, weighted 0, 1 or 2 (1 or 2 over counting,
+    where 0 is zero)."""
+    zs = [f"z{i}" for i in range(1, rng.choice((2, 3)) + 1)]
+    weights = {"boolean": ("",), "counting": ("(1) ", "(2) ")}.get(semiring, ("(0) ", "(1) ", "(2) "))
+    lines = [
+        f"@semiring {semiring}",
+        "@alphabet a b",
+        "@sort z " + " ".join(zs),
+        f"@start {rng.choice(zs)}",
+        f"@buchi {rng.randint(0, len(zs))}",
+    ]
+    for z in zs:
+        words = {" ".join(rng.choices("ab", k=rng.randint(1, 2))) + f" {rng.choice(zs)}" for _ in range(2)}
+        lines.append(f"{z} = " + " | ".join(rng.choice(weights) + w for w in sorted(words)))
+    return "\n".join(lines) + "\n"
+
+
+def test_normal_forms_of_a_grammar_without_x_variables_have_a_zero_finite_part(tmp_path, capsys):
+    # the source has no finite part, so both normal forms and their automata
+    # must read zero on every finite word: the mixed output names a zero
+    # x-variable where a grammar file reads its finite part
+    words = ["".join(w) for n in (1, 2) for w in itertools.product("ab", repeat=n)]
+    through_pipeline, wrong = 0, []
+    for case in range(120):
+        rng = random.Random(f"z-only/{case}")
+        inst = (BOOLEAN, TROPICAL, ARCTIC, COUNTING)[case % 4]
+        zero = SemiringInstance.format_value(inst.zero)
+        text = _z_only_grammar(rng, inst.name)
+        if is_gnf_mixed(parse_grammar(text).system):
+            continue  # written back unchanged, with no x-variable to read
+        through_pipeline += 1
+        source = grm(tmp_path, text)
+        files = []
+        for target in ("mixed", "omega"):
+            nf, auto = str(tmp_path / f"{target}.grm"), str(tmp_path / f"{target}.json")
+            assert main(["gnf", source, "--target", target, "--out", nf]) == EXIT_OK
+            assert main(["build-pda", nf, "--out", auto]) == EXIT_OK
+            files += [nf, auto]
+        capsys.readouterr()
+        for w in words:
+            got = []
+            for path in files:
+                # eval --word, without building the argument parser for every query
+                assert cmd_eval(Namespace(path=path, word=w, lasso=None, buchi=None, component=None)) == EXIT_OK
+                got.append(capsys.readouterr().out.strip())
+            if got != [zero] * 4:
+                wrong.append((case, w, got))
+    assert through_pipeline >= 100, through_pipeline
+    assert not wrong, wrong[:5]
+
+
+def test_z_only_fixture_normal_forms_agree_with_the_source(tmp_path, capsys):
+    source = str(TEST_DATA / "z_only_pairs.grm")
+    files = []
+    for target in ("mixed", "omega"):
+        nf, auto = str(tmp_path / f"{target}.grm"), str(tmp_path / f"{target}.json")
+        assert main(["gnf", source, "--target", target, "--out", nf]) == EXIT_OK
+        assert main(["build-pda", nf, "--out", auto]) == EXIT_OK
+        files += [nf, auto]
+    capsys.readouterr()
+    assert main(["eval", source, "--word", "a"]) == EXIT_FAIL
+    assert capsys.readouterr().err.startswith("error: ")
+    for w in ("a", "ab", "ba"):
+        for path in files:
+            assert main(["eval", path, "--word", w]) == EXIT_OK
+            assert capsys.readouterr().out == "0\n", (path, w)
+    for lasso in (":a", "a:b", ":ab"):
+        assert main(["eval", source, "--lasso", lasso]) == EXIT_OK
+        want = capsys.readouterr().out
+        for path in files:
+            assert main(["eval", path, "--lasso", lasso]) == EXIT_OK
+            assert capsys.readouterr().out == want, (path, lasso)
 
 
 # -- variable names on the command line and malformed automata -------------------

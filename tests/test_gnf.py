@@ -485,17 +485,19 @@ def _reference_values(d, finite, lassos, words):
 
 def _shared_values(d, lassos, words):
     """The same of the shared pipeline's mixed output, whose finite part is
-    the x-variable the output selects, and of its fold."""
-    _, mixed, sel, omega_sys, omega_sel, _ = pipeline_from_decomposition(d)
+    the x-variable that the normalized decomposition's finite part names,
+    and of its fold."""
+    norm, mixed, sel, omega_sys, omega_sel, _ = pipeline_from_decomposition(d)
     folded = induce_mixed(omega_sys)
     routes = ((mixed, sel), (folded, omega_sel))
     lasso = [
         [canonical_omega_lasso(sys, s.buchi_count, s.component, w).value for w in lassos]
         for sys, s in routes
     ]
-    if d.finite is None:
+    if norm.finite is None:
         return lasso, None
-    k = sel.component if len(mixed.x_vars) == mixed.m else 0
+    f_sys, f_comp = norm.finite
+    k = mixed.x_vars.index(f_sys.variables[f_comp])
     finite_parts = []
     for sys, comp in ((mixed, k), (folded, omega_sel.component)):
         sol = least_solution_finite(sys.x_part, 2)

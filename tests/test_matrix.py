@@ -19,7 +19,6 @@ from staromega.matrix import (
     mat_star,
     mat_star_blocks,
     mat_vec_mul,
-    mat_zero,
 )
 from staromega.semiring import (
     ARCTIC,
@@ -70,7 +69,7 @@ def test_add_mul_identities():
     for inst in ALL:
         m = rand_matrix(rng, inst, 3)
         assert mat_mul(mat_identity(inst, 3), m).rows == m.rows
-        assert mat_add(mat_zero(inst, 3), m).rows == m.rows
+        assert mat_add(SemiringMatrix(inst, 3, ((inst.zero,) * 3,) * 3), m).rows == m.rows
 
 
 def test_min_plus_product_example():
@@ -80,8 +79,8 @@ def test_min_plus_product_example():
 
 
 def test_dimension_mismatch():
-    a = mat_zero(TROPICAL, 2)
-    b = mat_zero(TROPICAL, 3)
+    a = mat_from_raw(TROPICAL, [[INF] * 2] * 2)
+    b = mat_from_raw(TROPICAL, [[INF] * 3] * 3)
     with pytest.raises(SemiringError):
         mat_mul(a, b)
     with pytest.raises(SemiringError):
@@ -94,7 +93,8 @@ def test_dimension_mismatch():
 def test_star_examples():
     for inst in ALL:
         for n in (0, 1, 2, 3):
-            assert raw(mat_star(mat_zero(inst, n))) == raw(mat_identity(inst, n))
+            zero = SemiringMatrix(inst, n, ((inst.zero,) * n,) * n)
+            assert raw(mat_star(zero)) == raw(mat_identity(inst, n))
     assert raw(mat_star(mat_from_raw(BOOLEAN, [[0, 1], [0, 0]]))) == [[1, 1], [0, 1]]
     assert raw(mat_star(mat_from_raw(TROPICAL, [[5]]))) == [[0]]
 

@@ -11,7 +11,6 @@ from staromega.checks import random_gnf_system
 from staromega.fixtures import (
     arctic_block_system,
     contrast_mixed_system,
-    max_block_weight,
     tropical_omega_automaton,
 )
 from staromega._search import PositionAutomaton, solve_derivations
@@ -19,20 +18,19 @@ from staromega.pda import (
     EpsilonCoefficient,
     ResetPDMatrix,
     SimpleOmegaPDA,
+    _omega_value,
     _successors,
     _value_graph,
     behavior_finite,
     behavior_omega_lasso,
-    expand_entry,
     induced_finite_pda,
     induced_omega_pda,
-    omega_value_from,
     pda_from_json,
     pda_to_dot,
     pda_to_json,
     transpose,
 )
-from staromega.semiring import ARCTIC, BOOLEAN, COUNTING, INF, TROPICAL, raw_to_json
+from staromega.semiring import ARCTIC, BOOLEAN, COUNTING, INF, TROPICAL, SemiringValue, raw_to_json
 from staromega.series import LassoWord, Polynomial, parse_polynomial
 from staromega.system import (
     AlgebraicSystem,
@@ -71,15 +69,42 @@ def entry_letters(block, i, j):
     return {a: c.value for a, c in block.get(i, {}).get(j, {}).items()}
 
 
+def omega_value_from(a, w, state, stack=()):
+    """Omega value started from one configuration instead of the initial vector."""
+    return _omega_value(a, w, {(state, tuple(stack)): a.instance.one})
+
+
 # -- matrix entry expansion -----------------------------------------------------
+
+
+def expand_entry(m: ResetPDMatrix, pi, pi2):
+    """Entry of the full transition matrix at stack pair (pi, pi2).
+
+    Pushdown suffix extension: a nonempty stack acts through its top symbol,
+    keeping the rest untouched; the empty stack exposes the reset blocks.
+    """
+    if pi == ():
+        if pi2 == ():
+            return m.m_eps_eps
+        if len(pi2) == 1:
+            return m.m_eps_push.get(pi2[0], {})
+        return {}
+    top, rest = pi[0], pi[1:]
+    if pi2 == rest:
+        return transpose(m.pop_columns.get(top, {}))
+    if pi2 == pi:
+        return m.m_eps_eps
+    if len(pi2) == len(pi) + 1 and pi2[1:] == pi:
+        return m.m_eps_push.get(pi2[0], {})
+    return {}
 
 
 def test_expand_entry_suffix_rules():
     auto = tropical_omega_automaton()
     m = auto.matrix
     # popping with a deeper stack keeps the suffix
-    assert expand_entry(m, ("X", "Z0"), ("Z0",)) == m.pop_block("X")
-    assert m.pop_block("X") == {2: {3: {"b": TROPICAL.one}}, 3: {3: {"b": TROPICAL.one}}}
+    assert expand_entry(m, ("X", "Z0"), ("Z0",)) == transpose(m.pop_columns["X"])
+    assert transpose(m.pop_columns["X"]) == {2: {3: {"b": TROPICAL.one}}, 3: {3: {"b": TROPICAL.one}}}
     # ignoring the stack is the neutral block at every depth
     assert expand_entry(m, ("X", "Z0"), ("X", "Z0")) == m.m_eps_eps
     assert expand_entry(m, (), ()) == m.m_eps_eps
@@ -133,7 +158,7 @@ def test_induced_finite_structure():
     f = 5
     blocks = [auto.matrix.m_eps_eps]
     blocks += list(auto.matrix.m_eps_push.values())
-    blocks += [auto.matrix.pop_block(sym) for sym in auto.matrix.pop_columns]
+    blocks += [transpose(columns) for columns in auto.matrix.pop_columns.values()]
     for b in blocks:
         assert f not in b
     # neutral block rows read off the single-variable monomials
@@ -181,6 +206,29 @@ def test_induced_finite_dyck_matches_oracle():
     for length in range(0, 7):
         for w in itertools.product("ab", repeat=length):
             assert behavior_finite(auto, w) == oracle_coeff_gnf(sys, 0, w), w
+
+
+def max_block_weight(word: tuple[str, ...]) -> SemiringValue:
+    """Arctic oracle: max n_i over a^{n1} b^{n1} ... blocks, zero off the language."""
+    a = ARCTIC
+    i, best = 0, None
+    w = "".join(word)
+    if not w:
+        return a.zero
+    while i < len(w):
+        if w[i] != "a":
+            return a.zero
+        j = i
+        while j < len(w) and w[j] == "a":
+            j += 1
+        k = j
+        while k < len(w) and w[k] == "b":
+            k += 1
+        if (k - j) != (j - i):
+            return a.zero
+        best = max(best or 0, j - i)
+        i = k
+    return a.value(best)
 
 
 def test_arctic_block_behavior():
@@ -242,7 +290,7 @@ def test_induced_omega_structure():
     assert auto.buchi_count == 1
     m = auto.matrix
     assert entry_letters(m.m_eps_push["Z:z2"], 1, 2) == {"a": 1}
-    assert entry_letters(m.pop_block("Z:z2"), 2, 1) == {"a": 1}
+    assert entry_letters(transpose(m.pop_columns["Z:z2"]), 2, 1) == {"a": 1}
     assert entry_letters(m.m_eps_eps, 1, 0) == {"a": 1}
     assert entry_letters(m.m_eps_eps, 0, 0) == {"c": 1}
     # initial mass sits on both copies of the start component
@@ -521,7 +569,7 @@ def reference_dot(a):
     for sym, block in sorted(m.m_eps_push.items()):
         emit(block, lambda letter, s=sym: f"{letter} v{s}")
     for sym in sorted(m.pop_columns):
-        emit(m.pop_block(sym), lambda letter, s=sym: f"{letter} ^{s}")
+        emit(transpose(m.pop_columns[sym]), lambda letter, s=sym: f"{letter} ^{s}")
     lines.append("}")
     return "\n".join(lines)
 
@@ -567,7 +615,7 @@ def assert_pops_stored_once(m):
     final_rows = sum(sink in row for row in m.m_eps_eps.values())
     assert stored <= final_rows + len(m.stack_alphabet)
     # the row-major blocks held final_rows cells for every stack symbol
-    cells = sum(len(row) for sym in m.pop_columns for row in m.pop_block(sym).values())
+    cells = sum(len(row) for cols in m.pop_columns.values() for row in transpose(cols).values())
     assert cells == final_rows * len(m.stack_alphabet)
 
 

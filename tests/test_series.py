@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staromega.semiring import ARCTIC, BOOLEAN, COUNTING, TROPICAL, SemiringError, sum_family
+from staromega.semiring import ARCTIC, BOOLEAN, COUNTING, TROPICAL, SemiringError
 from staromega.series import (
     Alphabet,
     LassoWord,
@@ -12,7 +12,6 @@ from staromega.series import (
     word_key,
     format_polynomial,
     parse_polynomial,
-    series_build,
     split_px,
     substitute,
 )
@@ -73,9 +72,9 @@ def test_build_merges_words_drops_zeros_and_sorts(case):
     assert words == sorted(set(words), key=word_key)
     for m in p.monomials:
         assert not m.coeff.is_zero()
-        assert m.coeff == sum_family(inst, (c for c, w in terms if w == m.word))
+        assert m.coeff == sum((c for c, w in terms if w == m.word), inst.zero)
     dropped = {w for _c, w in terms} - set(words)
-    assert all(sum_family(inst, (c for c, w in terms if w == d)).is_zero() for d in dropped)
+    assert all(sum((c for c, w in terms if w == d), inst.zero).is_zero() for d in dropped)
 
 
 def test_build_rejects_a_coefficient_from_another_instance():
@@ -120,7 +119,7 @@ def test_substitute_epsilon():
 
 def test_substitute_single_concatenation():
     t = TROPICAL
-    assignment = {"x": series_build(t, 3, [(("b",), t.value(1))])}
+    assignment = {"x": TruncatedSeries(t, 3, {("b",): t.value(1)})}
     out = substitute(poly(t, "a x"), assignment, 3)
     assert out.coeff(("a", "b")).value == 1
     assert out.support() == [("a", "b")]
@@ -129,7 +128,7 @@ def test_substitute_single_concatenation():
 def test_substitute_one_iteration_step():
     # one unfolding of x = 1 a x b + 1 a b with x bound to {ab -> 1}
     t = TROPICAL
-    assignment = {"x": series_build(t, 6, [(("a", "b"), t.value(1))])}
+    assignment = {"x": TruncatedSeries(t, 6, {("a", "b"): t.value(1)})}
     out = substitute(poly(t, "(1) a x b | (1) a b"), assignment, 6)
     assert out.coeff(("a", "b")).value == 1
     assert out.coeff(("a", "a", "b", "b")).value == 2
@@ -137,7 +136,7 @@ def test_substitute_one_iteration_step():
 
 def test_substitute_truncates():
     b = BOOLEAN
-    assignment = {"x": series_build(b, 4, [(("a", "a", "a"), b.one)])}
+    assignment = {"x": TruncatedSeries(b, 4, {("a", "a", "a"): b.one})}
     out = substitute(poly(b, "a x"), assignment, 3)
     assert out.support() == []
 
@@ -153,8 +152,8 @@ def test_substitute_monotone_in_assignment(lo_words, extra, ptext):
     # growing the assignment in the natural order can only grow the result
     b = BOOLEAN
     p = poly(b, ptext)
-    small = series_build(b, 3, [(w, b.one) for w in lo_words])
-    big = series_build(b, 3, [(w, b.one) for w in lo_words + extra])
+    small = TruncatedSeries(b, 3, dict.fromkeys(lo_words, b.one))
+    big = TruncatedSeries(b, 3, dict.fromkeys(lo_words + extra, b.one))
     lo = substitute(p, {"x": small}, 5)
     hi = substitute(p, {"x": big}, 5)
     for w, c in lo.coeffs.items():
@@ -198,7 +197,7 @@ def test_split_px_linear_over_monomials(i, j):
 
 def test_coeff_lookup_and_range_error():
     t = TROPICAL
-    s = series_build(t, 2, [(("a", "b"), t.value(1))])
+    s = TruncatedSeries(t, 2, {("a", "b"): t.value(1)})
     assert s.coeff(()).value is not None and s.coeff(()).is_zero()
     assert s.coeff(("a", "b")).value == 1
     assert s.coeff(("b", "a")).is_zero()
@@ -207,8 +206,9 @@ def test_coeff_lookup_and_range_error():
 
 
 def test_series_zero_coeffs_dropped():
+    # substitution keeps no zero coefficient, even where the assignment holds one
     t = TROPICAL
-    s = series_build(t, 2, [(("a",), t.zero)])
+    s = substitute(poly(t, "x"), {"x": TruncatedSeries(t, 2, {("a",): t.zero})}, 2)
     assert s.support() == []
 
 
