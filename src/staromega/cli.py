@@ -54,9 +54,9 @@ from .series import (
     parse_polynomial,
 )
 from .system import (
+    AlgebraicSystem,
     IllFormedSystem,
     MixedSystem,
-    OmegaSystem,
     SegmentTable,
     SemanticFailure,
     canonical_omega_lasso,
@@ -86,7 +86,7 @@ class GrammarFile:
     instance: SemiringInstance
     terminals: tuple[str, ...]
     kind: str  # "omega" or "mixed"
-    system: OmegaSystem | MixedSystem
+    system: AlgebraicSystem | MixedSystem
     start: str | None
     buchi: int | None
 
@@ -168,7 +168,7 @@ def parse_grammar(text: str) -> GrammarFile:
     ts = tuple(terminals)
     if kinds <= {"y"}:
         y_vars = tuple(v for v in order)
-        sys = OmegaSystem(instance, ts, y_vars, tuple(rhs_by_var[v] for v in y_vars))
+        sys = AlgebraicSystem(instance, ts, y_vars, tuple(rhs_by_var[v] for v in y_vars))
         return GrammarFile(instance, ts, "omega", sys, start, buchi)
     x_vars = tuple(v for v in order if sorts[v] == "x")
     z_vars = tuple(v for v in order if sorts[v] == "z")
@@ -311,20 +311,20 @@ def _selection(
     return mixed, x, z, k
 
 
-def _finite_where_read(mixed: MixedSystem, start: int, finite) -> MixedSystem:
+def _finite_where_read(mixed: MixedSystem, start: int, finite: str | None) -> MixedSystem:
     """mixed with its finite part at the x-index `_selection` reads: the
     start's index when the file has as many x- as z-variables, else 0.
 
-    `finite` is a normalized decomposition's (system, component), whose
-    variable keeps its name in mixed.  Without a finite part a fresh
-    x-variable f = 0 takes that place, so the file's finite part is zero.
+    `finite` names the finite part's x-variable in mixed.  Without a finite
+    part a fresh x-variable f = 0 takes that place, so the file's finite
+    part is zero.
     """
     xs = list(zip(mixed.x_vars, mixed.x_rhs))
     if finite is None:
         name = _Names({*mixed.terminals, *mixed.x_vars, *mixed.z_vars}).fresh("f")
         entry = (name, Polynomial.zero(mixed.instance))
     else:
-        entry = xs.pop(mixed.x_vars.index(finite[0].variables[finite[1]]))
+        entry = xs.pop(mixed.x_vars.index(finite))
     xs.insert(start if len(xs) + 1 == mixed.m else 0, entry)
     return replace(mixed, x_vars=tuple(v for v, _ in xs), x_rhs=tuple(p for _, p in xs))
 
@@ -366,7 +366,8 @@ def cmd_gnf(args) -> int:
     report.add("decompose", terms=dec.width, buchi=k, component=mixed.z_vars[z])
     norm, gnf_mixed, sel, omega_sys, omega_sel, report = pipeline_from_decomposition(dec, report)
     if target == "mixed":
-        gnf_mixed = _finite_where_read(gnf_mixed, sel.component, norm.finite)
+        f = None if norm.finite is None else norm.system.variables[norm.finite]
+        gnf_mixed = _finite_where_read(gnf_mixed, sel.component, f)
         out_g = GrammarFile(
             g.instance,
             gnf_mixed.terminals,
@@ -456,7 +457,9 @@ def cmd_eval(args) -> int:
     if args.word is not None:
         mixed, x, _, _ = _selection(g, args.component, "x", args.buchi)
         if not mixed.x_vars:
-            raise IllFormedSystem("a finite word needs an x- or y-variable; the grammar has none")
+            # no x-variable: the finite part is zero, as in the automaton
+            _print_value(g.instance.zero)
+            return EXIT_OK
         word = _symbols_of(args.word)
         table = SegmentTable(mixed.x_part, word)
         _print_value(table.coeff(mixed.x_vars[x], 0, len(word)))
@@ -477,7 +480,7 @@ def cmd_check(args) -> int:
     elif args.suite == "oracle":
         failures = checks.oracle_suite(random.Random(seed))
     else:
-        failures = checks.examples_suite(args.golden)
+        failures = checks.examples_suite()
     for name, ok, info in failures.lines:
         print(f"{'PASS' if ok else 'FAIL'} {name}{'' if not info else ' ' + info}")
     print(f"{'PASS' if failures.ok else 'FAIL'} suite={args.suite} seed={seed} version={__version__}")
@@ -540,7 +543,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("--suite", choices=("identities", "examples", "oracle"), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--golden", default=None)
     p.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)

@@ -7,7 +7,7 @@ from importlib import resources
 from .cli import parse_grammar
 from .semiring import TROPICAL
 from .series import Polynomial, parse_polynomial
-from .system import AlgebraicSystem, MixedSystem, OmegaSystem
+from .system import AlgebraicSystem, MixedSystem
 from .pda import ResetPDMatrix, SimpleOmegaPDA, transpose
 
 
@@ -15,7 +15,7 @@ def _p(inst, text: str) -> Polynomial:
     return parse_polynomial(text, inst)
 
 
-def _packaged(name: str) -> OmegaSystem | MixedSystem:
+def _packaged(name: str) -> AlgebraicSystem | MixedSystem:
     """The system of a grammar file shipped in `staromega/data`."""
     return parse_grammar(resources.files("staromega").joinpath("data", name).read_text()).system
 
@@ -25,7 +25,7 @@ def tropical_mixed_system() -> MixedSystem:
     return _packaged("tropical_mixed.grm")
 
 
-def boolean_omega_system() -> OmegaSystem:
+def boolean_omega_system() -> AlgebraicSystem:
     """y1 = y2 y1 + eps;  y2 = a y2 b + eps over the Boolean semiring."""
     return _packaged("boolean_omega.grm")
 

@@ -4,15 +4,17 @@ finite_gnf normalizes one algebraic system (empty-word split, chain removal,
 binarization, then the matrix-equation transformation that forces a leading
 terminal with at most two trailing variables).  A decomposition holds every
 summand (s + e eps) t^omega, e being s's empty-word coefficient, and the
-source's finite part over one system; only normalize_decomposition merges
-systems (as x0.v, x1.v, ... where a hand-built decomposition holds several),
-and the pipeline brings that one system to Greibach form once.  Each pair
-system writes its z-rows over that one Greibach x-part, the sum adds a
-collector variable, the result is pruned to what the collector and the
-finite part reach, and finally folded into a single quemiring system whose
-last component carries the finite part and the chosen pair of the
-canonical solution.  The mixed result keeps the finite part under its own
-name; where a grammar file puts it is the CLI's concern.
+source's finite part.  Only normalize_decomposition merges systems (as
+x0.v, x1.v, ... where a hand-built decomposition holds several): it returns
+a NormalizedDecomposition, one epsilon-free system with the summands and
+the finite part as indices into it, and the pipeline brings that one
+system to Greibach form once.  Each pair system writes its z-rows over that
+one Greibach x-part, the sum adds a collector variable, the result is
+pruned to what the collector and the finite part reach, and finally folded
+into a single y-system (an AlgebraicSystem read as y = p(y)) whose last
+component carries the finite part and the chosen pair of the canonical
+solution.  The mixed result keeps the finite part under its own name;
+where a grammar file puts it is the CLI's concern.
 
 Mixed systems carry their z-coefficients as sparse rows (see
 staromega.system).  Pair systems, their block-diagonal sum and the fold
@@ -49,7 +51,6 @@ from .system import (
     CanonicalSelector,
     IllFormedSystem,
     MixedSystem,
-    OmegaSystem,
     eps_coefficients,
     is_gnf_algebraic,
     is_gnf_mixed,
@@ -324,30 +325,26 @@ def _leading_terminal_form(
 class GnfResult:
     system: AlgebraicSystem
     component_of: dict[str, int]
-    eps: dict[str, SemiringValue]
 
 
 def finite_gnf(sys: AlgebraicSystem, keep: Sequence[str] | None = None) -> GnfResult:
     """Greibach normal form with the same least solution off the empty word.
 
-    Returns the transformed system, the index of each variable of `keep` in
-    it, and the original empty-word coefficients (the output itself is
-    epsilon-free, single leading terminal, at most two trailing variables).
-    `keep` names the variables whose components the caller reads, all of
-    them by default; only what they reach is normalized and returned, and
-    the empty-word coefficients cover the variables they reach.
+    Returns the transformed system and the index of each variable of `keep`
+    in it (the output is epsilon-free, single leading terminal, at most two
+    trailing variables).  `keep` names the variables whose components the
+    caller reads, all of them by default; only what they reach is normalized
+    and returned.
     """
     keep = list(sys.variables if keep is None else keep)
-    sys = _prune_unreachable(sys, keep)
-    proper, eps = proper_form(sys)
-    eps_map = dict(zip(sys.variables, eps))
+    proper, _ = proper_form(_prune_unreachable(sys, keep))
     gnf = _drop_unproductive(proper, keep=keep)
     if not is_gnf_algebraic(gnf, allow_eps=False):
         binary = _binarize(_unit_elimination(gnf))
         gnf = _drop_unproductive(_leading_terminal_form(binary, keep), keep=keep)
         if not is_gnf_algebraic(gnf, allow_eps=False):
             raise IllFormedSystem("internal: normal form construction failed")
-    return GnfResult(gnf, {v: gnf.variables.index(v) for v in keep}, eps_map)
+    return GnfResult(gnf, {v: gnf.variables.index(v) for v in keep})
 
 
 def _drop_unproductive(sys: AlgebraicSystem, keep: list[str]) -> AlgebraicSystem:
@@ -393,9 +390,7 @@ def _prune_unreachable(sys: AlgebraicSystem, keep: list[str]) -> AlgebraicSystem
 class DecompositionTerm:
     """One summand (s + eps_coeff eps) t^omega: systems plus designated components.
 
-    A missing s_sys or eps_coeff stands for zero.  In a normalized term both
-    systems are epsilon-free, s_sys is present only where its component is
-    productive, and eps_coeff only where it is nonzero, so at least one is.
+    A missing s_sys or eps_coeff stands for zero.
     """
 
     t_sys: AlgebraicSystem
@@ -408,14 +403,12 @@ class DecompositionTerm:
 @dataclass(frozen=True)
 class OmegaDecomposition:
     """Summands (s + eps_coeff eps) t^omega and, if given, the component whose
-    series, off the empty word, is the result's finite part.  A normalized
-    decomposition refers to one system in all its terms and its finite part.
+    series, off the empty word, is the result's finite part.
     """
 
     instance: SemiringInstance
     terminals: tuple[str, ...]
     terms: tuple[DecompositionTerm, ...]
-    normalized: bool = False
     finite: tuple[AlgebraicSystem, int] | None = None
 
     @property
@@ -423,15 +416,30 @@ class OmegaDecomposition:
         return len(self.terms)
 
 
-def normalize_decomposition(d: OmegaDecomposition) -> OmegaDecomposition:
+@dataclass(frozen=True)
+class NormalizedDecomposition:
+    """A decomposition over one epsilon-free system.
+
+    Each term (t, s, e) is the summand (x_s + e eps) x_t^omega: s is the
+    index of a productive variable or None, e a nonzero coefficient or None,
+    and at least one of them is given.  `finite` is the index of the
+    variable whose series is the finite part, or None when it is zero.
+    """
+
+    system: AlgebraicSystem
+    terms: tuple[tuple[int, int | None, SemiringValue | None], ...]
+    finite: int | None
+
+
+def normalize_decomposition(d: OmegaDecomposition) -> NormalizedDecomposition:
     """Absorb empty-word parts: t-series become epsilon-free, and each
-    s-series keeps its epsilon-free part as s_sys and its empty-word
-    coefficient as eps_coeff, one term per input term; dead terms drop.
+    s-series keeps its epsilon-free part as s and its empty-word
+    coefficient as e, one term per input term; dead terms drop.
 
     The distinct systems (by identity) of the terms and of the finite part
     are put side by side, under their own names if there is one, else as
     x0.v, x1.v, ..., and brought to proper form once: every output term and
-    the finite part refer to that one system.  A t-series with a nonzero
+    the finite part index that one system.  A t-series with a nonzero
     empty-word coefficient e becomes the alias e* t, appended to it.
     """
     inst = d.instance
@@ -479,11 +487,7 @@ def normalize_decomposition(d: OmegaDecomposition) -> OmegaDecomposition:
             t = aliases[t]
         kept.append((t, s, None if e.is_zero() else e))
     x = AlgebraicSystem(inst, x.terminals, tuple(x_vars), tuple(x_rhs))
-    terms = tuple(
-        DecompositionTerm(x, t, None if s is None else x, s or 0, e) for t, s, e in kept
-    )
-    finite = None if d.finite is None else (x, at(*d.finite))
-    return OmegaDecomposition(inst, d.terminals, terms, normalized=True, finite=finite)
+    return NormalizedDecomposition(x, tuple(kept), None if d.finite is None else at(*d.finite))
 
 
 def _fresh_prefix(head: str, names: Sequence[str], taken: set[str]) -> str:
@@ -619,7 +623,7 @@ def _indexed_rows(
     )
 
 
-def char_to_mixed(d: OmegaDecomposition) -> tuple[MixedSystem, CanonicalSelector]:
+def char_to_mixed(d: NormalizedDecomposition) -> tuple[MixedSystem, CanonicalSelector]:
     """Direct mixed system for a sum of pairs: one accepting loop variable per
     t-series and one collector fed by the s-series.
 
@@ -628,31 +632,26 @@ def char_to_mixed(d: OmegaDecomposition) -> tuple[MixedSystem, CanonicalSelector
     (e eps alone without an s-series); the z-variables are z0, z1, ... and
     zout.  A fresh name that would be a terminal or a variable gains primes.
     """
-    if not d.normalized:
-        raise IllFormedSystem("characteristic system needs a normalized decomposition")
-    inst = d.instance
-    l = d.width
-    x = d.terms[0].t_sys if d.terms else AlgebraicSystem(inst, d.terminals, (), ())
-    fresh = _Names(set(d.terminals) | set(x.variables)).fresh
+    x = d.system
+    inst = x.instance
+    l = len(d.terms)
+    fresh = _Names(set(x.terminals) | set(x.variables)).fresh
     x_vars, x_rhs = list(x.variables), list(x.rhs)
     s_polys: list[Polynomial] = []
-    for j, term in enumerate(d.terms):
-        s_poly = Polynomial.zero(inst)
-        if term.s_sys is not None:
-            s_poly = Polynomial.of_word(inst, (x.variables[term.s_component],))
-        if term.eps_coeff is not None:
+    for j, (_, s, e) in enumerate(d.terms):
+        s_poly = Polynomial.zero(inst) if s is None else Polynomial.of_word(inst, (x.variables[s],))
+        if e is not None:
             x_vars.append(fresh(f"c{j}.s"))
-            x_rhs.append(Polynomial.build(inst, [(term.eps_coeff, EPSILON)]) + s_poly)
+            x_rhs.append(Polynomial.build(inst, [(e, EPSILON)]) + s_poly)
             s_poly = Polynomial.of_word(inst, (x_vars[-1],))
         s_polys.append(s_poly)
     z_vars = tuple(fresh(f"z{j}") for j in range(l)) + (fresh("zout"),)
     rho_rows = [
-        {j: Polynomial.of_word(inst, (x.variables[term.t_component],))}
-        for j, term in enumerate(d.terms)
+        {j: Polynomial.of_word(inst, (x.variables[t],))} for j, (t, _, _) in enumerate(d.terms)
     ]
     rho_rows.append(dict(enumerate(s_polys)))
     mixed = MixedSystem(
-        inst, d.terminals, tuple(x_vars), tuple(x_rhs), z_vars, tuple(rho_rows)
+        inst, x.terminals, tuple(x_vars), tuple(x_rhs), z_vars, tuple(rho_rows)
     )
     return mixed, CanonicalSelector(l, l)
 
@@ -662,8 +661,8 @@ def char_to_mixed(d: OmegaDecomposition) -> tuple[MixedSystem, CanonicalSelector
 
 def unmix(
     sys: MixedSystem, k: int | None, l: int, t: int
-) -> tuple[OmegaSystem, CanonicalSelector]:
-    """One quemiring system whose last component pairs x-component k with
+) -> tuple[AlgebraicSystem, CanonicalSelector]:
+    """One y-system whose last component pairs x-component k with
     z-component l at Buchi count t; the omega-loop equations come first so
     the canonical solution keeps accepting exactly the former z-variables.
     With k None, as for a decomposition that carries no finite part, the
@@ -704,7 +703,7 @@ def unmix(
         + (_Names(taken).fresh("ydot"),)
     )
     rhs = tuple(hat_rhs[j] for j in zs) + tuple(bar_rhs[i] for i in xs) + (dot_rhs,)
-    out = OmegaSystem(inst, sys.terminals, variables, rhs)
+    out = AlgebraicSystem(inst, sys.terminals, variables, rhs)
     return out, CanonicalSelector(sum(1 for j in zs if j < t), len(variables) - 1)
 
 
@@ -882,33 +881,27 @@ class GnfPipelineReport:
 
 
 def pipeline_from_decomposition(
-    d: OmegaDecomposition, report: GnfPipelineReport | None = None
+    d: OmegaDecomposition | NormalizedDecomposition, report: GnfPipelineReport | None = None
 ):
     """Normalize, bring the summands and the finite part to Greibach form in
     one call, build and sum the pair systems over it, and fold into one
     omega system.  Returns the stages and selectors.
 
-    The mixed output keeps the finite part under its own name, which
-    norm.finite names; without one that part is zero.
+    The mixed output keeps the finite part under its own name, the variable
+    of norm.system that norm.finite indexes; without one that part is zero.
     """
     rep = report if report is not None else GnfPipelineReport()
-    norm = d if d.normalized else normalize_decomposition(d)
+    norm = d if isinstance(d, NormalizedDecomposition) else normalize_decomposition(d)
     rep.add("normalize", terms=len(norm.terms))
-    reads = [(term.t_sys, term.t_component) for term in norm.terms]
-    reads += [(term.s_sys, term.s_component) for term in norm.terms if term.s_sys is not None]
+    src = norm.system
+    reads = [t for t, _, _ in norm.terms] + [s for _, s, _ in norm.terms if s is not None]
     reads += [] if norm.finite is None else [norm.finite]
-    x = AlgebraicSystem(norm.instance, norm.terminals, (), ())
+    x = AlgebraicSystem(src.instance, src.terminals, (), ())
     if reads:
-        src = reads[0][0]
-        if any(sys is not src for sys, _ in reads):
-            raise IllFormedSystem("a normalized decomposition refers to one system")
-        x = finite_gnf(src, list(dict.fromkeys(src.variables[c] for _, c in reads))).system
+        x = finite_gnf(src, list(dict.fromkeys(src.variables[i] for i in reads))).system
     ix = {v: i for i, v in enumerate(x.variables)}
-    at = lambda sys, comp: None if sys is None else ix[sys.variables[comp]]
-    parts = [
-        build_pair_system(x, at(t.t_sys, t.t_component), at(t.s_sys, t.s_component), t.eps_coeff)
-        for t in norm.terms
-    ]
+    at = lambda i: None if i is None else ix[src.variables[i]]
+    parts = [build_pair_system(x, at(t), at(s), e) for t, s, e in norm.terms]
     mixed, selector = sum_systems(x, parts)
     rep.add("pairs", count=len(parts), kept=len(x.variables))
     rep.add(
@@ -919,7 +912,7 @@ def pipeline_from_decomposition(
         buchi=selector.buchi_count,
         component=selector.component,
     )
-    f = None if norm.finite is None else norm.finite[0].variables[norm.finite[1]]
+    f = None if norm.finite is None else src.variables[norm.finite]
     pruned, selector = _prune_sum(mixed, selector, f)
     rep.add(
         "prune",

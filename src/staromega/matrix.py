@@ -69,9 +69,6 @@ class SemiringMatrix:
                 if v.instance is not self.instance:
                     raise SemiringError("matrix entries must share one instance")
 
-    def entry(self, i: int, j: int) -> SemiringValue:
-        return self.rows[i][j]
-
 
 @dataclass(frozen=True)
 class OmegaVector:

@@ -52,7 +52,6 @@ class SemiringInstance:
     """
 
     name: str = ""
-    idempotent: bool = False
 
     def zero_raw(self) -> Ext:
         raise NotImplementedError
@@ -183,7 +182,6 @@ class BooleanSemiring(SemiringInstance):
     """<B, or, and, 0, 1> with 0* = 1* = 1 and infima as infinite products."""
 
     name = "boolean"
-    idempotent = True
 
     def zero_raw(self):
         return 0
@@ -241,7 +239,6 @@ class TropicalSemiring(SemiringInstance):
     """<N u inf, min, +, inf, 0> with the infinite numeric sum as infinite product."""
 
     name = "tropical"
-    idempotent = True
 
     def zero_raw(self):
         return INF
@@ -291,7 +288,6 @@ class ArcticSemiring(SemiringInstance):
     """<N u {-inf, inf}, max, +, -inf, 0> with the infinite sum as infinite product."""
 
     name = "arctic"
-    idempotent = True
 
     def zero_raw(self):
         return NEG_INF
@@ -354,7 +350,6 @@ class CountingSemiring(SemiringInstance):
     """<N u inf, +, *, 0, 1> with the natural infinite product; not idempotent."""
 
     name = "counting"
-    idempotent = False
 
     def zero_raw(self):
         return 0

@@ -51,10 +51,6 @@ class Alphabet:
             seen.add(s)
 
 
-def word_key(w: Word):
-    return (len(w), w)
-
-
 @dataclass(frozen=True, slots=True)
 class Monomial:
     coeff: SemiringValue
@@ -231,9 +227,6 @@ class TruncatedSeries:
         c = self.coeffs.get(w)
         return self.instance.zero if c is None else c
 
-    def support(self) -> list[Word]:
-        return sorted(self.coeffs, key=word_key)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -308,21 +301,6 @@ class LassoWord:
     def __post_init__(self):
         if len(self.period) < 1:
             raise SeriesError("lasso period must be nonempty")
-
-    def letter(self, pos: int) -> str:
-        if pos < len(self.prefix):
-            return self.prefix[pos]
-        return self.period[(pos - len(self.prefix)) % len(self.period)]
-
-    def segment(self, pos: int, length: int) -> Word:
-        return tuple(self.letter(pos + i) for i in range(length))
-
-    def shift(self, k: int) -> "LassoWord":
-        """The same omega-word with the first k letters consumed."""
-        if k <= len(self.prefix):
-            return LassoWord(self.prefix[k:], self.period)
-        r = (k - len(self.prefix)) % len(self.period)
-        return LassoWord((), self.period[r:] + self.period[:r])
 
     def __str__(self) -> str:
         return f"{' '.join(self.prefix)}:{' '.join(self.period)}"

@@ -1,5 +1,10 @@
 """Equation systems over series and their canonical solutions.
 
+An omega-algebraic system y = p(y) is written as an algebraic system is,
+so one type, `AlgebraicSystem`, holds both; a grammar file's sort says
+which one it is, and `induce_mixed` splits a y-system into its finite part
+and its z-linear part.
+
 Algebraic systems x = p(x) are solved for their finite parts one word
 length at a time (`least_solution_finite`).  Omega-parts of mixed systems
 are evaluated exactly at ultimately periodic words u v^omega:
@@ -21,10 +26,10 @@ from.  No answer depends on a cap.
 
 The z-coefficient matrix rho of a mixed system z = rho(x) z is stored
 sparsely: one row per z-variable, each a mapping from column index to a
-nonzero polynomial.  Absent cells are zero (read them with
-MixedSystem.entry), and every consumer walks the stored entries only, so
-the block-diagonal sums built by the normal form pipeline cost time in
-their nonzero entries, not in the square of their z-variables.
+nonzero polynomial.  Absent cells are zero, and every consumer walks the
+stored entries only, so the block-diagonal sums built by the normal form
+pipeline cost time in their nonzero entries, not in the square of their
+z-variables.
 """
 
 from __future__ import annotations
@@ -86,13 +91,6 @@ class AlgebraicSystem:
             if bad:
                 raise IllFormedSystem(f"equation for {v} uses undeclared symbols {sorted(bad)}")
 
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self.terminals, self.variables)
-
-    def var_index(self, name: str) -> int:
-        return self.variables.index(name)
-
     def rename(self, mapping: Mapping[str, str]) -> "AlgebraicSystem":
         return AlgebraicSystem(
             self.instance,
@@ -100,23 +98,6 @@ class AlgebraicSystem:
             tuple(mapping.get(v, v) for v in self.variables),
             tuple(p.rename_symbols(mapping) for p in self.rhs),
         )
-
-
-@dataclass(frozen=True)
-class OmegaSystem:
-    """y = p(y) over the quemiring of finite and omega series."""
-
-    instance: SemiringInstance
-    terminals: tuple[str, ...]
-    variables: tuple[str, ...]
-    rhs: tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        AlgebraicSystem(self.instance, self.terminals, self.variables, self.rhs)
-
-    @property
-    def n(self) -> int:
-        return len(self.variables)
 
 
 @dataclass(frozen=True)
@@ -161,11 +142,6 @@ class MixedSystem:
     @property
     def m(self) -> int:
         return len(self.z_vars)
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        """rho(x)[i][j], zero when the cell is not stored."""
-        got = self.rho[i].get(j)
-        return Polynomial.zero(self.instance) if got is None else got
 
     @cached_property
     def x_part(self) -> AlgebraicSystem:
@@ -218,8 +194,8 @@ def derived_names(y_vars: Sequence[str], taken: set[str], head: str) -> tuple[st
     return tuple(out)
 
 
-def induce_mixed(sys: OmegaSystem) -> MixedSystem:
-    """Split a quemiring system into its finite part and the induced z-linear part."""
+def induce_mixed(sys: AlgebraicSystem) -> MixedSystem:
+    """Split a y-system y = p(y) into its finite part and the induced z-linear part."""
     taken = set(sys.terminals) | set(sys.variables)
     x_names = derived_names(sys.variables, taken, "x")
     z_names = derived_names(sys.variables, taken | set(x_names), "z")
@@ -262,8 +238,8 @@ def is_gnf_algebraic(sys: AlgebraicSystem, allow_eps: bool = False) -> bool:
     return _gnf_words_ok(sys.rhs, set(sys.terminals), set(sys.variables), allow_eps)
 
 
-def is_gnf_omega(sys: OmegaSystem) -> bool:
-    return _gnf_words_ok(sys.rhs, set(sys.terminals), set(sys.variables), True)
+def is_gnf_omega(sys: AlgebraicSystem) -> bool:
+    return is_gnf_algebraic(sys, allow_eps=True)
 
 
 def is_gnf_mixed(sys: MixedSystem) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable
 
 from staromega._search import _sccs
-from staromega.semiring import INF, SemiringError, SemiringInstance, SemiringValue
+from staromega.semiring import COUNTING, INF, SemiringError, SemiringInstance, SemiringValue
 
 Node = Hashable
 Edge = tuple[Node, SemiringValue]
@@ -50,11 +50,12 @@ def path_sums(
 ) -> dict[Node, SemiringValue]:
     """Sum of weights of all finite paths from the sources, per node.
 
-    Requires an idempotent instance.  Zero-weight edges and sources are
-    ignored.  Paths may repeat nodes; divergent families (arctic positive
-    cycles or inf-weight edges on cycles) are resolved exactly to inf.
+    Requires an idempotent instance, so not counting.  Zero-weight edges
+    and sources are ignored.  Paths may repeat nodes; divergent families
+    (arctic positive cycles or inf-weight edges on cycles) are resolved
+    exactly to inf.
     """
-    if not instance.idempotent:
+    if instance is COUNTING:
         raise SemiringError("path aggregation needs an idempotent instance")
     sources = {n: w for n, w in sources.items() if not w.is_zero()}
     live_edges: dict[Node, list[Edge]] = {}

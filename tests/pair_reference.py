@@ -50,10 +50,12 @@ def _first(sys: AlgebraicSystem, name: str) -> AlgebraicSystem:
     )
 
 
-def normalize_decomposition(d: OmegaDecomposition) -> OmegaDecomposition:
+def normalize_decomposition(d: OmegaDecomposition) -> tuple[DecompositionTerm, ...]:
     """Absorb empty-word parts: t-series become epsilon-free, and each
     s-series keeps its epsilon-free part as s_sys and its empty-word
     coefficient as eps_coeff, one term per input term; dead terms drop.
+    Each term keeps systems of its own, so the terms are returned as they
+    are.
     """
     inst = d.instance
     out: list[DecompositionTerm] = []
@@ -88,7 +90,7 @@ def normalize_decomposition(d: OmegaDecomposition) -> OmegaDecomposition:
                     t_proper, t_comp, s_sys, term.s_component, None if eps.is_zero() else eps
                 )
             )
-    return OmegaDecomposition(inst, d.terminals, tuple(out), normalized=True)
+    return tuple(out)
 
 
 def _fresh_var(sys: AlgebraicSystem, base: str) -> str:
@@ -100,7 +102,7 @@ def reference_pipeline(d, finite=None):
     """The summed pair systems of d, the normal form of `finite` first among
     their x-variables, and the selector: one normal form per (system,
     component), each pair over its own copies."""
-    norm = normalize_decomposition(d)
+    terms = normalize_decomposition(d)
     normal_forms = {}
 
     def gnf_of(sys, comp):
@@ -110,14 +112,14 @@ def reference_pipeline(d, finite=None):
         return normal_forms[sys, comp]
 
     parts = []
-    for term in norm.terms:
+    for term in terms:
         t_nf = gnf_of(term.t_sys, term.t_component)
         s_nf = None if term.s_sys is None else gnf_of(term.s_sys, term.s_component)
         parts.append(build_pair_system(t_nf, 0, s_nf, 0, term.eps_coeff))
-    mixed, selector = sum_systems(norm.instance, norm.terminals, parts)
+    mixed, selector = sum_systems(d.instance, d.terminals, parts)
     if finite is not None:
         nf = gnf_of(*finite)
-        f = _rename_prefixed(nf, _fresh_prefix("f", nf.variables, set(norm.terminals)))
+        f = _rename_prefixed(nf, _fresh_prefix("f", nf.variables, set(d.terminals)))
         mixed = replace(mixed, x_vars=f.variables + mixed.x_vars, x_rhs=f.rhs + mixed.x_rhs)
     return mixed, selector
 

@@ -12,6 +12,7 @@ from staromega.cli import EXIT_OK, GrammarFile, _selection, format_grammar, main
 from staromega.fixtures import pair_example_systems
 from staromega.gnf import (
     DecompositionTerm,
+    NormalizedDecomposition,
     OmegaDecomposition,
     build_pair_system,
     char_to_mixed,
@@ -106,7 +107,6 @@ def test_finite_gnf_already_normal():
     res = finite_gnf(sys)
     assert res.system.variables == sys.variables
     assert res.system.rhs == sys.rhs
-    assert res.eps["x1"].is_zero()
 
 
 def test_finite_gnf_nested_blocks_system():
@@ -117,7 +117,7 @@ def test_finite_gnf_nested_blocks_system():
     )
     res = finite_gnf(sys)
     assert is_gnf_algebraic(res.system)
-    assert res.eps["x1"].value == 1
+    assert eps_coefficients(sys)[0].value == 1
     series_equal_up_to(sys, 0, res.system, res.component_of["x1"], 6, eps_b=b.one)
     series_equal_up_to(sys, 1, res.system, res.component_of["x2"], 6, eps_b=b.one)
 
@@ -143,11 +143,9 @@ def test_finite_gnf_random_semantic_equality():
         sys = AlgebraicSystem(inst, letters, names, tuple(rhs))
         res = finite_gnf(sys)
         assert is_gnf_algebraic(res.system)
-        for v in sys.variables:
-            series_equal_up_to(
-                sys, sys.variables.index(v), res.system, res.component_of[v], 4,
-                eps_b=res.eps[v],
-            )
+        eps = eps_coefficients(sys)
+        for i, v in enumerate(sys.variables):
+            series_equal_up_to(sys, i, res.system, res.component_of[v], 4, eps_b=eps[i])
 
 
 # -- decomposition normalization ------------------------------------------------------
@@ -165,11 +163,10 @@ def test_normalize_strips_epsilon_from_t():
         (DecompositionTerm(t_sys, 0, _single_var_system(b, ("a",), "a"), 0),),
     )
     norm = normalize_decomposition(d)
-    assert norm.normalized and len(norm.terms) == 1
-    term = norm.terms[0]
-    assert eps_coefficients(term.t_sys)[term.t_component].is_zero()
-    sol = least_solution_finite(term.t_sys, 3)
-    assert sol[term.t_component].coeff(("a",)).value == 1
+    (t, _, _), = norm.terms
+    assert eps_coefficients(norm.system)[t].is_zero()
+    sol = least_solution_finite(norm.system, 3)
+    assert sol[t].coeff(("a",)).value == 1
 
 
 def test_normalize_keeps_the_empty_word_coefficient_in_the_term():
@@ -178,15 +175,14 @@ def test_normalize_keeps_the_empty_word_coefficient_in_the_term():
     t_sys = _single_var_system(t, ("a", "c"), "c")
     d = OmegaDecomposition(t, ("a", "c"), (DecompositionTerm(t_sys, 0, s_sys, 0),))
     norm = normalize_decomposition(d)
-    assert len(norm.terms) == 1
-    term = norm.terms[0]
-    assert term.eps_coeff.value == 2
-    assert eps_coefficients(term.s_sys)[term.s_component].is_zero()
+    (_, s, e), = norm.terms
+    assert e.value == 2
+    assert eps_coefficients(norm.system)[s].is_zero()
     # the empty-word coefficient alone: (2) eps t^omega
     only_eps = _single_var_system(t, ("a", "c"), "(2) eps")
     d = OmegaDecomposition(t, ("a", "c"), (DecompositionTerm(t_sys, 0, only_eps, 0),))
-    (term,) = normalize_decomposition(d).terms
-    assert term.s_sys is None and term.eps_coeff.value == 2
+    (_, s, e), = normalize_decomposition(d).terms
+    assert s is None and e.value == 2
 
 
 def test_normalize_keeps_clean_terms():
@@ -194,8 +190,8 @@ def test_normalize_keeps_clean_terms():
     t_sys = _single_var_system(b, ("a",), "a")
     d = OmegaDecomposition(b, ("a",), (DecompositionTerm(t_sys, 0, t_sys, 0),))
     norm = normalize_decomposition(d)
-    assert len(norm.terms) == 1 and norm.terms[0].eps_coeff is None
-    assert norm.terms[0].s_sys is not None
+    assert len(norm.terms) == 1 and norm.terms[0][2] is None
+    assert norm.terms[0][1] is not None
 
 
 def test_normalize_drops_unproductive_terms():
@@ -224,17 +220,16 @@ def test_normalize_shares_the_proper_form_of_a_shared_system():
         t, ("a", "b"), (DecompositionTerm(sys, 0, sys, 1), DecompositionTerm(sys, 1, sys, 0))
     )
     norm = normalize_decomposition(d)
-    assert len({id(sys) for term in norm.terms for sys in (term.t_sys, term.s_sys)}) == 1
-    shared = norm.terms[0].t_sys
+    shared = norm.system
     assert shared.variables == ("u", "v", "tsc", "tsc'")
-    assert [(term.t_component, term.s_component) for term in norm.terms] == [(2, 1), (3, 0)]
-    assert [term.eps_coeff.value for term in norm.terms] == [2, 1]
+    assert [(t, s) for t, s, _ in norm.terms] == [(2, 1), (3, 0)]
+    assert [e.value for _, _, e in norm.terms] == [2, 1]
     assert not any(m.word == () for p in shared.rhs for m in p.monomials)
 
 
 def test_normalize_puts_every_system_and_the_finite_part_into_one():
     # three systems, the finite part's among them, side by side under x0.,
-    # x1. and x2.; every term and the finite part refer to the one result
+    # x1. and x2.; every term and the finite part index the one result
     s_sys, t_sys = pair_example_systems()
     finite = AlgebraicSystem(TROPICAL, t_sys.terminals, ("f",), (poly(TROPICAL, "(1) a f b | eps"),))
     d = OmegaDecomposition(
@@ -243,17 +238,15 @@ def test_normalize_puts_every_system_and_the_finite_part_into_one():
         finite=(finite, 0),
     )
     norm = normalize_decomposition(d)
-    (x, f) = norm.finite
-    assert all(sys is x for term in norm.terms for sys in (term.t_sys, term.s_sys))
-    assert x.variables[f] == "x2.f"
-    assert [x.variables[term.t_component] for term in norm.terms] == ["x0.x1", "x1.x2"]
-    assert [x.variables[term.s_component] for term in norm.terms] == ["x1.x1", "x0.x1"]
+    x = norm.system
+    assert x.variables[norm.finite] == "x2.f"
+    assert [x.variables[t] for t, _, _ in norm.terms] == ["x0.x1", "x1.x2"]
+    assert [x.variables[s] for _, s, _ in norm.terms] == ["x1.x1", "x0.x1"]
     # a single system keeps its names
     from staromega.fixtures import tropical_mixed_system
 
     one = normalize_decomposition(decompose_canonical(tropical_mixed_system(), 1, 1, 0))
-    assert one.finite[0].variables[one.finite[1]] == "x1"
-    assert all(term.t_sys is term.s_sys is one.finite[0] for term in one.terms)
+    assert one.system.variables[one.finite] == "x1"
 
 
 # -- pair construction -------------------------------------------------------------
@@ -496,8 +489,7 @@ def _shared_values(d, lassos, words):
     ]
     if norm.finite is None:
         return lasso, None
-    f_sys, f_comp = norm.finite
-    k = mixed.x_vars.index(f_sys.variables[f_comp])
+    k = mixed.x_vars.index(norm.system.variables[norm.finite])
     finite_parts = []
     for sys, comp in ((mixed, k), (folded, omega_sel.component)):
         sol = least_solution_finite(sys.x_part, 2)
@@ -634,7 +626,7 @@ def test_char_to_mixed_single_letter():
 
 def test_char_to_mixed_empty():
     b = BOOLEAN
-    d = OmegaDecomposition(b, ("a",), (), normalized=True)
+    d = NormalizedDecomposition(AlgebraicSystem(b, ("a",), (), ()), (), None)
     mixed, sel = char_to_mixed(d)
     assert sel.buchi_count == 0
     r = canonical_omega_lasso(mixed, 0, sel.component, LassoWord((), ("a",)))
@@ -1150,13 +1142,14 @@ def _proper_form_reference(sys):
 def _prune_unreachable_reference(sys, keep):
     reach, stack = set(keep), list(keep)
     while stack:
-        for m in sys.rhs[sys.var_index(stack.pop())].monomials:
+        for m in sys.rhs[sys.variables.index(stack.pop())].monomials:
             for s in m.word:
                 if s in sys.variables and s not in reach:
                     reach.add(s)
                     stack.append(s)
     vs = tuple(v for v in sys.variables if v in reach)
-    return AlgebraicSystem(sys.instance, sys.terminals, vs, tuple(sys.rhs[sys.var_index(v)] for v in vs))
+    rhs = tuple(sys.rhs[sys.variables.index(v)] for v in vs)
+    return AlgebraicSystem(sys.instance, sys.terminals, vs, rhs)
 
 
 def _drop_unproductive_reference(sys, keep):
@@ -1266,8 +1259,12 @@ def test_finite_gnf_of_kept_variables_has_the_full_normal_forms_series(sys, data
     part = finite_gnf(sys, keep=keep)
     assert set(part.component_of) == set(keep)
     assert len(part.system.variables) <= len(full.system.variables)
+    # what keep reaches has the empty-word coefficients of the whole system
+    pruned = _prune_unreachable(sys, keep)
+    part_eps = dict(zip(pruned.variables, eps_coefficients(pruned)))
+    full_eps = dict(zip(sys.variables, eps_coefficients(sys)))
     for v in keep:
-        assert part.eps[v] == full.eps[v]
+        assert part_eps[v] == full_eps[v]
         series_equal_up_to(
             full.system, full.component_of[v], part.system, part.component_of[v], 4
         )
@@ -1338,7 +1335,7 @@ def _unit_closure(m):
     letters = tuple(f"a{i}" for i in range(n))
     rhs = tuple(
         Polynomial.build(
-            inst, [(m.entry(i, j), (xs[j],)) for j in range(n)] + [(inst.one, (letters[i],))]
+            inst, [(m.rows[i][j], (xs[j],)) for j in range(n)] + [(inst.one, (letters[i],))]
         )
         for i in range(n)
     )

@@ -41,6 +41,7 @@ from staromega.system import (
 )
 
 from idempotent_lasso_reference import HitEdge, lasso_value
+from lasso_reference import letter, shift
 from pda_summary_reference import (
     RunAnalysis,
     assert_summaries_match,
@@ -359,8 +360,8 @@ def test_one_step_unfolding_invariance():
                 direct = omega_value_from(auto, w, state, stack)
                 acc = inst.zero
                 ok = True
-                for j, stack2, c in _successors(auto.matrix, state, stack, w.letter(0)):
-                    rest = omega_value_from(auto, w.shift(1), j, stack2)
+                for j, stack2, c in _successors(auto.matrix, state, stack, letter(w, 0)):
+                    rest = omega_value_from(auto, shift(w, 1), j, stack2)
                     if not rest.conclusive:
                         ok = False
                         break
@@ -820,8 +821,8 @@ def test_one_step_unfolding_on_random_automata():
     for auto, w, state, stack in random_weighted_cases("exact/unfolding", 300):
         direct = omega_value_from(auto, w, state, stack).value
         acc = auto.instance.zero
-        for j, stack2, c in _successors(auto.matrix, state, stack, w.letter(0)):
-            acc = acc + c * omega_value_from(auto, w.shift(1), j, stack2).value
+        for j, stack2, c in _successors(auto.matrix, state, stack, letter(w, 0)):
+            acc = acc + c * omega_value_from(auto, shift(w, 1), j, stack2).value
         assert acc == direct, (auto.instance.name, str(w), state, stack)
         counting += auto.instance is COUNTING and not direct.is_zero()
     assert counting >= 10, counting
@@ -949,8 +950,9 @@ def random_decomposition(rng, inst):
     for _ in range(rng.randint(1, 2)):
         t, s = random_greibach_system(rng, inst), random_greibach_system(rng, inst)
         terms.append(DecompositionTerm(t, 0, s, 0))
-        periods = least_solution_finite(t, 3)[0].support()
-        prefixes = least_solution_finite(s, 2)[0].support()
+        by_length = lambda w: (len(w), w)
+        periods = sorted(least_solution_finite(t, 3)[0].coeffs, key=by_length)
+        prefixes = sorted(least_solution_finite(s, 2)[0].coeffs, key=by_length)
         if periods and prefixes:
             lassos.append(LassoWord(rng.choice(prefixes), rng.choice(periods)))
     lassos.append(random_lasso(rng))
