@@ -218,7 +218,7 @@ def computed_example_values() -> dict:
     out: dict = {}
 
     msys = tropical_mixed_system()
-    sol = least_solution_finite(msys.x_part, 12)
+    sol = least_solution_finite(msys.x, 12)
     finite = {}
     for n in range(1, 7):
         finite["a" * n + "b" * n] = _fmt(sol[0].coeff(("a",) * n + ("b",) * n))
@@ -231,7 +231,7 @@ def computed_example_values() -> dict:
 
     osys = boolean_omega_system()
     mix = induce_mixed(osys)
-    bsol = least_solution_finite(mix.x_part, 8)
+    bsol = least_solution_finite(mix.x, 8)
     out["boolean-omega"] = {
         "finite-abab": _fmt(bsol[0].coeff(("a", "b", "a", "b"))),
         "finite-ab": _fmt(bsol[0].coeff(("a", "b"))),
@@ -275,7 +275,7 @@ def computed_example_values() -> dict:
     out["omega-automaton"] = omega
 
     cms = contrast_mixed_system()
-    cauto = induced_omega_pda(cms, 1, 1)
+    cauto = induced_omega_pda(cms, 1, 1, finite=1)
     out["contrast"] = {
         ":aa": _fmt(behavior_omega_lasso(cauto, LassoWord((), ("a", "a"))).value),
         "a:c": _fmt(behavior_omega_lasso(cauto, LassoWord(("a",), ("c",))).value),

@@ -34,7 +34,6 @@ from .gnf import (
     decompose_canonical,
     finite_gnf,
     pipeline_from_decomposition,
-    unmix,
 )
 from .pda import (
     behavior_finite,
@@ -91,6 +90,16 @@ class GrammarFile:
     buchi: int | None
 
 
+def _check_name(name: str, lineno: int) -> None:
+    """Refuse a terminal or variable name that an equation would read as
+    something else: the empty word eps, the zero polynomial 0, a
+    coefficient ( or an alternative |."""
+    if name in ("eps", "0") or name.startswith("(") or "|" in name:
+        raise GrammarError(
+            f"{name!r} cannot be a name: equations read eps, 0, '(' and '|' as syntax", lineno
+        )
+
+
 def parse_grammar(text: str) -> GrammarFile:
     instance = None
     terminals: list[str] = []
@@ -114,11 +123,14 @@ def parse_grammar(text: str) -> GrammarFile:
                 except SemiringError as exc:
                     raise GrammarError(str(exc), lineno) from None
             elif directive == "@alphabet":
+                for a in fields[1:]:
+                    _check_name(a, lineno)
                 terminals.extend(fields[1:])
             elif directive == "@sort":
                 if len(fields) < 3 or fields[1] not in ("x", "y", "z"):
                     raise GrammarError("@sort needs x|y|z and variable names", lineno)
                 for v in fields[2:]:
+                    _check_name(v, lineno)
                     if v in sorts:
                         raise GrammarError(f"variable {v} declared twice", lineno)
                     sorts[v] = fields[1]
@@ -184,14 +196,8 @@ def parse_grammar(text: str) -> GrammarFile:
                 )
             terms.setdefault(z_ix[w[-1]], []).append((mono.coeff, w[:-1]))
         rho_rows.append(sparse_row(instance, terms))
-    sys = MixedSystem(
-        instance,
-        ts,
-        x_vars,
-        tuple(rhs_by_var[v] for v in x_vars),
-        z_vars,
-        tuple(rho_rows),
-    )
+    xs = AlgebraicSystem(instance, ts, x_vars, tuple(rhs_by_var[v] for v in x_vars))
+    sys = MixedSystem(xs, z_vars, tuple(rho_rows))
     return GrammarFile(instance, ts, "mixed", sys, start, buchi)
 
 
@@ -200,8 +206,8 @@ def format_grammar(g: GrammarFile) -> str:
     if g.kind == "omega":
         lines.append("@sort y " + " ".join(g.system.variables))
     else:
-        if g.system.x_vars:
-            lines.append("@sort x " + " ".join(g.system.x_vars))
+        if g.system.x.variables:
+            lines.append("@sort x " + " ".join(g.system.x.variables))
         if g.system.z_vars:
             lines.append("@sort z " + " ".join(g.system.z_vars))
     if g.start is not None:
@@ -212,7 +218,7 @@ def format_grammar(g: GrammarFile) -> str:
         for v, p in zip(g.system.variables, g.system.rhs):
             lines.append(f"{v} = {format_polynomial(p)}")
     else:
-        for v, p in zip(g.system.x_vars, g.system.x_rhs):
+        for v, p in zip(g.system.x.variables, g.system.x.rhs):
             lines.append(f"{v} = {format_polynomial(p)}")
         z_vars = g.system.z_vars
         for zi, row in zip(z_vars, g.system.rho):
@@ -262,7 +268,7 @@ def cmd_parse(args) -> int:
         summary = {
             "kind": "mixed",
             "semiring": g.instance.name,
-            "x_variables": list(g.system.x_vars),
+            "x_variables": list(g.system.x.variables),
             "z_variables": list(g.system.z_vars),
             "gnf": is_gnf_mixed(g.system),
         }
@@ -289,13 +295,16 @@ def _selection(
     """
     mixed = induce_mixed(g.system) if g.kind == "omega" else g.system
     m = len(mixed.z_vars)
-    paired = len(mixed.x_vars) == m
+    paired = len(mixed.x.variables) == m
     x, z = (m - 1 if paired else 0), m - 1
     if name is None:
         name, sorts = g.start, "xz"
     if name is not None:
         for sort in sorts:
-            names = g.system.variables if g.kind == "omega" else getattr(mixed, f"{sort}_vars")
+            if g.kind == "omega":
+                names = g.system.variables
+            else:
+                names = mixed.x.variables if sort == "x" else mixed.z_vars
             if name in names:
                 i = names.index(name)
                 if paired:
@@ -319,14 +328,18 @@ def _finite_where_read(mixed: MixedSystem, start: int, finite: str | None) -> Mi
     part a fresh x-variable f = 0 takes that place, so the file's finite
     part is zero.
     """
-    xs = list(zip(mixed.x_vars, mixed.x_rhs))
+    x = mixed.x
+    xs = list(zip(x.variables, x.rhs))
     if finite is None:
-        name = _Names({*mixed.terminals, *mixed.x_vars, *mixed.z_vars}).fresh("f")
-        entry = (name, Polynomial.zero(mixed.instance))
+        name = _Names({*x.terminals, *x.variables, *mixed.z_vars}).fresh("f")
+        entry = (name, Polynomial.zero(x.instance))
     else:
-        entry = xs.pop(mixed.x_vars.index(finite))
+        entry = xs.pop(x.variables.index(finite))
     xs.insert(start if len(xs) + 1 == mixed.m else 0, entry)
-    return replace(mixed, x_vars=tuple(v for v, _ in xs), x_rhs=tuple(p for _, p in xs))
+    moved = AlgebraicSystem(
+        x.instance, x.terminals, tuple(v for v, _ in xs), tuple(p for _, p in xs)
+    )
+    return MixedSystem(moved, mixed.z_vars, mixed.rho)
 
 
 _NO_OMEGA = "the grammar has no omega component: it declares no z-variable"
@@ -339,7 +352,7 @@ def cmd_gnf(args) -> int:
     target = args.target
     finite = g.kind == "mixed" and not g.system.z_vars
     mixed, x, z, k = _selection(g, args.component, "x" if finite else "z", args.buchi)
-    if g.kind == target and is_gnf_mixed(mixed) and is_gnf_algebraic(mixed.x_part):
+    if g.kind == target and is_gnf_mixed(mixed) and is_gnf_algebraic(mixed.x):
         # an input in normal form without an empty-word rule is written back;
         # the options replace the directives they override, so the output
         # selects what the input and options did
@@ -356,13 +369,13 @@ def cmd_gnf(args) -> int:
             raise IllFormedSystem(_NO_OMEGA)
         # the mixed target of a finite grammar is its finite normal form,
         # with the same coefficient on every nonempty word
-        nf = finite_gnf(mixed.x_part).system
+        nf = finite_gnf(mixed.x).system
         report.add("finite_gnf", variables=len(nf.variables))
-        out = MixedSystem(g.instance, nf.terminals, nf.variables, nf.rhs, (), ())
-        out_g = GrammarFile(g.instance, nf.terminals, "mixed", out, mixed.x_vars[x], None)
+        out = MixedSystem(nf, (), ())
+        out_g = GrammarFile(g.instance, nf.terminals, "mixed", out, mixed.x.variables[x], None)
         _emit(args, format_grammar(out_g), report)
         return EXIT_OK
-    dec = decompose_canonical(mixed, k, z, x if mixed.x_vars else None)
+    dec = decompose_canonical(mixed, k, z, x if mixed.x.variables else None)
     report.add("decompose", terms=dec.width, buchi=k, component=mixed.z_vars[z])
     norm, gnf_mixed, sel, omega_sys, omega_sel, report = pipeline_from_decomposition(dec, report)
     if target == "mixed":
@@ -370,7 +383,7 @@ def cmd_gnf(args) -> int:
         gnf_mixed = _finite_where_read(gnf_mixed, sel.component, f)
         out_g = GrammarFile(
             g.instance,
-            gnf_mixed.terminals,
+            gnf_mixed.x.terminals,
             "mixed",
             gnf_mixed,
             gnf_mixed.z_vars[sel.component],
@@ -403,19 +416,9 @@ def _emit(args, grammar_text: str, report: GnfPipelineReport) -> None:
 def cmd_build_pda(args) -> int:
     mixed, x, z, k = _selection(_load(args.path), args.start, buchi=args.buchi)
     if mixed.z_vars:
-        if len(mixed.x_vars) != len(mixed.z_vars):
-            # an unpaired mixed normal form is folded first, as gnf --target
-            # omega folds it
-            if not is_gnf_mixed(mixed):
-                raise IllFormedSystem(
-                    "omega construction needs a mixed system in Greibach form; "
-                    "run the normal form first"
-                )
-            omega, sel = unmix(mixed, x if mixed.x_vars else None, z, k)
-            mixed, z, k = induce_mixed(omega), sel.component, sel.buchi_count
-        auto = induced_omega_pda(mixed, z, k)
+        auto = induced_omega_pda(mixed, z, k, x if mixed.x.variables else None)
     else:
-        auto = induced_finite_pda(mixed.x_part, x)
+        auto = induced_finite_pda(mixed.x, x)
     doc = pda_to_json(auto)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -456,13 +459,13 @@ def cmd_eval(args) -> int:
     g = _load(args.path)
     if args.word is not None:
         mixed, x, _, _ = _selection(g, args.component, "x", args.buchi)
-        if not mixed.x_vars:
+        if not mixed.x.variables:
             # no x-variable: the finite part is zero, as in the automaton
             _print_value(g.instance.zero)
             return EXIT_OK
         word = _symbols_of(args.word)
-        table = SegmentTable(mixed.x_part, word)
-        _print_value(table.coeff(mixed.x_vars[x], 0, len(word)))
+        table = SegmentTable(mixed.x, word)
+        _print_value(table.coeff(mixed.x.variables[x], 0, len(word)))
         return EXIT_OK
     if g.kind == "mixed" and not g.system.z_vars:
         raise IllFormedSystem(_NO_OMEGA)

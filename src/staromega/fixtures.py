@@ -53,7 +53,7 @@ def arctic_block_system() -> AlgebraicSystem:
 
     Variables: T, S, R, Q, B; component S (index 1) is the interesting one.
     """
-    return _packaged("arctic_blocks.grm").x_part
+    return _packaged("arctic_blocks.grm").x
 
 
 def tropical_omega_automaton() -> SimpleOmegaPDA:

@@ -8,13 +8,15 @@ source's finite part.  Only normalize_decomposition merges systems (as
 x0.v, x1.v, ... where a hand-built decomposition holds several): it returns
 a NormalizedDecomposition, one epsilon-free system with the summands and
 the finite part as indices into it, and the pipeline brings that one
-system to Greibach form once.  Each pair system writes its z-rows over that
-one Greibach x-part, the sum adds a collector variable, the result is
-pruned to what the collector and the finite part reach, and finally folded
-into a single y-system (an AlgebraicSystem read as y = p(y)) whose last
-component carries the finite part and the chosen pair of the canonical
-solution.  The mixed result keeps the finite part under its own name;
-where a grammar file puts it is the CLI's concern.
+system to Greibach form once.  Each pair system holds that one Greibach
+x-part object as its x and writes its z-rows over it, the sum adds a
+collector variable over the same x, the result is pruned to what the
+collector and the finite part reach (keeping x itself where no x-variable
+drops), and finally folded into a single y-system (an AlgebraicSystem
+read as y = p(y)) whose last component carries the finite part and the
+chosen pair of the canonical solution.  The mixed result keeps the finite
+part under its own name; where a grammar file puts it is the CLI's
+concern.
 
 Mixed systems carry their z-coefficients as sparse rows (see
 staromega.system).  Pair systems, their block-diagonal sum and the fold
@@ -545,7 +547,6 @@ def build_pair_system(
     tail target of other rows): z.s's row plus eps_coeff times z.acc's.
     The head gains primes (z'.acc) where a name would be taken.
     """
-    inst = x.instance
     if not is_gnf_algebraic(x, allow_eps=False):
         raise IllFormedSystem("pair construction needs an epsilon-free Greibach x-part")
     if eps_coeff is not None and eps_coeff.is_zero():
@@ -574,8 +575,7 @@ def build_pair_system(
         for col, poly in rows[z_acc].items():
             _accumulate(rows[designated], col, poly.scale(eps_coeff))
     z_vars = (z_acc, designated) + tuple(z for z in rows if z not in (z_acc, designated))
-    mixed = MixedSystem(inst, x.terminals, x.variables, x.rhs, z_vars, _indexed_rows(rows, z_vars))
-    return mixed, CanonicalSelector(1, 1)
+    return MixedSystem(x, z_vars, _indexed_rows(rows, z_vars)), CanonicalSelector(1, 1)
 
 
 def sum_systems(
@@ -586,7 +586,7 @@ def sum_systems(
 
     Part p's z-variables are renamed u{p}.z and the collector is z.sum, each
     kept off the terminals and the x-variables; x is neither renamed nor
-    copied.
+    copied: every part must hold x itself.
     """
     taken = set(x.terminals) | set(x.variables)
     buchi_vars: list[str] = []
@@ -594,7 +594,7 @@ def sum_systems(
     rows: dict[str, dict[str, Polynomial]] = {}
     collected: dict[str, Polynomial] = {}
     for pidx, (part, sel) in enumerate(parts):
-        if sel != CanonicalSelector(1, 1) or part.x_vars != x.variables:
+        if sel != CanonicalSelector(1, 1) or part.x is not x:
             raise IllFormedSystem("summands must be pair systems over the shared x-part")
         pre = _fresh_prefix(f"u{pidx}", part.z_vars, taken)
         names = [pre + z for z in part.z_vars]
@@ -606,9 +606,7 @@ def sum_systems(
     collector = _Names(taken | set(rows)).fresh("z.sum")
     rows[collector] = collected
     z_vars = tuple(buchi_vars) + tuple(tail_vars) + (collector,)
-    mixed = MixedSystem(
-        x.instance, x.terminals, x.variables, x.rhs, z_vars, _indexed_rows(rows, z_vars)
-    )
+    mixed = MixedSystem(x, z_vars, _indexed_rows(rows, z_vars))
     return mixed, CanonicalSelector(len(parts), len(z_vars) - 1)
 
 
@@ -650,10 +648,8 @@ def char_to_mixed(d: NormalizedDecomposition) -> tuple[MixedSystem, CanonicalSel
         {j: Polynomial.of_word(inst, (x.variables[t],))} for j, (t, _, _) in enumerate(d.terms)
     ]
     rho_rows.append(dict(enumerate(s_polys)))
-    mixed = MixedSystem(
-        inst, x.terminals, tuple(x_vars), tuple(x_rhs), z_vars, tuple(rho_rows)
-    )
-    return mixed, CanonicalSelector(l, l)
+    xs = AlgebraicSystem(inst, x.terminals, tuple(x_vars), tuple(x_rhs))
+    return MixedSystem(xs, z_vars, tuple(rho_rows)), CanonicalSelector(l, l)
 
 
 # -- folding a mixed system into one omega system ------------------------------
@@ -673,14 +669,15 @@ def unmix(
         raise IllFormedSystem("unmix needs a mixed system in Greibach form")
     if not 0 <= t <= sys.m:
         raise IllFormedSystem("Buchi count out of range")
-    inst = sys.instance
+    xs = sys.x
+    inst = xs.instance
     # h.z, b.x and ydot differ in their first letter, so only a terminal can
     # take one of them; a head gains primes where it would
-    taken = set(sys.terminals)
+    taken = set(xs.terminals)
     hp = _fresh_prefix("h", sys.z_vars, taken)
-    bp = _fresh_prefix("b", sys.x_vars, taken)
+    bp = _fresh_prefix("b", xs.variables, taken)
     hat = {zv: hp + zv for zv in sys.z_vars}
-    bar = {xv: bp + xv for xv in sys.x_vars}
+    bar = {xv: bp + xv for xv in xs.variables}
     hat_rhs = [
         Polynomial.build(
             inst,
@@ -692,18 +689,18 @@ def unmix(
         )
         for row in sys.rho
     ]
-    bar_rhs = [p.rename_symbols(bar) for p in sys.x_rhs]
+    bar_rhs = [p.rename_symbols(bar) for p in xs.rhs]
     dot_rhs = (Polynomial.zero(inst) if k is None else bar_rhs[k]) + hat_rhs[l]
     read = {s for p in hat_rhs + bar_rhs for mono in p.monomials for s in mono.word}
     zs = [j for j, z in enumerate(sys.z_vars) if hat[z] in read]
-    xs = [i for i, x in enumerate(sys.x_vars) if bar[x] in read]
+    kept = [i for i, x in enumerate(xs.variables) if bar[x] in read]
     variables = (
         tuple(hat[sys.z_vars[j]] for j in zs)
-        + tuple(bar[sys.x_vars[i]] for i in xs)
+        + tuple(bar[xs.variables[i]] for i in kept)
         + (_Names(taken).fresh("ydot"),)
     )
-    rhs = tuple(hat_rhs[j] for j in zs) + tuple(bar_rhs[i] for i in xs) + (dot_rhs,)
-    out = AlgebraicSystem(inst, sys.terminals, variables, rhs)
+    rhs = tuple(hat_rhs[j] for j in zs) + tuple(bar_rhs[i] for i in kept) + (dot_rhs,)
+    out = AlgebraicSystem(inst, xs.terminals, variables, rhs)
     return out, CanonicalSelector(sum(1 for j in zs if j < t), len(variables) - 1)
 
 
@@ -838,7 +835,7 @@ def decompose_canonical(
         raise IllFormedSystem(f"Buchi count {k} out of range 0..{m}")
     if not 0 <= component < m:
         raise IllFormedSystem(f"z-component {component} out of range for {m} z-variables")
-    alg = _HandleAlgebra(sys.x_part)
+    alg = _HandleAlgebra(sys.x)
     a = [[alg.zero] * m for _ in range(m)]
     for i, row in enumerate(sys.rho):
         for j, p in row.items():
@@ -861,7 +858,7 @@ def decompose_canonical(
         DecompositionTerm(emitted, at[i], emitted, at[i + 1]) for i in range(0, len(at), 2)
     )
     f = None if finite is None else (emitted, finite)
-    return OmegaDecomposition(sys.instance, tuple(sys.terminals), dterms, finite=f)
+    return OmegaDecomposition(sys.x.instance, sys.x.terminals, dterms, finite=f)
 
 
 # -- pipeline report -----------------------------------------------------------
@@ -907,7 +904,7 @@ def pipeline_from_decomposition(
     rep.add(
         "sum",
         z_vars=len(mixed.z_vars),
-        x_vars=len(mixed.x_vars),
+        x_vars=len(mixed.x.variables),
         gnf=is_gnf_mixed(mixed),
         buchi=selector.buchi_count,
         component=selector.component,
@@ -916,12 +913,12 @@ def pipeline_from_decomposition(
     pruned, selector = _prune_sum(mixed, selector, f)
     rep.add(
         "prune",
-        x_vars=[len(mixed.x_vars), len(pruned.x_vars)],
+        x_vars=[len(mixed.x.variables), len(pruned.x.variables)],
         z_vars=[len(mixed.z_vars), len(pruned.z_vars)],
         buchi=selector.buchi_count,
     )
     mixed = pruned
-    k = None if f is None else mixed.x_vars.index(f)
+    k = None if f is None else mixed.x.variables.index(f)
     omega_sys, omega_sel = unmix(mixed, k, selector.component, selector.buchi_count)
     rep.add(
         "unmix",
@@ -945,7 +942,7 @@ def _prune_sum(
     """
     reach = {sel.component}
     stack = [sel.component]
-    xs = set(sys.x_vars)
+    xs = set(sys.x.variables)
     x_keep = [] if finite is None else [finite]
     while stack:
         for j, p in sys.rho[stack.pop()].items():
@@ -953,19 +950,12 @@ def _prune_sum(
                 reach.add(j)
                 stack.append(j)
             x_keep.extend(s for mono in p.monomials for s in mono.word if s in xs)
-    x_part = _prune_unreachable(sys.x_part, x_keep)
-    if len(reach) == sys.m and x_part is sys.x_part:
+    x = _prune_unreachable(sys.x, x_keep)
+    if len(reach) == sys.m and x is sys.x:
         return sys, sel
     kept = sorted(reach)
     new = {j: i for i, j in enumerate(kept)}
     rho = tuple({new[j]: p for j, p in sys.rho[i].items()} for i in kept)
-    pruned = MixedSystem(
-        sys.instance,
-        sys.terminals,
-        x_part.variables,
-        x_part.rhs,
-        tuple(sys.z_vars[i] for i in kept),
-        rho,
-    )
+    pruned = MixedSystem(x, tuple(sys.z_vars[i] for i in kept), rho)
     buchi = sum(1 for i in kept if i < sel.buchi_count)
     return pruned, CanonicalSelector(buchi, new[sel.component])

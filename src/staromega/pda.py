@@ -336,29 +336,33 @@ def induced_finite_pda(sys: AlgebraicSystem, start: int) -> SimpleOmegaPDA:
     return SimpleOmegaPDA(matrix, initial, final, None, names)
 
 
-def induced_omega_pda(sys: MixedSystem, start: int, buchi_count: int) -> SimpleOmegaPDA:
+def induced_omega_pda(
+    sys: MixedSystem, start: int, buchi_count: int, finite: int | None = None
+) -> SimpleOmegaPDA:
     """Simple omega-reset pushdown automaton of a Greibach-shaped mixed system.
 
-    Requires equally many finite and omega variables.  `_induced_matrix`
-    with the z-rows: states are the omega variables (repeated ones first),
-    then the finite variables, then a sink; the stack distinguishes
-    finite-return (X:) from omega-return (Z:) symbols.
+    `_induced_matrix` with the z-rows: states are the omega variables
+    (repeated ones first), then the finite variables, then a sink; the stack
+    distinguishes finite-return (X:) from omega-return (Z:) symbols.  The
+    initial weight is one on z-variable `start` and, if given, on x-variable
+    `finite`, whose series is then the automaton's finite behavior.
     """
-    if len(sys.x_vars) != len(sys.z_vars):
-        raise IllFormedSystem("construction needs equally many x- and z-variables")
     if not is_gnf_mixed(sys):
-        raise IllFormedSystem("induced automaton needs Greibach shape")
-    _check_eps_free(sys.x_part)
-    if not 0 <= buchi_count <= len(sys.z_vars):
+        raise IllFormedSystem(
+            "induced automaton needs a mixed system in Greibach form; run the normal form first"
+        )
+    _check_eps_free(sys.x)
+    if not 0 <= buchi_count <= sys.m:
         raise IllFormedSystem("repeated-state count out of range")
-    one, zero = sys.instance.one, sys.instance.zero
-    n = sys.n
-    xsym = tuple(f"X:{v}" for v in sys.x_vars)
+    one, zero = sys.x.instance.one, sys.x.instance.zero
+    xsym = tuple(f"X:{v}" for v in sys.x.variables)
     zsym = tuple(f"Z:{v}" for v in sys.z_vars)
-    matrix = _induced_matrix(sys.x_part, sys.rho, xsym, zsym)
-    initial = tuple(one if q in (start, n + start) else zero for q in range(2 * n + 1))
-    final = (zero,) * (2 * n) + (one,)
-    names = tuple(f"z:{v}" for v in sys.z_vars) + tuple(f"x:{v}" for v in sys.x_vars) + ("f",)
+    matrix = _induced_matrix(sys.x, sys.rho, xsym, zsym)
+    n = matrix.n_states
+    starts = {start} if finite is None else {start, sys.m + finite}
+    initial = tuple(one if q in starts else zero for q in range(n))
+    final = (zero,) * (n - 1) + (one,)
+    names = tuple(f"z:{v}" for v in sys.z_vars) + tuple(f"x:{v}" for v in sys.x.variables) + ("f",)
     return SimpleOmegaPDA(matrix, initial, final, buchi_count, names)
 
 

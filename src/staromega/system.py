@@ -102,51 +102,41 @@ class AlgebraicSystem:
 
 @dataclass(frozen=True)
 class MixedSystem:
-    """x = p(x) plus the z-linear system z = rho(x) z.
+    """The algebraic system x = p(x), the finite part, plus the z-linear
+    system z = rho(x) z.
 
     rho[i] maps the column index j of each nonzero entry rho(x)[i][j] to its
-    polynomial; cells that are not stored are zero.
+    polynomial; cells that are not stored are zero.  x is checked when it is
+    built, so only the z-rows are checked here, and systems that share one
+    finite part hold the same object.
     """
 
-    instance: SemiringInstance
-    terminals: tuple[str, ...]
-    x_vars: tuple[str, ...]
-    x_rhs: tuple[Polynomial, ...]
+    x: AlgebraicSystem
     z_vars: tuple[str, ...]
     rho: tuple[Mapping[int, Polynomial], ...]
 
     def __post_init__(self):
-        AlgebraicSystem(self.instance, self.terminals, self.x_vars, self.x_rhs)
         m = len(self.z_vars)
         if len(self.rho) != m:
             raise IllFormedSystem("z-coefficient matrix needs one row per z-variable")
-        allowed = set(self.terminals) | set(self.x_vars)
+        allowed = set(self.x.terminals) | set(self.x.variables)
         for row in self.rho:
             for j, p in row.items():
                 if not (isinstance(j, int) and 0 <= j < m):
                     raise IllFormedSystem(f"z-entry column {j!r} out of range 0..{m - 1}")
                 if p.is_zero():
                     raise IllFormedSystem("zero z-entries are not stored")
-                if p.instance is not self.instance:
+                if p.instance is not self.x.instance:
                     raise SemiringError("z-entry over a different instance")
                 bad = p.symbols() - allowed
                 if bad:
                     raise IllFormedSystem(f"z-entry uses undeclared symbols {sorted(bad)}")
-        if set(self.z_vars) & (set(self.x_vars) | set(self.terminals)):
+        if not allowed.isdisjoint(self.z_vars):
             raise IllFormedSystem("z-variable names clash with the finite alphabet")
-
-    @property
-    def n(self) -> int:
-        return len(self.x_vars)
 
     @property
     def m(self) -> int:
         return len(self.z_vars)
-
-    @cached_property
-    def x_part(self) -> AlgebraicSystem:
-        """The finite part as an algebraic system, built and checked once."""
-        return AlgebraicSystem(self.instance, self.terminals, self.x_vars, self.x_rhs)
 
     @cached_property
     def is_gnf(self) -> bool:
@@ -154,9 +144,9 @@ class MixedSystem:
         is empty or a terminal followed by at most two x-variables, and every
         z-coefficient word is a terminal, optionally followed by one
         x-variable."""
-        ts, vs = set(self.terminals), set(self.x_vars)
-        if not _gnf_words_ok(self.x_rhs, ts, vs, True):
+        if not is_gnf_algebraic(self.x, allow_eps=True):
             return False
+        ts, vs = set(self.x.terminals), set(self.x.variables)
         for row in self.rho:
             for p in row.values():
                 for m in p.monomials:
@@ -201,7 +191,6 @@ def induce_mixed(sys: AlgebraicSystem) -> MixedSystem:
     z_names = derived_names(sys.variables, taken | set(x_names), "z")
     x_of = dict(zip(sys.variables, x_names))
     z_of = dict(zip(sys.variables, z_names))
-    x_rhs = tuple(p.rename_symbols(x_of) for p in sys.rhs)
     z_ix = {z: j for j, z in enumerate(z_names)}
     rows = []
     for p in sys.rhs:
@@ -210,20 +199,17 @@ def induce_mixed(sys: AlgebraicSystem) -> MixedSystem:
             if mono.word and mono.word[-1] in z_ix:
                 terms.setdefault(z_ix[mono.word[-1]], []).append((mono.coeff, mono.word[:-1]))
         rows.append(sparse_row(sys.instance, terms))
-    return MixedSystem(
-        sys.instance, sys.terminals, x_names, x_rhs, z_names, tuple(rows)
-    )
+    return MixedSystem(sys.rename(x_of), z_names, tuple(rows))
 
 
 # -- Greibach normal form predicates ----------------------------------------
 
 
-def _gnf_words_ok(
-    polys: Sequence[Polynomial], terminals: set[str], variables: set[str], allow_eps: bool
-) -> bool:
+def is_gnf_algebraic(sys: AlgebraicSystem, allow_eps: bool = False) -> bool:
     """Every word is a terminal followed by at most two variables, or empty
     where allow_eps."""
-    for p in polys:
+    terminals, variables = set(sys.terminals), set(sys.variables)
+    for p in sys.rhs:
         for m in p.monomials:
             w = m.word
             if not w:
@@ -232,10 +218,6 @@ def _gnf_words_ok(
             elif w[0] not in terminals or len(w) > 3 or not variables.issuperset(w[1:]):
                 return False
     return True
-
-
-def is_gnf_algebraic(sys: AlgebraicSystem, allow_eps: bool = False) -> bool:
-    return _gnf_words_ok(sys.rhs, set(sys.terminals), set(sys.variables), allow_eps)
 
 
 def is_gnf_omega(sys: AlgebraicSystem) -> bool:
@@ -560,8 +542,8 @@ def _z_steps(
     position) nodes that the start reaches: the z-coefficients evaluated on
     the derivation weights of the x-variables, from `_derivation_items`
     with the start demanded."""
-    ids, value = _derivation_items(sys.x_part, pa, sys.rho, [start])
-    variables = set(sys.x_vars)
+    ids, value = _derivation_items(sys.x, pa, sys.rho, [start])
+    variables = set(sys.x.variables)
     steps: dict[tuple[int, int], dict[tuple[int, int, bool], SemiringValue]] = {start: {}}
     for key, i in ids.items():
         if len(key) == 4 and key[0] not in variables:
@@ -642,4 +624,5 @@ def canonical_omega_lasso(
         node: [((j2, t), c, j2 < k, bit) for (j2, t, bit), c in outs.items()]
         for node, outs in _z_steps(sys, pa, start).items()
     }
-    return LassoResult(OK, lasso_value(sys.instance, edges, {start: sys.instance.one}))
+    inst = sys.x.instance
+    return LassoResult(OK, lasso_value(inst, edges, {start: inst.one}))

@@ -52,7 +52,7 @@ def closure_omega_lasso(sys, k, component, w):
     Every edge of the closed graph is a closure followed by one letter step,
     and it hits when its closure or its target visits a Buchi z-variable.
     """
-    inst, m = sys.instance, sys.m
+    inst, m = sys.x.instance, sys.m
     pa = PositionAutomaton.of(w)
     start = (component, pa.state_of(0))
     steps = _z_steps(sys, pa, start)
@@ -183,11 +183,11 @@ def reference_canonical_search(sys, k, component, w, factor_len, max_iter=256):
     which raises RoundsDidNotSettle when the sample's coefficients still change
     after max_iter rounds.
     """
-    inst = sys.instance
+    inst = sys.x.instance
     m = sys.m
     pa = PositionAutomaton.of(w)
     reps = (len(w.period) + factor_len) // len(w.period) + 2
-    table = JacobiSegmentTable(sys.x_part, w.prefix + w.period * reps, max_iter)
+    table = JacobiSegmentTable(sys.x, w.prefix + w.period * reps, max_iter)
 
     def poly_coeff(p, lo, hi):
         got = table.eval_poly_from(p, lo, hi).get(hi)
@@ -327,7 +327,7 @@ def reference_z_steps(sys, pa, sigma, start):
     start reaches: the z-coefficients evaluated on the derivation weights
     sigma of `reference_weighted_support_triples`, one monomial at a time
     over a frontier of (position, bit) sums."""
-    variables = set(sys.x_vars)
+    variables = set(sys.x.variables)
     steps = {}
     todo = [start]
     while todo:

@@ -10,7 +10,6 @@ three functions below are that construction, unchanged; `reference_pipeline`
 assembles them as the pipeline did, up to the sum.
 """
 
-from dataclasses import replace
 from typing import Sequence
 
 from staromega.gnf import (
@@ -120,7 +119,9 @@ def reference_pipeline(d, finite=None):
     if finite is not None:
         nf = gnf_of(*finite)
         f = _rename_prefixed(nf, _fresh_prefix("f", nf.variables, set(d.terminals)))
-        mixed = replace(mixed, x_vars=f.variables + mixed.x_vars, x_rhs=f.rhs + mixed.x_rhs)
+        x = mixed.x
+        x = AlgebraicSystem(x.instance, x.terminals, f.variables + x.variables, f.rhs + x.rhs)
+        mixed = MixedSystem(x, mixed.z_vars, mixed.rho)
     return mixed, selector
 
 
@@ -187,7 +188,8 @@ def build_pair_system(
     x = (t,) if s is None else (s, t)
     x_vars = tuple(v for sys in x for v in sys.variables)
     x_rhs = tuple(p for sys in x for p in sys.rhs)
-    mixed = MixedSystem(inst, terminals, x_vars, x_rhs, z_vars, _indexed_rows(rows, z_vars))
+    xs = AlgebraicSystem(inst, terminals, x_vars, x_rhs)
+    mixed = MixedSystem(xs, z_vars, _indexed_rows(rows, z_vars))
     if not is_gnf_mixed(mixed):
         raise IllFormedSystem("internal: pair construction left Greibach form")
     return mixed, CanonicalSelector(1, 1)
@@ -221,10 +223,10 @@ def sum_systems(
             raise IllFormedSystem(
                 "summands must designate a non-accepting component at count 1"
             )
-        pre = _fresh_prefix(f"u{pidx}", part.x_vars + part.z_vars, taken)
-        ren_x = {v: pre + v for v in part.x_vars}
-        x_vars.extend(pre + v for v in part.x_vars)
-        x_rhs.extend(p.rename_symbols(ren_x) for p in part.x_rhs)
+        pre = _fresh_prefix(f"u{pidx}", part.x.variables + part.z_vars, taken)
+        ren_x = {v: pre + v for v in part.x.variables}
+        x_vars.extend(pre + v for v in part.x.variables)
+        x_rhs.extend(p.rename_symbols(ren_x) for p in part.x.rhs)
         local_order = [part.z_vars[sel.component]] + [
             v for i, v in enumerate(part.z_vars) if i != sel.component and i != 0
         ]
@@ -236,7 +238,6 @@ def sum_systems(
             }
         rows[collector].update(rows[pre + part.z_vars[sel.component]])
     z_vars = tuple(buchi_vars) + tuple(tail_vars) + (collector,)
-    mixed = MixedSystem(
-        inst, tuple(terminals), tuple(x_vars), tuple(x_rhs), z_vars, _indexed_rows(rows, z_vars)
-    )
+    xs = AlgebraicSystem(inst, tuple(terminals), tuple(x_vars), tuple(x_rhs))
+    mixed = MixedSystem(xs, z_vars, _indexed_rows(rows, z_vars))
     return mixed, CanonicalSelector(l, len(z_vars) - 1)

@@ -54,7 +54,7 @@ def lasso(u, v):
 def test_criterion_1_tropical_mixed_example():
     sys = tropical_mixed_system()
     ok = True
-    sol = least_solution_finite(sys.x_part, 12)
+    sol = least_solution_finite(sys.x, 12)
     for n in range(1, 7):
         ok &= sol[0].coeff(("a",) * n + ("b",) * n).value == n
     for n in range(0, 5):
@@ -65,7 +65,7 @@ def test_criterion_1_tropical_mixed_example():
 
 def test_criterion_2_boolean_system():
     mixed = induce_mixed(boolean_omega_system())
-    sol = least_solution_finite(mixed.x_part, 8)
+    sol = least_solution_finite(mixed.x, 8)
 
     def member(w):
         while w:
@@ -139,8 +139,8 @@ def test_criterion_5_omega_automaton():
 
 def test_criterion_6_contrast_example():
     sys = contrast_mixed_system()
-    auto2 = induced_omega_pda(sys, 1, 1)
-    auto1 = induced_omega_pda(sys, 0, 1)
+    auto2 = induced_omega_pda(sys, 1, 1, finite=1)
+    auto1 = induced_omega_pda(sys, 0, 1, finite=0)
     ok = True
     r = behavior_omega_lasso(auto2, lasso("", "aa"))
     ok &= r.conclusive and r.value.value == 0

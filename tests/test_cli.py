@@ -11,11 +11,13 @@ from staromega.cli import (
     EXIT_OK,
     EXIT_USAGE,
     GrammarError,
+    _selection,
     cmd_eval,
     format_grammar,
     main,
     parse_grammar,
 )
+from staromega.pda import pda_from_json
 from staromega.semiring import ARCTIC, BOOLEAN, COUNTING, INF, TROPICAL, SemiringInstance
 from staromega.system import is_gnf_mixed, is_gnf_omega, least_solution_finite
 
@@ -103,6 +105,29 @@ def test_cmd_parse_reports_syntax_error(tmp_path, capsys):
     rc = main(["parse", grm(tmp_path, "@semiring tropical\n@alphabet a\n@sort x x1\nx1 = (z) a\n")])
     assert rc == EXIT_USAGE
     assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lines, name, line",
+    [
+        # the terminal (1) would read as a coefficient: gnf wrote r1_0 = (1)
+        # for x1 = a (1), which re-parses as (1) eps
+        (["@alphabet a (1)", "@sort x x1", "x1 = a (1)"], "(1)", 2),
+        # the terminal eps cannot be written alone
+        (["@alphabet a eps", "@sort x x1", "x1 = a eps"], "eps", 2),
+        # x = 0 would be the zero polynomial, not the variable 0
+        (["@alphabet a", "@sort x x 0", "x = 0"], "0", 3),
+        (["@alphabet a", "@sort z z a|b", "z = a z"], "a|b", 3),
+    ],
+)
+def test_grammar_names_that_an_equation_reads_as_syntax_exit_2(lines, name, line, tmp_path, capsys):
+    path = grm(tmp_path, "\n".join(["@semiring boolean"] + lines) + "\n")
+    for argv in (["parse", path], ["eval", path, "--word", "a"], ["gnf", path, "--target", "mixed"]):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {line}, column 1: {name!r} cannot be a name")
+        assert captured.err.count("\n") == 1
 
 
 def test_cmd_eval_word_and_lasso(tmp_path, capsys):
@@ -397,7 +422,7 @@ def test_arctic_eps_component_that_settles_late_is_inf(capsys):
     from staromega.system import eps_coefficients
 
     path = TEST_DATA / "arctic_late_inf.grm"
-    sys = parse_grammar(path.read_text()).system.x_part
+    sys = parse_grammar(path.read_text()).system.x
     assert [v.value for v in eps_coefficients(sys)] == [INF, INF]
     assert main(["gnf", str(path), "--target", "mixed"]) == EXIT_OK
     assert "x1 = (inf) a" in capsys.readouterr().out.splitlines()
@@ -464,7 +489,10 @@ def test_eval_lasso_on_a_grammar_without_z_variables_names_the_missing_component
 
 def test_build_pda_on_an_omega_grammar_with_epsilon_rules_is_a_semantic_failure(capsys):
     assert main(["build-pda", str(DATA / "boolean_omega.grm")]) == EXIT_FAIL
-    assert capsys.readouterr().err == "error: induced automaton needs Greibach shape\n"
+    assert capsys.readouterr().err == (
+        "error: induced automaton needs a mixed system in Greibach form; "
+        "run the normal form first\n"
+    )
 
 
 def test_build_pda_unknown_start_exits_1(capsys):
@@ -569,7 +597,7 @@ def long_zero_gain_eps_cycle(n=130):
 
 def test_a_long_zero_gain_eps_cycle_settles_on_the_finite_route(tmp_path, capsys):
     text = long_zero_gain_eps_cycle()
-    series = least_solution_finite(parse_grammar(text).system.x_part, 1)[0]
+    series = least_solution_finite(parse_grammar(text).system.x, 1)[0]
     assert series.coeff(()).value == 5 and series.coeff(("a",)).value == 0
     assert main(["eval", grm(tmp_path, text), "--word", "a"]) == EXIT_OK
     assert capsys.readouterr().out == "0\n"
@@ -628,13 +656,13 @@ def test_mixed_normal_form_normalizes_the_source_x_variables_once(capsys):
     # the finite part travels in the decomposition, so the source's x1 is
     # one variable of the one normalized system, not a second copy of it
     assert main(["gnf", str(TEST_DATA / "eps_greibach.grm"), "--target", "mixed"]) == EXIT_OK
-    assert parse_grammar(capsys.readouterr().out).system.x_vars == ("x1",)
+    assert parse_grammar(capsys.readouterr().out).system.x.variables == ("x1",)
 
 
-def test_build_pda_folds_the_unpaired_mixed_normal_form(tmp_path, capsys):
-    # gnf --target mixed writes more z- than x-variables here; build-pda folds
-    # that file as gnf --target omega does.  The source itself is unpaired and
-    # not in Greibach form, so build-pda refuses it with one error line.
+def test_build_pda_builds_the_unpaired_mixed_normal_form(tmp_path, capsys):
+    # gnf --target mixed writes more z- than x-variables here; build-pda
+    # reads that file as it is.  The source itself is unpaired and not in
+    # Greibach form, so build-pda refuses it with one error line.
     source = str(DATA / "tropical_mixed.grm")
     nf, auto = str(tmp_path / "nf.grm"), str(tmp_path / "auto.json")
     assert main(["build-pda", source, "--out", auto]) == EXIT_FAIL
@@ -642,13 +670,41 @@ def test_build_pda_folds_the_unpaired_mixed_normal_form(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: ") and "run the normal form first" in err
     assert main(["gnf", source, "--target", "mixed", "--out", nf]) == EXIT_OK
     g = parse_grammar((tmp_path / "nf.grm").read_text())
-    assert len(g.system.x_vars) != len(g.system.z_vars)
+    assert len(g.system.x.variables) != len(g.system.z_vars)
     assert main(["build-pda", nf, "--out", auto]) == EXIT_OK
     capsys.readouterr()
     queries = [["--word", "".join(w)] for n in (1, 2) for w in itertools.product("abc", repeat=n)]
     queries += [["--lasso", w] for w in (":c", "ab:c", "aabb:c", "a:c", "ab:ab", "abc:c")]
     for query in queries:
         assert main(["eval", source, *query]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert main(["eval", auto, *query]) == EXIT_OK
+        assert capsys.readouterr().out == want, query
+
+
+@pytest.mark.parametrize("source", [DATA / "tropical_mixed.grm", TEST_DATA / "z_only_pairs.grm"])
+def test_build_pda_writes_one_state_per_variable_of_an_unpaired_mixed_normal_form(
+    source, tmp_path, capsys
+):
+    # no fold: the states are the z- and x-variables and the sink, and the
+    # initial weight sits on the z- and the x-variable the file selects
+    nf, auto = str(tmp_path / "nf.grm"), str(tmp_path / "auto.json")
+    assert main(["gnf", str(source), "--target", "mixed", "--out", nf]) == EXIT_OK
+    assert main(["build-pda", nf, "--out", auto]) == EXIT_OK
+    g = parse_grammar(Path(nf).read_text())
+    xs, zs = g.system.x.variables, g.system.z_vars
+    assert len(xs) != len(zs)
+    _, x, z, _ = _selection(g)
+    a = pda_from_json(Path(auto).read_text())
+    assert a.matrix.n_states == len(zs) + len(xs) + 1
+    starts = [name for name, w in zip(a.state_names, a.initial) if not w.is_zero()]
+    assert starts == [f"z:{zs[z]}", f"x:{xs[x]}"]
+    capsys.readouterr()
+    letters = g.terminals
+    words = ["".join(w) for n in range(4) for w in itertools.product(letters, repeat=n)]
+    queries = [["--word", " ".join(w)] for w in words] + [["--lasso", ":a"], ["--lasso", "a:b"]]
+    for query in queries:
+        assert main(["eval", str(source), *query]) == EXIT_OK
         want = capsys.readouterr().out
         assert main(["eval", auto, *query]) == EXIT_OK
         assert capsys.readouterr().out == want, query

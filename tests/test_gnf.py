@@ -313,7 +313,7 @@ def test_pair_construction_writes_rows_only_for_what_t_and_s_reach():
     mixed, sel = build_pair_system(x, 0, eps_coeff=b.one)
     assert mixed.z_vars == ("z.acc", "z.eps", "z.2")
     # and the x-part is x itself, not a copy
-    assert mixed.x_vars is x.variables and mixed.x_rhs is x.rhs
+    assert mixed.x is x
     for w, want in ((LassoWord((), ("a",)), 1), (LassoWord((), ("a", "b", "a")), 1),
                     (LassoWord((), ("b",)), 0)):
         r = canonical_omega_lasso(mixed, sel.buchi_count, sel.component, w)
@@ -405,7 +405,7 @@ def test_sum_systems_stores_part_entries_plus_collector_copies():
     assert stored(summed) == sum(stored(part) for part, _ in parts) + copied
     assert len(summed.rho[sel.component]) == copied
     # the parts' x-part is the sum's, neither renamed nor copied
-    assert summed.x_vars is x.variables and summed.x_rhs is x.rhs
+    assert summed.x is x
     with pytest.raises(IllFormedSystem):
         sum_systems(t_sys, parts)
 
@@ -436,6 +436,43 @@ def test_pipeline_normalizes_two_terms_and_the_finite_part_once(monkeypatch):
     assert stages["pairs"]["kept"] == stages["sum"]["x_vars"]
     w = LassoWord(("a", "b"), ("d", "d", "c"))
     assert canonical_omega_lasso(mixed, sel.buchi_count, sel.component, w).value.value == 1
+
+
+def test_pipeline_pairs_and_sums_hold_the_one_greibach_x_part(monkeypatch):
+    # every pair, the sum and, where pruning drops no x-variable, the pruned
+    # sum of one pipeline call hold the very same x-part object
+    from staromega import gnf
+
+    built = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            built.append((fn.__name__, out[0]))
+            return out
+
+        return call
+
+    for fn in (gnf.build_pair_system, gnf.sum_systems, gnf._prune_sum):
+        monkeypatch.setattr(gnf, fn.__name__, recorded(fn))
+    kept = dropped = 0
+    for case in range(40):
+        inst = (BOOLEAN, TROPICAL, ARCTIC, COUNTING)[case % 4]
+        rng = random.Random(f"one-x-part/{case}")
+        sys = _random_mixed_system(rng, inst, rng.choice((2, 3)))
+        dec = decompose_canonical(sys, rng.randint(0, sys.m), rng.randrange(sys.m), 0)
+        built.clear()
+        _, mixed, *_ = pipeline_from_decomposition(dec)
+        *pairs, (sum_name, summed), (prune_name, pruned) = built
+        assert (sum_name, prune_name) == ("sum_systems", "_prune_sum")
+        assert {name for name, _ in pairs} <= {"build_pair_system"} and pruned is mixed
+        assert all(part.x is summed.x for _, part in pairs)
+        if pruned.x.variables == summed.x.variables:
+            assert pruned.x is summed.x
+            kept += 1
+        else:
+            dropped += 1
+    assert kept >= 20 and dropped >= 10, (kept, dropped)
 
 
 def _random_pair_series(rng, inst):
@@ -472,7 +509,7 @@ def _reference_values(d, finite, lassos, words):
     lasso = [canonical_omega_lasso(mixed, sel.buchi_count, sel.component, w).value for w in lassos]
     if finite is None:
         return lasso, None
-    sol = least_solution_finite(mixed.x_part, 2)
+    sol = least_solution_finite(mixed.x, 2)
     return lasso, [sol[0].coeff(w) for w in words]
 
 
@@ -489,10 +526,10 @@ def _shared_values(d, lassos, words):
     ]
     if norm.finite is None:
         return lasso, None
-    k = mixed.x_vars.index(norm.system.variables[norm.finite])
+    k = mixed.x.variables.index(norm.system.variables[norm.finite])
     finite_parts = []
     for sys, comp in ((mixed, k), (folded, omega_sel.component)):
-        sol = least_solution_finite(sys.x_part, 2)
+        sol = least_solution_finite(sys.x, 2)
         finite_parts.append([sol[comp].coeff(w) for w in words])
     return lasso, finite_parts
 
@@ -516,7 +553,7 @@ def test_shared_normal_form_equals_the_one_per_summand_reference():
         if case % 2 == 0:
             sys = _random_mixed_system(rng, inst, rng.choice((2, 3)))
             d = decompose_canonical(sys, rng.randint(0, sys.m), rng.randrange(sys.m), 0)
-            finite = (sys.x_part, 0)
+            finite = (sys.x, 0)
         else:
             terms = []
             for _ in range(rng.randint(1, 2)):
@@ -538,9 +575,11 @@ def test_shared_normal_form_equals_the_one_per_summand_reference():
 
 def contrast_system():
     b = BOOLEAN
+    x = AlgebraicSystem(
+        b, ("a", "c"), ("x1", "x2"), (poly(b, "a | c x1"), poly(b, "a x1 x2 | a x1"))
+    )
     return MixedSystem(
-        b, ("a", "c"), ("x1", "x2"),
-        (poly(b, "a | c x1"), poly(b, "a x1 x2 | a x1")),
+        x,
         ("z1", "z2"),
         ({0: poly(b, "c")}, {0: poly(b, "a"), 1: poly(b, "a x1")}),
     )
@@ -549,7 +588,7 @@ def contrast_system():
 def test_unmix_structure_on_contrast_example():
     b = BOOLEAN
     small = MixedSystem(
-        b, ("a", "c"), ("x1",), (poly(b, "a | c x1"),),
+        AlgebraicSystem(b, ("a", "c"), ("x1",), (poly(b, "a | c x1"),)),
         ("z1", "z2"),
         ({0: poly(b, "c")}, {0: poly(b, "a"), 1: poly(b, "a x1")}),
     )
@@ -568,10 +607,10 @@ def test_unmix_preserves_both_parts():
     out, sel = unmix(sys, 1, 1, 1)
     mixed = induce_mixed(out)
     # finite part of the last component equals the x2-component
-    sol_in = least_solution_finite(sys.x_part, 6)
-    sol_out = least_solution_finite(mixed.x_part, 6)
+    sol_in = least_solution_finite(sys.x, 6)
+    sol_out = least_solution_finite(mixed.x, 6)
     for length in range(0, 7):
-        for w in itertools.product(sys.terminals, repeat=length):
+        for w in itertools.product(sys.x.terminals, repeat=length):
             assert sol_in[1].coeff(w) == sol_out[sel.component].coeff(w)
     # omega part of the last component follows the second z-component
     for (u, v) in [((), ("c",)), (("a",), ("c",)), (("a", "c", "a", "a"), ("c",)),
@@ -586,9 +625,8 @@ def test_unmix_writes_only_what_a_rule_reads():
     # no row reads z1 and no rule x1, and ydot copies both of their rows, so
     # neither is written; the Buchi count drops with z1 where it counted it
     b = BOOLEAN
-    sys = MixedSystem(
-        b, ("a", "b"), ("x1",), (poly(b, "b"),), ("z1", "z2"), ({1: poly(b, "a")}, {1: poly(b, "a")})
-    )
+    x = AlgebraicSystem(b, ("a", "b"), ("x1",), (poly(b, "b"),))
+    sys = MixedSystem(x, ("z1", "z2"), ({1: poly(b, "a")}, {1: poly(b, "a")}))
     for t, want in ((1, 0), (2, 1)):
         out, sel = unmix(sys, 0, 0, t)
         assert out.variables == ("h.z2", "ydot")
@@ -602,9 +640,8 @@ def test_unmix_writes_only_what_a_rule_reads():
 
 def test_unmix_needs_gnf():
     b = BOOLEAN
-    bad = MixedSystem(
-        b, ("a",), ("x1",), (poly(b, "x1 a"),), ("z1",), ({0: poly(b, "a")},)
-    )
+    x = AlgebraicSystem(b, ("a",), ("x1",), (poly(b, "x1 a"),))
+    bad = MixedSystem(x, ("z1",), ({0: poly(b, "a")},))
     with pytest.raises(IllFormedSystem):
         unmix(bad, 0, 0, 1)
 
@@ -665,7 +702,7 @@ def test_char_to_mixed_keeps_its_names_off_the_terminals():
         OmegaDecomposition(t, letters, (DecompositionTerm(sys, 0, sys, 1),))
     )
     mixed, sel = char_to_mixed(d)
-    assert mixed.z_vars == ("z0'", "zout'") and mixed.x_vars == ("u", "v", "c0.s'")
+    assert mixed.z_vars == ("z0'", "zout'") and mixed.x.variables == ("u", "v", "c0.s'")
     for prefix, want in (((), 1), (("zout",), 2), (("c0.s",), 3), (("z0",), INF)):
         r = canonical_omega_lasso(
             mixed, sel.buchi_count, sel.component, LassoWord(prefix, ("a",))
@@ -682,7 +719,7 @@ def test_char_to_mixed_names_are_unchanged_without_a_clash():
         OmegaDecomposition(b, ("a",), (DecompositionTerm(sys, 0, sys, 0), DecompositionTerm(sys, 0, sys, 1)))
     )
     mixed, _ = char_to_mixed(d)
-    assert mixed.x_vars == ("u", "v", "c1.s")
+    assert mixed.x.variables == ("u", "v", "c1.s")
     assert mixed.z_vars == ("z0", "z1", "zout")
 
 
@@ -709,7 +746,7 @@ def test_handle_row_kernel_matches_the_generic_comprehension():
     from staromega.gnf import _HandleAlgebra
 
     sys = tropical_mixed_system()
-    alg = _HandleAlgebra(sys.x_part)
+    alg = _HandleAlgebra(sys.x)
     leaves = [alg.of_poly(p) for row in sys.rho for p in row.values()]
     cells = [alg.zero, alg.one_raw(), alg.star_raw(leaves[0])] + leaves
     cells.append(alg.add_raw(leaves[0], alg.mul_raw(leaves[-1], cells[2])))
@@ -731,7 +768,7 @@ def test_handle_row_kernel_matches_the_generic_comprehension():
 def test_decompose_canonical_three_block_recursion():
     b = BOOLEAN
     sys = MixedSystem(
-        b, ("a", "b", "c"), ("x1",), (poly(b, "a | b x1"),),
+        AlgebraicSystem(b, ("a", "b", "c"), ("x1",), (poly(b, "a | b x1"),)),
         ("z1", "z2", "z3"),
         (
             {1: poly(b, "a")},
@@ -777,11 +814,11 @@ def test_pipeline_end_to_end_values():
         assert want.value == mid.value == end.value
     # the fold's finite part is the source's x1 off the empty word, and it is
     # x-variable 0 of the summed system
-    sol_src = least_solution_finite(sys.x_part, 5)
-    sol_mid = least_solution_finite(mixed.x_part, 5)
-    sol_out = least_solution_finite(ind.x_part, 5)
+    sol_src = least_solution_finite(sys.x, 5)
+    sol_mid = least_solution_finite(mixed.x, 5)
+    sol_out = least_solution_finite(ind.x, 5)
     for length in range(1, 6):
-        for w in itertools.product(sys.terminals, repeat=length):
+        for w in itertools.product(sys.x.terminals, repeat=length):
             got = sol_out[omega_sel.component].coeff(w)
             assert got == sol_mid[0].coeff(w) == sol_src[0].coeff(w), w
     assert sol_out[omega_sel.component].coeff(()) == TROPICAL.zero
@@ -799,9 +836,10 @@ def test_prune_sum_keeps_what_the_selected_component_reaches():
         sparse_row(t, {0: w(2, ("a", "x2"))}),
         sparse_row(t, {2: w(1, ("b",)), 0: w(5, ("a",))}),
     )
-    sys = MixedSystem(t, ("a", "b"), ("x0", "x1", "x2"), x_rhs, ("a0", "a1", "t", "c"), rho)
+    x = AlgebraicSystem(t, ("a", "b"), ("x0", "x1", "x2"), x_rhs)
+    sys = MixedSystem(x, ("a0", "a1", "t", "c"), rho)
     pruned, sel = _prune_sum(sys, CanonicalSelector(2, 3), "x0")
-    assert pruned.x_vars == ("x0", "x2") and pruned.z_vars == ("a0", "t", "c")
+    assert pruned.x.variables == ("x0", "x2") and pruned.z_vars == ("a0", "t", "c")
     # one accepting z-variable is left, still first
     assert (sel.buchi_count, sel.component) == (1, 2)
     for lasso in (LassoWord((), ("a",)), LassoWord(("b",), ("a",)), LassoWord(("b", "a"), ("a",))):
@@ -813,7 +851,7 @@ def test_prune_sum_keeps_what_the_selected_component_reaches():
 def test_pipeline_on_empty_decomposition_folds_to_zero():
     d = OmegaDecomposition(BOOLEAN, ("a",), ())
     norm, mixed, sel, omega_sys, omega_sel, _ = pipeline_from_decomposition(d)
-    assert norm.terms == () and mixed.x_vars == ()
+    assert norm.terms == () and mixed.x.variables == ()
     assert is_gnf_omega(omega_sys)
     assert omega_sys.variables[omega_sel.component] == "ydot"
     assert omega_sys.rhs[omega_sel.component].is_zero()
@@ -856,7 +894,8 @@ def _random_mixed_system(rng, inst, m):
         sparse_row(inst, {j: [(weight(), rng.choice(factors[1:]))] for j in range(m) if rng.random() < 0.5})
         for _ in range(m)
     )
-    return MixedSystem(inst, ("a", "b"), ("x0",), (x_rhs,), ("z0", "z1", "z2")[:m], rho)
+    x = AlgebraicSystem(inst, ("a", "b"), ("x0",), (x_rhs,))
+    return MixedSystem(x, ("z0", "z1", "z2")[:m], rho)
 
 
 def test_five_routes_agree_on_random_mixed_systems():
@@ -903,9 +942,9 @@ def _unreached(text):
     g = parse_grammar(text)
     sys = g.system
     start = sys.z_vars.index(g.start)
-    x_ix = {v: i for i, v in enumerate(sys.x_vars)}
+    x_ix = {v: i for i, v in enumerate(sys.x.variables)}
     x = _selection(g)[1]
-    z_seen, stack, x_stack = {start}, [start], list(sys.x_vars[x : x + 1])
+    z_seen, stack, x_stack = {start}, [start], list(sys.x.variables[x : x + 1])
     while stack:
         for j, p in sys.rho[stack.pop()].items():
             if j not in z_seen:
@@ -917,10 +956,10 @@ def _unreached(text):
         v = x_stack.pop()
         if v not in x_seen:
             x_seen.add(v)
-            x_stack += [s for m in sys.x_rhs[x_ix[v]].monomials for s in m.word if s in x_ix]
+            x_stack += [s for m in sys.x.rhs[x_ix[v]].monomials for s in m.word if s in x_ix]
     return (
         [z for j, z in enumerate(sys.z_vars) if j not in z_seen],
-        [x for x in sys.x_vars if x not in x_seen],
+        [x for x in sys.x.variables if x not in x_seen],
     )
 
 
@@ -939,7 +978,7 @@ def test_mixed_normal_form_holds_only_what_its_start_reaches(tmp_path, capsys):
         sys = _random_mixed_system(rng, inst, m)
         if is_gnf_mixed(sys):
             continue
-        g = GrammarFile(inst, sys.terminals, "mixed", sys, sys.z_vars[-1], rng.randint(1, m))
+        g = GrammarFile(inst, sys.x.terminals, "mixed", sys, sys.z_vars[-1], rng.randint(1, m))
         cases.append((draw, format_grammar(g)))
     path = tmp_path / "g.grm"
     compiled = 0

@@ -35,6 +35,7 @@ from staromega.series import LassoWord, Polynomial, parse_polynomial
 from staromega.system import (
     AlgebraicSystem,
     IllFormedSystem,
+    MixedSystem,
     canonical_omega_lasso,
     least_solution_finite,
     oracle_coeff_gnf,
@@ -282,7 +283,7 @@ def test_omega_requires_buchi_count():
 
 
 def contrast_auto(start=1, l=1):
-    return induced_omega_pda(contrast_mixed_system(), start, l)
+    return induced_omega_pda(contrast_mixed_system(), start, l, finite=start)
 
 
 def test_induced_omega_structure():
@@ -298,12 +299,23 @@ def test_induced_omega_structure():
     assert [v.value for v in auto.initial] == [0, 1, 0, 1, 0]
 
 
-def test_induced_omega_requires_square_shape():
-    b = BOOLEAN
+def test_induced_omega_requires_greibach_shape_and_not_as_many_x_as_z_variables():
     from staromega.fixtures import tropical_mixed_system
 
-    with pytest.raises(IllFormedSystem):
+    with pytest.raises(IllFormedSystem, match="needs a mixed system in Greibach form"):
         induced_omega_pda(tropical_mixed_system(), 0, 1)
+    # contrast_mixed.grm without x2: one x- and two z-variables, one state each
+    sys = contrast_mixed_system()
+    x1 = AlgebraicSystem(sys.x.instance, sys.x.terminals, ("x1",), sys.x.rhs[:1])
+    auto = induced_omega_pda(MixedSystem(x1, sys.z_vars, sys.rho), 1, 1, finite=0)
+    assert auto.state_names == ("z:z1", "z:z2", "x:x1", "f")
+    assert [v.value for v in auto.initial] == [0, 1, 1, 0]
+    # x1 = a | c x1 weighs c* a, and the omega behaviour is the paired one's
+    assert behavior_finite(auto, ("c", "a")).value == 1
+    assert behavior_finite(auto, ("a", "a")).value == 0
+    for u, v in (("", "aa"), ("a", "c"), ("acaa", "c")):
+        w = LassoWord(tuple(u), tuple(v))
+        assert behavior_omega_lasso(auto, w) == behavior_omega_lasso(contrast_auto(), w)
 
 
 def test_contrast_behavior_and_canonical_agreement():
@@ -1217,7 +1229,7 @@ def reference_accepting_support_run_exists(sys, k, component, pa, gen):
 
     from staromega._search import _sccs
 
-    variables = set(sys.x_vars)
+    variables = set(sys.x.variables)
     edges = {}
     for j in range(sys.m):
         for s in range(pa.size):
@@ -1309,11 +1321,11 @@ def test_support_check_agrees_with_component_pass_on_random_mixed_systems():
                 cells.setdefault(rng.randrange(m), []).extend(terms(1))
             rho.append(sparse_row(b, cells))
         z_vars = tuple(f"z{j}" for j in range(m))
-        sys = MixedSystem(b, ("a", "b"), x_vars, x_rhs, z_vars, tuple(rho))
+        sys = MixedSystem(AlgebraicSystem(b, ("a", "b"), x_vars, x_rhs), z_vars, tuple(rho))
         k, component, w = rng.randint(0, m), rng.randrange(m), random_lasso(rng)
         pa = PositionAutomaton.of(w)
         want = reference_accepting_support_run_exists(
-            sys, k, component, pa, reference_support_triples(sys.x_part, pa)
+            sys, k, component, pa, reference_support_triples(sys.x, pa)
         )
         got = canonical_omega_lasso(sys, k, component, w)
         assert got.conclusive and got.value.value == int(want), (str(w), k, component)
@@ -1347,7 +1359,7 @@ def test_long_chains_evaluate_under_the_default_recursion_limit():
         for i in range(600)
     )
     rho = (sparse_row(t, {0: [(t.one, ("a", "x0"))]}),)
-    sys = MixedSystem(t, ("a",), x_vars, x_rhs, ("z",), rho)
+    sys = MixedSystem(AlgebraicSystem(t, ("a",), x_vars, x_rhs), ("z",), rho)
     assert canonical_omega_lasso(sys, 1, 0, LassoWord(("a",), ("a",))).value == t.one
 
     # a finite word of 3,000 letters, a^1500 b^1500, read by the automaton of
