@@ -90,14 +90,20 @@ class GrammarFile:
     buchi: int | None
 
 
-def _check_name(name: str, lineno: int) -> None:
-    """Refuse a terminal or variable name that an equation would read as
-    something else: the empty word eps, the zero polynomial 0, a
-    coefficient ( or an alternative |."""
-    if name in ("eps", "0") or name.startswith("(") or "|" in name:
+def _check_name(name: str, lineno: int, letter: bool = False) -> None:
+    """Refuse a terminal or variable name that the file would read as
+    something else, so that formatting a parsed file and parsing it again
+    gives it back: the empty word eps, the zero polynomial 0, a coefficient
+    (, an alternative |, an equation's = or, at the start of a line, a
+    directive's @.  A letter cannot hold the : that splits a lasso word."""
+    if name in ("eps", "0") or name.startswith(("(", "@")) or "|" in name or "=" in name:
         raise GrammarError(
-            f"{name!r} cannot be a name: equations read eps, 0, '(' and '|' as syntax", lineno
+            f"{name!r} cannot be a name: equations read eps, 0, '(', '|' and '=' as syntax, "
+            "and a line that starts with '@' as a directive",
+            lineno,
         )
+    if letter and ":" in name:
+        raise GrammarError(f"{name!r} cannot be a name: a lasso word reads ':' as syntax", lineno)
 
 
 def parse_grammar(text: str) -> GrammarFile:
@@ -124,7 +130,7 @@ def parse_grammar(text: str) -> GrammarFile:
                     raise GrammarError(str(exc), lineno) from None
             elif directive == "@alphabet":
                 for a in fields[1:]:
-                    _check_name(a, lineno)
+                    _check_name(a, lineno, letter=True)
                 terminals.extend(fields[1:])
             elif directive == "@sort":
                 if len(fields) < 3 or fields[1] not in ("x", "y", "z"):

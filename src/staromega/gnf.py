@@ -2,7 +2,11 @@
 
 finite_gnf normalizes one algebraic system (empty-word split, chain removal,
 binarization, then the matrix-equation transformation that forces a leading
-terminal with at most two trailing variables).  A decomposition holds every
+terminal with at most two trailing variables).  Its stages pass rule rows
+from one to the next, one list of (raw coefficient, word) terms per
+variable, and add and multiply with the instance's add_raw and mul_raw, as
+staromega.matrix's kernels do; only its result is wrapped into
+Polynomials and one checked AlgebraicSystem.  A decomposition holds every
 summand (s + e eps) t^omega, e being s's empty-word coefficient, and the
 source's finite part.  Only normalize_decomposition merges systems (as
 x0.v, x1.v, ... where a hand-built decomposition holds several): it returns
@@ -46,21 +50,30 @@ import json
 
 from ._search import _sccs
 from .matrix import _add_identity, _star
-from .semiring import SemiringInstance, SemiringValue, _scalar
-from .series import EPSILON, Polynomial, Word
+from .semiring import Ext, SemiringInstance, SemiringValue
+from .series import EPSILON, Polynomial, Word, canonical_terms
 from .system import (
     AlgebraicSystem,
     CanonicalSelector,
     IllFormedSystem,
     MixedSystem,
     eps_coefficients,
+    greibach_shape,
     is_gnf_algebraic,
     is_gnf_mixed,
     productive_components,
+    productive_variables,
 )
 
 
-# -- proper form --------------------------------------------------------------
+# -- finite Greibach normal form on rule rows -----------------------------------
+#
+# rows[i] lists the (raw coefficient, word) terms of the equation of
+# variables[i].  A row may hold a word twice until the one canonicalisation
+# that needs merged terms (after the chain rules go) or the system
+# finite_gnf returns.
+
+Rows = list[list[tuple[Ext, Word]]]
 
 
 def proper_form(sys: AlgebraicSystem) -> tuple[AlgebraicSystem, list[SemiringValue]]:
@@ -74,23 +87,39 @@ def proper_form(sys: AlgebraicSystem) -> tuple[AlgebraicSystem, list[SemiringVal
     if not any(p.monomials and not p.monomials[0].word for p in sys.rhs):
         return sys, [inst.zero] * len(sys.variables)
     eps = eps_coefficients(sys)
-    mapping = {}
-    for v, e in zip(sys.variables, eps):
-        if not e.is_zero():
-            mapping[v] = Polynomial.build(inst, [(e, EPSILON), (inst.one, (v,))])
-    new_rhs = []
-    for p in sys.rhs:
-        q = p.substitute_symbols(mapping) if mapping else p
-        if q.monomials and not q.monomials[0].word:
-            q = Polynomial(inst, q.monomials[1:])
-        new_rhs.append(q)
-    return (
-        AlgebraicSystem(inst, sys.terminals, sys.variables, tuple(new_rhs)),
-        eps,
-    )
+    rows = _proper_rows(inst, sys.variables, _rows_of(sys, range(len(sys.rhs))), eps)
+    rhs = tuple(Polynomial.build_raw(inst, row) for row in rows)
+    return AlgebraicSystem(inst, sys.terminals, sys.variables, rhs), eps
 
 
-def _unit_elimination(sys: AlgebraicSystem) -> AlgebraicSystem:
+def _rows_of(sys: AlgebraicSystem, indices) -> Rows:
+    return [[(m.coeff.value, m.word) for m in sys.rhs[i].monomials] for i in indices]
+
+
+def _proper_rows(
+    inst: SemiringInstance, variables: Sequence[str], rows: Rows, eps: list[SemiringValue]
+) -> Rows:
+    """Each variable v with a nonzero empty-word coefficient e_v replaced by
+    e_v eps + v, and every empty word dropped."""
+    mul = inst.mul_raw
+    subst = {v: e.value for v, e in zip(variables, eps) if not e.is_zero()}
+    out = []
+    for row in rows:
+        terms = []
+        for c, w in row:
+            partial = [(c, EPSILON)]
+            for s in w:
+                kept = [(d, u + (s,)) for d, u in partial]
+                if s in subst:
+                    e = subst[s]
+                    kept += [(mul(d, e), u) for d, u in partial]
+                partial = kept
+            terms += [t for t in partial if t[1]]
+        out.append(terms)
+    return out
+
+
+def _unit_elimination(inst: SemiringInstance, variables: Sequence[str], rows: Rows) -> Rows:
     """Fold single-variable monomials into the other rules: x_i = sum_j U*[i][j] rest_j.
 
     The unit matrix U is kept as sparse rows and its star taken one strongly
@@ -101,48 +130,50 @@ def _unit_elimination(sys: AlgebraicSystem) -> AlgebraicSystem:
         row(i) = sum_{c in C} S[i][c] (e_c + sum_{c -> d leaving C} U[c][d] row(d)),
 
     with S the star of C's own block.  Every path is counted once, so the rows
-    equal the dense star's in every instance, counting included.
+    equal the dense star's in every instance, counting included.  The rows
+    returned are canonical, as `_binarize` names its variables in their order.
     """
-    inst = sys.instance
-    zero = inst.zero_raw()
-    ix = {v: i for i, v in enumerate(sys.variables)}
-    unit: list[dict[int, SemiringValue]] = []
-    rest: list[list] = []
-    for p in sys.rhs:
-        unit.append({})
-        rest.append([])
-        for mono in p.monomials:
-            if len(mono.word) == 1 and mono.word[0] in ix:
-                unit[-1][ix[mono.word[0]]] = mono.coeff
+    add, mul, zero, one = inst.add_raw, inst.mul_raw, inst.zero_raw(), inst.one_raw()
+    ix = {v: i for i, v in enumerate(variables)}
+    unit: list[dict[int, Ext]] = []
+    rest: Rows = []
+    for row in rows:
+        u: dict[int, Ext] = {}
+        r = []
+        for c, w in row:
+            j = ix.get(w[0]) if len(w) == 1 else None
+            if j is None:
+                r.append((c, w))
             else:
-                rest[-1].append(mono)
+                u[j] = add(u[j], c) if j in u else c
+        unit.append(u)
+        rest.append(r)
     nodes = list(range(len(unit)))
-    rows: list[dict[int, SemiringValue]] = [{} for _ in nodes]
+    closed: list[dict[int, Ext]] = [{} for _ in nodes]
     for comp in _sccs(nodes, {i: list(row.items()) for i, row in enumerate(unit)}):
-        block = [[unit[c][d].value if d in unit[c] else zero for d in comp] for c in comp]
-        star = _star(inst, block)
+        star = _star(inst, [[unit[c].get(d, zero) for d in comp] for c in comp])
         members = set(comp)
         exits = []
         for c in comp:
-            out = {c: inst.one}
+            out = {c: one}
             for d, u in unit[c].items():
                 if d not in members:
-                    for e, r in rows[d].items():
-                        _accumulate(out, e, u * r)
+                    for e, r in closed[d].items():
+                        v = mul(u, r)
+                        out[e] = add(out[e], v) if e in out else v
             exits.append(out)
         for a, i in enumerate(comp):
+            acc = closed[i]
             for b, out in enumerate(exits):
-                if star[a][b] != zero:
-                    s = _scalar(inst, star[a][b])
+                s = star[a][b]
+                if s != zero:
                     for e, r in out.items():
-                        _accumulate(rows[i], e, s * r)
-    new_rhs = tuple(
-        Polynomial.build(
-            inst, [(c * mono.coeff, mono.word) for j, c in row.items() for mono in rest[j]]
-        )
-        for row in rows
-    )
-    return AlgebraicSystem(inst, sys.terminals, sys.variables, new_rhs)
+                        v = mul(s, r)
+                        acc[e] = add(acc[e], v) if e in acc else v
+    return [
+        canonical_terms(inst, [(mul(c, d), w) for j, c in row.items() for d, w in rest[j]])
+        for row in closed
+    ]
 
 
 def _accumulate(row: dict, key, value: SemiringValue) -> None:
@@ -164,12 +195,15 @@ class _Names:
         return cand
 
 
-def _binarize(sys: AlgebraicSystem) -> AlgebraicSystem:
+def _binarize(
+    inst: SemiringInstance, terminals: Sequence[str], variables: Sequence[str], rows: Rows
+) -> tuple[list[str], Rows]:
     """Rewrite every rule to a single terminal or a pair of variables."""
-    inst = sys.instance
-    names = _Names(set(sys.variables) | set(sys.terminals))
-    new_vars = list(sys.variables)
-    new_rhs: dict[str, list[tuple[SemiringValue, Word]]] = {v: [] for v in sys.variables}
+    one = inst.one_raw()
+    ts = set(terminals)
+    names = _Names(ts.union(variables))
+    new_vars = list(variables)
+    out: Rows = [[] for _ in variables]
     term_var: dict[str, str] = {}
     pair_var: dict[Word, str] = {}
 
@@ -178,7 +212,7 @@ def _binarize(sys: AlgebraicSystem) -> AlgebraicSystem:
             v = names.fresh(f"t_{a}")
             term_var[a] = v
             new_vars.append(v)
-            new_rhs[v] = [(inst.one, (a,))]
+            out.append([(one, (a,))])
         return term_var[a]
 
     def var_for_suffix(word: Word) -> str:
@@ -188,36 +222,33 @@ def _binarize(sys: AlgebraicSystem) -> AlgebraicSystem:
             v = names.fresh(f"g{len(pair_var)}")
             pair_var[word] = v
             new_vars.append(v)
-            new_rhs[v] = [(inst.one, (word[0], var_for_suffix(word[1:])))]
+            row: list = []
+            out.append(row)
+            row.append((one, (word[0], var_for_suffix(word[1:]))))
         return pair_var[word]
 
-    for v, p in zip(sys.variables, sys.rhs):
-        for mono in p.monomials:
-            w = mono.word
-            if len(w) == 1 and w[0] in sys.terminals:
-                new_rhs[v].append((mono.coeff, w))
+    for i, row in enumerate(rows):
+        for c, w in row:
+            if len(w) == 1 and w[0] in ts:
+                out[i].append((c, w))
                 continue
             if len(w) == 0:
                 raise IllFormedSystem("binarization expects a proper system")
-            syms = tuple(
-                var_for_terminal(s) if s in sys.terminals else s for s in w
-            )
+            syms = tuple(var_for_terminal(s) if s in ts else s for s in w)
             if len(syms) == 1:
-                new_rhs[v].append((mono.coeff, syms))
+                out[i].append((c, syms))
             else:
-                new_rhs[v].append((mono.coeff, (syms[0], var_for_suffix(syms[1:]))))
-
-    return AlgebraicSystem(
-        inst,
-        sys.terminals,
-        tuple(new_vars),
-        tuple(Polynomial.build(inst, new_rhs[v]) for v in new_vars),
-    )
+                out[i].append((c, (syms[0], var_for_suffix(syms[1:]))))
+    return new_vars, out
 
 
 def _leading_terminal_form(
-    sys: AlgebraicSystem, keep: Sequence[str] | None = None
-) -> AlgebraicSystem:
+    inst: SemiringInstance,
+    terminals: Sequence[str],
+    variables: Sequence[str],
+    rows: Rows,
+    keep: Sequence[str] | None = None,
+) -> tuple[list[str], Rows]:
     """Matrix-equation step: from binary rules to leading-terminal rules.
 
     Writing the system as x = x A(x) + b with A collecting the coefficients
@@ -231,20 +262,20 @@ def _leading_terminal_form(
     and the Y-equations they reach: x_p reads column p of Y only, and an
     entry's x-equation is built the first time a written equation needs it.
     """
-    inst = sys.instance
-    n = len(sys.variables)
-    ix = {v: i for i, v in enumerate(sys.variables)}
-    b: list[list[tuple[SemiringValue, Word]]] = [[] for _ in range(n)]
+    mul = inst.mul_raw
+    n = len(variables)
+    ts = set(terminals)
+    ix = {v: i for i, v in enumerate(variables)}
+    b: Rows = [[] for _ in range(n)]
     # amat[q][p]: the (coefficient, tail) pairs of entry (q, p)
-    amat: list[dict[int, list[tuple[SemiringValue, str]]]] = [{} for _ in range(n)]
-    for p_ix, p in enumerate(sys.rhs):
-        for mono in p.monomials:
-            w = mono.word
-            if len(w) == 1 and w[0] in sys.terminals:
-                b[p_ix].append((mono.coeff, w))
+    amat: list[dict[int, list[tuple[Ext, str]]]] = [{} for _ in range(n)]
+    for p_ix, row in enumerate(rows):
+        for c, w in row:
+            if len(w) == 1 and w[0] in ts:
+                b[p_ix].append((c, w))
             elif len(w) == 2 and w[0] in ix and w[1] in ix:
-                # x_p gains x_q * (coeff x_k): entry (q, p) holds coeff, tail k
-                amat[ix[w[0]]].setdefault(p_ix, []).append((mono.coeff, w[1]))
+                # x_p gains x_q * (c x_k): entry (q, p) holds c, tail k
+                amat[ix[w[0]]].setdefault(p_ix, []).append((c, w[1]))
             else:
                 raise IllFormedSystem(f"rule not binarized: {w}")
     amat = [dict(sorted(row.items())) for row in amat]
@@ -270,7 +301,7 @@ def _leading_terminal_form(
             reaching[p] = seen
         return reaching[p]
 
-    names = _Names(set(sys.variables) | set(sys.terminals))
+    names = _Names(ts.union(variables))
     yname: dict[tuple[int, int], str] = {}
     work: list[tuple[int, int]] = []
 
@@ -280,9 +311,9 @@ def _leading_terminal_form(
             work.append((q, p))
         return yname[(q, p)]
 
-    x_rhs: dict[int, list[tuple[SemiringValue, Word]]] = {}
+    x_rhs: dict[int, list[tuple[Ext, Word]]] = {}
 
-    def x_terms(p: int) -> list[tuple[SemiringValue, Word]]:
+    def x_terms(p: int) -> list[tuple[Ext, Word]]:
         """x_p = b_p + sum_q b_q y(q, p)."""
         if p not in x_rhs:
             terms = list(b[p])
@@ -293,34 +324,35 @@ def _leading_terminal_form(
             x_rhs[p] = terms
         return x_rhs[p]
 
-    kept = set(sys.variables if keep is None else keep)
-    x_vars = tuple(v for v in sys.variables if v in kept)
+    kept = set(variables if keep is None else keep)
+    x_vars = [v for v in variables if v in kept]
     for v in x_vars:
         x_terms(ix[v])
 
     # y(q, p) = A[q][p] + sum_r A[q][r] y(r, p), with the leading variable of
     # each A-entry replaced by its x-equation
-    y_rhs: dict[tuple[int, int], list[tuple[SemiringValue, Word]]] = {}
+    y_rhs: dict[tuple[int, int], list[tuple[Ext, Word]]] = {}
     while work:
         (q, p_ix) = work.pop()
         col = live(p_ix)
-        terms: list[tuple[SemiringValue, Word]] = []
+        terms: list[tuple[Ext, Word]] = []
         for c, tail in amat[q].get(p_ix, ()):
             for xc, xw in x_terms(ix[tail]):
-                terms.append((c * xc, xw))
+                terms.append((mul(c, xc), xw))
         for r, entry in amat[q].items():
             if r not in col:
                 continue
             yn = y(r, p_ix)
             for c, tail in entry:
                 for xc, xw in x_terms(ix[tail]):
-                    terms.append((c * xc, xw + (yn,)))
+                    terms.append((mul(c, xc), xw + (yn,)))
         y_rhs[(q, p_ix)] = terms
 
     ys = sorted(yname)
-    rhs = [Polynomial.build(inst, x_rhs[ix[v]]) for v in x_vars]
-    rhs += [Polynomial.build(inst, y_rhs[k]) for k in ys]
-    return AlgebraicSystem(inst, sys.terminals, x_vars + tuple(yname[k] for k in ys), tuple(rhs))
+    return (
+        x_vars + [yname[k] for k in ys],
+        [x_rhs[ix[v]] for v in x_vars] + [y_rhs[k] for k in ys],
+    )
 
 
 @dataclass(frozen=True)
@@ -337,52 +369,84 @@ def finite_gnf(sys: AlgebraicSystem, keep: Sequence[str] | None = None) -> GnfRe
     trailing variables).  `keep` names the variables whose components the
     caller reads, all of them by default; only what they reach is normalized
     and returned.
+
+    The stages (prune, proper form, unproductive drop, chain rules,
+    binarization, leading terminals, unproductive drop) pass rule rows of
+    raw values from one to the next; the one system returned is built and
+    checked at the end, or is sys itself when no stage changed a row.  The
+    empty-word coefficients of what keep reaches are read off sys itself,
+    as they depend on nothing else.
     """
+    inst, ts = sys.instance, sys.terminals
     keep = list(sys.variables if keep is None else keep)
-    proper, _ = proper_form(_prune_unreachable(sys, keep))
-    gnf = _drop_unproductive(proper, keep=keep)
+    reached = _reachable(sys.variables, lambda i: (m.word for m in sys.rhs[i].monomials), keep)
+    variables = [sys.variables[i] for i in reached]
+    rows = source = _rows_of(sys, reached)
+    if any(row and not row[0][1] for row in rows):
+        eps = eps_coefficients(sys)
+        rows = _proper_rows(inst, variables, rows, [eps[i] for i in reached])
+    variables, rows = _drop_unproductive(variables, rows, keep)
+    if greibach_shape(ts, variables, (w for row in rows for _, w in row)) is None:
+        rows = _unit_elimination(inst, variables, rows)
+        variables, rows = _binarize(inst, ts, variables, rows)
+        variables, rows = _leading_terminal_form(inst, ts, variables, rows, keep)
+        variables, rows = _drop_unproductive(variables, rows, keep)
+    if rows is source and len(rows) == len(sys.rhs):
+        gnf = sys  # in normal form already, and nothing dropped
+    else:
+        rhs = tuple(Polynomial.build_raw(inst, row) for row in rows)
+        gnf = AlgebraicSystem(inst, ts, tuple(variables), rhs)
     if not is_gnf_algebraic(gnf, allow_eps=False):
-        binary = _binarize(_unit_elimination(gnf))
-        gnf = _drop_unproductive(_leading_terminal_form(binary, keep), keep=keep)
-        if not is_gnf_algebraic(gnf, allow_eps=False):
-            raise IllFormedSystem("internal: normal form construction failed")
-    return GnfResult(gnf, {v: gnf.variables.index(v) for v in keep})
+        raise IllFormedSystem("internal: normal form construction failed")
+    at = {v: i for i, v in enumerate(gnf.variables)}
+    return GnfResult(gnf, {v: at[v] for v in keep})
 
 
-def _drop_unproductive(sys: AlgebraicSystem, keep: list[str]) -> AlgebraicSystem:
+def _drop_unproductive(
+    variables: Sequence[str], rows: Rows, keep: Sequence[str]
+) -> tuple[Sequence[str], Rows]:
     """Erase monomials through variables that generate nothing, then prune.
 
     Variables in `keep` survive even with an empty equation, so component
     indices stay resolvable by name.
     """
-    productive = productive_components(sys)
-    dead = set(sys.variables) - productive
-    new_rhs = []
-    for p in sys.rhs:
-        kept = tuple(m for m in p.monomials if dead.isdisjoint(m.word)) if dead else p.monomials
-        new_rhs.append(p if len(kept) == len(p.monomials) else Polynomial(p.instance, kept))
-    if any(q is not p for q, p in zip(new_rhs, sys.rhs)):
-        sys = AlgebraicSystem(sys.instance, sys.terminals, sys.variables, tuple(new_rhs))
-    return _prune_unreachable(sys, keep)
+    productive = productive_variables(variables, ([w for _, w in row] for row in rows))
+    if len(productive) < len(variables):
+        dead = set(variables) - productive
+        rows = [[t for t in row if dead.isdisjoint(t[1])] for row in rows]
+    reached = _reachable(variables, lambda i: (w for _, w in rows[i]), keep)
+    if len(reached) == len(variables):
+        return variables, rows
+    return [variables[i] for i in reached], [rows[i] for i in reached]
 
 
 def _prune_unreachable(sys: AlgebraicSystem, keep: list[str]) -> AlgebraicSystem:
     """The variables reachable from keep, in their order; sys itself when that is all."""
-    ix = {v: i for i, v in enumerate(sys.variables)}
-    reach = set(keep)
-    stack = list(keep)
-    while stack:
-        v = stack.pop()
-        for mono in sys.rhs[ix[v]].monomials:
-            for s in mono.word:
-                if s in ix and s not in reach:
-                    reach.add(s)
-                    stack.append(s)
-    if len(reach) == len(ix):
+    reached = _reachable(sys.variables, lambda i: (m.word for m in sys.rhs[i].monomials), keep)
+    if len(reached) == len(sys.variables):
         return sys
-    vars2 = tuple(v for v in sys.variables if v in reach)
-    rhs2 = tuple(sys.rhs[ix[v]] for v in vars2)
-    return AlgebraicSystem(sys.instance, sys.terminals, vars2, rhs2)
+    return AlgebraicSystem(
+        sys.instance,
+        sys.terminals,
+        tuple(sys.variables[i] for i in reached),
+        tuple(sys.rhs[i] for i in reached),
+    )
+
+
+def _reachable(variables: Sequence[str], words_of, keep: Sequence[str]) -> list[int]:
+    """The indices of the variables that keep reaches, in order, where
+    words_of(i) gives the words of variable i's equation."""
+    ix = {v: i for i, v in enumerate(variables)}
+    seen = {ix[v] for v in keep}
+    stack = list(seen)
+    while stack:
+        for w in words_of(stack.pop()):
+            for s in w:
+                j = ix.get(s)
+                if j is not None and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return sorted(seen)
 
 
 # -- omega decompositions ------------------------------------------------------
@@ -900,7 +964,12 @@ def pipeline_from_decomposition(
     at = lambda i: None if i is None else ix[src.variables[i]]
     parts = [build_pair_system(x, at(t), at(s), e) for t, s, e in norm.terms]
     mixed, selector = sum_systems(x, parts)
-    rep.add("pairs", count=len(parts), kept=len(x.variables))
+    # the x-part's monomials by number of trailing variables, 0, 1 and 2
+    trailing = [0, 0, 0]
+    for poly in x.rhs:
+        for mono in poly.monomials:
+            trailing[len(mono.word) - 1] += 1
+    rep.add("pairs", count=len(parts), kept=len(x.variables), trailing=trailing)
     rep.add(
         "sum",
         z_vars=len(mixed.z_vars),

@@ -2,9 +2,11 @@
 
 Words are tuples of symbol strings over a mixed alphabet of terminals and
 variables.  Polynomials are kept canonical: monomials merged by word,
-length-lex sorted, zero coefficients dropped.  `Polynomial.build` is the
-constructor that canonicalises, and every arithmetic operation goes through
-it.  Other paths trust an input that is canonical already and skip that
+length-lex sorted, zero coefficients dropped.  `canonical_terms` does that
+on raw (coefficient, word) terms; `Polynomial.build_raw` wraps its result,
+and `Polynomial.build`, which every arithmetic operation goes through,
+checks the coefficients' instance and hands their raw values to it.  Other
+paths trust an input that is canonical already and skip that
 work: `Polynomial.rename_symbols` reuses the coefficients and only re-sorts
 (it falls back to `build` when two renamed words coincide); `_monomial`
 makes a monomial without the zero test of `Monomial`, for coefficients its
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .semiring import SemiringError, SemiringInstance, SemiringValue
+from .semiring import Ext, SemiringError, SemiringInstance, SemiringValue, _scalar
 
 Word = tuple[str, ...]
 EPSILON: Word = ()
@@ -74,6 +76,22 @@ def _monomial(coeff: SemiringValue, word: Word) -> Monomial:
     return m
 
 
+def canonical_terms(
+    instance: SemiringInstance, terms: Iterable[tuple[Ext, Word]]
+) -> list[tuple[Ext, Word]]:
+    """Raw (coefficient, word) terms in canonical form: merged by word with
+    `add_raw`, zeros dropped, length-lex sorted."""
+    add = instance.add_raw
+    acc: dict[Word, Ext] = {}
+    for c, w in terms:
+        prev = acc.get(w)
+        acc[w] = c if prev is None else add(prev, c)
+    zero = instance.zero_raw()
+    # (length, word, coefficient): distinct words never compare coefficients
+    items = sorted([(len(w), w, c) for w, c in acc.items()])
+    return [(c, w) for _n, w, c in items if c != zero]
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """A finite sum of monomials in canonical form.
@@ -89,17 +107,20 @@ class Polynomial:
     def build(
         instance: SemiringInstance, terms: Iterable[tuple[SemiringValue, Word]]
     ) -> "Polynomial":
-        acc: dict[Word, SemiringValue] = {}
+        raw = []
         for coeff, word in terms:
             if coeff.instance is not instance:
                 raise SemiringError("monomial coefficient from a different instance")
-            prev = acc.get(word)
-            acc[word] = coeff if prev is None else prev + coeff
-        zero = instance.zero_raw()
-        # (length, word, coefficient): distinct words never compare coefficients
-        items = sorted([(len(w), w, c) for w, c in acc.items()])
+            raw.append((coeff.value, word))
+        return Polynomial.build_raw(instance, raw)
+
+    @staticmethod
+    def build_raw(instance: SemiringInstance, terms: Iterable[tuple[Ext, Word]]) -> "Polynomial":
+        """The polynomial of raw (coefficient, word) terms, which the
+        library computed itself from valid values."""
         return Polynomial(
-            instance, tuple([_monomial(c, w) for _n, w, c in items if c.value != zero])
+            instance,
+            tuple([_monomial(_scalar(instance, c), w) for c, w in canonical_terms(instance, terms)]),
         )
 
     @staticmethod
@@ -140,27 +161,6 @@ class Polynomial:
         for m in self.monomials:
             out.update(m.word)
         return out
-
-    def substitute_symbols(self, mapping: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Replace symbols by polynomials, expanding products; absent symbols stay."""
-        inst = self.instance
-        terms: list[tuple[SemiringValue, Word]] = []
-        for m in self.monomials:
-            partial: list[tuple[SemiringValue, Word]] = [(m.coeff, EPSILON)]
-            for sym in m.word:
-                rep = mapping.get(sym)
-                if rep is None:
-                    partial = [(c, w + (sym,)) for c, w in partial]
-                else:
-                    partial = [
-                        (c * r.coeff, w + r.word)
-                        for c, w in partial
-                        for r in rep.monomials
-                    ]
-                if not partial:
-                    break
-            terms.extend(partial)
-        return Polynomial.build(inst, terms)
 
     def rename_symbols(self, mapping: Mapping[str, str]) -> "Polynomial":
         """Rename symbols in every word, absent symbols stay.

@@ -36,11 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._search import PositionAutomaton, derivation_items, lasso_value
 from .matrix import _star
-from .semiring import SemiringError, SemiringInstance, SemiringValue, _scalar
+from .semiring import Ext, SemiringError, SemiringInstance, SemiringValue, _scalar
 from .series import (
     Alphabet,
     LassoWord,
@@ -90,6 +90,12 @@ class AlgebraicSystem:
             bad = p.symbols() - allowed
             if bad:
                 raise IllFormedSystem(f"equation for {v} uses undeclared symbols {sorted(bad)}")
+
+    @cached_property
+    def greibach(self) -> bool | None:
+        """`greibach_shape` of every word, scanned once per system."""
+        words = (m.word for p in self.rhs for m in p.monomials)
+        return greibach_shape(self.terminals, self.variables, words)
 
     def rename(self, mapping: Mapping[str, str]) -> "AlgebraicSystem":
         return AlgebraicSystem(
@@ -205,19 +211,26 @@ def induce_mixed(sys: AlgebraicSystem) -> MixedSystem:
 # -- Greibach normal form predicates ----------------------------------------
 
 
+def greibach_shape(
+    terminals: Sequence[str], variables: Sequence[str], words: Iterable[Word]
+) -> bool | None:
+    """None when some word is neither empty nor a terminal followed by at
+    most two variables; else whether some word is empty."""
+    ts, vs = set(terminals), set(variables)
+    eps = False
+    for w in words:
+        if not w:
+            eps = True
+        elif w[0] not in ts or len(w) > 3 or not vs.issuperset(w[1:]):
+            return None
+    return eps
+
+
 def is_gnf_algebraic(sys: AlgebraicSystem, allow_eps: bool = False) -> bool:
     """Every word is a terminal followed by at most two variables, or empty
-    where allow_eps."""
-    terminals, variables = set(sys.terminals), set(sys.variables)
-    for p in sys.rhs:
-        for m in p.monomials:
-            w = m.word
-            if not w:
-                if not allow_eps:
-                    return False
-            elif w[0] not in terminals or len(w) > 3 or not variables.issuperset(w[1:]):
-                return False
-    return True
+    where allow_eps; answered once per system object."""
+    shape = sys.greibach
+    return shape is not None and (allow_eps or not shape)
 
 
 def is_gnf_omega(sys: AlgebraicSystem) -> bool:
@@ -246,21 +259,31 @@ def eps_coefficients(sys: AlgebraicSystem) -> list[SemiringValue]:
 
 
 def productive_components(sys: AlgebraicSystem) -> set[str]:
-    """Variables whose least-solution component is not the zero series.
+    """Variables whose least-solution component is not the zero series."""
+    return productive_variables(
+        sys.variables, ([m.word for m in p.monomials] for p in sys.rhs)
+    )
 
-    A worklist: each monomial counts its distinct variables not yet known to
-    be productive, and each variable lists the monomials that use it, so a
-    monomial is touched once per variable and its owner turns productive
-    when the count reaches zero.
+
+def productive_variables(
+    variables: Sequence[str], words: Iterable[Iterable[Word]]
+) -> set[str]:
+    """The productive variables of equations given by their words, one
+    iterable of words per variable.
+
+    A worklist: each word counts its distinct variables not yet known to
+    be productive, and each variable lists the words that use it, so a
+    word is touched once per variable and its owner turns productive when
+    the count reaches zero.
     """
     owners: list[str] = []
     waiting: list[int] = []
-    users: dict[str, list[int]] = {v: [] for v in sys.variables}
+    users: dict[str, list[int]] = {v: [] for v in variables}
     productive: set[str] = set()
     work: list[str] = []
-    for v, p in zip(sys.variables, sys.rhs):
-        for mono in p.monomials:
-            needs = users.keys() & set(mono.word)
+    for v, row in zip(variables, words):
+        for word in row:
+            needs = users.keys() & set(word)
             if not needs:
                 if v not in productive:
                     productive.add(v)
@@ -447,34 +470,46 @@ def oracle_coeff_gnf(sys: AlgebraicSystem, component: int, w: Word) -> SemiringV
     variables start after i, so the positions are solved from the end of w
     back to its start: spans[i][v] maps each end j to the weight of the
     derivations of w[i:j] from v, and reads only the spans of later starts.
+    The spans hold raw values, added and multiplied by `add_raw` and
+    `mul_raw`; only the coefficient returned is wrapped.
     """
     if not is_gnf_algebraic(sys, allow_eps=True):
         raise IllFormedSystem("derivation oracle requires a Greibach-shaped system")
     inst = sys.instance
+    add, mul = inst.add_raw, inst.mul_raw
+    # per variable: the empty word's coefficient or None, and the tails of
+    # the other monomials by their leading letter
+    rules = []
+    for v, p in zip(sys.variables, sys.rhs):
+        empty, lead = None, {}
+        for m in p.monomials:
+            if m.word:
+                lead.setdefault(m.word[0], []).append((m.coeff.value, m.word[1:]))
+            else:
+                empty = m.coeff.value
+        rules.append((v, empty, lead))
     n = len(w)
-    spans: dict[int, dict[str, dict[int, SemiringValue]]] = {}
+    spans: dict[int, dict[str, dict[int, Ext]]] = {}
     for i in range(n, -1, -1):
-        here: dict[str, dict[int, SemiringValue]] = {}
-        for v, p in zip(sys.variables, sys.rhs):
-            out: dict[int, SemiringValue] = {}
-            for mono in p.monomials:
-                if not mono.word:
-                    ends = {i: mono.coeff}
-                elif i < n and mono.word[0] == w[i]:
-                    ends = {i + 1: mono.coeff}
-                    for x in mono.word[1:]:
-                        nxt: dict[int, SemiringValue] = {}
-                        for j, c in ends.items():
-                            for e, d in spans[j][x].items():
-                                nxt[e] = nxt[e] + c * d if e in nxt else c * d
-                        ends = nxt
-                else:
-                    continue
+        here: dict[str, dict[int, Ext]] = {}
+        letter = w[i] if i < n else None
+        for v, empty, lead in rules:
+            out: dict[int, Ext] = {} if empty is None else {i: empty}
+            for coeff, tail in lead.get(letter, ()):
+                ends = {i + 1: coeff}
+                for x in tail:
+                    nxt: dict[int, Ext] = {}
+                    for j, c in ends.items():
+                        for e, d in spans[j][x].items():
+                            cd = mul(c, d)
+                            nxt[e] = add(nxt[e], cd) if e in nxt else cd
+                    ends = nxt
                 for e, c in ends.items():
-                    out[e] = out[e] + c if e in out else c
+                    out[e] = add(out[e], c) if e in out else c
             here[v] = out
         spans[i] = here
-    return spans[0][sys.variables[component]].get(n, inst.zero)
+    got = spans[0][sys.variables[component]].get(n)
+    return inst.zero if got is None else _scalar(inst, got)
 
 
 # -- coefficients on segments of a fixed word --------------------------------

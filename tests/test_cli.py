@@ -40,6 +40,65 @@ def test_parse_round_trip_is_identity_on_canonical_forms():
         assert format_grammar(again) == canon
 
 
+# heads of the names the normal form generates, so that drawn names meet them
+NAME_HEADS = ("", "t_", "g", "r", "h.", "b.", "z.", "u0.", "x0.", "c0.", "d", "f")
+
+
+def _odd_names(rng, k, taken):
+    """k fresh names spelled with . ' _ and digits after a generated head."""
+    out = []
+    while len(out) < k:
+        name = rng.choice(NAME_HEADS) + rng.choice("abxz")
+        name += "".join(rng.choices(".'_0123456789", k=rng.randint(0, 3)))
+        if name not in taken:
+            taken.add(name)
+            out.append(name)
+    return out
+
+
+def _odd_names_grammar(rng, semiring):
+    """A mixed grammar over two letters, two x- and two or three
+    z-variables, all with odd names: x-rules of up to two symbols, the
+    empty word and chain rules among them, and right-linear z-rules."""
+    taken = set()
+    letters, xs = _odd_names(rng, 2, taken), _odd_names(rng, 2, taken)
+    zs = _odd_names(rng, rng.choice((2, 3)), taken)
+    weights = {"boolean": ("",), "counting": ("(1) ", "(2) ")}.get(semiring, ("(0) ", "(1) ", "(2) "))
+    lines = [
+        f"@semiring {semiring}",
+        "@alphabet " + " ".join(letters),
+        "@sort x " + " ".join(xs),
+        "@sort z " + " ".join(zs),
+        f"@start {zs[-1]}",
+        f"@buchi {rng.randint(1, len(zs))}",
+    ]
+    for x in xs:
+        words = {" ".join(rng.choices(letters + xs, k=rng.randint(0, 2))) or "eps" for _ in range(3)}
+        lines.append(f"{x} = " + " | ".join(rng.choice(weights) + w for w in sorted(words)))
+    for z in zs:
+        words = {f"{rng.choice(letters + xs)} {rng.choice(zs)}" for _ in range(2)}
+        lines.append(f"{z} = " + " | ".join(rng.choice(weights) + w for w in sorted(words)))
+    return "\n".join(lines) + "\n"
+
+
+def test_odd_names_round_trip_through_format_and_the_normal_forms(tmp_path):
+    """parse -> format -> parse gives the file back, and so do both normal
+    forms of it, on seeded grammars whose names use . ' _ and digits after
+    the heads of generated names (t_, g, r, h., b., z., u0., x0., ...)."""
+    path, out = tmp_path / "g.grm", tmp_path / "nf.grm"
+    for case in range(40):
+        rng = random.Random(f"odd-names/{case}")
+        semiring = ("boolean", "tropical", "arctic", "counting")[case % 4]
+        g = parse_grammar(_odd_names_grammar(rng, semiring))
+        text = format_grammar(g)
+        assert parse_grammar(text) == g
+        path.write_text(text)
+        for target in ("mixed", "omega"):
+            assert main(["gnf", str(path), "--target", target, "--out", str(out)]) == EXIT_OK
+            nf = out.read_text()
+            assert format_grammar(parse_grammar(nf)) == nf, (text, target)
+
+
 def test_parse_omega_vs_mixed_kinds():
     g = parse_grammar(BOOLEAN_GRM)
     assert g.kind == "omega" and g.system.variables == ("y1", "y2")
@@ -118,6 +177,13 @@ def test_cmd_parse_reports_syntax_error(tmp_path, capsys):
         # x = 0 would be the zero polynomial, not the variable 0
         (["@alphabet a", "@sort x x 0", "x = 0"], "0", 3),
         (["@alphabet a", "@sort z z a|b", "z = a z"], "a|b", 3),
+        # gnf wrote p=q's equation as p=q = 0, which re-parses as an
+        # equation for the undeclared p
+        (["@alphabet a", "@sort x x1 p=q", "@sort z z1", "x1 = a p=q", "z1 = a x1 z1"], "p=q", 3),
+        # a line that starts with @x is a directive, so x's equation cannot be written
+        (["@alphabet a", "@sort x x1 @x", "x1 = a"], "@x", 3),
+        # --lasso splits a lasso word at ':'
+        (["@alphabet a a:b", "@sort x x1", "x1 = a a:b"], "a:b", 2),
     ],
 )
 def test_grammar_names_that_an_equation_reads_as_syntax_exit_2(lines, name, line, tmp_path, capsys):
@@ -213,6 +279,8 @@ def test_gnf_report_records_the_kept_variables_and_the_prune(tmp_path, capsys):
     pairs, total, prune = stages["pairs"], stages["sum"], stages["prune"]
     # the pairs share the one normal form, and the sum copies none of it
     assert pairs["count"] == 3 and pairs["kept"] == total["x_vars"] == 119
+    # its monomials by number of trailing variables: 242 of 538 have two
+    assert pairs["trailing"] == [38, 258, 242]
     assert prune["x_vars"] == [119, 114] and prune["z_vars"] == [7, 4]
     assert prune["buchi"] == 3
     # the fold writes one variable per kept x- and z-variable that a rule

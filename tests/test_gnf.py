@@ -4,6 +4,7 @@ import json
 import random
 from pathlib import Path
 
+import gnf_stage_reference
 import pair_reference
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,7 @@ from staromega.system import (
     is_gnf_mixed,
     is_gnf_omega,
     least_solution_finite,
+    oracle_coeff_gnf,
     sparse_row,
 )
 
@@ -1172,7 +1174,7 @@ def _proper_form_reference(sys):
         if not e.is_zero()
     }
     rhs = tuple(
-        Polynomial.build(inst, [(m.coeff, m.word) for m in p.substitute_symbols(mapping).monomials if m.word])
+        Polynomial.build(inst, [(m.coeff, m.word) for m in gnf_stage_reference.substitute_symbols(p, mapping).monomials if m.word])
         for p in sys.rhs
     )
     return AlgebraicSystem(inst, sys.terminals, sys.variables, rhs), eps
@@ -1211,12 +1213,25 @@ def test_proper_form_equals_the_rebuilding_reference(sys):
     assert proper_form(sys) == _proper_form_reference(sys)
 
 
+def _rows(sys):
+    """The rule rows of sys that finite_gnf's stages pass on."""
+    return [[(m.coeff.value, m.word) for m in p.monomials] for p in sys.rhs]
+
+
+def _system(sys, variables, rows):
+    """The system of rule rows over sys's instance and terminals."""
+    inst = sys.instance
+    rhs = tuple(Polynomial.build_raw(inst, row) for row in rows)
+    return AlgebraicSystem(inst, sys.terminals, tuple(variables), rhs)
+
+
 @given(algebraic_systems(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_drop_unproductive_and_prune_equal_the_rebuilding_references(sys, data):
     keep = data.draw(st.lists(st.sampled_from(sys.variables), min_size=1, unique=True))
     assert _prune_unreachable(sys, keep) == _prune_unreachable_reference(sys, keep)
-    assert _drop_unproductive(sys, keep) == _drop_unproductive_reference(sys, keep)
+    got = _drop_unproductive(sys.variables, _rows(sys), keep)
+    assert _system(sys, *got) == _drop_unproductive_reference(sys, keep)
 
 
 def _leading_terminal_form_reference(sys):
@@ -1279,13 +1294,17 @@ def _leading_terminal_form_reference(sys):
 @given(algebraic_systems(max_vars=5), st.data())
 @settings(max_examples=200, deadline=None)
 def test_leading_terminal_form_equals_the_all_columns_reference(sys, data):
+    inst, ts = sys.instance, sys.terminals
     proper, _ = proper_form(sys)
-    binary = _binarize(_unit_elimination(_drop_unproductive(proper, list(sys.variables))))
+    variables, rows = _drop_unproductive(proper.variables, _rows(proper), list(sys.variables))
+    rows = _unit_elimination(inst, variables, rows)
+    binary = _system(sys, *_binarize(inst, ts, variables, rows))
     ref = _leading_terminal_form_reference(binary)
     # by default every x-equation is written, as the reference writes it
-    assert _leading_terminal_form(binary) == ref
+    full = _leading_terminal_form(inst, ts, binary.variables, _rows(binary))
+    assert _system(sys, *full) == ref
     keep = data.draw(st.lists(st.sampled_from(sys.variables), min_size=1, unique=True))
-    got = _leading_terminal_form(binary, keep)
+    got = _system(sys, *_leading_terminal_form(inst, ts, binary.variables, _rows(binary), keep))
     assert set(keep) <= set(got.variables) <= set(ref.variables)
     assert _prune_unreachable(got, keep) == _prune_unreachable(ref, keep)
 
@@ -1307,6 +1326,57 @@ def test_finite_gnf_of_kept_variables_has_the_full_normal_forms_series(sys, data
         series_equal_up_to(
             full.system, full.component_of[v], part.system, part.component_of[v], 4
         )
+
+
+def _seeded_system(rng, inst, greibach):
+    """1-3 variables over a and b with grid coefficients: Greibach-shaped
+    words (a letter, then up to two variables) or any words of up to three
+    symbols, with chain rules drawn often enough that two chains meet;
+    either kind may hold an empty word."""
+    n = rng.randint(1, 3)
+    xs = tuple(f"x{i}" for i in range(n))
+    values = [v for v in inst.grid() if v != inst.zero_raw()]
+    rhs = []
+    for _ in xs:
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            if greibach:
+                word = rng.choice("ab"), *rng.choices(xs, k=rng.randint(0, 2))
+                if rng.random() < 0.1:
+                    word = ()
+            elif rng.random() < 0.3:
+                word = (rng.choice(xs),)
+            else:
+                word = tuple(rng.choices(("a", "b") + xs, k=rng.randint(0, 3)))
+            terms.append((inst.value(rng.choice(values)), word))
+        rhs.append(Polynomial.build(inst, terms))
+    return AlgebraicSystem(inst, ("a", "b"), xs, tuple(rhs))
+
+
+def test_raw_kernels_equal_the_lifted_reference_on_seeded_systems():
+    """finite_gnf, with and without keep, and oracle_coeff_gnf equal the
+    lifted stages and oracle they replaced (tests/gnf_stage_reference.py)
+    on 1,000 seeded systems over the four instances, half of them
+    Greibach-shaped: the same variables and polynomials, and on the
+    Greibach-shaped ones the same coefficient of every word of at most 5
+    letters at one component of each."""
+    rng = random.Random(36)
+    instances = [BOOLEAN, TROPICAL, ARCTIC, COUNTING]
+    words = [w for n in range(6) for w in itertools.product("ab", repeat=n)]
+    for case in range(1000):
+        inst = instances[case % 4]
+        greibach = case % 8 < 4
+        sys = _seeded_system(rng, inst, greibach)
+        keep = rng.sample(sys.variables, rng.randint(1, len(sys.variables)))
+        for k in (None, keep):
+            want = gnf_stage_reference.finite_gnf(sys, k)
+            got = finite_gnf(sys, k)
+            assert got == want, (sys, k)
+        if greibach:
+            m = rng.randrange(len(sys.variables))
+            for w in words:
+                want = gnf_stage_reference.oracle_coeff_gnf(sys, m, w)
+                assert oracle_coeff_gnf(sys, m, w) == want, (sys, m, w)
 
 
 def _productive_components_reference(sys):
@@ -1335,7 +1405,10 @@ def test_fast_paths_return_their_input_when_nothing_changes():
     proper, eps = proper_form(sys)
     assert proper is sys and eps == [b.zero, b.zero]
     assert _prune_unreachable(sys, ["x1"]) is sys
-    assert _drop_unproductive(sys, ["x1"]) is sys
+    rows = _rows(sys)
+    variables, kept = _drop_unproductive(sys.variables, rows, ["x1"])
+    assert variables is sys.variables and kept is rows
+    assert finite_gnf(sys).system is sys
 
 
 # -- chain-rule elimination ------------------------------------------------------------
@@ -1378,7 +1451,8 @@ def _unit_closure(m):
         )
         for i in range(n)
     )
-    out = _unit_elimination(AlgebraicSystem(inst, letters, xs, rhs))
+    sys = AlgebraicSystem(inst, letters, xs, rhs)
+    out = _system(sys, xs, _unit_elimination(inst, xs, _rows(sys)))
     return [[out.rhs[i].coeff_of((letters[j],)) for j in range(n)] for i in range(n)]
 
 
