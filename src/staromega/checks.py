@@ -19,6 +19,8 @@ from .fixtures import (
 from .gnf import DecompositionTerm, OmegaDecomposition, pipeline_from_decomposition
 from .matrix import (
     SemiringMatrix,
+    _add_identity,
+    _star,
     mat_from_raw,
     mat_omega_t,
     mat_omega_t_alt,
@@ -95,10 +97,12 @@ def _scalar_laws(result: SuiteResult, rng: Random) -> None:
         # the instance's Lehmann sweep against the plain cell-by-cell update,
         # swept matrix and pre-pivot columns, in both pivot orders: sparse
         # and dense grid draws, and small dense draws from two grid values,
-        # whose rows fill up with one constant, so that a wrong top shows
+        # whose rows fill up with one constant, so that a wrong top shows;
+        # on the same draws, the star (the instance's `preclose_raw`, then
+        # its sweep) against the plain sweep plus the identity
         draws = [(n, density, raw) for n in range(17) for density in (0.2, 0.6, 1.0)]
         draws += [(rng.randint(2, 5), 1.0, rng.sample(raw, 2)) for _ in range(400)]
-        bad_sweeps = 0
+        bad_sweeps = bad_stars = 0
         for n, density, values in draws:
             m = [[rng.choice(values) if rng.random() < density else zero for _ in range(n)]
                  for _ in range(n)]
@@ -106,7 +110,12 @@ def _scalar_laws(result: SuiteResult, rng: Random) -> None:
                 fast, plain = [list(row) for row in m], [list(row) for row in m]
                 if (inst.sweep_raw(fast, order), fast) != (plain_sweep(inst, plain, order), plain):
                     bad_sweeps += 1
+            plain = [list(row) for row in m]
+            plain_sweep(inst, plain, range(n))
+            if _star(inst, m) != _add_identity(inst, plain):
+                bad_stars += 1
         result.add(f"raw-sweep[{inst.name}]", not bad_sweeps, f"violations={bad_sweeps}")
+        result.add(f"raw-star[{inst.name}]", not bad_stars, f"violations={bad_stars}")
 
 
 def plain_sweep(inst: SemiringInstance, a: list[list], order) -> list:

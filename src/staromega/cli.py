@@ -242,19 +242,27 @@ def _load(path: str) -> GrammarFile:
         return parse_grammar(fh.read())
 
 
-def _symbols_of(text: str) -> tuple[str, ...]:
-    if " " in text:
-        return tuple(text.split())
-    return tuple(text)
+def _parse_word(text: str, alphabet: tuple[str, ...]) -> tuple[str, ...]:
+    """The letters of `text`, split at spaces if it holds one and else one
+    per character, each of which `alphabet` must declare."""
+    word = tuple(text.split()) if " " in text else tuple(text)
+    for letter in word:
+        if letter not in alphabet:
+            raise ValueError(
+                f"letter {letter!r} of {text!r} is not in the alphabet "
+                f"{' '.join(alphabet)}; a word without spaces is read one character "
+                "per letter, so separate multi-character letters with spaces"
+            )
+    return word
 
 
-def _parse_lasso(text: str) -> LassoWord:
+def _parse_lasso(text: str, alphabet: tuple[str, ...]) -> LassoWord:
     if text.count(":") != 1:
         raise ValueError("lasso words are written prefix:period, with one ':'")
     u, v = text.split(":", 1)
     if not v:
         raise ValueError("lasso period must be nonempty")
-    return LassoWord(_symbols_of(u) if u else (), _symbols_of(v))
+    return LassoWord(_parse_word(u, alphabet), _parse_word(v, alphabet))
 
 
 # -- commands -----------------------------------------------------------------
@@ -456,27 +464,29 @@ def cmd_eval(args) -> int:
                 return EXIT_USAGE
         with open(args.path, "r", encoding="utf-8") as fh:
             auto = pda_from_json(fh.read())
+        letters = auto.matrix.input_alphabet
         if args.word is not None:
-            _print_value(behavior_finite(auto, _symbols_of(args.word)))
+            _print_value(behavior_finite(auto, _parse_word(args.word, letters)))
             return EXIT_OK
-        _print_value(behavior_omega_lasso(auto, _parse_lasso(args.lasso)).value)
+        _print_value(behavior_omega_lasso(auto, _parse_lasso(args.lasso, letters)).value)
         return EXIT_OK
 
     g = _load(args.path)
     if args.word is not None:
+        word = _parse_word(args.word, g.terminals)
         mixed, x, _, _ = _selection(g, args.component, "x", args.buchi)
         if not mixed.x.variables:
             # no x-variable: the finite part is zero, as in the automaton
             _print_value(g.instance.zero)
             return EXIT_OK
-        word = _symbols_of(args.word)
         table = SegmentTable(mixed.x, word)
         _print_value(table.coeff(mixed.x.variables[x], 0, len(word)))
         return EXIT_OK
+    lasso = _parse_lasso(args.lasso, g.terminals)
     if g.kind == "mixed" and not g.system.z_vars:
         raise IllFormedSystem(_NO_OMEGA)
     mixed, _, z, k = _selection(g, args.component, "z", args.buchi)
-    _print_value(canonical_omega_lasso(mixed, k, z, _parse_lasso(args.lasso)).value)
+    _print_value(canonical_omega_lasso(mixed, k, z, lasso).value)
     return EXIT_OK
 
 

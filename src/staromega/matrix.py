@@ -20,6 +20,18 @@ counting, a positive cycle inf in arctic, a zero-weight path 0 in
 tropical), and a row filled with T costs nothing at later pivots; a
 matrix that never saturates pays a flag test per row and a comparison
 with T per update.
+Before the sweep, `_star` hands the raw list to the instance's
+`preclose_raw`, which may raise cells toward M+ = M M*: in an idempotent
+semiring M <= a <= M+ gives a+ = M+, so the star is unchanged.  Only
+tropical needs the step.  Its top 0 is also its one, so the skip fires
+only after a left factor of exactly 0 and rows fill late; its pre-pass
+closes the 0 entries by Warshall's OR sweep on bit rows and writes 0 into
+every cell that a path of 0 entries joins, and the sweep, which tests
+every row for T when it starts, then skips each filled row.  In arctic
+and counting T is inf, and a row fills at the first update whose left
+factor is inf; Boolean's bit sweep closes the matrix at once.  Omega does
+not take the step: it reads the sweep's pre-pivot columns, path sums over
+restricted intermediate states, which a pre-filled cell would change.
 Boolean overrides the sweep with Warshall's bit-vector closure: each row
 packed into one int, and eliminating pivot k ORs row k into every row with
 bit k set, so a sweep costs n^2 word operations instead of n^3 cell
@@ -174,6 +186,7 @@ def _add_identity(instance: SemiringInstance, a: list[list]) -> list[list]:
 
 def _star(instance: SemiringInstance, m: Rect) -> list[list]:
     a = [list(row) for row in m]
+    instance.preclose_raw(a)
     instance.sweep_raw(a, range(len(a)))
     return _add_identity(instance, a)
 
@@ -181,7 +194,8 @@ def _star(instance: SemiringInstance, m: Rect) -> list[list]:
 def mat_star(m: SemiringMatrix) -> SemiringMatrix:
     """Reflexive-transitive closure: sum of all finite matrix powers.
 
-    One Lehmann sweep in the pivot order 0..n-1, then the identity is added.
+    The instance's `preclose_raw`, one Lehmann sweep in the pivot order
+    0..n-1, then the identity is added.
     Agrees with the recursive block definition in every Conway semiring,
     which the identity suite checks explicitly.
     """

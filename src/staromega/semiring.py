@@ -81,6 +81,14 @@ class SemiringInstance:
     def omega_raw(self, a: Ext) -> Ext:
         raise NotImplementedError
 
+    def preclose_raw(self, a: list[list]) -> None:
+        """A step that `matrix._star` runs on the raw n x n list `a` just
+        before the sweep.  An instance may raise cells of `a` in place, each
+        to at most its value in M+ (the sum of the powers M^1, M^2, ...), in
+        an idempotent semiring: then M <= a <= M+ in the natural order, so
+        a+ = M+ and the star is unchanged.  The generic body does nothing.
+        """
+
     def sweep_raw(self, a: list[list], order) -> list:
         """Lehmann elimination in place on the raw n x n list `a`, with the
         pivots taken in `order`, a permutation of range(n).  Returns `cols`,
@@ -103,15 +111,17 @@ class SemiringInstance:
         A row whose cells all equal the absorbing top T (`top_raw()`, with
         T + x = T) is skipped at every later pivot: an update only adds to
         each cell, so such a row is a fixed point, and skipping it changes
-        neither `a` nor `cols`.  The row is tested only after an update whose
-        left factor equals T, by a list comparison that stops at the first
-        other cell; a matrix that never saturates pays one flag test per row
-        and one comparison of `left` with T per update.
+        neither `a` nor `cols`.  Each row is tested once when the sweep
+        starts, so a row that `preclose_raw` filled is never updated, and
+        again after each update whose left factor equals T, by a list
+        comparison that stops at the first other cell; a matrix that never
+        saturates pays one flag test per row and one comparison of `left`
+        with T per update.
         """
         mul, star, axpy = self.mul_raw, self.star_raw, self.axpy_raw
         zero, top = self.zero_raw(), self.top_raw()
         tops = [top] * len(a)
-        full = [False] * len(a)
+        full = [row == tops for row in a]
         cols: list = [None] * len(a)
         for k in order:
             row_k = tuple(a[k])
@@ -267,6 +277,40 @@ class TropicalSemiring(SemiringInstance):
             a if b is INF else left + b if a is INF or left + b < a else a
             for a, b in zip(y, z)
         ]
+
+    def preclose_raw(self, a):
+        # Warshall's closure of the 0 entries on bit rows, as in the Boolean
+        # sweep: bit j of rows[i] is set when a[i][j] == 0.  Weights are
+        # naturals, so a path of 0 entries i -> j makes M+[i][j] = 0, the
+        # absorbing top; writing it lets the sweep skip every filled row.
+        rows = [
+            sum([1 << j for j, x in enumerate(row) if x == 0]) if 0 in row else 0
+            for row in a
+        ]
+        if not any(rows):
+            return
+        # pivot k ORs row k into every row with bit k set; the iterator
+        # reads row k after the earlier pivots updated it
+        closed = rows[:]
+        for k, row_k in enumerate(closed):
+            if row_k:
+                bit = 1 << k
+                for i, r in enumerate(closed):
+                    if r & bit:
+                        closed[i] = r | row_k
+        n = len(a)
+        full = (1 << n) - 1
+        for i, (r, c) in enumerate(zip(rows, closed)):
+            if c == r:
+                continue
+            if c == full:
+                a[i] = [0] * n
+                continue
+            row, new = a[i], c ^ r
+            while new:
+                low = new & -new
+                row[low.bit_length() - 1] = 0
+                new ^= low
 
     def star_raw(self, a):
         # partial sums min_{j<=n} j*a are minimised by the j=0 term

@@ -229,6 +229,34 @@ def test_cmd_eval_usage_errors(tmp_path, capsys):
     assert "one ':'" in capsys.readouterr().err
 
 
+MULTI_CHARACTER_LETTERS_GRM = """\
+@semiring boolean
+@alphabet a1 b
+@sort x x1
+@sort z z1
+@start z1
+x1 = a1 | b
+z1 = a1 z1
+"""
+
+
+def test_eval_refuses_an_undeclared_letter_on_both_routes(tmp_path, capsys):
+    # a word without spaces is read one character per letter, so a1 reads
+    # the undeclared letters a and 1, where "a1 " reads the letter a1
+    source = grm(tmp_path, MULTI_CHARACTER_LETTERS_GRM)
+    auto = str(tmp_path / "auto.json")
+    assert main(["build-pda", source, "--out", auto]) == EXIT_OK
+    for path in (source, auto):
+        for query, want in ((["--word", "a1 "], "1"), (["--lasso", ":a1 "], "1")):
+            assert main(["eval", path, *query]) == EXIT_OK
+            assert capsys.readouterr().out == want + "\n"
+        for query in (["--word", "a1"], ["--word", "c"], ["--lasso", ":a1"], ["--lasso", "c:a1 "]):
+            assert main(["eval", path, *query]) == EXIT_USAGE, (path, query)
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: letter ") and err.count("\n") == 1
+            assert "separate multi-character letters with spaces" in err
+
+
 def test_cmd_gnf_identity_skip(tmp_path, capsys):
     path = grm(tmp_path, CONTRAST_GRM)
     report = tmp_path / "rep.json"

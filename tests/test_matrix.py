@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from staromega.checks import SuiteResult, _scalar_laws, plain_sweep
 from staromega.matrix import (
     OmegaVector,
+    _add_identity,
     SemiringMatrix,
     mat_add,
     mat_from_raw,
@@ -353,6 +354,62 @@ def test_a_saturated_row_is_never_updated_again(monkeypatch):
     monkeypatch.setattr(COUNTING, "axpy_raw", lambda *args: calls.append(1) or axpy(*args))
     assert raw(mat_star(mat_from_raw(COUNTING, [[1] * n] * n))) == [[INF] * n] * n
     assert len(calls) == n
+
+
+# -- the tropical pre-pass: Warshall's closure of the 0 entries ----------------------
+
+
+def tropical_draw(rng, n, kind):
+    """A raw tropical matrix: mostly 0 entries, none (entries from 1, 2, 3
+    and inf), or sparse (mostly inf)."""
+    values = {
+        "zero-heavy": (0, 0, 0, 1, 2, INF),
+        "zero-free": (1, 2, 3, INF),
+        "sparse": (0, 1, 2, 3) + (INF,) * 12,
+    }[kind]
+    return [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 24),
+    kind=st.sampled_from(["zero-heavy", "zero-free", "sparse"]),
+)
+def test_tropical_star_equals_the_plain_sweep_and_every_block_split(seed, n, kind):
+    a = tropical_draw(random.Random(seed), n, kind)
+    plain = [list(row) for row in a]
+    plain_sweep(TROPICAL, plain, range(n))
+    m = mat_from_raw(TROPICAL, a)
+    star = mat_star(m)
+    assert raw(star) == _add_identity(TROPICAL, plain)
+    for n1 in range(n + 1):
+        assert mat_star_blocks(m, n1).rows == star.rows, n1
+
+
+def test_a_cycle_of_zero_entries_leaves_the_sweep_no_row_to_update(monkeypatch):
+    # the 0 entries i -> i+1 (mod n) join every pair of states, so the
+    # pre-pass fills every row with 0 and the sweep skips them all
+    n, calls = 12, []
+    a = [[0 if j == (i + 1) % n else 1 + (i * j) % 3 for j in range(n)] for i in range(n)]
+    axpy = TROPICAL.axpy_raw
+    monkeypatch.setattr(TROPICAL, "axpy_raw", lambda *args: calls.append(1) or axpy(*args))
+    assert raw(mat_star(mat_from_raw(TROPICAL, a))) == [[0] * n] * n
+    assert calls == []
+
+
+def test_a_pre_pass_past_the_closure_fails_the_identity_suite(monkeypatch):
+    # a 0 written into the last cell of the first row, where M+ holds more
+    # than 0 on some of the draws, breaks the star and no sweep
+    def preclose(a):
+        if len(a) > 1 and a[0][-1] != 0:
+            a[0][-1] = 0
+
+    monkeypatch.setattr(TROPICAL, "preclose_raw", preclose)
+    result = SuiteResult()
+    _scalar_laws(result, random.Random(0))
+    lines = {name: ok for name, ok, _ in result.lines}
+    assert not lines["raw-star[tropical]"] and lines["raw-sweep[tropical]"]
 
 
 def sweep_lines(inst, top):
