@@ -8,12 +8,15 @@ Grammar files are plain text: directives first, then one equation per line.
     @sort z z1 z2
     @start z2
     @buchi 1
+    @finite x1
     x1 = (1) a x1 b | (1) a b
     z1 = c z1
     z2 = x1 z1 | z1
 
 Sorts: y-variables give a quemiring system, x- and z-variables a mixed one;
 z-equations must be right-linear (one trailing z-variable per monomial).
+@finite names a mixed file's finite part, an x-variable; a file with
+z-variables and no @finite has a zero finite part.
 Exit codes: 0 ok, 1 semantic failure, 2 usage error (including a file that
 cannot be read or written).  Lasso values are exact on grammars and automata
 alike, so no answer is inconclusive.
@@ -30,7 +33,6 @@ from dataclasses import dataclass, replace
 from . import __version__
 from .gnf import (
     GnfPipelineReport,
-    _Names,
     decompose_canonical,
     finite_gnf,
     pipeline_from_decomposition,
@@ -80,7 +82,7 @@ class GrammarError(ValueError):
 
 @dataclass
 class GrammarFile:
-    """Parsed grammar file: the system plus its @start and @buchi directives."""
+    """Parsed grammar file: the system plus its @start, @buchi and @finite lines."""
 
     instance: SemiringInstance
     terminals: tuple[str, ...]
@@ -88,6 +90,7 @@ class GrammarFile:
     system: AlgebraicSystem | MixedSystem
     start: str | None
     buchi: int | None
+    finite: str | None = None
 
 
 def _check_name(name: str, lineno: int, letter: bool = False) -> None:
@@ -111,7 +114,7 @@ def parse_grammar(text: str) -> GrammarFile:
     terminals: list[str] = []
     sorts: dict[str, str] = {}
     order: list[str] = []
-    start = None
+    named: dict[str, tuple[str, int]] = {}  # @start and @finite: (name, line)
     buchi = None
     equations: list[tuple[str, str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -143,10 +146,10 @@ def parse_grammar(text: str) -> GrammarFile:
                     order.append(v)
                 if "y" in sorts.values() and len(set(sorts.values())) > 1:
                     raise GrammarError("y-variables cannot be mixed with x/z-variables", lineno)
-            elif directive == "@start":
+            elif directive in ("@start", "@finite"):
                 if len(fields) != 2:
-                    raise GrammarError("@start takes one variable", lineno)
-                start = fields[1]
+                    raise GrammarError(f"{directive} takes one variable", lineno)
+                named[directive] = fields[1], lineno
             elif directive == "@buchi":
                 try:
                     (buchi,) = map(int, fields[1:])
@@ -166,6 +169,11 @@ def parse_grammar(text: str) -> GrammarFile:
         raise GrammarError("missing @alphabet directive", 1)
     if not sorts:
         raise GrammarError("missing @sort directive", 1)
+    for directive, (name, lineno) in named.items():
+        sort = "x-" if directive == "@finite" else ""
+        if name not in sorts or sort and sorts[name] != "x":
+            raise GrammarError(f"{directive} names {name}, not a declared {sort}variable", lineno)
+    start, finite = (named.get(d, (None,))[0] for d in ("@start", "@finite"))
     known = set(terminals) | set(sorts)
     rhs_by_var: dict[str, Polynomial] = {}
     line_of = {}
@@ -204,7 +212,7 @@ def parse_grammar(text: str) -> GrammarFile:
         rho_rows.append(sparse_row(instance, terms))
     xs = AlgebraicSystem(instance, ts, x_vars, tuple(rhs_by_var[v] for v in x_vars))
     sys = MixedSystem(xs, z_vars, tuple(rho_rows))
-    return GrammarFile(instance, ts, "mixed", sys, start, buchi)
+    return GrammarFile(instance, ts, "mixed", sys, start, buchi, finite)
 
 
 def format_grammar(g: GrammarFile) -> str:
@@ -220,6 +228,8 @@ def format_grammar(g: GrammarFile) -> str:
         lines.append(f"@start {g.start}")
     if g.buchi is not None:
         lines.append(f"@buchi {g.buchi}")
+    if g.finite is not None:
+        lines.append(f"@finite {g.finite}")
     if g.kind == "omega":
         for v, p in zip(g.system.variables, g.system.rhs):
             lines.append(f"{v} = {format_polynomial(p)}")
@@ -288,6 +298,7 @@ def cmd_parse(args) -> int:
         }
     summary["start"] = g.start
     summary["buchi"] = g.buchi
+    summary["finite"] = g.finite
     summary["version"] = __version__
     print(json.dumps(summary, indent=2))
     return EXIT_OK
@@ -295,65 +306,47 @@ def cmd_parse(args) -> int:
 
 def _selection(
     g: GrammarFile, name: str | None = None, sorts: str = "xz", buchi: int | None = None
-) -> tuple[MixedSystem, int, int, int]:
+) -> tuple[MixedSystem, int | None, int, int]:
     """The mixed system a command reads, its x- and z-index and Buchi count.
 
     The variable is `name` (looked up in `sorts`, among the y-variables of an
-    omega file), else the file's @start (looked up in either sort).  A paired
-    file (an omega file, or one with as many x- as z-variables) selects one
-    index for both sorts, as `induce_mixed` pairs x_i and z_i; in an unpaired
-    file the variable sets its own sort's index and the other keeps its
-    default: x-variable 0, or the last z-variable.  With no variable the
-    z-index is the last z-variable, the component `gnf` outputs carry.  The
+    omega file), else the file's @start (looked up in either sort).  In an
+    omega file it selects one index for both sorts, as `induce_mixed` pairs
+    x_i and z_i; in a mixed file it sets its own sort's index only.  The
+    z-index is otherwise the last z-variable, the component `gnf` outputs
+    carry.  A mixed file's x-index is otherwise its @finite, else its first
+    x-variable if it has no z-variable, else None: a zero finite part.  The
     Buchi count is `buchi`, else @buchi, else min(1, m).
     """
-    mixed = induce_mixed(g.system) if g.kind == "omega" else g.system
+    omega = g.kind == "omega"
+    mixed = induce_mixed(g.system) if omega else g.system
     m = len(mixed.z_vars)
-    paired = len(mixed.x.variables) == m
-    x, z = (m - 1 if paired else 0), m - 1
+    z = m - 1
+    if omega:
+        x = z
+    elif g.finite is not None:
+        x = mixed.x.variables.index(g.finite)
+    else:
+        x = None if m else 0
     if name is None:
         name, sorts = g.start, "xz"
     if name is not None:
         for sort in sorts:
-            if g.kind == "omega":
+            if omega:
                 names = g.system.variables
             else:
                 names = mixed.x.variables if sort == "x" else mixed.z_vars
             if name in names:
                 i = names.index(name)
-                if paired:
-                    x = z = i
-                elif sort == "x":
+                if omega or sort == "x":
                     x = i
-                else:
+                if omega or sort == "z":
                     z = i
                 break
         else:
             raise IllFormedSystem(f"unknown start variable {name!r}")
     k = buchi if buchi is not None else g.buchi if g.buchi is not None else min(1, m)
     return mixed, x, z, k
-
-
-def _finite_where_read(mixed: MixedSystem, start: int, finite: str | None) -> MixedSystem:
-    """mixed with its finite part at the x-index `_selection` reads: the
-    start's index when the file has as many x- as z-variables, else 0.
-
-    `finite` names the finite part's x-variable in mixed.  Without a finite
-    part a fresh x-variable f = 0 takes that place, so the file's finite
-    part is zero.
-    """
-    x = mixed.x
-    xs = list(zip(x.variables, x.rhs))
-    if finite is None:
-        name = _Names({*x.terminals, *x.variables, *mixed.z_vars}).fresh("f")
-        entry = (name, Polynomial.zero(x.instance))
-    else:
-        entry = xs.pop(x.variables.index(finite))
-    xs.insert(start if len(xs) + 1 == mixed.m else 0, entry)
-    moved = AlgebraicSystem(
-        x.instance, x.terminals, tuple(v for v, _ in xs), tuple(p for _, p in xs)
-    )
-    return MixedSystem(moved, mixed.z_vars, mixed.rho)
 
 
 _NO_OMEGA = "the grammar has no omega component: it declares no z-variable"
@@ -389,12 +382,10 @@ def cmd_gnf(args) -> int:
         out_g = GrammarFile(g.instance, nf.terminals, "mixed", out, mixed.x.variables[x], None)
         _emit(args, format_grammar(out_g), report)
         return EXIT_OK
-    dec = decompose_canonical(mixed, k, z, x if mixed.x.variables else None)
+    dec = decompose_canonical(mixed, k, z, x)
     report.add("decompose", terms=dec.width, buchi=k, component=mixed.z_vars[z])
     norm, gnf_mixed, sel, omega_sys, omega_sel, report = pipeline_from_decomposition(dec, report)
     if target == "mixed":
-        f = None if norm.finite is None else norm.system.variables[norm.finite]
-        gnf_mixed = _finite_where_read(gnf_mixed, sel.component, f)
         out_g = GrammarFile(
             g.instance,
             gnf_mixed.x.terminals,
@@ -402,6 +393,7 @@ def cmd_gnf(args) -> int:
             gnf_mixed,
             gnf_mixed.z_vars[sel.component],
             sel.buchi_count,
+            None if norm.finite is None else norm.system.variables[norm.finite],
         )
     else:
         out_g = GrammarFile(
@@ -430,7 +422,7 @@ def _emit(args, grammar_text: str, report: GnfPipelineReport) -> None:
 def cmd_build_pda(args) -> int:
     mixed, x, z, k = _selection(_load(args.path), args.start, buchi=args.buchi)
     if mixed.z_vars:
-        auto = induced_omega_pda(mixed, z, k, x if mixed.x.variables else None)
+        auto = induced_omega_pda(mixed, z, k, x)
     else:
         auto = induced_finite_pda(mixed.x, x)
     doc = pda_to_json(auto)
@@ -475,8 +467,8 @@ def cmd_eval(args) -> int:
     if args.word is not None:
         word = _parse_word(args.word, g.terminals)
         mixed, x, _, _ = _selection(g, args.component, "x", args.buchi)
-        if not mixed.x.variables:
-            # no x-variable: the finite part is zero, as in the automaton
+        if x is None:
+            # a zero finite part, as in the automaton
             _print_value(g.instance.zero)
             return EXIT_OK
         table = SegmentTable(mixed.x, word)
@@ -508,6 +500,9 @@ def cmd_check(args) -> int:
 
 SELECTION_RULE = "README: 'Which component a command reads'"
 BUCHI_HELP = "Buchi count, else @buchi, else min(1, m); " + SELECTION_RULE
+OWN_SORT = (
+    "in a mixed file it sets only its sort's index (the x-index is else @finite); " + SELECTION_RULE
+)
 
 
 def main(argv=None) -> int:
@@ -530,7 +525,7 @@ def main(argv=None) -> int:
         "--component",
         default=None,
         help="variable to normalize, else @start: a z- or y-variable, or an "
-        "x-variable in a grammar without z-variables; " + SELECTION_RULE,
+        "x-variable in a grammar without z-variables; " + OWN_SORT,
     )
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
@@ -539,7 +534,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("build-pda", help="construct the induced pushdown automaton")
     p.add_argument("path")
     p.add_argument(
-        "--start", default=None, help="start variable of any sort, else @start; " + SELECTION_RULE
+        "--start", default=None, help="start variable of any sort, else @start; " + OWN_SORT
     )
     p.add_argument("--buchi", type=int, default=None, help=BUCHI_HELP)
     p.add_argument("--out", default=None)
@@ -555,7 +550,7 @@ def main(argv=None) -> int:
         "--component",
         default=None,
         help="variable to evaluate, else @start: an x-variable for --word, a "
-        "z-variable for --lasso, a y-variable in an omega grammar; " + SELECTION_RULE,
+        "z-variable for --lasso, a y-variable in an omega grammar; " + OWN_SORT,
     )
     p.set_defaults(func=cmd_eval)
 

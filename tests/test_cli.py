@@ -33,11 +33,17 @@ CONTRAST_GRM = (DATA / "contrast_mixed.grm").read_text()
 
 
 def test_parse_round_trip_is_identity_on_canonical_forms():
-    for text in (TROPICAL_GRM, BOOLEAN_GRM, CONTRAST_GRM):
-        g = parse_grammar(text)
+    # every fixture: parse -> format -> parse gives the file back, with
+    # @finite written after @buchi
+    order = ["@semiring", "@alphabet", "@sort", "@start", "@buchi", "@finite"]
+    for path in sorted([*DATA.glob("*.grm"), *TEST_DATA.glob("*.grm")]):
+        g = parse_grammar(path.read_text())
         canon = format_grammar(g)
         again = parse_grammar(canon)
+        assert again == g, path.name
         assert format_grammar(again) == canon
+        directives = [line.split()[0] for line in canon.splitlines() if line.startswith("@")]
+        assert directives == sorted(directives, key=order.index), path.name
 
 
 # heads of the names the normal form generates, so that drawn names meet them
@@ -56,10 +62,11 @@ def _odd_names(rng, k, taken):
     return out
 
 
-def _odd_names_grammar(rng, semiring):
+def _odd_names_grammar(rng, semiring, finite=False):
     """A mixed grammar over two letters, two x- and two or three
     z-variables, all with odd names: x-rules of up to two symbols, the
-    empty word and chain rules among them, and right-linear z-rules."""
+    empty word and chain rules among them, and right-linear z-rules; with
+    `finite`, an @finite directive names one of the x-variables."""
     taken = set()
     letters, xs = _odd_names(rng, 2, taken), _odd_names(rng, 2, taken)
     zs = _odd_names(rng, rng.choice((2, 3)), taken)
@@ -78,18 +85,22 @@ def _odd_names_grammar(rng, semiring):
     for z in zs:
         words = {f"{rng.choice(letters + xs)} {rng.choice(zs)}" for _ in range(2)}
         lines.append(f"{z} = " + " | ".join(rng.choice(weights) + w for w in sorted(words)))
+    if finite:
+        lines.insert(6, f"@finite {rng.choice(xs)}")
     return "\n".join(lines) + "\n"
 
 
 def test_odd_names_round_trip_through_format_and_the_normal_forms(tmp_path):
     """parse -> format -> parse gives the file back, and so do both normal
     forms of it, on seeded grammars whose names use . ' _ and digits after
-    the heads of generated names (t_, g, r, h., b., z., u0., x0., ...)."""
+    the heads of generated names (t_, g, r, h., b., z., u0., x0., ...).
+    Every other grammar names its finite part with @finite."""
     path, out = tmp_path / "g.grm", tmp_path / "nf.grm"
     for case in range(40):
         rng = random.Random(f"odd-names/{case}")
         semiring = ("boolean", "tropical", "arctic", "counting")[case % 4]
-        g = parse_grammar(_odd_names_grammar(rng, semiring))
+        g = parse_grammar(_odd_names_grammar(rng, semiring, finite=case % 2 == 1))
+        assert (g.finite is not None) == (case % 2 == 1)
         text = format_grammar(g)
         assert parse_grammar(text) == g
         path.write_text(text)
@@ -155,9 +166,52 @@ def test_cmd_parse_summaries(tmp_path, capsys):
     assert rc == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "omega" and out["gnf"] is False
+    assert out["finite"] is None
     rc = main(["parse", grm(tmp_path, CONTRAST_GRM)])
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "mixed" and out["gnf"] is True
+    assert out["finite"] == "x2"
+    # z-variables and no @finite: a zero finite part
+    assert main(["parse", str(TEST_DATA / "z_only_pairs.grm")]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["finite"] is None
+
+
+@pytest.mark.parametrize(
+    "lines, line, message",
+    [
+        (["@sort x x1", "@start nope", "x1 = a"], 4, "@start names nope, not a declared variable"),
+        (["@sort y y1", "@start y2", "y1 = a y1"], 4, "@start names y2, not a declared variable"),
+        (
+            ["@sort x x1", "@sort z z1", "@finite nope", "x1 = a", "z1 = a z1"],
+            5,
+            "@finite names nope, not a declared x-variable",
+        ),
+        (
+            ["@sort x x1", "@sort z z1", "@finite z1", "x1 = a", "z1 = a z1"],
+            5,
+            "@finite names z1, not a declared x-variable",
+        ),
+        (["@sort y y1", "@finite y1", "y1 = a y1"], 4, "@finite names y1, not a declared x-variable"),
+        (["@sort x x1", "@sort z z1", "@finite", "z1 = a z1"], 5, "@finite takes one variable"),
+        (["@sort x x1 x2", "@sort z z1", "@finite x1 x2", "z1 = a z1"], 5, "@finite takes one variable"),
+    ],
+    ids=[
+        "start-undeclared",
+        "start-undeclared-y",
+        "finite-undeclared",
+        "finite-z-variable",
+        "finite-in-a-y-file",
+        "finite-no-name",
+        "finite-two-names",
+    ],
+)
+def test_directives_naming_no_declared_variable_of_their_sort_exit_2(lines, line, message, tmp_path, capsys):
+    path = grm(tmp_path, "\n".join(["@semiring boolean", "@alphabet a"] + lines) + "\n")
+    for argv in (["parse", path], ["eval", path, "--word", "a"], ["gnf", path], ["build-pda", path]):
+        assert main(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line {line}, column 1: {message}\n"
 
 
 def test_cmd_parse_reports_syntax_error(tmp_path, capsys):
@@ -235,6 +289,7 @@ MULTI_CHARACTER_LETTERS_GRM = """\
 @sort x x1
 @sort z z1
 @start z1
+@finite x1
 x1 = a1 | b
 z1 = a1 z1
 """
@@ -269,6 +324,8 @@ def test_cmd_gnf_identity_skip(tmp_path, capsys):
     out = capsys.readouterr().out
     want = format_grammar(parse_grammar(CONTRAST_GRM))
     assert out == want.replace("@start z2\n@buchi 1", "@start z1\n@buchi 0") != want
+    # with its @finite, which the options leave alone
+    assert "\n@finite x2\n" in out
 
 
 def test_cmd_gnf_produces_normal_form(tmp_path, capsys):
@@ -757,8 +814,8 @@ def test_mixed_normal_form_normalizes_the_source_x_variables_once(capsys):
 
 def test_build_pda_builds_the_unpaired_mixed_normal_form(tmp_path, capsys):
     # gnf --target mixed writes more z- than x-variables here; build-pda
-    # reads that file as it is.  The source itself is unpaired and not in
-    # Greibach form, so build-pda refuses it with one error line.
+    # reads that file as it is.  The source itself is not in Greibach form,
+    # so build-pda refuses it with one error line.
     source = str(DATA / "tropical_mixed.grm")
     nf, auto = str(tmp_path / "nf.grm"), str(tmp_path / "auto.json")
     assert main(["build-pda", source, "--out", auto]) == EXIT_FAIL
@@ -783,7 +840,9 @@ def test_build_pda_writes_one_state_per_variable_of_an_unpaired_mixed_normal_for
     source, tmp_path, capsys
 ):
     # no fold: the states are the z- and x-variables and the sink, and the
-    # initial weight sits on the z- and the x-variable the file selects
+    # initial weight sits on the z-variable the file selects and on its
+    # @finite x-variable.  z_only_pairs.grm has no finite part, so its
+    # normal form has no @finite and its automaton one initial state.
     nf, auto = str(tmp_path / "nf.grm"), str(tmp_path / "auto.json")
     assert main(["gnf", str(source), "--target", "mixed", "--out", nf]) == EXIT_OK
     assert main(["build-pda", nf, "--out", auto]) == EXIT_OK
@@ -791,10 +850,12 @@ def test_build_pda_writes_one_state_per_variable_of_an_unpaired_mixed_normal_for
     xs, zs = g.system.x.variables, g.system.z_vars
     assert len(xs) != len(zs)
     _, x, z, _ = _selection(g)
+    assert (x is None) == (g.finite is None) == (source.name == "z_only_pairs.grm")
     a = pda_from_json(Path(auto).read_text())
     assert a.matrix.n_states == len(zs) + len(xs) + 1
+    assert a.matrix.n_states == {"tropical_mixed.grm": 8, "z_only_pairs.grm": 11}[source.name]
     starts = [name for name, w in zip(a.state_names, a.initial) if not w.is_zero()]
-    assert starts == [f"z:{zs[z]}", f"x:{xs[x]}"]
+    assert starts == [f"z:{zs[z]}"] + ([] if x is None else [f"x:{xs[x]}"])
     capsys.readouterr()
     letters = g.terminals
     words = ["".join(w) for n in range(4) for w in itertools.product(letters, repeat=n)]
@@ -827,8 +888,8 @@ def _z_only_grammar(rng, semiring):
 
 def test_normal_forms_of_a_grammar_without_x_variables_have_a_zero_finite_part(tmp_path, capsys):
     # the source has no finite part, so both normal forms and their automata
-    # must read zero on every finite word: the mixed output names a zero
-    # x-variable where a grammar file reads its finite part
+    # must read zero on every finite word: the mixed output has no @finite
+    # and no made-up zero x-variable
     words = ["".join(w) for n in (1, 2) for w in itertools.product("ab", repeat=n)]
     through_pipeline, wrong = 0, []
     for case in range(120):
@@ -846,6 +907,7 @@ def test_normal_forms_of_a_grammar_without_x_variables_have_a_zero_finite_part(t
             assert main(["gnf", source, "--target", target, "--out", nf]) == EXIT_OK
             assert main(["build-pda", nf, "--out", auto]) == EXIT_OK
             files += [nf, auto]
+        assert parse_grammar(Path(files[0]).read_text()).finite is None
         capsys.readouterr()
         for w in words:
             got = []
@@ -887,22 +949,79 @@ def test_z_only_fixture_normal_forms_agree_with_the_source(name, tmp_path, capsy
             assert capsys.readouterr().out == want, (path, lasso)
 
 
+def _with_unread_x(text, first):
+    """`text` with one more x-variable xu = <first letter>, which no rule
+    reads, declared first or last among the x-variables.  A file without
+    z-variables, @start or @finite reads its first x-variable, so there xu
+    goes second instead of first."""
+    g = parse_grammar(text)
+    assert "xu" not in g.system.x.variables
+    lines = text.splitlines()
+    (i,) = [k for k, line in enumerate(lines) if line.startswith("@sort x ")]
+    names = lines[i].split()[2:]
+    reads_first = not (g.system.z_vars or g.start or g.finite)
+    at = (1 if reads_first else 0) if first else len(names)
+    lines[i] = " ".join(["@sort", "x", *names[:at], "xu", *names[at:]])
+    return "\n".join(lines + [f"xu = {g.terminals[0]}"]) + "\n"
+
+
+def _eval_answers(path, queries, capsys):
+    answers = []
+    for kind, query in queries:
+        args = Namespace(path=path, word=None, lasso=None, buchi=None, component=None)
+        setattr(args, kind, query)
+        assert cmd_eval(args) == EXIT_OK, (path, query)
+        answers.append(capsys.readouterr().out)
+    return answers
+
+
+UNREAD_X_FIXTURES = sorted(
+    path
+    for path in [*DATA.glob("*.grm"), *TEST_DATA.glob("*.grm")]
+    if any(line.startswith("@sort x ") for line in path.read_text().splitlines())
+)
+
+
+@pytest.mark.parametrize("path", UNREAD_X_FIXTURES, ids=lambda p: p.name)
+def test_an_unread_x_variable_changes_no_answer(path, tmp_path, capsys):
+    # which x-variable is the finite part is a fact of the file (@finite),
+    # not of how many variables it declares: an x-variable that no rule
+    # reads, declared first or last, leaves every word and lasso value, of
+    # the source and of its mixed normal form
+    text = path.read_text()
+    g = parse_grammar(text)
+    letters = g.terminals
+    queries = [
+        ("word", " ".join(w) + " ") for n in (1, 2, 3) for w in itertools.product(letters, repeat=n)
+    ]
+    if g.system.z_vars:
+        queries.append(("lasso", f":{letters[0]} "))
+    want = _eval_answers(str(path), queries, capsys)
+    for first in (True, False):
+        source, nf = grm(tmp_path, _with_unread_x(text, first)), str(tmp_path / "nf.grm")
+        assert _eval_answers(source, queries, capsys) == want, first
+        assert main(["gnf", source, "--target", "mixed", "--out", nf]) == EXIT_OK
+        assert _eval_answers(nf, queries, capsys) == want, first
+
+
 # -- variable names on the command line and malformed automata -------------------
 
 
 def test_unknown_component_or_start_exits_1_naming_it(tmp_path, capsys):
+    # an @start that names no declared variable is a syntax error instead,
+    # which test_directives_naming_no_declared_variable_of_their_sort_exit_2 pins
     tropical = str(DATA / "tropical_mixed.grm")
-    no_start = grm(tmp_path, BOOLEAN_GRM.replace("@start y1", "@start q"))
+    boolean = grm(tmp_path, BOOLEAN_GRM)
     for args in (
         ["gnf", tropical, "--component", "nope"],
         ["eval", tropical, "--lasso", ":c", "--component", "nope"],
         ["eval", tropical, "--word", "ab", "--component", "z1"],
-        ["eval", no_start, "--lasso", "ab:ab"],
-        ["gnf", no_start],
+        ["eval", boolean, "--lasso", "ab:ab", "--component", "q"],
+        ["gnf", boolean, "--component", "q"],
+        ["build-pda", tropical, "--start", "nope"],
     ):
         assert main(args) == EXIT_FAIL, args
-        name = args[-1] if "--component" in args else "q"
-        assert capsys.readouterr().err == f"error: unknown start variable {name!r}\n"
+        assert capsys.readouterr().err == f"error: unknown start variable {args[-1]!r}\n"
 
 
 def test_component_names_a_variable_of_the_sort_asked_for(tmp_path, capsys):
@@ -932,12 +1051,17 @@ def _without(directive):
     [
         # no @buchi: the automaton takes min(1, m) as eval does
         ("counting_finite.grm", None, ["--lasso", ":a"], "1"),
-        # a paired file reads x2 and z2 at @start z2
+        # the file's @finite x2
         ("contrast_mixed.grm", None, ["--word", "a"], "0"),
         ("contrast_mixed.grm", None, ["--word", "aa"], "1"),
-        # and x1 and z1 at @start x1
-        ("contrast_mixed.grm", lambda t: t.replace("@start z2", "@start x1"), ["--lasso", ":c"], "1"),
-        ("contrast_mixed.grm", lambda t: t.replace("@start z2", "@start x1"), ["--lasso", "a:c"], "0"),
+        # @start x1 sets the x-index only: the z-index stays at the last, z2
+        ("contrast_mixed.grm", lambda t: t.replace("@start z2", "@start x1"), ["--word", "a"], "1"),
+        ("contrast_mixed.grm", lambda t: t.replace("@start z2", "@start x1"), ["--lasso", ":c"], "0"),
+        ("contrast_mixed.grm", lambda t: t.replace("@start z2", "@start x1"), ["--lasso", "a:c"], "1"),
+        # and @start z1 sets the z-index only
+        ("contrast_mixed.grm", lambda t: t.replace("@start z2", "@start z1"), ["--lasso", ":c"], "1"),
+        ("contrast_mixed.grm", lambda t: t.replace("@start z2", "@start z1"), ["--lasso", "a:c"], "0"),
+        ("contrast_mixed.grm", lambda t: t.replace("@start z2", "@start z1"), ["--word", "aa"], "1"),
         ("contrast_mixed.grm", _without("@buchi"), ["--lasso", "a:c"], "1"),
         # a normal form without @start selects its last component on both routes
         ("tropical_mixed.grm gnf", _without("@start"), ["--lasso", "aabb:c"], "2"),
@@ -946,8 +1070,12 @@ def _without(directive):
         "counting-no-buchi-:a",
         "contrast-word-a",
         "contrast-word-aa",
+        "contrast-start-x1-word-a",
         "contrast-start-x1-:c",
         "contrast-start-x1-a:c",
+        "contrast-start-z1-:c",
+        "contrast-start-z1-a:c",
+        "contrast-start-z1-word-aa",
         "contrast-no-buchi-a:c",
         "tropical-gnf-no-start-aabb:c",
     ],

@@ -946,7 +946,7 @@ def _unreached(text):
     start = sys.z_vars.index(g.start)
     x_ix = {v: i for i, v in enumerate(sys.x.variables)}
     x = _selection(g)[1]
-    z_seen, stack, x_stack = {start}, [start], list(sys.x.variables[x : x + 1])
+    z_seen, stack, x_stack = {start}, [start], [] if x is None else [sys.x.variables[x]]
     while stack:
         for j, p in sys.rho[stack.pop()].items():
             if j not in z_seen:
@@ -980,7 +980,8 @@ def test_mixed_normal_form_holds_only_what_its_start_reaches(tmp_path, capsys):
         sys = _random_mixed_system(rng, inst, m)
         if is_gnf_mixed(sys):
             continue
-        g = GrammarFile(inst, sys.x.terminals, "mixed", sys, sys.z_vars[-1], rng.randint(1, m))
+        # the finite part is the one x-variable, x0
+        g = GrammarFile(inst, sys.x.terminals, "mixed", sys, sys.z_vars[-1], rng.randint(1, m), "x0")
         cases.append((draw, format_grammar(g)))
     path = tmp_path / "g.grm"
     compiled = 0
@@ -1074,8 +1075,9 @@ def _automaton_values(text, lassos):
 
 
 # A grammar of the perfbench normal-form corpus whose mixed normal form has as
-# many x- as z-variables: such a file reads its finite part at the start's
-# index, not at x-variable 0.
+# many x- as z-variables.  Its finite part is its second x-variable, which
+# earlier versions read from the index of the start rather than from a
+# directive.
 PAIRED_SOURCE = """\
 @semiring tropical
 @alphabet a b
@@ -1083,6 +1085,7 @@ PAIRED_SOURCE = """\
 @sort z zbwy zfff
 @start zfff
 @buchi 2
+@finite xfzo
 xfao = (1) eps | a xfzo
 xfzo = (2) b
 zbwy = (2) b zfff | xfzo zfff
