@@ -6,13 +6,16 @@ A finite word w is the quotient without a period: its |w| + 1 positions,
 the last one reading no letter.
 
 Both routes are exact on all four instances, counting included, and share
-one saturation, one solver and one read-off.  `derivation_items` is the
-weighted product of a grammar with positions, built on demand: the
-grammar's derivation weights between quotient positions, or the
-automaton's, read as a lazy triple grammar over (state, position) pairs
-(`pda._value_graph`).  `solve_derivations` computes the least solution
-of its summary system, each item a sum over derivations; on the finite
-quotient, the grammar's derivation weights are the word's segment
+one saturation, one solver and one read-off, all on raw values.
+`derivation_items` is the weighted product of a grammar with positions,
+built on demand: the grammar's derivation weights between quotient
+positions, or the automaton's, read as a lazy triple grammar over (state,
+position) pairs (`pda._value_graph`).  Its items and their keys stay
+inside it: it returns the weights by node, the x-facts {(variable, s):
+{(t, bit): weight}} and the z-steps {(row, s): {(row2, t, bit): weight}}
+of the pairs that the demand reaches.  `solve_derivations` computes the
+least solution of its summary system, each item a sum over derivations;
+on the finite quotient, the grammar's x-facts are the word's segment
 coefficients.  The z-steps are the edges of a value graph, each carrying a
 hit bit and a letter bit: every automaton move reads a letter, and a
 grammar's z-step may read none.  `lasso_value` reads the value off that
@@ -22,7 +25,7 @@ letter edge and a hit edge.  Otherwise nodes are split into three copies
 by what the edge entering them leaves pending, `path_sums` weighs the
 paths into each strongly connected component, letter-free ones included,
 and `matrix._omega_t` of the component's own block weighs the infinite
-paths inside it.
+paths inside it.  Only the public results are wrapped as scalars.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from .matrix import _omega_t, _star
-from .semiring import INF, SemiringInstance, SemiringValue, _scalar
+from .semiring import INF, Ext, SemiringInstance
 from .series import LassoWord, Word
 
 Node = Hashable
@@ -152,11 +155,12 @@ def accepting_cycle_exists(edges: dict[Node, list[tuple]], sources: Iterable[Nod
     return not letter.isdisjoint(hit)
 
 
-Term = tuple["SemiringValue | None", "int | None", "int | None"]
+Term = tuple["Ext | None", "int | None", "int | None"]
 
 
-def solve_derivations(instance: SemiringInstance, rules: list[list[Term]]) -> list[SemiringValue]:
-    """Least solution of item_i = sum of c * item_a * item_b over rules[i].
+def solve_derivations(instance: SemiringInstance, rules: list[list[Term]]) -> list[Ext]:
+    """Least solution of item_i = sum of c * item_a * item_b over rules[i],
+    on raw values.
 
     A term (c, a, b) leaves out c (the unit) or an operand as None.  Every
     item must have a derivation and every constant must be nonzero; the
@@ -184,10 +188,7 @@ def solve_derivations(instance: SemiringInstance, rules: list[list[Term]]) -> li
     n = len(rules)
     add, mul = instance.add_raw, instance.mul_raw
     one, zero = instance.one_raw(), instance.zero_raw()
-    raw = [
-        [(one if c is None else c.value, c is None, a, b) for c, a, b in terms]
-        for terms in rules
-    ]
+    raw = [[(one if c is None else c, c is None, a, b) for c, a, b in terms] for terms in rules]
     deps: dict[int, list[tuple[int]]] = {}
     users: list[list[int]] = [[] for _ in range(n)]
     for i, terms in enumerate(rules):
@@ -237,20 +238,20 @@ def solve_derivations(instance: SemiringInstance, rules: list[list[Term]]) -> li
         else:
             for i in comp:
                 value[i] = INF
-    return [_scalar(instance, v) for v in value]
+    return value
 
 
 def derivation_items(instance: SemiringInstance, variables, monomials_at, step, demand):
-    """Derivation items of the monomials that the demanded pairs can use,
-    and their weights: the one saturation behind both lasso routes.
+    """Weights of the derivations that the demanded pairs can use: the one
+    saturation behind both lasso routes.
 
     A left-hand side is a variable or a z-row.  `monomials_at(lhs, s)`
-    lists the monomials (head, coefficient or None, word) that lhs reads at
-    position s; the monomials of one head have distinct words.  A head in
-    `variables` is an x-head; any other head is a z-pair (j, j2) of the row
-    j that reads it.  A symbol of a word is a variable when it is in
-    `variables` and a terminal otherwise, and `step(s, terminal)` is the
-    (next position, bit) that reading it leads s to, or None.
+    lists the monomials (head, raw coefficient or None, word) that lhs reads
+    at position s.  A head in `variables` is an x-head; any other head is a
+    z-pair (j, j2) of the row j that reads it.  A symbol of a word is a
+    variable when it is in `variables` and a terminal otherwise, and
+    `step(s, terminal)` is the (next position, bit) that reading it leads s
+    to, or None.
 
     An item is an x-fact (head, s, t, bit): the variable derives a word
     leading position s to t, with bit the or of its terminals' bits; a
@@ -267,13 +268,18 @@ def derivation_items(instance: SemiringInstance, variables, monomials_at, step, 
     worklist of x-facts; a fact taken from the latter extends the products
     waiting for it, and a product that starts waiting joins the facts
     already taken, so every pair is joined once.  `solve_derivations` then
-    weighs every item.  Returns the item ids by key and their weights.
+    weighs every item.
+
+    Returns the x-facts {(head, s): {(t, bit): raw}} and the z-steps
+    {(j, s): {(j2, t, bit): raw}} of every demanded pair, each weight
+    nonzero: no instance has zero divisors.
     """
     ids: dict[tuple, int] = {}
     rules: list[list] = []
     work: list = []
     want: list = list(demand)
-    demanded: set = set()
+    # the demanded pairs, each with the weights of its facts or steps
+    demanded: dict[tuple, dict] = {}
     facts_at: dict[tuple, list] = {}
     waiting: dict[tuple, list] = {}
 
@@ -323,7 +329,7 @@ def derivation_items(instance: SemiringInstance, variables, monomials_at, step, 
             node = want.pop()
             if node in demanded:
                 continue
-            demanded.add(node)
+            demanded[node] = {}
             lhs, s = node
             for mono in monomials_at(lhs, s):
                 read(mono, 0, s, s, False, mono[1], ())
@@ -335,7 +341,18 @@ def derivation_items(instance: SemiringInstance, variables, monomials_at, step, 
             read(mono, j + 1, s0, t, b0 or bit, c, ops + (x,))
         facts_at.setdefault((v, s), []).append((t, bit, x))
 
-    return ids, solve_derivations(instance, rules)
+    value = solve_derivations(instance, rules)
+    for key, i in ids.items():
+        if len(key) == 4:
+            head, s, t, bit = key
+            if head in variables:
+                demanded[(head, s)][(t, bit)] = value[i]
+            else:
+                demanded[(head[0], s)][(head[1], t, bit)] = value[i]
+    x_facts, z_steps = {}, {}
+    for node, weights in demanded.items():
+        (x_facts if node[0] in variables else z_steps)[node] = weights
+    return x_facts, z_steps
 
 
 def path_sums(
@@ -392,52 +409,45 @@ def path_sums(
 
 
 def lasso_value(
-    instance: SemiringInstance,
-    edges: dict[Node, list[tuple]],
-    sources: dict[Node, SemiringValue],
-) -> SemiringValue:
+    instance: SemiringInstance, edges: dict[Node, list[tuple]], sources: dict[Node, Ext]
+) -> Ext:
     """Sum of the weights of the infinite paths from the weighted sources
-    that take infinitely many letter edges and infinitely many hit edges.
+    that take infinitely many letter edges and infinitely many hit edges,
+    on raw values.
 
-    Edges are (target, weight, hit, letter) tuples.  The value is zero at
-    once when `accepting_cycle_exists` finds no such path.  Otherwise each
-    node is split into three copies by what the edge entering it leaves
-    pending: copy 0 nothing, as at a source; copy 1, entered by a letter-free
-    edge, a hit since the last letter edge; copy 2, the Buchi copy, entered
-    by a letter edge with a hit on it or since the letter edge before.  Copy
-    1 exists only at targets of letter-free edges.  The paths above are those that visit the
-    Buchi copies infinitely often, and each ends inside one strongly
-    connected component C of the split graph, which it enters once.  So the
-    value is the sum, over the components C that hold a Buchi copy, of the
-    weights entering C (`path_sums`) times omega_t of C's own block, with
-    C's t Buchi copies numbered first: the paper's omega_k on a
+    Edges are (target, weight, hit, letter) tuples, and every edge and
+    source weight is nonzero.  The value is zero at once when
+    `accepting_cycle_exists` finds no such path.  Otherwise each node is
+    split into three copies by what the edge entering it leaves pending:
+    copy 0 nothing, as at a source; copy 1, entered by a letter-free edge, a
+    hit since the last letter edge; copy 2, the Buchi copy, entered by a
+    letter edge with a hit on it or since the letter edge before.  Copy 1
+    exists only at targets of letter-free edges.  The paths above are those
+    that visit the Buchi copies infinitely often, and each ends inside one
+    strongly connected component C of the split graph, which it enters
+    once.  So the value is the sum, over the components C that hold a Buchi
+    copy, of the weights entering C (`path_sums`) times omega_t of C's own
+    block, with C's t Buchi copies numbered first: the paper's omega_k on a
     block-triangular matrix (Esik and Kuich 2005).  `path_sums` and
     `matrix._omega_t` count every path once, letter-free ones included, so
     the value is exact on every instance, counting included.
     """
     add, mul, zero = instance.add_raw, instance.mul_raw, instance.zero_raw()
-    src = {n: w for n, w in sources.items() if not w.is_zero()}
-    if not accepting_cycle_exists(edges, src):
-        return instance.zero
+    if not accepting_cycle_exists(edges, sources):
+        return zero
     split: dict[tuple, list] = {}
     pending_at = set()
     for n, es in edges.items():
         # copies 0 and 2 have nothing pending and share their out-edges
         split[(n, 0)] = split[(n, 2)] = [
-            ((m, (2 if letter else 1) if hit else 0), w.value)
-            for m, w, hit, letter in es
-            if not w.is_zero()
+            ((m, (2 if letter else 1) if hit else 0), w) for m, w, hit, letter in es
         ]
         pending_at.update(m for m, _w, _hit, letter in es if not letter)
     for n in pending_at:
-        split[(n, 1)] = [
-            ((m, 2 if letter else 1), w.value)
-            for m, w, _hit, letter in edges.get(n, ())
-            if not w.is_zero()
-        ]
+        split[(n, 1)] = [((m, 2 if letter else 1), w) for m, w, _hit, letter in edges.get(n, ())]
     total = zero
     for nodes, block, entry, _sums in path_sums(
-        instance, split, {(n, 0): w.value for n, w in src.items()}
+        instance, split, {(n, 0): w for n, w in sources.items()}
     ):
         buchi = [i for i, (_n, copy) in enumerate(nodes) if copy == 2]
         if not buchi:
@@ -451,4 +461,4 @@ def lasso_value(
         for e, v in zip(entry, omega):
             if e != zero:
                 total = add(total, mul(e, v))
-    return _scalar(instance, total)
+    return total

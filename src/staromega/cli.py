@@ -116,6 +116,7 @@ def parse_grammar(text: str) -> GrammarFile:
     order: list[str] = []
     named: dict[str, tuple[str, int]] = {}  # @start and @finite: (name, line)
     buchi = None
+    seen: set[str] = set()  # the directives that may appear once
     equations: list[tuple[str, str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -124,6 +125,10 @@ def parse_grammar(text: str) -> GrammarFile:
         if line.startswith("@"):
             fields = line.split()
             directive = fields[0]
+            if directive in ("@semiring", "@start", "@finite", "@buchi"):
+                if directive in seen:
+                    raise GrammarError(f"second {directive} directive", lineno)
+                seen.add(directive)
             if directive == "@semiring":
                 if len(fields) != 2:
                     raise GrammarError("@semiring takes one name", lineno)

@@ -198,7 +198,11 @@ class _Names:
 def _binarize(
     inst: SemiringInstance, terminals: Sequence[str], variables: Sequence[str], rows: Rows
 ) -> tuple[list[str], Rows]:
-    """Rewrite every rule to a single terminal or a pair of variables."""
+    """Rewrite every rule to a single terminal or a pair of variables.
+
+    The rows are proper and free of unit rules (`_unit_elimination`), so
+    every word but a single terminal has at least two symbols.
+    """
     one = inst.one_raw()
     ts = set(terminals)
     names = _Names(ts.union(variables))
@@ -235,10 +239,7 @@ def _binarize(
             if len(w) == 0:
                 raise IllFormedSystem("binarization expects a proper system")
             syms = tuple(var_for_terminal(s) if s in ts else s for s in w)
-            if len(syms) == 1:
-                out[i].append((c, syms))
-            else:
-                out[i].append((c, (syms[0], var_for_suffix(syms[1:]))))
+            out[i].append((c, (syms[0], var_for_suffix(syms[1:]))))
     return new_vars, out
 
 
@@ -454,23 +455,18 @@ def _reachable(variables: Sequence[str], words_of, keep: Sequence[str]) -> list[
 
 @dataclass(frozen=True)
 class DecompositionTerm:
-    """One summand (s + eps_coeff eps) t^omega: systems plus designated components.
-
-    A missing s_sys or eps_coeff stands for zero.
-    """
+    """One summand s t^omega: systems plus designated components."""
 
     t_sys: AlgebraicSystem
     t_component: int
-    s_sys: AlgebraicSystem | None = None
-    s_component: int = 0
-    eps_coeff: SemiringValue | None = None
+    s_sys: AlgebraicSystem
+    s_component: int
 
 
 @dataclass(frozen=True)
 class OmegaDecomposition:
-    """Summands (s + eps_coeff eps) t^omega and, if given, the component whose
-    series, off the empty word, is the result's finite part.
-    """
+    """Summands s t^omega and, if given, the component whose series, off
+    the empty word, is the result's finite part."""
 
     instance: SemiringInstance
     terminals: tuple[str, ...]
@@ -511,7 +507,7 @@ def normalize_decomposition(d: OmegaDecomposition) -> NormalizedDecomposition:
     inst = d.instance
     reads = [sys for term in d.terms for sys in (term.t_sys, term.s_sys)]
     reads += [] if d.finite is None else [d.finite[0]]
-    systems = list({id(sys): sys for sys in reads if sys is not None}.values())
+    systems = list({id(sys): sys for sys in reads}.values())
     taken = set(d.terminals)
     prefix = {
         id(sys): "" if len(systems) == 1 else _fresh_prefix(f"x{i}", sys.variables, taken)
@@ -537,12 +533,10 @@ def normalize_decomposition(d: OmegaDecomposition) -> NormalizedDecomposition:
         t = at(term.t_sys, term.t_component)
         if x.variables[t] not in live:
             continue
-        e = inst.zero if term.eps_coeff is None else term.eps_coeff
-        s = None if term.s_sys is None else at(term.s_sys, term.s_component)
-        if s is not None:
-            e = e + eps[s]
-            if x.variables[s] not in live:
-                s = None
+        s = at(term.s_sys, term.s_component)
+        e = eps[s]
+        if x.variables[s] not in live:
+            s = None
         if s is None and e.is_zero():
             continue
         if not eps[t].is_zero():

@@ -26,22 +26,22 @@ system with no z-rows.
 
 Behaviors are exact on all four instances, counting included.  The finite
 behavior sums the runs one position at a time over weighted (state, stack)
-configurations.  The omega behavior at u v^omega runs on the grammar
-route's engine, `_search.derivation_items`: the automaton is read as a
-lazy triple grammar over (state, period-quotient position) pairs, whose
-variables are the stack symbols ("popped eventually") and one level
-variable, and whose terminals are the moves (the triple-pair construction
-of Droste, Esik and Kuich 2017; its facts are the weighted pop summaries
-of Reps, Schwoon, Jha and Melski 2005).  Work is demand-driven, so a
-node's moves are read only once a run reaches it, and pop summaries are
-built only where a push can use them.  An infinite run returns to its
-lowest recurring stack height forever or leaves every height for good, so
-its weight is that of a path of level steps, never-popped pushes and pops
-of its start stack (the repeating heads of Bouajjani, Esparza and Maler
-1997): the z-steps of one z-row per start-stack suffix, every one a letter
-edge, which `_search.lasso_value` sums over with the grammar route's zero
-test and read-off, omega_t per strongly connected component.  No answer
-depends on a cap.
+configurations.  The omega behavior at u v^omega sums the runs from the
+initial vector on the grammar route's engine, `_search.derivation_items`:
+the automaton is read as a lazy triple grammar over (state,
+period-quotient position) pairs, whose variables are the stack symbols
+("popped eventually") and one level variable, and whose terminals are the
+moves (the triple-pair construction of Droste, Esik and Kuich 2017; its
+facts are the weighted pop summaries of Reps, Schwoon, Jha and Melski
+2005).  Work is demand-driven, so a node's moves are read only once a run
+reaches it, and pop summaries are built only where a push can use them.  A
+run starts on the empty stack, and it returns to its lowest recurring
+stack height forever or leaves every height for good, so its weight is
+that of a path of level steps and never-popped pushes (the repeating heads
+of Bouajjani, Esparza and Maler 1997): the raw z-steps of one z-row, every
+one a letter edge, which `_search.lasso_value` sums over with the grammar
+route's zero test and read-off, omega_t per strongly connected component.
+No answer depends on a cap.
 """
 
 from __future__ import annotations
@@ -412,24 +412,19 @@ def behavior_omega_lasso(a: SimpleOmegaPDA, w: LassoWord) -> LassoResult:
     The sum over the accepting runs from the initial vector, read off the
     value graph of `_value_graph`.
     """
-    starts = {(q, ()): c for q, c in enumerate(a.initial) if not c.is_zero()}
-    return _omega_value(a, w, starts)
-
-
-def _omega_value(a, w, starts) -> LassoResult:
-    """Omega value of the runs from weighted (state, stack) starts."""
     if a.buchi_count is None:
         raise IllFormedSystem("automaton has no repeated-state count")
-    return LassoResult(OK, _search.lasso_value(a.instance, *_value_graph(a, w, starts)))
+    inst = a.instance
+    return LassoResult(OK, _scalar(inst, _search.lasso_value(inst, *_value_graph(a, w))))
 
 
 # the level variable L: never a stack symbol, hashed alike in every process
 _LEVEL = ("level",)
 
 
-def _value_graph(a: SimpleOmegaPDA, w: LassoWord, starts):
-    """The automaton's runs over u v^omega from the weighted (state, stack)
-    starts, as the z-steps of a lazy triple grammar.
+def _value_graph(a: SimpleOmegaPDA, w: LassoWord):
+    """The automaton's runs over u v^omega from its initial vector, as the
+    z-steps of one z-row of a lazy triple grammar.
 
     Positions are (state, quotient position) pairs, and every move is a
     terminal: its target state q, read at (p, s) as the step to
@@ -437,24 +432,17 @@ def _value_graph(a: SimpleOmegaPDA, w: LassoWord, starts):
     variable "A is eventually popped", A -> pop_A | L A, and the one level
     variable L covers a neutral step or a push-excursion, L -> neutral |
     push_B B (the triple-pair construction of Droste, Esik and Kuich 2017,
-    with the states moved into the positions).  There is one z-row per
-    suffix of a start stack, row 0 the empty stack: a row reads the level
-    monomials itself and stays, a push that is never popped goes to row 0,
-    and a pop of the suffix's top goes to the next suffix's row.  Every
-    infinite run splits at the points where the stack never again gets
-    lower into such steps, so its runs are the paths of the z-steps.
-    Returns the value graph {(row, position): [(target, weight, hit,
-    letter)]}, every edge a letter edge, and its weighted sources, the start
-    nodes.
+    with the states moved into the positions).  The z-row, 0, reads the
+    level monomials itself and the pushes that are never popped.  A run
+    starts on the empty stack, and every infinite run splits at the points
+    where the stack never again gets lower into such steps, so its runs are
+    the paths of the z-steps.  Returns the value graph {position: [(target,
+    raw weight, hit, letter)]}, every edge a letter edge, and its raw
+    sources, the initial vector's nonzero entries at quotient position 0.
     """
     m, pa, l = a.matrix, _search.PositionAutomaton.of(w), a.buchi_count
-    rows = {(): 0}
-    for _q, stack in starts:
-        for k in range(len(stack) - 1, -1, -1):
-            rows.setdefault(stack[k:], len(rows))
-    below = {r: (suffix[0], rows[suffix[1:]]) for suffix, r in rows.items() if suffix}
     s0 = pa.state_of(0)
-    sources = {(rows[stack], (q, s0)): c for (q, stack), c in starts.items()}
+    sources = {(q, s0): c.value for q, c in enumerate(a.initial) if not c.is_zero()}
     letters = [pa.letter(s) for s in range(pa.size)]
     advance = [pa.advance(s) for s in range(pa.size)]
     variables = {_LEVEL, *m.stack_alphabet}
@@ -466,26 +454,23 @@ def _value_graph(a: SimpleOmegaPDA, w: LassoWord, starts):
         p, s = node
         letter = letters[s]
         if lhs is not _LEVEL and lhs in variables:
-            out = [(lhs, c, (q,)) for q, c in _pops(m, lhs, p, letter)]
+            out = [(lhs, c.value, (q,)) for q, c in _pops(m, lhs, p, letter)]
             out.append((lhs, None, (_LEVEL, lhs)))
             return out
         neutral, push = m.moves.get(letter, {}).get(p, ((), ()))
-        level = _LEVEL if lhs is _LEVEL else (lhs, lhs)
-        out = [(level, c, (q,)) for q, c in neutral]
-        out += [(level, c, (q, sym)) for sym, q, c in push]
+        level = _LEVEL if lhs is _LEVEL else (0, 0)
+        out = [(level, c.value, (q,)) for q, c in neutral]
+        out += [(level, c.value, (q, sym)) for sym, q, c in push]
         if lhs is not _LEVEL:
-            out += [((lhs, 0), c, (q,)) for _sym, q, c in push]
-            if lhs:
-                top, nxt = below[lhs]
-                out += [((lhs, nxt), c, (q,)) for q, c in _pops(m, top, p, letter)]
+            out += [((0, 0), c.value, (q,)) for _sym, q, c in push]
         return out
 
-    ids, value = _search.derivation_items(a.instance, variables, monomials_at, step, sources)
-    edges: dict[tuple, list] = {}
-    for key, i in ids.items():
-        if key[0] not in variables:
-            (r, r2), node, target, bit = key
-            edges.setdefault((r, node), []).append(((r2, target), value[i], bit, True))
+    demand = [(0, node) for node in sources]
+    _, steps = _search.derivation_items(a.instance, variables, monomials_at, step, demand)
+    edges = {
+        node: [(target, c, bit, True) for (_row, target, bit), c in outs.items()]
+        for (_row, node), outs in steps.items()
+    }
     return edges, sources
 
 

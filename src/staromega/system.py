@@ -7,22 +7,23 @@ and its z-linear part.
 
 Algebraic systems x = p(x) are solved for their finite parts one word
 length at a time (`least_solution_finite`).  Omega-parts of mixed systems
-are evaluated exactly at ultimately periodic words u v^omega:
-`_derivation_items` weighs the derivations of the x-variables between
-positions of the period quotient (the weighted Bar-Hillel product of the
-grammar with the quotient, on `_search.derivation_items`, the engine that
-the automaton route runs on too) and of the z-coefficients on them, on
-demand from the start: only the (variable, position) pairs and (z-variable,
-position) nodes that the start reaches are read.  The z-coefficients'
-weights are the edges of the graph that `_search.lasso_value` reads the
-value off, as it reads an automaton's: an edge may consume no letter, and
-the read-off sums such edges itself, by the omega_t of each strongly
-connected component, so the value is exact on all four instances,
-counting included.  A finite word is the quotient without a period, so
-the coefficients of its segments (`SegmentTable`) are the same derivation
-weights, and the empty word's are the empty-word coefficients
-(`eps_coefficients`) that the finite solution and the normal form start
-from.  No answer depends on a cap.
+are evaluated exactly at ultimately periodic words u v^omega on
+`_search.derivation_items`, the engine that the automaton route runs on
+too: the weighted Bar-Hillel product of the grammar with the period
+quotient, built on demand from the start.  It returns raw weights by node:
+the x-facts, the derivation weights of the (variable, position) pairs that
+the start reaches, and the z-steps, the z-coefficients evaluated on them
+at the (z-variable, position) nodes that the start reaches.  The z-steps
+are the edges of the graph that `_search.lasso_value` reads the value off,
+as it reads an automaton's: an edge may consume no letter, and the
+read-off sums such edges itself, by the omega_t of each strongly connected
+component, so the value is exact on all four instances, counting included.
+A finite word is the quotient without a period, so the coefficients of its
+segments (`SegmentTable`) are the x-facts of every pair, and the empty
+word's are the empty-word coefficients (`eps_coefficients`) that the
+finite solution and the normal form start from.  Weights stay raw until
+`support_triples` and `canonical_omega_lasso` return them.  No answer
+depends on a cap.
 
 The z-coefficient matrix rho of a mixed system z = rho(x) z is stored
 sparsely: one row per z-variable, each a mapping from column index to a
@@ -559,33 +560,11 @@ def support_triples(
     the coefficients of its segments, the end position included.
     """
     demand = [(v, s) for v in sys.variables for s in range(pa.size)]
-    ids, value = _derivation_items(sys, pa, (), demand)
-    out: dict[tuple[str, int], dict[tuple[int, bool], SemiringValue]] = {
-        key: {} for key in demand
+    x_facts, _ = _derivation_items(sys, pa, (), demand)
+    return {
+        node: {key: _scalar(sys.instance, v) for key, v in facts.items()}
+        for node, facts in x_facts.items()
     }
-    for key, i in ids.items():
-        if len(key) == 4:
-            head, s, t, bit = key
-            out[(head, s)][(t, bit)] = value[i]
-    return out
-
-
-def _z_steps(
-    sys: MixedSystem, pa: PositionAutomaton, start: tuple[int, int]
-) -> dict[tuple[int, int], dict[tuple[int, int, bool], SemiringValue]]:
-    """(j, s) -> {(j2, t, consumed-a-letter): weight} at the (z-variable,
-    position) nodes that the start reaches: the z-coefficients evaluated on
-    the derivation weights of the x-variables, from `_derivation_items`
-    with the start demanded."""
-    ids, value = _derivation_items(sys.x, pa, sys.rho, [start])
-    variables = set(sys.x.variables)
-    steps: dict[tuple[int, int], dict[tuple[int, int, bool], SemiringValue]] = {start: {}}
-    for key, i in ids.items():
-        if len(key) == 4 and key[0] not in variables:
-            (j, j2), s, t, bit = key
-            steps.setdefault((j, s), {})[(j2, t, bit)] = value[i]
-            steps.setdefault((j2, t), {})
-    return steps
 
 
 def _derivation_items(sys: AlgebraicSystem, pa: PositionAutomaton, rho, demand):
@@ -597,11 +576,11 @@ def _derivation_items(sys: AlgebraicSystem, pa: PositionAutomaton, rho, demand):
     leads s to the next position when it is the letter at s, and its bit
     records that a letter was consumed.
     """
-    by_lhs: dict = {
-        v: [(v, m.coeff, m.word) for m in p.monomials] for v, p in zip(sys.variables, sys.rhs)
-    }
-    for j, row in enumerate(rho):
-        by_lhs[j] = [((j, j2), m.coeff, m.word) for j2, p in row.items() for m in p.monomials]
+    by_lhs: dict = {}
+    cells = [(v, v, p) for v, p in zip(sys.variables, sys.rhs)]
+    cells += [(j, (j, j2), p) for j, row in enumerate(rho) for j2, p in row.items()]
+    for lhs, head, p in cells:
+        by_lhs.setdefault(lhs, []).extend((head, m.coeff.value, m.word) for m in p.monomials)
     letters = [pa.letter(s) for s in range(pa.size)]
     advance = [(pa.advance(s), True) for s in range(pa.size)]
 
@@ -639,13 +618,14 @@ def canonical_omega_lasso(
     The sum ranges over infinite runs through the z-coefficient matrix of the
     least finite solution, Buchi-restricted to the first k z-variables.  The
     runs are paths of the z-graph over (z-variable, position) whose edges are
-    the z-coefficients evaluated on the exact derivation weights of
-    `_z_steps`.  An edge hits when its target is a Buchi z-variable, and
-    consumes a letter or not.  A run takes infinitely many letter edges, so
-    `lasso_value` sums the paths with infinitely many letter edges and
-    infinitely many hit edges, letter-free ones between them included.  Each
-    run is one path of the graph, so the value is exact on every instance,
-    counting included.
+    the z-steps of `_derivation_items` with the start demanded: the
+    z-coefficients evaluated on the exact derivation weights of the
+    x-variables, at the nodes that the start reaches.  An edge hits when its
+    target is a Buchi z-variable, and consumes a letter or not.  A run takes
+    infinitely many letter edges, so `lasso_value` sums the paths with
+    infinitely many letter edges and infinitely many hit edges, letter-free
+    ones between them included.  Each run is one path of the graph, so the
+    value is exact on every instance, counting included.
     """
     m = sys.m
     if not 0 <= k <= m:
@@ -655,9 +635,10 @@ def canonical_omega_lasso(
 
     pa = PositionAutomaton.of(w)
     start = (component, pa.state_of(0))
+    _, steps = _derivation_items(sys.x, pa, sys.rho, [start])
     edges = {
         node: [((j2, t), c, j2 < k, bit) for (j2, t, bit), c in outs.items()]
-        for node, outs in _z_steps(sys, pa, start).items()
+        for node, outs in steps.items()
     }
     inst = sys.x.instance
-    return LassoResult(OK, lasso_value(inst, edges, {start: inst.one}))
+    return LassoResult(OK, _scalar(inst, lasso_value(inst, edges, {start: inst.one_raw()})))

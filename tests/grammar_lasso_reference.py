@@ -22,7 +22,17 @@ from staromega import _search
 from staromega._search import PositionAutomaton, solve_derivations
 from staromega.matrix import _star
 from staromega.semiring import _scalar
-from staromega.system import _z_steps
+from staromega.system import _derivation_items
+
+
+def z_steps(sys, pa, start):
+    """(j, s) -> {(j2, t, consumed-a-letter): weight} of the engine, the
+    z-steps that `canonical_omega_lasso` reads from the start, as scalars."""
+    inst = sys.x.instance
+    _, steps = _derivation_items(sys.x, pa, sys.rho, [start])
+    return {
+        node: {key: _scalar(inst, c) for key, c in outs.items()} for node, outs in steps.items()
+    }
 
 
 def _epsilon_closure_with_hits(inst, eps, m, k):
@@ -55,7 +65,7 @@ def closure_omega_lasso(sys, k, component, w):
     inst, m = sys.x.instance, sys.m
     pa = PositionAutomaton.of(w)
     start = (component, pa.state_of(0))
-    steps = _z_steps(sys, pa, start)
+    steps = z_steps(sys, pa, start)
     eps = {(j, j2): c for (j, _s), outs in steps.items()
            for (j2, _t, bit), c in outs.items() if not bit}
     if eps:
@@ -76,8 +86,8 @@ def closure_omega_lasso(sys, k, component, w):
                     key = ((j2, t), hit or j2 < k)
                     prev = acc.get(key)
                     acc[key] = h * c if prev is None else prev + h * c
-        edges[(j, s)] = [(node, c, hit, True) for (node, hit), c in acc.items()]
-    return _search.lasso_value(inst, edges, {start: inst.one})
+        edges[(j, s)] = [(node, c.value, hit, True) for (node, hit), c in acc.items()]
+    return _scalar(inst, _search.lasso_value(inst, edges, {start: inst.one_raw()}))
 
 
 class JacobiSegmentTable:
@@ -263,7 +273,9 @@ def reference_weighted_support_triples(sys, pa):
     every pair is joined once.  `solve_derivations` then weighs every item.
     """
     variables = set(sys.variables)
-    monos = [(v, m.coeff, m.word) for v, p in zip(sys.variables, sys.rhs) for m in p.monomials]
+    monos = [
+        (v, m.coeff.value, m.word) for v, p in zip(sys.variables, sys.rhs) for m in p.monomials
+    ]
     ids: dict[tuple, int] = {}
     rules: list[list] = []
     work: list = []
@@ -318,7 +330,7 @@ def reference_weighted_support_triples(sys, pa):
     out = {(v, s): {} for v in sys.variables for s in range(pa.size)}
     for (head, s, t, bit), i in ids.items():
         if isinstance(head, str):
-            out[(head, s)][(t, bit)] = value[i]
+            out[(head, s)][(t, bit)] = _scalar(sys.instance, value[i])
     return out
 
 

@@ -10,7 +10,7 @@ three functions below are that construction, unchanged; `reference_pipeline`
 assembles them as the pipeline did, up to the sum.
 """
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from staromega.gnf import (
     _Names,
@@ -18,7 +18,6 @@ from staromega.gnf import (
     _fresh_prefix,
     _gnf_split,
     _indexed_rows,
-    DecompositionTerm,
     OmegaDecomposition,
     finite_gnf,
     productive_components,
@@ -49,7 +48,18 @@ def _first(sys: AlgebraicSystem, name: str) -> AlgebraicSystem:
     )
 
 
-def normalize_decomposition(d: OmegaDecomposition) -> tuple[DecompositionTerm, ...]:
+class NormalTerm(NamedTuple):
+    """A normalized summand (s + eps_coeff eps) t^omega; a missing s_sys or
+    eps_coeff stands for zero."""
+
+    t_sys: AlgebraicSystem
+    t_component: int
+    s_sys: AlgebraicSystem | None
+    s_component: int
+    eps_coeff: SemiringValue | None
+
+
+def normalize_decomposition(d: OmegaDecomposition) -> tuple[NormalTerm, ...]:
     """Absorb empty-word parts: t-series become epsilon-free, and each
     s-series keeps its epsilon-free part as s_sys and its empty-word
     coefficient as eps_coeff, one term per input term; dead terms drop.
@@ -57,7 +67,7 @@ def normalize_decomposition(d: OmegaDecomposition) -> tuple[DecompositionTerm, .
     are.
     """
     inst = d.instance
-    out: list[DecompositionTerm] = []
+    out: list[NormalTerm] = []
     for term in d.terms:
         t_proper, t_eps = proper_form(term.t_sys)
         t_comp = term.t_component
@@ -76,16 +86,14 @@ def normalize_decomposition(d: OmegaDecomposition) -> tuple[DecompositionTerm, .
                 + (Polynomial.build(inst, [(scale, (tname,))]),),
             )
             t_comp = len(t_proper.variables) - 1
-        eps = inst.zero if term.eps_coeff is None else term.eps_coeff
         s_sys = None
-        if term.s_sys is not None:
-            s_proper, s_eps = proper_form(term.s_sys)
-            eps = eps + s_eps[term.s_component]
-            if s_proper.variables[term.s_component] in productive_components(s_proper):
-                s_sys = s_proper
+        s_proper, s_eps = proper_form(term.s_sys)
+        eps = s_eps[term.s_component]
+        if s_proper.variables[term.s_component] in productive_components(s_proper):
+            s_sys = s_proper
         if s_sys is not None or not eps.is_zero():
             out.append(
-                DecompositionTerm(
+                NormalTerm(
                     t_proper, t_comp, s_sys, term.s_component, None if eps.is_zero() else eps
                 )
             )

@@ -15,6 +15,13 @@ must be theirs at the demanded pairs.
 
 from staromega._search import PositionAutomaton, lasso_value, solve_derivations
 from staromega.pda import _pops, transpose
+from staromega.semiring import _scalar
+
+
+def solve_scalars(instance, rules):
+    """`solve_derivations` of rules whose constants are scalars, as scalars."""
+    raw = [[(None if c is None else c.value, a, b) for c, a, b in terms] for terms in rules]
+    return [_scalar(instance, v) for v in solve_derivations(instance, raw)]
 
 
 def block_steps(ra, block):
@@ -104,7 +111,7 @@ def reference_saturate(ra):
             derive(src, sym, (q, t, h or bit), (None, e, i))
         facts_at.setdefault(node, []).append((sym, (q, t, bit), i))
 
-    value = solve_derivations(ra.a.instance, rules)
+    value = solve_scalars(ra.a.instance, rules)
     level_w = {}
     for (node, sym, (q, t, bit)), i in ids.items():
         if sym is None:
@@ -277,7 +284,7 @@ def pushdown_lasso_value(instance, pa, level, push, pop, starts):
     stack behind for good.
     """
     s0 = pa.state_of(0)
-    sources = {(q, s0, tuple(stack)): c for (q, stack), c in starts.items()}
+    sources = {(q, s0, tuple(stack)): c.value for (q, stack), c in starts.items()}
     edges = {}
     todo = list(sources)
     while todo:
@@ -285,14 +292,14 @@ def pushdown_lasso_value(instance, pa, level, push, pop, starts):
         if node in edges:
             continue
         p, s, rest = node
-        outs = [((q, t, rest), c, h, True) for q, t, c, h in level.get((p, s), ())]
-        outs += [((q, t, ()), c, h, True) for q, t, c, h in push.get((p, s), ())]
+        outs = [((q, t, rest), c.value, h, True) for q, t, c, h in level.get((p, s), ())]
+        outs += [((q, t, ()), c.value, h, True) for q, t, c, h in push.get((p, s), ())]
         if rest:
             exposed = pop.get((p, s), {}).get(rest[0], ())
-            outs += [((q, t, rest[1:]), c, h, True) for q, t, c, h in exposed]
+            outs += [((q, t, rest[1:]), c.value, h, True) for q, t, c, h in exposed]
         edges[node] = outs
         todo.extend(e[0] for e in outs if e[0] not in edges)
-    return lasso_value(instance, edges, sources)
+    return _scalar(instance, lasso_value(instance, edges, sources))
 
 
 class RunAnalysis:
@@ -451,7 +458,7 @@ class RunAnalysis:
         self.reached = reached
         self.item_ids = ids
 
-        value = solve_derivations(self.a.instance, rules)
+        value = solve_scalars(self.a.instance, rules)
         self.level_w: dict[tuple[int, int], list] = {}
         for (node, sym, (q, t, bit)), i in ids.items():
             if sym is None:

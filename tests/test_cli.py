@@ -214,6 +214,43 @@ def test_directives_naming_no_declared_variable_of_their_sort_exit_2(lines, line
         assert captured.err == f"error: line {line}, column 1: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("@semiring boolean", "@semiring tropical"),
+        ("@start z1", "@start x2"),
+        ("@finite x1", "@finite x2"),
+        ("@buchi 1", "@buchi 0"),
+    ],
+    ids=["semiring", "start", "finite", "buchi"],
+)
+def test_a_second_directive_of_a_kind_exits_2(first, second, tmp_path, capsys):
+    # the second line would silently replace the first
+    lines = [
+        "@semiring boolean",
+        "@alphabet a b",
+        "@sort x x1 x2",
+        "@sort z z1",
+        "@start z1",
+        "@finite x1",
+        "@buchi 1",
+        "x1 = a",
+        "x2 = b",
+        "z1 = a z1",
+    ]
+    assert main(["parse", grm(tmp_path, "\n".join(lines) + "\n", "once.grm")]) == EXIT_OK
+    capsys.readouterr()
+    line = lines.index(first) + 2
+    lines.insert(line - 1, second)
+    path = grm(tmp_path, "\n".join(lines) + "\n")
+    for argv in (["parse", path], ["eval", path, "--word", "b"], ["gnf", path], ["build-pda", path]):
+        assert main(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        directive = second.split()[0]
+        assert captured.err == f"error: line {line}, column 1: second {directive} directive\n"
+
+
 def test_cmd_parse_reports_syntax_error(tmp_path, capsys):
     rc = main(["parse", grm(tmp_path, "@semiring tropical\n@alphabet a\n@sort x x1\nx1 = (z) a\n")])
     assert rc == EXIT_USAGE

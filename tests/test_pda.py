@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ from staromega.pda import (
     EpsilonCoefficient,
     ResetPDMatrix,
     SimpleOmegaPDA,
-    _omega_value,
     _successors,
     _value_graph,
     behavior_finite,
@@ -71,9 +71,25 @@ def entry_letters(block, i, j):
     return {a: c.value for a, c in block.get(i, {}).get(j, {}).items()}
 
 
-def omega_value_from(a, w, state, stack=()):
-    """Omega value started from one configuration instead of the initial vector."""
-    return _omega_value(a, w, {(state, tuple(stack)): a.instance.one})
+def from_state(a, state):
+    """a with the unit at state as its whole initial vector."""
+    inst = a.instance
+    initial = tuple(inst.one if q == state else inst.zero for q in range(a.matrix.n_states))
+    return replace(a, initial=initial)
+
+
+def omega_value_from(a, w, state):
+    """Omega value of the runs from state on the empty stack."""
+    return behavior_omega_lasso(from_state(a, state), w)
+
+
+def value_after_step(a, w, state, stack):
+    """Omega value of the runs from a configuration that a first step
+    reaches: the engine's on the empty stack, where a run of the automaton
+    starts, and the reference saturation's on a nonempty one."""
+    if not stack:
+        return omega_value_from(a, w, state).value
+    return reference_omega_value(a, w, {(state, stack): a.instance.one})
 
 
 # -- matrix entry expansion -----------------------------------------------------
@@ -339,7 +355,7 @@ def test_omega_from_x_states_and_sink_is_zero():
     auto = contrast_auto()
     for state in (2, 3, 4):
         for (u, v) in [((), ("c",)), (("a",), ("c",)), ((), ("a", "a"))]:
-            r = omega_value_from(auto, LassoWord(u, v), state, ())
+            r = omega_value_from(auto, LassoWord(u, v), state)
             assert r.conclusive and r.value.value == 0
 
 
@@ -360,26 +376,18 @@ def test_finite_from_z_states_is_zero():
 
 
 def test_one_step_unfolding_invariance():
-    # the omega value from a configuration is the sum over one-step successors
+    # the omega value from a state is the sum over its one-step successors
     auto = contrast_auto()
-    from staromega.pda import _successors
-
     inst = auto.instance
     for (u, v) in [(("a",), ("c",)), ((), ("a", "a")), (("a", "c", "a", "a"), ("c",))]:
         w = LassoWord(u, v)
         for state in range(5):
-            for stack in [(), ("Z:z2",), ("X:x2",)]:
-                direct = omega_value_from(auto, w, state, stack)
-                acc = inst.zero
-                ok = True
-                for j, stack2, c in _successors(auto.matrix, state, stack, letter(w, 0)):
-                    rest = omega_value_from(auto, shift(w, 1), j, stack2)
-                    if not rest.conclusive:
-                        ok = False
-                        break
-                    acc = acc + c * rest.value
-                if ok and direct.conclusive:
-                    assert acc == direct.value, (state, stack, str(w))
+            direct = omega_value_from(auto, w, state)
+            assert direct.conclusive
+            acc = inst.zero
+            for j, stack2, c in _successors(auto.matrix, state, (), letter(w, 0)):
+                acc = acc + c * value_after_step(auto, shift(w, 1), j, stack2)
+            assert acc == direct.value, (state, str(w))
 
 
 def test_pop_path_equals_sink_acceptance():
@@ -774,28 +782,27 @@ def random_weighted_automaton(rng, inst):
 
 
 def random_weighted_cases(label, count, instances=(TROPICAL, ARCTIC, COUNTING)):
-    """Seeded (automaton, lasso word, start state, start stack of depth 0-2),
-    cycling through the instances."""
+    """Seeded (automaton, lasso word, start state), cycling through the
+    instances."""
     rng = random.Random(label)
     for i in range(count):
         auto = random_weighted_automaton(rng, instances[i % len(instances)])
         state = rng.randrange(auto.matrix.n_states)
-        stack = tuple(rng.choice("XY") for _ in range(rng.randint(0, 2)))
-        yield auto, random_lasso(rng), state, stack
+        yield auto, random_lasso(rng), state
 
 
 def test_exact_value_equals_the_complete_reference_search_on_random_automata():
     # the reference sums paths over idempotent instances only, so counting
     # is left to the unfolding test below
     compared = nonzero = 0
-    for auto, w, state, stack in random_weighted_cases("exact/reference", 400, (TROPICAL, ARCTIC)):
-        got = omega_value_from(auto, w, state, stack)
+    for auto, w, state in random_weighted_cases("exact/reference", 400, (TROPICAL, ARCTIC)):
+        got = omega_value_from(auto, w, state)
         assert got.conclusive
         # height 6 keeps the reference small; a search that dropped nothing
         # holds every run, and one that dropped some sums only some of them
-        starts = {(state, stack): auto.instance.one}
+        starts = {(state, ()): auto.instance.one}
         ref, complete = reference_certificate_search(auto, w, starts, 6)
-        case = (auto.instance.name, str(w), state, stack)
+        case = (auto.instance.name, str(w), state)
         if complete:
             assert got.value == ref, case
             compared += 1
@@ -807,7 +814,7 @@ def test_exact_value_equals_the_complete_reference_search_on_random_automata():
 
 def test_exact_value_equals_the_run_analysis_reference_on_random_automata():
     # the post* saturation and read-off that the route ran on before the
-    # triple grammar, from one configuration and from the initial vector;
+    # triple grammar, from one state and from the whole initial vector;
     # over counting too, which no path-summing reference covers
     compared = nonzero = 0
     rng = random.Random("exact/run-analysis")
@@ -815,10 +822,9 @@ def test_exact_value_equals_the_run_analysis_reference_on_random_automata():
         auto = random_weighted_automaton(rng, (BOOLEAN, TROPICAL, ARCTIC, COUNTING)[i % 4])
         w = random_lasso(rng)
         state = rng.randrange(auto.matrix.n_states)
-        stack = tuple(rng.choice("XY") for _ in range(rng.randint(0, 3)))
-        case = (auto.instance.name, str(w), state, stack)
+        case = (auto.instance.name, str(w), state)
         for got, starts in (
-            (omega_value_from(auto, w, state, stack), {(state, stack): auto.instance.one}),
+            (omega_value_from(auto, w, state), {(state, ()): auto.instance.one}),
             (behavior_omega_lasso(auto, w), initial_starts(auto)),
         ):
             assert got.value == reference_omega_value(auto, w, starts), case
@@ -828,71 +834,66 @@ def test_exact_value_equals_the_run_analysis_reference_on_random_automata():
 
 
 def test_one_step_unfolding_on_random_automata():
-    # the value from a configuration is the sum over its one-step successors
+    # the value from a state is the sum over its one-step successors
     counting = 0
-    for auto, w, state, stack in random_weighted_cases("exact/unfolding", 300):
-        direct = omega_value_from(auto, w, state, stack).value
+    for auto, w, state in random_weighted_cases("exact/unfolding", 300):
+        direct = omega_value_from(auto, w, state).value
         acc = auto.instance.zero
-        for j, stack2, c in _successors(auto.matrix, state, stack, letter(w, 0)):
-            acc = acc + c * omega_value_from(auto, shift(w, 1), j, stack2).value
-        assert acc == direct, (auto.instance.name, str(w), state, stack)
+        for j, stack2, c in _successors(auto.matrix, state, (), letter(w, 0)):
+            acc = acc + c * value_after_step(auto, shift(w, 1), j, stack2)
+        assert acc == direct, (auto.instance.name, str(w), state)
         counting += auto.instance is COUNTING and not direct.is_zero()
     assert counting >= 10, counting
 
 
 def test_solver_arctic_pump_is_inf():
     # i0 = 1 | 1 * i0 grows by one every round; i1 = i0 * i0 depends on it
-    one = ARCTIC.value(1)
-    value = solve_derivations(ARCTIC, [[(one, None, None), (one, 0, None)], [(None, 0, 0)]])
-    assert [v.value for v in value] == [INF, INF]
+    value = solve_derivations(ARCTIC, [[(1, None, None), (1, 0, None)], [(None, 0, 0)]])
+    assert value == [INF, INF]
     # a zero-gain loop is no pump: i0 = 1 | i0, i1 = 0 | i1 * i0
-    zero_gain = [[(one, None, None), (None, 0, None)], [(ARCTIC.one, None, None), (None, 1, 0)]]
+    zero_gain = [[(1, None, None), (None, 0, None)], [(ARCTIC.one_raw(), None, None), (None, 1, 0)]]
     value = solve_derivations(ARCTIC, zero_gain)
-    assert [v.value for v in value] == [1, INF]
+    assert value == [1, INF]
 
 
 def test_solver_counting_repeated_item_is_inf():
     # i0 = 1 | i0: every tree is a chain of i0, one per height, each weighing
     # 1, so i0 and i1 = i0 * i0 are inf; i2 = 2 | i1 uses them
-    c = COUNTING.value
     value = solve_derivations(COUNTING, [
-        [(c(1), None, None), (None, 0, None)],
+        [(1, None, None), (None, 0, None)],
         [(None, 0, 0)],
-        [(c(2), None, None), (None, 1, None)],
+        [(2, None, None), (None, 1, None)],
     ])
-    assert [v.value for v in value] == [INF, INF, INF]
+    assert value == [INF, INF, INF]
     # a weighted loop of two items, i0 = 1 | 3 * i1, i1 = 2 * i0
-    value = solve_derivations(COUNTING, [[(c(1), None, None), (c(3), 1, None)], [(c(2), 0, None)]])
-    assert [v.value for v in value] == [INF, INF]
+    value = solve_derivations(COUNTING, [[(1, None, None), (3, 1, None)], [(2, 0, None)]])
+    assert value == [INF, INF]
     # a cycle of 300 items, i = 2 | next * next: Kleene rounds would square
     # numbers 300 times over, to 2^300 digits
     n = 300
-    cycle = [[(c(2), None, None), (None, (i + 1) % n, (i + 1) % n)] for i in range(n)]
-    assert all(v.value is INF for v in solve_derivations(COUNTING, cycle))
+    cycle = [[(2, None, None), (None, (i + 1) % n, (i + 1) % n)] for i in range(n)]
+    assert all(v is INF for v in solve_derivations(COUNTING, cycle))
 
 
 def test_solver_counting_sums_every_tree_without_repetition():
     # i0 = 1 | 2, i1 = i0 * i0 | 3 * i0, i2 = i1 | i1 * i0: finitely many
     # trees, so the values are their sums, 3, 18 and 72
-    c = COUNTING.value
     value = solve_derivations(COUNTING, [
-        [(c(1), None, None), (c(2), None, None)],
-        [(None, 0, 0), (c(3), 0, None)],
+        [(1, None, None), (2, None, None)],
+        [(None, 0, 0), (3, 0, None)],
         [(None, 1, None), (None, 1, 0)],
     ])
-    assert [v.value for v in value] == [3, 18, 72]
+    assert value == [3, 18, 72]
 
 
 def test_solver_tropical_chain_gives_its_minimum():
     # i0 = 3 | 1 * i1, i1 = 1 | i2, i2 = 0 | 2 * i0: a chain of cycles
-    t = TROPICAL.value
     rules = [
-        [(t(3), None, None), (t(1), 1, None)],
-        [(t(1), None, None), (None, 2, None)],
-        [(t(0), None, None), (t(2), 0, None)],
+        [(3, None, None), (1, 1, None)],
+        [(1, None, None), (None, 2, None)],
+        [(0, None, None), (2, 0, None)],
     ]
-    value = solve_derivations(TROPICAL, rules)
-    assert [v.value for v in value] == [1, 0, 0]
+    assert solve_derivations(TROPICAL, rules) == [1, 0, 0]
 
 
 def test_deep_push_decomposition_agrees_on_all_routes():
@@ -976,21 +977,20 @@ def random_lasso(rng):
     return LassoWord(prefix, tuple(rng.choice("ab") for _ in range(rng.randint(1, 3))))
 
 
-def assert_row0_steps_match(ra, w, starts):
-    """At every row-0 node that the engine's value graph demanded, its
-    z-steps are the reference's level edges plus its pushes, summed per
-    (target, bit): the runs that stay at or above the empty stack."""
-    edges, sources = _value_graph(ra.a, w, starts)
+def assert_z_steps_match(ra, w):
+    """The reference ra ran from the initial vector of its automaton.  At
+    every node that the engine's value graph demanded, its z-steps are the
+    reference's level edges plus its pushes, summed per (target, bit): the
+    runs that stay at or above the empty stack."""
+    edges, sources = _value_graph(ra.a, w)
     demanded = set(sources) | {e[0] for outs in edges.values() for e in outs}
-    for row, node in demanded:
-        if row:
-            continue
+    for node in demanded:
         want = {}
         for q, t, c, bit in ra.level_w.get(node, []) + ra.push_w.get(node, []):
-            key = ((0, (q, t)), bit)
+            key = ((q, t), bit)
             want[key] = want[key] + c if key in want else c
-        got = {(target, bit): c for target, c, bit, _letter in edges.get((0, node), ())}
-        assert got == want, node
+        got = {(target, bit): c for target, c, bit, _letter in edges.get(node, ())}
+        assert got == {key: c.value for key, c in want.items()}, node
 
 
 def test_worklist_summaries_equal_round_robin_on_random_automata():
@@ -1016,7 +1016,7 @@ def test_worklist_summaries_equal_round_robin_on_random_automata():
         w = random_lasso(rng)
         ra = RunAnalysis(auto, w, initial_starts(auto))
         assert_summaries_match(ra, round_robin_summaries(ra))
-        assert_row0_steps_match(ra, w, initial_starts(auto))
+        assert_z_steps_match(ra, w)
 
 
 def test_demanded_summaries_equal_the_full_saturation_on_random_automata():
@@ -1025,17 +1025,14 @@ def test_demanded_summaries_equal_the_full_saturation_on_random_automata():
     rng = random.Random("demand/full-saturation")
     pop_facts = 0
     for i in range(300):
-        auto = random_weighted_automaton(rng, (BOOLEAN, TROPICAL, ARCTIC)[i % 3])
-        state = rng.randrange(auto.matrix.n_states)
-        stack = tuple(rng.choice("XY") for _ in range(rng.randint(0, 2)))
+        auto = random_weighted_automaton(rng, (BOOLEAN, TROPICAL, ARCTIC, COUNTING)[i % 4])
         w = random_lasso(rng)
-        starts = {(state, stack): auto.instance.one}
-        ra = RunAnalysis(auto, w, starts)
+        ra = RunAnalysis(auto, w, initial_starts(auto))
         level_w, pop_sum, level1, raw_push = reference_saturate(ra)
-        case = (auto.instance.name, str(w), state, stack)
+        case = (auto.instance.name, str(w))
         assert sorted_level_w(ra.level_w) == sorted_level_w(at_reached(ra, level_w)), case
         assert_summaries_match(ra, (pop_sum, level1, raw_push))
-        assert_row0_steps_match(ra, w, starts)
+        assert_z_steps_match(ra, w)
         pop_facts += len(pop_sum_of(ra))
     assert pop_facts >= 300, pop_facts
 
@@ -1049,15 +1046,15 @@ def test_reached_nodes_are_the_closure_of_the_starts_on_random_automata():
     for i in range(300):
         auto = random_weighted_automaton(rng, (BOOLEAN, TROPICAL, ARCTIC, COUNTING)[i % 4])
         state = rng.randrange(auto.matrix.n_states)
-        stack = tuple(rng.choice("XY") for _ in range(rng.randint(0, 2)))
-        starts = {(state, stack): auto.instance.one}
+        auto = from_state(auto, state)
+        starts = initial_starts(auto)
         w = random_lasso(rng)
         ra = RunAnalysis(auto, w, starts)
         level_w, _pop_sum, level1, raw_push = reference_saturate(ra)
-        case = (auto.instance.name, str(w), state, stack)
+        case = (auto.instance.name, str(w), state)
         assert ra.reached == reached_closure(ra, starts, level1, raw_push), case
         assert sorted_level_w(ra.level_w) == sorted_level_w(at_reached(ra, level_w)), case
-        assert_row0_steps_match(ra, w, starts)
+        assert_z_steps_match(ra, w)
         unreached += auto.matrix.n_states * ra.pa.size - len(ra.reached)
     assert unreached >= 100, unreached
 
@@ -1077,7 +1074,7 @@ def test_push_read_after_a_fact_at_its_target_joins_that_fact():
     ra = RunAnalysis(auto, w, initial_starts(auto))
     assert ra.reached == {(0, 0), (1, 0), (2, 0)}
     assert level1_of(ra) == {(0, 0): {(2, 0, True)}, (2, 0): {(2, 0, True)}}
-    assert_row0_steps_match(ra, w, initial_starts(auto))
+    assert_z_steps_match(ra, w)
     assert behavior_omega_lasso(auto, w).value == b.one
 
 
@@ -1099,7 +1096,7 @@ def test_automaton_route_agrees_with_mixed_normal_form(inst):
         for w in lassos:
             ra = RunAnalysis(auto, w, initial_starts(auto))
             assert_summaries_match(ra, round_robin_summaries(ra))
-            assert_row0_steps_match(ra, w, initial_starts(auto))
+            assert_z_steps_match(ra, w)
             want = canonical_omega_lasso(mixed, sel.buchi_count, sel.component, w)
             got = behavior_omega_lasso(auto, w)
             assert got.conclusive and want.conclusive, str(w)
@@ -1118,14 +1115,15 @@ def test_automaton_route_agrees_with_mixed_normal_form(inst):
 # -- the shared accepting-cycle check against the searches it replaced ------------
 
 
-def reference_pda_run_exists(a, w, starts):
+def reference_pda_run_exists(a, w):
     """Reference: the automaton route's emptiness analysis before the shared
-    component check.  It enumerates the reachable stack heads and runs a
-    fresh reachability search per head: (a) an empty-stack repetition
-    through a repeated state, or (b) a same-level or strictly stack-growing
-    repetition at or above a reachable head."""
+    component check, from the initial vector.  It enumerates the reachable
+    stack heads and runs a fresh reachability search per head: (a) an
+    empty-stack repetition through a repeated state, or (b) a same-level or
+    strictly stack-growing repetition at or above a reachable head."""
+    starts = initial_starts(a)
     ra = RunAnalysis(a, w, starts)
-    assert_row0_steps_match(ra, w, dict.fromkeys(starts, a.instance.one))
+    assert_z_steps_match(ra, w)
     level1, raw_push = level1_of(ra), raw_push_of(ra)
     pa = ra.pa
     push, pop = push_steps(ra), pop_steps(ra)
@@ -1287,10 +1285,10 @@ def test_run_check_agrees_with_per_head_searches_on_random_automata():
         auto = SimpleOmegaPDA(m, (b.one,) * n, (b.zero,) * n, rng.randint(0, n), names)
         w = random_lasso(rng)
         state = rng.randrange(n)
-        stack = tuple(rng.choice("XY") for _ in range(rng.randint(0, 2)))
-        want = reference_pda_run_exists(auto, w, [(state, stack)])
-        got = omega_value_from(auto, w, state, stack)
-        assert got.conclusive and got.value.value == int(want), (str(w), state, stack)
+        auto = from_state(auto, state)
+        want = reference_pda_run_exists(auto, w)
+        got = behavior_omega_lasso(auto, w)
+        assert got.conclusive and got.value.value == int(want), (str(w), state)
         accepting += want
     assert accepting >= cases // 10
 

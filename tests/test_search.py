@@ -50,6 +50,16 @@ def split_graph_value(inst, n, edges, sources):
     return total
 
 
+def raw_graph(edges, sources):
+    """The graph as `lasso_value` reads it: raw weights, with the zero edges
+    and sources left out."""
+    raw_edges = {
+        i: [(j, w.value, hit, letter) for j, w, hit, letter in outs if not w.is_zero()]
+        for i, outs in edges.items()
+    }
+    return raw_edges, {i: w.value for i, w in sources.items() if not w.is_zero()}
+
+
 @pytest.mark.parametrize("inst", [BOOLEAN, TROPICAL, ARCTIC, COUNTING], ids=lambda i: i.name)
 def test_lasso_value_is_omega_t_of_the_whole_split_graph(inst):
     # the per-component read-off against the matrix operator on all of it
@@ -58,11 +68,12 @@ def test_lasso_value_is_omega_t_of_the_whole_split_graph(inst):
     letter_free_counts = 0
     for _ in range(400):
         n, edges, sources = random_hit_graph(rng, inst)
-        want = split_graph_value(inst, n, edges, sources)
-        assert lasso_value(inst, edges, sources) == want, (edges, sources)
-        seen.add(want.value)
-        all_letters = {i: [e[:3] + (True,) for e in outs] for i, outs in edges.items()}
-        letter_free_counts += lasso_value(inst, all_letters, sources) != want
+        want = split_graph_value(inst, n, edges, sources).value
+        raw_edges, raw_sources = raw_graph(edges, sources)
+        assert lasso_value(inst, raw_edges, raw_sources) == want, (edges, sources)
+        seen.add(want)
+        all_letters = {i: [e[:3] + (True,) for e in outs] for i, outs in raw_edges.items()}
+        letter_free_counts += lasso_value(inst, all_letters, raw_sources) != want
     # on some graphs the letter-free edges change the value
     assert letter_free_counts >= 10, letter_free_counts
     # zero, the unit and inf all occur, and over tropical, arctic and
