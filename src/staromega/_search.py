@@ -166,10 +166,10 @@ def solve_derivations(instance: SemiringInstance, rules: list[list[Term]]) -> li
     item must have a derivation and every constant must be nonzero; the
     summary systems of `derivation_items` are, and they serve both lasso
     routes, finite words and the empty word, whose weights are the
-    empty-word coefficients (`system.eps_coefficients`) that the finite
-    solution and the normal form start from.  Components of the dependency
-    graph are solved sinks first.  A cyclic component C has, for every n, a
-    tree that goes round one of its cycles n times, and every item of C has
+    empty-word coefficients that the finite solution and the normal form
+    start from.  Components of the dependency graph are solved sinks
+    first.  A cyclic component C has, for every n, a tree that goes round
+    one of its cycles n times, and every item of C has
     a nonzero derivation through every other.  Trees whose root-to-leaf
     paths repeat no item of C have height at most |C|, so in-place Kleene
     rounds settle after |C| rounds unless some tree that repeats an item

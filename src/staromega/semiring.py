@@ -3,7 +3,10 @@
 Everything is exact: values are Python ints plus distinguished INF / NEG_INF
 tokens, never floats.  star and omega use analytic closed forms (suprema of
 the monotone partial sums / products); the test-suite re-derives them from
-truncations.
+truncations.  The hot loops run on raw values through instance kernels
+that write each carrier's arithmetic out: `axpy_raw`, a matrix row update,
+and `concat_raw`, the products of two word strata that
+`system.least_solution_finite` keys by integer word codes.
 """
 
 from __future__ import annotations
@@ -74,6 +77,17 @@ class SemiringInstance:
         instances write the arithmetic out."""
         add, mul = self.add_raw, self.mul_raw
         return [add(a, mul(left, b)) for a, b in zip(y, z)]
+
+    def concat_raw(self, out: dict, left: dict, scale: int, right: dict) -> None:
+        """Add left[w] * right[sw] into out[w * scale + sw], in place, for
+        nonzero values; the instances write the arithmetic out."""
+        add, mul, get = self.add_raw, self.mul_raw, out.get
+        for w, v in left.items():
+            base = w * scale
+            for sw, sv in right.items():
+                key, val = base + sw, mul(v, sv)
+                prev = get(key)
+                out[key] = val if prev is None else add(prev, val)
 
     def star_raw(self, a: Ext) -> Ext:
         raise NotImplementedError
@@ -212,6 +226,10 @@ class BooleanSemiring(SemiringInstance):
         # a nonzero left is 1
         return [a | b for a, b in zip(y, z)]
 
+    def concat_raw(self, out, left, scale, right):
+        # a nonzero value is 1
+        out.update({w * scale + sw: 1 for w in left for sw in right})
+
     def sweep_raw(self, a, order):
         # Warshall's closure on bit rows: bit j of rows[i] is a[i][j], and
         # eliminating pivot k ORs row k into every row with bit k set, one
@@ -277,6 +295,17 @@ class TropicalSemiring(SemiringInstance):
             a if b is INF else left + b if a is INF or left + b < a else a
             for a, b in zip(y, z)
         ]
+
+    def concat_raw(self, out, left, scale, right):
+        # a nonzero value is finite
+        get = out.get
+        for w, v in left.items():
+            base = w * scale
+            for sw, sv in right.items():
+                key, val = base + sw, v + sv
+                prev = get(key)
+                if prev is None or val < prev:
+                    out[key] = val
 
     def preclose_raw(self, a):
         # Warshall's closure of the 0 entries on bit rows, as in the Boolean
@@ -369,6 +398,19 @@ class ArcticSemiring(SemiringInstance):
             for a, b in zip(y, z)
         ]
 
+    def concat_raw(self, out, left, scale, right):
+        # a nonzero value is inf or finite, and inf absorbs
+        get = out.get
+        for w, v in left.items():
+            base = w * scale
+            for sw, sv in right.items():
+                key = base + sw
+                prev = get(key)
+                if prev is not INF:
+                    val = INF if v is INF or sv is INF else v + sv
+                    if prev is None or val is INF or val > prev:
+                        out[key] = val
+
     def star_raw(self, a):
         if a is NEG_INF or a == 0:
             return 0
@@ -425,6 +467,18 @@ class CountingSemiring(SemiringInstance):
             a if b == 0 else INF if a is INF or b is INF else a + left * b
             for a, b in zip(y, z)
         ]
+
+    def concat_raw(self, out, left, scale, right):
+        # a nonzero value is inf or a positive integer, and inf absorbs
+        get = out.get
+        for w, v in left.items():
+            base = w * scale
+            for sw, sv in right.items():
+                key = base + sw
+                prev = get(key)
+                if prev is not INF:
+                    val = INF if v is INF or sv is INF else v * sv
+                    out[key] = val if prev is None or val is INF else prev + val
 
     def star_raw(self, a):
         if a == 0:

@@ -213,6 +213,8 @@ class TruncatedSeries:
     coeffs: Mapping[Word, SemiringValue] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.max_len < 0:
+            raise SeriesError(f"truncation {self.max_len} is negative")
         for w, c in self.coeffs.items():
             if len(w) > self.max_len:
                 raise SeriesError(f"word {w} longer than truncation {self.max_len}")

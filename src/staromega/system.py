@@ -20,10 +20,10 @@ read-off sums such edges itself, by the omega_t of each strongly connected
 component, so the value is exact on all four instances, counting included.
 A finite word is the quotient without a period, so the coefficients of its
 segments (`SegmentTable`) are the x-facts of every pair, and the empty
-word's are the empty-word coefficients (`eps_coefficients`) that the
-finite solution and the normal form start from.  Weights stay raw until
-`support_triples` and `canonical_omega_lasso` return them.  No answer
-depends on a cap.
+word's are the empty-word coefficients that the finite solution reads
+raw and the normal form reads wrapped (`eps_coefficients`).  Weights stay
+raw until `support_triples` and `canonical_omega_lasso` return them.  No
+answer depends on a cap.
 
 The z-coefficient matrix rho of a mixed system z = rho(x) z is stored
 sparsely: one row per z-variable, each a mapping from column index to a
@@ -36,11 +36,11 @@ z-variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence
 
 from ._search import PositionAutomaton, derivation_items, lasso_value
-from .matrix import _star
+from .matrix import _scalars, _star
 from .semiring import Ext, SemiringError, SemiringInstance, SemiringValue, _scalar
 from .series import (
     Alphabet,
@@ -307,13 +307,13 @@ def least_solution_finite(sys: AlgebraicSystem, max_len: int) -> list[TruncatedS
     """Coefficients of the least solution on all words up to max_len.
 
     Solved one word length at a time (Kuich and Salomaa 1986).  The
-    empty-word coefficients e come first, from `eps_coefficients`: the
-    derivation weights of the empty word, exact on every instance, inf
-    where a counting cycle of nullable variables or an arctic cycle that
-    gains weight pumps them up.  A word of length L >= 1 splits
-    over a monomial in one of two ways.  Either one variable takes all of
-    it and every other symbol, a variable, takes the empty word: that is
-    the unit matrix U, where U[i][j] sums c * prod e over the other
+    empty-word coefficients e come first: the derivation weights of the
+    empty word, read raw off `_derivation_items` on its quotient, exact on
+    every instance, inf where a counting cycle of nullable variables or an
+    arctic cycle that gains weight pumps them up.  A word of length L >= 1
+    splits over a monomial in one of two ways.  Either one variable takes
+    all of it and every other symbol, a variable, takes the empty word:
+    that is the unit matrix U, where U[i][j] sums c * prod e over the other
     variables of x_i's monomials.  Or every symbol takes a shorter factor:
     that is r[L], read off the words shorter than L.  So the words of
     length L are U* r[L] in every component, with one matrix star of U for
@@ -321,56 +321,67 @@ def least_solution_finite(sys: AlgebraicSystem, max_len: int) -> list[TruncatedS
     weight up gives inf, where Kleene rounds never settle.  Unproductive
     variables are dropped first, and a monomial is read only at the lengths
     between its shortest and its longest word.
+
+    A stratum, the words of one length in one component, maps each word's
+    code, the word read in base k (the number of terminals), to its raw
+    coefficient, never zero, as no instance has zero divisors.  Appending a
+    factor of length m to w gives w * k**m plus the factor's code, and the
+    instance's `concat_raw` does it for every pair of words of two strata;
+    a partial product keeps its words by length, so each group finds the
+    lengths of its next factor once.  Codes are decoded once, at the end.
     """
     inst = sys.instance
     n = len(sys.variables)
-    live = productive_components(sys)
+    add, mul, concat = inst.add_raw, inst.mul_raw, inst.concat_raw
+    zero, one = inst.zero_raw(), inst.one_raw()
+    ix = {v: i for i, v in enumerate(sys.variables)}
+    # every monomial with the indices of its variables; a variable is
+    # productive once a monomial of it uses productive variables only
+    monos = [(i, m.coeff.value, m.word, [ix[s] for s in m.word if s in ix])
+             for i, p in enumerate(sys.rhs) for m in p.monomials]
+    live, size = set(), -1
+    while len(live) > size:
+        size = len(live)
+        live.update([i for i, _c, _w, uses in monos if live.issuperset(uses)])
     if not live:
         return [TruncatedSeries(inst, max_len, {})] * n
-    add, mul, zero = inst.add_raw, inst.mul_raw, inst.zero_raw()
-    ix = {v: i for i, v in enumerate(sys.variables)}
     # the productive monomials: a variable-free word goes straight into its
     # stratum, a terminal-free one (variable indices) feeds e and U, and one
-    # with a variable that is not alone is read by length; shapes lists them
-    # with (variable, number of terminals, variable indices) for each
+    # with a variable that is not alone is read by length
     consts: dict[int, list[dict]] = {}
-    free: list[list] = [[] for _ in range(n)]
-    products, shapes = [], []
-    nullable = False
-    for i, (v, p) in enumerate(zip(sys.variables, sys.rhs)):
-        if v not in live:
+    free, products = [], []
+    for i, c, w, uses in monos:
+        if i not in live:
             continue
-        for m in p.monomials:
-            w = m.word
-            uses = [ix[s] for s in w if s in ix]
-            if not uses:
-                if not w:
-                    nullable = True
-                    free[i].append((m.coeff.value, uses))
-                elif len(w) <= max_len:
-                    consts.setdefault(len(w), [{} for _ in range(n)])[i][w] = m.coeff.value
-            elif all(sys.variables[j] in live for j in uses):
-                if len(uses) == len(w):
-                    free[i].append((m.coeff.value, uses))
-                if len(w) > 1:
-                    products.append((i, m.coeff.value, w))
-            else:
-                continue
-            shapes.append((i, len(w) - len(uses), uses))
-    eps = [e.value for e in eps_coefficients(sys)] if nullable else [zero] * n
+        if not uses:
+            if w and len(w) <= max_len:
+                consts.setdefault(len(w), [{} for _ in range(n)])[i][w] = c
+            elif not w:
+                free.append((i, c, uses))
+        elif live.issuperset(uses):
+            if len(uses) == len(w):
+                free.append((i, c, uses))
+            if len(w) > 1:
+                products.append((i, c, w))
+    eps = [zero] * n
+    nullable = any(not uses for _i, _c, uses in free)
+    if nullable:
+        demand = [(sys.variables[i], 0) for i in live]
+        x_facts, _ = _derivation_items(sys, PositionAutomaton.finite(()), (), demand)
+        for i in live:
+            eps[i] = x_facts[(sys.variables[i], 0)].get((0, False), zero)
 
     unit: dict[tuple[int, int], object] = {}
-    for i, monos in enumerate(free):
-        for c, uses in monos:
-            if len(uses) > 1 and not nullable:
-                continue
-            for p, j in enumerate(uses):
-                u = c
-                for q, other in enumerate(uses):
-                    if q != p:
-                        u = mul(u, eps[other])
-                if u != zero:
-                    unit[(i, j)] = add(unit[(i, j)], u) if (i, j) in unit else u
+    for i, c, uses in free:
+        if len(uses) > 1 and not nullable:
+            continue
+        for p, j in enumerate(uses):
+            u = c
+            for q, other in enumerate(uses):
+                if q != p:
+                    u = mul(u, eps[other])
+            if u != zero:
+                unit[(i, j)] = add(unit[(i, j)], u) if (i, j) in unit else u
     ustar = None
     if unit:
         rect = [[unit.get((i, j), zero) for j in range(n)] for i in range(n)]
@@ -378,86 +389,119 @@ def least_solution_finite(sys: AlgebraicSystem, max_len: int) -> list[TruncatedS
             [(j, u) for j, u in enumerate(row) if u != zero] for row in _star(inst, rect)
         ]
 
+    # strata[i][L]: the words of length L in component i, by code.  Without
+    # products no word is extended, so a word is its own code, () the empty
+    # one, and U* scales a stratum by concat_raw(out, {(): u}, 1, stratum)
+    empty = 0 if products else ()
+    strata = [[{empty: e} if e != zero else {}] for e in eps]
     progs = []
     if products:
         # the shortest and longest words of each component, capped at
         # max_len + 1, which stands for every longer length too.  A longest
         # length that still grows after as many rounds as there are
-        # variables has a pump x =>* u x v, |uv| > 0, under it: unbounded
+        # variables has a pump x =>* u x v, |uv| > 0, under it: unbounded.
+        # A monomial with an unproductive variable is never read
         cap = max_len + 1
         low, high = [cap] * n, [-1] * n
+        shapes = [(i, len(w) - len(uses), uses) for i, _c, w, uses in monos]
         rounds, changed = 0, True
         while changed:
             rounds, changed = rounds + 1, False
-            for i, k, uses in shapes:
-                if any(high[j] < 0 for j in uses):
-                    continue
-                shortest = k + sum(low[j] for j in uses)
-                longest = k + sum(high[j] for j in uses)
-                if shortest < low[i]:
-                    low[i], changed = shortest, True
-                if longest > high[i] and high[i] < cap:
-                    high[i], changed = cap if rounds > n else min(longest, cap), True
-        # per symbol: variable index or -1, the symbol, and the shortest and
-        # longest lengths of the symbols after it
+            for i, shortest, uses in shapes:
+                longest = shortest
+                for j in uses:
+                    if high[j] < 0:
+                        break
+                    shortest += low[j]
+                    longest += high[j]
+                else:
+                    if shortest < low[i]:
+                        low[i], changed = shortest, True
+                    if longest > high[i] and high[i] < cap:
+                        high[i], changed = cap if rounds > n else min(longest, cap), True
+        letters, k = sys.terminals, len(sys.terminals) or 1
+        digit = {t: d for d, t in enumerate(letters)}
+        code = lambda word: reduce(lambda c, s: c * k + digit[s], word, 0)
+        consts = {
+            length: [{code(w): c for w, c in comp.items()} for comp in row]
+            for length, row in consts.items()
+        }
+        # a leading run of terminals starts the partial product.  Each later
+        # factor, a variable (short 1) or a run of r terminals (short 0, one
+        # word of length r), is (short, strata, shortest and longest length,
+        # the same for the symbols after it, and whether it is last)
         for i, c, w in products:
-            steps, lo, hi = [], 0, 0
+            steps, lo, hi, run = [], 0, 0, ()
             for s in reversed(w):
-                j = ix.get(s, -1)
-                steps.append((j, s, lo, hi))
-                lo += low[j] if j >= 0 else 1
-                hi += high[j] if j >= 0 else 1
-            progs.append((i, c, lo, hi, steps[::-1]))
+                if s not in ix:
+                    run = (s,) + run
+                    continue
+                if run:
+                    r = len(run)
+                    steps.append((0, [{}] * r + [{code(run): one}], r, r, lo, hi, not steps))
+                    lo, hi, run = lo + r, hi + r, ()
+                j = ix[s]
+                steps.append((1, strata[j], low[j], high[j], lo, hi, not steps))
+                lo, hi = lo + low[j], hi + high[j]
+            progs.append((i, c, lo + len(run), hi + len(run), len(run), code(run), steps[::-1]))
+        powers = [k**m for m in range(max_len + 1)]
 
-    # strata[i][L]: the words of length L in component i, raw coefficients
-    strata = [[{(): e} if e != zero else {}] for e in eps]
     for length in range(1, max_len + 1) if progs else sorted(consts):
         rest = consts.pop(length, None) or [{} for _ in range(n)]
-        for i, c, shortest, longest, steps in progs:
+        for i, c, shortest, longest, lead, start, steps in progs:
             if not shortest <= length <= longest:
                 continue
-            partial = {(): c}
-            for j, s, lo, hi in steps:
-                nxt: dict = {}
-                if j < 0:
-                    for w, v in partial.items():
-                        lw = len(w) + 1
-                        if lw + lo <= length <= lw + hi:
-                            key = w + (s,)
-                            nxt[key] = add(nxt[key], v) if key in nxt else v
-                else:
-                    comp = strata[j]
-                    # a factor of length L is a unit step, in U
-                    lo_j, hi_j = low[j], min(high[j], length - 1)
-                    for w, v in partial.items():
-                        lw = length - len(w)
-                        for m in range(max(lo_j, lw - hi), min(hi_j, lw - lo) + 1):
-                            for sw, sv in comp[m].items():
-                                key = w + sw
-                                val = mul(v, sv)
-                                nxt[key] = add(nxt[key], val) if key in nxt else val
+            partial = {lead: {start: c}}
+            for short, factor, lo_f, hi_f, lo, hi, last in steps:
+                # a variable's factor of length L is a unit step, in U, so
+                # it is short by 1; the last factor writes into r[L]
+                nxt: dict[int, dict] = {length: rest[i]} if last else {}
+                for lw, part in partial.items():
+                    need = length - lw
+                    top = min(hi_f, need - lo, length - short)
+                    for m in range(max(lo_f, need - hi), top + 1):
+                        right = factor[m]
+                        if right:
+                            out = nxt.get(lw + m)
+                            if out is None:
+                                out = nxt[lw + m] = {}
+                            concat(out, part, powers[m], right)
                 partial = nxt
                 if not partial:
                     break
-            acc = rest[i]
-            for w, v in partial.items():
-                acc[w] = add(acc[w], v) if w in acc else v
         if ustar is not None:
-            solved = []
-            for row in ustar:
-                acc = {}
+            solved: list[dict] = [{} for _ in range(n)]
+            for acc, row in zip(solved, ustar):
                 for j, u in row:
-                    for w, v in rest[j].items():
-                        val = mul(u, v)
-                        acc[w] = add(acc[w], val) if w in acc else val
-                solved.append(acc)
+                    concat(acc, {empty: u}, 1, rest[j])
             rest = solved
         for comp, stratum in zip(strata, rest):
             comp.append(stratum)
+
+    scalar = _scalars(inst, {v for comp in strata for stratum in comp for v in stratum.values()})
+    if not progs:
+        return [
+            TruncatedSeries(inst, max_len, {
+                w: scalar(v) for stratum in comp for w, v in stratum.items()
+            })
+            for comp in strata
+        ]
+    # each code decoded once, from its prefix's word plus its last letter:
+    # up from w to its longest decoded prefix, then down, keeping each prefix
+    words = [{0: ()}] + [{} for _ in range(max_len)]
+    for length in range(1, max_len + 1):
+        for comp in strata:
+            for w in comp[length]:
+                up, p = length, w
+                while p not in words[up]:
+                    up, p = up - 1, p // k
+                for up in range(up + 1, length + 1):
+                    p = w // powers[length - up]
+                    words[up][p] = words[up - 1][p // k] + (letters[p % k],)
     return [
         TruncatedSeries(inst, max_len, {
-            w: _scalar(inst, v)
-            for stratum in comp for w, v in stratum.items() if v != zero
+            table[w]: scalar(v)
+            for table, stratum in zip(words, comp) for w, v in stratum.items()
         })
         for comp in strata
     ]

@@ -320,6 +320,22 @@ def test_row_kernel_matches_the_generic_comprehension(inst, data):
 
 
 @pytest.mark.parametrize("inst", ALL, ids=lambda i: i.name)
+@given(data=st.data())
+def test_concatenation_kernel_matches_the_generic_body(inst, data):
+    # strata of coded words with nonzero values, into an output that may
+    # hold some of the keys already; the generic body adds with add_raw
+    values = [v for v in carrier_values(inst) if v != inst.zero_raw()]
+    strata = st.dictionaries(st.integers(0, 15), st.sampled_from(values), max_size=6)
+    out, left, right = data.draw(strata), data.draw(strata), data.draw(strata)
+    scale = data.draw(st.sampled_from([1, 2, 4]))
+    got, want = dict(out), dict(out)
+    inst.concat_raw(got, left, scale, right)
+    SemiringInstance.concat_raw(inst, want, left, scale, right)
+    assert got.keys() == want.keys()
+    assert all(same(got[key], want[key]) for key in got), (out, left, scale, right)
+
+
+@pytest.mark.parametrize("inst", ALL, ids=lambda i: i.name)
 def test_is_zero_on_every_grid_value(inst):
     # the values hold inf where the carrier has it, and -inf in arctic
     for v in carrier_values(inst):

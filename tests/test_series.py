@@ -215,6 +215,16 @@ def test_coeff_lookup_and_range_error():
         s.coeff(("a", "b", "a"))
 
 
+def test_negative_truncation_is_refused():
+    # a series truncated below the empty word has no coefficient to read,
+    # so neither the constructor nor substitute builds one
+    t = TROPICAL
+    with pytest.raises(SeriesError):
+        TruncatedSeries(t, -1, {})
+    with pytest.raises(SeriesError):
+        substitute(poly(t, "a"), {}, -1)
+
+
 def test_series_zero_coeffs_dropped():
     # substitution keeps no zero coefficient, even where the assignment holds one
     t = TROPICAL

@@ -15,7 +15,14 @@ from staromega.semiring import (
     TROPICAL,
     SemiringError,
 )
-from staromega.series import LassoWord, Polynomial, TruncatedSeries, parse_polynomial, substitute
+from staromega.series import (
+    LassoWord,
+    Polynomial,
+    SeriesError,
+    TruncatedSeries,
+    parse_polynomial,
+    substitute,
+)
 from staromega.gnf import finite_gnf
 from staromega.system import (
     AlgebraicSystem,
@@ -35,6 +42,7 @@ from staromega.system import (
 )
 
 from kleene_reference import RoundsDidNotSettle, _kleene, kleene_rounds
+from least_solution_reference import reference_least_solution
 from lasso_reference import segment, shift
 
 
@@ -166,6 +174,13 @@ def test_least_solution_trivial():
     assert list(least_solution_finite(sys, 3)[0].coeffs) == [("a",)]
 
 
+def test_least_solution_refuses_a_negative_truncation():
+    t = TROPICAL
+    sys = AlgebraicSystem(t, ("a",), ("x",), (poly(t, "a"),))
+    with pytest.raises(SeriesError):
+        least_solution_finite(sys, -1)
+
+
 def test_non_stabilizing_system_errors():
     # x = 2x + 1 over counting keeps strictly growing under Kleene rounds;
     # its empty-word weight is a counting cycle, inf.  The arctic
@@ -265,6 +280,53 @@ def test_least_solution_by_length_equals_the_references_on_general_systems():
     # of 200 cases; 6 of those by the oracle are arctic cycles that gain
     # weight on the empty word, inf there
     assert (settled, by_oracle) == (176, 24)
+
+
+def _random_coded_system(rng, inst, letters, greibach):
+    """1-3 variables over the given letters, with coefficients that include
+    inf on arctic and counting.  General words have length 0-3 over the
+    letters and the variables; Greibach ones are empty or a letter followed
+    by at most two variables."""
+    names = tuple(f"x{i}" for i in range(rng.randint(1, 3)))
+    coeffs = GENERAL_COEFFS[inst] + ([INF] if inst in (ARCTIC, COUNTING) else [])
+    rhs = []
+    for _ in names:
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            if not greibach:
+                word = tuple(rng.choice(letters + names) for _ in range(rng.randint(0, 3)))
+            elif rng.random() < 0.2:
+                word = ()
+            else:
+                tail = tuple(rng.choice(names) for _ in range(rng.randint(0, 2)))
+                word = (rng.choice(letters),) + tail
+            terms.append((inst.value(rng.choice(coeffs)), word))
+        rhs.append(Polynomial.build(inst, terms))
+    return names, tuple(rhs)
+
+
+def test_coded_strata_equal_the_tuple_keyed_reference():
+    # the strata code a word in base k, the number of declared terminals:
+    # alphabets of 1-3 letters, and every other case a declared letter that
+    # no equation uses at a random place among them, so k runs from 1 to 4.
+    # Every series must equal the reference's, on the same set of words.
+    seen = set()
+    for inst in (BOOLEAN, TROPICAL, ARCTIC, COUNTING):
+        rng = random.Random(f"coded-strata/{inst.name}")
+        for case in range(108):
+            letters = ("a", "b", "c")[: 1 + case % 3]
+            terminals = list(letters)
+            if case // 3 % 2:
+                terminals.insert(rng.randint(0, len(letters)), "u")
+            names, rhs = _random_coded_system(rng, inst, letters, case // 6 % 2 == 0)
+            sys = AlgebraicSystem(inst, tuple(terminals), names, rhs)
+            max_len = rng.randint(0, 7)
+            got = least_solution_finite(sys, max_len)
+            want = reference_least_solution(sys, max_len)
+            for g, r in zip(got, want, strict=True):
+                assert g == r and g.coeffs.keys() == r.coeffs.keys(), (sys, max_len)
+            seen.add((len(terminals), max_len))
+    assert seen == {(k, m) for k in range(1, 5) for m in range(8)}
 
 
 def test_segment_table_equals_the_references_on_general_systems():
